@@ -16,6 +16,7 @@ import random
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
+from functools import lru_cache
 
 from . import labels as lb
 from . import zhu
@@ -438,6 +439,9 @@ def cmd_fusion(args) -> int:
     except EngineInconsistencyError as exc:
         print(f"fusion table inconsistent: {exc}", file=sys.stderr)
         return EXIT_INCONSISTENT
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_FAIL
     if args.which == "query":
         try:
             labels = [lb.parse_label(t, k) for t in args.labels]
@@ -652,7 +656,10 @@ def cmd_witness(args) -> int:
     return EXIT_OK
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parsing leaves it
+    unchanged, so every `main` call shares it."""
     parser = argparse.ArgumentParser(
         prog="orbifold-voa",
         description="exact fusion-rule engine for the rank-one charge "

@@ -13,9 +13,15 @@ offending triples.  Queries are then set membership.
 The independent upper bound comes from restricting to constituents of the
 Heisenberg-orbifold decomposition: the bound of a triple is the minimum
 over constituent pairs of the summed constituent fusion numbers in the
-target.  Three zeros of the full table are invisible to this bound (the
-matched-sign half-shift triples against the odd lattice piece); they are
-exposed by `bound_blind_zeros`.
+target.  The constituent rules send M(c) x M(d) only to M(c+d), M(|c-d|)
+and, when c = d, to M+ and M-, and the lattice indices of every untwisted
+label fill residue classes mod 2k.  So the summed count of a source pair
+depends only on the kinds and signs of its constituents, on c and d mod 2k
+and on whether c = d; the minimum is taken over a few representatives of
+each class, and a bound costs the same at every k.  Three zeros of the
+full table are invisible to this bound (the matched-sign half-shift
+triples against the odd lattice piece); they are exposed by
+`bound_blind_zeros`.
 """
 
 from __future__ import annotations
@@ -333,13 +339,25 @@ def upper_bound(w1: ModuleLabel, w2: ModuleLabel, w3: ModuleLabel, k: int) -> in
     """Injectivity bound: minimum over constituent pairs of the summed
     constituent fusion numbers into the target's constituents.
 
-    The target enumeration window is exact for each chosen pair (index sums
-    bound the reachable constituents); the minimization window on the
-    sources is 2k+2, beyond which the repeating norm pattern cannot lower
-    the minimum further.
+    The constituent lattice indices of an untwisted label fill residue
+    classes mod 2k: r and -r for Vl<r>, 0 for V+ and V-, k for Va+ and Va-.
+    `m1_fusion` sends M(c) x M(d) only to M(c+d), M(|c-d|) and, when c = d,
+    to M+ and M-, and the target's indices are again whole residue classes.
+    So the summed count of a source pair depends only on the kinds and signs
+    of its constituents, on c and d mod 2k and on whether c = d.  The
+    sources are listed with window 2, which gives every residue class at
+    least two representatives: every class of pairs, c = d as well as
+    c != d, occurs among them, so the minimum equals the minimum over the
+    whole decomposition and the work is the same at every k.
+
+    The target window reaches past every index sum c + d of the listed
+    sources, so the count of a pair with an untwisted constituent is
+    complete.  Twisted-by-twisted pairs reach every lattice constituent of
+    the target; their bounds (3 or 4 into V+ and V-, 4 into Va+ and Va-,
+    7 into Vl<r>) count the target's constituents inside this fixed window.
     """
-    dec1 = decompose(w1, k)
-    dec2 = decompose(w2, k)
+    dec1 = decompose(w1, k, window=2)
+    dec2 = decompose(w2, k, window=2)
     max_idx = max(
         (abs(c) for _, c in dec1 + dec2 if c is not None), default=0
     )

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from orbifold_voa.cli import EXIT_FAIL, EXIT_OK, SUITES, main
+from orbifold_voa.cli import EXIT_FAIL, EXIT_OK, SUITES, build_parser, main
 
 
 def run(capsys, *argv):
@@ -49,6 +49,15 @@ def test_fusion_query_rejects_boundary_coset(capsys):
     code, _, err = run(capsys, "fusion", "query", "--k", "2", "Vl2", "V+", "V+")
     assert code == EXIT_FAIL
     assert "Va+" in err  # descriptive redirect to the eigenspace labels
+
+
+@pytest.mark.parametrize("k", ("0", "-3"))
+@pytest.mark.parametrize("which", (("query", "V+", "V+", "V+"), ("table",)))
+def test_fusion_rejects_nonpositive_k(capsys, which, k):
+    code, out, err = run(capsys, "fusion", *which[:1], "--k", k, *which[1:])
+    assert code == EXIT_FAIL
+    assert out == ""
+    assert err == "error: k must be a positive integer\n"
 
 
 def test_fusion_table_csv_shape(capsys):
@@ -146,3 +155,27 @@ def test_output_determinism(capsys):
     _, first, _ = run(capsys, *args)
     _, second, _ = run(capsys, *args)
     assert first == second
+
+
+def test_repeated_main_calls_share_the_parser(capsys):
+    assert build_parser() is build_parser()
+    calls = [
+        ("fusion", "query", "--k", "3", "V-", "Va+", "Va+", "--format", "json"),
+        ("verify", "p31", "--k", "2"),
+        ("fusion", "query", "--k", "2", "Vl1", "VT1+"),
+        ("fusion", "query", "--k", "2", "Vl1", "VT1+", "VT2+"),
+    ]
+    first = [run(capsys, *argv) for argv in calls]
+    assert [code for code, _, _ in first] == [EXIT_OK, EXIT_OK, EXIT_FAIL, EXIT_OK]
+    assert "usage:" in first[2][2]
+    assert json.loads(first[0][1])["bound"] >= 1
+    assert "value 1" in first[3][1]
+    assert [run(capsys, *argv) for argv in calls] == first
+
+
+def test_verify_bounds_at_k12(capsys):
+    code, out, _ = run(capsys, "verify", "bounds", "--k", "12")
+    assert code == EXIT_OK
+    lines = out.splitlines()
+    assert len(lines) == 7  # soundness and the six bound-blind zeros
+    assert all(line.startswith("PASS ") for line in lines)

@@ -1,6 +1,8 @@
 """The fusion engine: generating-table examples, closure consistency,
 decompositions, admissibility, and the restriction bound."""
 
+import importlib
+
 import pytest
 
 from orbifold_voa import labels as lb
@@ -18,6 +20,30 @@ from orbifold_voa.fusion import (
 )
 from orbifold_voa.labels import m_lam, m_tw, m_vac
 from orbifold_voa.zhu import contragredient
+
+# the package exports the function `fusion` under the module's name
+fusion_module = importlib.import_module("orbifold_voa.fusion")
+
+
+def _brute_bound(w1, w2, w3, k):
+    """The restriction bound by brute force over source windows of 2k+2:
+    the oracle for `upper_bound`."""
+    dec1 = decompose(w1, k)
+    dec2 = decompose(w2, k)
+    max_idx = max(
+        (abs(c) for _, c in dec1 + dec2 if c is not None), default=0
+    )
+    win3 = max_idx // k + 3
+    dec3 = decompose(w3, k, window=win3)
+    best = None
+    for m, _ in dec1:
+        for n, _ in dec2:
+            total = sum(m1_fusion(m, n, l) for l, _ in dec3)
+            if best is None or total < best:
+                best = total
+            if best == 0:
+                return 0
+    return best if best is not None else 0
 
 
 @pytest.mark.parametrize("k", range(1, 7))
@@ -143,7 +169,7 @@ def test_lambda_normalization():
         normalize_lam_index(0, 2)
 
 
-@pytest.mark.parametrize("k", (1, 2, 3))
+@pytest.mark.parametrize("k", range(1, 11))
 def test_bound_soundness(k):
     eng = get_engine(k)
     for (w1, w2, w3) in eng.all_triples():
@@ -166,3 +192,52 @@ def test_bound_examples():
     for w in get_engine(k).labels:
         assert upper_bound(lb.u_plus(), w, w, k) >= 1
     assert upper_bound(lb.u_minus(), lb.half(+1), lb.half(+1), k) == 1
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_bound_matches_brute_force(k):
+    for (w1, w2, w3) in get_engine(k).all_triples():
+        assert upper_bound(w1, w2, w3, k) == _brute_bound(w1, w2, w3, k)
+
+
+def test_bound_work_is_constant_in_k(monkeypatch):
+    calls = []
+
+    def counting(m, n, l):
+        calls.append(None)
+        return m1_fusion(m, n, l)
+
+    monkeypatch.setattr(fusion_module, "m1_fusion", counting)
+
+    def count(triple, k):
+        calls.clear()
+        upper_bound(*triple, k)
+        return len(calls)
+
+    # nonzero bounds, so no early exit; the first is the costliest kind
+    triples = [
+        (lb.lam(1), lb.lam(2), lb.lam(3)),
+        (lb.half(+1), lb.half(+1), lb.u_plus()),
+        (lb.u_minus(), lb.half(+1), lb.half(+1)),
+        (lb.tw(1, +1), lb.tw(2, -1), lb.lam(1)),
+    ]
+    for triple in triples:
+        n20 = count(triple, 20)
+        assert 0 < n20 <= 500
+        assert count(triple, 200) == n20
+
+
+@pytest.mark.parametrize("k", (1, 2, 8, 50))
+def test_twisted_pair_bounds_count_the_fixed_window(k):
+    twisted = [lb.tw(i, e) for i in (1, 2) for e in (+1, -1)]
+    for t1 in twisted:
+        for t2 in twisted:
+            for s in (+1, -1):
+                vac = lb.u_plus() if s > 0 else lb.u_minus()
+                matched = (t2.sign == s) == (t1.sign > 0)
+                assert upper_bound(t1, t2, vac, k) == (4 if matched else 3)
+                assert upper_bound(t1, t2, lb.half(s), k) == 4
+            for r in range(1, min(k, 4)):
+                assert upper_bound(t1, t2, lb.lam(r), k) == 7
+            for t3 in twisted:
+                assert upper_bound(t1, t2, t3, k) == 0
