@@ -2,19 +2,18 @@
 top-level actions, decomposition listings, and the verification suites.
 
 Output is deterministic: fixed term ordering, fixed JSON key order, and
-per-item buffering when suite items run on the worker pool capped by
-ORBIFOLD_VOA_THREADS.  Exit codes: 0 success / all pass, 1 usage errors or
-failing suite items, 2 fusion-table inconsistency.
+suite items run one after another in submission order.  Exit codes:
+0 success / all pass, 1 usage errors (including k < 1 and a negative
+cutoff, order or window) or failing suite items, 2 fusion-table
+inconsistency.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import random
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from functools import lru_cache
 
@@ -69,23 +68,10 @@ SUITES = (
 )
 
 
-def _threads() -> int:
-    raw = os.environ.get("ORBIFOLD_VOA_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def _run_items(jobs):
-    """Run (name, thunk) pairs, possibly on a worker pool, emitting results
-    in submission order.  Each thunk returns (status, detail)."""
-    n = _threads()
-    if n == 1:
-        return [(name,) + fn() for name, fn in jobs]
-    with ThreadPoolExecutor(max_workers=n) as pool:
-        futures = [(name, pool.submit(fn)) for name, fn in jobs]
-        return [(name,) + fut.result() for name, fut in futures]
+    """Run (name, thunk) pairs in submission order.  Each thunk returns
+    (status, detail)."""
+    return [(name,) + fn() for name, fn in jobs]
 
 
 def _emit_report(k: int, command: str, items, fmt: str) -> None:
@@ -439,9 +425,6 @@ def cmd_fusion(args) -> int:
     except EngineInconsistencyError as exc:
         print(f"fusion table inconsistent: {exc}", file=sys.stderr)
         return EXIT_INCONSISTENT
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FAIL
     if args.which == "query":
         try:
             labels = [lb.parse_label(t, k) for t in args.labels]
@@ -718,6 +701,14 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_FAIL if exc.code else EXIT_OK
+    if args.k < 1:
+        print("error: k must be a positive integer", file=sys.stderr)
+        return EXIT_FAIL
+    for option in ("cutoff", "order", "window"):
+        value = getattr(args, option, None)
+        if value is not None and value < 0:
+            print(f"error: --{option} must be nonnegative", file=sys.stderr)
+            return EXIT_FAIL
     return args.fn(args)
 
 

@@ -41,6 +41,16 @@ def _coerce(params: RingParams, c) -> Scalar:
     return params.rational(c)
 
 
+def add_into(acc: dict, key, c: Scalar) -> None:
+    """acc[key] += c on a dict of Scalars, dropping the key at zero."""
+    prev = acc.get(key)
+    total = c if prev is None else prev + c
+    if total.is_zero():
+        acc.pop(key, None)
+    else:
+        acc[key] = total
+
+
 class _SparseVector:
     """Finite linear combination of basis keys with Scalar coefficients."""
 
@@ -56,6 +66,15 @@ class _SparseVector:
                     clean[key] = c
         self.terms = clean
 
+    @classmethod
+    def _wrap(cls, params: RingParams, terms: dict) -> "_SparseVector":
+        """A vector owning `terms`, a fresh dict whose values are all nonzero
+        Scalars, taken as it is: no coercion and no zero filter."""
+        vec = cls.__new__(cls)
+        vec.params = params
+        vec.terms = terms
+        return vec
+
     def is_zero(self) -> bool:
         return not self.terms
 
@@ -70,16 +89,11 @@ class _SparseVector:
             return NotImplemented
         out = dict(self.terms)
         for key, c in other.terms.items():
-            s = out.get(key)
-            s = c if s is None else s + c
-            if s.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = s
-        return self._like(out)
+            add_into(out, key, c)
+        return self._wrap(self.params, out)
 
     def __neg__(self):
-        return self._like({k: -c for k, c in self.terms.items()})
+        return self._wrap(self.params, {k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other):
         if type(other) is not type(self):
@@ -109,14 +123,8 @@ class _SparseVector:
         out: dict = {}
         for key, c in self.terms.items():
             for nk, nc in fn(key, c):
-                nc = _coerce(self.params, nc)
-                s = out.get(nk)
-                s = nc if s is None else s + nc
-                if s.is_zero():
-                    out.pop(nk, None)
-                else:
-                    out[nk] = s
-        return self._like(out)
+                add_into(out, nk, _coerce(self.params, nc))
+        return self._wrap(self.params, out)
 
     def weights(self) -> set:
         return {self.key_weight(key) for key in self.terms}

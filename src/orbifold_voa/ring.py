@@ -67,12 +67,15 @@ class RingParams:
     element is checked to square to 2 in the cyclotomic quotient.
     """
 
-    __slots__ = ("k", "n_roots", "degree", "t_degree", "_zeta_rows", "_t_top")
+    __slots__ = ("k", "n_roots", "degree", "t_degree", "_zeta_rows", "_t_top", "memo")
 
     def __init__(self, k: int):
         if k < 1:
             raise ValueError(f"k must be a positive integer, got {k}")
         self.k = k
+        # tables the mode layers derive once per ring (creation exponentials,
+        # Delta expansions); they live exactly as long as this instance
+        self.memo: dict = {}
         self.n_roots = 4 * k
         cyclo = cyclotomic_poly(self.n_roots)
         deg = len(cyclo) - 1

@@ -12,7 +12,7 @@ space through three layers:
    lattice u, and the swap-based maps psi for general dual-lattice u.
 
 Modes are indexed like the untwisted case (coefficient of z^(-m-1)); for
-u at lattice index r the support grid is -r^2/4k + (1/2)Z.
+u at lattice index r the support grid is r^2/4k + (1/2)Z.
 """
 
 from __future__ import annotations
@@ -20,17 +20,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
 
-from .fock import (
-    TVector,
-    UVector,
-    half_odd_partitions_of,
-    heis_act,
-    sort_parts,
-)
+from .fock import TVector, UVector, add_into, heis_act
 from .ring import RingParams
-from .untwisted import _dcoef
+from .untwisted import mode_kernel
 
 HALF = Fraction(1, 2)
 
@@ -188,129 +181,52 @@ def psi_map(params: RingParams, r: int) -> PsiMap:
     return out
 
 
-# -- the half-odd mode engine --------------------------------------------------------
+# -- the corrected twisted operators --------------------------------------------------
 
 
-def _exp_coeff_half(r: int, k: int, created: tuple[Fraction, ...]) -> Fraction:
-    coeff = Fraction(1)
-    seen: dict[Fraction, int] = {}
-    for n in created:
-        seen[n] = seen.get(n, 0) + 1
-    for n, i_n in seen.items():
-        coeff *= (Fraction(r, 2 * k) / n) ** i_n / factorial(i_n)
-    return coeff
+def _delta_terms(params: RingParams, nu: tuple[int, ...], r: int) -> tuple:
+    """exp(Delta_z) a(-nu) e[r] as ((d, ((nu2, c), ...)), ...) with rational
+    c, for z^(-d); memoized on `params` for the life of the ring."""
+    key = ("delta", nu, r)
+    terms = params.memo.get(key)
+    if terms is None:
+        terms = params.memo[key] = tuple(
+            (d, tuple((nu2, c.as_rational()) for (nu2, _r), c in vec.terms.items()))
+            for d, vec in delta_apply(UVector(params, {(nu, r): 1})).items()
+        )
+    return terms
 
 
-def _wtheta_term_mode(
-    params: RingParams,
-    nu: tuple[int, ...],
-    r: int,
-    mu: tuple[Fraction, ...],
-    m: Fraction,
-) -> dict[tuple, Fraction]:
-    """Mode of the normally ordered half-odd expansion (prefactor excluded)
-    of a(-n1)...a(-nl) e[r], on the twisted partition mu."""
+def _corrected_mode(u: UVector, m, v: TVector, sector_map) -> TVector:
+    """Mode m of the Delta-corrected half-odd expansion of u on v, each
+    lattice component at index r followed by the sector map sector_map(r).
+
+    Delta is linear, so each term of u is corrected on its own, from the
+    per-ring table of single-term expansions."""
+    params = u.params
+    m = Fraction(m)
     k = params.k
-    target = -m - 1 + Fraction(r * r, 4 * k)  # z-budget after the exponent shift
-    out: dict[tuple, Fraction] = {}
-
-    counts0: dict[Fraction, int] = {}
-    for p in mu:
-        counts0[p] = counts0.get(p, 0) + 1
-
-    def emit(parts: list[Fraction], coeff: Fraction) -> None:
-        key = sort_parts(parts)
-        prev = out.get(key)
-        total = coeff if prev is None else prev + coeff
-        if total:
-            out[key] = total
-        else:
-            out.pop(key, None)
-
-    def stage_create(
-        remaining: list[Fraction], pending: tuple[int, ...], budget: Fraction, coeff: Fraction
-    ) -> None:
-        if (2 * budget).denominator != 1 or budget < HALF * len(pending):
-            return
-
-        def rec(i: int, w: Fraction, c: Fraction, created: list[Fraction]) -> None:
-            if i == len(pending):
-                if r == 0:
-                    if w == 0:
-                        emit(remaining + created, c)
-                    return
-                for lam_parts in half_odd_partitions_of(w):
-                    emit(
-                        remaining + created + list(lam_parts),
-                        c * _exp_coeff_half(r, k, lam_parts),
-                    )
-                return
-            n_i = pending[i]
-            rest = len(pending) - i - 1
-            p = HALF
-            while p <= w - HALF * rest:
-                dc = _dcoef(n_i, -p)
-                if dc:
-                    rec(i + 1, w - p, c * dc, created + [p])
-                p += 1
-
-        rec(0, budget, coeff, [])
-
-    def stage_aminus(
-        counts: dict[Fraction, int], zshift: Fraction, coeff: Fraction, pending: tuple[int, ...]
-    ) -> None:
-        values = [p for p in sorted(counts) if counts[p] > 0]
-
-        def rec(i: int, cstate: dict[Fraction, int], z: Fraction, c: Fraction) -> None:
-            if i == len(values):
-                remaining = [p for p, mult in sorted(cstate.items()) for _ in range(mult)]
-                budget = (target - z) + sum(n for n in pending)
-                stage_create(remaining, pending, budget, c)
-                return
-            p = values[i]
-            m_p = cstate[p]
-            rec(i + 1, cstate, z, c)
-            if r != 0:
-                binom = 1
-                for j in range(1, m_p + 1):
-                    binom = binom * (m_p - j + 1) // j
-                    c_j = c * (-r) ** j * binom
-                    c2 = dict(cstate)
-                    c2[p] = m_p - j
-                    rec(i + 1, c2, z - p * j, c_j)
-
-        rec(0, counts, zshift, coeff)
-
-    def stage_factors(
-        idx: int, counts: dict[Fraction, int], zshift: Fraction, coeff: Fraction, pending: tuple[int, ...]
-    ) -> None:
-        if idx == len(nu):
-            stage_aminus(counts, zshift, coeff, pending)
-            return
-        n_i = nu[idx]
-        stage_factors(idx + 1, counts, zshift, coeff, pending + (n_i,))
-        for j in sorted(counts):
-            mult = counts[j]
-            if mult == 0:
-                continue
-            dc = _dcoef(n_i, j)
-            if not dc:
-                continue
-            c2 = dict(counts)
-            c2[j] = mult - 1
-            stage_factors(
-                idx + 1, c2, zshift - j - n_i, coeff * dc * mult * (2 * k * j), pending
-            )
-
-    stage_factors(0, counts0, Fraction(0), Fraction(1), ())
-    return out
-
-
-def _sectorwise(params: RingParams, v: TVector) -> dict[int, dict]:
-    by_sector: dict[int, dict] = {1: {}, 2: {}}
-    for (parts, sector), c in v.terms.items():
-        by_sector[sector][parts] = c
-    return by_sector
+    acc: dict = {}
+    for (nu, r), cu in u.terms.items():
+        if (2 * m - Fraction(r * r, 2 * k)).denominator != 1:
+            continue  # outside the support grid
+        mat = sector_map(r).matrix
+        images = {
+            sector: [(j, mat[j - 1][sector - 1]) for j in (1, 2) if mat[j - 1][sector - 1]]
+            for sector in (1, 2)
+        }
+        cu = cu * params.two_to(Fraction(-r * r, 2 * k))
+        for d, terms in _delta_terms(params, nu, r):
+            for nu2, cdel in terms:
+                for (mu, sector), cv in v.terms.items():
+                    contrib = mode_kernel(params, nu2, r, mu, 0, m - d, True)
+                    if not contrib:
+                        continue
+                    cc = cu * cv
+                    for parts, q in contrib.items():
+                        for target, sign in images[sector]:
+                            add_into(acc, (parts, target), cc * (cdel * q * sign))
+    return TVector._wrap(params, acc)
 
 
 def tilde_mode(u: UVector, m, v: TVector, cutoff=None) -> TVector:
@@ -319,37 +235,11 @@ def tilde_mode(u: UVector, m, v: TVector, cutoff=None) -> TVector:
     params = u.params
     if params != v.params:
         raise ValueError("tilde_mode: mixed ring parameters")
-    m = Fraction(m)
     if cutoff is not None and v and v.max_weight() > Fraction(cutoff):
         raise ValueError(
             f"cutoff {cutoff} is below the weight {v.max_weight()} of the target"
         )
-    k = params.k
-    out = TVector(params, {})
-    by_r: dict[int, list] = {}
-    for (nu, r), cu in u.terms.items():
-        by_r.setdefault(r, []).append((nu, cu))
-    for r, entries in by_r.items():
-        if (2 * (m - Fraction(r * r, 4 * k))).denominator != 1:
-            continue  # outside the support grid
-        psi = psi_map(params, r)
-        prefactor = params.two_to(Fraction(-r * r, 2 * k))
-        piece = UVector(params, {(nu, r): c for nu, c in entries})
-        corrected = delta_apply(piece)
-        acc = TVector(params, {})
-        for d, uvec in corrected.items():
-            for (nu2, _r2), cdel in uvec.terms.items():
-                for (mu, sector), cv in v.terms.items():
-                    contrib = _wtheta_term_mode(params, nu2, r, mu, m - d)
-                    if not contrib:
-                        continue
-                    cc = cdel * cv
-                    tv = TVector(
-                        params, {(parts, sector): cc * q for parts, q in contrib.items()}
-                    )
-                    acc = acc + tv
-        out = out + psi.apply(acc) * prefactor
-    return out
+    return _corrected_mode(u, m, v, lambda r: psi_map(params, r))
 
 
 def twisted_mode(u: UVector, m, v: TVector, cutoff=None) -> TVector:
@@ -370,23 +260,4 @@ def mtheta_mode(u: UVector, m, v: TVector, cutoff=None) -> TVector:
     """The bare corrected twisted operator with no sector action: the
     intertwiner for the oscillator subalgebra alone.  Sector labels of v
     pass through untouched."""
-    params = u.params
-    m = Fraction(m)
-    k = params.k
-    out = TVector(params, {})
-    for (nu, r), cu in u.terms.items():
-        if (2 * (m - Fraction(r * r, 4 * k))).denominator != 1:
-            continue
-        prefactor = params.two_to(Fraction(-r * r, 2 * k))
-        corrected = delta_apply(UVector(params, {(nu, r): cu}))
-        for d, uvec in corrected.items():
-            for (nu2, _r2), cdel in uvec.terms.items():
-                for (mu, sector), cv in v.terms.items():
-                    contrib = _wtheta_term_mode(params, nu2, r, mu, m - d)
-                    if not contrib:
-                        continue
-                    cc = cdel * cv * prefactor
-                    out = out + TVector(
-                        params, {(parts, sector): cc * q for parts, q in contrib.items()}
-                    )
-    return out
+    return _corrected_mode(u, m, v, lambda r: PsiMap(IDENTITY))

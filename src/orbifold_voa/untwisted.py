@@ -9,7 +9,8 @@ Evaluation is by explicit finite expansion: annihilation choices run over
 the oscillator content of the target, the lattice shift and the z-power of
 the z^{lambda(0)} factor are applied, and the creation side is enumerated
 against the exactly determined weight budget.  No series tails are ever
-truncated, so results are exact.
+truncated, so results are exact.  The same kernel, `mode_kernel`, also
+evaluates the half-odd expansion behind the twisted operators.
 """
 
 from __future__ import annotations
@@ -18,138 +19,167 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
-from .fock import UVector, coset_basis, heis_act, partitions_of, sort_parts, u_term
+from .fock import (
+    UVector,
+    add_into,
+    coset_basis,
+    heis_act,
+    odd_partitions_of,
+    partitions_of,
+    sort_parts,
+    u_term,
+)
 from .ring import RingParams
 
 
 @lru_cache(maxsize=None)
-def _dcoef(n: int, j: Fraction) -> Fraction:
+def _dcoef(n: int, jj: int) -> Fraction:
     """Coefficient of alpha(j) z^(-j-n) in the (n-1)-th divided z-derivative
-    of the oscillator field."""
+    of the oscillator field, for the doubled mode jj = 2j."""
     q = n - 1
-    x = Fraction(j) + n - 1
-    prod = Fraction(1)
+    num = 1
     for y in range(q):
-        prod *= x - y
-    return prod * (-1) ** q / factorial(q)
+        num *= jj + 2 * (n - 1 - y)
+    return Fraction((-1) ** q * num, 2**q * factorial(q))
 
 
-def _exp_coeff(r: int, k: int, created: tuple[int, ...]) -> Fraction:
-    """Multiset coefficient of the creation exponential for lambda_r."""
-    coeff = Fraction(1)
-    seen: dict[int, int] = {}
-    for n in created:
-        seen[n] = seen.get(n, 0) + 1
-    for n, i_n in seen.items():
-        coeff *= Fraction(r, 2 * k * n) ** i_n / factorial(i_n)
-    return coeff
+def _creation_table(params: RingParams, r: int, w: int, twisted: bool) -> tuple:
+    """((parts, coeff), ...): the doubled-weight-w terms of the creation
+    exponential of lambda_r, memoized on `params` for the life of the ring.
+
+    Parts are doubled modes, odd when twisted and even otherwise; a part N
+    carries (r/2k)/(N/2) = r/(kN), and i equal parts a further 1/i!."""
+    key = ("create", r, w, twisted)
+    table = params.memo.get(key)
+    if table is None:
+        if not r:
+            table = (((), Fraction(1)),) if w == 0 else ()
+        else:
+            if twisted:
+                partitions = odd_partitions_of(w)
+            else:
+                partitions = (tuple(2 * p for p in q) for q in partitions_of(w // 2))
+            rows = []
+            for parts in partitions:
+                coeff = Fraction(1)
+                for n in set(parts):
+                    i_n = parts.count(n)
+                    coeff *= Fraction(r, params.k * n) ** i_n / factorial(i_n)
+                rows.append((parts, coeff))
+            table = tuple(rows)
+        params.memo[key] = table
+    return table
 
 
-def _term_mode(
+def mode_kernel(
     params: RingParams,
     nu: tuple[int, ...],
     r: int,
-    mu: tuple[int, ...],
+    mu: tuple,
     s: int,
     m: Fraction,
+    twisted: bool,
 ) -> dict[tuple, Fraction]:
-    """Mode action of the term a(-n1)...a(-nl) e[r] on a(-m1)... e[s]."""
+    """Mode m of the term a(-n1)...a(-nl) e[r] on one oscillator term.
+
+    Untwisted, the target is a(-m1)... e[s] and the result maps integer
+    partitions to coefficients (the output lattice index is r + s).
+    Twisted, the target is the half-odd partition mu, s must be 0, and the
+    result is the normally ordered half-odd expansion without the prefactor
+    2^(-r^2/2k).
+
+    Work is in doubled integer units: a part p of mu and of the output is
+    held as 2p, even untwisted and odd twisted, and the z-budget is the one
+    integer T = 2(-m-1-rs/2k) untwisted or 2(-m-1+r^2/4k) twisted (the
+    z^{lambda(0)} factor, resp. the exponent shift, folded in).  An m with
+    T off that grid gives {} at once.  Three stages run in turn: each
+    factor a(-n) is contracted against a part of mu, paired with the
+    lattice index s, or left pending; the annihilation exponential removes
+    parts with binomial weights; the pending factors and the creation
+    exponential then share what is left of T.  The lattices differ only in
+    the smallest created part (2 or 1) and in the s-term.  Parts become
+    ints or Fractions again only on the output keys.
+    """
     k = params.k
-    target = -m - 1
+    if twisted:
+        t = -2 * m - 2 + Fraction(r * r, 2 * k)
+        lo = 1
+    else:
+        t = -2 * m - 2 - Fraction(r * s, k)
+        lo = 2
+    if t.denominator != 1 or (not twisted and t.numerator % 2):
+        return {}
+    t = t.numerator
     out: dict[tuple, Fraction] = {}
 
-    counts0: dict[int, int] = {}
-    for p in mu:
-        counts0[p] = counts0.get(p, 0) + 1
-
-    def emit(parts: list[int], coeff: Fraction) -> None:
-        key = (sort_parts(parts), r + s)
-        prev = out.get(key)
-        total = coeff if prev is None else prev + coeff
+    def emit(parts: tuple, coeff: Fraction) -> None:
+        key = tuple(sorted(parts, reverse=True))
+        total = out.get(key, 0) + coeff
         if total:
             out[key] = total
         else:
             out.pop(key, None)
 
-    def stage_create(
-        remaining: list[int], pending: tuple[int, ...], budget: Fraction, coeff: Fraction
-    ) -> None:
-        if budget.denominator != 1 or budget < len(pending):
-            return
-        w_total = int(budget)
-
-        def rec(i: int, w: int, c: Fraction, created: list[int]) -> None:
+    def create(remaining: tuple, pending: tuple, budget: int, coeff: Fraction) -> None:
+        def rec(i: int, w: int, c: Fraction, created: tuple) -> None:
             if i == len(pending):
-                if r == 0:
-                    if w == 0:
-                        emit(remaining + created, c)
-                    return
-                for lam_parts in partitions_of(w):
-                    emit(
-                        remaining + created + list(lam_parts),
-                        c * _exp_coeff(r, k, lam_parts),
-                    )
+                for lam, e in _creation_table(params, r, w, twisted):
+                    emit(remaining + created + lam, c * e)
                 return
             n_i = pending[i]
-            rest = len(pending) - i - 1
-            for p in range(1, w - rest + 1):
-                dc = _dcoef(n_i, Fraction(-p))
+            for p in range(lo, w - lo * (len(pending) - i - 1) + 1, 2):
+                dc = _dcoef(n_i, -p)
                 if dc:
-                    rec(i + 1, w - p, c * dc, created + [p])
+                    rec(i + 1, w - p, c * dc, created + (p,))
 
-        rec(0, w_total, coeff, [])
+        if budget >= lo * len(pending):
+            rec(0, budget, coeff, ())
 
-    def stage_aminus(
-        counts: dict[int, int], zshift: Fraction, coeff: Fraction, pending: tuple[int, ...]
-    ) -> None:
-        values = [p for p in sorted(counts) if counts[p] > 0]
+    def annihilate(counts: dict, drop: int, coeff: Fraction, pending: tuple) -> None:
+        values = sorted(p for p, mult in counts.items() if mult)
+        budget0 = t + 2 * sum(pending)
 
-        def rec(i: int, cstate: dict[int, int], z: Fraction, c: Fraction) -> None:
+        def rec(i: int, kept: tuple, d: int, c: Fraction) -> None:
             if i == len(values):
-                z += Fraction(r * s, 2 * k)  # the z^{lambda(0)} factor
-                remaining = [p for p, mult in sorted(cstate.items()) for _ in range(mult)]
-                budget = (target - z) + sum(pending)
-                stage_create(remaining, pending, budget, c)
+                create(kept, pending, budget0 + d, c)
                 return
             p = values[i]
-            m_p = cstate[p]
-            rec(i + 1, cstate, z, c)
-            if r != 0:
+            m_p = counts[p]
+            rec(i + 1, kept + (p,) * m_p, d, c)
+            if r:
                 binom = 1
                 for j in range(1, m_p + 1):
                     binom = binom * (m_p - j + 1) // j
-                    c_j = c * (-r) ** j * binom
-                    c2 = dict(cstate)
-                    c2[p] = m_p - j
-                    rec(i + 1, c2, z - p * j, c_j)
+                    rec(i + 1, kept + (p,) * (m_p - j), d + p * j, c * ((-r) ** j * binom))
 
-        rec(0, counts, zshift, coeff)
+        rec(0, (), drop, coeff)
 
-    def stage_factors(
-        idx: int, counts: dict[int, int], zshift: Fraction, coeff: Fraction, pending: tuple[int, ...]
-    ) -> None:
+    def factors(idx: int, counts: dict, drop: int, coeff: Fraction, pending: tuple) -> None:
         if idx == len(nu):
-            stage_aminus(counts, zshift, coeff, pending)
+            annihilate(counts, drop, coeff, pending)
             return
         n_i = nu[idx]
-        stage_factors(idx + 1, counts, zshift, coeff, pending + (n_i,))
-        if s != 0:
-            stage_factors(idx + 1, counts, zshift - n_i, coeff * _dcoef(n_i, Fraction(0)) * s, pending)
+        factors(idx + 1, counts, drop, coeff, pending + (n_i,))
+        if s:
+            factors(idx + 1, counts, drop + 2 * n_i, coeff * (_dcoef(n_i, 0) * s), pending)
         for j in sorted(counts):
             mult = counts[j]
-            if mult == 0:
+            if not mult:
                 continue
-            dc = _dcoef(n_i, Fraction(j))
-            if not dc:
-                continue
-            c2 = dict(counts)
-            c2[j] = mult - 1
-            stage_factors(
-                idx + 1, c2, zshift - j - n_i, coeff * dc * mult * (2 * k * j), pending
-            )
+            dc = _dcoef(n_i, j)
+            if dc:
+                c2 = dict(counts)
+                c2[j] = mult - 1
+                factors(idx + 1, c2, drop + j + 2 * n_i, coeff * (dc * (mult * k * j)), pending)
 
-    stage_factors(0, counts0, Fraction(0), Fraction(1), ())
-    return out
+    counts0: dict[int, int] = {}
+    for p in mu:
+        p2 = 2 * p.numerator // p.denominator
+        counts0[p2] = counts0.get(p2, 0) + 1
+    factors(0, counts0, 0, Fraction(1), ())
+    if twisted:
+        return {tuple(Fraction(p, 2) for p in key): c for key, c in out.items()}
+    return {tuple(p // 2 for p in key): c for key, c in out.items()}
 
 
 def vertex_mode(u: UVector, m, v: UVector, cutoff=None) -> UVector:
@@ -169,18 +199,12 @@ def vertex_mode(u: UVector, m, v: UVector, cutoff=None) -> UVector:
     acc: dict = {}
     for (nu, r), cu in u.terms.items():
         for (mu, s), cv in v.terms.items():
-            if (m + Fraction(r * s, 2 * params.k)).denominator != 1:
-                continue  # outside the support grid of this term pair
-            cuv = cu * cv
-            for key, q in _term_mode(params, nu, r, mu, s, m).items():
-                c = cuv * q
-                prev = acc.get(key)
-                total = c if prev is None else prev + c
-                if total.is_zero():
-                    acc.pop(key, None)
-                else:
-                    acc[key] = total
-    return UVector(params, acc)
+            contrib = mode_kernel(params, nu, r, mu, s, m, False)
+            if contrib:
+                cuv = cu * cv
+                for parts, q in contrib.items():
+                    add_into(acc, (parts, r + s), cuv * q)
+    return UVector._wrap(params, acc)
 
 
 def mode_exponents(u: UVector, v: UVector, out_weights) -> list[Fraction]:

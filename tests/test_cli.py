@@ -60,6 +60,41 @@ def test_fusion_rejects_nonpositive_k(capsys, which, k):
     assert err == "error: k must be a positive integer\n"
 
 
+@pytest.mark.parametrize("k", ("0", "-2"))
+@pytest.mark.parametrize(
+    "argv",
+    (
+        ("verify", "jacobi"),
+        ("dump", "delta"),
+        ("dump", "zhu"),
+        ("zhu", "table"),
+        ("witness", "--type", "Vl1,VT1+,VT2+"),
+    ),
+)
+def test_commands_reject_nonpositive_k(capsys, argv, k):
+    code, out, err = run(capsys, *argv, "--k", k)
+    assert code == EXIT_FAIL
+    assert out == ""
+    assert err == "error: k must be a positive integer\n"
+
+
+@pytest.mark.parametrize(
+    "argv, option",
+    (
+        (("verify", "jacobi", "--k", "1", "--cutoff", "-2"), "cutoff"),
+        (("verify", "decomp", "--k", "2", "--cutoff=-1/2"), "cutoff"),
+        (("witness", "--type", "Vl1,VT1+,VT2+", "--k", "2", "--cutoff", "-1"), "cutoff"),
+        (("dump", "delta", "--order", "-1"), "order"),
+        (("dump", "decompose", "--k", "2", "--module", "Va+", "--window", "-1"), "window"),
+    ),
+)
+def test_negative_sizes_are_usage_errors(capsys, argv, option):
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_FAIL
+    assert out == ""
+    assert err == f"error: --{option} must be nonnegative\n"
+
+
 def test_fusion_table_csv_shape(capsys):
     code, out, _ = run(capsys, "fusion", "table", "--k", "1", "--format", "csv")
     assert code == EXIT_OK

@@ -1,0 +1,521 @@
+"""The one mode kernel against the two engines it replaced.
+
+`_term_mode` and `_wtheta_term_mode`, with their helpers and the
+`vertex_mode`, `tilde_mode` and `mtheta_mode` built on them, are copied
+verbatim from the last version of the package that had them; they are the
+oracles here.  Every comparison is exact, and each test counts the
+comparisons with a nonzero image so that it cannot pass on zeros alone.
+"""
+
+from fractions import Fraction
+from functools import lru_cache
+from math import factorial
+
+import pytest
+
+from orbifold_voa import twisted, untwisted
+from orbifold_voa.fock import (
+    TVector,
+    UVector,
+    half_odd_partitions_of,
+    lattice_vector,
+    partitions_of,
+    sort_parts,
+    t_term,
+    tw_vacuum,
+    u_term,
+)
+from orbifold_voa.ring import RingParams
+from orbifold_voa.twisted import delta_apply, psi_map
+from orbifold_voa.untwisted import mode_kernel
+
+HALF = Fraction(1, 2)
+
+
+# -- reference: the untwisted engine --------------------------------------------
+
+@lru_cache(maxsize=None)
+def _dcoef(n: int, j: Fraction) -> Fraction:
+    """Coefficient of alpha(j) z^(-j-n) in the (n-1)-th divided z-derivative
+    of the oscillator field."""
+    q = n - 1
+    x = Fraction(j) + n - 1
+    prod = Fraction(1)
+    for y in range(q):
+        prod *= x - y
+    return prod * (-1) ** q / factorial(q)
+
+
+def _exp_coeff(r: int, k: int, created: tuple[int, ...]) -> Fraction:
+    """Multiset coefficient of the creation exponential for lambda_r."""
+    coeff = Fraction(1)
+    seen: dict[int, int] = {}
+    for n in created:
+        seen[n] = seen.get(n, 0) + 1
+    for n, i_n in seen.items():
+        coeff *= Fraction(r, 2 * k * n) ** i_n / factorial(i_n)
+    return coeff
+
+
+def _term_mode(
+    params: RingParams,
+    nu: tuple[int, ...],
+    r: int,
+    mu: tuple[int, ...],
+    s: int,
+    m: Fraction,
+) -> dict[tuple, Fraction]:
+    """Mode action of the term a(-n1)...a(-nl) e[r] on a(-m1)... e[s]."""
+    k = params.k
+    target = -m - 1
+    out: dict[tuple, Fraction] = {}
+
+    counts0: dict[int, int] = {}
+    for p in mu:
+        counts0[p] = counts0.get(p, 0) + 1
+
+    def emit(parts: list[int], coeff: Fraction) -> None:
+        key = (sort_parts(parts), r + s)
+        prev = out.get(key)
+        total = coeff if prev is None else prev + coeff
+        if total:
+            out[key] = total
+        else:
+            out.pop(key, None)
+
+    def stage_create(
+        remaining: list[int], pending: tuple[int, ...], budget: Fraction, coeff: Fraction
+    ) -> None:
+        if budget.denominator != 1 or budget < len(pending):
+            return
+        w_total = int(budget)
+
+        def rec(i: int, w: int, c: Fraction, created: list[int]) -> None:
+            if i == len(pending):
+                if r == 0:
+                    if w == 0:
+                        emit(remaining + created, c)
+                    return
+                for lam_parts in partitions_of(w):
+                    emit(
+                        remaining + created + list(lam_parts),
+                        c * _exp_coeff(r, k, lam_parts),
+                    )
+                return
+            n_i = pending[i]
+            rest = len(pending) - i - 1
+            for p in range(1, w - rest + 1):
+                dc = _dcoef(n_i, Fraction(-p))
+                if dc:
+                    rec(i + 1, w - p, c * dc, created + [p])
+
+        rec(0, w_total, coeff, [])
+
+    def stage_aminus(
+        counts: dict[int, int], zshift: Fraction, coeff: Fraction, pending: tuple[int, ...]
+    ) -> None:
+        values = [p for p in sorted(counts) if counts[p] > 0]
+
+        def rec(i: int, cstate: dict[int, int], z: Fraction, c: Fraction) -> None:
+            if i == len(values):
+                z += Fraction(r * s, 2 * k)  # the z^{lambda(0)} factor
+                remaining = [p for p, mult in sorted(cstate.items()) for _ in range(mult)]
+                budget = (target - z) + sum(pending)
+                stage_create(remaining, pending, budget, c)
+                return
+            p = values[i]
+            m_p = cstate[p]
+            rec(i + 1, cstate, z, c)
+            if r != 0:
+                binom = 1
+                for j in range(1, m_p + 1):
+                    binom = binom * (m_p - j + 1) // j
+                    c_j = c * (-r) ** j * binom
+                    c2 = dict(cstate)
+                    c2[p] = m_p - j
+                    rec(i + 1, c2, z - p * j, c_j)
+
+        rec(0, counts, zshift, coeff)
+
+    def stage_factors(
+        idx: int, counts: dict[int, int], zshift: Fraction, coeff: Fraction, pending: tuple[int, ...]
+    ) -> None:
+        if idx == len(nu):
+            stage_aminus(counts, zshift, coeff, pending)
+            return
+        n_i = nu[idx]
+        stage_factors(idx + 1, counts, zshift, coeff, pending + (n_i,))
+        if s != 0:
+            stage_factors(idx + 1, counts, zshift - n_i, coeff * _dcoef(n_i, Fraction(0)) * s, pending)
+        for j in sorted(counts):
+            mult = counts[j]
+            if mult == 0:
+                continue
+            dc = _dcoef(n_i, Fraction(j))
+            if not dc:
+                continue
+            c2 = dict(counts)
+            c2[j] = mult - 1
+            stage_factors(
+                idx + 1, c2, zshift - j - n_i, coeff * dc * mult * (2 * k * j), pending
+            )
+
+    stage_factors(0, counts0, Fraction(0), Fraction(1), ())
+    return out
+
+
+def vertex_mode(u: UVector, m, v: UVector, cutoff=None) -> UVector:
+    """The mode u_m of the untwisted operator of u, applied to v.
+
+    Exact; `cutoff`, when given, must dominate the weight of v (guard
+    against accidentally feeding unbounded sweeps).
+    """
+    params = u.params
+    if params != v.params:
+        raise ValueError("vertex_mode: mixed ring parameters")
+    m = Fraction(m)
+    if cutoff is not None and v and v.max_weight() > Fraction(cutoff):
+        raise ValueError(
+            f"cutoff {cutoff} is below the weight {v.max_weight()} of the target"
+        )
+    acc: dict = {}
+    for (nu, r), cu in u.terms.items():
+        for (mu, s), cv in v.terms.items():
+            if (m + Fraction(r * s, 2 * params.k)).denominator != 1:
+                continue  # outside the support grid of this term pair
+            cuv = cu * cv
+            for key, q in _term_mode(params, nu, r, mu, s, m).items():
+                c = cuv * q
+                prev = acc.get(key)
+                total = c if prev is None else prev + c
+                if total.is_zero():
+                    acc.pop(key, None)
+                else:
+                    acc[key] = total
+    return UVector(params, acc)
+
+
+# -- reference: the twisted engine ----------------------------------------------
+
+
+def _exp_coeff_half(r: int, k: int, created: tuple[Fraction, ...]) -> Fraction:
+    coeff = Fraction(1)
+    seen: dict[Fraction, int] = {}
+    for n in created:
+        seen[n] = seen.get(n, 0) + 1
+    for n, i_n in seen.items():
+        coeff *= (Fraction(r, 2 * k) / n) ** i_n / factorial(i_n)
+    return coeff
+
+
+def _wtheta_term_mode(
+    params: RingParams,
+    nu: tuple[int, ...],
+    r: int,
+    mu: tuple[Fraction, ...],
+    m: Fraction,
+) -> dict[tuple, Fraction]:
+    """Mode of the normally ordered half-odd expansion (prefactor excluded)
+    of a(-n1)...a(-nl) e[r], on the twisted partition mu."""
+    k = params.k
+    target = -m - 1 + Fraction(r * r, 4 * k)  # z-budget after the exponent shift
+    out: dict[tuple, Fraction] = {}
+
+    counts0: dict[Fraction, int] = {}
+    for p in mu:
+        counts0[p] = counts0.get(p, 0) + 1
+
+    def emit(parts: list[Fraction], coeff: Fraction) -> None:
+        key = sort_parts(parts)
+        prev = out.get(key)
+        total = coeff if prev is None else prev + coeff
+        if total:
+            out[key] = total
+        else:
+            out.pop(key, None)
+
+    def stage_create(
+        remaining: list[Fraction], pending: tuple[int, ...], budget: Fraction, coeff: Fraction
+    ) -> None:
+        if (2 * budget).denominator != 1 or budget < HALF * len(pending):
+            return
+
+        def rec(i: int, w: Fraction, c: Fraction, created: list[Fraction]) -> None:
+            if i == len(pending):
+                if r == 0:
+                    if w == 0:
+                        emit(remaining + created, c)
+                    return
+                for lam_parts in half_odd_partitions_of(w):
+                    emit(
+                        remaining + created + list(lam_parts),
+                        c * _exp_coeff_half(r, k, lam_parts),
+                    )
+                return
+            n_i = pending[i]
+            rest = len(pending) - i - 1
+            p = HALF
+            while p <= w - HALF * rest:
+                dc = _dcoef(n_i, -p)
+                if dc:
+                    rec(i + 1, w - p, c * dc, created + [p])
+                p += 1
+
+        rec(0, budget, coeff, [])
+
+    def stage_aminus(
+        counts: dict[Fraction, int], zshift: Fraction, coeff: Fraction, pending: tuple[int, ...]
+    ) -> None:
+        values = [p for p in sorted(counts) if counts[p] > 0]
+
+        def rec(i: int, cstate: dict[Fraction, int], z: Fraction, c: Fraction) -> None:
+            if i == len(values):
+                remaining = [p for p, mult in sorted(cstate.items()) for _ in range(mult)]
+                budget = (target - z) + sum(n for n in pending)
+                stage_create(remaining, pending, budget, c)
+                return
+            p = values[i]
+            m_p = cstate[p]
+            rec(i + 1, cstate, z, c)
+            if r != 0:
+                binom = 1
+                for j in range(1, m_p + 1):
+                    binom = binom * (m_p - j + 1) // j
+                    c_j = c * (-r) ** j * binom
+                    c2 = dict(cstate)
+                    c2[p] = m_p - j
+                    rec(i + 1, c2, z - p * j, c_j)
+
+        rec(0, counts, zshift, coeff)
+
+    def stage_factors(
+        idx: int, counts: dict[Fraction, int], zshift: Fraction, coeff: Fraction, pending: tuple[int, ...]
+    ) -> None:
+        if idx == len(nu):
+            stage_aminus(counts, zshift, coeff, pending)
+            return
+        n_i = nu[idx]
+        stage_factors(idx + 1, counts, zshift, coeff, pending + (n_i,))
+        for j in sorted(counts):
+            mult = counts[j]
+            if mult == 0:
+                continue
+            dc = _dcoef(n_i, j)
+            if not dc:
+                continue
+            c2 = dict(counts)
+            c2[j] = mult - 1
+            stage_factors(
+                idx + 1, c2, zshift - j - n_i, coeff * dc * mult * (2 * k * j), pending
+            )
+
+    stage_factors(0, counts0, Fraction(0), Fraction(1), ())
+    return out
+
+
+def tilde_mode(u: UVector, m, v: TVector, cutoff=None) -> TVector:
+    """Mode of the twisted intertwiner: the corrected half-odd expansion of
+    u tensored with the sector map of each lattice component of u."""
+    params = u.params
+    if params != v.params:
+        raise ValueError("tilde_mode: mixed ring parameters")
+    m = Fraction(m)
+    if cutoff is not None and v and v.max_weight() > Fraction(cutoff):
+        raise ValueError(
+            f"cutoff {cutoff} is below the weight {v.max_weight()} of the target"
+        )
+    k = params.k
+    out = TVector(params, {})
+    by_r: dict[int, list] = {}
+    for (nu, r), cu in u.terms.items():
+        by_r.setdefault(r, []).append((nu, cu))
+    for r, entries in by_r.items():
+        if (2 * (m - Fraction(r * r, 4 * k))).denominator != 1:
+            continue  # outside the support grid
+        psi = psi_map(params, r)
+        prefactor = params.two_to(Fraction(-r * r, 2 * k))
+        piece = UVector(params, {(nu, r): c for nu, c in entries})
+        corrected = delta_apply(piece)
+        acc = TVector(params, {})
+        for d, uvec in corrected.items():
+            for (nu2, _r2), cdel in uvec.terms.items():
+                for (mu, sector), cv in v.terms.items():
+                    contrib = _wtheta_term_mode(params, nu2, r, mu, m - d)
+                    if not contrib:
+                        continue
+                    cc = cdel * cv
+                    tv = TVector(
+                        params, {(parts, sector): cc * q for parts, q in contrib.items()}
+                    )
+                    acc = acc + tv
+        out = out + psi.apply(acc) * prefactor
+    return out
+
+
+def mtheta_mode(u: UVector, m, v: TVector, cutoff=None) -> TVector:
+    """The bare corrected twisted operator with no sector action: the
+    intertwiner for the oscillator subalgebra alone.  Sector labels of v
+    pass through untouched."""
+    params = u.params
+    m = Fraction(m)
+    k = params.k
+    out = TVector(params, {})
+    for (nu, r), cu in u.terms.items():
+        if (2 * (m - Fraction(r * r, 4 * k))).denominator != 1:
+            continue
+        prefactor = params.two_to(Fraction(-r * r, 2 * k))
+        corrected = delta_apply(UVector(params, {(nu, r): cu}))
+        for d, uvec in corrected.items():
+            for (nu2, _r2), cdel in uvec.terms.items():
+                for (mu, sector), cv in v.terms.items():
+                    contrib = _wtheta_term_mode(params, nu2, r, mu, m - d)
+                    if not contrib:
+                        continue
+                    cc = cdel * cv * prefactor
+                    out = out + TVector(
+                        params, {(parts, sector): cc * q for parts, q in contrib.items()}
+                    )
+    return out
+
+
+# -- comparisons ------------------------------------------------------------------
+
+PARTS = ((), (1,), (2,), (1, 1), (2, 1))
+HALF_ODD_PARTS = tuple(
+    tuple(Fraction(p, 2) for p in doubled)
+    for doubled in ((), (1,), (1, 1), (3,), (3, 1), (5,))
+)
+
+
+def _indices(k: int) -> tuple[int, ...]:
+    return (0, 1, k, -2 * k, 2 * k + 1)
+
+
+@pytest.mark.parametrize("k", (1, 2, 3))
+def test_untwisted_kernel_matches_term_mode(k):
+    params = RingParams(k)
+    nonzero = 0
+    for nu in PARTS:
+        for r in _indices(k):
+            for mu in PARTS:
+                for s in _indices(k):
+                    top = sum(nu) + sum(mu) - 1 - Fraction(r * s, 2 * k)
+                    for j in range(-1, 4):
+                        m = top - j
+                        got = mode_kernel(params, nu, r, mu, s, m, False)
+                        want = _term_mode(params, nu, r, mu, s, m)
+                        assert got == {parts: c for (parts, _rs), c in want.items()}
+                        assert all(rs == r + s for (_parts, rs) in want)
+                        nonzero += bool(got)
+                    for off in (HALF, Fraction(1, 3)):
+                        assert mode_kernel(params, nu, r, mu, s, top - off, False) == {}
+    assert nonzero > 0
+
+
+@pytest.mark.parametrize("k", (1, 2, 3))
+def test_twisted_kernel_matches_wtheta_term_mode(k):
+    params = RingParams(k)
+    nonzero = 0
+    for nu in PARTS:
+        for r in _indices(k):
+            for mu in HALF_ODD_PARTS:
+                top = sum(nu) + sum(mu) - 1 + Fraction(r * r, 4 * k)
+                for j in range(-1, 8):
+                    m = top - j * HALF
+                    got = mode_kernel(params, nu, r, mu, 0, m, True)
+                    assert got == _wtheta_term_mode(params, nu, r, mu, m), (nu, r, mu, m)
+                    nonzero += bool(got)
+                assert mode_kernel(params, nu, r, mu, 0, top - Fraction(1, 4), True) == {}
+    assert nonzero > 0
+
+
+def _sweep(u, v, twisted_target: bool, depth: int = 4) -> list[Fraction]:
+    """Every exponent on the support grid of some term pair of (u, v), from
+    the top of that pair down `depth` weight units."""
+    k = u.params.k
+    modes = set()
+    for (nu, r), _cu in u.terms.items():
+        for (mu, s), _cv in v.terms.items():
+            if twisted_target:
+                top, step = sum(nu) + sum(mu) - 1 + Fraction(r * r, 4 * k), HALF
+            else:
+                top, step = sum(nu) + sum(mu) - 1 - Fraction(r * s, 2 * k), Fraction(1)
+            modes.update(top - j * step for j in range(int(depth / step) + 1))
+    return sorted(modes)
+
+
+def _multi_u(params: RingParams, r: int, partner: int) -> UVector:
+    """Four terms: three at r and `partner` (on the same support grid as r
+    for the operator under test), one at r + 1 (on it or not)."""
+    return (
+        lattice_vector(params, r) * params.zeta(1)
+        + u_term(params, [1], r, Fraction(-2, 3))
+        + u_term(params, [1, 1], partner) * params.two_to(Fraction(1, 2 * params.k))
+        + u_term(params, [2], r + 1, 5)
+    )
+
+
+@pytest.mark.parametrize("k", (1, 2, 3))
+def test_vertex_mode_matches_reference_on_multi_term_vectors(k):
+    params = RingParams(k)
+    nonzero = 0
+    for r in (0, 1, k):
+        u = _multi_u(params, r, r + 2 * k)
+        for s in (1, -k):
+            v = (
+                lattice_vector(params, s)
+                + u_term(params, [2, 1], s, params.zeta(3))
+                + u_term(params, [1], s - 2 * k, Fraction(1, 2))
+            )
+            for m in _sweep(u, v, False, depth=2):
+                got = untwisted.vertex_mode(u, m, v)
+                assert got == vertex_mode(u, m, v), (r, s, m)
+                nonzero += bool(got)
+    assert nonzero > 0
+
+
+@pytest.mark.parametrize("k", (1, 2, 3))
+def test_twisted_operators_match_reference_on_multi_term_vectors(k):
+    params = RingParams(k)
+    v = (
+        t_term(params, [HALF], 1)
+        + tw_vacuum(params, 2, params.zeta(3))
+        + t_term(params, [Fraction(3, 2), HALF], 2, Fraction(-1, 4))
+    )
+    nonzero = {"tilde": 0, "mtheta": 0}
+    for r in sorted({1, k, 2 * k}):
+        u = _multi_u(params, r, -r)
+        for m in _sweep(u, v, True, depth=2):
+            got = twisted.tilde_mode(u, m, v)
+            assert got == tilde_mode(u, m, v), ("tilde", r, m)
+            nonzero["tilde"] += bool(got)
+            got = twisted.mtheta_mode(u, m, v)
+            assert got == mtheta_mode(u, m, v), ("mtheta", r, m)
+            nonzero["mtheta"] += bool(got)
+    assert min(nonzero.values()) > 0
+
+
+def test_returned_vectors_do_not_alias_the_ring_memo():
+    params = RingParams(2)
+    cases = (
+        (untwisted.vertex_mode, _multi_u(params, 1, 5), u_term(params, [2, 1], 1), False),
+        (twisted.tilde_mode, _multi_u(params, 1, -1), t_term(params, [HALF], 1), True),
+        (twisted.mtheta_mode, _multi_u(params, 1, -1), t_term(params, [HALF], 2), True),
+    )
+    for op, u, v, twisted_target in cases:
+        m = next(m for m in _sweep(u, v, twisted_target) if op(u, m, v))
+        first = op(u, m, v)
+        want = dict(first.terms)
+        for key in first.terms:
+            first.terms[key] = params.rational(7)
+        first.terms[((9,), 0)] = params.rational(1)
+        assert op(u, m, v).terms == want, op.__name__
+    assert params.memo
+    args = (params, (1,), 1, (2, 1), 1, Fraction(-5, 4), False)
+    image = mode_kernel(*args)
+    assert image
+    want = dict(image)
+    for key in image:
+        image[key] += 1
+    image[(9,)] = Fraction(1)
+    assert mode_kernel(*args) == want
