@@ -16,6 +16,7 @@ import random
 import sys
 from fractions import Fraction
 from functools import lru_cache
+from math import isqrt
 
 from . import labels as lb
 from . import zhu
@@ -204,7 +205,26 @@ def suite_bounds(k: int, cutoff, seed: int):
     return _run_items(jobs)
 
 
+def decomp_window(k: int, weight) -> int:
+    """The `decompose` window that lists every constituent of weight at
+    most `weight` for the untwisted labels.
+
+    A constituent M(c) starts at weight c^2/4k.  For |m| >= 1 the shift-m
+    constituent of V+-, Va+- (c = 2km, k + 2km) and Vl<r> (c = r + 2km,
+    0 < r < k) has |c| > 2k(|m| - 1), so it reaches `weight` only if
+    k(|m| - 1)^2 < weight, that is |m| - 1 <= isqrt(floor(weight / k))."""
+    return isqrt(Fraction(weight) // k) + 1
+
+
 def suite_decomp(k: int, cutoff, seed: int):
+    """Graded dimension of each module against the sum over its
+    constituents, at weights top, top + 1/2, ..., top + cutoff.
+
+    The constituents come from one `decompose` list per label, sized by
+    `decomp_window` for the largest checked weight; those it leaves out
+    start above every checked weight.  The two sides stay independent:
+    `graded_dim` counts the module's basis, so a window too small would
+    show as a failing item, not as a pass."""
     params = RingParams(k)
     extra = Fraction(cutoff) if cutoff is not None else Fraction(10)
     jobs = []
@@ -213,14 +233,12 @@ def suite_decomp(k: int, cutoff, seed: int):
 
         def fn(label=label):
             top = lb.top_weight(label, k)
+            constituents = decompose(label, k, window=decomp_window(k, top + extra))
             steps = int(2 * extra)
             for j in range(steps + 1):
                 w = top + Fraction(j, 2)
                 lhs = graded_dim(params, label, w)
-                rhs = 0
-                winw = int(w) + 1
-                for m1, _idx in decompose(label, k, window=2 * k * winw + 2):
-                    rhs += m1_graded_dim(params, m1, w)
+                rhs = sum(m1_graded_dim(params, m1, w) for m1, _idx in constituents)
                 if lhs != rhs:
                     return "fail", f"weight {w}: module {lhs} != constituents {rhs}"
             return "pass", f"weights up to top+{extra} agree"
@@ -558,18 +576,7 @@ def cmd_dump(args) -> int:
     if args.what == "zhu":
         table = zhu.top_action_table(params)
         if args.format == "json":
-            print(
-                json.dumps(
-                    {
-                        "k": k,
-                        "command": "dump zhu",
-                        "actions": {
-                            code: {g: str(v) for g, v in gens.items()}
-                            for code, gens in table.items()
-                        },
-                    }
-                )
-            )
+            _print_zhu_json(k, "dump zhu", table)
         else:
             print("label,omega,J,E")
             for code, gens in table.items():
@@ -584,6 +591,13 @@ def cmd_dump(args) -> int:
     return EXIT_FAIL
 
 
+def _print_zhu_json(k: int, command: str, table) -> None:
+    """The JSON form of a top-action table, shared by `dump zhu` and
+    `zhu table`."""
+    actions = {code: {g: str(v) for g, v in gens.items()} for code, gens in table.items()}
+    print(json.dumps({"k": k, "command": command, "actions": actions}))
+
+
 def cmd_zhu(args) -> int:
     if args.which != "table":
         print("error: the zhu command only knows 'table'", file=sys.stderr)
@@ -591,18 +605,7 @@ def cmd_zhu(args) -> int:
     params = RingParams(args.k)
     table = zhu.top_action_table(params)
     if args.format == "json":
-        print(
-            json.dumps(
-                {
-                    "k": args.k,
-                    "command": "zhu table",
-                    "actions": {
-                        code: {g: str(v) for g, v in gens.items()}
-                        for code, gens in table.items()
-                    },
-                }
-            )
-        )
+        _print_zhu_json(args.k, "zhu table", table)
     else:
         width = max(len(code) for code in table)
         for code, gens in table.items():

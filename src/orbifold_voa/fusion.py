@@ -283,7 +283,13 @@ def quasi_admissible(r: int, i: int, j: int) -> bool:
 def decompose(label: ModuleLabel, k: int, window: int | None = None) -> list[tuple[M1Label, int | None]]:
     """Constituents of the label as (constituent, lattice index) pairs;
     infinite families are listed for |shift| <= window (default 2k+2).
-    Each constituent occurs with multiplicity one."""
+    Each constituent occurs with multiplicity one.
+
+    The constituent M(c) starts at weight c^2/4k, so the window only
+    decides how far up the weights the list reaches: window
+    isqrt(floor(W/k)) + 1 lists every constituent of weight <= W
+    (`cli.decomp_window`), and window 2 holds two representatives of each
+    residue class mod 2k (`upper_bound`)."""
     lb.validate_label(label, k)
     w = 2 * k + 2 if window is None else window
     if label.kind == lb.VAC:

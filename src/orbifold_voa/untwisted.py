@@ -24,7 +24,6 @@ from .fock import (
     add_into,
     coset_basis,
     heis_act,
-    odd_partitions_of,
     partitions_of,
     sort_parts,
     u_term,
@@ -47,25 +46,36 @@ def _creation_table(params: RingParams, r: int, w: int, twisted: bool) -> tuple:
     """((parts, coeff), ...): the doubled-weight-w terms of the creation
     exponential of lambda_r, memoized on `params` for the life of the ring.
 
-    Parts are doubled modes, odd when twisted and even otherwise; a part N
-    carries (r/2k)/(N/2) = r/(kN), and i equal parts a further 1/i!."""
+    Parts are doubled modes, odd when twisted and even otherwise, listed
+    in descending order; a part N carries (r/2k)/(N/2) = r/(kN), and i
+    equal parts a further 1/i!.  Untwisted budgets are always even (the
+    kernel's z-budget and every created part are), so an odd untwisted w
+    has no terms.  One partition walk carries each coefficient as an
+    integer numerator and denominator: the i-th copy of a part N
+    multiplies them by r and k*N*i."""
     key = ("create", r, w, twisted)
     table = params.memo.get(key)
     if table is None:
         if not r:
             table = (((), Fraction(1)),) if w == 0 else ()
+        elif not twisted and w % 2:
+            table = ()
         else:
-            if twisted:
-                partitions = odd_partitions_of(w)
-            else:
-                partitions = (tuple(2 * p for p in q) for q in partitions_of(w // 2))
+            k = params.k
+            lo = 1 if twisted else 2
             rows = []
-            for parts in partitions:
-                coeff = Fraction(1)
-                for n in set(parts):
-                    i_n = parts.count(n)
-                    coeff *= Fraction(r, params.k * n) ** i_n / factorial(i_n)
-                rows.append((parts, coeff))
+
+            def walk(left: int, top: int, parts: tuple, num: int, den: int, run: int) -> None:
+                if not left:
+                    rows.append((parts, Fraction(num, den)))
+                    return
+                hi = min(left, top)
+                hi -= (hi - lo) % 2
+                for n in range(hi, lo - 1, -2):
+                    i = run + 1 if n == top else 1
+                    walk(left - n, n, parts + (n,), num * r, den * k * n * i, i)
+
+            walk(w, w, (), 1, 1, 0)
             table = tuple(rows)
         params.memo[key] = table
     return table
@@ -256,18 +266,18 @@ def p_coeff_apply(params: RingParams, sign: int, n: int, v: UVector) -> UVector:
         raise ValueError("n must be nonnegative")
     if n == 0:
         return v
-    out = UVector(params, {})
+    acc: dict = {}
     for parts in partitions_of(n):
-        coeff = Fraction(1)
-        seen: dict[int, int] = {}
-        for q in parts:
-            seen[q] = seen.get(q, 0) + 1
-        for q, i_q in seen.items():
-            coeff *= Fraction(sign, q) ** i_q / factorial(i_q)
-        out = out + v.map_terms(
-            lambda key, c, _p=parts, _c=coeff: [((sort_parts(key[0] + _p), key[1]), c * _c)]
-        )
-    return out
+        # parts descend, so equal parts are adjacent: the i-th copy of q
+        # divides by q*i, which builds prod (sign/q)^i / i! one part at a time
+        den, run = 1, 0
+        for j, q in enumerate(parts):
+            run = run + 1 if j and parts[j - 1] == q else 1
+            den *= q * run
+        coeff = Fraction(sign ** len(parts), den)
+        for (nu, s), c in v.terms.items():
+            add_into(acc, (sort_parts(nu + parts), s), c * coeff)
+    return UVector._wrap(params, acc)
 
 
 # -- commutator checks -----------------------------------------------------------

@@ -214,3 +214,11 @@ def test_verify_bounds_at_k12(capsys):
     lines = out.splitlines()
     assert len(lines) == 7  # soundness and the six bound-blind zeros
     assert all(line.startswith("PASS ") for line in lines)
+
+
+def test_verify_decomp_at_k24(capsys):
+    code, out, _ = run(capsys, "verify", "decomp", "--k", "24", "--cutoff", "4")
+    assert code == EXIT_OK
+    lines = out.splitlines()
+    assert len(lines) == 24 + 7  # one item per label
+    assert all(line.startswith("PASS ") for line in lines)

@@ -23,6 +23,7 @@ from orbifold_voa.fock import (
     u_term,
     vacuum,
 )
+from orbifold_voa.cli import decomp_window
 from orbifold_voa.fusion import decompose
 from orbifold_voa.ring import RingParams
 
@@ -154,6 +155,30 @@ def test_decomposition_characters(params):
                 for m1, _ in decompose(label, k, window=2 * k * (int(w) + 1) + 2)
             )
             assert lhs == rhs, (label.code, w, lhs, rhs)
+
+
+def test_weight_sized_window_keeps_every_reaching_constituent():
+    """`decomp_window(k, w)` lists every constituent that the wide window
+    2k(int(w)+1)+2 counts at weight w, for every label at k=1..10."""
+    multi = 0
+    for k in range(1, 11):
+        params = RingParams(k)
+        for label in lb.all_labels(k):
+            top = lb.top_weight(label, k)
+            for j in range(0, 2 * 4 + 1):
+                w = top + Fraction(j, 2)
+                wide = [
+                    m1_graded_dim(params, m1, w)
+                    for m1, _ in decompose(label, k, window=2 * k * (int(w) + 1) + 2)
+                ]
+                sized = [
+                    m1_graded_dim(params, m1, w)
+                    for m1, _ in decompose(label, k, window=decomp_window(k, w))
+                ]
+                assert sum(sized) == sum(wide), (k, label.code, w)
+                if sum(sized) and sum(1 for d in sized if d) >= 2:
+                    multi += 1
+    assert multi > 0
 
 
 def test_partition_enumeration():

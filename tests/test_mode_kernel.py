@@ -19,6 +19,7 @@ from orbifold_voa.fock import (
     UVector,
     half_odd_partitions_of,
     lattice_vector,
+    odd_partitions_of,
     partitions_of,
     sort_parts,
     t_term,
@@ -27,7 +28,7 @@ from orbifold_voa.fock import (
 )
 from orbifold_voa.ring import RingParams
 from orbifold_voa.twisted import delta_apply, psi_map
-from orbifold_voa.untwisted import mode_kernel
+from orbifold_voa.untwisted import _creation_table, mode_kernel
 
 HALF = Fraction(1, 2)
 
@@ -519,3 +520,42 @@ def test_returned_vectors_do_not_alias_the_ring_memo():
         image[key] += 1
     image[(9,)] = Fraction(1)
     assert mode_kernel(*args) == want
+
+
+def _per_part_creation_table(k: int, r: int, w: int, twisted: bool) -> tuple:
+    """The creation table as the last version before the incremental walk
+    built it (per distinct part, a Fraction power and a division); its
+    body is copied verbatim."""
+    if not r:
+        table = (((), Fraction(1)),) if w == 0 else ()
+    else:
+        if twisted:
+            partitions = odd_partitions_of(w)
+        else:
+            partitions = (tuple(2 * p for p in q) for q in partitions_of(w // 2))
+        rows = []
+        for parts in partitions:
+            coeff = Fraction(1)
+            for n in set(parts):
+                i_n = parts.count(n)
+                coeff *= Fraction(r, k * n) ** i_n / factorial(i_n)
+            rows.append((parts, coeff))
+        table = tuple(rows)
+    return table
+
+
+@pytest.mark.parametrize("k", (1, 2, 3, 4))
+def test_creation_table_matches_per_part_formula(k):
+    params = RingParams(k)
+    repeated = 0
+    for r in [s * a for a in range(1, 2 * k + 1) for s in (1, -1)] + [0]:
+        for w in range(0, 31):
+            for twisted_ in (False, True):
+                got = _creation_table(params, r, w, twisted_)
+                if not twisted_ and w % 2:
+                    assert got == (), (r, w)
+                    continue
+                want = _per_part_creation_table(k, r, w, twisted_)
+                assert got == want, (r, w, twisted_)
+                repeated += sum(len(set(parts)) < len(parts) for parts, _c in got)
+    assert repeated > 0

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from orbifold_voa.fock import heis_act, lattice_vector, u_term, vacuum
+from orbifold_voa.fock import UVector, heis_act, lattice_vector, u_term, vacuum
 from orbifold_voa.ring import RingParams
 from orbifold_voa.untwisted import (
     commutator_check,
@@ -150,6 +150,28 @@ def test_p_coeff_basics(params):
     assert p_coeff_apply(params, +1, 0, v) == v
     assert p_coeff_apply(params, +1, 1, v) == heis_act(-1, v)
     assert p_coeff_apply(params, -1, 1, v) == heis_act(-1, v) * (-1)
+
+
+def _creation_series_reference(params, sign, n, v):
+    """E_n v for E(x) = exp(sign * sum_q alpha(-q) x^q / q), by the
+    recurrence n E_n = sign * sum_{q=1}^n alpha(-q) E_{n-q}."""
+    series = [v]
+    for j in range(1, n + 1):
+        acc = UVector(params, {})
+        for q in range(1, j + 1):
+            acc = acc + heis_act(-q, series[j - q])
+        series.append(acc * Fraction(sign, j))
+    return series[n]
+
+
+def test_p_coeff_matches_creation_series_recurrence(params):
+    k = params.k
+    v = lattice_vector(params, k) * 3 + u_term(params, [2, 1, 1], -1, Fraction(-1, 2))
+    for sign in (+1, -1):
+        for n in range(0, 13):
+            got = p_coeff_apply(params, sign, n, v)
+            assert got == _creation_series_reference(params, sign, n, v), (sign, n)
+            assert got, (sign, n)
 
 
 def test_commutator_with_lattice_operator():
