@@ -26,7 +26,7 @@ from .fock import (
 )
 from .ring import RingParams
 from .twisted import tilde_mode
-from .untwisted import e_vec, vertex_mode
+from .untwisted import e_vec, support_modes, tally, vertex_mode
 
 # intertwiner kinds
 Y_RS = "Y_rs"                  # vertex operator with phase twist
@@ -75,6 +75,12 @@ class IntertwinerSpec:
         return f"Ytilde[{self.r}]∘theta"
 
 
+def _target(spec: IntertwinerSpec, v):
+    """The second input as the operator of `spec` sees it: theta(v) for the
+    theta-composed kinds, v otherwise."""
+    return theta(v) if spec.kind in (Y_RS_THETA, TILDE_THETA) else v
+
+
 def intertwiner_mode(spec: IntertwinerSpec, u: UVector, m, v, cutoff=None):
     """Exact mode action of the chosen intertwiner."""
     params = u.params
@@ -94,41 +100,10 @@ def intertwiner_mode(spec: IntertwinerSpec, u: UVector, m, v, cutoff=None):
                     f"second input lives at lattice index {s}, not in the "
                     f"coset {spec.s} mod {2 * k} declared by {spec.name}"
                 )
-        target = v if spec.kind == Y_RS else theta(v)
-        return vertex_mode(u, m, phase_apply(spec.r, target), cutoff)
+        return vertex_mode(u, m, phase_apply(spec.r, _target(spec, v)), cutoff)
     if not isinstance(v, TVector):
         raise ValueError(f"{spec.name} needs a twisted second input")
-    target = v if spec.kind == TILDE else theta(v)
-    return tilde_mode(u, m, target, cutoff)
-
-
-def support_modes(spec: IntertwinerSpec, u, v, cutoff) -> list[Fraction]:
-    """Mode exponents on the support grid of (u, v) whose output weight lies
-    in [0, cutoff], highest (lowest output weight) first."""
-    from math import floor
-
-    params = u.params
-    k = params.k
-    m_high = u.max_weight() + v.max_weight() - 1
-    m_low = m_high - Fraction(cutoff)
-    offsets: set[Fraction] = set()
-    if spec.kind in (Y_RS, Y_RS_THETA):
-        step = Fraction(1)
-        vv = v if spec.kind == Y_RS else theta(v)
-        for (_p, a) in u.terms:
-            for (_q, s) in vv.terms:
-                offsets.add(Fraction(-a * s, 2 * k) % step)
-    else:
-        step = Fraction(1, 2)
-        for (_p, a) in u.terms:
-            offsets.add(Fraction(a * a, 4 * k) % step)
-    modes: set[Fraction] = set()
-    for off in offsets:
-        m = off + step * floor((m_high - off) / step)
-        while m >= m_low:
-            modes.add(m)
-            m -= step
-    return sorted(modes, reverse=True)
+    return tilde_mode(u, m, _target(spec, v), cutoff)
 
 
 def nonvanishing_witness(spec: IntertwinerSpec, u, v, cutoff, target_sign: int = 0) -> bool:
@@ -137,7 +112,7 @@ def nonvanishing_witness(spec: IntertwinerSpec, u, v, cutoff, target_sign: int =
     when target_sign is +-1)."""
     if not u or not v:
         raise ValueError("witness inputs must be nonzero")
-    for m in support_modes(spec, u, v, cutoff):
+    for m in support_modes(u, _target(spec, v), cutoff):
         img = intertwiner_mode(spec, u, m, v)
         if target_sign and img:
             img = project_eigen(img, target_sign)
@@ -148,7 +123,7 @@ def nonvanishing_witness(spec: IntertwinerSpec, u, v, cutoff, target_sign: int =
 
 def first_nonzero_mode(spec: IntertwinerSpec, u, v, cutoff):
     """(mode, image) of the first nonzero mode in the scan window, or None."""
-    for m in support_modes(spec, u, v, cutoff):
+    for m in support_modes(u, _target(spec, v), cutoff):
         img = intertwiner_mode(spec, u, m, v)
         if img:
             return m, img
@@ -269,11 +244,13 @@ def jacobi_commutator_check(
     n: int,
     u: UVector,
     v,
-    mode_window: int = 3,
-) -> bool:
+    depth=3,
+) -> tuple[bool, int]:
     """Check [a_n, Y(u)_q] = sum_i C(n, i) Y(a_i u)_{n+q-i} for the spec'd
     intertwiner, where a acts through its module vertex operator on both
-    sides.  Valid for untwisted kinds and integer modes of a."""
+    sides, at every q of `support_modes` down to output weight `depth`.
+    Valid for untwisted kinds and integer modes of a.  Returns `tally`'s
+    (ok, nontrivial)."""
     if spec.kind not in (Y_RS, Y_RS_THETA):
         raise ValueError("residue check implemented for untwisted kinds")
     params = u.params
@@ -285,20 +262,19 @@ def jacobi_commutator_check(
         ai_u = vertex_mode(a, i, u)
         if ai_u:
             a_images[i] = ai_u
-    wsum = wu + v.max_weight()
-    q0 = wsum - 1
-    for dq in range(mode_window + 1):
-        q = q0 - dq
-        lhs = vertex_mode(a, n, intertwiner_mode(spec, u, q, v)) - intertwiner_mode(
-            spec, u, q, vertex_mode(a, n, v)
-        )
-        rhs = UVector(params, {})
-        for i, ai_u in a_images.items():
-            binom = Fraction(1)
-            for y in range(i):
-                binom *= Fraction(n - y, y + 1)
-            if binom:
-                rhs = rhs + intertwiner_mode(spec, ai_u, n + q - i, v) * binom
-        if lhs != rhs:
-            return False
-    return True
+
+    def comparisons():
+        for q in support_modes(u, _target(spec, v), depth):
+            lhs = vertex_mode(a, n, intertwiner_mode(spec, u, q, v)) - intertwiner_mode(
+                spec, u, q, vertex_mode(a, n, v)
+            )
+            rhs = UVector(params, {})
+            for i, ai_u in a_images.items():
+                binom = Fraction(1)
+                for y in range(i):
+                    binom *= Fraction(n - y, y + 1)
+                if binom:
+                    rhs = rhs + intertwiner_mode(spec, ai_u, n + q - i, v) * binom
+            yield lhs, rhs
+
+    return tally(comparisons())

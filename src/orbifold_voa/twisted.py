@@ -21,9 +21,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .fock import TVector, UVector, add_into, heis_act
+from .fock import TVector, UVector, add_into, heis_act, theta
 from .ring import RingParams
-from .untwisted import mode_kernel
+from .untwisted import mode_kernel, support_modes, tally
 
 HALF = Fraction(1, 2)
 
@@ -197,13 +197,21 @@ def _delta_terms(params: RingParams, nu: tuple[int, ...], r: int) -> tuple:
     return terms
 
 
-def _corrected_mode(u: UVector, m, v: TVector, sector_map) -> TVector:
+def _corrected_mode(u: UVector, m, v: TVector, sector_map, cutoff) -> TVector:
     """Mode m of the Delta-corrected half-odd expansion of u on v, each
     lattice component at index r followed by the sector map sector_map(r).
+    `cutoff`, when given, must dominate the weight of v (guard against
+    accidentally feeding unbounded sweeps).
 
     Delta is linear, so each term of u is corrected on its own, from the
     per-ring table of single-term expansions."""
     params = u.params
+    if params != v.params:
+        raise ValueError("twisted operator: mixed ring parameters")
+    if cutoff is not None and v and v.max_weight() > Fraction(cutoff):
+        raise ValueError(
+            f"cutoff {cutoff} is below the weight {v.max_weight()} of the target"
+        )
     m = Fraction(m)
     k = params.k
     acc: dict = {}
@@ -232,14 +240,7 @@ def _corrected_mode(u: UVector, m, v: TVector, sector_map) -> TVector:
 def tilde_mode(u: UVector, m, v: TVector, cutoff=None) -> TVector:
     """Mode of the twisted intertwiner: the corrected half-odd expansion of
     u tensored with the sector map of each lattice component of u."""
-    params = u.params
-    if params != v.params:
-        raise ValueError("tilde_mode: mixed ring parameters")
-    if cutoff is not None and v and v.max_weight() > Fraction(cutoff):
-        raise ValueError(
-            f"cutoff {cutoff} is below the weight {v.max_weight()} of the target"
-        )
-    return _corrected_mode(u, m, v, lambda r: psi_map(params, r))
+    return _corrected_mode(u, m, v, lambda r: psi_map(u.params, r), cutoff)
 
 
 def twisted_mode(u: UVector, m, v: TVector, cutoff=None) -> TVector:
@@ -260,4 +261,21 @@ def mtheta_mode(u: UVector, m, v: TVector, cutoff=None) -> TVector:
     """The bare corrected twisted operator with no sector action: the
     intertwiner for the oscillator subalgebra alone.  Sector labels of v
     pass through untouched."""
-    return _corrected_mode(u, m, v, lambda r: PsiMap(IDENTITY))
+    return _corrected_mode(u, m, v, lambda r: PsiMap(IDENTITY), cutoff)
+
+
+def conjugation_check(mode, u: UVector, vectors, depth, dress: PsiMap | None = None) -> tuple[bool, int]:
+    """Check theta Y(u, q) theta = Y(theta u, q), the right side followed by
+    the sector map `dress` when one is given, for the twisted operator
+    `mode` (mtheta_mode or tilde_mode) on each w of `vectors`, at every q
+    of `support_modes(u, w, depth)`.  Returns `tally`'s (ok, nontrivial)."""
+    tu = theta(u)
+
+    def comparisons():
+        for w in vectors:
+            tw = theta(w)
+            for q in support_modes(u, w, depth):
+                rhs = mode(tu, q, w)
+                yield theta(mode(u, q, tw)), rhs if dress is None else dress.apply(rhs)
+
+    return tally(comparisons())

@@ -3,7 +3,8 @@
 A mode is indexed by the rational exponent m with the convention that the
 operator attached to u expands as sum_m u_m z^(-m-1); vertex_mode(u, m, v)
 returns u_m v exactly.  For u supported at lattice index r acting on terms
-at index s the support grid of m is -rs/2k + Z.
+at index s the support grid of m is -rs/2k + Z; `support_modes` lists it
+(and the twisted grid) for sweeps, and every identity checker sweeps it.
 
 Evaluation is by explicit finite expansion: annihilation choices run over
 the oscillator content of the target, the lattice shift and the z-power of
@@ -17,12 +18,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import factorial, floor
 
 from .fock import (
+    TVector,
     UVector,
     add_into,
-    coset_basis,
     heis_act,
     partitions_of,
     sort_parts,
@@ -217,14 +218,6 @@ def vertex_mode(u: UVector, m, v: UVector, cutoff=None) -> UVector:
     return UVector._wrap(params, acc)
 
 
-def mode_exponents(u: UVector, v: UVector, out_weights) -> list[Fraction]:
-    """Exponents m whose mode sends top weights of u tensor v to the listed
-    output weights: m = wt(u) + wt(v) - 1 - w."""
-    wu = u.max_weight()
-    wv = v.max_weight()
-    return [wu + wv - 1 - Fraction(w) for w in out_weights]
-
-
 # -- distinguished vectors -------------------------------------------------------
 
 
@@ -280,30 +273,60 @@ def p_coeff_apply(params: RingParams, sign: int, n: int, v: UVector) -> UVector:
     return UVector._wrap(params, acc)
 
 
-# -- commutator checks -----------------------------------------------------------
+# -- the support grid and the identity sweeps -------------------------------------
 
 
-def commutator_check(
-    params: RingParams, m: int, b: int, cutoff, coset: int = 0
-) -> bool:
-    """Check [alpha(m), Y(e_{b*alpha}, z)] = 2kb z^m Y(e_{b*alpha}, z) mode by
-    mode on every basis vector of the given untwisted coset up to cutoff."""
-    from .fock import lattice_vector
+def support_modes(u: UVector, v, depth) -> list[Fraction]:
+    """Exponents m on the support grid of u against v whose images have
+    weight in [0, depth], highest m (lowest output weight) first.
 
-    k = params.k
-    u = lattice_vector(params, 2 * k * b)
-    pairing = 2 * k * b
-    cutoff = Fraction(cutoff)
-    for key in coset_basis(params, coset, cutoff):
-        w = UVector(params, {key: 1})
-        wt_w = w.max_weight()
-        wsum = Fraction(k * b * b) + wt_w
-        qmin = wsum - 1 - cutoff - abs(m) - 1
-        q = wsum - 1 + abs(m) + 1
-        while q >= qmin:
-            lhs = heis_act(m, vertex_mode(u, q, w)) - vertex_mode(u, q, heis_act(m, w))
-            rhs = vertex_mode(u, q + m, w) * pairing
-            if lhs != rhs:
-                return False
-            q -= 1
-    return True
+    The grid is read from the type of v: -rs/2k + Z over the term pairs of
+    u at index r and v at index s when v is untwisted, r^2/4k + (1/2)Z over
+    the terms of u when v is twisted.  `mode_kernel`'s integer budget T is
+    the membership form of the same grid; off it every image is zero."""
+    k = u.params.k
+    m_high = u.max_weight() + v.max_weight() - 1
+    m_low = m_high - Fraction(depth)
+    if isinstance(v, TVector):
+        step = Fraction(1, 2)
+        offsets = {Fraction(r * r, 4 * k) % step for (_nu, r) in u.terms}
+    else:
+        step = Fraction(1)
+        offsets = {Fraction(-r * s, 2 * k) % step for (_nu, r) in u.terms for (_mu, s) in v.terms}
+    modes: set[Fraction] = set()
+    for off in offsets:
+        m = off + step * floor((m_high - off) / step)
+        while m >= m_low:
+            modes.add(m)
+            m -= step
+    return sorted(modes, reverse=True)
+
+
+def tally(comparisons) -> tuple[bool, int]:
+    """(ok, nontrivial) for an iterable of (lhs, rhs) pairs: whether every
+    pair is equal, stopping at the first that is not, and how many of the
+    equal pairs are nonzero.  A check with nontrivial == 0 compared only
+    zeros and so showed nothing."""
+    nontrivial = 0
+    for lhs, rhs in comparisons:
+        if lhs != rhs:
+            return False, nontrivial
+        nontrivial += bool(lhs)
+    return True, nontrivial
+
+
+def commutator_check(mode, u: UVector, n, vectors, depth) -> tuple[bool, int]:
+    """Check [alpha(n), Y(u, z)] = r z^n Y(u, z) for u = e[r], that is
+    alpha(n) u_{p-n} w - u_{p-n} alpha(n) w = r u_p w, for the operator
+    `mode` (vertex_mode with integer n on untwisted w, or a twisted
+    operator with half-odd n) on each w of `vectors`, at every p of
+    `support_modes(u, w, depth)`.  Returns `tally`'s (ok, nontrivial)."""
+    r = next(iter(u.terms))[1]
+
+    def comparisons():
+        for w in vectors:
+            for p in support_modes(u, w, depth):
+                q = p - n
+                yield heis_act(n, mode(u, q, w)) - mode(u, q, heis_act(n, w)), mode(u, p, w) * r
+
+    return tally(comparisons())

@@ -12,11 +12,12 @@ import pytest
 from orbifold_voa import labels as lb
 from orbifold_voa.fock import (
     TVector,
+    UVector,
+    coset_basis,
     graded_dim,
     heis_act,
     lattice_vector,
     m1_graded_dim,
-    theta,
     twisted_basis,
 )
 from orbifold_voa.fusion import (
@@ -32,6 +33,7 @@ from orbifold_voa.intertwine import (
 )
 from orbifold_voa.ring import RingParams
 from orbifold_voa.twisted import (
+    conjugation_check,
     delta_coeff,
     lattice_sector_map,
     mtheta_mode,
@@ -285,43 +287,35 @@ def test_criterion_9_nonvanishing_witnesses():
 
 
 def test_criterion_10_commutators_and_conjugation():
+    counts = {"untwisted": 0, "twisted": 0, "conjugation": 0}
     for k in (1, 2):
         params = RingParams(k)
-        for m in (-2, -1, 0, 1, 2):
-            for coset in (0, 1):
-                if not commutator_check(params, m, 1, 4, coset=coset):
+        e_lat = lattice_vector(params, 2 * k)
+        for coset in (0, 1):
+            vectors = [UVector(params, {key: 1}) for key in coset_basis(params, coset, 4)]
+            for m in (-2, -1, 0, 1, 2):
+                ok, nontrivial = commutator_check(vertex_mode, e_lat, m, vectors, 4 + k)
+                if not ok:
                     report(10, "untwisted commutators", False, f"k={k} m={m} coset={coset}")
-        basis = twisted_basis(params, 1, Fraction(4))
+                counts["untwisted"] += nontrivial
+        vectors = [TVector(params, {key: 1}) for key in twisted_basis(params, 1, Fraction(4))]
         for r in (1, k, 2 * k):
             u = lattice_vector(params, r)
             for mp in (-Fraction(3, 2), -HALF, HALF, Fraction(3, 2)):
-                for key in basis:
-                    w = TVector(params, {key: 1})
-                    q0 = Fraction(r * r, 4 * k) + w.max_weight() - 1
-                    for j in range(9):
-                        q = q0 + 1 - Fraction(j, 2)
-                        lhs = heis_act(mp, mtheta_mode(u, q, w)) - mtheta_mode(
-                            u, q, heis_act(mp, w)
-                        )
-                        if lhs != mtheta_mode(u, q + mp, w) * r:
-                            report(
-                                10,
-                                "twisted commutators",
-                                False,
-                                f"k={k} r={r} mode {mp} exponent {q}",
-                            )
+                ok, nontrivial = commutator_check(mtheta_mode, u, mp, vectors, 4)
+                if not ok:
+                    report(10, "twisted commutators", False, f"k={k} r={r} mode {mp}")
+                counts["twisted"] += nontrivial
         for u in (lattice_vector(params, 1), heis_act(-1, lattice_vector(params, 1))):
-            for key in basis:
-                w = TVector(params, {key: 1})
-                q0 = u.max_weight() + w.max_weight() - 1
-                for j in range(9):
-                    q = q0 - Fraction(j, 2)
-                    if theta(mtheta_mode(u, q, theta(w))) != mtheta_mode(theta(u), q, w):
-                        report(10, "conjugation identity", False, f"k={k} exponent {q}")
+            ok, nontrivial = conjugation_check(mtheta_mode, u, vectors, 4)
+            if not ok:
+                report(10, "conjugation identity", False, f"k={k}")
+            counts["conjugation"] += nontrivial
     report(
         10,
         "untwisted and twisted oscillator commutators hold mode by mode at "
         "cutoff 4 for k=1,2, and the conjugation identity holds at the same "
         "cutoff",
-        True,
+        min(counts.values()) > 0,
+        ", ".join(f"{n} nonzero {name} comparisons" for name, n in counts.items()),
     )

@@ -110,6 +110,22 @@ def test_verify_suites_pass_at_k2(capsys, suite):
     assert "FAIL" not in out
 
 
+@pytest.mark.parametrize("k", ("1", "2", "3", "4"))
+def test_verify_jacobi_items_compare_nonzero_images(capsys, k):
+    code, out, _ = run(capsys, "verify", "jacobi", "--k", k, "--format", "json")
+    assert code == EXIT_OK
+    statuses = [r["status"] for r in json.loads(out)["results"]]
+    assert statuses == ["pass"] * 4  # a sweep of zero images would report skip
+
+
+def test_verify_jacobi_skips_an_empty_sweep(capsys):
+    code, out, _ = run(capsys, "verify", "jacobi", "--k", "2", "--cutoff", "0", "--format", "json")
+    assert code == EXIT_OK
+    results = json.loads(out)["results"]
+    assert [r["status"] for r in results] == ["skip"] * 4
+    assert all(r["detail"] == "every compared image is zero" for r in results)
+
+
 def test_verify_unknown_suite(capsys):
     code, _, err = run(capsys, "verify", "bogus", "--k", "2")
     assert code == EXIT_FAIL

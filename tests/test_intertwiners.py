@@ -27,7 +27,7 @@ from orbifold_voa.intertwine import (
     phase_apply,
 )
 from orbifold_voa.ring import RingParams
-from orbifold_voa.untwisted import e_vec, omega_vec
+from orbifold_voa.untwisted import e_vec, omega_vec, support_modes
 
 
 @pytest.fixture(scope="module", params=(1, 2, 3))
@@ -67,13 +67,16 @@ def test_target_coset(params):
     spec_t = IntertwinerSpec(Y_RS_THETA, 1, 1)
     u = u_term(params, [1], 1)
     v = u_term(params, [1], 1)
-    for j in range(5):
-        m = -Fraction(1, 2 * k) + j - 2
+    nonzero = nonzero_t = 0
+    for m in support_modes(u, v, 4):
         out = intertwiner_mode(spec, u, m, v)
         assert all((key[1] - 2) % (2 * k) == 0 for key in out.terms)
-        mt = Fraction(1, 2 * k) + j - 2
-        out_t = intertwiner_mode(spec_t, u, mt, v)
+        nonzero += bool(out)
+    for m in support_modes(u, theta(v), 4):
+        out_t = intertwiner_mode(spec_t, u, m, v)
         assert all(key[1] % (2 * k) == 0 for key in out_t.terms)
+        nonzero_t += bool(out_t)
+    assert nonzero > 0 and nonzero_t > 0, (k, nonzero, nonzero_t)
 
 
 def test_membership_validation(params):
@@ -130,20 +133,21 @@ def test_direct_witness_assignment(params):
 
 
 def test_jacobi_residue_for_conformal_and_lattice_modes():
-    params = RingParams(2)
-    spec = IntertwinerSpec(Y_RS, 1, 1)
-    u = lattice_vector(params, 1)
-    v = lattice_vector(params, 1)
-    om = omega_vec(params)
-    E = e_vec(params)
-    for n in (0, 1, 2):
-        assert jacobi_commutator_check(spec, om, n, u, v, 2)
-    for n in (params.k - 1, params.k):
-        assert jacobi_commutator_check(spec, E, n, u, v, 2)
-    spec_t = IntertwinerSpec(Y_RS_THETA, 1, 1)
-    for n in (0, 1):
-        assert jacobi_commutator_check(spec_t, om, n, u, v, 2)
-        assert jacobi_commutator_check(spec_t, E, n, u, v, 2)
+    for k in (2, 3):
+        params = RingParams(k)
+        spec = IntertwinerSpec(Y_RS, 1, 1)
+        spec_t = IntertwinerSpec(Y_RS_THETA, 1, 1)
+        u = lattice_vector(params, 1)
+        v = lattice_vector(params, 1)
+        om = omega_vec(params)
+        E = e_vec(params)
+        cases = [(spec, om, n) for n in (0, 1, 2)]
+        cases += [(spec, E, n) for n in (k - 1, k)]
+        cases += [(spec_t, a, n) for a in (om, E) for n in (0, 1)]
+        for sp, a, n in cases:
+            ok, nontrivial = jacobi_commutator_check(sp, a, n, u, v, 3)
+            assert ok, (k, sp.name, n)
+            assert nontrivial > 0, (k, sp.name, n)
 
 
 def test_eigenprojected_witnesses_match_nonzero_types(params):

@@ -15,6 +15,7 @@ import pytest
 
 from orbifold_voa import twisted, untwisted
 from orbifold_voa.fock import (
+    TOP_TW,
     TVector,
     UVector,
     half_odd_partitions_of,
@@ -28,7 +29,7 @@ from orbifold_voa.fock import (
 )
 from orbifold_voa.ring import RingParams
 from orbifold_voa.twisted import delta_apply, psi_map
-from orbifold_voa.untwisted import _creation_table, mode_kernel
+from orbifold_voa.untwisted import _creation_table, mode_kernel, support_modes
 
 HALF = Fraction(1, 2)
 
@@ -430,18 +431,19 @@ def test_twisted_kernel_matches_wtheta_term_mode(k):
     assert nonzero > 0
 
 
-def _sweep(u, v, twisted_target: bool, depth: int = 4) -> list[Fraction]:
-    """Every exponent on the support grid of some term pair of (u, v), from
-    the top of that pair down `depth` weight units."""
+def _sweep(u, v, depth: int = 4) -> list[Fraction]:
+    """The union over the term pairs of (u, v) of `support_modes`, each
+    down to `depth` weight units above the lowest weight the pair reaches."""
     k = u.params.k
     modes = set()
-    for (nu, r), _cu in u.terms.items():
-        for (mu, s), _cv in v.terms.items():
-            if twisted_target:
-                top, step = sum(nu) + sum(mu) - 1 + Fraction(r * r, 4 * k), HALF
+    for key_u in u.terms:
+        for key_v in v.terms:
+            if isinstance(v, TVector):
+                lowest = TOP_TW
             else:
-                top, step = sum(nu) + sum(mu) - 1 - Fraction(r * s, 2 * k), Fraction(1)
-            modes.update(top - j * step for j in range(int(depth / step) + 1))
+                lowest = Fraction((key_u[1] + key_v[1]) ** 2, 4 * k)
+            pair = (UVector(u.params, {key_u: 1}), type(v)(v.params, {key_v: 1}))
+            modes.update(support_modes(*pair, lowest + depth))
     return sorted(modes)
 
 
@@ -468,7 +470,7 @@ def test_vertex_mode_matches_reference_on_multi_term_vectors(k):
                 + u_term(params, [2, 1], s, params.zeta(3))
                 + u_term(params, [1], s - 2 * k, Fraction(1, 2))
             )
-            for m in _sweep(u, v, False, depth=2):
+            for m in _sweep(u, v, depth=2):
                 got = untwisted.vertex_mode(u, m, v)
                 assert got == vertex_mode(u, m, v), (r, s, m)
                 nonzero += bool(got)
@@ -486,7 +488,7 @@ def test_twisted_operators_match_reference_on_multi_term_vectors(k):
     nonzero = {"tilde": 0, "mtheta": 0}
     for r in sorted({1, k, 2 * k}):
         u = _multi_u(params, r, -r)
-        for m in _sweep(u, v, True, depth=2):
+        for m in _sweep(u, v, depth=2):
             got = twisted.tilde_mode(u, m, v)
             assert got == tilde_mode(u, m, v), ("tilde", r, m)
             nonzero["tilde"] += bool(got)
@@ -499,12 +501,12 @@ def test_twisted_operators_match_reference_on_multi_term_vectors(k):
 def test_returned_vectors_do_not_alias_the_ring_memo():
     params = RingParams(2)
     cases = (
-        (untwisted.vertex_mode, _multi_u(params, 1, 5), u_term(params, [2, 1], 1), False),
-        (twisted.tilde_mode, _multi_u(params, 1, -1), t_term(params, [HALF], 1), True),
-        (twisted.mtheta_mode, _multi_u(params, 1, -1), t_term(params, [HALF], 2), True),
+        (untwisted.vertex_mode, _multi_u(params, 1, 5), u_term(params, [2, 1], 1)),
+        (twisted.tilde_mode, _multi_u(params, 1, -1), t_term(params, [HALF], 1)),
+        (twisted.mtheta_mode, _multi_u(params, 1, -1), t_term(params, [HALF], 2)),
     )
-    for op, u, v, twisted_target in cases:
-        m = next(m for m in _sweep(u, v, twisted_target) if op(u, m, v))
+    for op, u, v in cases:
+        m = next(m for m in _sweep(u, v) if op(u, m, v))
         first = op(u, m, v)
         want = dict(first.terms)
         for key in first.terms:

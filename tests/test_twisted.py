@@ -10,7 +10,6 @@ from orbifold_voa.fock import (
     heis_act,
     lattice_vector,
     t_term,
-    theta,
     tw_vacuum,
     twisted_basis,
     u_term,
@@ -20,6 +19,7 @@ from orbifold_voa.ring import RingParams
 from orbifold_voa.twisted import (
     IDENTITY,
     PsiMap,
+    conjugation_check,
     delta_apply,
     delta_coeff,
     delta_table,
@@ -29,7 +29,7 @@ from orbifold_voa.twisted import (
     tilde_mode,
     twisted_mode,
 )
-from orbifold_voa.untwisted import e_vec, j_vec, omega_vec
+from orbifold_voa.untwisted import commutator_check, e_vec, j_vec, omega_vec, support_modes
 
 HALF = Fraction(1, 2)
 
@@ -136,11 +136,23 @@ def test_twisted_weight_bookkeeping(params):
     k = params.k
     u = lattice_vector(params, 1)
     v = t_term(params, [HALF], 1)
-    for j in range(6):
-        m = Fraction(1, 4 * k) + u.max_weight() + v.max_weight() - 1 - Fraction(j, 2) - Fraction(1, 4 * k)
+    nonzero = 0
+    for m in support_modes(u, v, 3):
         got = tilde_mode(u, m, v)
         for key in got.terms:
             assert got.key_weight(key) == u.max_weight() + v.max_weight() - m - 1
+        nonzero += bool(got)
+    assert nonzero > 0, k
+
+
+def test_cutoff_guard(params):
+    """Both corrected operators refuse a target above the cutoff."""
+    u = lattice_vector(params, 2 * params.k)
+    v = t_term(params, [Fraction(3, 2)], 1)
+    for op in (tilde_mode, mtheta_mode):
+        with pytest.raises(ValueError):
+            op(u, 0, v, cutoff=0)
+        assert op(u, 0, v, cutoff=2) == op(u, 0, v)
 
 
 def test_psi_relations(params):
@@ -167,36 +179,31 @@ def test_psi_swaps_sectors_on_odd_index(params):
     assert set(key[1] for key in out.terms) == {2}
 
 
+def _twisted_vectors(params, sectors, max_weight):
+    return [
+        TVector(params, {key: 1})
+        for sector in sectors
+        for key in twisted_basis(params, sector, max_weight)
+    ]
+
+
 def test_twisted_commutators(params):
     k = params.k
-    if k > 2:
-        pytest.skip("covered for k <= 2 by the acceptance gate")
+    vectors = _twisted_vectors(params, (1,), Fraction(3, 2))
     for r in (1, k, 2 * k):
         u = lattice_vector(params, r)
         for mp in (-Fraction(3, 2), -HALF, HALF, Fraction(3, 2)):
-            for key in twisted_basis(params, 1, Fraction(3, 2)):
-                w = TVector(params, {key: 1})
-                q0 = Fraction(r * r, 4 * k) + w.max_weight() - 1
-                for j in range(9):
-                    q = q0 + 1 - Fraction(j, 2)
-                    lhs = heis_act(mp, mtheta_mode(u, q, w)) - mtheta_mode(
-                        u, q, heis_act(mp, w)
-                    )
-                    rhs = mtheta_mode(u, q + mp, w) * r
-                    assert lhs == rhs, (k, r, mp, q)
+            ok, nontrivial = commutator_check(mtheta_mode, u, mp, vectors, 4)
+            assert ok, (k, r, mp)
+            assert nontrivial > 0, (k, r, mp)
 
 
 def test_theta_conjugation_oscillator_part(params):
-    k = params.k
-    if k > 2:
-        pytest.skip("covered for k <= 2 by the acceptance gate")
+    vectors = _twisted_vectors(params, (1,), Fraction(3, 2))
     for u in (lattice_vector(params, 1), heis_act(-1, lattice_vector(params, 1))):
-        for key in twisted_basis(params, 1, Fraction(3, 2)):
-            w = TVector(params, {key: 1})
-            q0 = u.max_weight() + w.max_weight() - 1
-            for j in range(9):
-                q = q0 - Fraction(j, 2)
-                assert theta(mtheta_mode(u, q, theta(w))) == mtheta_mode(theta(u), q, w)
+        ok, nontrivial = conjugation_check(mtheta_mode, u, vectors, 4)
+        assert ok, params.k
+        assert nontrivial > 0, params.k
 
 
 def test_theta_conjugation_with_sector_maps(params):
@@ -208,15 +215,8 @@ def test_theta_conjugation_with_sector_maps(params):
         (lattice_vector(params, 2 * k), None),
         (lattice_vector(params, k), lattice_sector_map(1)),
     ]
-    basis = twisted_basis(params, 1, Fraction(1, 2)) + twisted_basis(params, 2, Fraction(1, 2))
+    vectors = _twisted_vectors(params, (1, 2), HALF)
     for u, dress in cases:
-        for key in basis:
-            w = TVector(params, {key: 1})
-            q0 = u.max_weight() + w.max_weight() - 1
-            for j in range(7):
-                q = q0 - Fraction(j, 2)
-                lhs = theta(tilde_mode(u, q, theta(w)))
-                rhs = tilde_mode(theta(u), q, w)
-                if dress is not None:
-                    rhs = dress.apply(rhs)
-                assert lhs == rhs, (k, q)
+        ok, nontrivial = conjugation_check(tilde_mode, u, vectors, 3, dress)
+        assert ok, k
+        assert nontrivial > 0, k

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from orbifold_voa.fock import UVector, heis_act, lattice_vector, u_term, vacuum
+from orbifold_voa.fock import UVector, coset_basis, heis_act, lattice_vector, u_term, vacuum
 from orbifold_voa.ring import RingParams
 from orbifold_voa.untwisted import (
     commutator_check,
@@ -14,6 +14,7 @@ from orbifold_voa.untwisted import (
     j_vec,
     omega_vec,
     p_coeff_apply,
+    support_modes,
     vertex_mode,
 )
 
@@ -53,18 +54,18 @@ def test_translation_derivative_property(params):
     """Modes of the operator of L(-1)u are the z-derivative modes: the
     coefficient at exponent m picks up the factor -(m+1) after the shift."""
     om = omega_vec(params)
+    v = lattice_vector(params, 1)
     for u in (lattice_vector(params, 1), u_term(params, [1], 0)):
         lu = vertex_mode(om, 0, u)  # L(-1) u
-        v = lattice_vector(params, 1)
-        wsum = u.max_weight() + v.max_weight()
-        m0 = wsum - 1 - Fraction(1, 2 * params.k) - 2
-        for j in range(4):
-            m = m0 + j
+        nonzero = 0
+        for m in support_modes(lu, v, 4):
             lhs = vertex_mode(lu, m, v)
             rhs = vertex_mode(u, m - 1, v) * (-(m))
             # d/dz sum u_m z^(-m-1) = sum (-m-1) u_m z^(-m-2): the mode at
             # exponent m of the derivative is -(m) times the mode at m-1
             assert lhs == rhs, (params.k, m)
+            nonzero += bool(lhs)
+        assert nonzero > 0, (params.k, u)
 
 
 def test_exponent_support(params):
@@ -82,11 +83,13 @@ def test_weight_bookkeeping(params):
     k = params.k
     u = u_term(params, [2], 1)
     v = u_term(params, [1], 1)
-    for j in range(-2, 3):
-        m = -Fraction(1, 2 * k) + j
+    nonzero = 0
+    for m in support_modes(u, v, 4):
         got = vertex_mode(u, m, v)
         for key in got.terms:
             assert got.key_weight(key) == u.max_weight() + v.max_weight() - m - 1
+        nonzero += bool(got)
+    assert nonzero > 0, k
 
 
 def test_truncation_soundness(params):
@@ -177,8 +180,14 @@ def test_p_coeff_matches_creation_series_recurrence(params):
 def test_commutator_with_lattice_operator():
     for k in (1, 2):
         params = RingParams(k)
-        for m in (-2, -1, 0, 1, 2):
-            assert commutator_check(params, m, 1, 4 if k == 1 else 3, coset=0)
+        u = lattice_vector(params, 2 * k)
+        cutoff = 4 if k == 1 else 3
+        for coset in (0, 1):
+            vectors = [UVector(params, {key: 1}) for key in coset_basis(params, coset, cutoff)]
+            for m in (-2, -1, 0, 1, 2):
+                ok, nontrivial = commutator_check(vertex_mode, u, m, vectors, cutoff + k)
+                assert ok, (k, coset, m)
+                assert nontrivial > 0, (k, coset, m)
     # the identity operator commutes outright
     params = RingParams(1)
     v = u_term(params, [1], 0)
