@@ -315,18 +315,26 @@ def tally(comparisons) -> tuple[bool, int]:
     return True, nontrivial
 
 
-def commutator_check(mode, u: UVector, n, vectors, depth) -> tuple[bool, int]:
+def commutator_check(mode, u: UVector, ns, vectors, depth) -> tuple[bool, int]:
     """Check [alpha(n), Y(u, z)] = r z^n Y(u, z) for u = e[r], that is
     alpha(n) u_{p-n} w - u_{p-n} alpha(n) w = r u_p w, for the operator
     `mode` (vertex_mode with integer n on untwisted w, or a twisted
-    operator with half-odd n) on each w of `vectors`, at every p of
-    `support_modes(u, w, depth)`.  Returns `tally`'s (ok, nontrivial)."""
+    operator with half-odd n) at each n of `ns` on each w of `vectors`, at
+    every p of `support_modes(u, w, depth + |n| - n)`: the left-side mode
+    p - n then reaches weight depth + |n| for either sign of n.  The images
+    u_m w are computed once per w and shared by every n.  Returns `tally`'s
+    (ok, nontrivial)."""
     r = next(iter(u.terms))[1]
 
     def comparisons():
         for w in vectors:
-            for p in support_modes(u, w, depth):
-                q = p - n
-                yield heis_act(n, mode(u, q, w)) - mode(u, q, heis_act(n, w)), mode(u, p, w) * r
+            images = {}
+            for n in ns:
+                nw = heis_act(n, w)
+                for p in support_modes(u, w, depth + abs(n) - n):
+                    for m in (p, p - n):
+                        if m not in images:
+                            images[m] = mode(u, m, w)
+                    yield heis_act(n, images[p - n]) - mode(u, p - n, nw), images[p] * r
 
     return tally(comparisons())

@@ -76,10 +76,10 @@ def test_commutator_check_catches_a_doubled_mode(params):
         for n in (-HALF, Fraction(3, 2))
     ]
     for op, u, n, vectors, depth in cases:
-        ok, nontrivial = commutator_check(op, u, n, vectors, depth)
+        ok, nontrivial = commutator_check(op, u, (n,), vectors, depth)
         assert ok and nontrivial > 0, (op.__name__, n)
         m_star = deepest_nonzero(op, u, vectors[0], depth)
-        ok, _ = commutator_check(doubled_at(op, u, m_star), u, n, vectors, depth)
+        ok, _ = commutator_check(doubled_at(op, u, m_star), u, (n,), vectors, depth)
         assert not ok, (op.__name__, n, m_star)
 
 

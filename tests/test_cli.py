@@ -122,8 +122,10 @@ def test_verify_jacobi_skips_an_empty_sweep(capsys):
     code, out, _ = run(capsys, "verify", "jacobi", "--k", "2", "--cutoff", "0", "--format", "json")
     assert code == EXIT_OK
     results = json.loads(out)["results"]
-    assert [r["status"] for r in results] == ["skip"] * 4
-    assert all(r["detail"] == "every compared image is zero" for r in results)
+    # the twisted commutators at n = -3/2 still reach weight 3 and compare nonzero images
+    assert [r["status"] for r in results] == ["skip", "pass", "skip", "skip"]
+    skipped = [r for r in results if r["status"] == "skip"]
+    assert all(r["detail"] == "every compared image is zero" for r in skipped)
 
 
 def test_verify_unknown_suite(capsys):

@@ -190,10 +190,10 @@ def _twisted_vectors(params, sectors, max_weight):
 def test_twisted_commutators(params):
     k = params.k
     vectors = _twisted_vectors(params, (1,), Fraction(3, 2))
-    for r in (1, k, 2 * k):
+    for r in sorted({1, k, 2 * k}):
         u = lattice_vector(params, r)
         for mp in (-Fraction(3, 2), -HALF, HALF, Fraction(3, 2)):
-            ok, nontrivial = commutator_check(mtheta_mode, u, mp, vectors, 4)
+            ok, nontrivial = commutator_check(mtheta_mode, u, (mp,), vectors, 4)
             assert ok, (k, r, mp)
             assert nontrivial > 0, (k, r, mp)
 

@@ -84,7 +84,7 @@ def test_weight_bookkeeping(params):
     u = u_term(params, [2], 1)
     v = u_term(params, [1], 1)
     nonzero = 0
-    for m in support_modes(u, v, 4):
+    for m in support_modes(u, v, 5):
         got = vertex_mode(u, m, v)
         for key in got.terms:
             assert got.key_weight(key) == u.max_weight() + v.max_weight() - m - 1
@@ -185,7 +185,7 @@ def test_commutator_with_lattice_operator():
         for coset in (0, 1):
             vectors = [UVector(params, {key: 1}) for key in coset_basis(params, coset, cutoff)]
             for m in (-2, -1, 0, 1, 2):
-                ok, nontrivial = commutator_check(vertex_mode, u, m, vectors, cutoff + k)
+                ok, nontrivial = commutator_check(vertex_mode, u, (m,), vectors, cutoff + k)
                 assert ok, (k, coset, m)
                 assert nontrivial > 0, (k, coset, m)
     # the identity operator commutes outright
