@@ -613,6 +613,15 @@ def cmd_witness(args) -> int:
     return EXIT_OK
 
 
+def _fraction(text: str) -> Fraction:
+    """argparse type of `--cutoff`: an exact rational.  A zero denominator
+    is a usage error like any other malformed value, not a traceback."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise argparse.ArgumentTypeError(f"invalid Fraction value: {text!r}") from None
+
+
 @lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process; parsing leaves it
@@ -639,7 +648,7 @@ def build_parser() -> argparse.ArgumentParser:
     ver = sub.add_parser("verify", help="run a verification suite")
     ver.add_argument("suite", choices=SUITES)
     ver.add_argument("--k", type=int, default=2)
-    ver.add_argument("--cutoff", type=Fraction, default=None)
+    ver.add_argument("--cutoff", type=_fraction, default=None)
     ver.add_argument("--seed", type=int, default=0)
     ver.add_argument("--format", choices=("text", "json"), default="text")
     ver.set_defaults(fn=cmd_verify)
@@ -663,7 +672,7 @@ def build_parser() -> argparse.ArgumentParser:
     wit = sub.add_parser("witness", help="first nonzero mode of a construction")
     wit.add_argument("--type", required=True, metavar="W1,W2,W3")
     wit.add_argument("--k", type=int, required=True)
-    wit.add_argument("--cutoff", type=Fraction, default=None)
+    wit.add_argument("--cutoff", type=_fraction, default=None)
     wit.set_defaults(fn=cmd_witness)
 
     return parser

@@ -18,10 +18,15 @@ and, when c = d, to M+ and M-, and the lattice indices of every untwisted
 label fill residue classes mod 2k.  So the summed count of a source pair
 depends only on the kinds and signs of its constituents, on c and d mod 2k
 and on whether c = d; the minimum is taken over a few representatives of
-each class, and a bound costs the same at every k.  Three zeros of the
-full table are invisible to this bound (the matched-sign half-shift
-triples against the odd lattice piece); they are exposed by
-`bound_blind_zeros`.
+each class, and a bound costs the same at every k.
+
+The bound is sound but not sharp: 24k + 100 zeros of the full table have
+bound >= 1 (counted at k = 1..6).  Six are the position rotations of the
+matched-sign half-shift triples against the odd lattice piece, listed by
+`bound_blind_zeros`.  Six more are untwisted, such as (V+, Va+, Va-):
+Va+ and Va- have the same Heisenberg-orbifold constituents.  The other
+24k + 88 have two twisted labels, whose twisted sector the restriction to
+constituents forgets.
 """
 
 from __future__ import annotations

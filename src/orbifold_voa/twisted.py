@@ -23,7 +23,7 @@ from functools import lru_cache
 
 from .fock import TVector, UVector, add_into, heis_act, theta
 from .ring import RingParams
-from .untwisted import mode_kernel, support_modes, tally
+from .untwisted import halve, mode_kernel_sum, support_modes, tally
 
 HALF = Fraction(1, 2)
 
@@ -185,15 +185,18 @@ def psi_map(params: RingParams, r: int) -> PsiMap:
 
 
 def _delta_terms(params: RingParams, nu: tuple[int, ...], r: int) -> tuple:
-    """exp(Delta_z) a(-nu) e[r] as ((d, ((nu2, c), ...)), ...) with rational
-    c, for z^(-d); memoized on `params` for the life of the ring."""
+    """exp(Delta_z) a(-nu) e[r] as ((d, nu2, num, den), ...), the term
+    (num/den) a(-nu2) e[r] z^(-d) in `mode_kernel_sum`'s form; memoized on
+    `params` for the life of the ring."""
     key = ("delta", nu, r)
     terms = params.memo.get(key)
     if terms is None:
-        terms = params.memo[key] = tuple(
-            (d, tuple((nu2, c.as_rational()) for (nu2, _r), c in vec.terms.items()))
-            for d, vec in delta_apply(UVector(params, {(nu, r): 1})).items()
-        )
+        rows = []
+        for d, vec in delta_apply(UVector(params, {(nu, r): 1})).items():
+            for (nu2, _r), c in vec.terms.items():
+                c = c.as_rational()
+                rows.append((d, nu2, c.numerator, c.denominator))
+        terms = params.memo[key] = tuple(rows)
     return terms
 
 
@@ -204,7 +207,10 @@ def _corrected_mode(u: UVector, m, v: TVector, sector_map, cutoff) -> TVector:
     accidentally feeding unbounded sweeps).
 
     Delta is linear, so each term of u is corrected on its own, from the
-    per-ring table of single-term expansions."""
+    per-ring table of single-term expansions; every Delta term of one term
+    of u meets one term of v in a single `mode_kernel_sum`, so each output
+    key costs one Fraction and one Scalar product per term pair.  Keys stay
+    doubled integers until the result is wrapped."""
     params = u.params
     if params != v.params:
         raise ValueError("twisted operator: mixed ring parameters")
@@ -224,17 +230,16 @@ def _corrected_mode(u: UVector, m, v: TVector, sector_map, cutoff) -> TVector:
             for sector in (1, 2)
         }
         cu = cu * params.two_to(Fraction(-r * r, 2 * k))
-        for d, terms in _delta_terms(params, nu, r):
-            for nu2, cdel in terms:
-                for (mu, sector), cv in v.terms.items():
-                    contrib = mode_kernel(params, nu2, r, mu, 0, m - d, True)
-                    if not contrib:
-                        continue
-                    cc = cu * cv
-                    for parts, q in contrib.items():
-                        for target, sign in images[sector]:
-                            add_into(acc, (parts, target), cc * (cdel * q * sign))
-    return TVector._wrap(params, acc)
+        terms = _delta_terms(params, nu, r)
+        for (mu, sector), cv in v.terms.items():
+            image = mode_kernel_sum(params, r, mu, 0, m, True, terms)
+            if not image:
+                continue
+            cc = cu * cv
+            for key, q in image.items():
+                for target, sign in images[sector]:
+                    add_into(acc, (key, target), cc * (q * sign))
+    return TVector._wrap(params, {(halve(key, True), j): c for (key, j), c in acc.items()})
 
 
 def tilde_mode(u: UVector, m, v: TVector, cutoff=None) -> TVector:

@@ -10,15 +10,16 @@ Evaluation is by explicit finite expansion: annihilation choices run over
 the oscillator content of the target, the lattice shift and the z-power of
 the z^{lambda(0)} factor are applied, and the creation side is enumerated
 against the exactly determined weight budget.  No series tails are ever
-truncated, so results are exact.  The same kernel, `mode_kernel`, also
-evaluates the half-odd expansion behind the twisted operators.
+truncated, so results are exact.  The same kernel, `mode_kernel_sum`
+(`mode_kernel` is its one-term form), also evaluates the half-odd
+expansion behind the twisted operators.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, floor
+from math import factorial, floor, gcd, lcm
 
 from .fock import (
     TVector,
@@ -33,19 +34,23 @@ from .ring import RingParams
 
 
 @lru_cache(maxsize=None)
-def _dcoef(n: int, jj: int) -> Fraction:
+def _dcoef(n: int, jj: int) -> tuple[int, int]:
     """Coefficient of alpha(j) z^(-j-n) in the (n-1)-th divided z-derivative
-    of the oscillator field, for the doubled mode jj = 2j."""
+    of the oscillator field, for the doubled mode jj = 2j, as a reduced
+    integer pair (numerator, denominator)."""
     q = n - 1
     num = 1
     for y in range(q):
         num *= jj + 2 * (n - 1 - y)
-    return Fraction((-1) ** q * num, 2**q * factorial(q))
+    den = 2**q * factorial(q)
+    g = gcd(num, den)
+    return (-1) ** q * num // g, den // g
 
 
 def _creation_table(params: RingParams, r: int, w: int, twisted: bool) -> tuple:
-    """((parts, coeff), ...): the doubled-weight-w terms of the creation
-    exponential of lambda_r, memoized on `params` for the life of the ring.
+    """((parts, num, den), ...): the doubled-weight-w terms of the creation
+    exponential of lambda_r, each coefficient a reduced integer pair,
+    memoized on `params` for the life of the ring.
 
     Parts are doubled modes, odd when twisted and even otherwise, listed
     in descending order; a part N carries (r/2k)/(N/2) = r/(kN), and i
@@ -58,7 +63,7 @@ def _creation_table(params: RingParams, r: int, w: int, twisted: bool) -> tuple:
     table = params.memo.get(key)
     if table is None:
         if not r:
-            table = (((), Fraction(1)),) if w == 0 else ()
+            table = (((), 1, 1),) if w == 0 else ()
         elif not twisted and w % 2:
             table = ()
         else:
@@ -68,7 +73,8 @@ def _creation_table(params: RingParams, r: int, w: int, twisted: bool) -> tuple:
 
             def walk(left: int, top: int, parts: tuple, num: int, den: int, run: int) -> None:
                 if not left:
-                    rows.append((parts, Fraction(num, den)))
+                    g = gcd(num, den)
+                    rows.append((parts, num // g, den // g))
                     return
                 hi = min(left, top)
                 hi -= (hi - lo) % 2
@@ -97,62 +103,96 @@ def mode_kernel(
     partitions to coefficients (the output lattice index is r + s).
     Twisted, the target is the half-odd partition mu, s must be 0, and the
     result is the normally ordered half-odd expansion without the prefactor
-    2^(-r^2/2k).
+    2^(-r^2/2k).  Only nonzero coefficients are listed.  This is
+    `mode_kernel_sum` on the one term nu, its doubled keys halved back."""
+    image = mode_kernel_sum(params, r, mu, s, m, twisted, ((0, nu, 1, 1),))
+    return {halve(key, twisted): c for key, c in image.items()}
+
+
+def halve(key: tuple, twisted: bool) -> tuple:
+    """The parts p of a doubled key (2p, ...): Fractions when twisted, ints
+    otherwise, as the vector keys hold them."""
+    if twisted:
+        return tuple(Fraction(p, 2) for p in key)
+    return tuple(p // 2 for p in key)
+
+
+def mode_kernel_sum(
+    params: RingParams,
+    r: int,
+    mu: tuple,
+    s: int,
+    m: Fraction,
+    twisted: bool,
+    terms: tuple,
+) -> dict[tuple, Fraction]:
+    """The sum over (d, nu, num, den) in `terms` of num/den times
+    `mode_kernel(params, nu, r, mu, s, m - d, twisted)`, with integer d,
+    num and den: every term of u at lattice index r on one term of v.
+    Keys are doubled parts (see `halve`), values nonzero Fractions.
 
     Work is in doubled integer units: a part p of mu and of the output is
     held as 2p, even untwisted and odd twisted, and the z-budget is the one
     integer T = 2(-m-1-rs/2k) untwisted or 2(-m-1+r^2/4k) twisted (the
-    z^{lambda(0)} factor, resp. the exponent shift, folded in).  An m with
-    T off that grid gives {} at once.  Three stages run in turn: each
-    factor a(-n) is contracted against a part of mu, paired with the
-    lattice index s, or left pending; the annihilation exponential removes
-    parts with binomial weights; the pending factors and the creation
-    exponential then share what is left of T.  The lattices differ only in
-    the smallest created part (2 or 1) and in the s-term.  Parts become
-    ints or Fractions again only on the output keys.
-    """
+    z^{lambda(0)} factor, resp. the exponent shift, folded in), raised by
+    2d for the term at d.  An m with T off that grid gives {} at once.
+    Three stages run in turn: each factor a(-n) is contracted against a
+    part of mu, paired with the lattice index s, or left pending; the
+    annihilation exponential removes parts with binomial weights; the
+    pending factors and the creation exponential then share what is left
+    of T.  The lattices differ only in the smallest created part (2 or 1)
+    and in the s-term.
+
+    Every path carries its coefficient as an integer numerator and
+    denominator, and each output key collects them in a {den: num} slot,
+    with no gcd inside the walk.  A key becomes one Fraction only once
+    every term is in; keys that cancel are dropped."""
     k = params.k
+    a, b = m.numerator, m.denominator
     if twisted:
-        t = -2 * m - 2 + Fraction(r * r, 2 * k)
+        t0, rem = divmod(r * r * b - 4 * k * (a + b), 2 * k * b)
         lo = 1
     else:
-        t = -2 * m - 2 - Fraction(r * s, k)
+        t0, rem = divmod(-r * s * b - 2 * k * (a + b), k * b)
         lo = 2
-    if t.denominator != 1 or (not twisted and t.numerator % 2):
+    if rem or (not twisted and t0 % 2):
         return {}
-    t = t.numerator
-    out: dict[tuple, Fraction] = {}
+    counts0: dict[int, int] = {}
+    for p in mu:
+        p2 = 2 * p.numerator // p.denominator
+        counts0[p2] = counts0.get(p2, 0) + 1
+    out: dict[tuple, dict[int, int]] = {}
 
-    def emit(parts: tuple, coeff: Fraction) -> None:
+    def emit(parts: tuple, num: int, den: int) -> None:
         key = tuple(sorted(parts, reverse=True))
-        total = out.get(key, 0) + coeff
-        if total:
-            out[key] = total
+        slot = out.get(key)
+        if slot is None:
+            out[key] = {den: num}
         else:
-            out.pop(key, None)
+            slot[den] = slot.get(den, 0) + num
 
-    def create(remaining: tuple, pending: tuple, budget: int, coeff: Fraction) -> None:
-        def rec(i: int, w: int, c: Fraction, created: tuple) -> None:
+    def create(remaining: tuple, pending: tuple, budget: int, num: int, den: int) -> None:
+        def rec(i: int, w: int, c: int, cd: int, created: tuple) -> None:
             if i == len(pending):
-                for lam, e in _creation_table(params, r, w, twisted):
-                    emit(remaining + created + lam, c * e)
+                for lam, e, ed in _creation_table(params, r, w, twisted):
+                    emit(remaining + created + lam, c * e, cd * ed)
                 return
             n_i = pending[i]
             for p in range(lo, w - lo * (len(pending) - i - 1) + 1, 2):
-                dc = _dcoef(n_i, -p)
+                dc, dd = _dcoef(n_i, -p)
                 if dc:
-                    rec(i + 1, w - p, c * dc, created + (p,))
+                    rec(i + 1, w - p, c * dc, cd * dd, created + (p,))
 
         if budget >= lo * len(pending):
-            rec(0, budget, coeff, ())
+            rec(0, budget, num, den, ())
 
-    def annihilate(counts: dict, drop: int, coeff: Fraction, pending: tuple) -> None:
+    def annihilate(t: int, counts: dict, drop: int, num: int, den: int, pending: tuple) -> None:
         values = sorted(p for p, mult in counts.items() if mult)
         budget0 = t + 2 * sum(pending)
 
-        def rec(i: int, kept: tuple, d: int, c: Fraction) -> None:
+        def rec(i: int, kept: tuple, d: int, c: int) -> None:
             if i == len(values):
-                create(kept, pending, budget0 + d, c)
+                create(kept, pending, budget0 + d, c, den)
                 return
             p = values[i]
             m_p = counts[p]
@@ -161,36 +201,41 @@ def mode_kernel(
                 binom = 1
                 for j in range(1, m_p + 1):
                     binom = binom * (m_p - j + 1) // j
-                    rec(i + 1, kept + (p,) * (m_p - j), d + p * j, c * ((-r) ** j * binom))
+                    rec(i + 1, kept + (p,) * (m_p - j), d + p * j, c * (-r) ** j * binom)
 
-        rec(0, (), drop, coeff)
+        rec(0, (), drop, num)
 
-    def factors(idx: int, counts: dict, drop: int, coeff: Fraction, pending: tuple) -> None:
+    def factors(
+        nu: tuple, t: int, idx: int, counts: dict, drop: int, num: int, den: int, pending: tuple
+    ) -> None:
         if idx == len(nu):
-            annihilate(counts, drop, coeff, pending)
+            annihilate(t, counts, drop, num, den, pending)
             return
         n_i = nu[idx]
-        factors(idx + 1, counts, drop, coeff, pending + (n_i,))
+        factors(nu, t, idx + 1, counts, drop, num, den, pending + (n_i,))
         if s:
-            factors(idx + 1, counts, drop + 2 * n_i, coeff * (_dcoef(n_i, 0) * s), pending)
+            dc, dd = _dcoef(n_i, 0)
+            factors(nu, t, idx + 1, counts, drop + 2 * n_i, num * dc * s, den * dd, pending)
         for j in sorted(counts):
             mult = counts[j]
             if not mult:
                 continue
-            dc = _dcoef(n_i, j)
+            dc, dd = _dcoef(n_i, j)
             if dc:
                 c2 = dict(counts)
                 c2[j] = mult - 1
-                factors(idx + 1, c2, drop + j + 2 * n_i, coeff * (dc * (mult * k * j)), pending)
+                c = num * dc * mult * k * j
+                factors(nu, t, idx + 1, c2, drop + j + 2 * n_i, c, den * dd, pending)
 
-    counts0: dict[int, int] = {}
-    for p in mu:
-        p2 = 2 * p.numerator // p.denominator
-        counts0[p2] = counts0.get(p2, 0) + 1
-    factors(0, counts0, 0, Fraction(1), ())
-    if twisted:
-        return {tuple(Fraction(p, 2) for p in key): c for key, c in out.items()}
-    return {tuple(p // 2 for p in key): c for key, c in out.items()}
+    for d, nu, num, den in terms:
+        factors(nu, t0 + 2 * d, 0, counts0, 0, num, den, ())
+    result = {}
+    for key, slot in out.items():
+        l = lcm(*slot)
+        c = Fraction(sum(num * (l // den) for den, num in slot.items()), l)
+        if c:
+            result[key] = c
+    return result
 
 
 def vertex_mode(u: UVector, m, v: UVector, cutoff=None) -> UVector:

@@ -115,20 +115,8 @@ def test_criterion_3_forced_zero():
     report(3, "the bound-blind coupling constant is forced to zero for k=1,2,3", True)
 
 
-def test_criterion_4_delta_oracle():
-    sympy = pytest.importorskip("sympy")
-    x, y = sympy.symbols("x y")
-    expr = -sympy.log(
-        ((1 + x) ** sympy.Rational(1, 2) + (1 + y) ** sympy.Rational(1, 2)) / 2
-    )
-    order = 9
-    px = sympy.series(expr, x, 0, order).removeO().expand()
-    oracle = {}
-    for m in range(order):
-        py = sympy.series(px.coeff(x, m), y, 0, order - m).removeO().expand()
-        for n in range(order - m):
-            q = sympy.Rational(sympy.nsimplify(py.coeff(y, n)))
-            oracle[(m, n)] = Fraction(int(q.p), int(q.q))
+def test_criterion_4_delta_oracle(delta_series_oracle):
+    oracle = delta_series_oracle
     mismatches = [
         (m, n)
         for (m, n), c in oracle.items()

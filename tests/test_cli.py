@@ -95,6 +95,21 @@ def test_negative_sizes_are_usage_errors(capsys, argv, option):
     assert err == f"error: --{option} must be nonnegative\n"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    (
+        ("verify", "jacobi", "--k", "2", "--cutoff", "1/0"),
+        ("witness", "--type", "Vl1,VT1+,VT2+", "--k", "2", "--cutoff", "1/0"),
+    ),
+)
+def test_zero_denominator_cutoff_is_a_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_FAIL
+    assert out == ""
+    assert err.endswith("error: argument --cutoff: invalid Fraction value: '1/0'\n")
+    assert "Traceback" not in err
+
+
 def test_fusion_table_csv_shape(capsys):
     code, out, _ = run(capsys, "fusion", "table", "--k", "1", "--format", "csv")
     assert code == EXIT_OK

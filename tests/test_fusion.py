@@ -176,7 +176,7 @@ def test_bound_soundness(k):
         assert eng.fusion(w1, w2, w3) <= upper_bound(w1, w2, w3, k)
 
 
-@pytest.mark.parametrize("k", (1, 2, 3, 4))
+@pytest.mark.parametrize("k", range(1, 7))
 def test_bound_blind_zeros(k):
     eng = get_engine(k)
     zeros = bound_blind_zeros(k)
@@ -184,6 +184,15 @@ def test_bound_blind_zeros(k):
     for t in zeros:
         assert eng.fusion(*t) == 0
         assert upper_bound(*t, k) >= 1
+    # every zero the bound cannot see, split as the fusion.py docstring states
+    unseen = [
+        t for t in eng.all_triples() if eng.fusion(*t) == 0 and upper_bound(*t, k) >= 1
+    ]
+    assert len(unseen) == 24 * k + 100
+    assert set(zeros) <= set(unseen)
+    twisted = [t for t in unseen if sum(w.is_twisted for w in t) == 2]
+    assert len(twisted) == 24 * k + 88
+    assert len(unseen) - len(twisted) - len(zeros) == 6
 
 
 def test_bound_examples():

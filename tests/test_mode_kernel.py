@@ -8,12 +8,12 @@ comparisons with a nonzero image so that it cannot pass on zeros alone.
 """
 
 from fractions import Fraction
-from functools import lru_cache
-from math import factorial
+from functools import lru_cache, partial
+from math import factorial, gcd
 
 import pytest
 
-from orbifold_voa import twisted, untwisted
+from orbifold_voa import intertwine, twisted, untwisted
 from orbifold_voa.fock import (
     TOP_TW,
     TVector,
@@ -24,12 +24,13 @@ from orbifold_voa.fock import (
     partitions_of,
     sort_parts,
     t_term,
+    theta,
     tw_vacuum,
     u_term,
 )
 from orbifold_voa.ring import RingParams
 from orbifold_voa.twisted import delta_apply, psi_map
-from orbifold_voa.untwisted import _creation_table, mode_kernel, support_modes
+from orbifold_voa.untwisted import _creation_table, mode_kernel, mode_kernel_sum, support_modes
 
 HALF = Fraction(1, 2)
 
@@ -558,6 +559,75 @@ def test_creation_table_matches_per_part_formula(k):
                     assert got == (), (r, w)
                     continue
                 want = _per_part_creation_table(k, r, w, twisted_)
-                assert got == want, (r, w, twisted_)
-                repeated += sum(len(set(parts)) < len(parts) for parts, _c in got)
+                # rows hold reduced integer pairs (num, den), den > 0
+                assert all(den > 0 and gcd(num, den) == 1 for _parts, num, den in got)
+                assert tuple((parts, Fraction(num, den)) for parts, num, den in got) == want, (
+                    r, w, twisted_,
+                )
+                repeated += sum(len(set(parts)) < len(parts) for parts, _n, _d in got)
     assert repeated > 0
+
+
+@pytest.mark.parametrize("k", (1, 2, 3))
+def test_images_hold_no_zero_scalar(k):
+    """Every operator built on the kernel returns only nonzero coefficients
+    over whole `support_modes` sweeps, although `_wrap` skips the zero
+    filter; and the twisted sweeps do meet keys whose Delta terms cancel
+    within one term pair, which the summed kernel must drop."""
+    params = RingParams(k)
+    two_k = 2 * k
+
+    def coset_u(r: int) -> UVector:
+        # four terms in the coset r mod 2k, as the intertwiners require
+        return (
+            lattice_vector(params, r) * params.zeta(1)
+            + u_term(params, [1], r + two_k, Fraction(-2, 3))
+            + u_term(params, [1, 1], r, params.two_to(Fraction(1, two_k)))
+            + u_term(params, [2, 1], r, 5)
+        )
+
+    # light enough that the sweeps reach m = 0, where the Delta terms of
+    # a(-1) e[2k] on the twisted vacuum cancel at every k
+    t_v = (
+        t_term(params, [HALF], 1)
+        + tw_vacuum(params, 2, params.zeta(3))
+        + t_term(params, [HALF], 2, Fraction(-1, 4))
+    )
+    # (operator, u, v, the vector whose grid the sweep reads)
+    cases = [(twisted.twisted_mode, coset_u(0), t_v, t_v)]
+    for r in sorted({1, k}):
+        u = coset_u(r)
+        cases.append((twisted.tilde_mode, u, t_v, t_v))
+        cases.append((twisted.mtheta_mode, u, t_v, t_v))
+        spec = intertwine.IntertwinerSpec(intertwine.TILDE_THETA, r % two_k)
+        cases.append((partial(intertwine.intertwiner_mode, spec), u, t_v, t_v))
+        for s in (1, -k):
+            v = (
+                lattice_vector(params, s)
+                + u_term(params, [2, 1], s, params.zeta(3))
+                + u_term(params, [1], s - two_k, Fraction(1, 2))
+            )
+            cases.append((untwisted.vertex_mode, u, v, v))
+            spec = intertwine.IntertwinerSpec(intertwine.Y_RS, r % two_k, s % two_k)
+            cases.append((partial(intertwine.intertwiner_mode, spec), u, v, v))
+            spec = intertwine.IntertwinerSpec(intertwine.Y_RS_THETA, r % two_k, s % two_k)
+            cases.append((partial(intertwine.intertwiner_mode, spec), u, v, theta(v)))
+    images = dropped = 0
+    for op, u, v, grid in cases:
+        for m in support_modes(u, grid, 4):
+            image = op(u, m, v)
+            assert all(not c.is_zero() for c in image.terms.values()), (op, m)
+            images += bool(image)
+            if not isinstance(v, TVector):
+                continue
+            for nu, r in u.terms:
+                terms = twisted._delta_terms(params, nu, r)
+                for mu, _sector in v.terms:
+                    summed = mode_kernel_sum(params, r, mu, 0, m, True, terms)
+                    seen = set()
+                    for term in terms:
+                        seen.update(mode_kernel_sum(params, r, mu, 0, m, True, (term,)))
+                    assert set(summed) <= seen
+                    dropped += len(seen - set(summed))
+    assert images > 0
+    assert dropped > 0
