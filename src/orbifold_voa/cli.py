@@ -3,9 +3,9 @@ top-level actions, decomposition listings, and the verification suites.
 
 Output is deterministic: fixed term ordering, fixed JSON key order, and
 suite items run one after another in submission order.  Exit codes:
-0 success / all pass, 1 usage errors (including k < 1 and a negative
-cutoff, order or window) or failing suite items, 2 fusion-table
-inconsistency.
+0 success / all pass, 1 usage errors (including k < 1, a negative
+cutoff, order or window, and a fractional cutoff for `verify delta`) or
+failing suite items, 2 fusion-table inconsistency.
 """
 
 from __future__ import annotations
@@ -41,6 +41,7 @@ from .intertwine import (
     direct_witness,
     first_nonzero_mode,
     forced_zero_coupling,
+    witness_vectors,
 )
 from .ring import RingParams
 from .twisted import (
@@ -471,8 +472,8 @@ def cmd_fusion(args) -> int:
 
 def witness_names(k: int, triple) -> list[str]:
     """Names of explicit constructions witnessing a nonzero fusion value,
-    searching the symmetry orbit when the triple itself is not covered."""
-    params = RingParams(k)
+    searching the symmetry orbit when the triple itself is not covered.
+    Names only: nothing is built or evaluated."""
     seen = set()
     frontier = [(triple, "")]
     while frontier:
@@ -480,10 +481,7 @@ def witness_names(k: int, triple) -> list[str]:
         if t in seen:
             continue
         seen.add(t)
-        try:
-            hit = direct_witness(params, t)
-        except ValueError:
-            hit = None
+        hit = direct_witness(k, t)
         if hit is not None:
             name = hit[0].name
             return [name if not via else f"{name} (via symmetry)"]
@@ -496,6 +494,10 @@ def witness_names(k: int, triple) -> list[str]:
 
 
 def cmd_verify(args) -> int:
+    if args.suite == "delta" and args.cutoff is not None and args.cutoff.denominator != 1:
+        # the cutoff is the series order there; int() would truncate it
+        print("error: verify delta needs an integer --cutoff", file=sys.stderr)
+        return EXIT_FAIL
     try:
         items = SUITES[args.suite](args.k, args.cutoff, args.seed)
     except EngineInconsistencyError as exc:
@@ -507,7 +509,6 @@ def cmd_verify(args) -> int:
 
 def cmd_dump(args) -> int:
     k = args.k
-    params = RingParams(k)
     if args.what == "delta":
         order = args.order if args.order is not None else 8
         tab = delta_table(order)
@@ -550,7 +551,7 @@ def cmd_dump(args) -> int:
                 print(f"{m1.code},{'' if idx is None else idx},{m1.norm(k)}")
         return EXIT_OK
     if args.what == "zhu":
-        table = zhu.top_action_table(params)
+        table = zhu.top_action_table(RingParams(k))
         if args.format == "json":
             _print_zhu_json(k, "dump zhu", table)
         else:
@@ -588,7 +589,6 @@ def cmd_zhu(args) -> int:
 
 def cmd_witness(args) -> int:
     k = args.k
-    params = RingParams(k)
     parts = [t.strip() for t in args.type.split(",")]
     if len(parts) != 3:
         print("error: --type wants W1,W2,W3", file=sys.stderr)
@@ -598,11 +598,12 @@ def cmd_witness(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAIL
-    hit = direct_witness(params, triple)
+    hit = direct_witness(k, triple)
     if hit is None:
         print("NO-DIRECT-CONSTRUCTION")
         return EXIT_FAIL
-    spec, u, v, _sign = hit
+    spec, _sign = hit
+    u, v = witness_vectors(RingParams(k), triple)
     cutoff = args.cutoff if args.cutoff is not None else 4
     res = first_nonzero_mode(spec, u, v, cutoff)
     if res is None:

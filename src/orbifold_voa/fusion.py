@@ -14,11 +14,13 @@ The independent upper bound comes from restricting to constituents of the
 Heisenberg-orbifold decomposition: the bound of a triple is the minimum
 over constituent pairs of the summed constituent fusion numbers in the
 target.  The constituent rules send M(c) x M(d) only to M(c+d), M(|c-d|)
-and, when c = d, to M+ and M-, and the lattice indices of every untwisted
-label fill residue classes mod 2k.  So the summed count of a source pair
-depends only on the kinds and signs of its constituents, on c and d mod 2k
-and on whether c = d; the minimum is taken over a few representatives of
-each class, and a bound costs the same at every k.
+and, when c = d, to M+ and M-, and the lattice constituents of every
+untwisted label fill one residue class mod 2k up to sign.  So the summed
+count of a source pair depends only on the kinds and signs of its
+constituents and on the classes of c and d up to sign, and every lattice
+constituent of a source label counts alike (`upper_bound` gives the
+argument, V+- and Va+- included).  The minimum is taken over one
+representative per class, and a bound costs the same at every k.
 
 The bound is sound but not sharp: 24k + 100 zeros of the full table have
 bound >= 1 (counted at k = 1..6).  Six are the position rotations of the
@@ -293,8 +295,8 @@ def decompose(label: ModuleLabel, k: int, window: int | None = None) -> list[tup
     The constituent M(c) starts at weight c^2/4k, so the window only
     decides how far up the weights the list reaches: window
     isqrt(floor(W/k)) + 1 lists every constituent of weight <= W
-    (`cli.decomp_window`), and window 2 holds two representatives of each
-    residue class mod 2k (`upper_bound`)."""
+    (`cli.decomp_window`), and window 1 holds a representative of every
+    residue class mod 2k the label's constituents fill (`upper_bound`)."""
     lb.validate_label(label, k)
     w = 2 * k + 2 if window is None else window
     if label.kind == lb.VAC:
@@ -350,16 +352,25 @@ def upper_bound(w1: ModuleLabel, w2: ModuleLabel, w3: ModuleLabel, k: int) -> in
     """Injectivity bound: minimum over constituent pairs of the summed
     constituent fusion numbers into the target's constituents.
 
-    The constituent lattice indices of an untwisted label fill residue
-    classes mod 2k: r and -r for Vl<r>, 0 for V+ and V-, k for Va+ and Va-.
-    `m1_fusion` sends M(c) x M(d) only to M(c+d), M(|c-d|) and, when c = d,
-    to M+ and M-, and the target's indices are again whole residue classes.
-    So the summed count of a source pair depends only on the kinds and signs
-    of its constituents, on c and d mod 2k and on whether c = d.  The
-    sources are listed with window 2, which gives every residue class at
-    least two representatives: every class of pairs, c = d as well as
-    c != d, occurs among them, so the minimum equals the minimum over the
-    whole decomposition and the work is the same at every k.
+    One representative of each residue class is enough.  The lattice
+    constituents M(c) of an untwisted label (M(c) = M(-c)) have c in one
+    class mod 2k up to sign: +-r for Vl<r>, 0 for V+ and V-, k for Va+
+    and Va-.  The target holds every lattice constituent of its class.  A
+    pair M(c) x M(d) counts M(c+d) and M(|c-d|), each when its index lies
+    in the target's class, except that for c = d, where M(0) is no
+    constituent of anything, it counts M+ or M- instead.  Now c = d puts
+    c - d in class 0, and the targets of class 0 are exactly V+ and V-,
+    which hold M+ and M- respectively; so the c = d count equals the
+    count of any c' != d' in the same classes.  The count of a pair with
+    M+, M- or a twisted constituent on one side reads at most the class
+    of the other side.  Flipping the sign of c or d only swaps c + d and
+    c - d up to sign, so every count depends on the classes of c and d up
+    to sign alone, and each source label has one such class.  The sources
+    are therefore listed with window 1, which gives every label at least
+    one lattice representative: M(2k) besides M+- for V+ and V-, M(k)
+    and M(3k) for Va+ and Va-, M(r), M(2k-r) and M(2k+r) for Vl<r>.  The
+    minimum over them equals the minimum over the whole decomposition, and
+    the work is the same at every k.
 
     The target window reaches past every index sum c + d of the listed
     sources, so the count of a pair with an untwisted constituent is
@@ -367,8 +378,8 @@ def upper_bound(w1: ModuleLabel, w2: ModuleLabel, w3: ModuleLabel, k: int) -> in
     the target; their bounds (3 or 4 into V+ and V-, 4 into Va+ and Va-,
     7 into Vl<r>) count the target's constituents inside this fixed window.
     """
-    dec1 = decompose(w1, k, window=2)
-    dec2 = decompose(w2, k, window=2)
+    dec1 = decompose(w1, k, window=1)
+    dec2 = decompose(w2, k, window=1)
     max_idx = max(
         (abs(c) for _, c in dec1 + dec2 if c is not None), default=0
     )

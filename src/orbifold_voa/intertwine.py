@@ -190,28 +190,16 @@ def forced_zero_coupling(params: RingParams, cutoff=None) -> bool:
 # -- matching explicit constructions to fusion triples ------------------------------
 
 
-def _witness_vector(params: RingParams, label: lb.ModuleLabel):
-    """A nonzero low-weight vector of the labelled module; falls back to the
-    degree-one oscillator state for the two-dimensional top level at k=1."""
-    if params.k == 1 and label == lb.u_minus():
-        return UVector(params, {((1,), 0): 1})
-    return top_vector(params, label)
+def direct_witness(k: int, triple) -> tuple[IntertwinerSpec, int] | None:
+    """The explicit construction covering a triple, if one applies directly,
+    chosen from the labels alone: their kinds, the number of twisted labels
+    and the lattice cosets of the untwisted ones.
 
-
-def _coset_and_top(params: RingParams, label: lb.ModuleLabel):
-    k = params.k
-    return lb.lattice_coset(label, k), _witness_vector(params, label)
-
-
-def direct_witness(params: RingParams, triple) -> tuple[IntertwinerSpec, object, object, int] | None:
-    """The explicit construction covering a triple, if one applies directly.
-
-    Returns (spec, u, v, target_sign) with target_sign 0 when the target is
-    a full lattice coset rather than an eigenspace.  Triples whose first
+    Returns (spec, target_sign) with target_sign 0 when the target is a
+    full lattice coset rather than an eigenspace.  Triples whose first
     label is twisted (reachable only through the fusion symmetries) get
-    None.
+    None.  `witness_vectors` builds the inputs to evaluate the spec on.
     """
-    k = params.k
     w1, w2, w3 = triple
     if w1.is_twisted:
         return None
@@ -220,19 +208,32 @@ def direct_witness(params: RingParams, triple) -> tuple[IntertwinerSpec, object,
         return None  # positions (1, 3): no direct construction
     if n_twisted in (1, 3):
         return None  # these fusion rules all vanish; nothing to witness
-    r1, u = _coset_and_top(params, w1)
+    r1 = lb.lattice_coset(w1, k)
     if n_twisted == 2:
-        v = _witness_vector(params, w2)
-        spec = IntertwinerSpec(TILDE, r1)
-        return spec, u, v, w3.sign
-    r2, v = _coset_and_top(params, w2)
+        return IntertwinerSpec(TILDE, r1), w3.sign
+    r2 = lb.lattice_coset(w2, k)
     r3 = lb.lattice_coset(w3, k)
     sign = w3.sign if w3.kind in (lb.VAC, lb.HALF) else 0
     if (r1 + r2 - r3) % (2 * k) == 0:
-        return IntertwinerSpec(Y_RS, r1, r2), u, v, sign
+        return IntertwinerSpec(Y_RS, r1, r2), sign
     if (r1 - r2 - r3) % (2 * k) == 0:
-        return IntertwinerSpec(Y_RS_THETA, r1, r2), u, v, sign
+        return IntertwinerSpec(Y_RS_THETA, r1, r2), sign
     return None
+
+
+def witness_vectors(params: RingParams, triple) -> tuple[UVector, UVector | TVector]:
+    """The inputs (u, v) of the construction `direct_witness` picks: the
+    generating top vectors of the first two modules, with the degree-one
+    oscillator state standing in for the two-dimensional top level of V-
+    at k=1."""
+
+    def vector(label: lb.ModuleLabel):
+        if params.k == 1 and label == lb.u_minus():
+            return UVector(params, {((1,), 0): 1})
+        return top_vector(params, label)
+
+    w1, w2, _w3 = triple
+    return vector(w1), vector(w2)
 
 
 # -- residue form of the defining commutation -----------------------------------

@@ -30,6 +30,7 @@ from orbifold_voa.intertwine import (
     direct_witness,
     forced_zero_coupling,
     nonvanishing_witness,
+    witness_vectors,
 )
 from orbifold_voa.ring import RingParams
 from orbifold_voa.twisted import (
@@ -252,11 +253,12 @@ def test_criterion_9_nonvanishing_witnesses():
     for triple in eng.all_triples():
         if eng.fusion(*triple) != 1:
             continue
-        hit = direct_witness(params, triple)
+        hit = direct_witness(k, triple)
         if hit is None:
             skipped += 1
             continue
-        spec, u, v, sign = hit
+        spec, sign = hit
+        u, v = witness_vectors(params, triple)
         if not nonvanishing_witness(spec, u, v, 6, sign):
             report(
                 9,

@@ -1,10 +1,13 @@
 """Command-line surface: exit codes, schemas, and output determinism."""
 
+import hashlib
 import json
 
 import pytest
 
-from orbifold_voa.cli import EXIT_FAIL, EXIT_OK, SUITES, build_parser, main
+from orbifold_voa import ring
+from orbifold_voa.cli import EXIT_FAIL, EXIT_OK, SUITES, build_parser, main, witness_names
+from orbifold_voa.fusion import get_engine
 
 
 def run(capsys, *argv):
@@ -110,6 +113,19 @@ def test_zero_denominator_cutoff_is_a_usage_error(capsys, argv):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("cutoff", ("5/2", "1/2"))
+def test_verify_delta_rejects_a_fractional_cutoff(capsys, cutoff):
+    # the cutoff is the series order: 5/2 must not run order 2, and 1/2 must
+    # not print order-0 passes that compare nothing
+    code, out, err = run(capsys, "verify", "delta", "--cutoff", cutoff)
+    assert code == EXIT_FAIL
+    assert out == ""
+    assert err == "error: verify delta needs an integer --cutoff\n"
+    code, out, _ = run(capsys, "verify", "delta", "--cutoff", "2")
+    assert code == EXIT_OK
+    assert "order 2" in out
+
+
 def test_fusion_table_csv_shape(capsys):
     code, out, _ = run(capsys, "fusion", "table", "--k", "1", "--format", "csv")
     assert code == EXIT_OK
@@ -212,6 +228,39 @@ def test_witness_command(capsys):
     code, out, _ = run(capsys, "witness", "--type", "VT1+,V+,VT1+", "--k", "2")
     assert code == EXIT_FAIL
     assert "NO-DIRECT-CONSTRUCTION" in out
+
+
+# sha256 (first 16 hex digits) over "W1,W2,W3:names" lines of every value-1
+# triple in `all_triples` order, taken from the names before `direct_witness`
+# read the labels alone, when it still built the top vectors
+WITNESS_NAME_DIGESTS = {
+    1: (64, "941cbf63b81f7d38"),
+    2: (100, "4f416d8111d3ef59"),
+    3: (140, "9da5dd27689c96c5"),
+    4: (184, "effc7f2cbd302c72"),
+    5: (232, "8ba382a4643ec592"),
+    6: (284, "fd45fc76f4763aa7"),
+    7: (340, "bbe793c762042884"),
+    8: (400, "7c21f798a170bfc5"),
+}
+
+
+@pytest.mark.parametrize("k", sorted(WITNESS_NAME_DIGESTS))
+def test_witness_names_build_no_ring(monkeypatch, k):
+    eng = get_engine(k)
+
+    def no_ring(self, *args):
+        raise AssertionError("witness_names built a RingParams")
+
+    monkeypatch.setattr(ring.RingParams, "__init__", no_ring)
+    h = hashlib.sha256()
+    n = 0
+    for t in eng.all_triples():
+        if eng.fusion(*t):
+            n += 1
+            names = witness_names(k, t)
+            h.update((",".join(w.code for w in t) + ":" + ";".join(names) + "\n").encode())
+    assert (n, h.hexdigest()[:16]) == WITNESS_NAME_DIGESTS[k]
 
 
 def test_output_determinism(capsys):

@@ -25,6 +25,7 @@ from orbifold_voa.intertwine import (
     jacobi_commutator_check,
     nonvanishing_witness,
     phase_apply,
+    witness_vectors,
 )
 from orbifold_voa.ring import RingParams
 from orbifold_voa.untwisted import e_vec, omega_vec, support_modes
@@ -120,15 +121,15 @@ def test_forced_zero_coupling():
 def test_direct_witness_assignment(params):
     k = params.k
     vp, vm = lb.u_plus(), lb.u_minus()
-    got = direct_witness(params, (vp, lb.tw(1, +1), lb.tw(1, +1)))
+    got = direct_witness(k, (vp, lb.tw(1, +1), lb.tw(1, +1)))
     assert got is not None and got[0].kind == TILDE
     # twisted first label has no direct construction
-    assert direct_witness(params, (lb.tw(1, +1), vp, lb.tw(1, +1))) is None
+    assert direct_witness(k, (lb.tw(1, +1), vp, lb.tw(1, +1))) is None
     # an untwisted triple picks the sum or difference coset automatically
     if k >= 2:
-        hit = direct_witness(params, (lb.lam(1), lb.lam(1), lb.u_plus()))
+        hit = direct_witness(k, (lb.lam(1), lb.lam(1), lb.u_plus()))
         assert hit is not None and hit[0].kind == Y_RS_THETA
-        hit2 = direct_witness(params, (lb.lam(1), lb.lam(1), lb.lam(2) if k > 2 else lb.half(+1)))
+        hit2 = direct_witness(k, (lb.lam(1), lb.lam(1), lb.lam(2) if k > 2 else lb.half(+1)))
         assert hit2 is not None and hit2[0].kind == Y_RS
 
 
@@ -163,12 +164,13 @@ def test_eigenprojected_witnesses_match_nonzero_types(params):
             for w3 in untwisted:
                 if eng.fusion(w1, w2, w3) != 1:
                     continue
-                hit = direct_witness(params, (w1, w2, w3))
+                hit = direct_witness(k, (w1, w2, w3))
                 if hit is None:
                     continue
                 if k == 1 and lb.u_minus() in (w1, w2):
                     continue  # two-dimensional top level
-                spec, u, v, sign = hit
+                spec, sign = hit
+                u, v = witness_vectors(params, (w1, w2, w3))
                 assert nonvanishing_witness(spec, u, v, 6, sign), (
                     w1.code,
                     w2.code,
