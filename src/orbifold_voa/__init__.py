@@ -33,6 +33,7 @@ from .intertwine import (
     intertwiner_mode,
     nonvanishing_witness,
     phase_apply,
+    witness_vectors,
 )
 from .labels import M1Label, ModuleLabel, all_labels, parse_label
 from .ring import RingMismatchError, RingParams, RingPrecisionError, Scalar

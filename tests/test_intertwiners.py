@@ -133,6 +133,13 @@ def test_direct_witness_assignment(params):
         assert hit2 is not None and hit2[0].kind == Y_RS
 
 
+def test_package_exports_both_witness_halves():
+    import orbifold_voa
+
+    assert orbifold_voa.direct_witness is direct_witness
+    assert orbifold_voa.witness_vectors is witness_vectors
+
+
 def test_jacobi_residue_for_conformal_and_lattice_modes():
     for k in (2, 3):
         params = RingParams(k)
