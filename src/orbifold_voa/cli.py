@@ -4,8 +4,9 @@ top-level actions, decomposition listings, and the verification suites.
 Output is deterministic: fixed term ordering, fixed JSON key order, and
 suite items run one after another in submission order.  Exit codes:
 0 success / all pass, 1 usage errors (including k < 1, a negative
-cutoff, order or window, and a fractional cutoff for `verify delta`) or
-failing suite items, 2 fusion-table inconsistency.
+cutoff, order or window, a fractional cutoff for `verify delta` and a
+cutoff that is not a multiple of 1/2 for `verify decomp`) or failing
+suite items, 2 fusion-table inconsistency.
 """
 
 from __future__ import annotations
@@ -497,6 +498,10 @@ def cmd_verify(args) -> int:
     if args.suite == "delta" and args.cutoff is not None and args.cutoff.denominator != 1:
         # the cutoff is the series order there; int() would truncate it
         print("error: verify delta needs an integer --cutoff", file=sys.stderr)
+        return EXIT_FAIL
+    if args.suite == "decomp" and args.cutoff is not None and (2 * args.cutoff).denominator != 1:
+        # the weights are checked in steps of 1/2; int(2 * cutoff) would drop the rest
+        print("error: verify decomp needs a --cutoff that is a multiple of 1/2", file=sys.stderr)
         return EXIT_FAIL
     try:
         items = SUITES[args.suite](args.k, args.cutoff, args.seed)

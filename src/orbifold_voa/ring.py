@@ -65,6 +65,19 @@ class RingParams:
     relation for t.  Construction asserts the internal relations are
     exactly consistent; in particular for even k the designated sqrt(2)
     element is checked to square to 2 in the cyclotomic quotient.
+
+    `memo` holds the tables the mode layers derive from the ring and a few
+    small integers, each built on first use:
+
+    * ("create", r, pending, w, twisted): the creation stage of the mode
+      kernel, `untwisted._creation_table`;
+    * ("delta", nu, r): exp(Delta_z) of one term, `twisted._delta_terms`;
+    * ("prefactor", r): the scalar 2^(-r^2/2k), `twisted._prefactor`;
+    * "halved": a dict from each doubled twisted key the operators have
+      returned to its halved Fraction parts, shared by every result.
+
+    Every table lives exactly as long as its ring.  The CLI builds at most
+    one ring per command, so a command's tables go with it.
     """
 
     __slots__ = ("k", "n_roots", "degree", "t_degree", "_zeta_rows", "_t_top", "memo")
@@ -73,9 +86,7 @@ class RingParams:
         if k < 1:
             raise ValueError(f"k must be a positive integer, got {k}")
         self.k = k
-        # tables the mode layers derive once per ring (creation exponentials,
-        # Delta expansions); they live exactly as long as this instance
-        self.memo: dict = {}
+        self.memo: dict = {}  # see the class docstring
         self.n_roots = 4 * k
         cyclo = cyclotomic_poly(self.n_roots)
         deg = len(cyclo) - 1
@@ -195,6 +206,11 @@ class RingParams:
         )
 
 
+def _is_rational(terms: dict) -> bool:
+    """Whether canonical terms are those of a rational number (0 included)."""
+    return not terms or (len(terms) == 1 and (0, 0) in terms)
+
+
 class Scalar:
     """Canonical ring element: finite Q-linear combination of zeta^a * t^b.
 
@@ -214,7 +230,7 @@ class Scalar:
         return not self.terms
 
     def is_rational(self) -> bool:
-        return all(key == (0, 0) for key in self.terms)
+        return _is_rational(self.terms)
 
     def as_rational(self) -> Fraction:
         if not self.terms:
@@ -235,6 +251,10 @@ class Scalar:
         if not isinstance(other, Scalar):
             return NotImplemented
         self._check(other)
+        if not other.terms:
+            return self
+        if not self.terms:
+            return other
         out = dict(self.terms)
         for key, c in other.terms.items():
             s = out.get(key, 0) + c
@@ -252,13 +272,15 @@ class Scalar:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
-            if not c:
-                return self.params.zero()
-            return Scalar(self.params, {k: c * v for k, v in self.terms.items()})
+            return self._scaled(other)
         if not isinstance(other, Scalar):
             return NotImplemented
         self._check(other)
+        # a rational side only scales the other side's terms
+        if _is_rational(other.terms):
+            return self._scaled(other.terms.get((0, 0), 0))
+        if _is_rational(self.terms):
+            return other._scaled(self.terms.get((0, 0), 0))
         out: dict[tuple[int, int], Fraction] = {}
         for (a1, b1), c1 in self.terms.items():
             for (a2, b2), c2 in other.terms.items():
@@ -271,6 +293,14 @@ class Scalar:
                     else:
                         out.pop(key, None)
         return Scalar(self.params, out)
+
+    def _scaled(self, c) -> "Scalar":
+        """self times the rational c: each term scaled, no basis product."""
+        if not c:
+            return self.params.zero()
+        if c == 1:
+            return Scalar(self.params, dict(self.terms))
+        return Scalar(self.params, {key: c * v for key, v in self.terms.items()})
 
     def __rmul__(self, other):
         return self.__mul__(other)

@@ -200,6 +200,16 @@ def _delta_terms(params: RingParams, nu: tuple[int, ...], r: int) -> tuple:
     return terms
 
 
+def _prefactor(params: RingParams, r: int):
+    """The scalar prefactor 2^(-r^2/2k) of the half-odd expansion at lattice
+    index r, memoized on `params` for the life of the ring."""
+    key = ("prefactor", r)
+    c = params.memo.get(key)
+    if c is None:
+        c = params.memo[key] = params.two_to(Fraction(-r * r, 2 * params.k))
+    return c
+
+
 def _corrected_mode(u: UVector, m, v: TVector, sector_map, cutoff) -> TVector:
     """Mode m of the Delta-corrected half-odd expansion of u on v, each
     lattice component at index r followed by the sector map sector_map(r).
@@ -210,7 +220,8 @@ def _corrected_mode(u: UVector, m, v: TVector, sector_map, cutoff) -> TVector:
     per-ring table of single-term expansions; every Delta term of one term
     of u meets one term of v in a single `mode_kernel_sum`, so each output
     key costs one Fraction and one Scalar product per term pair.  Keys stay
-    doubled integers until the result is wrapped."""
+    doubled integers until the result is wrapped, where each is halved
+    once per ring (the "halved" table of `RingParams.memo`)."""
     params = u.params
     if params != v.params:
         raise ValueError("twisted operator: mixed ring parameters")
@@ -219,17 +230,18 @@ def _corrected_mode(u: UVector, m, v: TVector, sector_map, cutoff) -> TVector:
             f"cutoff {cutoff} is below the weight {v.max_weight()} of the target"
         )
     m = Fraction(m)
+    a, b = m.numerator, m.denominator
     k = params.k
     acc: dict = {}
     for (nu, r), cu in u.terms.items():
-        if (2 * m - Fraction(r * r, 2 * k)).denominator != 1:
-            continue  # outside the support grid
+        if (4 * k * a - r * r * b) % (2 * k * b):
+            continue  # 2m - r^2/2k is not an integer: outside the support grid
         mat = sector_map(r).matrix
         images = {
             sector: [(j, mat[j - 1][sector - 1]) for j in (1, 2) if mat[j - 1][sector - 1]]
             for sector in (1, 2)
         }
-        cu = cu * params.two_to(Fraction(-r * r, 2 * k))
+        cu = cu * _prefactor(params, r)
         terms = _delta_terms(params, nu, r)
         for (mu, sector), cv in v.terms.items():
             image = mode_kernel_sum(params, r, mu, 0, m, True, terms)
@@ -239,7 +251,14 @@ def _corrected_mode(u: UVector, m, v: TVector, sector_map, cutoff) -> TVector:
             for key, q in image.items():
                 for target, sign in images[sector]:
                     add_into(acc, (key, target), cc * (q * sign))
-    return TVector._wrap(params, {(halve(key, True), j): c for (key, j), c in acc.items()})
+    halved = params.memo.setdefault("halved", {})
+    out = {}
+    for (key, j), c in acc.items():
+        parts = halved.get(key)
+        if parts is None:
+            parts = halved[key] = halve(key, True)
+        out[(parts, j)] = c
+    return TVector._wrap(params, out)
 
 
 def tilde_mode(u: UVector, m, v: TVector, cutoff=None) -> TVector:

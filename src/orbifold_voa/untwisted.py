@@ -13,6 +13,12 @@ against the exactly determined weight budget.  No series tails are ever
 truncated, so results are exact.  The same kernel, `mode_kernel_sum`
 (`mode_kernel` is its one-term form), also evaluates the half-odd
 expansion behind the twisted operators.
+
+The creation stage, where the pending oscillator factors and the creation
+exponential share what is left of the weight budget, depends only on the
+ring, the lattice index, the pending factors and the budget.  It is walked
+once per ring (`_creation_table`, in `RingParams.memo`), its rows merged by
+their sorted parts, and every later call only reads the rows.
 """
 
 from __future__ import annotations
@@ -47,28 +53,47 @@ def _dcoef(n: int, jj: int) -> tuple[int, int]:
     return (-1) ** q * num // g, den // g
 
 
-def _creation_table(params: RingParams, r: int, w: int, twisted: bool) -> tuple:
-    """((parts, num, den), ...): the doubled-weight-w terms of the creation
-    exponential of lambda_r, each coefficient a reduced integer pair,
-    memoized on `params` for the life of the ring.
+def _creation_table(
+    params: RingParams, r: int, w: int, twisted: bool, pending: tuple = ()
+) -> tuple:
+    """((parts, num, den), ...): the creation stage of the kernel at doubled
+    weight w, each coefficient a reduced integer pair, memoized on `params`
+    for the life of the ring.
 
-    Parts are doubled modes, odd when twisted and even otherwise, listed
-    in descending order; a part N carries (r/2k)/(N/2) = r/(kN), and i
-    equal parts a further 1/i!.  Untwisted budgets are always even (the
-    kernel's z-budget and every created part are), so an odd untwisted w
-    has no terms.  One partition walk carries each coefficient as an
-    integer numerator and denominator: the i-th copy of a part N
-    multiplies them by r and k*N*i."""
-    key = ("create", r, w, twisted)
+    With no `pending` factors these are the terms of the creation
+    exponential of lambda_r.  Parts are doubled modes, odd when twisted and
+    even otherwise, listed in descending order; a part N carries
+    (r/2k)/(N/2) = r/(kN), and i equal parts a further 1/i!.  Untwisted
+    budgets are always even (the kernel's z-budget and every created part
+    are), so an odd untwisted w has no terms.  One partition walk carries
+    each coefficient as an integer numerator and denominator: the i-th copy
+    of a part N multiplies them by r and k*N*i.
+
+    Each pending factor a(-n) takes a created part p (the coefficient of
+    alpha(-p/2) in its divided derivative, see `_dcoef`) and leaves w - p
+    to the factors after it and to the exponential.  Rows that end on the
+    same sorted parts are merged into one, and rows that cancel are
+    dropped."""
+    key = ("create", r, pending, w, twisted)
     table = params.memo.get(key)
     if table is None:
-        if not r:
+        lo = 1 if twisted else 2
+        if pending:
+            n, rest = pending[0], pending[1:]
+            merged: dict[tuple, Fraction] = {}
+            for p in range(lo, w - lo * len(rest) + 1, 2):
+                dc, dd = _dcoef(n, -p)
+                if dc:
+                    for parts, e, ed in _creation_table(params, r, w - p, twisted, rest):
+                        parts = tuple(sorted(parts + (p,), reverse=True))
+                        merged[parts] = merged.get(parts, 0) + Fraction(dc * e, dd * ed)
+            table = tuple((parts, c.numerator, c.denominator) for parts, c in merged.items() if c)
+        elif not r:
             table = (((), 1, 1),) if w == 0 else ()
         elif not twisted and w % 2:
             table = ()
         else:
             k = params.k
-            lo = 1 if twisted else 2
             rows = []
 
             def walk(left: int, top: int, parts: tuple, num: int, den: int, run: int) -> None:
@@ -140,8 +165,8 @@ def mode_kernel_sum(
     part of mu, paired with the lattice index s, or left pending; the
     annihilation exponential removes parts with binomial weights; the
     pending factors and the creation exponential then share what is left
-    of T.  The lattices differ only in the smallest created part (2 or 1)
-    and in the s-term.
+    of T, read from the memoized `_creation_table`.  The lattices differ
+    only in the smallest created part (2 or 1) and in the s-term.
 
     Every path carries its coefficient as an integer numerator and
     denominator, and each output key collects them in a {den: num} slot,
@@ -163,28 +188,15 @@ def mode_kernel_sum(
         counts0[p2] = counts0.get(p2, 0) + 1
     out: dict[tuple, dict[int, int]] = {}
 
-    def emit(parts: tuple, num: int, den: int) -> None:
-        key = tuple(sorted(parts, reverse=True))
-        slot = out.get(key)
-        if slot is None:
-            out[key] = {den: num}
-        else:
-            slot[den] = slot.get(den, 0) + num
-
     def create(remaining: tuple, pending: tuple, budget: int, num: int, den: int) -> None:
-        def rec(i: int, w: int, c: int, cd: int, created: tuple) -> None:
-            if i == len(pending):
-                for lam, e, ed in _creation_table(params, r, w, twisted):
-                    emit(remaining + created + lam, c * e, cd * ed)
-                return
-            n_i = pending[i]
-            for p in range(lo, w - lo * (len(pending) - i - 1) + 1, 2):
-                dc, dd = _dcoef(n_i, -p)
-                if dc:
-                    rec(i + 1, w - p, c * dc, cd * dd, created + (p,))
-
-        if budget >= lo * len(pending):
-            rec(0, budget, num, den, ())
+        if budget < lo * len(pending):
+            return
+        for parts, e, ed in _creation_table(params, r, budget, twisted, pending):
+            if remaining:
+                parts = tuple(sorted(remaining + parts, reverse=True))
+            slot = out.setdefault(parts, {})
+            dd = den * ed
+            slot[dd] = slot.get(dd, 0) + num * e
 
     def annihilate(t: int, counts: dict, drop: int, num: int, den: int, pending: tuple) -> None:
         values = sorted(p for p, mult in counts.items() if mult)
@@ -254,12 +266,13 @@ def vertex_mode(u: UVector, m, v: UVector, cutoff=None) -> UVector:
         )
     acc: dict = {}
     for (nu, r), cu in u.terms.items():
+        term = ((0, nu, 1, 1),)
         for (mu, s), cv in v.terms.items():
-            contrib = mode_kernel(params, nu, r, mu, s, m, False)
-            if contrib:
+            image = mode_kernel_sum(params, r, mu, s, m, False, term)
+            if image:
                 cuv = cu * cv
-                for parts, q in contrib.items():
-                    add_into(acc, (parts, r + s), cuv * q)
+                for key, q in image.items():
+                    add_into(acc, (tuple([p >> 1 for p in key]), r + s), cuv * q)
     return UVector._wrap(params, acc)
 
 

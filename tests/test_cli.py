@@ -126,6 +126,19 @@ def test_verify_delta_rejects_a_fractional_cutoff(capsys, cutoff):
     assert "order 2" in out
 
 
+@pytest.mark.parametrize("cutoff", ("1/3", "5/4"))
+def test_verify_decomp_rejects_a_cutoff_off_the_half_grid(capsys, cutoff):
+    # weights are checked in steps of 1/2: 1/3 must not check the top weight
+    # alone and report "weights up to top+1/3 agree"
+    code, out, err = run(capsys, "verify", "decomp", "--cutoff", cutoff)
+    assert code == EXIT_FAIL
+    assert out == ""
+    assert err == "error: verify decomp needs a --cutoff that is a multiple of 1/2\n"
+    code, out, _ = run(capsys, "verify", "decomp", "--cutoff", "3/2")
+    assert code == EXIT_OK
+    assert "weights up to top+3/2 agree" in out
+
+
 def test_fusion_table_csv_shape(capsys):
     code, out, _ = run(capsys, "fusion", "table", "--k", "1", "--format", "csv")
     assert code == EXIT_OK

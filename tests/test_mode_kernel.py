@@ -9,6 +9,7 @@ comparisons with a nonzero image so that it cannot pass on zeros alone.
 
 from fractions import Fraction
 from functools import lru_cache, partial
+from itertools import combinations_with_replacement
 from math import factorial, gcd
 
 import pytest
@@ -631,3 +632,75 @@ def test_images_hold_no_zero_scalar(k):
                     dropped += len(seen - set(summed))
     assert images > 0
     assert dropped > 0
+
+
+def _fresh_creation_stage(k: int, r: int, pending: tuple, w: int, twisted_: bool) -> tuple:
+    """The creation stage walked afresh, with no memo, and the number of
+    paths the walk took: each pending factor a(-n) takes a doubled part p
+    with the reference `_dcoef` at mode -p/2, and the per-part creation
+    table takes what is left of w."""
+    lo = 1 if twisted_ else 2
+    out: dict = {}
+    paths = [0]
+
+    def rec(i: int, left: int, c: Fraction, created: tuple) -> None:
+        if i == len(pending):
+            if twisted_ or left % 2 == 0:
+                for parts, e in _per_part_creation_table(k, r, left, twisted_):
+                    key = tuple(sorted(created + parts, reverse=True))
+                    out[key] = out.get(key, 0) + c * e
+                    paths[0] += 1
+            return
+        for p in range(lo, left + 1, 2):
+            dc = _dcoef(pending[i], Fraction(-p, 2))
+            if dc:
+                rec(i + 1, left - p, c * dc, created + (p,))
+
+    rec(0, w, Fraction(1), ())
+    return {key: c for key, c in out.items() if c}, paths[0]
+
+
+@pytest.mark.parametrize("k", (1, 2, 3))
+def test_memoized_creation_stage_matches_a_fresh_walk(k):
+    params = RingParams(k)
+    # descending, as a subsequence of a sorted nu
+    pendings = [p for size in range(4) for p in combinations_with_replacement((3, 2, 1), size)]
+    rows = merged = 0
+    for pending in pendings:
+        for r in (0, 1, -1, k, 2 * k + 1):
+            for w in range(0, 15):
+                for twisted_ in (False, True):
+                    got = _creation_table(params, r, w, twisted_, pending)
+                    keys = [parts for parts, _num, _den in got]
+                    assert len(set(keys)) == len(keys)
+                    assert all(parts == tuple(sorted(parts, reverse=True)) for parts in keys)
+                    assert all(num and den > 0 and gcd(num, den) == 1 for _p, num, den in got)
+                    want, paths = _fresh_creation_stage(k, r, pending, w, twisted_)
+                    assert {parts: Fraction(num, den) for parts, num, den in got} == want, (
+                        pending, r, w, twisted_,
+                    )
+                    # the same stage reached twice is the same memo row
+                    assert _creation_table(params, r, w, twisted_, pending) is got
+                    rows += len(got)
+                    merged += paths > len(got)
+    # rows of equal parts were merged, and cancelling ones dropped
+    assert rows > 0 and merged > 0
+
+
+def test_repeated_calls_add_no_memo_entry():
+    params = RingParams(2)
+    cases = (
+        (untwisted.vertex_mode, _multi_u(params, 1, 5), u_term(params, [2, 1], 1)),
+        (twisted.tilde_mode, _multi_u(params, 1, -1), t_term(params, [HALF, HALF], 1)),
+        (twisted.mtheta_mode, _multi_u(params, 2, -2), t_term(params, [HALF], 2)),
+    )
+    images = 0
+    for op, u, v in cases:
+        sweep = _sweep(u, v)
+        first = [op(u, m, v) for m in sweep]
+        images += sum(map(bool, first))
+        sizes = len(params.memo), len(params.memo.get("halved", ()))
+        assert [op(u, m, v) for m in sweep] == first
+        assert (len(params.memo), len(params.memo.get("halved", ()))) == sizes, op.__name__
+    assert images > 0
+    assert params.memo["halved"]

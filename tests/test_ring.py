@@ -165,3 +165,43 @@ def test_serialization_deterministic(params):
     assert str(params.zero()) == "0"
     one = str(params.one())
     assert one == "(1)*zeta^0*t^0"
+
+
+RINGS = {k: RingParams(k) for k in range(1, 7)}
+
+
+def _basis_product(x, y):
+    """x * y summed over every pair of basis monomials through `_mul_basis`,
+    the general product, whatever the operands are."""
+    params = x.params
+    out = {}
+    for (a1, b1), c1 in x.terms.items():
+        for (a2, b2), c2 in y.terms.items():
+            for a, b, c in params._mul_basis(a1, b1, a2, b2):
+                out[(a, b)] = out.get((a, b), 0) + c1 * c2 * c
+    return params.scalar(out)
+
+
+@settings(max_examples=120, deadline=None)
+@given(k=st.integers(min_value=1, max_value=6), data=st.data())
+def test_rational_fast_path_equals_the_basis_product(k, data):
+    """A product with a rational, one or zero operand, on either side, skips
+    the basis products; it must still equal them and hold no zero."""
+    params = RINGS[k]
+    x = data.draw(scalars(params))
+    c = data.draw(
+        st.sampled_from((Fraction(0), Fraction(1)))
+        | st.fractions(min_value=Fraction(-9), max_value=Fraction(9), max_denominator=7)
+    )
+    y = params.rational(c)
+    want = _basis_product(x, y)
+    products = [x * y, y * x, x * c, c * x]
+    if c.denominator == 1:
+        products += [x * int(c), int(c) * x]
+    for got in products:
+        assert got == want
+        assert all(got.terms.values())
+        assert got.terms is not x.terms
+    zero = params.zero()
+    assert x + zero == x
+    assert zero + x == x
