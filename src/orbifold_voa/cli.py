@@ -1,12 +1,16 @@
 """Batch command-line surface: fusion queries and table dumps, computed
 top-level actions, decomposition listings, and the verification suites.
 
-Output is deterministic: fixed term ordering, fixed JSON key order, and
-suite items run one after another in submission order.  Exit codes:
-0 success / all pass, 1 usage errors (including k < 1, a negative
-cutoff, order or window, a fractional cutoff for `verify delta` and a
-cutoff that is not a multiple of 1/2 for `verify decomp`) or failing
-suite items, 2 fusion-table inconsistency.
+Each verification suite is a generator: it yields its (name, status,
+detail) items one after another, in the order it runs them, and an item
+takes as long as it takes to produce.  Output is deterministic: fixed
+term ordering, fixed JSON key order and fixed item order.
+
+`main` maps every outcome to its exit code in one place: 0 success / all
+pass, 1 usage errors (`UsageError`, including k < 1, a negative cutoff,
+order or window, a fractional cutoff for `verify delta` and a cutoff that
+is not a multiple of 1/2 for `verify decomp`) or failing suite items, 2
+fusion-table inconsistency (`EngineInconsistencyError`).
 """
 
 from __future__ import annotations
@@ -60,10 +64,9 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_INCONSISTENT = 2
 
-def _run_items(jobs):
-    """Run (name, thunk) pairs in submission order.  Each thunk returns
-    (status, detail)."""
-    return [(name,) + fn() for name, fn in jobs]
+
+class UsageError(Exception):
+    """Bad command-line input: `main` prints it and exits 1."""
 
 
 def _emit_report(k: int, command: str, items, fmt: str) -> None:
@@ -83,10 +86,6 @@ def _emit_report(k: int, command: str, items, fmt: str) -> None:
         print(line + (f": {detail}" if detail else ""))
 
 
-def _failed(items) -> bool:
-    return any(status == "fail" for _n, status, _d in items)
-
-
 def _check(ok: bool, detail_pass: str = "", detail_fail: str = ""):
     return ("pass", detail_pass) if ok else ("fail", detail_fail or detail_pass)
 
@@ -96,21 +95,15 @@ def _check(ok: bool, detail_pass: str = "", detail_fail: str = ""):
 
 def suite_table1(k: int, cutoff, seed: int):
     params = RingParams(k)
-    jobs = []
     for label in lb.all_labels(k):
         for gen in zhu.GENERATORS:
             name = f"top action o({gen}) on {label.code}"
             if k == 1 and label == lb.u_minus():
-                jobs.append((name, lambda: ("skip", "two-dimensional top level at k=1")))
+                yield name, "skip", "two-dimensional top level at k=1"
                 continue
-
-            def fn(label=label, gen=gen):
-                got = zhu.top_action(params, gen, label)
-                want = zhu.expected_top_actions(params, label)[gen]
-                return _check(got == want, str(got), f"computed {got}, expected {want}")
-
-            jobs.append((name, fn))
-    return _run_items(jobs)
+            got = zhu.top_action(params, gen, label)
+            want = zhu.expected_top_actions(params, label)[gen]
+            yield name, *_check(got == want, str(got), f"computed {got}, expected {want}")
 
 
 def suite_identities(k: int, cutoff, seed: int):
@@ -118,82 +111,60 @@ def suite_identities(k: int, cutoff, seed: int):
     E = e_vec(params)
     v0 = lattice_vector(params, k) + lattice_vector(params, -k)
     w = heis_act(-1, lattice_vector(params, k)) - heis_act(-1, lattice_vector(params, -k))
-
-    def fixed_point():
-        got = vertex_mode(E, k - 1, v0)
-        return _check(got == v0, "weight-preserving mode fixes the half-shift top")
-
-    def oscillator_transfer():
-        got = vertex_mode(E, k, w)
-        return _check(got == v0 * (2 * k), "degree-one oscillator transfer matches")
-
-    def creation_expansion():
-        lhs = vertex_mode(E, 0, v0)
-        rhs = p_coeff_apply(params, +1, k - 1, lattice_vector(params, k)) + p_coeff_apply(
-            params, -1, k - 1, lattice_vector(params, -k)
-        )
-        return _check(lhs == rhs, "zero mode equals the creation-series coefficient")
-
-    return _run_items(
-        [
-            ("half-shift top fixed by the symmetric lattice mode", fixed_point),
-            ("oscillator transfer identity", oscillator_transfer),
-            ("creation-series expansion of the zero mode", creation_expansion),
-        ]
+    yield "half-shift top fixed by the symmetric lattice mode", *_check(
+        vertex_mode(E, k - 1, v0) == v0, "weight-preserving mode fixes the half-shift top"
     )
+    yield "oscillator transfer identity", *_check(
+        vertex_mode(E, k, w) == v0 * (2 * k), "degree-one oscillator transfer matches"
+    )
+    lhs = vertex_mode(E, 0, v0)
+    rhs = p_coeff_apply(params, +1, k - 1, lattice_vector(params, k)) + p_coeff_apply(
+        params, -1, k - 1, lattice_vector(params, -k)
+    )
+    yield "creation-series expansion of the zero mode", *_check(
+        lhs == rhs, "zero mode equals the creation-series coefficient"
+    )
+
+
+def _symmetry_sweep(eng):
+    k = eng.k
+    for (w1, w2, w3) in eng.all_triples():
+        f = eng.fusion(w1, w2, w3)
+        if f != eng.fusion(w2, w1, w3):
+            return "fail", f"swap symmetry broken at {w1.code},{w2.code},{w3.code}"
+        if f != eng.fusion(w1, zhu.contragredient(w3, k), zhu.contragredient(w2, k)):
+            return "fail", f"dual symmetry broken at {w1.code},{w2.code},{w3.code}"
+    return "pass", f"all {(k + 7) ** 3} triples symmetric"
 
 
 def suite_closure(k: int, cutoff, seed: int):
     eng = get_engine(k)
-
-    def build():
-        return "pass", f"{len(eng.table)} nonzero triples; closure equals transcription"
-
-    def symmetries():
-        for (w1, w2, w3) in eng.all_triples():
-            f = eng.fusion(w1, w2, w3)
-            if f != eng.fusion(w2, w1, w3):
-                return "fail", f"swap symmetry broken at {w1.code},{w2.code},{w3.code}"
-            if f != eng.fusion(
-                w1, zhu.contragredient(w3, k), zhu.contragredient(w2, k)
-            ):
-                return "fail", f"dual symmetry broken at {w1.code},{w2.code},{w3.code}"
-        return "pass", f"all {(k + 7) ** 3} triples symmetric"
-
-    def notes():
-        return "pass", "; ".join(eng.notes)
-
-    return _run_items(
-        [
-            ("closure fixed point", build),
-            ("symmetry sweep", symmetries),
-            ("transcription notes", notes),
-        ]
+    yield "closure fixed point", "pass", (
+        f"{len(eng.table)} nonzero triples; closure equals transcription"
     )
+    yield "symmetry sweep", *_symmetry_sweep(eng)
+    yield "transcription notes", "pass", "; ".join(eng.notes)
+
+
+def _bound_soundness(eng):
+    k = eng.k
+    for (w1, w2, w3) in eng.all_triples():
+        f = eng.fusion(w1, w2, w3)
+        b = upper_bound(w1, w2, w3, k)
+        if f > b:
+            return "fail", f"fusion {f} > bound {b} at {w1.code},{w2.code},{w3.code}"
+    return "pass", f"fusion <= bound on all {(k + 7) ** 3} triples"
 
 
 def suite_bounds(k: int, cutoff, seed: int):
     eng = get_engine(k)
-
-    def soundness():
-        for (w1, w2, w3) in eng.all_triples():
-            f = eng.fusion(w1, w2, w3)
-            b = upper_bound(w1, w2, w3, k)
-            if f > b:
-                return "fail", f"fusion {f} > bound {b} at {w1.code},{w2.code},{w3.code}"
-        return "pass", f"fusion <= bound on all {(k + 7) ** 3} triples"
-
-    jobs = [("bound soundness", soundness)]
+    yield "bound soundness", *_bound_soundness(eng)
     for t in bound_blind_zeros(k):
-        name = f"bound-blind zero {t[0].code},{t[1].code},{t[2].code}"
-
-        def fn(t=t):
-            f = eng.fusion(*t)
-            b = upper_bound(*t, k)
-            return _check(f == 0 and b >= 1, f"fusion {f}, bound {b}")
-
-        jobs.append((name, fn))
-    return _run_items(jobs)
+        f = eng.fusion(*t)
+        b = upper_bound(*t, k)
+        yield f"bound-blind zero {t[0].code},{t[1].code},{t[2].code}", *_check(
+            f == 0 and b >= 1, f"fusion {f}, bound {b}"
+        )
 
 
 def decomp_window(k: int, weight) -> int:
@@ -207,6 +178,19 @@ def decomp_window(k: int, weight) -> int:
     return isqrt(Fraction(weight) // k) + 1
 
 
+def _decomp_character(params: RingParams, label, extra: Fraction):
+    k = params.k
+    top = lb.top_weight(label, k)
+    constituents = decompose(label, k, window=decomp_window(k, top + extra))
+    for j in range(int(2 * extra) + 1):
+        w = top + Fraction(j, 2)
+        lhs = graded_dim(params, label, w)
+        rhs = sum(m1_graded_dim(params, m1, w) for m1, _idx in constituents)
+        if lhs != rhs:
+            return "fail", f"weight {w}: module {lhs} != constituents {rhs}"
+    return "pass", f"weights up to top+{extra} agree"
+
+
 def suite_decomp(k: int, cutoff, seed: int):
     """Graded dimension of each module against the sum over its
     constituents, at weights top, top + 1/2, ..., top + cutoff.
@@ -216,117 +200,95 @@ def suite_decomp(k: int, cutoff, seed: int):
     start above every checked weight.  The two sides stay independent:
     `graded_dim` counts the module's basis, so a window too small would
     show as a failing item, not as a pass."""
+    if cutoff is not None and (2 * cutoff).denominator != 1:
+        # the weights are checked in steps of 1/2; int(2 * cutoff) would drop the rest
+        raise UsageError("verify decomp needs a --cutoff that is a multiple of 1/2")
     params = RingParams(k)
     extra = Fraction(cutoff) if cutoff is not None else Fraction(10)
-    jobs = []
     for label in lb.all_labels(k):
-        name = f"decomposition character of {label.code}"
-
-        def fn(label=label):
-            top = lb.top_weight(label, k)
-            constituents = decompose(label, k, window=decomp_window(k, top + extra))
-            steps = int(2 * extra)
-            for j in range(steps + 1):
-                w = top + Fraction(j, 2)
-                lhs = graded_dim(params, label, w)
-                rhs = sum(m1_graded_dim(params, m1, w) for m1, _idx in constituents)
-                if lhs != rhs:
-                    return "fail", f"weight {w}: module {lhs} != constituents {rhs}"
-            return "pass", f"weights up to top+{extra} agree"
-
-        jobs.append((name, fn))
-    return _run_items(jobs)
+        yield f"decomposition character of {label.code}", *_decomp_character(params, label, extra)
 
 
 def suite_delta(k: int, cutoff, seed: int):
+    if cutoff is not None and cutoff.denominator != 1:
+        # the cutoff is the series order there; int() would truncate it
+        raise UsageError("verify delta needs an integer --cutoff")
     order = int(cutoff) if cutoff is not None else 8
-
-    def low_order():
-        ok = (
-            delta_coeff(0, 0) == 0
-            and delta_coeff(1, 0) == Fraction(-1, 4)
-            and delta_coeff(0, 1) == Fraction(-1, 4)
-            and delta_coeff(1, 1) == Fraction(1, 16)
-        )
-        return _check(ok, "c00=0, c10=c01=-1/4, c11=1/16")
-
-    def symmetry():
-        tab = delta_table(order)
-        ok = all(tab[(m, n)] == tab[(n, m)] for (m, n) in tab)
-        return _check(ok, f"c[m][n] symmetric through total order {order}")
-
-    def defining_equation():
-        # -4 (1+x)^(1/2) g_x u = 1 for g the computed expansion and u the
-        # average of the two square roots; checked as truncated series
-        from .twisted import _series_mul
-
-        half = Fraction(1, 2)
-        binom = [Fraction(1)]
-        for n in range(1, order + 2):
-            binom.append(binom[-1] * (half - (n - 1)) / n)
-        sqrt_x = {(n, 0): binom[n] for n in range(order + 2)}
-        u = dict(sqrt_x)
-        for n in range(order + 2):
-            u[(0, n)] = u.get((0, n), Fraction(0)) + binom[n]
-        u = {kk: c / 2 for kk, c in u.items() if c}
-        tab = delta_table(order + 1)
-        gx = {}
-        for (m, n), c in tab.items():
-            if m >= 1 and c:
-                gx[(m - 1, n)] = c * m
-        lhs = _series_mul(_series_mul(gx, sqrt_x, order), u, order)
-        lhs = {kk: -4 * c for kk, c in lhs.items() if c}
-        ok = lhs.get((0, 0)) == 1 and all(
-            c == 0 for kk, c in lhs.items() if kk != (0, 0)
-        )
-        return _check(ok, f"series satisfies the defining equation to order {order}")
-
-    return _run_items(
-        [
-            ("low-order values", low_order),
-            ("index symmetry", symmetry),
-            ("defining equation residual", defining_equation),
-        ]
+    low = (
+        delta_coeff(0, 0) == 0
+        and delta_coeff(1, 0) == Fraction(-1, 4)
+        and delta_coeff(0, 1) == Fraction(-1, 4)
+        and delta_coeff(1, 1) == Fraction(1, 16)
     )
+    yield "low-order values", *_check(low, "c00=0, c10=c01=-1/4, c11=1/16")
+    tab = delta_table(order)
+    yield "index symmetry", *_check(
+        all(tab[(m, n)] == tab[(n, m)] for (m, n) in tab),
+        f"c[m][n] symmetric through total order {order}",
+    )
+    # -4 (1+x)^(1/2) g_x u = 1 for g the computed expansion and u the
+    # average of the two square roots; checked as truncated series
+    from .twisted import _series_mul
+
+    half = Fraction(1, 2)
+    binom = [Fraction(1)]
+    for n in range(1, order + 2):
+        binom.append(binom[-1] * (half - (n - 1)) / n)
+    sqrt_x = {(n, 0): binom[n] for n in range(order + 2)}
+    u = dict(sqrt_x)
+    for n in range(order + 2):
+        u[(0, n)] = u.get((0, n), Fraction(0)) + binom[n]
+    u = {kk: c / 2 for kk, c in u.items() if c}
+    tab = delta_table(order + 1)
+    gx = {}
+    for (m, n), c in tab.items():
+        if m >= 1 and c:
+            gx[(m - 1, n)] = c * m
+    lhs = _series_mul(_series_mul(gx, sqrt_x, order), u, order)
+    lhs = {kk: -4 * c for kk, c in lhs.items() if c}
+    ok = lhs.get((0, 0)) == 1 and all(c == 0 for kk, c in lhs.items() if kk != (0, 0))
+    yield "defining equation residual", *_check(
+        ok, f"series satisfies the defining equation to order {order}"
+    )
+
+
+def _psi_relations(params: RingParams):
+    k = params.k
+    for b in range(-3, 4):
+        eb = lattice_sector_map(b)
+        for r in range(-6 * k, 6 * k + 1):
+            ps = psi_map(params, r)
+            sign = -1 if (b * r) % 2 else 1
+            if eb.compose(ps) != ps.compose(eb).scale(sign):
+                return "fail", f"commutation broken at b={b}, r={r}"
+            if eb.compose(ps) != psi_map(params, r + 2 * k * b):
+                return "fail", f"translation broken at b={b}, r={r}"
+    return "pass", f"|b| <= 3, |r| <= {6 * k} all hold"
+
+
+def _psi_special_cases(params: RingParams):
+    k = params.k
+    for m in range(-3, 4):
+        if psi_map(params, -2 * k * m) != psi_map(params, 2 * k * m):
+            return "fail", f"lattice symmetry broken at m={m}"
+        lhs = psi_map(params, -(k + 2 * k * m))
+        rhs = lattice_sector_map(-1).compose(psi_map(params, k + 2 * k * m))
+        if lhs != rhs:
+            return "fail", f"half-shift reflection broken at m={m}"
+    return "pass", "reflection identities hold"
 
 
 def suite_psi(k: int, cutoff, seed: int):
     params = RingParams(k)
-
-    def relations():
-        for b in range(-3, 4):
-            eb = lattice_sector_map(b)
-            for r in range(-6 * k, 6 * k + 1):
-                ps = psi_map(params, r)
-                sign = -1 if (b * r) % 2 else 1
-                if eb.compose(ps) != ps.compose(eb).scale(sign):
-                    return "fail", f"commutation broken at b={b}, r={r}"
-                if eb.compose(ps) != psi_map(params, r + 2 * k * b):
-                    return "fail", f"translation broken at b={b}, r={r}"
-        return "pass", f"|b| <= 3, |r| <= {6 * k} all hold"
-
-    def special_cases():
-        for m in range(-3, 4):
-            if psi_map(params, -2 * k * m) != psi_map(params, 2 * k * m):
-                return "fail", f"lattice symmetry broken at m={m}"
-            lhs = psi_map(params, -(k + 2 * k * m))
-            rhs = lattice_sector_map(-1).compose(psi_map(params, k + 2 * k * m))
-            if lhs != rhs:
-                return "fail", f"half-shift reflection broken at m={m}"
-        return "pass", "reflection identities hold"
-
-    return _run_items(
-        [("signed-permutation relations", relations), ("reflection special cases", special_cases)]
-    )
+    yield "signed-permutation relations", *_psi_relations(params)
+    yield "reflection special cases", *_psi_special_cases(params)
 
 
 def suite_p31(k: int, cutoff, seed: int):
     params = RingParams(k)
-
-    def forced():
-        return _check(forced_zero_coupling(params), "coupling constant forced to zero")
-
-    return _run_items([("forced zero coupling", forced)])
+    yield "forced zero coupling", *_check(
+        forced_zero_coupling(params), "coupling constant forced to zero"
+    )
 
 
 def _swept(results, detail: str):
@@ -382,22 +344,15 @@ def suite_jacobi(k: int, cutoff, seed: int):
             u = lattice_vector(params, r)
             yield f"u at index {r}", conjugation_check(tilde_mode, u, vectors, cut, dress)
 
-    return _run_items(
-        [
-            (
-                "untwisted commutators",
-                lambda: _swept(untwisted(), "oscillator commutators with the lattice operator hold"),
-            ),
-            ("twisted commutators", lambda: _swept(twisted(), "twisted commutators hold")),
-            (
-                "conjugation, oscillator part",
-                lambda: _swept(conjugation(), "conjugation identity holds on the oscillator part"),
-            ),
-            (
-                "conjugation, sector maps",
-                lambda: _swept(tilde_conjugation(), "conjugation identities with sector maps hold"),
-            ),
-        ]
+    yield "untwisted commutators", *_swept(
+        untwisted(), "oscillator commutators with the lattice operator hold"
+    )
+    yield "twisted commutators", *_swept(twisted(), "twisted commutators hold")
+    yield "conjugation, oscillator part", *_swept(
+        conjugation(), "conjugation identity holds on the oscillator part"
+    )
+    yield "conjugation, sector maps", *_swept(
+        tilde_conjugation(), "conjugation identities with sector maps hold"
     )
 
 
@@ -417,57 +372,53 @@ SUITES = {
 # -- commands -------------------------------------------------------------------
 
 
-def cmd_fusion(args) -> int:
-    k = args.k
+def _parse_labels(texts, k: int):
+    """The module labels spelled by `texts`; a bad spelling is a usage
+    error."""
     try:
-        eng = get_engine(k)
-    except EngineInconsistencyError as exc:
-        print(f"fusion table inconsistent: {exc}", file=sys.stderr)
-        return EXIT_INCONSISTENT
-    if args.which == "query":
-        try:
-            labels = [lb.parse_label(t, k) for t in args.labels]
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_FAIL
-        w1, w2, w3 = labels
-        value = eng.fusion(w1, w2, w3)
-        bound = upper_bound(w1, w2, w3, k)
-        witnesses = witness_names(k, (w1, w2, w3)) if value else []
-        record = {
-            "k": k,
-            "triple": [w1.code, w2.code, w3.code],
-            "value": value,
-            "bound": bound,
-            "witnesses": witnesses,
-        }
-        if args.format == "json":
-            print(json.dumps(record))
-        else:
-            wtxt = f" witnesses: {', '.join(witnesses)}" if witnesses else ""
-            print(f"{w1.code} x {w2.code} -> {w3.code}: value {value} (bound {bound}){wtxt}")
-        return EXIT_OK
-    # table dump
+        return tuple(lb.parse_label(t, k) for t in texts)
+    except ValueError as exc:
+        raise UsageError(exc) from None
+
+
+def cmd_query(args) -> int:
+    k = args.k
+    eng = get_engine(k)
+    w1, w2, w3 = _parse_labels(args.labels, k)
+    value = eng.fusion(w1, w2, w3)
+    bound = upper_bound(w1, w2, w3, k)
+    witnesses = witness_names(k, (w1, w2, w3)) if value else []
+    record = {
+        "k": k,
+        "triple": [w1.code, w2.code, w3.code],
+        "value": value,
+        "bound": bound,
+        "witnesses": witnesses,
+    }
+    if args.format == "json":
+        print(json.dumps(record))
+    else:
+        wtxt = f" witnesses: {', '.join(witnesses)}" if witnesses else ""
+        print(f"{w1.code} x {w2.code} -> {w3.code}: value {value} (bound {bound}){wtxt}")
+    return EXIT_OK
+
+
+def cmd_table(args) -> int:
+    """`fusion table` and its alias `dump table`: JSON, or csv for any
+    other format."""
+    k = args.k
+    eng = get_engine(k)
     rows = [
         (w1.code, w2.code, w3.code, eng.fusion(w1, w2, w3))
         for (w1, w2, w3) in eng.all_triples()
     ]
-    if args.format == "csv":
+    if args.format == "json":
+        triples = [{"triple": [a, b, c], "value": v} for a, b, c, v in rows]
+        print(json.dumps({"k": k, "command": "fusion table", "triples": triples}))
+    else:
         print("w1,w2,w3,value")
         for row in rows:
             print(",".join(str(x) for x in row))
-    else:
-        print(
-            json.dumps(
-                {
-                    "k": k,
-                    "command": "fusion table",
-                    "triples": [
-                        {"triple": [a, b, c], "value": v} for a, b, c, v in rows
-                    ],
-                }
-            )
-        )
     return EXIT_OK
 
 
@@ -495,25 +446,15 @@ def witness_names(k: int, triple) -> list[str]:
 
 
 def cmd_verify(args) -> int:
-    if args.suite == "delta" and args.cutoff is not None and args.cutoff.denominator != 1:
-        # the cutoff is the series order there; int() would truncate it
-        print("error: verify delta needs an integer --cutoff", file=sys.stderr)
-        return EXIT_FAIL
-    if args.suite == "decomp" and args.cutoff is not None and (2 * args.cutoff).denominator != 1:
-        # the weights are checked in steps of 1/2; int(2 * cutoff) would drop the rest
-        print("error: verify decomp needs a --cutoff that is a multiple of 1/2", file=sys.stderr)
-        return EXIT_FAIL
-    try:
-        items = SUITES[args.suite](args.k, args.cutoff, args.seed)
-    except EngineInconsistencyError as exc:
-        print(f"fusion table inconsistent: {exc}", file=sys.stderr)
-        return EXIT_INCONSISTENT
+    items = list(SUITES[args.suite](args.k, args.cutoff, args.seed))
     _emit_report(args.k, f"verify {args.suite}", items, args.format)
-    return EXIT_FAIL if _failed(items) else EXIT_OK
+    return EXIT_FAIL if any(status == "fail" for _n, status, _d in items) else EXIT_OK
 
 
 def cmd_dump(args) -> int:
     k = args.k
+    if args.what == "table":
+        return cmd_table(args)
     if args.what == "delta":
         order = args.order if args.order is not None else 8
         tab = delta_table(order)
@@ -523,13 +464,8 @@ def cmd_dump(args) -> int:
         return EXIT_OK
     if args.what == "decompose":
         if not args.module:
-            print("error: dump decompose needs --module", file=sys.stderr)
-            return EXIT_FAIL
-        try:
-            label = lb.parse_label(args.module, k)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_FAIL
+            raise UsageError("dump decompose needs --module")
+        (label,) = _parse_labels([args.module], k)
         window = args.window if args.window is not None else 2
         rows = decompose(label, k, window=window)
         if args.format == "json":
@@ -555,20 +491,15 @@ def cmd_dump(args) -> int:
             for m1, idx in rows:
                 print(f"{m1.code},{'' if idx is None else idx},{m1.norm(k)}")
         return EXIT_OK
-    if args.what == "zhu":
-        table = zhu.top_action_table(RingParams(k))
-        if args.format == "json":
-            _print_zhu_json(k, "dump zhu", table)
-        else:
-            print("label,omega,J,E")
-            for code, gens in table.items():
-                print(f"{code},{gens['omega']},{gens['J']},{gens['E']}")
-        return EXIT_OK
-    # table: argparse admits no other target
-    args.which = "table"
-    if args.format == "text":
-        args.format = "csv"
-    return cmd_fusion(args)
+    # zhu: argparse admits no other target
+    table = zhu.top_action_table(RingParams(k))
+    if args.format == "json":
+        _print_zhu_json(k, "dump zhu", table)
+    else:
+        print("label,omega,J,E")
+        for code, gens in table.items():
+            print(f"{code},{gens['omega']},{gens['J']},{gens['E']}")
+    return EXIT_OK
 
 
 def _print_zhu_json(k: int, command: str, table) -> None:
@@ -594,23 +525,18 @@ def cmd_zhu(args) -> int:
 
 def cmd_witness(args) -> int:
     k = args.k
-    parts = [t.strip() for t in args.type.split(",")]
+    parts = args.type.split(",")
     if len(parts) != 3:
-        print("error: --type wants W1,W2,W3", file=sys.stderr)
-        return EXIT_FAIL
-    try:
-        triple = tuple(lb.parse_label(t, k) for t in parts)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FAIL
+        raise UsageError("--type wants W1,W2,W3")
+    triple = _parse_labels(parts, k)
     hit = direct_witness(k, triple)
     if hit is None:
         print("NO-DIRECT-CONSTRUCTION")
         return EXIT_FAIL
-    spec, _sign = hit
+    spec, sign = hit
     u, v = witness_vectors(RingParams(k), triple)
     cutoff = args.cutoff if args.cutoff is not None else 4
-    res = first_nonzero_mode(spec, u, v, cutoff)
+    res = first_nonzero_mode(spec, u, v, cutoff, sign)
     if res is None:
         print("ZERO-UP-TO-CUTOFF")
     else:
@@ -645,11 +571,11 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--k", type=int, required=True)
     q.add_argument("--format", choices=("text", "json"), default="text")
     q.add_argument("labels", nargs=3, metavar="LABEL")
-    q.set_defaults(fn=cmd_fusion)
+    q.set_defaults(fn=cmd_query)
     t = fsub.add_parser("table", help="all label triples")
     t.add_argument("--k", type=int, required=True)
     t.add_argument("--format", choices=("json", "csv"), default="csv")
-    t.set_defaults(fn=cmd_fusion)
+    t.set_defaults(fn=cmd_table)
 
     ver = sub.add_parser("verify", help="run a verification suite")
     ver.add_argument("suite", choices=SUITES)
@@ -685,20 +611,24 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_FAIL if exc.code else EXIT_OK
-    if args.k < 1:
-        print("error: k must be a positive integer", file=sys.stderr)
+    try:
+        if args.k < 1:
+            raise UsageError("k must be a positive integer")
+        for option in ("cutoff", "order", "window"):
+            value = getattr(args, option, None)
+            if value is not None and value < 0:
+                raise UsageError(f"--{option} must be nonnegative")
+        return args.fn(args)
+    except UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAIL
-    for option in ("cutoff", "order", "window"):
-        value = getattr(args, option, None)
-        if value is not None and value < 0:
-            print(f"error: --{option} must be nonnegative", file=sys.stderr)
-            return EXIT_FAIL
-    return args.fn(args)
+    except EngineInconsistencyError as exc:
+        print(f"fusion table inconsistent: {exc}", file=sys.stderr)
+        return EXIT_INCONSISTENT
 
 
 if __name__ == "__main__":

@@ -236,7 +236,7 @@ class FusionEngine:
     the generating tables and cross-checked against the full transcription
     at construction time."""
 
-    def __init__(self, k: int, check: bool = True):
+    def __init__(self, k: int):
         if k < 1:
             raise ValueError("k must be a positive integer")
         self.k = k
@@ -245,7 +245,7 @@ class FusionEngine:
         self.table = _closure(set(self.base), k)
         self.transcribed = frozenset(_transcribed_full(k))
         self.notes = TRANSCRIPTION_NOTES
-        if check and self.table != self.transcribed:
+        if self.table != self.transcribed:
             raise EngineInconsistencyError(
                 self.table - self.transcribed, self.transcribed - self.table
             )
@@ -287,10 +287,10 @@ def quasi_admissible(r: int, i: int, j: int) -> bool:
 # -- decompositions and the restriction bound ------------------------------------
 
 
-def decompose(label: ModuleLabel, k: int, window: int | None = None) -> list[tuple[M1Label, int | None]]:
+def decompose(label: ModuleLabel, k: int, window: int) -> list[tuple[M1Label, int | None]]:
     """Constituents of the label as (constituent, lattice index) pairs;
-    infinite families are listed for |shift| <= window (default 2k+2).
-    Each constituent occurs with multiplicity one.
+    infinite families are listed for |shift| <= window.  Each constituent
+    occurs with multiplicity one.
 
     The constituent M(c) starts at weight c^2/4k, so the window only
     decides how far up the weights the list reaches: window
@@ -298,18 +298,17 @@ def decompose(label: ModuleLabel, k: int, window: int | None = None) -> list[tup
     (`cli.decomp_window`), and window 1 holds a representative of every
     residue class mod 2k the label's constituents fill (`upper_bound`)."""
     lb.validate_label(label, k)
-    w = 2 * k + 2 if window is None else window
     if label.kind == lb.VAC:
         out: list[tuple[M1Label, int | None]] = [(m_vac(label.sign), 0)]
-        out += [(m_lam(2 * k * m), 2 * k * m) for m in range(1, w + 1)]
+        out += [(m_lam(2 * k * m), 2 * k * m) for m in range(1, window + 1)]
         return out
     if label.kind == lb.LAM:
         return [
             (m_lam(label.r + 2 * k * m), label.r + 2 * k * m)
-            for m in range(-w, w + 1)
+            for m in range(-window, window + 1)
         ]
     if label.kind == lb.HALF:
-        return [(m_lam(k + 2 * k * m), k + 2 * k * m) for m in range(0, w + 1)]
+        return [(m_lam(k + 2 * k * m), k + 2 * k * m) for m in range(0, window + 1)]
     return [(m_tw(label.sign), None)]
 
 

@@ -106,10 +106,10 @@ def intertwiner_mode(spec: IntertwinerSpec, u: UVector, m, v, cutoff=None):
     return tilde_mode(u, m, _target(spec, v), cutoff)
 
 
-def nonvanishing_witness(spec: IntertwinerSpec, u, v, cutoff, target_sign: int = 0) -> bool:
-    """Scan modes on the support grid down to output weight `cutoff` and
-    report whether any image is nonzero (projected onto a target eigenspace
-    when target_sign is +-1)."""
+def first_nonzero_mode(spec: IntertwinerSpec, u, v, cutoff, target_sign: int = 0):
+    """(mode, image) of the first mode on the support grid, down to output
+    weight `cutoff`, whose image is nonzero, or None.  With target_sign +-1
+    each image is first projected onto that target eigenspace."""
     if not u or not v:
         raise ValueError("witness inputs must be nonzero")
     for m in support_modes(u, _target(spec, v), cutoff):
@@ -117,17 +117,13 @@ def nonvanishing_witness(spec: IntertwinerSpec, u, v, cutoff, target_sign: int =
         if target_sign and img:
             img = project_eigen(img, target_sign)
         if img:
-            return True
-    return False
-
-
-def first_nonzero_mode(spec: IntertwinerSpec, u, v, cutoff):
-    """(mode, image) of the first nonzero mode in the scan window, or None."""
-    for m in support_modes(u, _target(spec, v), cutoff):
-        img = intertwiner_mode(spec, u, m, v)
-        if img:
             return m, img
     return None
+
+
+def nonvanishing_witness(spec: IntertwinerSpec, u, v, cutoff, target_sign: int = 0) -> bool:
+    """Whether `first_nonzero_mode` finds a nonzero (projected) image."""
+    return first_nonzero_mode(spec, u, v, cutoff, target_sign) is not None
 
 
 # -- the one bound-blind vanishing ------------------------------------------------
@@ -144,7 +140,7 @@ def _phi_inverse(y: UVector) -> UVector:
     return y + theta(y)
 
 
-def forced_zero_coupling(params: RingParams, cutoff=None) -> bool:
+def forced_zero_coupling(params: RingParams) -> bool:
     """Decide whether the coupling constant of the unique candidate
     intertwiner from the odd lattice piece into the plus half-shift module
     is forced to vanish.
@@ -198,7 +194,8 @@ def direct_witness(k: int, triple) -> tuple[IntertwinerSpec, int] | None:
     Returns (spec, target_sign) with target_sign 0 when the target is a
     full lattice coset rather than an eigenspace.  Triples whose first
     label is twisted (reachable only through the fusion symmetries) get
-    None.  `witness_vectors` builds the inputs to evaluate the spec on.
+    None, and so do twisted pairs in sectors Ytilde[r1] does not connect.
+    `witness_vectors` builds the inputs to evaluate the spec on.
     """
     w1, w2, w3 = triple
     if w1.is_twisted:
@@ -210,6 +207,10 @@ def direct_witness(k: int, triple) -> tuple[IntertwinerSpec, int] | None:
         return None  # these fusion rules all vanish; nothing to witness
     r1 = lb.lattice_coset(w1, k)
     if n_twisted == 2:
+        # Ytilde[r1] keeps the twisted sector for even r1 and swaps it for
+        # odd r1 (`twisted.psi_map`)
+        if (r1 % 2 == 1) != (w2.sector != w3.sector):
+            return None
         return IntertwinerSpec(TILDE, r1), w3.sign
     r2 = lb.lattice_coset(w2, k)
     r3 = lb.lattice_coset(w3, k)

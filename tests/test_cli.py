@@ -5,9 +5,18 @@ import json
 
 import pytest
 
-from orbifold_voa import ring
-from orbifold_voa.cli import EXIT_FAIL, EXIT_OK, SUITES, build_parser, main, witness_names
-from orbifold_voa.fusion import get_engine
+from orbifold_voa import cli, ring
+from orbifold_voa import labels as lb
+from orbifold_voa.cli import (
+    EXIT_FAIL,
+    EXIT_INCONSISTENT,
+    EXIT_OK,
+    SUITES,
+    build_parser,
+    main,
+    witness_names,
+)
+from orbifold_voa.fusion import EngineInconsistencyError, get_engine
 
 
 def run(capsys, *argv):
@@ -241,6 +250,43 @@ def test_witness_command(capsys):
     code, out, _ = run(capsys, "witness", "--type", "VT1+,V+,VT1+", "--k", "2")
     assert code == EXIT_FAIL
     assert "NO-DIRECT-CONSTRUCTION" in out
+
+
+@pytest.mark.parametrize("triple", ("V+,VT1+,VT2+", "Vl1,VT1+,VT1+"))
+def test_witness_rejects_a_twisted_pair_in_the_wrong_sector(capsys, triple):
+    # Ytilde[r] keeps the sector for even r and swaps it for odd r, so no
+    # construction reaches these value-0 targets
+    code, out, _ = run(capsys, "witness", "--type", triple, "--k", "2")
+    assert code == EXIT_FAIL
+    assert out == "NO-DIRECT-CONSTRUCTION\n"
+
+
+def test_witness_projects_onto_the_target_eigenspace(capsys):
+    # value 0: the image of Ytilde[0] stays in the plus eigenspace of VT1
+    code, out, _ = run(capsys, "witness", "--type", "V+,VT1+,VT1-", "--k", "2")
+    assert code == EXIT_OK
+    assert out == "ZERO-UP-TO-CUTOFF\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    (
+        ("fusion", "query", "--k", "2", "V+", "V+", "V+"),
+        ("fusion", "table", "--k", "2"),
+        ("dump", "table", "--k", "2"),
+        ("verify", "closure", "--k", "2"),
+        ("verify", "bounds", "--k", "2"),
+    ),
+)
+def test_inconsistent_table_exits_2(capsys, monkeypatch, argv):
+    def inconsistent(k):
+        raise EngineInconsistencyError({(lb.u_plus(), lb.u_plus(), lb.u_minus())}, set())
+
+    monkeypatch.setattr(cli, "get_engine", inconsistent)
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_INCONSISTENT
+    assert out == ""
+    assert err.startswith("fusion table inconsistent: ")
 
 
 # sha256 (first 16 hex digits) over "W1,W2,W3:names" lines of every value-1

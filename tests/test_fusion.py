@@ -30,6 +30,8 @@ def _brute_bound(w1, w2, w3, k, window=None):
     (default 2k+2): the oracle for `upper_bound`.  Window 2, which lists two
     representatives of every residue class, is a second oracle that stays
     cheap at larger k."""
+    if window is None:
+        window = 2 * k + 2
     dec1 = decompose(w1, k, window=window)
     dec2 = decompose(w2, k, window=window)
     max_idx = max(
@@ -92,7 +94,7 @@ def test_m1_fusion_examples():
 
 def test_decompose_examples():
     # single twisted constituent
-    assert decompose(lb.tw(1, -1), 2) == [(m_tw(-1), None)]
+    assert decompose(lb.tw(1, -1), 2, window=2) == [(m_tw(-1), None)]
     # vacuum-type: eigenpiece plus the lattice family
     got = decompose(lb.u_plus(), 2, window=2)
     assert got == [(m_vac(+1), 0), (m_lam(4), 4), (m_lam(8), 8)]

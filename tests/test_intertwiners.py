@@ -133,6 +133,25 @@ def test_direct_witness_assignment(params):
         assert hit2 is not None and hit2[0].kind == Y_RS
 
 
+@pytest.mark.parametrize("k", range(1, 7))
+def test_nonvanishing_witness_implies_value_one(k):
+    """A direct construction whose image, projected onto the target, is
+    nonzero witnesses a nonzero fusion rule; at the triples where it would
+    land in the wrong twisted sector or eigenspace there must be none."""
+    from orbifold_voa.fusion import get_engine
+
+    params = RingParams(k)
+    eng = get_engine(k)
+    for t in eng.all_triples():
+        hit = direct_witness(k, t)
+        if hit is None:
+            continue
+        spec, sign = hit
+        u, v = witness_vectors(params, t)
+        if nonvanishing_witness(spec, u, v, 6, sign):
+            assert eng.fusion(*t) == 1, (spec.name, [w.code for w in t])
+
+
 def test_package_exports_both_witness_halves():
     import orbifold_voa
 
