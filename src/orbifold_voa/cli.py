@@ -9,8 +9,10 @@ term ordering, fixed JSON key order and fixed item order.
 `main` maps every outcome to its exit code in one place: 0 success / all
 pass, 1 usage errors (`UsageError`, including k < 1, a negative cutoff,
 order or window, a fractional cutoff for `verify delta` and a cutoff that
-is not a multiple of 1/2 for `verify decomp`) or failing suite items, 2
-fusion-table inconsistency (`EngineInconsistencyError`).
+is not a multiple of 1/2 for `verify decomp`), failing suite items or a
+`witness` that finds no nonzero image (`NO-DIRECT-CONSTRUCTION` or
+`ZERO-UP-TO-CUTOFF`), 2 fusion-table inconsistency
+(`EngineInconsistencyError`).
 """
 
 from __future__ import annotations
@@ -539,9 +541,9 @@ def cmd_witness(args) -> int:
     res = first_nonzero_mode(spec, u, v, cutoff, sign)
     if res is None:
         print("ZERO-UP-TO-CUTOFF")
-    else:
-        m, img = res
-        print(f"{spec.name} mode {m}: {img}")
+        return EXIT_FAIL
+    m, img = res
+    print(f"{spec.name} mode {m}: {img}")
     return EXIT_OK
 
 

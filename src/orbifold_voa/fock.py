@@ -101,9 +101,17 @@ class _SparseVector:
         return self + (-other)
 
     def __mul__(self, c):
-        if isinstance(c, (int, Fraction, Scalar)):
-            return self._like({k: v * c for k, v in self.terms.items()})
-        return NotImplemented
+        """Every term times the number or `Scalar` c.  A zero c gives the
+        empty vector; otherwise the products are taken as they are, with
+        no zero filter: the ring embeds in C and its canonical form makes
+        equality exact, so a product of two nonzero scalars is never zero.
+        A rational c stays a number, which `Scalar` multiplies by scaling
+        its terms."""
+        if not isinstance(c, (int, Fraction, Scalar)):
+            return NotImplemented
+        if c.is_zero() if isinstance(c, Scalar) else not c:
+            return self._wrap(self.params, {})
+        return self._wrap(self.params, {k: v * c for k, v in self.terms.items()})
 
     __rmul__ = __mul__
 

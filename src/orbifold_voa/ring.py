@@ -74,7 +74,12 @@ class RingParams:
     * ("delta", nu, r): exp(Delta_z) of one term, `twisted._delta_terms`;
     * ("prefactor", r): the scalar 2^(-r^2/2k), `twisted._prefactor`;
     * "halved": a dict from each doubled twisted key the operators have
-      returned to its halved Fraction parts, shared by every result.
+      returned to its halved Fraction parts, shared by every result;
+    * "skeleton": (input, states), the m-independent stages of the mode
+      kernel for the latest kernel input (r, mu, s, twisted, terms),
+      `untwisted._skeleton`.  It is one entry, replaced when the input
+      changes, so a sweep over m reuses it and the memo does not grow
+      with the inputs.
 
     Every table lives exactly as long as its ring.  The CLI builds at most
     one ring per command, so a command's tables go with it.

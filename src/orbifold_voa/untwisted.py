@@ -6,19 +6,23 @@ returns u_m v exactly.  For u supported at lattice index r acting on terms
 at index s the support grid of m is -rs/2k + Z; `support_modes` lists it
 (and the twisted grid) for sweeps, and every identity checker sweeps it.
 
-Evaluation is by explicit finite expansion: annihilation choices run over
-the oscillator content of the target, the lattice shift and the z-power of
-the z^{lambda(0)} factor are applied, and the creation side is enumerated
-against the exactly determined weight budget.  No series tails are ever
-truncated, so results are exact.  The same kernel, `mode_kernel_sum`
-(`mode_kernel` is its one-term form), also evaluates the half-odd
-expansion behind the twisted operators.
+Evaluation is by explicit finite expansion in three stages, with the
+paths merged between them: the factors of u are contracted against the
+target's oscillators and lattice index or left pending; the annihilation
+exponential removes oscillators of the target; and the creation side is
+enumerated against the exactly determined weight budget, which is where
+m enters.  No series tails are ever truncated, so results are exact.  The
+same kernel, `mode_kernel_sum` (`mode_kernel` is its one-term form), also
+evaluates the half-odd expansion behind the twisted operators.
 
-The creation stage, where the pending oscillator factors and the creation
-exponential share what is left of the weight budget, depends only on the
-ring, the lattice index, the pending factors and the budget.  It is walked
-once per ring (`_creation_table`, in `RingParams.memo`), its rows merged by
-their sorted parts, and every later call only reads the rows.
+The first two stages (`_skeleton`) do not read m.  Their merged result
+for the latest input is the one "skeleton" entry of `RingParams.memo`, so
+a sweep over m, which every caller makes, walks them once.  The creation
+stage, where the pending oscillator factors and the creation exponential
+share what is left of the weight budget, depends only on the ring, the
+lattice index, the pending factors and the budget.  It is walked once per
+ring (`_creation_table`, in `RingParams.memo`), its rows merged by their
+sorted parts, and every later call only reads the rows.
 """
 
 from __future__ import annotations
@@ -142,6 +146,96 @@ def halve(key: tuple, twisted: bool) -> tuple:
     return tuple(p // 2 for p in key)
 
 
+def _settle(slots: dict) -> dict:
+    """{key: {den: num}} -> {key: (num, den)}: the slots of each key summed
+    over their least common denominator, so den > 0, with no gcd; keys
+    that cancel are dropped."""
+    out = {}
+    for key, slot in slots.items():
+        if len(slot) == 1:
+            [(l, n)] = slot.items()
+        else:
+            l = lcm(*slot)
+            n = sum(num * (l // den) for den, num in slot.items())
+        if n:
+            out[key] = (n, l)
+    return out
+
+
+def _skeleton(params: RingParams, r: int, mu: tuple, s: int, twisted: bool, terms: tuple) -> tuple:
+    """Stages 1 and 2 of `mode_kernel_sum`, the ones that do not read m, as
+    ((pending, off, need, ((kept, num, den), ...)), ...).
+
+    Stage 1 contracts each factor a(-n) of each term against a part of mu
+    or pairs it with the lattice index s, or leaves it pending; its paths
+    merge into states (parts of mu left, pending, offset).  Stage 2 runs the
+    annihilation exponential once per state, and its paths merge into
+    creation states (kept, pending, offset).  An offset is what a path adds
+    to the z-budget, so a creation state meets the budget T + off, and
+    need = lo * len(pending) - off is the least T that leaves each pending
+    factor a part.  Creation states are grouped by (pending, off), all that
+    the creation stage reads besides T."""
+    k = params.k
+    counts0: dict[int, int] = {}
+    for p in mu:
+        p2 = 2 * p.numerator // p.denominator
+        counts0[p2] = counts0.get(p2, 0) + 1
+    contracted: dict[tuple, dict[int, int]] = {}
+
+    def factors(
+        nu: tuple, idx: int, counts: dict, off: int, num: int, den: int, pending: tuple
+    ) -> None:
+        if idx == len(nu):
+            left = tuple(sorted((p, mult) for p, mult in counts.items() if mult))
+            slot = contracted.setdefault((left, pending, off), {})
+            slot[den] = slot.get(den, 0) + num
+            return
+        n_i = nu[idx]
+        factors(nu, idx + 1, counts, off, num, den, pending + (n_i,))
+        if s:
+            dc, dd = _dcoef(n_i, 0)
+            factors(nu, idx + 1, counts, off + 2 * n_i, num * dc * s, den * dd, pending)
+        for j in sorted(counts):
+            mult = counts[j]
+            if not mult:
+                continue
+            dc, dd = _dcoef(n_i, j)
+            if dc:
+                c2 = dict(counts)
+                c2[j] = mult - 1
+                c = num * dc * mult * k * j
+                factors(nu, idx + 1, c2, off + j + 2 * n_i, c, den * dd, pending)
+
+    for d, nu, num, den in terms:
+        factors(nu, 0, counts0, 2 * d, num, den, ())
+
+    created: dict[tuple, dict[int, int]] = {}
+    for (left, pending, off0), (num, den) in _settle(contracted).items():
+        paths = [((), off0 + 2 * sum(pending), num)]
+        for p, m_p in left:
+            step = []
+            for kept, off, c in paths:
+                step.append((kept + (p,) * m_p, off, c))
+                if r:
+                    binom = 1
+                    for j in range(1, m_p + 1):
+                        binom = binom * (m_p - j + 1) // j
+                        step.append((kept + (p,) * (m_p - j), off + p * j, c * (-r) ** j * binom))
+            paths = step
+        for kept, off, c in paths:
+            slot = created.setdefault((kept, pending, off), {})
+            slot[den] = slot.get(den, 0) + c
+
+    lo = 1 if twisted else 2
+    groups: dict[tuple, list] = {}
+    for (kept, pending, off), (num, den) in _settle(created).items():
+        groups.setdefault((pending, off), []).append((kept, num, den))
+    return tuple(
+        (pending, off, lo * len(pending) - off, tuple(rows))
+        for (pending, off), rows in groups.items()
+    )
+
+
 def mode_kernel_sum(
     params: RingParams,
     r: int,
@@ -161,93 +255,50 @@ def mode_kernel_sum(
     integer T = 2(-m-1-rs/2k) untwisted or 2(-m-1+r^2/4k) twisted (the
     z^{lambda(0)} factor, resp. the exponent shift, folded in), raised by
     2d for the term at d.  An m with T off that grid gives {} at once.
-    Three stages run in turn: each factor a(-n) is contracted against a
-    part of mu, paired with the lattice index s, or left pending; the
-    annihilation exponential removes parts with binomial weights; the
-    pending factors and the creation exponential then share what is left
-    of T, read from the memoized `_creation_table`.  The lattices differ
-    only in the smallest created part (2 or 1) and in the s-term.
+
+    Three stages run in turn, with the paths merged between them.
+    1. Contractions: each factor a(-n) is contracted against a part of mu,
+       paired with the lattice index s, or left pending.
+    2. Annihilation: the annihilation exponential removes parts of what is
+       left of mu with binomial weights, once per distinct state of stage 1.
+    3. Creation: the pending factors and the creation exponential share
+       what is left of T, read from the memoized `_creation_table`.
+    Only stage 3 reads m.  Stages 1 and 2 (`_skeleton`) depend on
+    (r, mu, s, twisted, terms) alone, and the skeleton of the latest such
+    input is kept as the one "skeleton" entry of `RingParams.memo`, so a
+    sweep over m walks them once.  The lattices differ only in the
+    smallest created part (2 or 1) and in the s-term.
 
     Every path carries its coefficient as an integer numerator and
-    denominator, and each output key collects them in a {den: num} slot,
-    with no gcd inside the walk.  A key becomes one Fraction only once
-    every term is in; keys that cancel are dropped."""
+    denominator, and each merged state and output key collects them in a
+    {den: num} slot, with no gcd.  A merged state becomes one integer pair
+    between the stages (states that cancel are dropped), and an output key
+    one Fraction once every term is in; keys that cancel are dropped."""
     k = params.k
     a, b = m.numerator, m.denominator
     if twisted:
         t0, rem = divmod(r * r * b - 4 * k * (a + b), 2 * k * b)
-        lo = 1
     else:
         t0, rem = divmod(-r * s * b - 2 * k * (a + b), k * b)
-        lo = 2
     if rem or (not twisted and t0 % 2):
         return {}
-    counts0: dict[int, int] = {}
-    for p in mu:
-        p2 = 2 * p.numerator // p.denominator
-        counts0[p2] = counts0.get(p2, 0) + 1
+    given = (r, mu, s, twisted, terms)
+    skeleton = params.memo.get("skeleton")
+    if skeleton is None or skeleton[0] != given:
+        skeleton = params.memo["skeleton"] = (given, _skeleton(params, *given))
     out: dict[tuple, dict[int, int]] = {}
-
-    def create(remaining: tuple, pending: tuple, budget: int, num: int, den: int) -> None:
-        if budget < lo * len(pending):
-            return
-        for parts, e, ed in _creation_table(params, r, budget, twisted, pending):
-            if remaining:
-                parts = tuple(sorted(remaining + parts, reverse=True))
-            slot = out.setdefault(parts, {})
-            dd = den * ed
-            slot[dd] = slot.get(dd, 0) + num * e
-
-    def annihilate(t: int, counts: dict, drop: int, num: int, den: int, pending: tuple) -> None:
-        values = sorted(p for p, mult in counts.items() if mult)
-        budget0 = t + 2 * sum(pending)
-
-        def rec(i: int, kept: tuple, d: int, c: int) -> None:
-            if i == len(values):
-                create(kept, pending, budget0 + d, c, den)
-                return
-            p = values[i]
-            m_p = counts[p]
-            rec(i + 1, kept + (p,) * m_p, d, c)
-            if r:
-                binom = 1
-                for j in range(1, m_p + 1):
-                    binom = binom * (m_p - j + 1) // j
-                    rec(i + 1, kept + (p,) * (m_p - j), d + p * j, c * (-r) ** j * binom)
-
-        rec(0, (), drop, num)
-
-    def factors(
-        nu: tuple, t: int, idx: int, counts: dict, drop: int, num: int, den: int, pending: tuple
-    ) -> None:
-        if idx == len(nu):
-            annihilate(t, counts, drop, num, den, pending)
-            return
-        n_i = nu[idx]
-        factors(nu, t, idx + 1, counts, drop, num, den, pending + (n_i,))
-        if s:
-            dc, dd = _dcoef(n_i, 0)
-            factors(nu, t, idx + 1, counts, drop + 2 * n_i, num * dc * s, den * dd, pending)
-        for j in sorted(counts):
-            mult = counts[j]
-            if not mult:
-                continue
-            dc, dd = _dcoef(n_i, j)
-            if dc:
-                c2 = dict(counts)
-                c2[j] = mult - 1
-                c = num * dc * mult * k * j
-                factors(nu, t, idx + 1, c2, drop + j + 2 * n_i, c, den * dd, pending)
-
-    for d, nu, num, den in terms:
-        factors(nu, t0 + 2 * d, 0, counts0, 0, num, den, ())
-    result = {}
-    for key, slot in out.items():
-        l = lcm(*slot)
-        c = Fraction(sum(num * (l // den) for den, num in slot.items()), l)
-        if c:
-            result[key] = c
-    return result
+    for pending, off, need, rows in skeleton[1]:
+        if t0 < need:
+            continue
+        table = _creation_table(params, r, t0 + off, twisted, pending)
+        for kept, num, den in rows:
+            for parts, e, ed in table:
+                if kept:
+                    parts = tuple(sorted(kept + parts, reverse=True))
+                slot = out.setdefault(parts, {})
+                dd = den * ed
+                slot[dd] = slot.get(dd, 0) + num * e
+    return {key: Fraction(num, den) for key, (num, den) in _settle(out).items()}
 
 
 def vertex_mode(u: UVector, m, v: UVector, cutoff=None) -> UVector:

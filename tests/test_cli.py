@@ -264,7 +264,7 @@ def test_witness_rejects_a_twisted_pair_in_the_wrong_sector(capsys, triple):
 def test_witness_projects_onto_the_target_eigenspace(capsys):
     # value 0: the image of Ytilde[0] stays in the plus eigenspace of VT1
     code, out, _ = run(capsys, "witness", "--type", "V+,VT1+,VT1-", "--k", "2")
-    assert code == EXIT_OK
+    assert code == EXIT_FAIL
     assert out == "ZERO-UP-TO-CUTOFF\n"
 
 

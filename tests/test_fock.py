@@ -25,7 +25,7 @@ from orbifold_voa.fock import (
 )
 from orbifold_voa.cli import decomp_window
 from orbifold_voa.fusion import decompose
-from orbifold_voa.ring import RingParams
+from orbifold_voa.ring import RingParams, Scalar
 
 HALF = Fraction(1, 2)
 
@@ -197,3 +197,34 @@ def test_top_vectors(params):
     if k == 1:
         with pytest.raises(ValueError):
             top_vector(params, lb.u_minus())
+
+
+@pytest.mark.parametrize("k", (1, 2, 3, 4))
+def test_scalar_product_matches_the_filtered_constructor(k):
+    """v * c and c * v equal the vector built through the constructor,
+    which coerces and zero-tests every product, and hold no zero Scalar,
+    for int, Fraction and cyclotomic factors, zero included."""
+    params = RingParams(k)
+    zeta = params.zeta(1)
+    vectors = (
+        lattice_vector(params, 1) * zeta
+        + u_term(params, [2, 1], -1, Fraction(-2, 3))
+        + u_term(params, [1], 2 * k, params.two_to(Fraction(1, 2 * k))),
+        t_term(params, [HALF], 1, params.zeta(3)) + tw_vacuum(params, 2, Fraction(1, 4)),
+        UVector(params, {}),
+    )
+    factors = (
+        0, 1, -3, Fraction(0), Fraction(-2, 3),
+        params.zero(), zeta - zeta, params.rational(Fraction(5, 7)),
+        zeta, zeta * params.two_to(Fraction(1, 2 * k)) + params.rational(2),
+    )
+    nonzero = 0
+    for v in vectors:
+        for c in factors:
+            want = type(v)(params, {key: x * c for key, x in v.terms.items()})
+            for got in (v * c, c * v):
+                assert got == want, (v, c)
+                assert all(isinstance(x, Scalar) and not x.is_zero() for x in got.terms.values())
+                assert got.terms is not v.terms
+            nonzero += bool(want)
+    assert nonzero > 0

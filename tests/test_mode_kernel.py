@@ -5,10 +5,15 @@
 verbatim from the last version of the package that had them; they are the
 oracles here.  Every comparison is exact, and each test counts the
 comparisons with a nonzero image so that it cannot pass on zeros alone.
+
+The oracles are pure functions of k and their small arguments, so their
+results are memoized for the test session (`_session_memo` and
+`lru_cache` wrap the verbatim bodies): a term pair or creation table that
+several cases reach is computed once, and every case is still compared.
 """
 
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import lru_cache, partial, wraps
 from itertools import combinations_with_replacement
 from math import factorial, gcd
 
@@ -36,6 +41,22 @@ from orbifold_voa.untwisted import _creation_table, mode_kernel, mode_kernel_sum
 HALF = Fraction(1, 2)
 
 
+def _session_memo(fn):
+    """fn(params, *args) memoized for the test session on (k, *args): the
+    reference results depend on the ring only through k and hold only
+    Fractions.  Each call gets its own copy of the result dict."""
+    cache: dict = {}
+
+    @wraps(fn)
+    def memo(params, *args):
+        key = (params.k, *args)
+        if key not in cache:
+            cache[key] = fn(params, *args)
+        return dict(cache[key])
+
+    return memo
+
+
 # -- reference: the untwisted engine --------------------------------------------
 
 @lru_cache(maxsize=None)
@@ -50,6 +71,7 @@ def _dcoef(n: int, j: Fraction) -> Fraction:
     return prod * (-1) ** q / factorial(q)
 
 
+@lru_cache(maxsize=None)
 def _exp_coeff(r: int, k: int, created: tuple[int, ...]) -> Fraction:
     """Multiset coefficient of the creation exponential for lambda_r."""
     coeff = Fraction(1)
@@ -61,6 +83,7 @@ def _exp_coeff(r: int, k: int, created: tuple[int, ...]) -> Fraction:
     return coeff
 
 
+@_session_memo
 def _term_mode(
     params: RingParams,
     nu: tuple[int, ...],
@@ -202,6 +225,7 @@ def vertex_mode(u: UVector, m, v: UVector, cutoff=None) -> UVector:
 # -- reference: the twisted engine ----------------------------------------------
 
 
+@lru_cache(maxsize=None)
 def _exp_coeff_half(r: int, k: int, created: tuple[Fraction, ...]) -> Fraction:
     coeff = Fraction(1)
     seen: dict[Fraction, int] = {}
@@ -212,6 +236,7 @@ def _exp_coeff_half(r: int, k: int, created: tuple[Fraction, ...]) -> Fraction:
     return coeff
 
 
+@_session_memo
 def _wtheta_term_mode(
     params: RingParams,
     nu: tuple[int, ...],
@@ -460,6 +485,26 @@ def _multi_u(params: RingParams, r: int, partner: int) -> UVector:
     )
 
 
+def _coset_u(params: RingParams, r: int) -> UVector:
+    """Four terms in the coset r mod 2k, as the intertwiners require."""
+    two_k = 2 * params.k
+    return (
+        lattice_vector(params, r) * params.zeta(1)
+        + u_term(params, [1], r + two_k, Fraction(-2, 3))
+        + u_term(params, [1, 1], r, params.two_to(Fraction(1, two_k)))
+        + u_term(params, [2, 1], r, 5)
+    )
+
+
+def _untwisted_v(params: RingParams, s: int) -> UVector:
+    """Three terms in the coset s mod 2k."""
+    return (
+        lattice_vector(params, s)
+        + u_term(params, [2, 1], s, params.zeta(3))
+        + u_term(params, [1], s - 2 * params.k, Fraction(1, 2))
+    )
+
+
 @pytest.mark.parametrize("k", (1, 2, 3))
 def test_vertex_mode_matches_reference_on_multi_term_vectors(k):
     params = RingParams(k)
@@ -467,11 +512,7 @@ def test_vertex_mode_matches_reference_on_multi_term_vectors(k):
     for r in (0, 1, k):
         u = _multi_u(params, r, r + 2 * k)
         for s in (1, -k):
-            v = (
-                lattice_vector(params, s)
-                + u_term(params, [2, 1], s, params.zeta(3))
-                + u_term(params, [1], s - 2 * k, Fraction(1, 2))
-            )
+            v = _untwisted_v(params, s)
             for m in _sweep(u, v, depth=2):
                 got = untwisted.vertex_mode(u, m, v)
                 assert got == vertex_mode(u, m, v), (r, s, m)
@@ -526,6 +567,7 @@ def test_returned_vectors_do_not_alias_the_ring_memo():
     assert mode_kernel(*args) == want
 
 
+@lru_cache(maxsize=None)
 def _per_part_creation_table(k: int, r: int, w: int, twisted: bool) -> tuple:
     """The creation table as the last version before the incremental walk
     built it (per distinct part, a Fraction power and a division); its
@@ -578,15 +620,6 @@ def test_images_hold_no_zero_scalar(k):
     params = RingParams(k)
     two_k = 2 * k
 
-    def coset_u(r: int) -> UVector:
-        # four terms in the coset r mod 2k, as the intertwiners require
-        return (
-            lattice_vector(params, r) * params.zeta(1)
-            + u_term(params, [1], r + two_k, Fraction(-2, 3))
-            + u_term(params, [1, 1], r, params.two_to(Fraction(1, two_k)))
-            + u_term(params, [2, 1], r, 5)
-        )
-
     # light enough that the sweeps reach m = 0, where the Delta terms of
     # a(-1) e[2k] on the twisted vacuum cancel at every k
     t_v = (
@@ -595,19 +628,15 @@ def test_images_hold_no_zero_scalar(k):
         + t_term(params, [HALF], 2, Fraction(-1, 4))
     )
     # (operator, u, v, the vector whose grid the sweep reads)
-    cases = [(twisted.twisted_mode, coset_u(0), t_v, t_v)]
+    cases = [(twisted.twisted_mode, _coset_u(params, 0), t_v, t_v)]
     for r in sorted({1, k}):
-        u = coset_u(r)
+        u = _coset_u(params, r)
         cases.append((twisted.tilde_mode, u, t_v, t_v))
         cases.append((twisted.mtheta_mode, u, t_v, t_v))
         spec = intertwine.IntertwinerSpec(intertwine.TILDE_THETA, r % two_k)
         cases.append((partial(intertwine.intertwiner_mode, spec), u, t_v, t_v))
         for s in (1, -k):
-            v = (
-                lattice_vector(params, s)
-                + u_term(params, [2, 1], s, params.zeta(3))
-                + u_term(params, [1], s - two_k, Fraction(1, 2))
-            )
+            v = _untwisted_v(params, s)
             cases.append((untwisted.vertex_mode, u, v, v))
             spec = intertwine.IntertwinerSpec(intertwine.Y_RS, r % two_k, s % two_k)
             cases.append((partial(intertwine.intertwiner_mode, spec), u, v, v))
@@ -704,3 +733,138 @@ def test_repeated_calls_add_no_memo_entry():
         assert (len(params.memo), len(params.memo.get("halved", ()))) == sizes, op.__name__
     assert images > 0
     assert params.memo["halved"]
+
+
+# -- the skeleton: stages 1 and 2 of the kernel, kept for the latest input --------
+
+
+def _alternating_cases(params: RingParams) -> dict:
+    """Per operator, the (op, u, v) inputs a sweep alternates between, so
+    that each call replaces the skeleton the call before it left: two on
+    multi-term u and v, then single terms where each input differs from
+    the one before it in one part of the skeleton's key (the terms of u,
+    the parts of v, the index of v, the index of u) or, in "lattice", in
+    the lattice alone."""
+    k = params.k
+    two_k = 2 * k
+    zeta = params.zeta(3)
+    t_v = (
+        t_term(params, [HALF], 1)
+        + tw_vacuum(params, 2, zeta)
+        + t_term(params, [Fraction(3, 2), HALF], 2, Fraction(-1, 4))
+    )
+    t_w = t_term(params, [HALF, HALF], 2) + t_term(params, [Fraction(5, 2)], 1, 3)
+    # one part of the key changes from each pair to the next
+    single = [
+        (lattice_vector(params, 1), u_term(params, [1], 1, zeta)),
+        (u_term(params, [1], 1), u_term(params, [1], 1, zeta)),
+        (u_term(params, [1], 1), u_term(params, [2], 1, zeta)),
+        (u_term(params, [1], 1), u_term(params, [2], 1 - two_k, zeta)),
+        (u_term(params, [1], 1 + two_k), u_term(params, [2], 1 - two_k, zeta)),
+    ]
+    single_t = [
+        (u_term(params, [1], 1), t_term(params, [HALF], 1, zeta)),
+        (lattice_vector(params, 1), t_term(params, [HALF], 1, zeta)),
+        (lattice_vector(params, 1), t_term(params, [Fraction(3, 2)], 1, zeta)),
+        (lattice_vector(params, 1 + two_k), t_term(params, [Fraction(3, 2)], 1, zeta)),
+    ]
+    vertex, tilde, mtheta = untwisted.vertex_mode, twisted.tilde_mode, twisted.mtheta_mode
+    y_rs = partial(intertwine.intertwiner_mode, intertwine.IntertwinerSpec(intertwine.Y_RS, 1, 1))
+    tilde_y = partial(
+        intertwine.intertwiner_mode, intertwine.IntertwinerSpec(intertwine.TILDE, k % two_k)
+    )
+    a1 = u_term(params, [1], 0)
+    return {
+        "vertex": [
+            (vertex, _multi_u(params, 1, 1 + two_k), _untwisted_v(params, 1)),
+            (vertex, _multi_u(params, k, 3 * k), _untwisted_v(params, -k)),
+        ]
+        + [(vertex, u, v) for u, v in single],
+        "tilde": [
+            (tilde, _multi_u(params, 1, -1), t_v),
+            (tilde, _multi_u(params, k, -k), t_w),
+        ]
+        + [(tilde, u, v) for u, v in single_t],
+        "mtheta": [
+            (mtheta, _multi_u(params, 1, -1), t_w),
+            (mtheta, _multi_u(params, k, -k), t_v),
+        ]
+        + [(mtheta, u, v) for u, v in single_t],
+        "intertwiner": [
+            (y_rs, _coset_u(params, 1), _untwisted_v(params, 1)),
+            (tilde_y, _coset_u(params, k), t_v),
+        ]
+        + [(y_rs, u, v) for u, v in single],
+        # one kernel input on the two lattices: the untwisted call at an
+        # integer mode leaves the skeleton that the twisted call half a unit
+        # below meets, the untwisted one between them being off its grid
+        "lattice": [(vertex, a1, lattice_vector(params, 0)), (mtheta, a1, tw_vacuum(params, 1))],
+    }
+
+
+def _alternating_sweep(params: RingParams, inputs: list, fresh: bool) -> list:
+    """The images of every input at every mode of the union of their
+    sweeps, the inputs alternated at each mode; with `fresh`, the memo is
+    cleared before every call."""
+    modes = set()
+    for _op, u, v in inputs:
+        modes.update(support_modes(u, v, 3))
+    images = []
+    for m in sorted(modes, reverse=True):
+        for op, u, v in inputs:
+            if fresh:
+                params.memo.clear()
+            images.append(op(u, m, v))
+    return images
+
+
+def _skeleton_keys(params: RingParams) -> list:
+    return [
+        key
+        for key in params.memo
+        if key == "skeleton" or (isinstance(key, tuple) and key[0] == "skeleton")
+    ]
+
+
+@pytest.mark.parametrize("k", (1, 2, 3))
+def test_reused_skeleton_matches_a_fresh_walk(k):
+    """A sweep that reuses the skeleton gives the images of the same sweep
+    with the memo cleared before every call, and leaves exactly one
+    skeleton entry behind."""
+    params = RingParams(k)
+    for name, inputs in _alternating_cases(params).items():
+        params.memo.clear()
+        reused = _alternating_sweep(params, inputs, fresh=False)
+        assert _skeleton_keys(params) == ["skeleton"], name
+        fresh = _alternating_sweep(params, inputs, fresh=True)
+        assert reused == fresh, name
+        assert sum(map(bool, reused)) > 0, name
+
+
+@pytest.mark.parametrize("twisted_", (False, True))
+def test_mutating_an_image_leaves_later_calls_unchanged(twisted_):
+    """Images of a sweep that keeps one skeleton, each mutated after it is
+    compared, equal the images of fresh walks, a repeated mode included."""
+    params = RingParams(2)
+    if twisted_:
+        r, mu, s, step = 1, (Fraction(3, 2), HALF, HALF), 0, HALF
+        terms = twisted._delta_terms(params, (2, 1), r)
+        top = 3 + sum(mu) - 1 + Fraction(r * r, 8)
+    else:
+        r, mu, s, step = 1, (2, 1, 1), 3, Fraction(1)
+        terms = ((0, (2, 1), 1, 1), (1, (1,), -3, 2))
+        top = 3 + sum(mu) - 1 - Fraction(r * s, 4)
+    modes = [top - j * step for j in range(-2, 10)]
+    want = []
+    for m in modes:
+        params.memo.clear()
+        want.append(mode_kernel_sum(params, r, mu, s, m, twisted_, terms))
+    for m, image in zip(modes, want):
+        for _repeat in range(2):
+            got = mode_kernel_sum(params, r, mu, s, m, twisted_, terms)
+            assert got == image, m
+            for key in got:
+                got[key] += 1
+            got[(99,)] = Fraction(1)
+    assert _skeleton_keys(params) == ["skeleton"]
+    assert sum(map(bool, want)) > 0
