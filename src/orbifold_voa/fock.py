@@ -20,7 +20,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Iterable, Iterator
 
-from .labels import HALF, LAM, M_LAM, M_VAC, VAC, M1Label, ModuleLabel, validate_label
+from .labels import HALF, LAM, M_LAM, M_VAC, TW, VAC, M1Label, ModuleLabel, validate_label
 from .ring import RingParams, Scalar
 
 Parts = tuple  # tuple[int, ...] untwisted, tuple[Fraction, ...] twisted
@@ -300,16 +300,36 @@ def project_eigen(vec, sign: int):
 
 
 def partitions_of(n: int, max_part: int | None = None) -> Iterator[tuple[int, ...]]:
-    """All integer partitions of n, parts descending."""
+    """All integer partitions of n with parts at most max_part, parts
+    descending, in reverse lexicographic order.
+
+    Iterative: each partition after the first comes from the one before by
+    lowering its last part p > 1 to p - 1 and refilling p plus the trailing
+    ones greedily with parts of at most p - 1."""
     if n < 0:
         return
     if n == 0:
         yield ()
         return
     top = n if max_part is None else min(n, max_part)
-    for first in range(top, 0, -1):
-        for rest in partitions_of(n - first, first):
-            yield (first,) + rest
+    if top < 1:
+        return
+    parts: list[int] = []
+    p, left = top + 1, n
+    while True:
+        q, rest = divmod(left, p - 1)
+        parts += [p - 1] * q
+        if rest:
+            parts.append(rest)
+        yield tuple(parts)
+        left = 0
+        while parts and parts[-1] == 1:
+            parts.pop()
+            left += 1
+        if not parts:
+            return
+        p = parts.pop()
+        left += p
 
 
 def odd_partitions_of(n: int, max_part: int | None = None) -> Iterator[tuple[int, ...]]:
@@ -339,124 +359,128 @@ def half_odd_partitions_of(total: Fraction) -> Iterator[tuple[Fraction, ...]]:
 
 @lru_cache(maxsize=None)
 def partition_count(n: int) -> int:
+    """p(n), from Euler's pentagonal recurrence
+    p(j) = sum_{i >= 1} (-1)^(i+1) (p(j - i(3i-1)/2) + p(j - i(3i+1)/2)),
+    run bottom-up over j = 1..n."""
     if n < 0:
         return 0
-    return sum(1 for _ in partitions_of(n))
+    p = [1]
+    for j in range(1, n + 1):
+        total, i, g = 0, 1, 1  # g = i(3i-1)/2, the i-th generalized pentagonal number
+        while g <= j:
+            pair = p[j - g] + (p[j - g - i] if g + i <= j else 0)
+            total += pair if i % 2 else -pair
+            i += 1
+            g += 3 * i - 2
+        p.append(total)
+    return p[n]
+
+
+def _length_parity_counts(n: int, step: int) -> tuple[int, int]:
+    """(even-length, odd-length) counts of the partitions of n into parts
+    1, 1 + step, 1 + 2 step, ...: a DP over part sizes in which adding a
+    part swaps the two parities."""
+    if n < 0:
+        return 0, 0
+    even, odd = [1] + [0] * n, [0] * (n + 1)
+    for part in range(1, n + 1, step):
+        for j in range(part, n + 1):
+            even[j] += odd[j - part]
+            odd[j] += even[j - part]
+    return even[n], odd[n]
 
 
 @lru_cache(maxsize=None)
 def partition_count_parity(n: int) -> tuple[int, int]:
     """(even-length, odd-length) partition counts of n."""
-    even = odd = 0
-    for p in partitions_of(n):
-        if len(p) % 2 == 0:
-            even += 1
-        else:
-            odd += 1
-    return even, odd
+    return _length_parity_counts(n, 1)
 
 
 @lru_cache(maxsize=None)
 def odd_partition_count_parity(n: int) -> tuple[int, int]:
-    even = odd = 0
-    for p in odd_partitions_of(n):
-        if len(p) % 2 == 0:
-            even += 1
-        else:
-            odd += 1
-    return even, odd
+    """(even-length, odd-length) counts of the partitions of n into odd parts."""
+    return _length_parity_counts(n, 2)
 
 
 # -- graded dimensions -------------------------------------------------------------
 
 
-def _as_int(x: Fraction) -> int | None:
-    x = Fraction(x)
-    return int(x) if x.denominator == 1 and x >= 0 else None
+def _level(num: int, den: int) -> int | None:
+    """num/den (den > 0) as a nonnegative integer, or None if it is negative
+    or not an integer."""
+    q, rem = divmod(num, den)
+    return q if q >= 0 and not rem else None
 
 
 def graded_dim(params: RingParams, label: ModuleLabel, weight: Fraction) -> int:
-    """Dimension of the weight-graded component, by explicit basis counting."""
+    """Dimension of the weight-graded component, by explicit basis counting.
+
+    Each lattice shift c^2/4k (or the twisted 1/16) is compared with the
+    weight a/b in integers, and the oscillator level it leaves is counted
+    by the partition counts."""
     validate_label(label, params.k)
     k = params.k
-    weight = Fraction(weight)
+    a, b = weight.numerator, weight.denominator
+    if label.kind == TW:
+        # the oscillator weight a/b - 1/16 is half-integral; its partitions
+        # into half-odd parts are the odd partitions of its double
+        n2 = _level(16 * a - b, 8 * b)
+        if n2 is None:
+            return 0
+        even, odd = odd_partition_count_parity(n2)
+        return even if label.sign > 0 else odd
+    if label.kind == LAM:
+        cosets = _coset_indices(label.r, k, weight)
+    else:
+        # theta pairs c with -c, leaving one vector per eigensign for each
+        # c > 0: c = 2km, m >= 1 (V+-) or c = k + 2km, m >= 0 (Va+-)
+        cosets = _shifts(2 * k if label.kind == VAC else k, 2 * k, k, weight)
+    total = 0
+    for c in cosets:
+        n = _level(4 * k * a - c * c * b, 4 * k * b)
+        if n is not None:
+            total += partition_count(n)
     if label.kind == VAC:
-        total = 0
-        # paired lattice points +-m alpha, m >= 1: one vector per eigensign
-        m = 1
-        while Fraction(k) * m * m <= weight:
-            n = _as_int(weight - k * m * m)
-            if n is not None:
-                total += partition_count(n)
-            m += 1
-        n = _as_int(weight)
+        n = _level(a, b)
         if n is not None:
             even, odd = partition_count_parity(n)
             total += even if label.sign > 0 else odd
-        return total
-    if label.kind == LAM:
-        total = 0
-        for c in _coset_indices(label.r, k, weight):
-            n = _as_int(weight - Fraction(c * c, 4 * k))
-            if n is not None:
-                total += partition_count(n)
-        return total
-    if label.kind == HALF:
-        total = 0
-        # representatives c = k + 2km, m >= 0; theta pairs c with -c
-        m = 0
-        while True:
-            c = k + 2 * k * m
-            shift = Fraction(c * c, 4 * k)
-            if shift > weight:
-                break
-            n = _as_int(weight - shift)
-            if n is not None:
-                total += partition_count(n)
-            m += 1
-        return total
-    # twisted: oscillator weight is half-integral; partitions of it into
-    # half-odd parts are odd partitions of the doubled weight
-    n2 = _as_int(2 * (weight - TOP_TW))
-    if n2 is None:
-        return 0
-    even, odd = odd_partition_count_parity(n2)
-    return even if label.sign > 0 else odd
+    return total
+
+
+def _shifts(c: int, step: int, k: int, weight: Fraction) -> Iterator[int]:
+    """c, c + step, c + 2 step, ... while c^2/4k <= weight, that is
+    c^2 b <= 4k a for weight a/b."""
+    a4k, b = 4 * k * weight.numerator, weight.denominator
+    while c * c * b <= a4k:
+        yield c
+        c += step
 
 
 def _coset_indices(r: int, k: int, weight: Fraction) -> Iterator[int]:
-    """Indices c = r + 2km with c^2/4k <= weight."""
-    m = 0
-    while True:
-        c = r + 2 * k * m
-        if Fraction(c * c, 4 * k) > weight:
-            break
-        yield c
-        m += 1
-    m = -1
-    while True:
-        c = r + 2 * k * m
-        if Fraction(c * c, 4 * k) > weight:
-            break
-        yield c
-        m -= 1
+    """Indices c = r + 2km with c^2/4k <= weight: m = 0, 1, ... and then
+    m = -1, -2, ..."""
+    yield from _shifts(r, 2 * k, k, weight)
+    yield from _shifts(r - 2 * k, -2 * k, k, weight)
 
 
 def m1_graded_dim(params: RingParams, m1: M1Label, weight: Fraction) -> int:
     """Graded dimension of a Heisenberg-orbifold constituent, by the closed
-    partition-counting formulas (independent route from graded_dim)."""
-    k = params.k
-    weight = Fraction(weight)
+    partition-counting formulas (independent route from graded_dim).  The
+    weight a/b is compared with the constituent's top weight in integers,
+    as in `graded_dim`."""
+    a, b = weight.numerator, weight.denominator
     if m1.kind == M_VAC:
-        n = _as_int(weight)
+        n = _level(a, b)
         if n is None:
             return 0
         even, odd = partition_count_parity(n)
         return even if m1.sign > 0 else odd
     if m1.kind == M_LAM:
-        n = _as_int(weight - m1.norm(k) / 2)
+        k, c = params.k, m1.index
+        n = _level(4 * k * a - c * c * b, 4 * k * b)
         return partition_count(n) if n is not None else 0
-    n2 = _as_int(2 * (weight - TOP_TW))
+    n2 = _level(16 * a - b, 8 * b)
     if n2 is None:
         return 0
     even, odd = odd_partition_count_parity(n2)

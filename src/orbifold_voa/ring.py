@@ -316,6 +316,8 @@ class Scalar:
         return NotImplemented
 
     def __eq__(self, other: object) -> bool:
+        if type(other) is Scalar and other.params is self.params:
+            return self.terms == other.terms
         if isinstance(other, (int, Fraction)):
             other = self.params.rational(other)
         if not isinstance(other, Scalar):

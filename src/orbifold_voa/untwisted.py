@@ -23,6 +23,13 @@ share what is left of the weight budget, depends only on the ring, the
 lattice index, the pending factors and the budget.  It is walked once per
 ring (`_creation_table`, in `RingParams.memo`), its rows merged by their
 sorted parts, and every later call only reads the rows.
+
+`vertex_mode` groups the terms of u by lattice index and passes each
+group to the kernel in one call, against one term of v at a time.  The
+rational coefficients of u and v ride the kernel as its integer term
+weights, so each coefficient the kernel returns is final and is wrapped
+as its Scalar as it is; only a coefficient that is not rational is
+applied as a Scalar factor after the kernel.
 """
 
 from __future__ import annotations
@@ -40,7 +47,7 @@ from .fock import (
     sort_parts,
     u_term,
 )
-from .ring import RingParams
+from .ring import RingParams, Scalar
 
 
 @lru_cache(maxsize=None)
@@ -301,8 +308,31 @@ def mode_kernel_sum(
     return {key: Fraction(num, den) for key, (num, den) in _settle(out).items()}
 
 
+def _weight(c: Scalar) -> tuple[int, int, Scalar | None]:
+    """A coefficient as an integer weight num/den and the factor left after
+    it: (num, den, None) when c is rational, (1, 1, c) otherwise."""
+    if c.is_rational():
+        q = c.as_rational()
+        return q.numerator, q.denominator, None
+    return 1, 1, c
+
+
+def _lift(params: RingParams, q: Fraction, factor: Scalar | None) -> Scalar:
+    """The Scalar q times `factor` (None for 1): a rational q is wrapped as
+    it is, with no further Fraction."""
+    return Scalar(params, {(0, 0): q}) if factor is None else factor * q
+
+
 def vertex_mode(u: UVector, m, v: UVector, cutoff=None) -> UVector:
     """The mode u_m of the untwisted operator of u, applied to v.
+
+    The terms of u are grouped by lattice index r, and each group meets
+    each term of v in one `mode_kernel_sum` call.  Rational coefficients of
+    u and v ride the kernel as its integer term weights, so each Fraction
+    it returns is final and is wrapped as its Scalar directly.  A term of u
+    whose coefficient is not rational goes to the group of that
+    coefficient at its r, and the coefficient, like one of v that is not
+    rational, is applied as a Scalar factor after the kernel.
 
     Exact; `cutoff`, when given, must dominate the weight of v (guard
     against accidentally feeding unbounded sweeps).
@@ -315,15 +345,20 @@ def vertex_mode(u: UVector, m, v: UVector, cutoff=None) -> UVector:
         raise ValueError(
             f"cutoff {cutoff} is below the weight {v.max_weight()} of the target"
         )
-    acc: dict = {}
+    groups: dict[tuple, list] = {}  # (r, factor of u) -> [(nu, num, den), ...]
     for (nu, r), cu in u.terms.items():
-        term = ((0, nu, 1, 1),)
+        num, den, factor = _weight(cu)
+        groups.setdefault((r, factor), []).append((nu, num, den))
+    acc: dict = {}
+    for (r, uf), rows in groups.items():
         for (mu, s), cv in v.terms.items():
-            image = mode_kernel_sum(params, r, mu, s, m, False, term)
+            vn, vd, vf = _weight(cv)
+            terms = tuple((0, nu, num * vn, den * vd) for nu, num, den in rows)
+            image = mode_kernel_sum(params, r, mu, s, m, False, terms)
             if image:
-                cuv = cu * cv
+                factor = vf if uf is None else uf if vf is None else uf * vf
                 for key, q in image.items():
-                    add_into(acc, (tuple([p >> 1 for p in key]), r + s), cuv * q)
+                    add_into(acc, (tuple([p >> 1 for p in key]), r + s), _lift(params, q, factor))
     return UVector._wrap(params, acc)
 
 
@@ -361,14 +396,19 @@ def j_vec(params: RingParams) -> UVector:
 
 def p_coeff_apply(params: RingParams, sign: int, n: int, v: UVector) -> UVector:
     """Degree-n coefficient of the creation exponential for +-alpha,
-    as a multiplication operator (independent of the vertex engine)."""
+    as a multiplication operator.
+
+    It stays independent of the mode kernel, so that the creation-series
+    identity compares two routes: it lists the partitions of n itself, as
+    (parts, num, den) rows in integers, and makes one Fraction per term of
+    v and row, times the coefficient of the term (see `_weight`)."""
     if sign not in (+1, -1):
         raise ValueError("sign must be +1 or -1")
     if n < 0:
         raise ValueError("n must be nonnegative")
     if n == 0:
         return v
-    acc: dict = {}
+    rows = []
     for parts in partitions_of(n):
         # parts descend, so equal parts are adjacent: the i-th copy of q
         # divides by q*i, which builds prod (sign/q)^i / i! one part at a time
@@ -376,9 +416,13 @@ def p_coeff_apply(params: RingParams, sign: int, n: int, v: UVector) -> UVector:
         for j, q in enumerate(parts):
             run = run + 1 if j and parts[j - 1] == q else 1
             den *= q * run
-        coeff = Fraction(sign ** len(parts), den)
-        for (nu, s), c in v.terms.items():
-            add_into(acc, (sort_parts(nu + parts), s), c * coeff)
+        rows.append((parts, sign ** len(parts), den))
+    acc: dict = {}
+    for (nu, s), c in v.terms.items():
+        cn, cd, factor = _weight(c)
+        for parts, num, den in rows:
+            coeff = _lift(params, Fraction(num * cn, den * cd), factor)
+            add_into(acc, (sort_parts(nu + parts), s), coeff)
     return UVector._wrap(params, acc)
 
 

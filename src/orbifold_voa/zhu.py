@@ -100,13 +100,15 @@ def top_action(params: RingParams, gen, label: lb.ModuleLabel) -> Scalar:
 
 def top_action_table(params: RingParams) -> dict[str, dict[str, Scalar]]:
     """Computed generator actions for every label (the k=1 minus-lattice
-    exception is skipped)."""
+    exception is skipped).  Each generator vector is built once for the
+    whole table."""
+    vectors = {gen: generator_vector(params, gen) for gen in GENERATORS}
     out: dict[str, dict[str, Scalar]] = {}
     for label in lb.all_labels(params.k):
         if params.k == 1 and label == lb.u_minus():
             continue
         out[label.code] = {
-            gen: top_action(params, gen, label) for gen in GENERATORS
+            gen: top_action(params, a, label) for gen, a in vectors.items()
         }
     return out
 

@@ -14,6 +14,9 @@ from orbifold_voa.fock import (
     label_basis,
     lattice_vector,
     m1_graded_dim,
+    odd_partition_count_parity,
+    partition_count,
+    partition_count_parity,
     partitions_of,
     project_eigen,
     t_term,
@@ -186,6 +189,117 @@ def test_partition_enumeration():
     assert sorted(partitions_of(4)) == sorted(
         [(4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1)]
     )
+
+
+def _partitions_reference(n, max_part=None):
+    """The recursive enumeration that `partitions_of` replaced."""
+    if n < 0:
+        return
+    if n == 0:
+        yield ()
+        return
+    top = n if max_part is None else min(n, max_part)
+    for first in range(top, 0, -1):
+        for rest in _partitions_reference(n - first, first):
+            yield (first,) + rest
+
+
+def test_partitions_of_matches_the_recursive_enumeration():
+    """Same partitions in the same order, for every max_part."""
+    for n in range(-1, 21):
+        for max_part in (None, *range(0, 22)):
+            assert list(partitions_of(n, max_part)) == list(_partitions_reference(n, max_part)), (
+                n, max_part,
+            )
+
+
+def test_partition_counts_match_enumeration():
+    for n in range(-2, 31):
+        every = list(_partitions_reference(n))
+        odd = [p for p in every if all(part % 2 for part in p)]
+
+        def by_parity(parts):
+            return (sum(len(p) % 2 == 0 for p in parts), sum(len(p) % 2 for p in parts))
+
+        assert partition_count(n) == len(every), n
+        assert partition_count_parity(n) == by_parity(every), n
+        assert odd_partition_count_parity(n) == by_parity(odd), n
+    assert partition_count(30) == 5604
+
+
+def _graded_dim_reference(params, label, weight):
+    """`graded_dim` as it was written in Fraction arithmetic."""
+    k = params.k
+
+    def level(x):
+        return int(x) if x.denominator == 1 and x >= 0 else None
+
+    if label.kind in (lb.VAC, lb.HALF):
+        total = 0
+        c = 2 * k if label.kind == lb.VAC else k
+        while Fraction(c * c, 4 * k) <= weight:
+            n = level(weight - Fraction(c * c, 4 * k))
+            if n is not None:
+                total += partition_count(n)
+            c += 2 * k
+        n = level(weight)
+        if label.kind == lb.VAC and n is not None:
+            even, odd = partition_count_parity(n)
+            total += even if label.sign > 0 else odd
+        return total
+    if label.kind == lb.LAM:
+        total = 0
+        reach = int(weight) + 2  # every m with (r + 2km)^2/4k <= weight has |m| < reach
+        for m in range(-reach, reach + 1):
+            n = level(weight - Fraction((label.r + 2 * k * m) ** 2, 4 * k))
+            if n is not None:
+                total += partition_count(n)
+        return total
+    n2 = level(2 * (weight - Fraction(1, 16)))
+    if n2 is None:
+        return 0
+    even, odd = odd_partition_count_parity(n2)
+    return even if label.sign > 0 else odd
+
+
+def _m1_graded_dim_reference(params, m1, weight):
+    """`m1_graded_dim` as it was written in Fraction arithmetic."""
+
+    def level(x):
+        return int(x) if x.denominator == 1 and x >= 0 else None
+
+    if m1.kind == lb.M_VAC:
+        n = level(weight)
+        return 0 if n is None else partition_count_parity(n)[0 if m1.sign > 0 else 1]
+    if m1.kind == lb.M_LAM:
+        n = level(weight - m1.norm(params.k) / 2)
+        return 0 if n is None else partition_count(n)
+    n2 = level(2 * (weight - Fraction(1, 16)))
+    return 0 if n2 is None else odd_partition_count_parity(n2)[0 if m1.sign > 0 else 1]
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_graded_dims_match_fraction_arithmetic(k):
+    """The integer comparisons of `graded_dim` and `m1_graded_dim` against
+    the Fraction arithmetic they replaced, for every label, at weights on
+    each label's grid and off it."""
+    params = RingParams(k)
+    off_grid = [Fraction(1, 3), Fraction(1, 16) + Fraction(1, 4), Fraction(-1), Fraction(0)]
+    nonzero = 0
+    for label in lb.all_labels(k):
+        top = lb.top_weight(label, k)
+        weights = off_grid + [top + Fraction(j, 2) for j in range(0, 9)]
+        weights += [top + Fraction(j, 2) + Fraction(1, 3) for j in range(0, 3)]
+        m1s = {m1 for m1, _ in decompose(label, k, window=decomp_window(k, top + 4))}
+        for w in weights:
+            got = graded_dim(params, label, w)
+            assert got == _graded_dim_reference(params, label, w), (label.code, w)
+            nonzero += bool(got)
+            for m1 in m1s:
+                assert m1_graded_dim(params, m1, w) == _m1_graded_dim_reference(params, m1, w), (
+                    m1.code, w,
+                )
+    assert nonzero > 0
 
 
 def test_top_vectors(params):

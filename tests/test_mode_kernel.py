@@ -521,6 +521,50 @@ def test_vertex_mode_matches_reference_on_multi_term_vectors(k):
 
 
 @pytest.mark.parametrize("k", (1, 2, 3))
+def test_vertex_mode_is_bilinear_in_the_terms(k):
+    """`vertex_mode` groups the terms of u by lattice index and passes the
+    rational coefficients of u and v to the kernel as integer weights; its
+    image must be the sum over term pairs of the unit-coefficient images
+    times both coefficients, for unit, rational and irrational
+    coefficients at a shared and at a distinct lattice index."""
+    params = RingParams(k)
+    zeta, root2 = params.zeta(1), params.t_power(1)
+    nonzero = 0
+    for r in (0, 1, k):
+        u_terms = (
+            (((), r), params.one()),
+            (((1,), r), params.rational(Fraction(-2, 3))),
+            (((1, 1), r), zeta),
+            (((2,), r), zeta),
+            (((3,), r), zeta * root2),
+            (((2, 1), r + 2 * k), root2),
+            (((1,), r + 2 * k), params.rational(3)),
+        )
+        u = UVector(params, dict(u_terms))
+        for s in (1, -k):
+            v_terms = (
+                (((), s), params.one()),
+                (((1, 1), s), params.rational(Fraction(-3, 2))),
+                (((2, 1), s), params.zeta(3)),
+                (((1,), s - 2 * k), params.rational(Fraction(1, 2))),
+            )
+            v = UVector(params, dict(v_terms))
+            for m in _sweep(u, v, depth=2):
+                got = untwisted.vertex_mode(u, m, v)
+                want = UVector(params, {})
+                for key_u, cu in u_terms:
+                    for key_v, cv in v_terms:
+                        unit = untwisted.vertex_mode(
+                            UVector(params, {key_u: 1}), m, UVector(params, {key_v: 1})
+                        )
+                        want = want + unit * (cu * cv)
+                assert got == want, (r, s, m)
+                assert all(not c.is_zero() for c in got.terms.values()), (r, s, m)
+                nonzero += bool(got)
+    assert nonzero > 0
+
+
+@pytest.mark.parametrize("k", (1, 2, 3))
 def test_twisted_operators_match_reference_on_multi_term_vectors(k):
     params = RingParams(k)
     v = (

@@ -169,7 +169,11 @@ def _creation_series_reference(params, sign, n, v):
 
 def test_p_coeff_matches_creation_series_recurrence(params):
     k = params.k
-    v = lattice_vector(params, k) * 3 + u_term(params, [2, 1, 1], -1, Fraction(-1, 2))
+    v = (
+        lattice_vector(params, k) * 3
+        + u_term(params, [2, 1, 1], -1, Fraction(-1, 2))
+        + u_term(params, [1], 1, params.zeta(1))
+    )
     for sign in (+1, -1):
         for n in range(0, 13):
             got = p_coeff_apply(params, sign, n, v)
