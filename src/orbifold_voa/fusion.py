@@ -8,7 +8,10 @@ symmetries
 
 and the closure is required to coincide exactly with a transcription of
 the full published table; any divergence is a build failure carrying the
-offending triples.  Queries are then set membership.
+offending triples.  All three run on label indices, a label's index being
+its position in `all_labels(k)`, so the build hashes only integer triples.
+It still makes O(k^2) triples, once per k and process (`get_engine`); a
+query then maps its three labels to indices and tests set membership.
 
 The independent upper bound comes from restricting to constituents of the
 Heisenberg-orbifold decomposition: the bound of a triple is the minimum
@@ -33,7 +36,9 @@ constituents forgets.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from functools import lru_cache
+from typing import NamedTuple
 
 from . import labels as lb
 from .labels import (
@@ -41,14 +46,11 @@ from .labels import (
     ModuleLabel,
     all_labels,
     half,
-    lam,
     m_lam,
     m_tw,
     m_vac,
     normalize_lam_index,
-    tw,
     u_minus,
-    u_plus,
 )
 from .zhu import contragredient
 
@@ -84,25 +86,61 @@ TRANSCRIPTION_NOTES = (
 )
 
 Triple = tuple[ModuleLabel, ModuleLabel, ModuleLabel]
+IndexTriple = tuple[int, int, int]
 
 
-def _lam_targets(t: int, k: int) -> list[ModuleLabel]:
+class _Alphabet(NamedTuple):
+    """The labels of one k as their positions in `all_labels(k)`, with
+    index-valued constructors under the label constructors' names."""
+
+    k: int
+    index: dict[ModuleLabel, int]
+    duals: list[int]  # contragredient, position to position
+    vp: int
+    vm: int
+    lam: Callable[[int], int]
+    half: Callable[[int], int]
+    tw: Callable[[int, int], int]
+    dual: Callable[[int], int]
+
+
+def _alphabet(k: int) -> _Alphabet:
+    """Positions in `all_labels(k)`: V+ and V- at 0 and 1, Vl<r> at r + 1,
+    Va+ and Va- at k + 1 and k + 2, and VT1+, VT1-, VT2+, VT2- from k + 3."""
+    labels = all_labels(k)
+    index = {label: i for i, label in enumerate(labels)}
+    duals = [index[contragredient(label, k)] for label in labels]
+    return _Alphabet(
+        k=k,
+        index=index,
+        duals=duals,
+        vp=0,
+        vm=1,
+        lam=lambda r: r + 1,
+        half=lambda e: k + 1 if e > 0 else k + 2,
+        tw=lambda i, e: k + 1 + 2 * i + (0 if e > 0 else 1),
+        dual=duals.__getitem__,
+    )
+
+
+def _lam_targets(t: int, a: _Alphabet) -> list[int]:
     """Labels carrying the coset of lambda_t: one middle label, or both
     eigenspace labels at the reducible boundary cosets."""
+    k = a.k
     t0 = t % (2 * k)
     if t0 > k:
         t0 = 2 * k - t0
     if t0 == 0:
-        return [u_plus(), u_minus()]
+        return [a.vp, a.vm]
     if t0 == k:
-        return [half(+1), half(-1)]
-    return [lam(t0)]
+        return [a.half(+1), a.half(-1)]
+    return [a.lam(t0)]
 
 
-def _untwisted_base(k: int) -> set[Triple]:
+def _untwisted_base(a: _Alphabet) -> set[IndexTriple]:
     """Generating table for triples of untwisted labels."""
-    vp, vm = u_plus(), u_minus()
-    out: set[Triple] = set()
+    k, vp, vm, lam, half, dual = a.k, a.vp, a.vm, a.lam, a.half, a.dual
+    out: set[IndexTriple] = set()
     untw = [vp, vm] + [lam(r) for r in range(1, k)] + [half(+1), half(-1)]
     for w in untw:
         out.add((vp, w, w))
@@ -115,7 +153,7 @@ def _untwisted_base(k: int) -> set[Triple]:
         va = half(e)
         out |= {(va, vp, half(e)), (va, vm, half(-e))}
         for s in (+1, -1):
-            out.add((va, contragredient(half(s), k), vp if e * s > 0 else vm))
+            out.add((va, dual(half(s)), vp if e * s > 0 else vm))
         for r in range(1, k):
             out.add((va, lam(r), lam(k - r)))
     # first label a middle coset
@@ -127,20 +165,16 @@ def _untwisted_base(k: int) -> set[Triple]:
             out.add((w1, lam(k - r), half(e)))
         for s in range(1, k):
             for t in (r + s, r - s):
-                for target in _lam_targets(t, k):
+                for target in _lam_targets(t, a):
                     out.add((w1, lam(s), target))
     return out
 
 
-def _twisted_base(k: int) -> set[Triple]:
+def _twisted_base(a: _Alphabet) -> set[IndexTriple]:
     """Generating table for twisted first label; the four cases are indexed
     by the contragredients of the twisted labels."""
-    vp, vm = u_plus(), u_minus()
-
-    def dual(label: ModuleLabel) -> ModuleLabel:
-        return contragredient(label, k)
-
-    out: set[Triple] = set()
+    k, vp, vm, lam, half, tw, dual = a.k, a.vp, a.vm, a.lam, a.half, a.tw, a.dual
+    out: set[IndexTriple] = set()
     for i in (1, 2):
         for e in (+1, -1):
             w1 = dual(tw(i, e))
@@ -164,16 +198,12 @@ def _twisted_base(k: int) -> set[Triple]:
     return out
 
 
-def _transcribed_full(k: int) -> set[Triple]:
+def _transcribed_full(a: _Alphabet) -> set[IndexTriple]:
     """The published full table, primes resolved for this k."""
-    vp, vm = u_plus(), u_minus()
-
-    def dual(label: ModuleLabel) -> ModuleLabel:
-        return contragredient(label, k)
-
-    out: set[Triple] = set()
+    k, vp, vm, lam, half, tw, dual = a.k, a.vp, a.vm, a.lam, a.half, a.tw, a.dual
+    out: set[IndexTriple] = set()
     # identity row, all labels
-    for w in all_labels(k):
+    for w in a.index.values():
         out.add((vp, w, w))
     # odd lattice piece
     out |= {(vm, vp, vm), (vm, vm, vp), (vm, half(+1), half(-1)), (vm, half(-1), half(+1))}
@@ -202,7 +232,7 @@ def _transcribed_full(k: int) -> set[Triple]:
             out.add((w1, lam(k - r), half(e)))
         for s in range(1, k):
             for t in (r + s, r - s):
-                for target in _lam_targets(t, k):
+                for target in _lam_targets(t, a):
                     out.add((w1, lam(s), target))
         for i in (1, 2):
             j = i if r % 2 == 0 else 3 - i
@@ -210,20 +240,17 @@ def _transcribed_full(k: int) -> set[Triple]:
                 for e2 in (+1, -1):
                     out.add((w1, tw(i, e), tw(j, e2)))
     # twisted first label: same shape as the generating table
-    out |= _twisted_base(k)
+    out |= _twisted_base(a)
     return out
 
 
-def _closure(base: set[Triple], k: int) -> frozenset[Triple]:
+def _closure(base: set[IndexTriple], dual: list[int]) -> frozenset[IndexTriple]:
     table = set(base)
     frontier = set(base)
     while frontier:
-        new: set[Triple] = set()
+        new: set[IndexTriple] = set()
         for (w1, w2, w3) in frontier:
-            for img in (
-                (w2, w1, w3),
-                (w1, contragredient(w3, k), contragredient(w2, k)),
-            ):
+            for img in ((w2, w1, w3), (w1, dual[w3], dual[w2])):
                 if img not in table:
                     new.add(img)
         table |= new
@@ -234,30 +261,39 @@ def _closure(base: set[Triple], k: int) -> frozenset[Triple]:
 class FusionEngine:
     """Queryable fusion table for a fixed k, built by symmetry closure of
     the generating tables and cross-checked against the full transcription
-    at construction time."""
+    at construction time.  The table holds label positions in `labels`."""
 
     def __init__(self, k: int):
         if k < 1:
             raise ValueError("k must be a positive integer")
         self.k = k
-        self.labels = all_labels(k)
-        self.base = frozenset(_untwisted_base(k) | _twisted_base(k))
-        self.table = _closure(set(self.base), k)
-        self.transcribed = frozenset(_transcribed_full(k))
+        a = _alphabet(k)
+        self._index, self._lam = a.index, a.lam
+        self.labels = list(a.index)
+        base = _untwisted_base(a) | _twisted_base(a)
+        self.table = _closure(base, a.duals)
+        transcribed = _transcribed_full(a)
         self.notes = TRANSCRIPTION_NOTES
-        if self.table != self.transcribed:
+        if self.table != transcribed:
+            labels = self.labels
+
+            def named(triples):
+                return {(labels[i], labels[j], labels[l]) for i, j, l in triples}
+
             raise EngineInconsistencyError(
-                self.table - self.transcribed, self.transcribed - self.table
+                named(self.table - transcribed), named(transcribed - self.table)
             )
 
-    def _norm(self, label: ModuleLabel) -> ModuleLabel:
+    def _position(self, label: ModuleLabel) -> int | None:
+        """Position in `labels` of the label, its lattice-coset index
+        normalized; None, which fuses to nothing, for a label of no k."""
         if label.kind == lb.LAM:
-            return lam(normalize_lam_index(label.r, self.k))
+            return self._lam(normalize_lam_index(label.r, self.k))
         lb.validate_label(label, self.k)
-        return label
+        return self._index.get(label)
 
     def fusion(self, w1: ModuleLabel, w2: ModuleLabel, w3: ModuleLabel) -> int:
-        triple = (self._norm(w1), self._norm(w2), self._norm(w3))
+        triple = (self._position(w1), self._position(w2), self._position(w3))
         return 1 if triple in self.table else 0
 
     def all_triples(self):

@@ -106,19 +106,19 @@ def _creation_table(
         else:
             k = params.k
             rows = []
-
-            def walk(left: int, top: int, parts: tuple, num: int, den: int, run: int) -> None:
+            # depth first on an explicit stack; a node pushes its next parts
+            # smallest first, so the largest is walked first
+            stack = [(w, w, (), 1, 1, 0)]
+            while stack:
+                left, top, parts, num, den, run = stack.pop()
                 if not left:
                     g = gcd(num, den)
                     rows.append((parts, num // g, den // g))
-                    return
-                hi = min(left, top)
-                hi -= (hi - lo) % 2
-                for n in range(hi, lo - 1, -2):
+                    continue
+                num, den = num * r, den * k
+                for n in range(lo, min(left, top) + 1, 2):
                     i = run + 1 if n == top else 1
-                    walk(left - n, n, parts + (n,), num * r, den * k * n * i, i)
-
-            walk(w, w, (), 1, 1, 0)
+                    stack.append((left - n, n, parts + (n,), num, den * n * i, i))
             table = tuple(rows)
         params.memo[key] = table
     return table

@@ -1,6 +1,7 @@
 """The fusion engine: generating-table examples, closure consistency,
 decompositions, admissibility, and the restriction bound."""
 
+import hashlib
 import importlib
 
 import pytest
@@ -9,7 +10,11 @@ from orbifold_voa import labels as lb
 from orbifold_voa.fusion import (
     EngineInconsistencyError,
     FusionEngine,
+    _alphabet,
     _closure,
+    _transcribed_full,
+    _twisted_base,
+    _untwisted_base,
     bound_blind_zeros,
     decompose,
     get_engine,
@@ -52,23 +57,93 @@ def _brute_bound(w1, w2, w3, k, window=None):
 
 @pytest.mark.parametrize("k", range(1, 7))
 def test_engine_builds_consistently(k):
+    a = _alphabet(k)
     eng = FusionEngine(k)
-    assert eng.table == eng.transcribed
+    assert eng.table == _closure(_untwisted_base(a) | _twisted_base(a), a.duals)
+    assert eng.table == _transcribed_full(a)
     assert len(eng.labels) == k + 7
 
 
 def test_inconsistency_is_loud():
-    eng = get_engine(2)
+    a = _alphabet(2)
     # the identity triple is a symmetry-orbit singleton, so dropping it from
     # the generating set cannot be healed by closure
-    base = set(eng.base)
-    victim = (lb.u_plus(), lb.u_plus(), lb.u_plus())
+    base = _untwisted_base(a) | _twisted_base(a)
+    victim = (a.index[lb.u_plus()],) * 3
     assert victim in base
     base.discard(victim)
-    closed = _closure(base, 2)
-    assert closed != eng.transcribed
+    closed = _closure(base, a.duals)
+    transcribed = _transcribed_full(a)
+    assert closed != transcribed
+    labels = lb.all_labels(2)
+    missing = {tuple(labels[i] for i in t) for t in transcribed - closed}
     with pytest.raises(EngineInconsistencyError):
-        raise EngineInconsistencyError(eng.transcribed - closed, set())
+        raise EngineInconsistencyError(missing, set())
+
+
+def test_engine_refuses_a_generating_table_that_drops_a_triple(monkeypatch):
+    def dropping(a):
+        base = _untwisted_base(a)
+        base.discard((a.vp, a.vp, a.vp))
+        return base
+
+    monkeypatch.setattr(fusion_module, "_untwisted_base", dropping)
+    with pytest.raises(EngineInconsistencyError) as info:
+        FusionEngine(2)
+    assert "V+,V+,V+" in str(info.value)
+    assert info.value.missing == []
+    assert info.value.extra == [(lb.u_plus(), lb.u_plus(), lb.u_plus())]
+
+
+@pytest.mark.parametrize("k", range(1, 13))
+def test_alphabet_agrees_with_the_labels(k):
+    a = _alphabet(k)
+    labels = lb.all_labels(k)
+    assert a.k == k
+    assert a.index == {w: i for i, w in enumerate(labels)}
+    assert labels[a.vp] == lb.u_plus()
+    assert labels[a.vm] == lb.u_minus()
+    assert [labels[a.lam(r)] for r in range(1, k)] == [lb.lam(r) for r in range(1, k)]
+    for e in (+1, -1):
+        assert labels[a.half(e)] == lb.half(e)
+        for i in (1, 2):
+            assert labels[a.tw(i, e)] == lb.tw(i, e)
+    assert len(a.duals) == k + 7
+    for i, w in enumerate(labels):
+        assert labels[a.duals[i]] == contragredient(w, k)
+        assert a.dual(i) == a.duals[i]
+    assert get_engine(k).labels == labels
+
+
+# sha256 of the sorted "w1,w2,w3" codes of the nonzero triples, one per line,
+# and their count; computed from the label-level build this engine replaced
+TABLE_DIGESTS = {
+    1: (64, "f8371492a2ff4c315e14bd08f1599227f2060f12c421ab1cd9a64449b881a1ec"),
+    2: (100, "523a403590f6c3eb4eedf50251c009434b81c171b0815d4096d935de993102d0"),
+    3: (140, "af846a1239a9a1d050e8c9672d3803dcdbdfa0aaf61c9048563f96cb5b8acf1d"),
+    4: (184, "6b35ab81b509d97a93950bcb3a9fcd99959c3f00e2c4100ed6b319200c0810e2"),
+    5: (232, "124dffbe075c023760d2a72b1791ea65652ccf12d79a3e34c50c3f44e67ffb95"),
+    6: (284, "cb6e250d1472ea2eb3868b69234323c9e7cc65554384a3a84b1b6583f1b29bf3"),
+    7: (340, "11369572fc30de51adb01d5192a82ed5bb4ba1b391a8bd48e002ecc367a1f4c9"),
+    8: (400, "0b7382dfc825c7fce11a31a7ebe66bf312394985522cd9435f3916f67d05baca"),
+    9: (464, "39ebb5b9cb06e6ebc8701021b9302ba6cdac5f78770e3092593e006467c20438"),
+    10: (532, "5e1e58cae717b038b58810f841fd86b189d9450794b992dff4ac5e9a5945119a"),
+    11: (604, "4a856df5ed96472bfd9d619d177bb700a6b433367e97dac18d1551c03c1397c6"),
+    12: (680, "040e5178275ca0b989c987e2ed5fd66dc6c0966d4d5232a41309f04380e26760"),
+    50: (6532, "e542d9e99880b75be761158732c01c143870c6abb9859a7eee6442893865567d"),
+}
+
+
+@pytest.mark.parametrize("k", sorted(TABLE_DIGESTS))
+def test_table_matches_its_pinned_digest(k):
+    eng = get_engine(k)
+    codes = sorted(
+        f"{w1.code},{w2.code},{w3.code}"
+        for (w1, w2, w3) in eng.all_triples()
+        if eng.fusion(w1, w2, w3)
+    )
+    digest = hashlib.sha256("\n".join(codes).encode()).hexdigest()
+    assert (len(codes), digest) == TABLE_DIGESTS[k]
 
 
 def test_m1_fusion_examples():

@@ -655,6 +655,43 @@ def test_creation_table_matches_per_part_formula(k):
     assert repeated > 0
 
 
+def _recursive_creation_rows(k: int, r: int, w: int, twisted: bool) -> tuple:
+    """The creation rows of lambda_r as the recursive walk built them
+    before the walk was made iterative; the walk is copied verbatim."""
+    lo = 1 if twisted else 2
+    rows = []
+
+    def walk(left: int, top: int, parts: tuple, num: int, den: int, run: int) -> None:
+        if not left:
+            g = gcd(num, den)
+            rows.append((parts, num // g, den // g))
+            return
+        hi = min(left, top)
+        hi -= (hi - lo) % 2
+        for n in range(hi, lo - 1, -2):
+            i = run + 1 if n == top else 1
+            walk(left - n, n, parts + (n,), num * r, den * k * n * i, i)
+
+    walk(w, w, (), 1, 1, 0)
+    return tuple(rows)
+
+
+@pytest.mark.parametrize("k", (1, 2, 3, 4))
+def test_creation_walk_matches_the_recursive_walk(k):
+    params = RingParams(k)
+    rows = 0
+    for r in [s * a for a in range(1, 2 * k + 1) for s in (1, -1)]:
+        for w in range(0, 31):
+            for twisted_ in (False, True):
+                if not twisted_ and w % 2:
+                    continue
+                got = _creation_table(params, r, w, twisted_)
+                # same rows in the same order
+                assert got == _recursive_creation_rows(k, r, w, twisted_), (r, w, twisted_)
+                rows += len(got)
+    assert rows > 0
+
+
 @pytest.mark.parametrize("k", (1, 2, 3))
 def test_images_hold_no_zero_scalar(k):
     """Every operator built on the kernel returns only nonzero coefficients
