@@ -286,7 +286,8 @@ class FusionEngine:
 
     def _position(self, label: ModuleLabel) -> int | None:
         """Position in `labels` of the label, its lattice-coset index
-        normalized; None, which fuses to nothing, for a label of no k."""
+        normalized; None, which fuses to nothing, for a malformed label
+        that is none of them."""
         if label.kind == lb.LAM:
             return self._lam(normalize_lam_index(label.r, self.k))
         lb.validate_label(label, self.k)
