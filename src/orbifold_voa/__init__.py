@@ -29,9 +29,9 @@ from .fusion import (
 from .intertwine import (
     IntertwinerSpec,
     direct_witness,
+    first_nonzero_mode,
     forced_zero_coupling,
     intertwiner_mode,
-    nonvanishing_witness,
     phase_apply,
     witness_vectors,
 )
@@ -39,6 +39,6 @@ from .labels import M1Label, ModuleLabel, all_labels, parse_label
 from .ring import RingMismatchError, RingParams, RingPrecisionError, Scalar
 from .twisted import PsiMap, delta_apply, delta_coeff, psi_map, tilde_mode, twisted_mode
 from .untwisted import commutator_check, e_vec, f_vec, j_vec, omega_vec, p_coeff_apply, vertex_mode
-from .zhu import contragredient, expected_top_actions, top_action, top_action_table, zhu_circ, zhu_star
+from .zhu import contragredient, expected_top_actions, top_action, top_action_table
 
 __version__ = "0.1.0"

@@ -172,9 +172,6 @@ class UVector(_SparseVector):
         osc = "".join(f"a(-{n})" for n in parts)
         return f"{osc}e[{r}]" if osc else f"e[{r}]"
 
-    def lattice_indices(self) -> set[int]:
-        return {r for (_, r) in self.terms}
-
 
 class TVector(_SparseVector):
     """Vector in the twisted space, keys (half-odd partition, sector 1|2)."""

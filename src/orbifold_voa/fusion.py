@@ -191,7 +191,7 @@ def _twisted_base(a: _Alphabet) -> set[IndexTriple]:
             out.add((w1, dual(tw(i, -e if flip > 0 else e)), dual(half(-1))))
             # middle cosets, gated by index parity
             for r in range(1, k):
-                j = i if r % 2 == 0 else 3 - i
+                j = next(j for j in (1, 2) if quasi_admissible(r, i, j))
                 for e2 in (+1, -1):
                     out.add((w1, lam(r), dual(tw(j, e2))))
                     out.add((w1, tw(j, e2), lam(r)))
@@ -235,7 +235,7 @@ def _transcribed_full(a: _Alphabet) -> set[IndexTriple]:
                 for target in _lam_targets(t, a):
                     out.add((w1, lam(s), target))
         for i in (1, 2):
-            j = i if r % 2 == 0 else 3 - i
+            j = next(j for j in (1, 2) if quasi_admissible(r, i, j))
             for e in (+1, -1):
                 for e2 in (+1, -1):
                     out.add((w1, tw(i, e), tw(j, e2)))
@@ -315,7 +315,8 @@ def fusion(k: int, w1: ModuleLabel, w2: ModuleLabel, w3: ModuleLabel) -> int:
 
 def quasi_admissible(r: int, i: int, j: int) -> bool:
     """Parity gate for the twisted intertwiners: the sign (-1)^(r+d_ij+1)
-    must be +1."""
+    must be +1: Ytilde[r] keeps the sector for even r and swaps it for odd r
+    (`twisted.psi_map`).  The tables and `direct_witness` read it here."""
     if i not in (1, 2) or j not in (1, 2):
         raise ValueError("sectors must be 1 or 2")
     return (r + (1 if i == j else 0) + 1) % 2 == 0

@@ -1,6 +1,6 @@
-"""Explicit intertwining operators between the irreducible modules, with
-nonvanishing witnesses and the forced-zero verification for the one case
-the restriction bound cannot see.
+"""Explicit intertwining operators between the irreducible modules, the
+search for the first nonzero mode of each, and the forced-zero
+verification for the one case the restriction bound cannot see.
 
 Untwisted intertwiners compose the plain vertex operator with a phase
 twist: the operator attached to u at lattice index a multiplies a target
@@ -24,9 +24,10 @@ from .fock import (
     theta,
     top_vector,
 )
+from .fusion import quasi_admissible
 from .ring import RingParams
 from .twisted import tilde_mode
-from .untwisted import e_vec, support_modes, tally, vertex_mode
+from .untwisted import e_vec, f_vec, support_modes, tally, vertex_mode
 
 # intertwiner kinds
 Y_RS = "Y_rs"                  # vertex operator with phase twist
@@ -121,11 +122,6 @@ def first_nonzero_mode(spec: IntertwinerSpec, u, v, cutoff, target_sign: int = 0
     return None
 
 
-def nonvanishing_witness(spec: IntertwinerSpec, u, v, cutoff, target_sign: int = 0) -> bool:
-    """Whether `first_nonzero_mode` finds a nonzero (projected) image."""
-    return first_nonzero_mode(spec, u, v, cutoff, target_sign) is not None
-
-
 # -- the one bound-blind vanishing ------------------------------------------------
 
 
@@ -158,8 +154,7 @@ def forced_zero_coupling(params: RingParams) -> bool:
 
     # ingredient identities of the commutation argument
     a1 = UVector(params, {((1,), 0): 1})
-    f = lattice_vector(params, 2 * k) - lattice_vector(params, -2 * k)
-    if vertex_mode(E, 0, a1) != f * (-2 * k):
+    if vertex_mode(E, 0, a1) != f_vec(params) * (-2 * k):
         return False
     for i in range(1, k + 1):
         if vertex_mode(E, i, a1):
@@ -207,9 +202,7 @@ def direct_witness(k: int, triple) -> tuple[IntertwinerSpec, int] | None:
         return None  # these fusion rules all vanish; nothing to witness
     r1 = lb.lattice_coset(w1, k)
     if n_twisted == 2:
-        # Ytilde[r1] keeps the twisted sector for even r1 and swaps it for
-        # odd r1 (`twisted.psi_map`)
-        if (r1 % 2 == 1) != (w2.sector != w3.sector):
+        if not quasi_admissible(r1, w2.sector, w3.sector):
             return None
         return IntertwinerSpec(TILDE, r1), w3.sign
     r2 = lb.lattice_coset(w2, k)

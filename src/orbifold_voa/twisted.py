@@ -144,9 +144,6 @@ class PsiMap:
     def compose(self, other: "PsiMap") -> "PsiMap":
         return PsiMap(_matmul(self.matrix, other.matrix))
 
-    def __mul__(self, other: "PsiMap") -> "PsiMap":
-        return self.compose(other)
-
     def scale(self, sign: int) -> "PsiMap":
         return PsiMap(tuple(tuple(sign * x for x in row) for row in self.matrix))  # type: ignore[arg-type]
 
@@ -256,7 +253,7 @@ def _corrected_mode(u: UVector, m, v: TVector, sector_map, cutoff) -> TVector:
     for (key, j), c in acc.items():
         parts = halved.get(key)
         if parts is None:
-            parts = halved[key] = halve(key, True)
+            parts = halved[key] = halve(key)
         out[(parts, j)] = c
     return TVector._wrap(params, out)
 

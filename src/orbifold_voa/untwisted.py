@@ -12,8 +12,8 @@ target's oscillators and lattice index or left pending; the annihilation
 exponential removes oscillators of the target; and the creation side is
 enumerated against the exactly determined weight budget, which is where
 m enters.  No series tails are ever truncated, so results are exact.  The
-same kernel, `mode_kernel_sum` (`mode_kernel` is its one-term form), also
-evaluates the half-odd expansion behind the twisted operators.
+same kernel, `mode_kernel_sum`, also evaluates the half-odd expansion
+behind the twisted operators.
 
 The first two stages (`_skeleton`) do not read m.  Their merged result
 for the latest input is the one "skeleton" entry of `RingParams.memo`, so
@@ -124,33 +124,10 @@ def _creation_table(
     return table
 
 
-def mode_kernel(
-    params: RingParams,
-    nu: tuple[int, ...],
-    r: int,
-    mu: tuple,
-    s: int,
-    m: Fraction,
-    twisted: bool,
-) -> dict[tuple, Fraction]:
-    """Mode m of the term a(-n1)...a(-nl) e[r] on one oscillator term.
-
-    Untwisted, the target is a(-m1)... e[s] and the result maps integer
-    partitions to coefficients (the output lattice index is r + s).
-    Twisted, the target is the half-odd partition mu, s must be 0, and the
-    result is the normally ordered half-odd expansion without the prefactor
-    2^(-r^2/2k).  Only nonzero coefficients are listed.  This is
-    `mode_kernel_sum` on the one term nu, its doubled keys halved back."""
-    image = mode_kernel_sum(params, r, mu, s, m, twisted, ((0, nu, 1, 1),))
-    return {halve(key, twisted): c for key, c in image.items()}
-
-
-def halve(key: tuple, twisted: bool) -> tuple:
-    """The parts p of a doubled key (2p, ...): Fractions when twisted, ints
-    otherwise, as the vector keys hold them."""
-    if twisted:
-        return tuple(Fraction(p, 2) for p in key)
-    return tuple(p // 2 for p in key)
+def halve(key: tuple) -> tuple:
+    """The Fraction parts p of a doubled twisted key (2p, ...), as the
+    twisted vector keys hold them."""
+    return tuple(Fraction(p, 2) for p in key)
 
 
 def _settle(slots: dict) -> dict:
@@ -252,10 +229,11 @@ def mode_kernel_sum(
     twisted: bool,
     terms: tuple,
 ) -> dict[tuple, Fraction]:
-    """The sum over (d, nu, num, den) in `terms` of num/den times
-    `mode_kernel(params, nu, r, mu, s, m - d, twisted)`, with integer d,
-    num and den: every term of u at lattice index r on one term of v.
-    Keys are doubled parts (see `halve`), values nonzero Fractions.
+    """The sum over (d, nu, num, den) in `terms` of num/den times mode
+    m - d of a(-nu) e[r], with integer d, num and den: every term of u at
+    lattice index r on one term of v, a(-mu) e[s] (output index r + s)
+    untwisted, the half-odd partition mu with s = 0 twisted (the prefactor
+    2^(-r^2/2k) left out).  Keys are doubled parts, values nonzero Fractions.
 
     Work is in doubled integer units: a part p of mu and of the output is
     held as 2p, even untwisted and odd twisted, and the z-budget is the one
@@ -435,8 +413,8 @@ def support_modes(u: UVector, v, depth) -> list[Fraction]:
 
     The grid is read from the type of v: -rs/2k + Z over the term pairs of
     u at index r and v at index s when v is untwisted, r^2/4k + (1/2)Z over
-    the terms of u when v is twisted.  `mode_kernel`'s integer budget T is
-    the membership form of the same grid; off it every image is zero."""
+    the terms of u when v is twisted.  `mode_kernel_sum`'s integer budget
+    T is the membership form of the same grid; off it every image is zero."""
     k = u.params.k
     m_high = u.max_weight() + v.max_weight() - 1
     m_low = m_high - Fraction(depth)

@@ -1,6 +1,5 @@
-"""Top-level machinery: the two associative-quotient products at finite
-truncation, the computed actions of the three generators on every top
-level, and the contragredient correspondence they pin down.
+"""Top-level machinery: the computed actions of the three generators on
+every top level, and the contragredient correspondence they pin down.
 
 Top-level actions are always evaluated through the vertex operators (the
 weight-preserving mode of the generator), never read from a table; the
@@ -38,36 +37,6 @@ def _homogeneous_weight(a: UVector) -> Fraction:
     if w.denominator != 1:
         raise ValueError(f"weight {w} is not an integer")
     return w
-
-
-def _binom_row(n: int) -> list[int]:
-    row = [1]
-    for i in range(n):
-        row.append(row[-1] * (n - i) // (i + 1))
-    return row
-
-
-def zhu_circ(a: UVector, b: UVector, cutoff) -> UVector:
-    """Residue of (1+z)^wt(a) z^(-2) against the operator of a, applied to b:
-    the spanning vectors of the quotient ideal."""
-    wa = int(_homogeneous_weight(a))
-    if b and Fraction(cutoff) < a.max_weight() + b.max_weight():
-        raise ValueError("cutoff below the weight of the product")
-    out = UVector(a.params, {})
-    for i, binom in enumerate(_binom_row(wa)):
-        out = out + vertex_mode(a, i - 2, b) * binom
-    return out
-
-
-def zhu_star(a: UVector, b: UVector, cutoff) -> UVector:
-    """Residue of (1+z)^wt(a) z^(-1): the associative product on the quotient."""
-    wa = int(_homogeneous_weight(a))
-    if b and Fraction(cutoff) < a.max_weight() + b.max_weight():
-        raise ValueError("cutoff below the weight of the product")
-    out = UVector(a.params, {})
-    for i, binom in enumerate(_binom_row(wa)):
-        out = out + vertex_mode(a, i - 1, b) * binom
-    return out
 
 
 def top_action(params: RingParams, gen, label: lb.ModuleLabel) -> Scalar:

@@ -28,8 +28,8 @@ from orbifold_voa.fusion import (
 )
 from orbifold_voa.intertwine import (
     direct_witness,
+    first_nonzero_mode,
     forced_zero_coupling,
-    nonvanishing_witness,
     witness_vectors,
 )
 from orbifold_voa.ring import RingParams
@@ -259,7 +259,7 @@ def test_criterion_9_nonvanishing_witnesses():
             continue
         spec, sign = hit
         u, v = witness_vectors(params, triple)
-        if not nonvanishing_witness(spec, u, v, 6, sign):
+        if first_nonzero_mode(spec, u, v, 6, sign) is None:
             report(
                 9,
                 "nonvanishing witnesses",

@@ -181,6 +181,24 @@ def test_verify_jacobi_skips_an_empty_sweep(capsys):
     assert all(r["detail"] == "every compared image is zero" for r in skipped)
 
 
+@pytest.mark.parametrize("cutoff, status", (("0", "skip"), ("1", "pass")))
+def test_verify_delta_index_symmetry_needs_an_off_diagonal_pair(capsys, cutoff, status):
+    # order 0 holds only c[0][0], which the symmetry item would compare with itself
+    code, out, _ = run(capsys, "verify", "delta", "--cutoff", cutoff, "--format", "json")
+    assert code == EXIT_OK
+    items = {r["name"]: r["status"] for r in json.loads(out)["results"]}
+    assert items["index symmetry"] == status
+
+
+def test_a_failing_item_does_not_print_its_pass_text(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "forced_zero_coupling", lambda params: False)
+    code, out, _ = run(capsys, "verify", "p31", "--k", "2", "--format", "json")
+    assert code == EXIT_FAIL
+    [item] = json.loads(out)["results"]
+    assert item["status"] == "fail"
+    assert "forced to zero" not in item["detail"]
+
+
 def test_verify_unknown_suite(capsys):
     code, _, err = run(capsys, "verify", "bogus", "--k", "2")
     assert code == EXIT_FAIL

@@ -24,6 +24,8 @@ from orbifold_voa.fusion import (
     upper_bound,
 )
 from orbifold_voa.labels import m_lam, m_tw, m_vac
+from orbifold_voa.ring import RingParams
+from orbifold_voa.twisted import psi_map
 from orbifold_voa.zhu import contragredient
 
 # the package exports the function `fusion` under the module's name
@@ -187,6 +189,18 @@ def test_quasi_admissible():
     assert quasi_admissible(1, 1, 2)
     assert not quasi_admissible(1, 1, 1)
     assert quasi_admissible(2, 2, 2)
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_quasi_admissible_matches_the_sector_map(k):
+    """The one sector rule agrees with the operator: Ytilde[r] maps sector
+    i into sector j exactly when entry (j, i) of `psi_map` is nonzero."""
+    params = RingParams(k)
+    for r in range(-4 * k, 4 * k + 1):
+        matrix = psi_map(params, r).matrix
+        for i in (1, 2):
+            for j in (1, 2):
+                assert quasi_admissible(r, i, j) == (matrix[j - 1][i - 1] != 0), (r, i, j)
 
 
 @pytest.mark.parametrize("k", (1, 2, 3))

@@ -23,7 +23,6 @@ from orbifold_voa.intertwine import (
     forced_zero_coupling,
     intertwiner_mode,
     jacobi_commutator_check,
-    nonvanishing_witness,
     phase_apply,
     witness_vectors,
 )
@@ -95,10 +94,11 @@ def test_witness_examples(params):
     # the identity-type operator is its own witness
     spec0 = IntertwinerSpec(Y_RS, 0, 0)
     one = lattice_vector(params, 0)
-    assert nonvanishing_witness(spec0, one, one, 2)
+    assert first_nonzero_mode(spec0, one, one, 2) is not None
     if k >= 2:
         spec = IntertwinerSpec(Y_RS, 1, 1)
-        assert nonvanishing_witness(spec, lattice_vector(params, 1), lattice_vector(params, 1), 4)
+        u = v = lattice_vector(params, 1)
+        assert first_nonzero_mode(spec, u, v, 4) is not None
 
 
 def test_twisted_witness_leading_coefficient():
@@ -148,7 +148,7 @@ def test_nonvanishing_witness_implies_value_one(k):
             continue
         spec, sign = hit
         u, v = witness_vectors(params, t)
-        if nonvanishing_witness(spec, u, v, 6, sign):
+        if first_nonzero_mode(spec, u, v, 6, sign) is not None:
             assert eng.fusion(*t) == 1, (spec.name, [w.code for w in t])
 
 
@@ -157,6 +157,7 @@ def test_package_exports_both_witness_halves():
 
     assert orbifold_voa.direct_witness is direct_witness
     assert orbifold_voa.witness_vectors is witness_vectors
+    assert orbifold_voa.first_nonzero_mode is first_nonzero_mode
 
 
 def test_jacobi_residue_for_conformal_and_lattice_modes():
@@ -197,7 +198,7 @@ def test_eigenprojected_witnesses_match_nonzero_types(params):
                     continue  # two-dimensional top level
                 spec, sign = hit
                 u, v = witness_vectors(params, (w1, w2, w3))
-                assert nonvanishing_witness(spec, u, v, 6, sign), (
+                assert first_nonzero_mode(spec, u, v, 6, sign) is not None, (
                     w1.code,
                     w2.code,
                     w3.code,

@@ -36,9 +36,15 @@ from orbifold_voa.fock import (
 )
 from orbifold_voa.ring import RingParams
 from orbifold_voa.twisted import delta_apply, psi_map
-from orbifold_voa.untwisted import _creation_table, mode_kernel, mode_kernel_sum, support_modes
+from orbifold_voa.untwisted import _creation_table, halve, mode_kernel_sum, support_modes
 
 HALF = Fraction(1, 2)
+
+
+def mode_kernel(params, nu, r, mu, s, m, twisted):
+    """Mode m of the one term a(-nu) e[r]: `mode_kernel_sum`, its doubled keys halved back."""
+    image = mode_kernel_sum(params, r, mu, s, m, twisted, ((0, nu, 1, 1),))
+    return {halve(key) if twisted else tuple(p // 2 for p in key): c for key, c in image.items()}
 
 
 def _session_memo(fn):
@@ -601,14 +607,14 @@ def test_returned_vectors_do_not_alias_the_ring_memo():
         first.terms[((9,), 0)] = params.rational(1)
         assert op(u, m, v).terms == want, op.__name__
     assert params.memo
-    args = (params, (1,), 1, (2, 1), 1, Fraction(-5, 4), False)
-    image = mode_kernel(*args)
+    args = (params, 1, (2, 1), 1, Fraction(-5, 4), False, ((0, (1,), 1, 1),))
+    image = mode_kernel_sum(*args)
     assert image
     want = dict(image)
     for key in image:
         image[key] += 1
-    image[(9,)] = Fraction(1)
-    assert mode_kernel(*args) == want
+    image[(18,)] = Fraction(1)
+    assert mode_kernel_sum(*args) == want
 
 
 @lru_cache(maxsize=None)
