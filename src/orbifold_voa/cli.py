@@ -23,6 +23,7 @@ import random
 import sys
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
 from math import isqrt
 
 from . import labels as lb
@@ -134,13 +135,18 @@ def suite_identities(k: int, cutoff, seed: int):
 
 
 def _symmetry_sweep(eng):
-    k = eng.k
-    for (w1, w2, w3) in eng.all_triples():
-        f = eng.fusion(w1, w2, w3)
-        if f != eng.fusion(w2, w1, w3):
-            return "fail", f"swap symmetry broken at {w1.code},{w2.code},{w3.code}"
-        if f != eng.fusion(w1, zhu.contragredient(w3, k), zhu.contragredient(w2, k)):
-            return "fail", f"dual symmetry broken at {w1.code},{w2.code},{w3.code}"
+    """Both symmetries of the fusion rules on every index triple of the
+    table: f(i, j, l) = f(j, i, l) = f(i, l', j'), l' the position of the
+    contragredient of label l."""
+    k, table, labels = eng.k, eng.table, eng.labels
+    position = {label: i for i, label in enumerate(labels)}
+    dual = [position[zhu.contragredient(label, k)] for label in labels]
+    for i, j, l in product(range(len(labels)), repeat=3):
+        f = (i, j, l) in table
+        if f != ((j, i, l) in table) or f != ((i, dual[l], dual[j]) in table):
+            name = "swap" if f != ((j, i, l) in table) else "dual"
+            codes = f"{labels[i].code},{labels[j].code},{labels[l].code}"
+            return "fail", f"{name} symmetry broken at {codes}"
     return "pass", f"all {(k + 7) ** 3} triples symmetric"
 
 
@@ -427,9 +433,10 @@ def cmd_table(args) -> int:
     other format."""
     k = args.k
     eng = get_engine(k)
+    codes = [label.code for label in eng.labels]
     rows = [
-        (w1.code, w2.code, w3.code, eng.fusion(w1, w2, w3))
-        for (w1, w2, w3) in eng.all_triples()
+        (codes[i], codes[j], codes[l], 1 if (i, j, l) in eng.table else 0)
+        for i, j, l in product(range(len(codes)), repeat=3)
     ]
     if args.format == "json":
         triples = [{"triple": [a, b, c], "value": v} for a, b, c, v in rows]
@@ -475,6 +482,8 @@ def cmd_dump(args) -> int:
     if args.what == "table":
         return cmd_table(args)
     if args.what == "delta":
+        if args.format == "json":
+            raise UsageError("dump delta writes csv only; drop --format json")
         order = args.order if args.order is not None else 8
         tab = delta_table(order)
         print("m,n,c")

@@ -82,7 +82,7 @@ def _target(spec: IntertwinerSpec, v):
     return theta(v) if spec.kind in (Y_RS_THETA, TILDE_THETA) else v
 
 
-def intertwiner_mode(spec: IntertwinerSpec, u: UVector, m, v, cutoff=None):
+def intertwiner_mode(spec: IntertwinerSpec, u: UVector, m, v):
     """Exact mode action of the chosen intertwiner."""
     params = u.params
     k = params.k
@@ -101,10 +101,10 @@ def intertwiner_mode(spec: IntertwinerSpec, u: UVector, m, v, cutoff=None):
                     f"second input lives at lattice index {s}, not in the "
                     f"coset {spec.s} mod {2 * k} declared by {spec.name}"
                 )
-        return vertex_mode(u, m, phase_apply(spec.r, _target(spec, v)), cutoff)
+        return vertex_mode(u, m, phase_apply(spec.r, _target(spec, v)))
     if not isinstance(v, TVector):
         raise ValueError(f"{spec.name} needs a twisted second input")
-    return tilde_mode(u, m, _target(spec, v), cutoff)
+    return tilde_mode(u, m, _target(spec, v))
 
 
 def first_nonzero_mode(spec: IntertwinerSpec, u, v, cutoff, target_sign: int = 0):

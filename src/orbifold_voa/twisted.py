@@ -19,11 +19,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from .fock import TVector, UVector, add_into, heis_act, theta
 from .ring import RingParams
-from .untwisted import halve, mode_kernel_sum, support_modes, tally
+from .untwisted import halve, support_modes, tally, term_pair_images
 
 HALF = Fraction(1, 2)
 
@@ -207,47 +207,29 @@ def _prefactor(params: RingParams, r: int):
     return c
 
 
-def _corrected_mode(u: UVector, m, v: TVector, sector_map, cutoff) -> TVector:
+def _corrected_mode(u: UVector, m, v: TVector, sector_map) -> TVector:
     """Mode m of the Delta-corrected half-odd expansion of u on v, each
     lattice component at index r followed by the sector map sector_map(r).
-    `cutoff`, when given, must dominate the weight of v (guard against
-    accidentally feeding unbounded sweeps).
 
-    Delta is linear, so each term of u is corrected on its own, from the
-    per-ring table of single-term expansions; every Delta term of one term
-    of u meets one term of v in a single `mode_kernel_sum`, so each output
-    key costs one Fraction and one Scalar product per term pair.  Keys stay
-    doubled integers until the result is wrapped, where each is halved
-    once per ring (the "halved" table of `RingParams.memo`)."""
+    Delta is linear, so the kernel rows of each term of u are its
+    exp(Delta_z) expansion, from the per-ring table `_delta_terms`, and
+    `term_pair_images` pairs the groups of u with the terms of v.  An
+    image at index r is scaled by the prefactor 2^(-r^2/2k) and sent
+    through the sector map.  Keys stay doubled integers until the result
+    is wrapped, where each is halved once per ring (the "halved" table of
+    `RingParams.memo`)."""
     params = u.params
-    if params != v.params:
-        raise ValueError("twisted operator: mixed ring parameters")
-    if cutoff is not None and v and v.max_weight() > Fraction(cutoff):
-        raise ValueError(
-            f"cutoff {cutoff} is below the weight {v.max_weight()} of the target"
-        )
-    m = Fraction(m)
-    a, b = m.numerator, m.denominator
-    k = params.k
     acc: dict = {}
-    for (nu, r), cu in u.terms.items():
-        if (4 * k * a - r * r * b) % (2 * k * b):
-            continue  # 2m - r^2/2k is not an integer: outside the support grid
+    for r, (_mu, sector), image, factor in term_pair_images(u, m, v, partial(_delta_terms, params)):
         mat = sector_map(r).matrix
-        images = {
-            sector: [(j, mat[j - 1][sector - 1]) for j in (1, 2) if mat[j - 1][sector - 1]]
-            for sector in (1, 2)
-        }
-        cu = cu * _prefactor(params, r)
-        terms = _delta_terms(params, nu, r)
-        for (mu, sector), cv in v.terms.items():
-            image = mode_kernel_sum(params, r, mu, 0, m, True, terms)
-            if not image:
-                continue
-            cc = cu * cv
-            for key, q in image.items():
-                for target, sign in images[sector]:
-                    add_into(acc, (key, target), cc * (q * sign))
+        c = _prefactor(params, r)
+        if factor is not None:
+            c = c * factor
+        for target in (1, 2):
+            sign = mat[target - 1][sector - 1]
+            if sign:
+                for key, q in image.items():
+                    add_into(acc, (key, target), c * (q * sign))
     halved = params.memo.setdefault("halved", {})
     out = {}
     for (key, j), c in acc.items():
@@ -258,13 +240,13 @@ def _corrected_mode(u: UVector, m, v: TVector, sector_map, cutoff) -> TVector:
     return TVector._wrap(params, out)
 
 
-def tilde_mode(u: UVector, m, v: TVector, cutoff=None) -> TVector:
+def tilde_mode(u: UVector, m, v: TVector) -> TVector:
     """Mode of the twisted intertwiner: the corrected half-odd expansion of
     u tensored with the sector map of each lattice component of u."""
-    return _corrected_mode(u, m, v, lambda r: psi_map(u.params, r), cutoff)
+    return _corrected_mode(u, m, v, lambda r: psi_map(u.params, r))
 
 
-def twisted_mode(u: UVector, m, v: TVector, cutoff=None) -> TVector:
+def twisted_mode(u: UVector, m, v: TVector) -> TVector:
     """Twisted module action: defined for u supported on the lattice proper
     (index divisible by 2k); general dual-lattice vectors must go through
     tilde_mode, which attaches the sector maps."""
@@ -275,14 +257,14 @@ def twisted_mode(u: UVector, m, v: TVector, cutoff=None) -> TVector:
                 f"twisted_mode needs lattice support; index {r} is not a "
                 f"multiple of {2 * k} (use tilde_mode)"
             )
-    return tilde_mode(u, m, v, cutoff)
+    return tilde_mode(u, m, v)
 
 
-def mtheta_mode(u: UVector, m, v: TVector, cutoff=None) -> TVector:
+def mtheta_mode(u: UVector, m, v: TVector) -> TVector:
     """The bare corrected twisted operator with no sector action: the
     intertwiner for the oscillator subalgebra alone.  Sector labels of v
     pass through untouched."""
-    return _corrected_mode(u, m, v, lambda r: PsiMap(IDENTITY), cutoff)
+    return _corrected_mode(u, m, v, lambda r: PsiMap(IDENTITY))
 
 
 def conjugation_check(mode, u: UVector, vectors, depth, dress: PsiMap | None = None) -> tuple[bool, int]:

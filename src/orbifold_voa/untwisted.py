@@ -24,12 +24,14 @@ lattice index, the pending factors and the budget.  It is walked once per
 ring (`_creation_table`, in `RingParams.memo`), its rows merged by their
 sorted parts, and every later call only reads the rows.
 
-`vertex_mode` groups the terms of u by lattice index and passes each
-group to the kernel in one call, against one term of v at a time.  The
-rational coefficients of u and v ride the kernel as its integer term
-weights, so each coefficient the kernel returns is final and is wrapped
-as its Scalar as it is; only a coefficient that is not rational is
-applied as a Scalar factor after the kernel.
+One driver, `term_pair_images`, runs the kernel for the untwisted
+operator and the twisted ones alike.  It groups the terms of u by lattice
+index and passes each group to the kernel in one call per term of v,
+with the rational coefficients of u and v as the kernel's integer term
+weights; only a coefficient that is not rational is applied after the
+kernel.  The operators differ in the kernel rows of a term of u (the
+term itself, or its exp(Delta_z) expansion) and in where they place the
+output keys.
 """
 
 from __future__ import annotations
@@ -301,42 +303,48 @@ def _lift(params: RingParams, q: Fraction, factor: Scalar | None) -> Scalar:
     return Scalar(params, {(0, 0): q}) if factor is None else factor * q
 
 
-def vertex_mode(u: UVector, m, v: UVector, cutoff=None) -> UVector:
-    """The mode u_m of the untwisted operator of u, applied to v.
+def term_pair_images(u: UVector, m, v: UVector | TVector, expand):
+    """(r, key of v, image, factor) for each group of terms of u and each
+    term of v with a nonzero `mode_kernel_sum` image at mode m: the one
+    loop over term pairs behind every mode operator.
 
-    The terms of u are grouped by lattice index r, and each group meets
-    each term of v in one `mode_kernel_sum` call.  Rational coefficients of
-    u and v ride the kernel as its integer term weights, so each Fraction
-    it returns is final and is wrapped as its Scalar directly.  A term of u
-    whose coefficient is not rational goes to the group of that
-    coefficient at its r, and the coefficient, like one of v that is not
-    rational, is applied as a Scalar factor after the kernel.
-
-    Exact; `cutoff`, when given, must dominate the weight of v (guard
-    against accidentally feeding unbounded sweeps).
-    """
+    `expand(nu, r)` lists the kernel rows (d, nu2, num, den) of the term
+    a(-nu) e[r] of u.  The terms of u are grouped by r and by the part of
+    their coefficient that is not rational (`_weight`); the rational parts
+    of u and of the term of v scale the rows.  A TVector v runs the kernel
+    twisted, its keys holding a sector where untwisted keys hold a lattice
+    index.  The image holds doubled parts and wants the factor, the
+    non-rational parts of both coefficients (None for 1)."""
     params = u.params
     if params != v.params:
-        raise ValueError("vertex_mode: mixed ring parameters")
+        raise ValueError("mode operator: mixed ring parameters")
     m = Fraction(m)
-    if cutoff is not None and v and v.max_weight() > Fraction(cutoff):
-        raise ValueError(
-            f"cutoff {cutoff} is below the weight {v.max_weight()} of the target"
-        )
-    groups: dict[tuple, list] = {}  # (r, factor of u) -> [(nu, num, den), ...]
+    twisted = isinstance(v, TVector)
+    groups: dict[tuple, list] = {}  # (r, factor of u) -> kernel rows
     for (nu, r), cu in u.terms.items():
         num, den, factor = _weight(cu)
-        groups.setdefault((r, factor), []).append((nu, num, den))
-    acc: dict = {}
+        rows = groups.setdefault((r, factor), [])
+        for d, nu2, n2, d2 in expand(nu, r):
+            rows.append((d, nu2, num * n2, den * d2))
     for (r, uf), rows in groups.items():
-        for (mu, s), cv in v.terms.items():
+        for key, cv in v.terms.items():
+            mu, s = key
             vn, vd, vf = _weight(cv)
-            terms = tuple((0, nu, num * vn, den * vd) for nu, num, den in rows)
-            image = mode_kernel_sum(params, r, mu, s, m, False, terms)
+            terms = tuple([(d, nu, num * vn, den * vd) for d, nu, num, den in rows])
+            image = mode_kernel_sum(params, r, mu, 0 if twisted else s, m, twisted, terms)
             if image:
-                factor = vf if uf is None else uf if vf is None else uf * vf
-                for key, q in image.items():
-                    add_into(acc, (tuple([p >> 1 for p in key]), r + s), _lift(params, q, factor))
+                yield r, key, image, vf if uf is None else uf if vf is None else uf * vf
+
+
+def vertex_mode(u: UVector, m, v: UVector) -> UVector:
+    """The mode u_m of the untwisted operator of u, applied to v, exactly:
+    each term of u is its own kernel row, and an image key at lattice
+    index r against index s lands at index r + s."""
+    params = u.params
+    acc: dict = {}
+    for r, (_mu, s), image, factor in term_pair_images(u, m, v, lambda nu, r: ((0, nu, 1, 1),)):
+        for key, q in image.items():
+            add_into(acc, (tuple([p >> 1 for p in key]), r + s), _lift(params, q, factor))
     return UVector._wrap(params, acc)
 
 

@@ -1,11 +1,12 @@
 """Command-line surface: exit codes, schemas, and output determinism."""
 
+import copy
 import hashlib
 import json
 
 import pytest
 
-from orbifold_voa import cli, ring
+from orbifold_voa import cli, ring, zhu
 from orbifold_voa import labels as lb
 from orbifold_voa.cli import (
     EXIT_FAIL,
@@ -230,6 +231,17 @@ def test_dump_delta_contains_low_order_value(capsys):
     assert out.splitlines()[0] == "m,n,c"
 
 
+def test_dump_delta_refuses_json(capsys):
+    # the delta dump is csv only: --format json must not print csv and exit 0
+    code, out, err = run(capsys, "dump", "delta", "--order", "4", "--format", "json")
+    assert code == EXIT_FAIL
+    assert out == ""
+    assert err.startswith("error: ") and "json" in err
+    code, out, _ = run(capsys, "dump", "delta", "--order", "4", "--format", "csv")
+    assert code == EXIT_OK
+    assert out.splitlines()[0] == "m,n,c"
+
+
 def test_dump_decompose_window(capsys):
     code, out, _ = run(
         capsys, "dump", "decompose", "--k", "2", "--module", "Va+", "--window", "2"
@@ -338,6 +350,35 @@ def test_witness_names_build_no_ring(monkeypatch, k):
             names = witness_names(k, t)
             h.update((",".join(w.code for w in t) + ":" + ";".join(names) + "\n").encode())
     assert (n, h.hexdigest()[:16]) == WITNESS_NAME_DIGESTS[k]
+
+
+def _label_sweep(eng):
+    """The symmetry sweep through the label API, the reference for the
+    index sweep of `verify closure`."""
+    for w1, w2, w3 in eng.all_triples():
+        f = eng.fusion(w1, w2, w3)
+        if f != eng.fusion(w2, w1, w3):
+            return "fail", f"swap symmetry broken at {w1.code},{w2.code},{w3.code}"
+        if f != eng.fusion(w1, zhu.contragredient(w3, eng.k), zhu.contragredient(w2, eng.k)):
+            return "fail", f"dual symmetry broken at {w1.code},{w2.code},{w3.code}"
+    return "pass", f"all {(eng.k + 7) ** 3} triples symmetric"
+
+
+@pytest.mark.parametrize("k", (1, 2, 3))
+def test_symmetry_sweep_matches_the_label_sweep(k):
+    # the intact table passes; with one triple dropped (a whole orbit when
+    # the triple is its own swap and dual image) both sweeps give the same
+    # verdict, and a failure names the same first triple and symmetry
+    eng = get_engine(k)
+    assert cli._symmetry_sweep(eng) == _label_sweep(eng) == ("pass", f"all {(k + 7) ** 3} triples symmetric")
+    kinds = set()
+    for t in sorted(eng.table)[:: max(1, len(eng.table) // 12)]:
+        broken = copy.copy(eng)
+        broken.table = eng.table - {t}
+        got = cli._symmetry_sweep(broken)
+        assert got == _label_sweep(broken), t
+        kinds.add(got[1].split()[0])
+    assert {"swap", "dual"} <= kinds
 
 
 def test_output_determinism(capsys):

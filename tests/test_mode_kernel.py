@@ -528,14 +528,23 @@ def test_vertex_mode_matches_reference_on_multi_term_vectors(k):
 
 @pytest.mark.parametrize("k", (1, 2, 3))
 def test_vertex_mode_is_bilinear_in_the_terms(k):
-    """`vertex_mode` groups the terms of u by lattice index and passes the
-    rational coefficients of u and v to the kernel as integer weights; its
-    image must be the sum over term pairs of the unit-coefficient images
-    times both coefficients, for unit, rational and irrational
-    coefficients at a shared and at a distinct lattice index."""
+    """The mode operators group the terms of u by lattice index and pass
+    the rational coefficients of u and v to the kernel as integer weights;
+    each image must be the sum over term pairs of the unit-coefficient
+    images times both coefficients, for unit, rational and irrational
+    coefficients at a shared and at a distinct lattice index: `vertex_mode`
+    on untwisted v in two cosets, `tilde_mode` and `mtheta_mode` on a
+    twisted v with terms in both sectors (swept one weight unit less deep,
+    on their grid of half the step)."""
     params = RingParams(k)
     zeta, root2 = params.zeta(1), params.t_power(1)
-    nonzero = 0
+    twisted_v = (
+        (((), 1), params.one()),
+        (((HALF,), 1), params.rational(Fraction(-3, 2))),
+        (((Fraction(3, 2), HALF), 2), params.zeta(3)),
+        (((), 2), params.rational(Fraction(1, 2))),
+    )
+    nonzero = {"vertex_mode": 0, "tilde_mode": 0, "mtheta_mode": 0}
     for r in (0, 1, k):
         u_terms = (
             (((), r), params.one()),
@@ -547,27 +556,48 @@ def test_vertex_mode_is_bilinear_in_the_terms(k):
             (((1,), r + 2 * k), params.rational(3)),
         )
         u = UVector(params, dict(u_terms))
-        for s in (1, -k):
-            v_terms = (
-                (((), s), params.one()),
-                (((1, 1), s), params.rational(Fraction(-3, 2))),
-                (((2, 1), s), params.zeta(3)),
-                (((1,), s - 2 * k), params.rational(Fraction(1, 2))),
+        cases = [
+            (
+                untwisted.vertex_mode,
+                UVector,
+                (
+                    (((), s), params.one()),
+                    (((1, 1), s), params.rational(Fraction(-3, 2))),
+                    (((2, 1), s), params.zeta(3)),
+                    (((1,), s - 2 * k), params.rational(Fraction(1, 2))),
+                ),
             )
-            v = UVector(params, dict(v_terms))
-            for m in _sweep(u, v, depth=2):
-                got = untwisted.vertex_mode(u, m, v)
-                want = UVector(params, {})
+            for s in (1, -k)
+        ]
+        cases += [(twisted.tilde_mode, TVector, twisted_v), (twisted.mtheta_mode, TVector, twisted_v)]
+        for op, vec, v_terms in cases:
+            v = vec(params, dict(v_terms))
+            for m in _sweep(u, v, depth=2 if vec is UVector else 1):
+                got = op(u, m, v)
+                want = vec(params, {})
                 for key_u, cu in u_terms:
                     for key_v, cv in v_terms:
-                        unit = untwisted.vertex_mode(
-                            UVector(params, {key_u: 1}), m, UVector(params, {key_v: 1})
-                        )
+                        unit = op(UVector(params, {key_u: 1}), m, vec(params, {key_v: 1}))
                         want = want + unit * (cu * cv)
-                assert got == want, (r, s, m)
-                assert all(not c.is_zero() for c in got.terms.values()), (r, s, m)
-                nonzero += bool(got)
-    assert nonzero > 0
+                assert got == want, (op.__name__, r, m)
+                assert all(not c.is_zero() for c in got.terms.values()), (op.__name__, r, m)
+                nonzero[op.__name__] += bool(got)
+    assert all(nonzero.values()), nonzero
+
+
+def test_mixed_rings_are_refused():
+    """Every mode operator refuses u and v over different rings, before
+    any kernel call."""
+    u = lattice_vector(RingParams(1), 2)
+    cases = (
+        (untwisted.vertex_mode, lattice_vector(RingParams(2), 0)),
+        (twisted.tilde_mode, tw_vacuum(RingParams(2), 1)),
+        (twisted.mtheta_mode, tw_vacuum(RingParams(2), 2)),
+        (twisted.twisted_mode, tw_vacuum(RingParams(2), 1)),
+    )
+    for op, v in cases:
+        with pytest.raises(ValueError, match="mixed ring parameters"):
+            op(u, 0, v)
 
 
 @pytest.mark.parametrize("k", (1, 2, 3))

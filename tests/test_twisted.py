@@ -136,16 +136,6 @@ def test_twisted_weight_bookkeeping(params):
     assert nonzero > 0, k
 
 
-def test_cutoff_guard(params):
-    """Both corrected operators refuse a target above the cutoff."""
-    u = lattice_vector(params, 2 * params.k)
-    v = t_term(params, [Fraction(3, 2)], 1)
-    for op in (tilde_mode, mtheta_mode):
-        with pytest.raises(ValueError):
-            op(u, 0, v, cutoff=0)
-        assert op(u, 0, v, cutoff=2) == op(u, 0, v)
-
-
 def test_psi_relations(params):
     k = params.k
     for b in range(-3, 4):

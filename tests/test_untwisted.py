@@ -92,22 +92,6 @@ def test_weight_bookkeeping(params):
     assert nonzero > 0, k
 
 
-def test_truncation_soundness(params):
-    """Results never depend on the cutoff argument on components within it."""
-    u = e_vec(params)
-    v = lattice_vector(params, params.k)
-    m = -Fraction(params.k, 2) - 1
-    lo = vertex_mode(u, m, v, cutoff=10)
-    hi = vertex_mode(u, m, v, cutoff=50)
-    assert lo == hi
-
-
-def test_cutoff_guard(params):
-    v = u_term(params, [5], 0)
-    with pytest.raises(ValueError):
-        vertex_mode(vacuum(params), -1, v, cutoff=2)
-
-
 def test_distinguished_vectors_theta_parity(params):
     from orbifold_voa.fock import theta
 
