@@ -8,11 +8,11 @@ term ordering, fixed JSON key order and fixed item order.
 
 `main` maps every outcome to its exit code in one place: 0 success / all
 pass, 1 usage errors (`UsageError`, including k < 1, a negative cutoff,
-order or window, a fractional cutoff for `verify delta` and a cutoff that
-is not a multiple of 1/2 for `verify decomp`), failing suite items or a
-`witness` that finds no nonzero image (`NO-DIRECT-CONSTRUCTION` or
-`ZERO-UP-TO-CUTOFF`), 2 fusion-table inconsistency
-(`EngineInconsistencyError`).
+order or window, a `--cutoff` for a suite that does not read one, a
+fractional cutoff for `verify delta` and a cutoff that is not a multiple
+of 1/2 for `verify decomp`), failing suite items or a `witness` that
+finds no nonzero image (`NO-DIRECT-CONSTRUCTION` or `ZERO-UP-TO-CUTOFF`),
+2 fusion-table inconsistency (`EngineInconsistencyError`).
 """
 
 from __future__ import annotations
@@ -46,9 +46,13 @@ from .fusion import (
     upper_bound,
 )
 from .intertwine import (
+    Y_RS,
+    Y_RS_THETA,
+    IntertwinerSpec,
     direct_witness,
     first_nonzero_mode,
     forced_zero_coupling,
+    jacobi_commutator_check,
     witness_vectors,
 )
 from .ring import RingParams
@@ -61,7 +65,7 @@ from .twisted import (
     psi_map,
     tilde_mode,
 )
-from .untwisted import commutator_check, e_vec, p_coeff_apply, vertex_mode
+from .untwisted import commutator_check, e_vec, omega_vec, p_coeff_apply, vertex_mode
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -369,6 +373,19 @@ def suite_jacobi(k: int, cutoff, seed: int):
             u = lattice_vector(params, r)
             yield f"u at index {r}", conjugation_check(tilde_mode, u, vectors, cut, dress)
 
+    def residue():
+        # a = omega at n = 0, 1 (translation and grading) and a = E at the
+        # weight-preserving and -lowering modes n = k - 1, k
+        u = lattice_vector(params, 1)
+        generators = (("omega", omega_vec(params), (0, 1)), ("E", e_vec(params), (k - 1, k)))
+        for kind in (Y_RS, Y_RS_THETA):
+            spec = IntertwinerSpec(kind, 1, 1)
+            for name, a, ns in generators:
+                for n in ns:
+                    yield f"{spec.name}, a={name}, n={n}", jacobi_commutator_check(
+                        spec, a, n, u, u, cut
+                    )
+
     yield "untwisted commutators", *_swept(
         untwisted(), "oscillator commutators with the lattice operator hold"
     )
@@ -378,6 +395,9 @@ def suite_jacobi(k: int, cutoff, seed: int):
     )
     yield "conjugation, sector maps", *_swept(
         tilde_conjugation(), "conjugation identities with sector maps hold"
+    )
+    yield "intertwiner Jacobi residue", *_swept(
+        residue(), "Jacobi residue holds for Y_rs and Y_rs∘theta with a = omega, E"
     )
 
 
@@ -392,6 +412,8 @@ SUITES = {
     "p31": suite_p31,
     "jacobi": suite_jacobi,
 }
+# the suites that read --cutoff; the others would ignore it and still pass
+CUTOFF_SUITES = ("decomp", "delta", "jacobi")
 
 
 # -- commands -------------------------------------------------------------------
@@ -472,6 +494,8 @@ def witness_names(k: int, triple) -> list[str]:
 
 
 def cmd_verify(args) -> int:
+    if args.cutoff is not None and args.suite not in CUTOFF_SUITES:
+        raise UsageError(f"verify {args.suite} takes no --cutoff")
     items = list(SUITES[args.suite](args.k, args.cutoff, args.seed))
     _emit_report(args.k, f"verify {args.suite}", items, args.format)
     return EXIT_FAIL if any(status == "fail" for _n, status, _d in items) else EXIT_OK

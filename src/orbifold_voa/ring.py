@@ -71,8 +71,14 @@ class RingParams:
 
     * ("create", r, pending, w, twisted): the creation stage of the mode
       kernel, `untwisted._creation_table`;
-    * ("delta", nu, r): exp(Delta_z) of one term, `twisted._delta_terms`;
-    * ("prefactor", r): the scalar 2^(-r^2/2k), `twisted._prefactor`;
+    * ("delta", nu, r): exp(Delta_z) of one term times 2^w, the rational
+      part of the twisted prefactor 2^(-r^2/2k) = 2^w t^b,
+      `twisted._delta_terms`;
+    * ("place", tilde, r, sector): where the twisted operators put an
+      image at lattice index r on a term of v in `sector`: the target
+      sector, the sign of the sector map times t^b (the prefactor's
+      monomial, with integer coefficients) and the map that wraps a
+      kernel coefficient with it, `twisted._placement`;
     * "halved": a dict from each doubled twisted key the operators have
       returned to its halved Fraction parts, shared by every result;
     * "skeleton": (input, states), the m-independent stages of the mode

@@ -13,6 +13,16 @@ space through three layers:
 
 Modes are indexed like the untwisted case (coefficient of z^(-m-1)); for
 u at lattice index r the support grid is r^2/4k + (1/2)Z.
+
+The three layers run on the shared term-pair driver of `untwisted`.  The
+correction of layer 1 gives the kernel rows of each term of u.  The
+prefactor of layer 2 is split as 2^(-r^2/2k) = 2^w t^b with 0 <= b < 2k:
+the rational 2^w is folded into those rows, so the kernel's Fraction is
+the final rational coefficient of each output key, and the monomial t^b
+goes with the sign of layer 3 into one per-ring placement entry.  Where
+the monomial has only +-1 coefficients (always for odd k, where it is one
+basis element, and for even k at least up to k = 24, where it holds the
+reduced sqrt(2)), a key of a rational term pair is only wrapped.
 """
 
 from __future__ import annotations
@@ -22,8 +32,8 @@ from fractions import Fraction
 from functools import lru_cache, partial
 
 from .fock import TVector, UVector, add_into, heis_act, theta
-from .ring import RingParams
-from .untwisted import halve, support_modes, tally, term_pair_images
+from .ring import RingParams, Scalar
+from .untwisted import _lift, halve, support_modes, tally, term_pair_images
 
 HALF = Fraction(1, 2)
 
@@ -181,55 +191,79 @@ def psi_map(params: RingParams, r: int) -> PsiMap:
 # -- the corrected twisted operators --------------------------------------------------
 
 
+def _prefactor_split(params: RingParams, r: int) -> tuple[int, Scalar]:
+    """(w, t^b) with 2^(-r^2/2k) = 2^w t^b and 0 <= b < 2k: the prefactor
+    of the half-odd expansion at lattice index r, split into its rational
+    part, which joins the kernel rows (`_delta_terms`), and a monomial with
+    integer coefficients.  The monomial is the one basis element t^b for
+    odd k or b < k; for even k and b >= k it is t^(b-k) times the reduced
+    sqrt(2)."""
+    w, b = divmod(-r * r, 2 * params.k)
+    return w, params.t_power(b)
+
+
 def _delta_terms(params: RingParams, nu: tuple[int, ...], r: int) -> tuple:
-    """exp(Delta_z) a(-nu) e[r] as ((d, nu2, num, den), ...), the term
-    (num/den) a(-nu2) e[r] z^(-d) in `mode_kernel_sum`'s form; memoized on
-    `params` for the life of the ring."""
+    """2^w exp(Delta_z) a(-nu) e[r], with 2^w the rational part of the
+    prefactor at r (`_prefactor_split`), as ((d, nu2, num, den), ...), the
+    term (num/den) a(-nu2) e[r] z^(-d) in `mode_kernel_sum`'s form;
+    memoized on `params` for the life of the ring."""
     key = ("delta", nu, r)
     terms = params.memo.get(key)
     if terms is None:
+        scale = Fraction(2) ** _prefactor_split(params, r)[0]
         rows = []
         for d, vec in delta_apply(UVector(params, {(nu, r): 1})).items():
             for (nu2, _r), c in vec.terms.items():
-                c = c.as_rational()
+                c = c.as_rational() * scale
                 rows.append((d, nu2, c.numerator, c.denominator))
         terms = params.memo[key] = tuple(rows)
     return terms
 
 
-def _prefactor(params: RingParams, r: int):
-    """The scalar prefactor 2^(-r^2/2k) of the half-odd expansion at lattice
-    index r, memoized on `params` for the life of the ring."""
-    key = ("prefactor", r)
-    c = params.memo.get(key)
-    if c is None:
-        c = params.memo[key] = params.two_to(Fraction(-r * r, 2 * params.k))
-    return c
+def _placement(params: RingParams, tilde: bool, r: int, sector: int) -> tuple:
+    """(target, monomial, lift) for an image at lattice index r on a term of
+    v in `sector`: the sector map, psi_map(r) with `tilde` and the identity
+    without, sends the sector to `target` with a sign, `monomial` is that
+    sign times the irrational part t^b of the prefactor
+    (`_prefactor_split`), and `lift` is `untwisted._lift` of the monomial;
+    memoized on `params` for the life of the ring."""
+    key = ("place", tilde, r, sector)
+    entry = params.memo.get(key)
+    if entry is None:
+        target, sign = sector, 1
+        if tilde:
+            column = [row[sector - 1] for row in psi_map(params, r).matrix]
+            target = 1 if column[0] else 2
+            sign = column[target - 1]
+        monomial = _prefactor_split(params, r)[1] * sign
+        entry = params.memo[key] = (target, monomial, _lift(params, monomial))
+    return entry
 
 
-def _corrected_mode(u: UVector, m, v: TVector, sector_map) -> TVector:
+def _corrected_mode(u: UVector, m, v: TVector, tilde: bool) -> TVector:
     """Mode m of the Delta-corrected half-odd expansion of u on v, each
-    lattice component at index r followed by the sector map sector_map(r).
+    lattice component at index r followed by the sector map psi_map(r)
+    with `tilde` and by the identity without.
 
     Delta is linear, so the kernel rows of each term of u are its
-    exp(Delta_z) expansion, from the per-ring table `_delta_terms`, and
-    `term_pair_images` pairs the groups of u with the terms of v.  An
-    image at index r is scaled by the prefactor 2^(-r^2/2k) and sent
-    through the sector map.  Keys stay doubled integers until the result
-    is wrapped, where each is halved once per ring (the "halved" table of
-    `RingParams.memo`)."""
+    exp(Delta_z) expansion times the rational part 2^w of the prefactor
+    2^(-r^2/2k) = 2^w t^b, from the per-ring table `_delta_terms`, and
+    `term_pair_images` pairs the groups of u with the terms of v.  The
+    kernel's Fraction is then the final rational coefficient of a key:
+    the per-ring `_placement` names the target sector and the signed
+    monomial t^b of an image, and each key is lifted by the monomial times
+    the factor of the image (`untwisted._lift`), a bare wrap when every
+    coefficient of that product is +-1.  Keys stay doubled integers until
+    the result is wrapped, where each is halved once per ring (the
+    "halved" table of `RingParams.memo`)."""
     params = u.params
     acc: dict = {}
     for r, (_mu, sector), image, factor in term_pair_images(u, m, v, partial(_delta_terms, params)):
-        mat = sector_map(r).matrix
-        c = _prefactor(params, r)
+        target, monomial, lift = _placement(params, tilde, r, sector)
         if factor is not None:
-            c = c * factor
-        for target in (1, 2):
-            sign = mat[target - 1][sector - 1]
-            if sign:
-                for key, q in image.items():
-                    add_into(acc, (key, target), c * (q * sign))
+            lift = _lift(params, monomial * factor)
+        for key, q in image.items():
+            add_into(acc, (key, target), lift(q))
     halved = params.memo.setdefault("halved", {})
     out = {}
     for (key, j), c in acc.items():
@@ -243,7 +277,7 @@ def _corrected_mode(u: UVector, m, v: TVector, sector_map) -> TVector:
 def tilde_mode(u: UVector, m, v: TVector) -> TVector:
     """Mode of the twisted intertwiner: the corrected half-odd expansion of
     u tensored with the sector map of each lattice component of u."""
-    return _corrected_mode(u, m, v, lambda r: psi_map(u.params, r))
+    return _corrected_mode(u, m, v, True)
 
 
 def twisted_mode(u: UVector, m, v: TVector) -> TVector:
@@ -264,7 +298,7 @@ def mtheta_mode(u: UVector, m, v: TVector) -> TVector:
     """The bare corrected twisted operator with no sector action: the
     intertwiner for the oscillator subalgebra alone.  Sector labels of v
     pass through untouched."""
-    return _corrected_mode(u, m, v, lambda r: PsiMap(IDENTITY))
+    return _corrected_mode(u, m, v, False)
 
 
 def conjugation_check(mode, u: UVector, vectors, depth, dress: PsiMap | None = None) -> tuple[bool, int]:

@@ -291,16 +291,30 @@ def mode_kernel_sum(
 def _weight(c: Scalar) -> tuple[int, int, Scalar | None]:
     """A coefficient as an integer weight num/den and the factor left after
     it: (num, den, None) when c is rational, (1, 1, c) otherwise."""
-    if c.is_rational():
-        q = c.as_rational()
+    terms = c.terms
+    if len(terms) == 1 and (0, 0) in terms:
+        q = terms[(0, 0)]
         return q.numerator, q.denominator, None
     return 1, 1, c
 
 
-def _lift(params: RingParams, q: Fraction, factor: Scalar | None) -> Scalar:
-    """The Scalar q times `factor` (None for 1): a rational q is wrapped as
-    it is, with no further Fraction."""
-    return Scalar(params, {(0, 0): q}) if factor is None else factor * q
+def _lift(params: RingParams, factor: Scalar | None):
+    """The map from a Fraction q to the Scalar q times `factor` (None for
+    1), chosen once per factor.  When every coefficient of the factor is
+    +-1 (1, a phase zeta^a, the twisted prefactor's monomial t^b or its
+    even-k sqrt(2) form, each times a sign) q is only wrapped, as the
+    Scalar {basis: +-q}, with no product; otherwise each q takes one
+    `_scaled(q)`."""
+    if factor is None:
+        return lambda q: Scalar(params, {(0, 0): q})
+    terms = factor.terms
+    if len(terms) == 1 and 1 in terms.values():
+        [basis] = terms
+        return lambda q: Scalar(params, {basis: q})
+    if all(c == 1 or c == -1 for c in terms.values()):
+        signs = tuple((basis, c == 1) for basis, c in terms.items())
+        return lambda q: Scalar(params, {basis: q if plus else -q for basis, plus in signs})
+    return factor._scaled
 
 
 def term_pair_images(u: UVector, m, v: UVector | TVector, expand):
@@ -343,8 +357,9 @@ def vertex_mode(u: UVector, m, v: UVector) -> UVector:
     params = u.params
     acc: dict = {}
     for r, (_mu, s), image, factor in term_pair_images(u, m, v, lambda nu, r: ((0, nu, 1, 1),)):
+        lift = _lift(params, factor)
         for key, q in image.items():
-            add_into(acc, (tuple([p >> 1 for p in key]), r + s), _lift(params, q, factor))
+            add_into(acc, (tuple([p >> 1 for p in key]), r + s), lift(q))
     return UVector._wrap(params, acc)
 
 
@@ -406,9 +421,9 @@ def p_coeff_apply(params: RingParams, sign: int, n: int, v: UVector) -> UVector:
     acc: dict = {}
     for (nu, s), c in v.terms.items():
         cn, cd, factor = _weight(c)
+        lift = _lift(params, factor)
         for parts, num, den in rows:
-            coeff = _lift(params, Fraction(num * cn, den * cd), factor)
-            add_into(acc, (sort_parts(nu + parts), s), coeff)
+            add_into(acc, (sort_parts(nu + parts), s), lift(Fraction(num * cn, den * cd)))
     return UVector._wrap(params, acc)
 
 

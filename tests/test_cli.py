@@ -123,6 +123,17 @@ def test_zero_denominator_cutoff_is_a_usage_error(capsys, argv):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("suite", ("table1", "identities", "closure", "bounds", "psi", "p31"))
+@pytest.mark.parametrize("cutoff", ("0", "3"))
+def test_a_cutoff_for_a_suite_that_ignores_it_is_a_usage_error(capsys, suite, cutoff):
+    # these suites read no cutoff: a run with one must not print a PASS
+    # that the cutoff had no part in
+    code, out, err = run(capsys, "verify", suite, "--k", "2", "--cutoff", cutoff)
+    assert code == EXIT_FAIL
+    assert out == ""
+    assert err == f"error: verify {suite} takes no --cutoff\n"
+
+
 @pytest.mark.parametrize("cutoff", ("5/2", "1/2"))
 def test_verify_delta_rejects_a_fractional_cutoff(capsys, cutoff):
     # the cutoff is the series order: 5/2 must not run order 2, and 1/2 must
@@ -169,15 +180,26 @@ def test_verify_jacobi_items_compare_nonzero_images(capsys, k):
     code, out, _ = run(capsys, "verify", "jacobi", "--k", k, "--format", "json")
     assert code == EXIT_OK
     statuses = [r["status"] for r in json.loads(out)["results"]]
-    assert statuses == ["pass"] * 4  # a sweep of zero images would report skip
+    assert statuses == ["pass"] * 5  # a sweep of zero images would report skip
+
+
+@pytest.mark.parametrize("k", ("1", "2", "3"))
+def test_verify_jacobi_runs_the_intertwiner_residue(capsys, k):
+    code, out, _ = run(capsys, "verify", "jacobi", "--k", k, "--cutoff", "3", "--format", "json")
+    assert code == EXIT_OK
+    results = json.loads(out)["results"]
+    assert [r["name"] for r in results][-1] == "intertwiner Jacobi residue"
+    assert results[-1]["status"] == "pass"
 
 
 def test_verify_jacobi_skips_an_empty_sweep(capsys):
     code, out, _ = run(capsys, "verify", "jacobi", "--k", "2", "--cutoff", "0", "--format", "json")
     assert code == EXIT_OK
     results = json.loads(out)["results"]
-    # the twisted commutators at n = -3/2 still reach weight 3 and compare nonzero images
-    assert [r["status"] for r in results] == ["skip", "pass", "skip", "skip"]
+    # the twisted commutators at n = -3/2 still reach weight 3 and compare
+    # nonzero images, and so do the omega residues of Y_rs∘theta, whose
+    # images of e[1] on theta(e[1]) = e[-1] include weight 0
+    assert [r["status"] for r in results] == ["skip", "pass", "skip", "skip", "pass"]
     skipped = [r for r in results if r["status"] == "skip"]
     assert all(r["detail"] == "every compared image is zero" for r in skipped)
 

@@ -34,7 +34,7 @@ from orbifold_voa.fock import (
     tw_vacuum,
     u_term,
 )
-from orbifold_voa.ring import RingParams
+from orbifold_voa.ring import RingParams, Scalar
 from orbifold_voa.twisted import delta_apply, psi_map
 from orbifold_voa.untwisted import _creation_table, halve, mode_kernel_sum, support_modes
 
@@ -619,6 +619,139 @@ def test_twisted_operators_match_reference_on_multi_term_vectors(k):
             assert got == mtheta_mode(u, m, v), ("mtheta", r, m)
             nonzero["mtheta"] += bool(got)
     assert min(nonzero.values()) > 0
+
+
+# -- the twisted placement: split prefactor, one placement per ring -----------------
+
+
+@pytest.mark.parametrize("k", range(1, 25))
+def test_prefactor_split(k):
+    """2^(-r^2/2k) = 2^w t^b with 0 <= b < 2k: the rational part times the
+    monomial is the prefactor, the monomial has integer coefficients, and
+    it is one unit basis element exactly when k is odd or b < k.  Here its
+    coefficients are +-1 even in the even-k sqrt(2) form, so `_lift` wraps
+    every kernel coefficient of a rational term pair with no product."""
+    params = RingParams(k)
+    units = 0
+    for r in range(-4 * k, 4 * k + 1):
+        w, monomial = twisted._prefactor_split(params, r)
+        b = (-r * r) % (2 * k)
+        assert monomial * Fraction(2) ** w == params.two_to(Fraction(-r * r, 2 * k)), r
+        assert all(c in (1, -1) for c in monomial.terms.values()), r
+        unit = list(monomial.terms.values()) == [1]
+        assert unit == (k % 2 == 1 or b < k), r
+        units += unit
+    # at even k both kinds occur (r = 1 gives b = 2k - 1 >= k)
+    assert units == 8 * k + 1 if k % 2 else 0 < units < 8 * k + 1
+
+
+def _per_key_products(u: UVector, m, v: TVector, tilde: bool) -> TVector:
+    """The twisted operators as they placed their keys before the prefactor
+    was split: the kernel rows are the bare exp(Delta_z) expansion, and
+    each output key takes the Scalar prefactor 2^(-r^2/2k), times the
+    factor of its image, times q times the sign of the sector map."""
+    params = u.params
+    k = params.k
+
+    def expand(nu, r):
+        rows = []
+        for d, vec in delta_apply(UVector(params, {(nu, r): 1})).items():
+            for (nu2, _r), c in vec.terms.items():
+                c = c.as_rational()
+                rows.append((d, nu2, c.numerator, c.denominator))
+        return tuple(rows)
+
+    out = TVector(params, {})
+    for r, (_mu, sector), image, factor in untwisted.term_pair_images(u, m, v, expand):
+        mat = psi_map(params, r).matrix if tilde else ((1, 0), (0, 1))
+        c = params.two_to(Fraction(-r * r, 2 * k))
+        if factor is not None:
+            c = c * factor
+        for target in (1, 2):
+            sign = mat[target - 1][sector - 1]
+            if sign:
+                placed = {(halve(key), target): c * (q * sign) for key, q in image.items()}
+                out = out + TVector(params, placed)
+    return out
+
+
+def _placement_u(params: RingParams, r1: int, r2: int) -> UVector:
+    """Unit, rational, zeta and t coefficients at two lattice indices."""
+    zeta, t = params.zeta(1), params.t_power(1)
+    return UVector(
+        params,
+        {
+            ((), r1): params.one(),
+            ((1,), r1): params.rational(Fraction(-2, 3)),
+            ((2,), r1): zeta,
+            ((), r2): t,
+            ((1, 1), r2): zeta * t,
+            ((1,), r2): params.rational(5),
+        },
+    )
+
+
+@pytest.mark.parametrize("k", (1, 2, 3, 4))
+def test_twisted_placement_matches_the_per_key_products(k):
+    """`tilde_mode`, `mtheta_mode` and `twisted_mode` place each kernel
+    coefficient once per ring (`_placement`, the rational part of the
+    prefactor in the kernel rows); their images equal the per-key products
+    on multi-term u and v over both sectors, swept on the support grid."""
+    params = RingParams(k)
+    two_k = 2 * k
+    v = TVector(
+        params,
+        {
+            ((), 1): params.one(),
+            ((HALF,), 1): params.rational(Fraction(-3, 2)),
+            ((Fraction(3, 2), HALF), 2): params.zeta(3),
+            ((), 2): params.t_power(1),
+        },
+    )
+    cases = []
+    for r in sorted({1, k, k + 1}):
+        u = _placement_u(params, r, r - two_k)
+        cases.append((twisted.tilde_mode, u, True))
+        cases.append((twisted.mtheta_mode, u, False))
+    for r1, r2 in ((0, two_k), (two_k, -two_k)):
+        cases.append((twisted.twisted_mode, _placement_u(params, r1, r2), True))
+    nonzero = dict.fromkeys(("tilde_mode", "mtheta_mode", "twisted_mode"), 0)
+    for op, u, tilde in cases:
+        for m in _sweep(u, v, depth=1):
+            got = op(u, m, v)
+            assert got == _per_key_products(u, m, v, tilde), (op.__name__, m)
+            nonzero[op.__name__] += bool(got)
+    assert min(nonzero.values()) > 0, nonzero
+
+
+@pytest.mark.parametrize(
+    "k, r", ((1, 1), (1, 2), (2, 1), (2, 2), (3, 1), (3, 3), (4, 1), (4, 2))
+)
+def test_placement_takes_no_product_per_key(k, r, monkeypatch):
+    """With rational coefficients of u and v, a sweep of the twisted
+    operators whose per-ring tables are built takes no Scalar product and
+    no Fraction product, whether the monomial is a unit (odd k, or b < k)
+    or the even-k sqrt(2) form (b >= k at k = 2, 4 and odd r): each kernel
+    Fraction is only wrapped."""
+    params = RingParams(k)
+    u = UVector(params, {((1,), r): Fraction(-2, 3), ((), r): 1})
+    v = TVector(params, {((HALF,), 1): Fraction(3, 2), ((), 2): 1})
+    modes = _sweep(u, v, depth=2)
+    ops = (twisted.tilde_mode, twisted.mtheta_mode)
+    want = [op(u, m, v) for op in ops for m in modes]
+    calls = []
+    for cls in (Scalar, Fraction):
+        for name in ("__mul__", "__rmul__"):
+            def counted(*args, _orig=getattr(cls, name), _name=f"{cls.__name__}.{name}"):
+                calls.append(_name)
+                return _orig(*args)
+
+            monkeypatch.setattr(cls, name, counted)
+    got = [op(u, m, v) for op in ops for m in modes]
+    monkeypatch.undo()
+    assert calls == []
+    assert got == want
+    assert sum(len(image.terms) for image in got) > 0
 
 
 def test_returned_vectors_do_not_alias_the_ring_memo():
