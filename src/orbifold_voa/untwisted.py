@@ -308,9 +308,6 @@ def _lift(params: RingParams, factor: Scalar | None):
     if factor is None:
         return lambda q: Scalar(params, {(0, 0): q})
     terms = factor.terms
-    if len(terms) == 1 and 1 in terms.values():
-        [basis] = terms
-        return lambda q: Scalar(params, {basis: q})
     if all(c == 1 or c == -1 for c in terms.values()):
         signs = tuple((basis, c == 1) for basis, c in terms.items())
         return lambda q: Scalar(params, {basis: q if plus else -q for basis, plus in signs})
