@@ -8,9 +8,10 @@ term ordering, fixed JSON key order and fixed item order.
 
 `main` maps every outcome to its exit code in one place: 0 success / all
 pass, 1 usage errors (`UsageError`, including k < 1, a negative cutoff,
-order or window, a `--cutoff` for a suite that does not read one, a
-fractional cutoff for `verify delta` and a cutoff that is not a multiple
-of 1/2 for `verify decomp`), failing suite items or a `witness` that
+order or window, a `--cutoff` or `--seed` for a suite that does not read
+it, a `dump` option for a target that does not read it, a fractional
+cutoff for `verify delta` and a cutoff that is not a multiple of 1/2 for
+`verify decomp`), failing suite items or a `witness` that
 finds no nonzero image (`NO-DIRECT-CONSTRUCTION` or `ZERO-UP-TO-CUTOFF`),
 2 fusion-table inconsistency (`EngineInconsistencyError`).
 """
@@ -412,8 +413,8 @@ SUITES = {
     "p31": suite_p31,
     "jacobi": suite_jacobi,
 }
-# the suites that read --cutoff; the others would ignore it and still pass
-CUTOFF_SUITES = ("decomp", "delta", "jacobi")
+# the suites that read each option; the others would ignore it and still pass
+SUITE_OPTIONS = {"cutoff": ("decomp", "delta", "jacobi"), "seed": ("jacobi",)}
 
 
 # -- commands -------------------------------------------------------------------
@@ -493,16 +494,29 @@ def witness_names(k: int, triple) -> list[str]:
     return []
 
 
+def _refuse_unread_options(args, command: str, target: str, readers: dict) -> None:
+    """A usage error for an option of `readers` (option -> the targets
+    that read it) given to a `target` that does not read it: the command
+    would ignore it and still exit 0."""
+    for option, targets in readers.items():
+        if getattr(args, option) is not None and target not in targets:
+            raise UsageError(f"{command} {target} takes no --{option}")
+
+
 def cmd_verify(args) -> int:
-    if args.cutoff is not None and args.suite not in CUTOFF_SUITES:
-        raise UsageError(f"verify {args.suite} takes no --cutoff")
-    items = list(SUITES[args.suite](args.k, args.cutoff, args.seed))
+    _refuse_unread_options(args, "verify", args.suite, SUITE_OPTIONS)
+    items = list(SUITES[args.suite](args.k, args.cutoff, args.seed or 0))
     _emit_report(args.k, f"verify {args.suite}", items, args.format)
     return EXIT_FAIL if any(status == "fail" for _n, status, _d in items) else EXIT_OK
 
 
+# the `dump` targets that read each option
+DUMP_OPTIONS = {"order": ("delta",), "module": ("decompose",), "window": ("decompose",)}
+
+
 def cmd_dump(args) -> int:
     k = args.k
+    _refuse_unread_options(args, "dump", args.what, DUMP_OPTIONS)
     if args.what == "table":
         return cmd_table(args)
     if args.what == "delta":
@@ -633,7 +647,7 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("suite", choices=SUITES)
     ver.add_argument("--k", type=int, default=2)
     ver.add_argument("--cutoff", type=_fraction, default=None)
-    ver.add_argument("--seed", type=int, default=0)
+    ver.add_argument("--seed", type=int, default=None)
     ver.add_argument("--format", choices=("text", "json"), default="text")
     ver.set_defaults(fn=cmd_verify)
 

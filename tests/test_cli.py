@@ -124,14 +124,44 @@ def test_zero_denominator_cutoff_is_a_usage_error(capsys, argv):
 
 
 @pytest.mark.parametrize("suite", ("table1", "identities", "closure", "bounds", "psi", "p31"))
-@pytest.mark.parametrize("cutoff", ("0", "3"))
-def test_a_cutoff_for_a_suite_that_ignores_it_is_a_usage_error(capsys, suite, cutoff):
-    # these suites read no cutoff: a run with one must not print a PASS
-    # that the cutoff had no part in
-    code, out, err = run(capsys, "verify", suite, "--k", "2", "--cutoff", cutoff)
+@pytest.mark.parametrize(
+    "option, value",
+    (("cutoff", "0"), ("cutoff", "3"), ("seed", "0"), ("seed", "7")),
+    ids=("0", "3", "seed=0", "seed=7"),
+)
+def test_a_cutoff_for_a_suite_that_ignores_it_is_a_usage_error(capsys, suite, option, value):
+    # these suites read no cutoff and no seed: a run with one must not print
+    # a PASS that the option had no part in
+    code, out, err = run(capsys, "verify", suite, "--k", "2", f"--{option}", value)
     assert code == EXIT_FAIL
     assert out == ""
-    assert err == f"error: verify {suite} takes no --cutoff\n"
+    assert err == f"error: verify {suite} takes no --{option}\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    (
+        ("verify", "decomp", "--seed", "1"),
+        ("verify", "delta", "--cutoff", "2", "--seed", "0"),
+        ("dump", "zhu", "--window", "3"),
+        ("dump", "zhu", "--order", "2"),
+        ("dump", "zhu", "--module", "Va+"),
+        ("dump", "delta", "--window", "9"),
+        ("dump", "delta", "--module", "Va+"),
+        ("dump", "decompose", "--module", "Va+", "--order", "2"),
+        ("dump", "table", "--order", "2"),
+    ),
+    ids=" ".join,
+)
+def test_an_option_the_command_ignores_is_a_usage_error(capsys, argv):
+    # `--order` is read by `dump delta` alone, `--module` and `--window` by
+    # `dump decompose` alone and `--seed` by `verify jacobi` alone; anywhere
+    # else the option (the last one given) would change nothing and the
+    # command would still exit 0
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_FAIL
+    assert out == ""
+    assert err == f"error: {argv[0]} {argv[1]} takes no {argv[-2]}\n"
 
 
 @pytest.mark.parametrize("cutoff", ("5/2", "1/2"))
