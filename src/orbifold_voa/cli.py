@@ -13,15 +13,18 @@ it, a `dump` option for a target that does not read it, a fractional
 cutoff for `verify delta` and a cutoff that is not a multiple of 1/2 for
 `verify decomp`), failing suite items or a `witness` that
 finds no nonzero image (`NO-DIRECT-CONSTRUCTION` or `ZERO-UP-TO-CUTOFF`),
-2 fusion-table inconsistency (`EngineInconsistencyError`).
+2 fusion-table inconsistency (`EngineInconsistencyError`).  A stdout
+closed by its reader ends the output: no traceback, exit code 1.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
+from contextlib import suppress
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
@@ -688,7 +691,15 @@ def main(argv=None) -> int:
             value = getattr(args, option, None)
             if value is not None and value < 0:
                 raise UsageError(f"--{option} must be nonnegative")
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout: the output ends here.  Point stdout at
+        # devnull so that the interpreter's last flush does not raise again
+        with suppress(OSError, ValueError):
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_FAIL
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAIL

@@ -81,11 +81,15 @@ class RingParams:
       kernel coefficient with it, `twisted._placement`;
     * "halved": a dict from each doubled twisted key the operators have
       returned to its halved Fraction parts, shared by every result;
-    * "skeleton": (input, states), the m-independent stages of the mode
-      kernel for the latest kernel input (r, mu, s, twisted, terms),
-      `untwisted._skeleton`.  It is one entry, replaced when the input
-      changes, so a sweep over m reuses it and the memo does not grow
-      with the inputs.
+    * "pair": (input, plan), the m-independent work of the mode driver
+      for the latest (u, v) pair, `untwisted.term_pair_images`: the input
+      is the kernel-row function, the lattice and u and v as lists of
+      (key, coefficient terms), and the plan holds the kernel rows and
+      skeleton (`untwisted._skeleton`) of each term pair.  It is one
+      entry, replaced when the input changes, so a sweep over m plans
+      once and the memo does not grow with the inputs;
+    * "zeta": a dict from each exponent a mod 4k that `zeta` was asked
+      for to its Scalar, at most 4k entries.
 
     Every table lives exactly as long as its ring.  The CLI builds at most
     one ring per command, so a command's tables go with it.
@@ -185,9 +189,15 @@ class RingParams:
         return Scalar(self, {(0, 0): c} if c else {})
 
     def zeta(self, a: int) -> "Scalar":
-        """Canonical scalar for zeta^a."""
-        row = self._zeta_rows[a % self.n_roots]
-        return Scalar(self, {(i, 0): Fraction(c) for i, c in enumerate(row) if c})
+        """Canonical scalar for zeta^a, one Scalar per a mod 4k (memoized
+        under "zeta")."""
+        a %= self.n_roots
+        cache = self.memo.setdefault("zeta", {})
+        z = cache.get(a)
+        if z is None:
+            row = self._zeta_rows[a]
+            z = cache[a] = Scalar(self, {(i, 0): Fraction(c) for i, c in enumerate(row) if c})
+        return z
 
     def t_power(self, b: int) -> "Scalar":
         """Canonical scalar for t^b = 2^(b/2k), b >= 0."""

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import lru_cache
 
 from .fock import TVector, UVector, add_into, heis_act, theta
 from .ring import RingParams, Scalar
@@ -258,7 +258,7 @@ def _corrected_mode(u: UVector, m, v: TVector, tilde: bool) -> TVector:
     "halved" table of `RingParams.memo`)."""
     params = u.params
     acc: dict = {}
-    for r, (_mu, sector), image, factor in term_pair_images(u, m, v, partial(_delta_terms, params)):
+    for r, (_mu, sector), image, factor in term_pair_images(u, m, v, _delta_terms):
         target, monomial, lift = _placement(params, tilde, r, sector)
         if factor is not None:
             lift = _lift(params, monomial * factor)

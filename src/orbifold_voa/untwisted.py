@@ -15,13 +15,11 @@ m enters.  No series tails are ever truncated, so results are exact.  The
 same kernel, `mode_kernel_sum`, also evaluates the half-odd expansion
 behind the twisted operators.
 
-The first two stages (`_skeleton`) do not read m.  Their merged result
-for the latest input is the one "skeleton" entry of `RingParams.memo`, so
-a sweep over m, which every caller makes, walks them once.  The creation
-stage, where the pending oscillator factors and the creation exponential
-share what is left of the weight budget, depends only on the ring, the
-lattice index, the pending factors and the budget.  It is walked once per
-ring (`_creation_table`, in `RingParams.memo`), its rows merged by their
+The first two stages (`_skeleton`) do not read m.  The creation stage,
+where the pending oscillator factors and the creation exponential share
+what is left of the weight budget, depends only on the ring, the lattice
+index, the pending factors and the budget.  It is walked once per ring
+(`_creation_table`, in `RingParams.memo`), its rows merged by their
 sorted parts, and every later call only reads the rows.
 
 One driver, `term_pair_images`, runs the kernel for the untwisted
@@ -31,7 +29,11 @@ with the rational coefficients of u and v as the kernel's integer term
 weights; only a coefficient that is not rational is applied after the
 kernel.  The operators differ in the kernel rows of a term of u (the
 term itself, or its exp(Delta_z) expansion) and in where they place the
-output keys.
+output keys.  Everything the driver does before the budget is fixed
+(the groups, the weighted rows and the skeletons) does not read m either,
+so it is planned once per (u, v) pair: the plan of the latest pair is
+the one "pair" entry of `RingParams.memo`, and a sweep over m, which
+every caller makes, walks each skeleton once.
 """
 
 from __future__ import annotations
@@ -222,6 +224,38 @@ def _skeleton(params: RingParams, r: int, mu: tuple, s: int, twisted: bool, term
     )
 
 
+def _budget(params: RingParams, r: int, s: int, m: Fraction, twisted: bool) -> int | None:
+    """The integer z-budget T of `mode_kernel_sum` for lattice index r on
+    index s (s = 0 twisted) at mode m, or None when m is off the grid."""
+    k = params.k
+    a, b = m.numerator, m.denominator
+    if twisted:
+        t0, rem = divmod(r * r * b - 4 * k * (a + b), 2 * k * b)
+    else:
+        t0, rem = divmod(-r * s * b - 2 * k * (a + b), k * b)
+    if rem or (not twisted and t0 % 2):
+        return None
+    return t0
+
+
+def _create(params: RingParams, r: int, t0: int, twisted: bool, skeleton: tuple) -> dict:
+    """Stage 3 of `mode_kernel_sum` on the states of a `_skeleton` at the
+    budget t0: a fresh {doubled key: nonzero Fraction}."""
+    out: dict[tuple, dict[int, int]] = {}
+    for pending, off, need, rows in skeleton:
+        if t0 < need:
+            continue
+        table = _creation_table(params, r, t0 + off, twisted, pending)
+        for kept, num, den in rows:
+            for parts, e, ed in table:
+                if kept:
+                    parts = tuple(sorted(kept + parts, reverse=True))
+                slot = out.setdefault(parts, {})
+                dd = den * ed
+                slot[dd] = slot.get(dd, 0) + num * e
+    return {key: Fraction(num, den) for key, (num, den) in _settle(out).items()}
+
+
 def mode_kernel_sum(
     params: RingParams,
     r: int,
@@ -241,51 +275,32 @@ def mode_kernel_sum(
     held as 2p, even untwisted and odd twisted, and the z-budget is the one
     integer T = 2(-m-1-rs/2k) untwisted or 2(-m-1+r^2/4k) twisted (the
     z^{lambda(0)} factor, resp. the exponent shift, folded in), raised by
-    2d for the term at d.  An m with T off that grid gives {} at once.
+    2d for the term at d (`_budget`).  An m with T off that grid gives {}
+    at once.
 
     Three stages run in turn, with the paths merged between them.
     1. Contractions: each factor a(-n) is contracted against a part of mu,
        paired with the lattice index s, or left pending.
     2. Annihilation: the annihilation exponential removes parts of what is
        left of mu with binomial weights, once per distinct state of stage 1.
-    3. Creation: the pending factors and the creation exponential share
-       what is left of T, read from the memoized `_creation_table`.
+    3. Creation (`_create`): the pending factors and the creation
+       exponential share what is left of T, read from the memoized
+       `_creation_table`.
     Only stage 3 reads m.  Stages 1 and 2 (`_skeleton`) depend on
-    (r, mu, s, twisted, terms) alone, and the skeleton of the latest such
-    input is kept as the one "skeleton" entry of `RingParams.memo`, so a
-    sweep over m walks them once.  The lattices differ only in the
-    smallest created part (2 or 1) and in the s-term.
+    (r, mu, s, twisted, terms) alone; this function walks them afresh on
+    every call and keeps nothing, and `term_pair_images` keeps them for a
+    sweep.  The lattices differ only in the smallest created part (2 or 1)
+    and in the s-term.
 
     Every path carries its coefficient as an integer numerator and
     denominator, and each merged state and output key collects them in a
     {den: num} slot, with no gcd.  A merged state becomes one integer pair
     between the stages (states that cancel are dropped), and an output key
     one Fraction once every term is in; keys that cancel are dropped."""
-    k = params.k
-    a, b = m.numerator, m.denominator
-    if twisted:
-        t0, rem = divmod(r * r * b - 4 * k * (a + b), 2 * k * b)
-    else:
-        t0, rem = divmod(-r * s * b - 2 * k * (a + b), k * b)
-    if rem or (not twisted and t0 % 2):
+    t0 = _budget(params, r, s, m, twisted)
+    if t0 is None:
         return {}
-    given = (r, mu, s, twisted, terms)
-    skeleton = params.memo.get("skeleton")
-    if skeleton is None or skeleton[0] != given:
-        skeleton = params.memo["skeleton"] = (given, _skeleton(params, *given))
-    out: dict[tuple, dict[int, int]] = {}
-    for pending, off, need, rows in skeleton[1]:
-        if t0 < need:
-            continue
-        table = _creation_table(params, r, t0 + off, twisted, pending)
-        for kept, num, den in rows:
-            for parts, e, ed in table:
-                if kept:
-                    parts = tuple(sorted(kept + parts, reverse=True))
-                slot = out.setdefault(parts, {})
-                dd = den * ed
-                slot[dd] = slot.get(dd, 0) + num * e
-    return {key: Fraction(num, den) for key, (num, den) in _settle(out).items()}
+    return _create(params, r, t0, twisted, _skeleton(params, r, mu, s, twisted, terms))
 
 
 def _weight(c: Scalar) -> tuple[int, int, Scalar | None]:
@@ -314,46 +329,88 @@ def _lift(params: RingParams, factor: Scalar | None):
     return factor._scaled
 
 
+def _plan(params: RingParams, u: UVector, v, expand, twisted: bool) -> list:
+    """The items of `term_pair_images` for u and v, each a list
+    [r, s, key of v, factor, terms, skeleton] with the kernel's s and
+    terms, the skeleton left None until the item's first on-grid mode."""
+    groups: dict[tuple, list] = {}  # (r, factor of u) -> kernel rows
+    for (nu, r), cu in u.terms.items():
+        num, den, factor = _weight(cu)
+        rows = groups.setdefault((r, factor), [])
+        for d, nu2, n2, d2 in expand(params, nu, r):
+            rows.append((d, nu2, num * n2, den * d2))
+    plan = []
+    for (r, uf), rows in groups.items():
+        for key, cv in v.terms.items():
+            vn, vd, vf = _weight(cv)
+            terms = tuple([(d, nu, num * vn, den * vd) for d, nu, num, den in rows])
+            factor = vf if uf is None else uf if vf is None else uf * vf
+            plan.append([r, 0 if twisted else key[1], key, factor, terms, None])
+    return plan
+
+
 def term_pair_images(u: UVector, m, v: UVector | TVector, expand):
     """(r, key of v, image, factor) for each group of terms of u and each
     term of v with a nonzero `mode_kernel_sum` image at mode m: the one
     loop over term pairs behind every mode operator.
 
-    `expand(nu, r)` lists the kernel rows (d, nu2, num, den) of the term
-    a(-nu) e[r] of u.  The terms of u are grouped by r and by the part of
-    their coefficient that is not rational (`_weight`); the rational parts
-    of u and of the term of v scale the rows.  A TVector v runs the kernel
-    twisted, its keys holding a sector where untwisted keys hold a lattice
-    index.  The image holds doubled parts and wants the factor, the
-    non-rational parts of both coefficients (None for 1)."""
+    `expand(params, nu, r)`, a module-level function, lists the kernel rows
+    (d, nu2, num, den) of the term a(-nu) e[r] of u.  The terms of u are
+    grouped by r and by the part of their coefficient that is not rational
+    (`_weight`); the rational parts of u and of the term of v scale the
+    rows.  A TVector v runs the kernel twisted, its keys holding a sector
+    where untwisted keys hold a lattice index.  The image holds doubled
+    parts and wants the factor, the non-rational parts of both
+    coefficients (None for 1).
+
+    None of this reads m, so it is planned once per (u, v) pair: the one
+    "pair" entry of `RingParams.memo` holds the input (expand, twisted, and
+    u and v as lists of (key, coefficient terms), no Scalar and no vector)
+    and the plan, one item per group and term of v with its kernel rows and
+    its `_skeleton`, walked on the item's first on-grid mode.  A call with
+    the same input, every later mode of a sweep, only computes each item's
+    budget (`_budget`) and runs stage 3 (`_create`); a call with another
+    input replaces the entry, so the memo does not grow with the inputs."""
     params = u.params
     if params != v.params:
         raise ValueError("mode operator: mixed ring parameters")
-    m = Fraction(m)
+    if not isinstance(m, (int, Fraction)):
+        m = Fraction(m)
     twisted = isinstance(v, TVector)
-    groups: dict[tuple, list] = {}  # (r, factor of u) -> kernel rows
-    for (nu, r), cu in u.terms.items():
-        num, den, factor = _weight(cu)
-        rows = groups.setdefault((r, factor), [])
-        for d, nu2, n2, d2 in expand(nu, r):
-            rows.append((d, nu2, num * n2, den * d2))
-    for (r, uf), rows in groups.items():
-        for key, cv in v.terms.items():
-            mu, s = key
-            vn, vd, vf = _weight(cv)
-            terms = tuple([(d, nu, num * vn, den * vd) for d, nu, num, den in rows])
-            image = mode_kernel_sum(params, r, mu, 0 if twisted else s, m, twisted, terms)
-            if image:
-                yield r, key, image, vf if uf is None else uf if vf is None else uf * vf
+    given = (
+        expand,
+        twisted,
+        [(key, c.terms) for key, c in u.terms.items()],
+        [(key, c.terms) for key, c in v.terms.items()],
+    )
+    entry = params.memo.get("pair")
+    if entry is None or entry[0] != given:
+        entry = params.memo["pair"] = (given, _plan(params, u, v, expand, twisted))
+    for item in entry[1]:
+        r, s, key, factor, terms, skeleton = item
+        t0 = _budget(params, r, s, m, twisted)
+        if t0 is None:
+            continue
+        if skeleton is None:
+            skeleton = item[5] = _skeleton(params, r, key[0], s, twisted, terms)
+        image = _create(params, r, t0, twisted, skeleton)
+        if image:
+            yield r, key, image, factor
+
+
+def _one_row(params: RingParams, nu: tuple, r: int) -> tuple:
+    """The kernel rows of a(-nu) e[r] for the untwisted operator: the term
+    itself."""
+    return ((0, nu, 1, 1),)
 
 
 def vertex_mode(u: UVector, m, v: UVector) -> UVector:
     """The mode u_m of the untwisted operator of u, applied to v, exactly:
-    each term of u is its own kernel row, and an image key at lattice
-    index r against index s lands at index r + s."""
+    each term of u is its own kernel row (`_one_row`), and an image key at
+    lattice index r against index s lands at index r + s."""
     params = u.params
     acc: dict = {}
-    for r, (_mu, s), image, factor in term_pair_images(u, m, v, lambda nu, r: ((0, nu, 1, 1),)):
+    for r, (_mu, s), image, factor in term_pair_images(u, m, v, _one_row):
         lift = _lift(params, factor)
         for key, q in image.items():
             add_into(acc, (tuple([p >> 1 for p in key]), r + s), lift(q))

@@ -3,6 +3,10 @@
 import copy
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -361,6 +365,22 @@ def test_inconsistent_table_exits_2(capsys, monkeypatch, argv):
     assert code == EXIT_INCONSISTENT
     assert out == ""
     assert err.startswith("fusion table inconsistent: ")
+
+
+def test_a_closed_stdout_ends_the_output_without_a_traceback():
+    """The reader takes one line and closes the pipe, as `| head -1` does.
+    The table is larger than a pipe's buffer, so the command is still
+    writing when the pipe closes."""
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    argv = [sys.executable, "-m", "orbifold_voa.cli", "fusion", "table", "--k", "16"]
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+        assert proc.stdout.readline() == b"w1,w2,w3,value\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait(timeout=60)
+    assert err == b""
+    assert code == EXIT_FAIL
 
 
 # sha256 (first 16 hex digits) over "W1,W2,W3:names" lines of every value-1

@@ -11,9 +11,7 @@ references here:
   built on them, copied verbatim from the last version of the package
   that had them;
 - creation stage: `_fresh_creation_stage`, a fresh walk over the closed
-  per-part formula `_per_part_creation_table`.  The recursive walk
-  `_recursive_creation_rows` is still a second one here, the last; its
-  inputs are a subset of the per-part test's and it adds only row order.
+  per-part formula `_per_part_creation_table`.
 
 (The exp(Delta_z) coefficients have theirs in the sympy series of
 `conftest.delta_series_oracle`.)  The other tests here check properties,
@@ -866,43 +864,6 @@ def test_creation_table_matches_per_part_formula(k):
     assert repeated > 0
 
 
-def _recursive_creation_rows(k: int, r: int, w: int, twisted: bool) -> tuple:
-    """The creation rows of lambda_r as the recursive walk built them
-    before the walk was made iterative; the walk is copied verbatim."""
-    lo = 1 if twisted else 2
-    rows = []
-
-    def walk(left: int, top: int, parts: tuple, num: int, den: int, run: int) -> None:
-        if not left:
-            g = gcd(num, den)
-            rows.append((parts, num // g, den // g))
-            return
-        hi = min(left, top)
-        hi -= (hi - lo) % 2
-        for n in range(hi, lo - 1, -2):
-            i = run + 1 if n == top else 1
-            walk(left - n, n, parts + (n,), num * r, den * k * n * i, i)
-
-    walk(w, w, (), 1, 1, 0)
-    return tuple(rows)
-
-
-@pytest.mark.parametrize("k", (1, 2, 3, 4))
-def test_creation_walk_matches_the_recursive_walk(k):
-    params = RingParams(k)
-    rows = 0
-    for r in [s * a for a in range(1, 2 * k + 1) for s in (1, -1)]:
-        for w in range(0, 31):
-            for twisted_ in (False, True):
-                if not twisted_ and w % 2:
-                    continue
-                got = _creation_table(params, r, w, twisted_)
-                # same rows in the same order
-                assert got == _recursive_creation_rows(k, r, w, twisted_), (r, w, twisted_)
-                rows += len(got)
-    assert rows > 0
-
-
 def _fresh_creation_stage(k: int, r: int, pending: tuple, w: int, twisted_: bool) -> tuple:
     """The creation stage walked afresh, with no memo, and the number of
     paths the walk took: each pending factor a(-n) takes a doubled part p
@@ -975,14 +936,14 @@ def test_repeated_calls_add_no_memo_entry():
     assert params.memo["halved"]
 
 
-# -- the skeleton: stages 1 and 2 of the kernel, kept for the latest input --------
+# -- the plan: the m-independent work of the driver, kept for the latest pair ----
 
 
 def _alternating_cases(params: RingParams) -> dict:
     """Per operator, the (op, u, v) inputs a sweep alternates between, so
-    that each call replaces the skeleton the call before it left: two on
+    that each call replaces the plan the call before it left: two on
     multi-term u and v, then single terms where each input differs from
-    the one before it in one part of the skeleton's key (the terms of u,
+    the one before it in one part of a skeleton's key (the terms of u,
     the parts of v, the index of v, the index of u) or, in "lattice", in
     the lattice alone."""
     k = params.k
@@ -1036,7 +997,7 @@ def _alternating_cases(params: RingParams) -> dict:
         ]
         + [(y_rs, u, v) for u, v in single],
         # one kernel input on the two lattices: the untwisted call at an
-        # integer mode leaves the skeleton that the twisted call half a unit
+        # integer mode leaves the plan that the twisted call half a unit
         # below meets, the untwisted one between them being off its grid
         "lattice": [(vertex, a1, lattice_vector(params, 0)), (mtheta, a1, tw_vacuum(params, 1))],
     }
@@ -1058,24 +1019,26 @@ def _alternating_sweep(params: RingParams, inputs: list, fresh: bool) -> list:
     return images
 
 
-def _skeleton_keys(params: RingParams) -> list:
+def _driver_keys(params: RingParams) -> list:
+    """The memo keys the mode driver and kernel may leave: "pair", and
+    "skeleton", which none may."""
     return [
         key
         for key in params.memo
-        if key == "skeleton" or (isinstance(key, tuple) and key[0] == "skeleton")
+        if (key[0] if isinstance(key, tuple) else key) in ("pair", "skeleton")
     ]
 
 
 @pytest.mark.parametrize("k", (1, 2, 3))
 def test_reused_skeleton_matches_a_fresh_walk(k):
-    """A sweep that reuses the skeleton gives the images of the same sweep
-    with the memo cleared before every call, and leaves exactly one
-    skeleton entry behind."""
+    """A sweep that reuses the plan gives the images of the same sweep
+    with the memo cleared before every call, and leaves exactly one plan
+    entry behind."""
     params = RingParams(k)
     for name, inputs in _alternating_cases(params).items():
         params.memo.clear()
         reused = _alternating_sweep(params, inputs, fresh=False)
-        assert _skeleton_keys(params) == ["skeleton"], name
+        assert _driver_keys(params) == ["pair"], name
         fresh = _alternating_sweep(params, inputs, fresh=True)
         assert reused == fresh, name
         assert sum(map(bool, reused)) > 0, name
@@ -1083,8 +1046,9 @@ def test_reused_skeleton_matches_a_fresh_walk(k):
 
 @pytest.mark.parametrize("twisted_", (False, True))
 def test_mutating_an_image_leaves_later_calls_unchanged(twisted_):
-    """Images of a sweep that keeps one skeleton, each mutated after it is
-    compared, equal the images of fresh walks, a repeated mode included."""
+    """Images of a kernel sweep, each mutated after it is compared, equal
+    the images of fresh walks, a repeated mode included; the kernel itself
+    keeps no skeleton."""
     params = RingParams(2)
     if twisted_:
         r, mu, s, step = 1, (Fraction(3, 2), HALF, HALF), 0, HALF
@@ -1106,5 +1070,112 @@ def test_mutating_an_image_leaves_later_calls_unchanged(twisted_):
             for key in got:
                 got[key] += 1
             got[(99,)] = Fraction(1)
-    assert _skeleton_keys(params) == ["skeleton"]
+    assert _driver_keys(params) == []
     assert sum(map(bool, want)) > 0
+
+
+def _counted_walks(monkeypatch) -> list:
+    """The inputs (r, mu, s) of every `_skeleton` walk from here on."""
+    walks = []
+
+    def counted(params, *args, _walk=untwisted._skeleton):
+        walks.append(args[:3])
+        return _walk(params, *args)
+
+    monkeypatch.setattr(untwisted, "_skeleton", counted)
+    return walks
+
+
+@pytest.mark.parametrize("twisted_", (False, True))
+def test_a_sweep_walks_each_skeleton_once(monkeypatch, twisted_):
+    """A sweep over multi-term u and v walks one skeleton per term pair
+    (a group of u and a term of v), not one per term pair and mode; every
+    mode of the sweep is on every pair's grid, and the images are those of
+    the verbatim engine."""
+    params = RingParams(2)
+    if twisted_:
+        # one group of u (two terms at r = 1), two terms of v, six modes
+        u = u_term(params, [1], 1) + u_term(params, [2], 1, Fraction(-2, 3))
+        v = t_term(params, [HALF], 1) + t_term(params, [Fraction(3, 2), HALF], 2, 3)
+        op, reference, modes, pairs = twisted.mtheta_mode, mtheta_mode, 6, 2
+    else:
+        # two groups of u (r = 2 and r = -2), three terms of v, three modes
+        u = (
+            u_term(params, [1], 2)
+            + u_term(params, [2], 2, Fraction(3, 2))
+            + u_term(params, [1, 1], -2, -1)
+        )
+        v = (
+            lattice_vector(params, 2)
+            + u_term(params, [2, 1], 2, Fraction(1, 3))
+            + u_term(params, [1], -2, 2)
+        )
+        op, reference, modes, pairs = untwisted.vertex_mode, vertex_mode, 3, 6
+    sweep = support_modes(u, v, 6)[:modes]
+    assert len(sweep) == modes
+    walks = _counted_walks(monkeypatch)
+    images = [op(u, m, v) for m in sweep]
+    assert len(walks) == len(set(walks)) == pairs
+    monkeypatch.undo()
+    assert images == [reference(u, m, v) for m in sweep]
+    assert all(images)
+
+
+@pytest.mark.parametrize("twisted_", (False, True))
+def test_a_changed_pair_is_planned_afresh(twisted_):
+    """Between two calls at one m, the coefficients of v change (a new
+    vector) or the terms of v or u are changed in place.  Each image equals
+    the image of a call with the memo cleared, and differs from the image
+    before the change, so a stale plan could not pass."""
+    params = RingParams(2)
+    if twisted_:
+        op, u = twisted.tilde_mode, _multi_u(params, 1, -1)
+        v = t_term(params, [HALF], 1) + t_term(params, [Fraction(3, 2), HALF], 2, 3)
+        extra = ((Fraction(5, 2),), 1)
+    else:
+        op, u, v = untwisted.vertex_mode, _multi_u(params, 1, 5), _untwisted_v(params, 1)
+        extra = ((3,), 1)
+    m = min(m for m in _sweep(u, v) if op(u, m, v))
+    key_v, key_u = next(iter(v.terms)), next(iter(u.terms))
+
+    def set_v(w):
+        w.terms[key_v] = params.rational(-5)
+
+    def add_v(w):
+        w.terms[extra] = params.zeta(2)
+
+    def drop_v(w):
+        del w.terms[key_v]
+
+    def set_u(_w):
+        u.terms[key_u] = params.rational(7)
+
+    before = op(u, m, v)
+    for change in (3, params.zeta(1), set_v, add_v, drop_v, set_u):
+        if callable(change):
+            change(v)
+        else:
+            v = v * change
+        got = op(u, m, v)
+        params.memo.clear()
+        assert got == op(u, m, v), change
+        assert got != before, change
+        before = got
+    assert _driver_keys(params) == ["pair"]
+
+
+def test_a_plan_is_not_shared_between_the_lattices():
+    """At k = 1 the untwisted e[2] and the twisted vacuum in sector 2 have
+    the same key and coefficient, and an integer m is on both grids of
+    u at index 2; driven with one row function, the two calls get the
+    images of fresh calls, which differ."""
+    params = RingParams(1)
+    u = u_term(params, [1], 2)
+    pairs = []
+    for v in (lattice_vector(params, 2), tw_vacuum(params, 2)):
+        for fresh in (False, True):
+            if fresh:
+                params.memo.clear()
+            pairs.append(list(untwisted.term_pair_images(u, -2, v, untwisted._one_row)))
+    assert pairs[0] == pairs[1] and pairs[2] == pairs[3]
+    assert pairs[0] and pairs[2] and pairs[0] != pairs[2]
