@@ -7,11 +7,13 @@ takes as long as it takes to produce.  Output is deterministic: fixed
 term ordering, fixed JSON key order and fixed item order.
 
 `main` maps every outcome to its exit code in one place: 0 success / all
-pass, 1 usage errors (`UsageError`, including k < 1, a negative cutoff,
-order or window, a `--cutoff` or `--seed` for a suite that does not read
-it, a `dump` option for a target that does not read it, a fractional
-cutoff for `verify delta` and a cutoff that is not a multiple of 1/2 for
-`verify decomp`), failing suite items or a `witness` that
+pass, 1 usage errors (an option the command does not define, which
+argparse refuses as unrecognized: `verify` takes only --k, --cutoff and
+--format, since its suites sample nothing; and `UsageError`, including
+k < 1, a negative cutoff, order or window, a `--cutoff` for a suite that
+does not read it, a `dump` option for a target that does not read it, a
+fractional cutoff for `verify delta` and a cutoff that is not a multiple
+of 1/2 for `verify decomp`), failing suite items or a `witness` that
 finds no nonzero image (`NO-DIRECT-CONSTRUCTION` or `ZERO-UP-TO-CUTOFF`),
 2 fusion-table inconsistency (`EngineInconsistencyError`).  A stdout
 closed by its reader ends the output: no traceback, exit code 1.
@@ -22,7 +24,6 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import random
 import sys
 from contextlib import suppress
 from fractions import Fraction
@@ -104,7 +105,7 @@ def _check(ok: bool, detail_pass: str, detail_fail: str):
 # -- verification suites -------------------------------------------------------
 
 
-def suite_table1(k: int, cutoff, seed: int):
+def suite_table1(k: int, cutoff):
     params = RingParams(k)
     vectors = {gen: zhu.generator_vector(params, gen) for gen in zhu.GENERATORS}
     for label in lb.all_labels(k):
@@ -119,7 +120,7 @@ def suite_table1(k: int, cutoff, seed: int):
             yield name, *_check(got == want, str(got), f"computed {got}, expected {want}")
 
 
-def suite_identities(k: int, cutoff, seed: int):
+def suite_identities(k: int, cutoff):
     params = RingParams(k)
     E = e_vec(params)
     v0 = lattice_vector(params, k) + lattice_vector(params, -k)
@@ -158,7 +159,7 @@ def _symmetry_sweep(eng):
     return "pass", f"all {(k + 7) ** 3} triples symmetric"
 
 
-def suite_closure(k: int, cutoff, seed: int):
+def suite_closure(k: int, cutoff):
     eng = get_engine(k)
     yield "closure fixed point", "pass", (
         f"{len(eng.table)} nonzero triples; closure equals transcription"
@@ -177,7 +178,7 @@ def _bound_soundness(eng):
     return "pass", f"fusion <= bound on all {(k + 7) ** 3} triples"
 
 
-def suite_bounds(k: int, cutoff, seed: int):
+def suite_bounds(k: int, cutoff):
     eng = get_engine(k)
     yield "bound soundness", *_bound_soundness(eng)
     for t in bound_blind_zeros(k):
@@ -212,7 +213,7 @@ def _decomp_character(params: RingParams, label, extra: Fraction):
     return "pass", f"weights up to top+{extra} agree"
 
 
-def suite_decomp(k: int, cutoff, seed: int):
+def suite_decomp(k: int, cutoff):
     """Graded dimension of each module against the sum over its
     constituents, at weights top, top + 1/2, ..., top + cutoff.
 
@@ -243,7 +244,7 @@ def _delta_symmetry(order: int):
     return "pass", f"c[m][n] symmetric through total order {order}"
 
 
-def suite_delta(k: int, cutoff, seed: int):
+def suite_delta(k: int, cutoff):
     if cutoff is not None and cutoff.denominator != 1:
         # the cutoff is the series order there; int() would truncate it
         raise UsageError("verify delta needs an integer --cutoff")
@@ -310,13 +311,13 @@ def _psi_special_cases(params: RingParams):
     return "pass", "reflection identities hold"
 
 
-def suite_psi(k: int, cutoff, seed: int):
+def suite_psi(k: int, cutoff):
     params = RingParams(k)
     yield "signed-permutation relations", *_psi_relations(params)
     yield "reflection special cases", *_psi_special_cases(params)
 
 
-def suite_p31(k: int, cutoff, seed: int):
+def suite_p31(k: int, cutoff):
     params = RingParams(k)
     yield "forced zero coupling", *_check(
         forced_zero_coupling(params), "coupling constant forced to zero",
@@ -336,13 +337,14 @@ def _swept(results, detail: str):
     return ("pass", detail) if nontrivial else ("skip", "every compared image is zero")
 
 
-def suite_jacobi(k: int, cutoff, seed: int):
+def suite_jacobi(k: int, cutoff):
     params = RingParams(k)
     cut = Fraction(cutoff) if cutoff is not None else Fraction(4)
-    rng = random.Random(seed)
-
-    def twisted_vectors(keys):
-        return [TVector(params, {key: 1}) for key in keys]
+    # the twisted basis vectors of weight <= 3/2 in sectors 1 and 2
+    sector1, sector2 = (
+        [TVector(params, {key: 1}) for key in twisted_basis(params, sector, Fraction(3, 2))]
+        for sector in (1, 2)
+    )
 
     def untwisted():
         u = lattice_vector(params, 2 * k)
@@ -352,30 +354,23 @@ def suite_jacobi(k: int, cutoff, seed: int):
             yield f"coset {c}", commutator_check(vertex_mode, u, range(-2, 3), basis, cut - 1 + k)
 
     def twisted():
-        vectors = twisted_vectors(twisted_basis(params, 1, Fraction(3, 2)))
         modes = (Fraction(-3, 2), Fraction(-1, 2), Fraction(1, 2), Fraction(3, 2))
         for r in sorted({1, k, 2 * k}):
             u = lattice_vector(params, r)
-            yield f"r={r}", commutator_check(mtheta_mode, u, modes, vectors, cut)
+            yield f"r={r}", commutator_check(mtheta_mode, u, modes, sector1, cut)
 
     def conjugation():
-        basis = twisted_basis(params, 1, Fraction(3, 2))
-        vectors = twisted_vectors(basis if len(basis) <= 6 else rng.sample(basis, 6))
         for r, u in (
             (1, lattice_vector(params, 1)),
             (1, heis_act(-1, lattice_vector(params, 1))),
             (2 * k, lattice_vector(params, 2 * k)),
         ):
-            yield f"u at index {r}", conjugation_check(mtheta_mode, u, vectors, cut)
+            yield f"u at index {r}", conjugation_check(mtheta_mode, u, sector1, cut)
 
     def tilde_conjugation():
-        basis = twisted_basis(params, 1, Fraction(3, 2)) + twisted_basis(
-            params, 2, Fraction(3, 2)
-        )
-        vectors = twisted_vectors(basis if len(basis) <= 8 else rng.sample(basis, 8))
         for r, dress in ((2 * k, None), (k, lattice_sector_map(1))):
             u = lattice_vector(params, r)
-            yield f"u at index {r}", conjugation_check(tilde_mode, u, vectors, cut, dress)
+            yield f"u at index {r}", conjugation_check(tilde_mode, u, sector1 + sector2, cut, dress)
 
     def residue():
         # a = omega at n = 0, 1 (translation and grading) and a = E at the
@@ -417,7 +412,7 @@ SUITES = {
     "jacobi": suite_jacobi,
 }
 # the suites that read each option; the others would ignore it and still pass
-SUITE_OPTIONS = {"cutoff": ("decomp", "delta", "jacobi"), "seed": ("jacobi",)}
+SUITE_OPTIONS = {"cutoff": ("decomp", "delta", "jacobi")}
 
 
 # -- commands -------------------------------------------------------------------
@@ -508,7 +503,7 @@ def _refuse_unread_options(args, command: str, target: str, readers: dict) -> No
 
 def cmd_verify(args) -> int:
     _refuse_unread_options(args, "verify", args.suite, SUITE_OPTIONS)
-    items = list(SUITES[args.suite](args.k, args.cutoff, args.seed or 0))
+    items = list(SUITES[args.suite](args.k, args.cutoff))
     _emit_report(args.k, f"verify {args.suite}", items, args.format)
     return EXIT_FAIL if any(status == "fail" for _n, status, _d in items) else EXIT_OK
 
@@ -650,7 +645,6 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("suite", choices=SUITES)
     ver.add_argument("--k", type=int, default=2)
     ver.add_argument("--cutoff", type=_fraction, default=None)
-    ver.add_argument("--seed", type=int, default=None)
     ver.add_argument("--format", choices=("text", "json"), default="text")
     ver.set_defaults(fn=cmd_verify)
 

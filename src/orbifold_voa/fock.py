@@ -199,15 +199,22 @@ def vacuum(params: RingParams) -> UVector:
 
 
 def u_term(params: RingParams, parts: Iterable[int], r: int, coeff=1) -> UVector:
-    return UVector(params, {(sort_parts(parts), r): coeff})
+    parts = sort_parts(parts)
+    if any(not isinstance(p, int) or p < 1 for p in parts):
+        raise ValueError(f"untwisted parts must be positive integers, got {parts}")
+    return UVector(params, {(parts, r): coeff})
 
 
 def tw_vacuum(params: RingParams, sector: int = 1, coeff=1) -> TVector:
-    return TVector(params, {((), sector): coeff})
+    return t_term(params, (), sector, coeff)
 
 
 def t_term(params: RingParams, parts: Iterable[Fraction], sector: int, coeff=1) -> TVector:
     parts = sort_parts(Fraction(p) for p in parts)
+    if sector not in (1, 2):
+        raise ValueError(f"the twisted sector is 1 or 2, got {sector}")
+    if any(p.denominator != 2 or p <= 0 for p in parts):
+        raise ValueError(f"twisted parts must be positive half-odd numbers, got {parts}")
     return TVector(params, {(parts, sector): coeff})
 
 
@@ -229,45 +236,37 @@ def heis_act(n, vec):
 
     n < 0 creates a part, n > 0 contracts against matching parts with
     [alpha(n), alpha(-n)] = 2kn, and n = 0 (untwisted only) multiplies by
-    the lattice pairing <alpha, lambda_r> = r.
+    the lattice pairing <alpha, lambda_r> = r.  A mode off the lattice's
+    grid (integers untwisted, half-odd integers twisted) is a ValueError.
     """
-    k = vec.params.k
     if isinstance(vec, UVector):
+        if n != int(n):
+            raise ValueError(f"untwisted modes must be integers, got {n}")
         n = int(n)
-
-        def act(key, c):
-            parts, r = key
-            if n == 0:
-                if r:
-                    yield key, c * r
-            elif n < 0:
-                yield (_insert(parts, -n), r), c
-            else:
-                mult = parts.count(n)
-                if mult:
-                    yield (_remove_one(parts, n), r), c * (2 * k * n * mult)
-
-        return vec.map_terms(act)
-
-    if isinstance(vec, TVector):
+    elif isinstance(vec, TVector):
         n = Fraction(n)
         if n == 0:
             raise ValueError("the twisted oscillator algebra has no zero mode")
-        if (2 * n).denominator != 1 or n.denominator != 2:
+        if n.denominator != 2:
             raise ValueError(f"twisted modes must be half-odd integers, got {n}")
+    else:
+        raise TypeError(f"heis_act does not apply to {type(vec).__name__}")
+    k = vec.params.k
 
-        def act_t(key, c):
-            parts, sector = key
-            if n < 0:
-                yield (_insert(parts, -n), sector), c
-            else:
-                mult = parts.count(n)
-                if mult:
-                    yield (_remove_one(parts, n), sector), c * (2 * k * n * mult)
+    def act(key, c):
+        # the second entry of a key is r untwisted and the sector twisted
+        parts, index = key
+        if n == 0:
+            if index:
+                yield key, c * index
+        elif n < 0:
+            yield (_insert(parts, -n), index), c
+        else:
+            mult = parts.count(n)
+            if mult:
+                yield (_remove_one(parts, n), index), c * (2 * k * n * mult)
 
-        return vec.map_terms(act_t)
-
-    raise TypeError(f"heis_act does not apply to {type(vec).__name__}")
+    return vec.map_terms(act)
 
 
 def theta(vec):

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -21,6 +22,7 @@ from orbifold_voa.cli import (
     main,
     witness_names,
 )
+from orbifold_voa.fock import TVector, twisted_basis
 from orbifold_voa.fusion import EngineInconsistencyError, get_engine
 
 
@@ -28,6 +30,11 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def unrecognized(arguments: str) -> str:
+    """The stderr of a command line whose `arguments` no parser defines."""
+    return f"{build_parser().format_usage()}orbifold-voa: error: unrecognized arguments: {arguments}\n"
 
 
 def test_fusion_query_text(capsys):
@@ -134,12 +141,26 @@ def test_zero_denominator_cutoff_is_a_usage_error(capsys, argv):
     ids=("0", "3", "seed=0", "seed=7"),
 )
 def test_a_cutoff_for_a_suite_that_ignores_it_is_a_usage_error(capsys, suite, option, value):
-    # these suites read no cutoff and no seed: a run with one must not print
-    # a PASS that the option had no part in
+    # these suites read no cutoff, and no suite reads a seed: a run with one
+    # must not print a PASS that the option had no part in
     code, out, err = run(capsys, "verify", suite, "--k", "2", f"--{option}", value)
     assert code == EXIT_FAIL
     assert out == ""
-    assert err == f"error: verify {suite} takes no --{option}\n"
+    if option == "seed":
+        assert err == unrecognized(f"--seed {value}")
+    else:
+        assert err == f"error: verify {suite} takes no --cutoff\n"
+
+
+@pytest.mark.parametrize("suite", ("decomp", "delta", "jacobi"))
+@pytest.mark.parametrize("seed", ("0", "7"))
+def test_a_seed_is_a_usage_error_for_the_suites_that_read_a_cutoff(capsys, suite, seed):
+    # the six suites above refuse a seed too, so every suite does:
+    # `verify jacobi` checks one fixed input set and never read its seed
+    code, out, err = run(capsys, "verify", suite, "--k", "2", "--cutoff", "1", "--seed", seed)
+    assert code == EXIT_FAIL
+    assert out == ""
+    assert err == unrecognized(f"--seed {seed}")
 
 
 @pytest.mark.parametrize(
@@ -159,13 +180,16 @@ def test_a_cutoff_for_a_suite_that_ignores_it_is_a_usage_error(capsys, suite, op
 )
 def test_an_option_the_command_ignores_is_a_usage_error(capsys, argv):
     # `--order` is read by `dump delta` alone, `--module` and `--window` by
-    # `dump decompose` alone and `--seed` by `verify jacobi` alone; anywhere
-    # else the option (the last one given) would change nothing and the
-    # command would still exit 0
+    # `dump decompose` alone and `--seed` by no command; anywhere else the
+    # option (the last one given) would change nothing and the command
+    # would still exit 0
     code, out, err = run(capsys, *argv)
     assert code == EXIT_FAIL
     assert out == ""
-    assert err == f"error: {argv[0]} {argv[1]} takes no {argv[-2]}\n"
+    if argv[-2] == "--seed":
+        assert err == unrecognized(" ".join(argv[-2:]))
+    else:
+        assert err == f"error: {argv[0]} {argv[1]} takes no {argv[-2]}\n"
 
 
 @pytest.mark.parametrize("cutoff", ("5/2", "1/2"))
@@ -216,6 +240,47 @@ def test_verify_jacobi_items_compare_nonzero_images(capsys, k):
     results = json.loads(out)["results"]
     assert [r["status"] for r in results] == ["pass"] * 5  # a sweep of zero images would report skip
     assert results[-1]["name"] == "intertwiner Jacobi residue"
+
+
+@pytest.mark.parametrize("k", (1, 2, 3, 4))
+def test_verify_jacobi_checks_the_twisted_basis_up_to_weight_three_halves(capsys, monkeypatch, k):
+    # the vectors each twisted item checks; nothing else pins them, so a
+    # change that shrank the set would still pass
+    calls = []
+
+    def commutators(mode, u, ns, vectors, depth):
+        calls.append((mode, list(vectors)))
+        return True, 1
+
+    def conjugations(mode, u, vectors, depth, dress=None):
+        calls.append((mode, list(vectors)))
+        return True, 1
+
+    monkeypatch.setattr(cli, "commutator_check", commutators)
+    monkeypatch.setattr(cli, "conjugation_check", conjugations)
+    code, _, _ = run(capsys, "verify", "jacobi", "--k", str(k), "--cutoff", "0")
+    assert code == EXIT_OK
+    params = ring.RingParams(k)
+    sector1, sector2 = (
+        [TVector(params, {key: 1}) for key in twisted_basis(params, sector, Fraction(3, 2))]
+        for sector in (1, 2)
+    )
+    half = Fraction(1, 2)
+    assert [next(iter(v.terms)) for v in sector1 + sector2] == [
+        (parts, sector) for sector in (1, 2) for parts in ((), (half,), (half, half))
+    ]
+    twisted = [(mode, vectors) for mode, vectors in calls if mode is not cli.vertex_mode]
+    # the twisted commutators at r = 1, k, 2k, then conjugation at three u,
+    # then the sector-map conjugation at two u
+    assert twisted == (
+        [(cli.mtheta_mode, sector1)] * (len({1, k, 2 * k}) + 3)
+        + [(cli.tilde_mode, sector1 + sector2)] * 2
+    )
+
+
+def test_verify_takes_only_k_cutoff_and_format():
+    args = build_parser().parse_args(["verify", "jacobi"])
+    assert sorted(vars(args)) == ["command", "cutoff", "fn", "format", "k", "suite"]
 
 
 def test_verify_jacobi_skips_an_empty_sweep(capsys):

@@ -52,6 +52,57 @@ def test_twisted_zero_mode_rejected(params):
         heis_act(0, tw_vacuum(params))
     with pytest.raises(ValueError):
         heis_act(1, tw_vacuum(params))  # integer modes are not half-odd
+    with pytest.raises(ValueError, match="no zero mode"):
+        heis_act(Fraction(0), t_term(params, [HALF], 2))
+
+
+@pytest.mark.parametrize("n", (HALF, Fraction(3, 2), -HALF, Fraction(-5, 2)), ids=str)
+def test_untwisted_fractional_mode_rejected(params, n):
+    # the untwisted modes are integers: alpha(1/2) must not act as alpha(0),
+    # nor alpha(3/2) as alpha(1), by truncation
+    with pytest.raises(ValueError, match="integers"):
+        heis_act(n, u_term(params, [1], 3))
+
+
+def test_an_integral_fraction_mode_acts_as_the_integer(params):
+    v = u_term(params, [2, 1], 1)
+    assert heis_act(Fraction(-2), v) == heis_act(-2, v) == u_term(params, [2, 2, 1], 1)
+    assert heis_act(Fraction(1), v) == heis_act(1, v) == u_term(params, [2], 1, 2 * params.k)
+    [(parts, _r)] = heis_act(Fraction(-3), v).terms
+    assert all(type(p) is int for p in parts)
+
+
+@pytest.mark.parametrize(
+    "build",
+    (
+        lambda params: tw_vacuum(params, 3),
+        lambda params: tw_vacuum(params, 0),
+        lambda params: t_term(params, [HALF], 3),
+        lambda params: t_term(params, [1], 1),
+        lambda params: t_term(params, [Fraction(3, 2), 2], 2),
+        lambda params: t_term(params, [-HALF], 1),
+        lambda params: u_term(params, [HALF], 0),
+        lambda params: u_term(params, [0], 0),
+        lambda params: u_term(params, [2, -1], 0),
+    ),
+    ids=(
+        "tw_vacuum sector 3",
+        "tw_vacuum sector 0",
+        "t_term sector 3",
+        "t_term integer part",
+        "t_term integer part after a half-odd one",
+        "t_term negative part",
+        "u_term half-odd part",
+        "u_term zero part",
+        "u_term negative part",
+    ),
+)
+def test_the_constructors_refuse_keys_outside_their_space(params, build):
+    # a key the space lacks would reach the mode operators: a sector-3
+    # twisted vacuum raised a bare IndexError in tilde_mode, and an integer
+    # twisted part was given images
+    with pytest.raises(ValueError):
+        build(params)
 
 
 def test_theta_involution(params):
