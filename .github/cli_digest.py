@@ -12,8 +12,11 @@ command runs in this one process through `cli.main`.  Stdlib only.
 
 The set: every verify suite in text and json at k=1..4, `verify jacobi
 --k 2 --cutoff 8`, `fusion table` and `zhu table` in both formats at
-k=1..4, the four `dump` targets, and at k=1..3 `fusion query` on every
-label triple and `witness` on every triple of value 1."""
+k=1..4, the four `dump` targets, and at k=1..4 `fusion query` on every
+label triple and `witness` on every triple of value 1.  The twisted
+witnesses at k=4 print images placed with the prefactor's even-k sqrt(2)
+form at lattice indices 1, 2 and 3, where those at k=2 reach index 1
+alone."""
 
 import hashlib
 import io
@@ -42,7 +45,7 @@ def commands():
     yield ["dump", "delta", "--order", "8"]
     yield ["dump", "decompose", "--k", "2", "--module", "Va+", "--window", "2"]
     yield ["dump", "zhu", "--k", "2", "--format", "json"]
-    for k in range(1, 4):
+    for k in range(1, 5):
         eng = get_engine(k)
         codes = [label.code for label in eng.labels]
         for i, j, l in product(range(len(codes)), repeat=3):

@@ -70,7 +70,8 @@ class RingParams:
     small integers, each built on first use:
 
     * ("create", r, pending, w, twisted): the creation stage of the mode
-      kernel, `untwisted._creation_table`;
+      kernel as (den, rows), integer numerators over one least common
+      denominator, `untwisted._creation_table`;
     * ("delta", nu, r): exp(Delta_z) of one term times 2^w, the rational
       part of the twisted prefactor 2^(-r^2/2k) = 2^w t^b,
       `twisted._delta_terms`;
@@ -79,8 +80,10 @@ class RingParams:
       sector, the sign of the sector map times t^b (the prefactor's
       monomial, with integer coefficients) and the map that wraps a
       kernel coefficient with it, `twisted._placement`;
-    * "halved": a dict from each doubled twisted key the operators have
-      returned to its halved Fraction parts, shared by every result;
+    * "tkey": a dict from each (doubled key, target sector) the twisted
+      operators have returned to its output key, the halved Fraction parts
+      and the sector as a tuple that stores its hash
+      (`twisted._HashedKey`), shared by every result;
     * "pair": (input, plan), the m-independent work of the mode driver
       for the latest (u, v) pair, `untwisted.term_pair_images`: the input
       is the kernel-row function, the lattice and u and v as lists of

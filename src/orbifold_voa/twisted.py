@@ -240,6 +240,21 @@ def _placement(params: RingParams, tilde: bool, r: int, sector: int) -> tuple:
     return entry
 
 
+class _HashedKey(tuple):
+    """An output key (parts, sector) of the twisted operators that stores
+    its hash, as `functools._HashedSeq` does for lists: it equals the plain
+    tuple and has the same hash, but the hash of its Fraction parts is
+    computed once, when the key is made."""
+
+    def __new__(cls, key: tuple):
+        self = tuple.__new__(cls, key)
+        self.hashvalue = hash(key)
+        return self
+
+    def __hash__(self):
+        return self.hashvalue
+
+
 def _corrected_mode(u: UVector, m, v: TVector, tilde: bool) -> TVector:
     """Mode m of the Delta-corrected half-odd expansion of u on v, each
     lattice component at index r followed by the sector map psi_map(r)
@@ -253,25 +268,25 @@ def _corrected_mode(u: UVector, m, v: TVector, tilde: bool) -> TVector:
     the per-ring `_placement` names the target sector and the signed
     monomial t^b of an image, and each key is lifted by the monomial times
     the factor of the image (`untwisted._lift`), a bare wrap when every
-    coefficient of that product is +-1.  Keys stay doubled integers until
-    the result is wrapped, where each is halved once per ring (the
-    "halved" table of `RingParams.memo`)."""
+    coefficient of that product is +-1.  The lifted coefficient is added
+    straight into the result under its output key, which the "tkey" table
+    of `RingParams.memo` holds once per ring for each doubled key and
+    target sector: the halved parts and the sector as a `_HashedKey`, so a
+    sweep hashes each key's Fraction parts once per ring, not once per
+    call."""
     params = u.params
+    keys = params.memo.setdefault("tkey", {})
     acc: dict = {}
     for r, (_mu, sector), image, factor in term_pair_images(u, m, v, _delta_terms):
         target, monomial, lift = _placement(params, tilde, r, sector)
         if factor is not None:
             lift = _lift(params, monomial * factor)
         for key, q in image.items():
-            add_into(acc, (key, target), lift(q))
-    halved = params.memo.setdefault("halved", {})
-    out = {}
-    for (key, j), c in acc.items():
-        parts = halved.get(key)
-        if parts is None:
-            parts = halved[key] = halve(key)
-        out[(parts, j)] = c
-    return TVector._wrap(params, out)
+            out = keys.get((key, target))
+            if out is None:
+                out = keys[key, target] = _HashedKey((halve(key), target))
+            add_into(acc, out, lift(q))
+    return TVector._wrap(params, acc)
 
 
 def tilde_mode(u: UVector, m, v: TVector) -> TVector:

@@ -20,7 +20,9 @@ where the pending oscillator factors and the creation exponential share
 what is left of the weight budget, depends only on the ring, the lattice
 index, the pending factors and the budget.  It is walked once per ring
 (`_creation_table`, in `RingParams.memo`), its rows merged by their
-sorted parts, and every later call only reads the rows.
+sorted parts and held as integer numerators over one denominator, and
+every later call only reads the rows: an output key sums plain ints and
+becomes one Fraction at the end.
 
 One driver, `term_pair_images`, runs the kernel for the untwisted
 operator and the twisted ones alike.  It groups the terms of u by lattice
@@ -68,12 +70,25 @@ def _dcoef(n: int, jj: int) -> tuple[int, int]:
     return (-1) ** q * num // g, den // g
 
 
+def _over_lcm(rows) -> tuple:
+    """(den, ((parts, num), ...)) for rows (parts, num, den) of nonzero
+    fractions num/den: every num raised to the least common multiple den
+    of the row denominators, which is the least common denominator of the
+    rows when each row is reduced."""
+    rows = list(rows)
+    if not rows:
+        return 1, ()
+    den = lcm(*[d for _parts, _num, d in rows])
+    return den, tuple([(parts, num * (den // d)) for parts, num, d in rows])
+
+
 def _creation_table(
     params: RingParams, r: int, w: int, twisted: bool, pending: tuple = ()
 ) -> tuple:
-    """((parts, num, den), ...): the creation stage of the kernel at doubled
-    weight w, each coefficient a reduced integer pair, memoized on `params`
-    for the life of the ring.
+    """(den, ((parts, num), ...)): the creation stage of the kernel at
+    doubled weight w, each coefficient num/den over the one least common
+    denominator den of the table (`_over_lcm`), memoized on `params` for
+    the life of the ring.
 
     With no `pending` factors these are the terms of the creation
     exponential of lambda_r.  Parts are doubled modes, odd when twisted and
@@ -99,14 +114,17 @@ def _creation_table(
             for p in range(lo, w - lo * len(rest) + 1, 2):
                 dc, dd = _dcoef(n, -p)
                 if dc:
-                    for parts, e, ed in _creation_table(params, r, w - p, twisted, rest):
+                    ed, rows = _creation_table(params, r, w - p, twisted, rest)
+                    for parts, e in rows:
                         parts = tuple(sorted(parts + (p,), reverse=True))
                         merged[parts] = merged.get(parts, 0) + Fraction(dc * e, dd * ed)
-            table = tuple((parts, c.numerator, c.denominator) for parts, c in merged.items() if c)
+            table = _over_lcm(
+                (parts, c.numerator, c.denominator) for parts, c in merged.items() if c
+            )
         elif not r:
-            table = (((), 1, 1),) if w == 0 else ()
+            table = (1, (((), 1),) if w == 0 else ())
         elif not twisted and w % 2:
-            table = ()
+            table = (1, ())
         else:
             k = params.k
             rows = []
@@ -123,7 +141,7 @@ def _creation_table(
                 for n in range(lo, min(left, top) + 1, 2):
                     i = run + 1 if n == top else 1
                     stack.append((left - n, n, parts + (n,), num, den * n * i, i))
-            table = tuple(rows)
+            table = _over_lcm(rows)
         params.memo[key] = table
     return table
 
@@ -152,7 +170,9 @@ def _settle(slots: dict) -> dict:
 
 def _skeleton(params: RingParams, r: int, mu: tuple, s: int, twisted: bool, terms: tuple) -> tuple:
     """Stages 1 and 2 of `mode_kernel_sum`, the ones that do not read m, as
-    ((pending, off, need, ((kept, num, den), ...)), ...).
+    ((pending, off, need, den, ((kept, num), ...)), ...): the rows of a
+    group, kept parts with integer numerators over one denominator
+    (`_over_lcm`).
 
     Stage 1 contracts each factor a(-n) of each term against a part of mu
     or pairs it with the lattice index s, or leaves it pending; its paths
@@ -219,7 +239,7 @@ def _skeleton(params: RingParams, r: int, mu: tuple, s: int, twisted: bool, term
     for (kept, pending, off), (num, den) in _settle(created).items():
         groups.setdefault((pending, off), []).append((kept, num, den))
     return tuple(
-        (pending, off, lo * len(pending) - off, tuple(rows))
+        (pending, off, lo * len(pending) - off, *_over_lcm(rows))
         for (pending, off), rows in groups.items()
     )
 
@@ -240,20 +260,33 @@ def _budget(params: RingParams, r: int, s: int, m: Fraction, twisted: bool) -> i
 
 def _create(params: RingParams, r: int, t0: int, twisted: bool, skeleton: tuple) -> dict:
     """Stage 3 of `mode_kernel_sum` on the states of a `_skeleton` at the
-    budget t0: a fresh {doubled key: nonzero Fraction}."""
-    out: dict[tuple, dict[int, int]] = {}
-    for pending, off, need, rows in skeleton:
+    budget t0: a fresh {doubled key: nonzero Fraction}.
+
+    A group's rows and its creation table each hold integer numerators over
+    one denominator, so a product of the two lies over the product of the
+    denominators; each group is scaled to the least common multiple of
+    those products over the groups that meet the budget, an output key sums
+    plain ints over it, and becomes one Fraction at the end."""
+    live = []
+    for pending, off, need, den, rows in skeleton:
         if t0 < need:
             continue
-        table = _creation_table(params, r, t0 + off, twisted, pending)
-        for kept, num, den in rows:
-            for parts, e, ed in table:
+        tden, table = _creation_table(params, r, t0 + off, twisted, pending)
+        if table:
+            live.append((den * tden, rows, table))
+    if not live:
+        return {}
+    common = lcm(*[den for den, _rows, _table in live])
+    out: dict[tuple, int] = {}
+    for den, rows, table in live:
+        scale = common // den
+        for kept, num in rows:
+            num *= scale
+            for parts, e in table:
                 if kept:
                     parts = tuple(sorted(kept + parts, reverse=True))
-                slot = out.setdefault(parts, {})
-                dd = den * ed
-                slot[dd] = slot.get(dd, 0) + num * e
-    return {key: Fraction(num, den) for key, (num, den) in _settle(out).items()}
+                out[parts] = out.get(parts, 0) + num * e
+    return {key: Fraction(num, common) for key, num in out.items() if num}
 
 
 def mode_kernel_sum(
@@ -293,10 +326,13 @@ def mode_kernel_sum(
     and in the s-term.
 
     Every path carries its coefficient as an integer numerator and
-    denominator, and each merged state and output key collects them in a
-    {den: num} slot, with no gcd.  A merged state becomes one integer pair
-    between the stages (states that cancel are dropped), and an output key
-    one Fraction once every term is in; keys that cancel are dropped."""
+    denominator, and each merged state of stages 1 and 2 collects them in a
+    {den: num} slot, with no gcd; a merged state becomes one integer pair
+    between the stages (states that cancel are dropped).  Stage 3 reads the
+    rows of each group of creation states and each creation table as
+    integer numerators over one denominator, so an output key sums plain
+    ints over one common denominator and becomes one Fraction once every
+    term is in; keys that cancel are dropped."""
     t0 = _budget(params, r, s, m, twisted)
     if t0 is None:
         return {}

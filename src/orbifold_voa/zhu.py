@@ -49,8 +49,12 @@ def top_action(params: RingParams, gen, label: lb.ModuleLabel) -> Scalar:
             "is undefined"
         )
     a = generator_vector(params, gen) if isinstance(gen, str) else gen
-    m = _homogeneous_weight(a) - 1
-    top = top_vector(params, label)
+    return _eigenvalue(params, a, _homogeneous_weight(a) - 1, top_vector(params, label), label, gen)
+
+
+def _eigenvalue(params: RingParams, a: UVector, m: Fraction, top, label, gen) -> Scalar:
+    """The scalar by which mode m of a acts on `top`, the top vector of
+    `label`, checked to be an eigenvalue."""
     if isinstance(top, TVector):
         image = twisted_mode(a, m, top)
     else:
@@ -69,15 +73,20 @@ def top_action(params: RingParams, gen, label: lb.ModuleLabel) -> Scalar:
 
 def top_action_table(params: RingParams) -> dict[str, dict[str, Scalar]]:
     """Computed generator actions for every label (the k=1 minus-lattice
-    exception is skipped).  Each generator vector is built once for the
-    whole table."""
-    vectors = {gen: generator_vector(params, gen) for gen in GENERATORS}
+    exception is skipped), as `top_action` computes them.  Each generator
+    vector and its weight-preserving mode are found once for the whole
+    table, and each label's top vector once for its row."""
+    modes = {}
+    for gen in GENERATORS:
+        a = generator_vector(params, gen)
+        modes[gen] = a, _homogeneous_weight(a) - 1
     out: dict[str, dict[str, Scalar]] = {}
     for label in lb.all_labels(params.k):
         if params.k == 1 and label == lb.u_minus():
             continue
+        top = top_vector(params, label)
         out[label.code] = {
-            gen: top_action(params, a, label) for gen, a in vectors.items()
+            gen: _eigenvalue(params, a, m, top, label, gen) for gen, (a, m) in modes.items()
         }
     return out
 

@@ -38,6 +38,7 @@ from orbifold_voa.fock import (
     TVector,
     UVector,
     half_odd_partitions_of,
+    heis_act,
     lattice_vector,
     odd_partitions_of,
     partitions_of,
@@ -850,17 +851,17 @@ def test_creation_table_matches_per_part_formula(k):
     for r in [s * a for a in range(1, 2 * k + 1) for s in (1, -1)] + [0]:
         for w in range(0, 31):
             for twisted_ in (False, True):
-                got = _creation_table(params, r, w, twisted_)
+                den, got = _creation_table(params, r, w, twisted_)
                 if not twisted_ and w % 2:
                     assert got == (), (r, w)
                     continue
                 want = _per_part_creation_table(k, r, w, twisted_)
-                # rows hold reduced integer pairs (num, den), den > 0
-                assert all(den > 0 and gcd(num, den) == 1 for _parts, num, den in got)
-                assert tuple((parts, Fraction(num, den)) for parts, num, den in got) == want, (
+                # rows hold integer numerators over their least common denominator
+                assert den > 0 and gcd(den, *[num for _parts, num in got]) == 1
+                assert tuple((parts, Fraction(num, den)) for parts, num in got) == want, (
                     r, w, twisted_,
                 )
-                repeated += sum(len(set(parts)) < len(parts) for parts, _n, _d in got)
+                repeated += sum(len(set(parts)) < len(parts) for parts, _n in got)
     assert repeated > 0
 
 
@@ -900,17 +901,19 @@ def test_memoized_creation_stage_matches_a_fresh_walk(k):
         for r in (0, 1, -1, k, 2 * k + 1):
             for w in range(0, 15):
                 for twisted_ in (False, True):
-                    got = _creation_table(params, r, w, twisted_, pending)
-                    keys = [parts for parts, _num, _den in got]
+                    table = _creation_table(params, r, w, twisted_, pending)
+                    den, got = table
+                    keys = [parts for parts, _num in got]
                     assert len(set(keys)) == len(keys)
                     assert all(parts == tuple(sorted(parts, reverse=True)) for parts in keys)
-                    assert all(num and den > 0 and gcd(num, den) == 1 for _p, num, den in got)
+                    assert all(num for _p, num in got)
+                    assert den > 0 and gcd(den, *[num for _p, num in got]) == 1
                     want, paths = _fresh_creation_stage(k, r, pending, w, twisted_)
-                    assert {parts: Fraction(num, den) for parts, num, den in got} == want, (
+                    assert {parts: Fraction(num, den) for parts, num in got} == want, (
                         pending, r, w, twisted_,
                     )
                     # the same stage reached twice is the same memo row
-                    assert _creation_table(params, r, w, twisted_, pending) is got
+                    assert _creation_table(params, r, w, twisted_, pending) is table
                     rows += len(got)
                     merged += paths > len(got)
     # rows of equal parts were merged, and cancelling ones dropped
@@ -929,11 +932,73 @@ def test_repeated_calls_add_no_memo_entry():
         sweep = _sweep(u, v)
         first = [op(u, m, v) for m in sweep]
         images += sum(map(bool, first))
-        sizes = len(params.memo), len(params.memo.get("halved", ()))
+        sizes = len(params.memo), len(params.memo.get("tkey", ()))
         assert [op(u, m, v) for m in sweep] == first
-        assert (len(params.memo), len(params.memo.get("halved", ()))) == sizes, op.__name__
+        assert (len(params.memo), len(params.memo.get("tkey", ()))) == sizes, op.__name__
     assert images > 0
-    assert params.memo["halved"]
+    assert params.memo["tkey"]
+
+
+def _twisted_cases(params: RingParams) -> list:
+    """(op, u, v) for the two twisted operators on multi-term u and v whose
+    images hold keys with parts in both sectors."""
+    t_v = t_term(params, [HALF], 1) + t_term(params, [Fraction(3, 2), HALF], 2, params.zeta(1))
+    return [
+        (twisted.tilde_mode, _multi_u(params, 1, -1), t_v),
+        (twisted.mtheta_mode, _multi_u(params, 2, -2), t_v),
+    ]
+
+
+@pytest.mark.parametrize("k", (1, 2))
+def test_a_warm_twisted_sweep_hashes_no_fraction(monkeypatch, k):
+    """A repeated `tilde_mode` or `mtheta_mode` sweep finds every output key
+    in the ring's table, so it hashes no Fraction part: a key's hash is
+    computed once per ring."""
+    params = RingParams(k)
+    for op, u, v in _twisted_cases(params):
+        sweep = _sweep(u, v)
+        first = [op(u, m, v) for m in sweep]
+        hashed = []
+
+        def counted(q, _hash=Fraction.__hash__):
+            hashed.append(q)
+            return _hash(q)
+
+        monkeypatch.setattr(Fraction, "__hash__", counted)
+        again = [op(u, m, v) for m in sweep]
+        monkeypatch.undo()
+        assert hashed == [], op.__name__
+        assert again == first
+        assert any(parts for image in first for parts, _sector in image.terms)
+
+
+@pytest.mark.parametrize("k", (1, 2))
+def test_twisted_output_keys_behave_as_plain_tuples(k):
+    """The keys of a twisted image equal the plain (parts, sector) tuples,
+    with the same hash: the image equals the vector built from plain keys,
+    each plain key finds its coefficient, the two print and sort alike, and
+    theta, heis_act, + and == give the same results on both."""
+    params = RingParams(k)
+    keys = 0
+    for op, u, v in _twisted_cases(params):
+        for m in _sweep(u, v):
+            image = op(u, m, v)
+            plain = TVector(params, {(parts, j): c for (parts, j), c in image.terms.items()})
+            assert all(type(key) is tuple for key in plain.terms)
+            for key, c in image.terms.items():
+                plain_key = (key[0], key[1])
+                assert key == plain_key and hash(key) == hash(plain_key)
+                assert image.terms[plain_key] is c
+            assert image == plain and plain == image
+            assert (str(image), repr(image)) == (str(plain), repr(plain))
+            assert image.sorted_keys() == plain.sorted_keys()
+            assert theta(image) == theta(plain)
+            for n in (HALF, -HALF, Fraction(3, 2)):
+                assert heis_act(n, image) == heis_act(n, plain)
+            assert image + plain == plain * 2 == plain + image
+            assert image - plain == TVector(params)
+            keys += len(image.terms)
+    assert keys > 0
 
 
 # -- the plan: the m-independent work of the driver, kept for the latest pair ----
