@@ -274,6 +274,8 @@ def _corrected_mode(u: UVector, m, v: TVector, tilde: bool) -> TVector:
     target sector: the halved parts and the sector as a `_HashedKey`, so a
     sweep hashes each key's Fraction parts once per ring, not once per
     call."""
+    if not isinstance(v, TVector):
+        raise TypeError(f"twisted mode operators do not apply to {type(v).__name__}")
     params = u.params
     keys = params.memo.setdefault("tkey", {})
     acc: dict = {}

@@ -20,8 +20,9 @@ where the pending oscillator factors and the creation exponential share
 what is left of the weight budget, depends only on the ring, the lattice
 index, the pending factors and the budget.  It is walked once per ring
 (`_creation_table`, in `RingParams.memo`), its rows merged by their
-sorted parts and held as integer numerators over one denominator, and
-every later call only reads the rows: an output key sums plain ints and
+sorted parts, and every later call only reads the rows.  Every walk
+sums plain ints over one denominator fixed before it starts (a factor
+a(-n) has all its coefficients over `_dden(n)`), and an output key
 becomes one Fraction at the end.
 
 One driver, `term_pair_images`, runs the kernel for the untwisted
@@ -56,30 +57,20 @@ from .fock import (
 from .ring import RingParams, Scalar
 
 
+def _dden(n: int) -> int:
+    """The one denominator 2^(n-1) (n-1)! of every `_dcoef(n, jj)`."""
+    return 2 ** (n - 1) * factorial(n - 1)
+
+
 @lru_cache(maxsize=None)
-def _dcoef(n: int, jj: int) -> tuple[int, int]:
+def _dcoef(n: int, jj: int) -> int:
     """Coefficient of alpha(j) z^(-j-n) in the (n-1)-th divided z-derivative
-    of the oscillator field, for the doubled mode jj = 2j, as a reduced
-    integer pair (numerator, denominator)."""
-    q = n - 1
-    num = 1
-    for y in range(q):
+    of the oscillator field, for the doubled mode jj = 2j, as an unreduced
+    integer numerator over `_dden(n)`."""
+    num = (-1) ** (n - 1)
+    for y in range(n - 1):
         num *= jj + 2 * (n - 1 - y)
-    den = 2**q * factorial(q)
-    g = gcd(num, den)
-    return (-1) ** q * num // g, den // g
-
-
-def _over_lcm(rows) -> tuple:
-    """(den, ((parts, num), ...)) for rows (parts, num, den) of nonzero
-    fractions num/den: every num raised to the least common multiple den
-    of the row denominators, which is the least common denominator of the
-    rows when each row is reduced."""
-    rows = list(rows)
-    if not rows:
-        return 1, ()
-    den = lcm(*[d for _parts, _num, d in rows])
-    return den, tuple([(parts, num * (den // d)) for parts, num, d in rows])
+    return num
 
 
 def _creation_table(
@@ -87,8 +78,8 @@ def _creation_table(
 ) -> tuple:
     """(den, ((parts, num), ...)): the creation stage of the kernel at
     doubled weight w, each coefficient num/den over the one least common
-    denominator den of the table (`_over_lcm`), memoized on `params` for
-    the life of the ring.
+    denominator den of the table, memoized on `params` for the life of the
+    ring.
 
     With no `pending` factors these are the terms of the creation
     exponential of lambda_r.  Parts are doubled modes, odd when twisted and
@@ -101,26 +92,31 @@ def _creation_table(
 
     Each pending factor a(-n) takes a created part p (the coefficient of
     alpha(-p/2) in its divided derivative, see `_dcoef`) and leaves w - p
-    to the factors after it and to the exponential.  Rows that end on the
-    same sorted parts are merged into one, and rows that cancel are
-    dropped."""
+    to the factors after it and to the exponential.  Its rows lie over the
+    lcm of the tables it reads times `_dden(n)`, rows that end on the same
+    sorted parts sum plain ints, and rows that cancel are dropped; the
+    table is reduced by one gcd at the end."""
     key = ("create", r, pending, w, twisted)
     table = params.memo.get(key)
     if table is None:
         lo = 1 if twisted else 2
         if pending:
             n, rest = pending[0], pending[1:]
-            merged: dict[tuple, Fraction] = {}
+            subs = []
             for p in range(lo, w - lo * len(rest) + 1, 2):
-                dc, dd = _dcoef(n, -p)
+                dc = _dcoef(n, -p)
                 if dc:
-                    ed, rows = _creation_table(params, r, w - p, twisted, rest)
-                    for parts, e in rows:
-                        parts = tuple(sorted(parts + (p,), reverse=True))
-                        merged[parts] = merged.get(parts, 0) + Fraction(dc * e, dd * ed)
-            table = _over_lcm(
-                (parts, c.numerator, c.denominator) for parts, c in merged.items() if c
-            )
+                    subs.append((p, dc, *_creation_table(params, r, w - p, twisted, rest)))
+            den = lcm(*[ed for _p, _dc, ed, _rows in subs])
+            merged: dict[tuple, int] = {}
+            for p, dc, ed, rows in subs:
+                dc *= den // ed
+                for parts, e in rows:
+                    parts = tuple(sorted(parts + (p,), reverse=True))
+                    merged[parts] = merged.get(parts, 0) + dc * e
+            den *= _dden(n)
+            g = gcd(den, *merged.values())
+            table = (den // g, tuple([(parts, num // g) for parts, num in merged.items() if num]))
         elif not r:
             table = (1, (((), 1),) if w == 0 else ())
         elif not twisted and w % 2:
@@ -141,7 +137,9 @@ def _creation_table(
                 for n in range(lo, min(left, top) + 1, 2):
                     i = run + 1 if n == top else 1
                     stack.append((left - n, n, parts + (n,), num, den * n * i, i))
-            table = _over_lcm(rows)
+            # the lcm of reduced rows is their least common denominator
+            den = lcm(*[d for _parts, _num, d in rows])
+            table = (den, tuple([(parts, num * (den // d)) for parts, num, d in rows]))
         params.memo[key] = table
     return table
 
@@ -152,27 +150,11 @@ def halve(key: tuple) -> tuple:
     return tuple(Fraction(p, 2) for p in key)
 
 
-def _settle(slots: dict) -> dict:
-    """{key: {den: num}} -> {key: (num, den)}: the slots of each key summed
-    over their least common denominator, so den > 0, with no gcd; keys
-    that cancel are dropped."""
-    out = {}
-    for key, slot in slots.items():
-        if len(slot) == 1:
-            [(l, n)] = slot.items()
-        else:
-            l = lcm(*slot)
-            n = sum(num * (l // den) for den, num in slot.items())
-        if n:
-            out[key] = (n, l)
-    return out
-
-
 def _skeleton(params: RingParams, r: int, mu: tuple, s: int, twisted: bool, terms: tuple) -> tuple:
     """Stages 1 and 2 of `mode_kernel_sum`, the ones that do not read m, as
     ((pending, off, need, den, ((kept, num), ...)), ...): the rows of a
-    group, kept parts with integer numerators over one denominator
-    (`_over_lcm`).
+    group, kept parts with integer numerators over the one denominator den
+    of the walk.
 
     Stage 1 contracts each factor a(-n) of each term against a part of mu
     or pairs it with the lattice index s, or leaves it pending; its paths
@@ -182,44 +164,53 @@ def _skeleton(params: RingParams, r: int, mu: tuple, s: int, twisted: bool, term
     to the z-budget, so a creation state meets the budget T + off, and
     need = lo * len(pending) - off is the least T that leaves each pending
     factor a part.  Creation states are grouped by (pending, off), all that
-    the creation stage reads besides T."""
+    the creation stage reads besides T.
+
+    den is the lcm over the terms (d, nu, num, den_t) of den_t times
+    `_dden(n)` for each factor a(-n) in nu, and a term's paths start at num
+    raised to den.  A contracted or paired factor multiplies a path by its
+    `_dcoef` numerator and a pending one by `_dden(n)`, which its creation
+    table divides out, so states sum plain ints; those that cancel go."""
     k = params.k
     counts0: dict[int, int] = {}
     for p in mu:
         p2 = 2 * p.numerator // p.denominator
         counts0[p2] = counts0.get(p2, 0) + 1
-    contracted: dict[tuple, dict[int, int]] = {}
+    scales = []
+    for _d, nu, _num, den in terms:
+        for n in nu:
+            den *= _dden(n)
+        scales.append(den)
+    common = lcm(*scales)
+    contracted: dict[tuple, int] = {}
 
-    def factors(
-        nu: tuple, idx: int, counts: dict, off: int, num: int, den: int, pending: tuple
-    ) -> None:
+    def factors(nu: tuple, idx: int, counts: dict, off: int, c: int, pending: tuple) -> None:
         if idx == len(nu):
-            left = tuple(sorted((p, mult) for p, mult in counts.items() if mult))
-            slot = contracted.setdefault((left, pending, off), {})
-            slot[den] = slot.get(den, 0) + num
+            state = (tuple(sorted((p, mult) for p, mult in counts.items() if mult)), pending, off)
+            contracted[state] = contracted.get(state, 0) + c
             return
         n_i = nu[idx]
-        factors(nu, idx + 1, counts, off, num, den, pending + (n_i,))
+        factors(nu, idx + 1, counts, off, c * _dden(n_i), pending + (n_i,))
         if s:
-            dc, dd = _dcoef(n_i, 0)
-            factors(nu, idx + 1, counts, off + 2 * n_i, num * dc * s, den * dd, pending)
+            factors(nu, idx + 1, counts, off + 2 * n_i, c * _dcoef(n_i, 0) * s, pending)
         for j in sorted(counts):
             mult = counts[j]
             if not mult:
                 continue
-            dc, dd = _dcoef(n_i, j)
+            dc = _dcoef(n_i, j)
             if dc:
                 c2 = dict(counts)
                 c2[j] = mult - 1
-                c = num * dc * mult * k * j
-                factors(nu, idx + 1, c2, off + j + 2 * n_i, c, den * dd, pending)
+                factors(nu, idx + 1, c2, off + j + 2 * n_i, c * dc * mult * k * j, pending)
 
-    for d, nu, num, den in terms:
-        factors(nu, 0, counts0, 2 * d, num, den, ())
+    for (d, nu, num, _den), scale in zip(terms, scales):
+        factors(nu, 0, counts0, 2 * d, num * (common // scale), ())
 
-    created: dict[tuple, dict[int, int]] = {}
-    for (left, pending, off0), (num, den) in _settle(contracted).items():
-        paths = [((), off0 + 2 * sum(pending), num)]
+    created: dict[tuple, int] = {}
+    for (left, pending, off0), c0 in contracted.items():
+        if not c0:
+            continue
+        paths = [((), off0 + 2 * sum(pending), c0)]
         for p, m_p in left:
             step = []
             for kept, off, c in paths:
@@ -231,15 +222,16 @@ def _skeleton(params: RingParams, r: int, mu: tuple, s: int, twisted: bool, term
                         step.append((kept + (p,) * (m_p - j), off + p * j, c * (-r) ** j * binom))
             paths = step
         for kept, off, c in paths:
-            slot = created.setdefault((kept, pending, off), {})
-            slot[den] = slot.get(den, 0) + c
+            state = (kept, pending, off)
+            created[state] = created.get(state, 0) + c
 
     lo = 1 if twisted else 2
     groups: dict[tuple, list] = {}
-    for (kept, pending, off), (num, den) in _settle(created).items():
-        groups.setdefault((pending, off), []).append((kept, num, den))
+    for (kept, pending, off), c in created.items():
+        if c:
+            groups.setdefault((pending, off), []).append((kept, c))
     return tuple(
-        (pending, off, lo * len(pending) - off, *_over_lcm(rows))
+        (pending, off, lo * len(pending) - off, common, tuple(rows))
         for (pending, off), rows in groups.items()
     )
 
@@ -325,14 +317,11 @@ def mode_kernel_sum(
     sweep.  The lattices differ only in the smallest created part (2 or 1)
     and in the s-term.
 
-    Every path carries its coefficient as an integer numerator and
-    denominator, and each merged state of stages 1 and 2 collects them in a
-    {den: num} slot, with no gcd; a merged state becomes one integer pair
-    between the stages (states that cancel are dropped).  Stage 3 reads the
-    rows of each group of creation states and each creation table as
-    integer numerators over one denominator, so an output key sums plain
-    ints over one common denominator and becomes one Fraction once every
-    term is in; keys that cancel are dropped."""
+    Every walk sums plain ints over one denominator fixed before it
+    starts: stages 1 and 2 over the one of `_skeleton`, stage 3 over the
+    least common multiple of the group and table denominators that meet
+    the budget.  An output key becomes one Fraction once every term is in;
+    states and keys that cancel are dropped."""
     t0 = _budget(params, r, s, m, twisted)
     if t0 is None:
         return {}
@@ -444,6 +433,8 @@ def vertex_mode(u: UVector, m, v: UVector) -> UVector:
     """The mode u_m of the untwisted operator of u, applied to v, exactly:
     each term of u is its own kernel row (`_one_row`), and an image key at
     lattice index r against index s lands at index r + s."""
+    if not isinstance(v, UVector):
+        raise TypeError(f"vertex_mode does not apply to {type(v).__name__}")
     params = u.params
     acc: dict = {}
     for r, (_mu, s), image, factor in term_pair_images(u, m, v, _one_row):

@@ -614,6 +614,32 @@ def test_mixed_rings_are_refused():
             op(u, 0, v)
 
 
+@pytest.mark.parametrize(
+    "op, r, wrong",
+    (
+        (untwisted.vertex_mode, 1, lambda params, s: tw_vacuum(params, 1 + s % 2)),
+        (twisted.tilde_mode, 1, lattice_vector),
+        (twisted.mtheta_mode, 1, lattice_vector),
+        (twisted.twisted_mode, 4, lattice_vector),
+    ),
+    ids=("vertex_mode", "tilde_mode", "mtheta_mode", "twisted_mode"),
+)
+def test_mode_operators_refuse_a_vector_of_the_other_lattice(op, r, wrong):
+    """The untwisted operator refuses a twisted v and the twisted ones an
+    untwisted v, whose lattice index would otherwise be read as a sector,
+    at every mode of the grid."""
+    params = RingParams(2)
+    u = lattice_vector(params, r)
+    modes = 0
+    for s in (-1, 0, 1, 3):
+        v = wrong(params, s)
+        for m in support_modes(u, v, 2):
+            with pytest.raises(TypeError, match=f"not apply to {type(v).__name__}"):
+                op(u, m, v)
+            modes += 1
+    assert modes > 0
+
+
 @pytest.mark.parametrize("k", (1, 2, 3))
 def test_twisted_operators_match_reference_on_multi_term_vectors(k):
     params = RingParams(k)
@@ -918,6 +944,46 @@ def test_memoized_creation_stage_matches_a_fresh_walk(k):
                     merged += paths > len(got)
     # rows of equal parts were merged, and cancelling ones dropped
     assert rows > 0 and merged > 0
+
+
+def test_dcoef_is_a_numerator_over_dden():
+    """`untwisted._dcoef(n, jj)` over `untwisted._dden(n)` is the reference
+    coefficient at the mode jj/2, for doubled modes of both parities, the
+    zeros of the coefficient among them."""
+    seen = {True: 0, False: 0}
+    for n in range(1, 9):
+        for jj in range(-2 * n - 3, 2 * n + 4):
+            got = Fraction(untwisted._dcoef(n, jj), untwisted._dden(n))
+            assert got == _dcoef(n, Fraction(jj, 2)), (n, jj)
+            seen[bool(got)] += 1
+    assert seen[True] > 0 and seen[False] > 0
+
+
+def test_no_fraction_is_made_before_stage_three(monkeypatch):
+    """A cold creation table with pending factors and a skeleton on
+    exp(Delta_z) rows over different denominators make no Fraction: every
+    walk before stage 3 sums plain ints over one denominator."""
+    params = RingParams(2)
+    terms = twisted._delta_terms(params, (3, 1), 1)
+    assert len({den for _d, _nu, _num, den in terms}) > 1
+    made = []
+
+    def counted(*args, _make=Fraction):
+        made.append(args)
+        return _make(*args)
+
+    monkeypatch.setattr(untwisted, "Fraction", counted)
+    cold = RingParams(2)
+    tables = [
+        _creation_table(cold, r, 12 + twisted_, twisted_, (3, 2, 1))
+        for r in (1, -1, 3)
+        for twisted_ in (False, True)
+    ]
+    skeleton = untwisted._skeleton(params, 1, (Fraction(3, 2), HALF), 0, True, terms)
+    monkeypatch.undo()
+    assert made == []
+    assert all(rows for _den, rows in tables)
+    assert any(pending for pending, *_rest in skeleton)
 
 
 def test_repeated_calls_add_no_memo_entry():
