@@ -38,7 +38,7 @@ from .intertwine import (
 from .labels import M1Label, ModuleLabel, all_labels, parse_label
 from .ring import RingMismatchError, RingParams, RingPrecisionError, Scalar
 from .twisted import PsiMap, delta_apply, delta_coeff, psi_map, tilde_mode, twisted_mode
-from .untwisted import commutator_check, e_vec, f_vec, j_vec, omega_vec, p_coeff_apply, vertex_mode
+from .untwisted import commutator_formula_check, e_vec, f_vec, j_vec, omega_vec, p_coeff_apply, vertex_mode
 from .zhu import contragredient, expected_top_actions, top_action, top_action_table
 
 __version__ = "0.1.0"

@@ -27,7 +27,7 @@ import os
 import sys
 from contextlib import suppress
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import product
 from math import isqrt
 
@@ -54,10 +54,11 @@ from .intertwine import (
     Y_RS,
     Y_RS_THETA,
     IntertwinerSpec,
+    _target,
     direct_witness,
     first_nonzero_mode,
     forced_zero_coupling,
-    jacobi_commutator_check,
+    intertwiner_mode,
     witness_vectors,
 )
 from .ring import RingParams
@@ -70,7 +71,7 @@ from .twisted import (
     psi_map,
     tilde_mode,
 )
-from .untwisted import commutator_check, e_vec, omega_vec, p_coeff_apply, vertex_mode
+from .untwisted import commutator_formula_check, e_vec, omega_vec, p_coeff_apply, vertex_mode
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -326,20 +327,26 @@ def suite_p31(k: int, cutoff):
 
 
 def _swept(results, detail: str):
-    """One suite item from (fail detail, (ok, nontrivial)) pairs, run in
-    order up to the first failure.  An item whose checks compared only
-    zeros showed nothing and is skipped, not passed."""
-    nontrivial = 0
-    for fail, (ok, count) in results:
+    """One suite item from (name, (ok, nontrivial)) pairs, one per call of
+    a checker, run in order up to the first failure, whose detail is the
+    call's name.  A call that compared only zeros showed nothing, so an
+    item with one is skipped, not passed, and its detail names every such
+    call."""
+    vacuous = []
+    for name, (ok, count) in results:
         if not ok:
-            return "fail", fail
-        nontrivial += count
-    return ("pass", detail) if nontrivial else ("skip", "every compared image is zero")
+            return "fail", name
+        if not count:
+            vacuous.append(name)
+    if vacuous:
+        return "skip", "; ".join(vacuous) + " compared only zeros"
+    return "pass", detail
 
 
 def suite_jacobi(k: int, cutoff):
     params = RingParams(k)
     cut = Fraction(cutoff) if cutoff is not None else Fraction(4)
+    alpha = UVector(params, {((1,), 0): 1})  # alpha(-1)1, whose modes are the oscillators
     # the twisted basis vectors of weight <= 3/2 in sectors 1 and 2
     sector1, sector2 = (
         [TVector(params, {key: 1}) for key in twisted_basis(params, sector, Fraction(3, 2))]
@@ -351,13 +358,17 @@ def suite_jacobi(k: int, cutoff):
         for c in (0, 1):
             basis = [UVector(params, {key: 1}) for key in coset_basis(params, c, cut - 1)]
             # the images of e[2k] sit up to its weight k above the basis cutoff
-            yield f"coset {c}", commutator_check(vertex_mode, u, range(-2, 3), basis, cut - 1 + k)
+            yield f"coset {c}", commutator_formula_check(
+                vertex_mode, alpha, heis_act, range(-2, 3), u, basis, cut - 1 + k
+            )
 
     def twisted():
         modes = (Fraction(-3, 2), Fraction(-1, 2), Fraction(1, 2), Fraction(3, 2))
         for r in sorted({1, k, 2 * k}):
             u = lattice_vector(params, r)
-            yield f"r={r}", commutator_check(mtheta_mode, u, modes, sector1, cut)
+            yield f"r={r}", commutator_formula_check(
+                mtheta_mode, alpha, heis_act, modes, u, sector1, cut
+            )
 
     def conjugation():
         for r, u in (
@@ -379,10 +390,11 @@ def suite_jacobi(k: int, cutoff):
         generators = (("omega", omega_vec(params), (0, 1)), ("E", e_vec(params), (k - 1, k)))
         for kind in (Y_RS, Y_RS_THETA):
             spec = IntertwinerSpec(kind, 1, 1)
+            mode, grid = partial(intertwiner_mode, spec), partial(_target, spec)
             for name, a, ns in generators:
                 for n in ns:
-                    yield f"{spec.name}, a={name}, n={n}", jacobi_commutator_check(
-                        spec, a, n, u, u, cut
+                    yield f"{spec.name}, a={name}, n={n}", commutator_formula_check(
+                        mode, a, partial(vertex_mode, a), (n,), u, (u,), cut, grid
                     )
 
     yield "untwisted commutators", *_swept(

@@ -12,7 +12,6 @@ ones are the tilde operators of the twisted module layer.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import labels as lb
 from .fock import (
@@ -27,7 +26,7 @@ from .fock import (
 from .fusion import quasi_admissible
 from .ring import RingParams
 from .twisted import tilde_mode
-from .untwisted import e_vec, f_vec, support_modes, tally, vertex_mode
+from .untwisted import e_vec, f_vec, support_modes, vertex_mode
 
 # intertwiner kinds
 Y_RS = "Y_rs"                  # vertex operator with phase twist
@@ -228,48 +227,3 @@ def witness_vectors(params: RingParams, triple) -> tuple[UVector, UVector | TVec
 
     w1, w2, _w3 = triple
     return vector(w1), vector(w2)
-
-
-# -- residue form of the defining commutation -----------------------------------
-
-
-def jacobi_commutator_check(
-    spec: IntertwinerSpec,
-    a: UVector,
-    n: int,
-    u: UVector,
-    v,
-    depth=3,
-) -> tuple[bool, int]:
-    """Check [a_n, Y(u)_q] = sum_i C(n, i) Y(a_i u)_{n+q-i} for the spec'd
-    intertwiner, where a acts through its module vertex operator on both
-    sides, at every q of `support_modes` down to output weight `depth`.
-    Valid for untwisted kinds and integer modes of a.  Returns `tally`'s
-    (ok, nontrivial)."""
-    if spec.kind not in (Y_RS, Y_RS_THETA):
-        raise ValueError("residue check implemented for untwisted kinds")
-    params = u.params
-    wa = a.max_weight()
-    wu = u.max_weight()
-    i_max = int(wa + wu) + 1
-    a_images = {}
-    for i in range(0, i_max + 1):
-        ai_u = vertex_mode(a, i, u)
-        if ai_u:
-            a_images[i] = ai_u
-
-    def comparisons():
-        for q in support_modes(u, _target(spec, v), depth):
-            lhs = vertex_mode(a, n, intertwiner_mode(spec, u, q, v)) - intertwiner_mode(
-                spec, u, q, vertex_mode(a, n, v)
-            )
-            rhs = UVector(params, {})
-            for i, ai_u in a_images.items():
-                binom = Fraction(1)
-                for y in range(i):
-                    binom *= Fraction(n - y, y + 1)
-                if binom:
-                    rhs = rhs + intertwiner_mode(spec, ai_u, n + q - i, v) * binom
-            yield lhs, rhs
-
-    return tally(comparisons())

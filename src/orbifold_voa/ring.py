@@ -13,12 +13,11 @@ Q-basis zeta^a * t^b with 0 <= a < phi(4k) and 0 <= b < t_degree, where
 Canonical form makes equality of representations equality of the complex
 numbers represented, so the zero test is exact and needs no tolerance.
 All coefficients are `fractions.Fraction`; no floating point enters the
-core (complex evaluation exists only as a diagnostic).
+ring.
 """
 
 from __future__ import annotations
 
-import cmath
 from fractions import Fraction
 from functools import lru_cache
 
@@ -360,12 +359,3 @@ class Scalar:
 
     def __repr__(self) -> str:
         return f"Scalar(k={self.params.k}, {self})"
-
-    def __complex__(self) -> complex:
-        # diagnostic only; the core never consumes this
-        k = self.params.k
-        z = cmath.exp(1j * cmath.pi / (2 * k))
-        t = 2.0 ** (1.0 / (2 * k))
-        return sum(
-            float(c) * z**a * t**b for (a, b), c in self.terms.items()
-        ) or complex(0)

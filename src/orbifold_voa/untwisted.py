@@ -49,7 +49,6 @@ from .fock import (
     TVector,
     UVector,
     add_into,
-    heis_act,
     partitions_of,
     sort_parts,
     u_term,
@@ -550,26 +549,46 @@ def tally(comparisons) -> tuple[bool, int]:
     return True, nontrivial
 
 
-def commutator_check(mode, u: UVector, ns, vectors, depth) -> tuple[bool, int]:
-    """Check [alpha(n), Y(u, z)] = r z^n Y(u, z) for u = e[r], that is
-    alpha(n) u_{p-n} w - u_{p-n} alpha(n) w = r u_p w, for the operator
-    `mode` (vertex_mode with integer n on untwisted w, or a twisted
-    operator with half-odd n) at each n of `ns` on each w of `vectors`, at
-    every p of `support_modes(u, w, depth + |n| - n)`: the left-side mode
-    p - n then reaches weight depth + |n| for either sign of n.  The images
-    u_m w are computed once per w and shared by every n.  Returns `tally`'s
-    (ok, nontrivial)."""
-    r = next(iter(u.terms))[1]
+def commutator_formula_check(mode, a: UVector, a_on, ns, u: UVector, vectors, depth, grid=None):
+    """Check the commutator formula
+    a_n u_q w - u_q a_n w = sum_{i>=0} C(n, i) (a_i u)_{n+q-i} w
+    for the operator `mode` (vertex_mode, a twisted operator or an
+    intertwiner, called as mode(u, q, w)) at each n of `ns` on each w of
+    `vectors`.  `a_on(n, x)` is a_n on the source and the target alike
+    (heis_act for a = alpha(-1)1, partial(vertex_mode, a) otherwise), and
+    a_i u is vertex_mode(a, i, u).  With s = wt(a) - n - 1 the weight shift
+    of a_n, q runs over the grid of u against `grid(w)` (w itself by
+    default; theta(w) for a theta-composed intertwiner) from m_high + s,
+    where u_q a_n w has weight 0, down to where u_q w has weight
+    depth + |s|.  Each image (a_i u)_m w and u_m w is computed once per w
+    and shared by every n.  Returns `tally`'s (ok, nontrivial)."""
+    wa = a.max_weight()
+    # a_i u has weight wt(a) + wt(u) - i - 1, so it vanishes from i = wt(a) + wt(u) on;
+    # u itself comes last, at index -1
+    sources = [vertex_mode(a, i, u) for i in range(floor(wa + u.max_weight()))] + [u]
 
     def comparisons():
         for w in vectors:
             images = {}
+
+            def image(i, m):
+                if (i, m) not in images:
+                    images[i, m] = mode(sources[i], m, w)
+                return images[i, m]
+
             for n in ns:
-                nw = heis_act(n, w)
-                for p in support_modes(u, w, depth + abs(n) - n):
-                    for m in (p, p - n):
-                        if m not in images:
-                            images[m] = mode(u, m, w)
-                    yield heis_act(n, images[p - n]) - mode(u, p - n, nw), images[p] * r
+                s = wa - n - 1
+                aw = a_on(n, w)
+                binom, terms = Fraction(1), []
+                for i, ai_u in enumerate(sources[:-1]):
+                    if binom and ai_u:
+                        terms.append((i, binom))
+                    binom = binom * (n - i) / (i + 1)
+                for p in support_modes(u, w if grid is None else grid(w), depth + abs(s) + s):
+                    q = p + s
+                    rhs = w * 0
+                    for i, c in terms:
+                        rhs = rhs + image(i, n + q - i) * c
+                    yield a_on(n, image(-1, q)) - mode(u, q, aw), rhs
 
     return tally(comparisons())

@@ -41,7 +41,7 @@ from orbifold_voa.twisted import (
     psi_map,
 )
 from orbifold_voa.untwisted import (
-    commutator_check,
+    commutator_formula_check,
     e_vec,
     p_coeff_apply,
     vertex_mode,
@@ -281,9 +281,12 @@ def test_criterion_10_commutators_and_conjugation():
     for k in (1, 2):
         params = RingParams(k)
         e_lat = lattice_vector(params, 2 * k)
+        alpha = UVector(params, {((1,), 0): 1})
         for coset in (0, 1):
             vectors = [UVector(params, {key: 1}) for key in coset_basis(params, coset, 4)]
-            ok, nontrivial = commutator_check(vertex_mode, e_lat, range(-2, 3), vectors, 4 + k)
+            ok, nontrivial = commutator_formula_check(
+                vertex_mode, alpha, heis_act, range(-2, 3), e_lat, vectors, 4 + k
+            )
             if not ok:
                 report(10, "untwisted commutators", False, f"k={k} coset={coset}")
             counts["untwisted"] += nontrivial
@@ -291,7 +294,7 @@ def test_criterion_10_commutators_and_conjugation():
         for r in sorted({1, k, 2 * k}):
             u = lattice_vector(params, r)
             modes = (-Fraction(3, 2), -HALF, HALF, Fraction(3, 2))
-            ok, nontrivial = commutator_check(mtheta_mode, u, modes, vectors, 4)
+            ok, nontrivial = commutator_formula_check(mtheta_mode, alpha, heis_act, modes, u, vectors, 4)
             if not ok:
                 report(10, "twisted commutators", False, f"k={k} r={r}")
             counts["twisted"] += nontrivial

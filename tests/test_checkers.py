@@ -3,10 +3,10 @@ one on-grid mode is doubled must make every checker fail, so no checker
 can pass by comparing only zeros."""
 
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
-from orbifold_voa import intertwine
 from orbifold_voa.fock import (
     TVector,
     UVector,
@@ -20,12 +20,12 @@ from orbifold_voa.intertwine import (
     Y_RS,
     Y_RS_THETA,
     IntertwinerSpec,
-    jacobi_commutator_check,
+    intertwiner_mode,
 )
 from orbifold_voa.ring import RingParams
 from orbifold_voa.twisted import conjugation_check, lattice_sector_map, mtheta_mode, tilde_mode
 from orbifold_voa.untwisted import (
-    commutator_check,
+    commutator_formula_check,
     e_vec,
     omega_vec,
     support_modes,
@@ -41,11 +41,12 @@ def params(request):
 
 
 def doubled_at(op, u_star, m_star):
-    """`op` with its image of `u_star` at the exponent `m_star` doubled."""
+    """`op` with its image at the exponent `m_star` doubled: of `u_star`
+    alone, or of every first input when `u_star` is None."""
 
     def perturbed(u, m, v, *args):
         image = op(u, m, v, *args)
-        return image * 2 if m == m_star and u == u_star else image
+        return image * 2 if m == m_star and (u_star is None or u == u_star) else image
 
     return perturbed
 
@@ -65,7 +66,9 @@ def twisted_vectors(params, max_weight):
 
 
 def test_commutator_check_catches_a_doubled_mode(params):
+    # the oscillator commutators, untwisted and twisted: a = alpha(-1)1
     k = params.k
+    alpha = UVector(params, {((1,), 0): 1})
     untwisted_vectors = [UVector(params, {key: 1}) for key in coset_basis(params, 1, 2)]
     cases = [
         (vertex_mode, lattice_vector(params, 2 * k), n, untwisted_vectors, 2 + k)
@@ -76,10 +79,13 @@ def test_commutator_check_catches_a_doubled_mode(params):
         for n in (-HALF, Fraction(3, 2))
     ]
     for op, u, n, vectors, depth in cases:
-        ok, nontrivial = commutator_check(op, u, (n,), vectors, depth)
+        ok, nontrivial = commutator_formula_check(op, alpha, heis_act, (n,), u, vectors, depth)
         assert ok and nontrivial > 0, (op.__name__, n)
         m_star = deepest_nonzero(op, u, vectors[0], depth)
-        ok, _ = commutator_check(doubled_at(op, u, m_star), u, (n,), vectors, depth)
+        # the right side is the same operator on a_0 u = r u, so the fault
+        # doubles every first input alike
+        mutant = doubled_at(op, None, m_star)
+        ok, _ = commutator_formula_check(mutant, alpha, heis_act, (n,), u, vectors, depth)
         assert not ok, (op.__name__, n, m_star)
 
 
@@ -100,7 +106,8 @@ def test_conjugation_check_catches_a_doubled_mode(params):
         assert not ok, (op.__name__, m_star)
 
 
-def test_jacobi_check_catches_a_doubled_mode(params, monkeypatch):
+def test_jacobi_check_catches_a_doubled_mode(params):
+    # the intertwiner residues: a = omega, E acting through vertex_mode
     k = params.k
     u = v = lattice_vector(params, 1)
     om, E = omega_vec(params), e_vec(params)
@@ -110,17 +117,14 @@ def test_jacobi_check_catches_a_doubled_mode(params, monkeypatch):
         (IntertwinerSpec(Y_RS_THETA, 1, 1), om, 0),
         (IntertwinerSpec(Y_RS_THETA, 1, 1), E, 1),
     )
-    real = intertwine.intertwiner_mode
     for spec, a, n in cases:
-        ok, nontrivial = jacobi_commutator_check(spec, a, n, u, v, 3)
+        op = partial(intertwiner_mode, spec)
+        target = theta if spec.kind == Y_RS_THETA else None
+        a_on = partial(vertex_mode, a)
+        ok, nontrivial = commutator_formula_check(op, a, a_on, (n,), u, (v,), 3, target)
         assert ok and nontrivial > 0, (spec.name, n)
-        target = theta(v) if spec.kind == Y_RS_THETA else v
-        m_star = [m for m in support_modes(u, target, 3) if real(spec, u, m, v)][-1]
-        with monkeypatch.context() as patch:
-            patch.setattr(
-                intertwine,
-                "intertwiner_mode",
-                lambda sp, uu, m, vv, *args: real(sp, uu, m, vv, *args) * (2 if m == m_star and uu == u else 1),
-            )
-            ok, _ = jacobi_commutator_check(spec, a, n, u, v, 3)
+        grid = support_modes(u, v if target is None else target(v), 3)
+        m_star = [m for m in grid if op(u, m, v)][-1]
+        mutant = doubled_at(op, u, m_star)
+        ok, _ = commutator_formula_check(mutant, a, a_on, (n,), u, (v,), 3, target)
         assert not ok, (spec.name, n, m_star)

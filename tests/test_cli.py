@@ -234,12 +234,42 @@ def test_verify_suites_pass_at_k2(capsys, suite):
 
 
 @pytest.mark.parametrize("k", ("1", "2", "3", "4"))
-def test_verify_jacobi_items_compare_nonzero_images(capsys, k):
+def test_verify_jacobi_items_compare_nonzero_images(capsys, monkeypatch, k):
+    # each item runs several checker calls; record every call's own count,
+    # so a call that compared only zeros cannot hide behind the others
+    counts = []
+    swept = cli._swept
+
+    def recording(results, detail):
+        def record():
+            for name, (ok, count) in results:
+                counts.append((name, count))
+                yield name, (ok, count)
+
+        return swept(record(), detail)
+
+    monkeypatch.setattr(cli, "_swept", recording)
     code, out, _ = run(capsys, "verify", "jacobi", "--k", k, "--format", "json")
     assert code == EXIT_OK
     results = json.loads(out)["results"]
     assert [r["status"] for r in results] == ["pass"] * 5  # a sweep of zero images would report skip
     assert results[-1]["name"] == "intertwiner Jacobi residue"
+    # two cosets, r in {1, k, 2k}, three and two conjugations, eight residues
+    assert len(counts) == 2 + len({1, int(k), 2 * int(k)}) + 3 + 2 + 8
+    assert [name for name, count in counts if not count] == []
+
+
+def test_verify_jacobi_residue_skips_the_vacuous_e_calls_at_k6(capsys):
+    # from k=6 on, the sweep of depth 4 reaches no nonzero image of E_n on
+    # e[1] at n = k-1, k for either intertwiner, while the omega calls do
+    code, out, _ = run(capsys, "verify", "jacobi", "--k", "6", "--format", "json")
+    assert code == EXIT_OK
+    results = json.loads(out)["results"]
+    assert [r["status"] for r in results] == ["pass"] * 4 + ["skip"]
+    assert results[-1]["detail"] == (
+        "Y[1,1], a=E, n=5; Y[1,1], a=E, n=6; Y[1,-1]∘theta, a=E, n=5; "
+        "Y[1,-1]∘theta, a=E, n=6 compared only zeros"
+    )
 
 
 @pytest.mark.parametrize("k", (1, 2, 3, 4))
@@ -248,7 +278,7 @@ def test_verify_jacobi_checks_the_twisted_basis_up_to_weight_three_halves(capsys
     # change that shrank the set would still pass
     calls = []
 
-    def commutators(mode, u, ns, vectors, depth):
+    def commutators(mode, a, a_on, ns, u, vectors, depth, grid=None):
         calls.append((mode, list(vectors)))
         return True, 1
 
@@ -256,7 +286,7 @@ def test_verify_jacobi_checks_the_twisted_basis_up_to_weight_three_halves(capsys
         calls.append((mode, list(vectors)))
         return True, 1
 
-    monkeypatch.setattr(cli, "commutator_check", commutators)
+    monkeypatch.setattr(cli, "commutator_formula_check", commutators)
     monkeypatch.setattr(cli, "conjugation_check", conjugations)
     code, _, _ = run(capsys, "verify", "jacobi", "--k", str(k), "--cutoff", "0")
     assert code == EXIT_OK
@@ -269,7 +299,7 @@ def test_verify_jacobi_checks_the_twisted_basis_up_to_weight_three_halves(capsys
     assert [next(iter(v.terms)) for v in sector1 + sector2] == [
         (parts, sector) for sector in (1, 2) for parts in ((), (half,), (half, half))
     ]
-    twisted = [(mode, vectors) for mode, vectors in calls if mode is not cli.vertex_mode]
+    twisted = [(mode, vs) for mode, vs in calls if any(isinstance(v, TVector) for v in vs)]
     # the twisted commutators at r = 1, k, 2k, then conjugation at three u,
     # then the sector-map conjugation at two u
     assert twisted == (
@@ -289,10 +319,16 @@ def test_verify_jacobi_skips_an_empty_sweep(capsys):
     results = json.loads(out)["results"]
     # the twisted commutators at n = -3/2 still reach weight 3 and compare
     # nonzero images, and so do the omega residues of Y_rs∘theta, whose
-    # images of e[1] on theta(e[1]) = e[-1] include weight 0
-    assert [r["status"] for r in results] == ["skip", "pass", "skip", "skip", "pass"]
-    skipped = [r for r in results if r["status"] == "skip"]
-    assert all(r["detail"] == "every compared image is zero" for r in skipped)
+    # images of e[1] on theta(e[1]) = e[-1] include weight 0; the other
+    # residue calls compare only zeros, so that item is skipped too
+    assert [r["status"] for r in results] == ["skip", "pass", "skip", "skip", "skip"]
+    assert [r["detail"] for r in results if r["status"] == "skip"] == [
+        "coset 0; coset 1 compared only zeros",
+        "u at index 1; u at index 1; u at index 4 compared only zeros",
+        "u at index 4; u at index 2 compared only zeros",
+        "Y[1,1], a=omega, n=1; Y[1,1], a=E, n=1; Y[1,1], a=E, n=2; "
+        "Y[1,-1]∘theta, a=E, n=1; Y[1,-1]∘theta, a=E, n=2 compared only zeros",
+    ]
 
 
 @pytest.mark.parametrize("cutoff, status", (("0", "skip"), ("1", "pass")))

@@ -2,6 +2,7 @@
 coupling, and the residue form of the defining commutation."""
 
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
@@ -22,12 +23,11 @@ from orbifold_voa.intertwine import (
     first_nonzero_mode,
     forced_zero_coupling,
     intertwiner_mode,
-    jacobi_commutator_check,
     phase_apply,
     witness_vectors,
 )
 from orbifold_voa.ring import RingParams
-from orbifold_voa.untwisted import e_vec, omega_vec, support_modes
+from orbifold_voa.untwisted import commutator_formula_check, e_vec, omega_vec, support_modes, vertex_mode
 
 
 @pytest.fixture(scope="module", params=(1, 2, 3))
@@ -173,7 +173,10 @@ def test_jacobi_residue_for_conformal_and_lattice_modes():
         cases += [(spec, E, n) for n in (k - 1, k)]
         cases += [(spec_t, a, n) for a in (om, E) for n in (0, 1)]
         for sp, a, n in cases:
-            ok, nontrivial = jacobi_commutator_check(sp, a, n, u, v, 3)
+            grid = theta if sp.kind == Y_RS_THETA else None
+            mode = partial(intertwiner_mode, sp)
+            a_on = partial(vertex_mode, a)
+            ok, nontrivial = commutator_formula_check(mode, a, a_on, (n,), u, (v,), 3, grid)
             assert ok, (k, sp.name, n)
             assert nontrivial > 0, (k, sp.name, n)
 

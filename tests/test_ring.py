@@ -1,5 +1,6 @@
 """Exactness and faithfulness of the coefficient ring."""
 
+import cmath
 from fractions import Fraction
 
 import mpmath
@@ -144,7 +145,11 @@ def test_examples_from_contract():
     p2 = RingParams(2)
     tsq = p2.two_to(Fraction(1, 2))
     assert tsq * tsq == p2.rational(2)
-    assert abs(complex(tsq) - 2**0.5) < 1e-12
+    # and it is the positive root: sum c zeta^a t^b in floats, zeta = e^(i pi/2k), t = 2^(1/2k)
+    value = sum(
+        float(c) * cmath.exp(1j * cmath.pi * a / 4) * 2.0 ** (b / 4) for (a, b), c in tsq.terms.items()
+    )
+    assert abs(value - 2**0.5) < 1e-12
     # zero test
     assert (p1.zeta(2) + p1.one()).is_zero()  # zeta^(2k) = -1 at k=1
     assert not (t - p1.one()).is_zero()

@@ -29,7 +29,7 @@ from orbifold_voa.twisted import (
     tilde_mode,
     twisted_mode,
 )
-from orbifold_voa.untwisted import commutator_check, e_vec, j_vec, omega_vec, support_modes
+from orbifold_voa.untwisted import commutator_formula_check, e_vec, j_vec, omega_vec, support_modes
 
 HALF = Fraction(1, 2)
 
@@ -171,10 +171,11 @@ def _twisted_vectors(params, sectors, max_weight):
 def test_twisted_commutators(params):
     k = params.k
     vectors = _twisted_vectors(params, (1,), Fraction(3, 2))
+    alpha = u_term(params, [1], 0)
     for r in sorted({1, k, 2 * k}):
         u = lattice_vector(params, r)
         for mp in (-Fraction(3, 2), -HALF, HALF, Fraction(3, 2)):
-            ok, nontrivial = commutator_check(mtheta_mode, u, (mp,), vectors, 4)
+            ok, nontrivial = commutator_formula_check(mtheta_mode, alpha, heis_act, (mp,), u, vectors, 4)
             assert ok, (k, r, mp)
             assert nontrivial > 0, (k, r, mp)
 

@@ -8,7 +8,7 @@ import pytest
 from orbifold_voa.fock import UVector, coset_basis, heis_act, lattice_vector, u_term, vacuum
 from orbifold_voa.ring import RingParams
 from orbifold_voa.untwisted import (
-    commutator_check,
+    commutator_formula_check,
     e_vec,
     f_vec,
     j_vec,
@@ -169,11 +169,14 @@ def test_commutator_with_lattice_operator():
     for k in (1, 2):
         params = RingParams(k)
         u = lattice_vector(params, 2 * k)
+        alpha = u_term(params, [1], 0)
         cutoff = 4 if k == 1 else 3
         for coset in (0, 1):
             vectors = [UVector(params, {key: 1}) for key in coset_basis(params, coset, cutoff)]
             for m in (-2, -1, 0, 1, 2):
-                ok, nontrivial = commutator_check(vertex_mode, u, (m,), vectors, cutoff + k)
+                ok, nontrivial = commutator_formula_check(
+                    vertex_mode, alpha, heis_act, (m,), u, vectors, cutoff + k
+                )
                 assert ok, (k, coset, m)
                 assert nontrivial > 0, (k, coset, m)
     # the identity operator commutes outright
