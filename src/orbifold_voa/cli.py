@@ -54,11 +54,11 @@ from .intertwine import (
     Y_RS,
     Y_RS_THETA,
     IntertwinerSpec,
-    _target,
     direct_witness,
     first_nonzero_mode,
     forced_zero_coupling,
     intertwiner_mode,
+    target_of,
     witness_vectors,
 )
 from .ring import RingParams
@@ -327,11 +327,9 @@ def suite_p31(k: int, cutoff):
 
 
 def _swept(results, detail: str):
-    """One suite item from (name, (ok, nontrivial)) pairs, one per call of
-    a checker, run in order up to the first failure, whose detail is the
-    call's name.  A call that compared only zeros showed nothing, so an
-    item with one is skipped, not passed, and its detail names every such
-    call."""
+    """One suite item from (call name, (ok, nontrivial)) pairs, run in order
+    up to the first failing call, which it names.  A call that compared only
+    zeros showed nothing, so an item with one is skipped and names them all."""
     vacuous = []
     for name, (ok, count) in results:
         if not ok:
@@ -366,9 +364,7 @@ def suite_jacobi(k: int, cutoff):
         modes = (Fraction(-3, 2), Fraction(-1, 2), Fraction(1, 2), Fraction(3, 2))
         for r in sorted({1, k, 2 * k}):
             u = lattice_vector(params, r)
-            yield f"r={r}", commutator_formula_check(
-                mtheta_mode, alpha, heis_act, modes, u, sector1, cut
-            )
+            yield f"r={r}", commutator_formula_check(mtheta_mode, alpha, heis_act, modes, u, sector1, cut)
 
     def conjugation():
         for r, u in (
@@ -390,7 +386,7 @@ def suite_jacobi(k: int, cutoff):
         generators = (("omega", omega_vec(params), (0, 1)), ("E", e_vec(params), (k - 1, k)))
         for kind in (Y_RS, Y_RS_THETA):
             spec = IntertwinerSpec(kind, 1, 1)
-            mode, grid = partial(intertwiner_mode, spec), partial(_target, spec)
+            mode, grid = partial(intertwiner_mode, spec), partial(target_of, spec)
             for name, a, ns in generators:
                 for n in ns:
                     yield f"{spec.name}, a={name}, n={n}", commutator_formula_check(

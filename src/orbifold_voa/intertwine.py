@@ -75,7 +75,7 @@ class IntertwinerSpec:
         return f"Ytilde[{self.r}]∘theta"
 
 
-def _target(spec: IntertwinerSpec, v):
+def target_of(spec: IntertwinerSpec, v):
     """The second input as the operator of `spec` sees it: theta(v) for the
     theta-composed kinds, v otherwise."""
     return theta(v) if spec.kind in (Y_RS_THETA, TILDE_THETA) else v
@@ -100,10 +100,10 @@ def intertwiner_mode(spec: IntertwinerSpec, u: UVector, m, v):
                     f"second input lives at lattice index {s}, not in the "
                     f"coset {spec.s} mod {2 * k} declared by {spec.name}"
                 )
-        return vertex_mode(u, m, phase_apply(spec.r, _target(spec, v)))
+        return vertex_mode(u, m, phase_apply(spec.r, target_of(spec, v)))
     if not isinstance(v, TVector):
         raise ValueError(f"{spec.name} needs a twisted second input")
-    return tilde_mode(u, m, _target(spec, v))
+    return tilde_mode(u, m, target_of(spec, v))
 
 
 def first_nonzero_mode(spec: IntertwinerSpec, u, v, cutoff, target_sign: int = 0):
@@ -112,7 +112,7 @@ def first_nonzero_mode(spec: IntertwinerSpec, u, v, cutoff, target_sign: int = 0
     each image is first projected onto that target eigenspace."""
     if not u or not v:
         raise ValueError("witness inputs must be nonzero")
-    for m in support_modes(u, _target(spec, v), cutoff):
+    for m in support_modes(u, target_of(spec, v), cutoff):
         img = intertwiner_mode(spec, u, m, v)
         if target_sign and img:
             img = project_eigen(img, target_sign)

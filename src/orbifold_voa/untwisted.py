@@ -43,7 +43,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, floor, gcd, lcm
+from math import factorial, floor, gcd, lcm, prod
 
 from .fock import (
     TVector,
@@ -549,6 +549,16 @@ def tally(comparisons) -> tuple[bool, int]:
     return True, nontrivial
 
 
+def _multiple(x, u):
+    """The rational c with x == c * u != 0, or None."""
+    key, cu = next(iter(u.terms.items()), (None, None))
+    cx = x.terms.get(key)
+    if cx is None or not (cx.is_rational() and cu.is_rational()):
+        return None
+    c = cx.as_rational() / cu.as_rational()
+    return c if x == u * c else None
+
+
 def commutator_formula_check(mode, a: UVector, a_on, ns, u: UVector, vectors, depth, grid=None):
     """Check the commutator formula
     a_n u_q w - u_q a_n w = sum_{i>=0} C(n, i) (a_i u)_{n+q-i} w
@@ -560,35 +570,46 @@ def commutator_formula_check(mode, a: UVector, a_on, ns, u: UVector, vectors, de
     of a_n, q runs over the grid of u against `grid(w)` (w itself by
     default; theta(w) for a theta-composed intertwiner) from m_high + s,
     where u_q a_n w has weight 0, down to where u_q w has weight
-    depth + |s|.  Each image (a_i u)_m w and u_m w is computed once per w
-    and shared by every n.  Returns `tally`'s (ok, nontrivial)."""
+    depth + |s|.  Each image is computed once per w and shared by every n.
+    Returns `tally`'s (ok, nontrivial)."""
     wa = a.max_weight()
-    # a_i u has weight wt(a) + wt(u) - i - 1, so it vanishes from i = wt(a) + wt(u) on;
-    # u itself comes last, at index -1
-    sources = [vertex_mode(a, i, u) for i in range(floor(wa + u.max_weight()))] + [u]
+    # a_i u has weight wt(a) + wt(u) - i - 1, so it vanishes from i = wt(a) + wt(u) on.
+    # A nonzero a_i u is read as c * sources[j]: as u itself when it is a multiple
+    # of u (a_0 u = r u for alpha, L_0 u = wt(u) u for omega), so that both sides
+    # read one set of images of u, and as its own source otherwise
+    sources, reads = [u], []
+    for i in range(floor(wa + u.max_weight())):
+        ai_u = vertex_mode(a, i, u)
+        c = _multiple(ai_u, u)
+        if c is not None:
+            reads.append((i, 0, c))
+        elif ai_u:
+            reads.append((i, len(sources), 1))
+            sources.append(ai_u)
+    # per n, the right side's (source, mode shift, coefficient C(n, i) c)
+    terms = {n: [] for n in ns}
+    for n in ns:
+        for i, j, c in reads:
+            binom = prod(Fraction(n - y, y + 1) for y in range(i))
+            if binom:
+                terms[n].append((j, n - i, binom * c))
 
     def comparisons():
         for w in vectors:
             images = {}
 
-            def image(i, m):
-                if (i, m) not in images:
-                    images[i, m] = mode(sources[i], m, w)
-                return images[i, m]
+            def image(j, m):
+                if (j, m) not in images:
+                    images[j, m] = mode(sources[j], m, w)
+                return images[j, m]
 
             for n in ns:
                 s = wa - n - 1
                 aw = a_on(n, w)
-                binom, terms = Fraction(1), []
-                for i, ai_u in enumerate(sources[:-1]):
-                    if binom and ai_u:
-                        terms.append((i, binom))
-                    binom = binom * (n - i) / (i + 1)
                 for p in support_modes(u, w if grid is None else grid(w), depth + abs(s) + s):
                     q = p + s
-                    rhs = w * 0
-                    for i, c in terms:
-                        rhs = rhs + image(i, n + q - i) * c
-                    yield a_on(n, image(-1, q)) - mode(u, q, aw), rhs
+                    parts = [image(j, q + shift) * c for j, shift, c in terms[n]]
+                    rhs = sum(parts[1:], parts[0]) if parts else w * 0
+                    yield a_on(n, image(0, q)) - mode(u, q, aw), rhs
 
     return tally(comparisons())

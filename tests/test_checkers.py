@@ -21,6 +21,7 @@ from orbifold_voa.intertwine import (
     Y_RS_THETA,
     IntertwinerSpec,
     intertwiner_mode,
+    target_of,
 )
 from orbifold_voa.ring import RingParams
 from orbifold_voa.twisted import conjugation_check, lattice_sector_map, mtheta_mode, tilde_mode
@@ -41,12 +42,11 @@ def params(request):
 
 
 def doubled_at(op, u_star, m_star):
-    """`op` with its image at the exponent `m_star` doubled: of `u_star`
-    alone, or of every first input when `u_star` is None."""
+    """`op` with its image of `u_star` at the exponent `m_star` doubled."""
 
     def perturbed(u, m, v, *args):
         image = op(u, m, v, *args)
-        return image * 2 if m == m_star and (u_star is None or u == u_star) else image
+        return image * 2 if m == m_star and u == u_star else image
 
     return perturbed
 
@@ -82,9 +82,7 @@ def test_commutator_check_catches_a_doubled_mode(params):
         ok, nontrivial = commutator_formula_check(op, alpha, heis_act, (n,), u, vectors, depth)
         assert ok and nontrivial > 0, (op.__name__, n)
         m_star = deepest_nonzero(op, u, vectors[0], depth)
-        # the right side is the same operator on a_0 u = r u, so the fault
-        # doubles every first input alike
-        mutant = doubled_at(op, None, m_star)
+        mutant = doubled_at(op, u, m_star)
         ok, _ = commutator_formula_check(mutant, alpha, heis_act, (n,), u, vectors, depth)
         assert not ok, (op.__name__, n, m_star)
 
@@ -118,13 +116,11 @@ def test_jacobi_check_catches_a_doubled_mode(params):
         (IntertwinerSpec(Y_RS_THETA, 1, 1), E, 1),
     )
     for spec, a, n in cases:
-        op = partial(intertwiner_mode, spec)
-        target = theta if spec.kind == Y_RS_THETA else None
+        op, grid = partial(intertwiner_mode, spec), partial(target_of, spec)
         a_on = partial(vertex_mode, a)
-        ok, nontrivial = commutator_formula_check(op, a, a_on, (n,), u, (v,), 3, target)
+        ok, nontrivial = commutator_formula_check(op, a, a_on, (n,), u, (v,), 3, grid)
         assert ok and nontrivial > 0, (spec.name, n)
-        grid = support_modes(u, v if target is None else target(v), 3)
-        m_star = [m for m in grid if op(u, m, v)][-1]
+        m_star = [m for m in support_modes(u, grid(v), 3) if op(u, m, v)][-1]
         mutant = doubled_at(op, u, m_star)
-        ok, _ = commutator_formula_check(mutant, a, a_on, (n,), u, (v,), 3, target)
+        ok, _ = commutator_formula_check(mutant, a, a_on, (n,), u, (v,), 3, grid)
         assert not ok, (spec.name, n, m_star)

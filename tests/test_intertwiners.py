@@ -24,6 +24,7 @@ from orbifold_voa.intertwine import (
     forced_zero_coupling,
     intertwiner_mode,
     phase_apply,
+    target_of,
     witness_vectors,
 )
 from orbifold_voa.ring import RingParams
@@ -173,8 +174,7 @@ def test_jacobi_residue_for_conformal_and_lattice_modes():
         cases += [(spec, E, n) for n in (k - 1, k)]
         cases += [(spec_t, a, n) for a in (om, E) for n in (0, 1)]
         for sp, a, n in cases:
-            grid = theta if sp.kind == Y_RS_THETA else None
-            mode = partial(intertwiner_mode, sp)
+            mode, grid = partial(intertwiner_mode, sp), partial(target_of, sp)
             a_on = partial(vertex_mode, a)
             ok, nontrivial = commutator_formula_check(mode, a, a_on, (n,), u, (v,), 3, grid)
             assert ok, (k, sp.name, n)
