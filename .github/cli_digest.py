@@ -11,11 +11,12 @@ shows every command whose output or exit code a change moved.  SRC (default
 command runs in this one process through `cli.main`.  Stdlib only.
 
 The set: every verify suite in text and json at k=1..4, `verify jacobi
---k 2 --cutoff 8`, `verify jacobi` in json at k=5..8 (where the residue
-item skips, naming its calls of E that compare only zeros), `fusion
-table` and `zhu table` in both formats at k=1..4, the four `dump`
-targets, and at k=1..4 `fusion query` on every label triple and `witness`
-on every triple of value 1.  The twisted
+--k 2` at cutoffs 8 and 0 (at 0 every item but the twisted commutators
+skips, naming each call that compared only zeros), `verify jacobi` in
+json at k=5..8 (where the residue item skips, naming its calls of E that
+compare only zeros), `fusion table` and `zhu table` in both formats at
+k=1..4, the four `dump` targets, and at k=1..4 `fusion query` on every
+label triple and `witness` on every triple of value 1.  The twisted
 witnesses at k=4 print images placed with the prefactor's even-k sqrt(2)
 form at lattice indices 1, 2 and 3, where those at k=2 reach index 1
 alone."""
@@ -38,6 +39,7 @@ def commands():
             for fmt in ("text", "json"):
                 yield ["verify", suite, "--k", str(k), "--format", fmt]
     yield ["verify", "jacobi", "--k", "2", "--cutoff", "8"]
+    yield ["verify", "jacobi", "--k", "2", "--cutoff", "0"]
     for k in range(5, 9):
         yield ["verify", "jacobi", "--k", str(k), "--format", "json"]
     for k in range(1, 5):

@@ -366,18 +366,19 @@ def suite_jacobi(k: int, cutoff):
             u = lattice_vector(params, r)
             yield f"r={r}", commutator_formula_check(mtheta_mode, alpha, heis_act, modes, u, sector1, cut)
 
+    def named(u: UVector) -> str:
+        (key,) = u.terms  # each u of the conjugation items is one basis vector
+        return f"u = {UVector.key_str(key)}"
+
     def conjugation():
-        for r, u in (
-            (1, lattice_vector(params, 1)),
-            (1, heis_act(-1, lattice_vector(params, 1))),
-            (2 * k, lattice_vector(params, 2 * k)),
-        ):
-            yield f"u at index {r}", conjugation_check(mtheta_mode, u, sector1, cut)
+        e1 = lattice_vector(params, 1)
+        for u in (e1, heis_act(-1, e1), lattice_vector(params, 2 * k)):
+            yield named(u), conjugation_check(mtheta_mode, u, sector1, cut)
 
     def tilde_conjugation():
         for r, dress in ((2 * k, None), (k, lattice_sector_map(1))):
             u = lattice_vector(params, r)
-            yield f"u at index {r}", conjugation_check(tilde_mode, u, sector1 + sector2, cut, dress)
+            yield named(u), conjugation_check(tilde_mode, u, sector1 + sector2, cut, dress)
 
     def residue():
         # a = omega at n = 0, 1 (translation and grading) and a = E at the

@@ -35,12 +35,6 @@ def sort_parts(parts: Iterable) -> Parts:
     return tuple(sorted(parts, reverse=True))
 
 
-def _coerce(params: RingParams, c) -> Scalar:
-    if isinstance(c, Scalar):
-        return c
-    return params.rational(c)
-
-
 def add_into(acc: dict, key, c: Scalar) -> None:
     """acc[key] += c on a dict of Scalars, dropping the key at zero."""
     prev = acc.get(key)
@@ -61,7 +55,8 @@ class _SparseVector:
         clean = {}
         if terms:
             for key, c in terms.items():
-                c = _coerce(params, c)
+                if not isinstance(c, Scalar):
+                    c = params.rational(c)
                 if not c.is_zero():
                     clean[key] = c
         self.terms = clean
@@ -127,11 +122,11 @@ class _SparseVector:
         raise TypeError("graded vectors are not hashable")
 
     def map_terms(self, fn: Callable) -> "_SparseVector":
-        """fn(key, coeff) -> iterable of (key, coeff) contributions."""
+        """fn(key, coeff) -> iterable of (key, Scalar) contributions."""
         out: dict = {}
         for key, c in self.terms.items():
             for nk, nc in fn(key, c):
-                add_into(out, nk, _coerce(self.params, nc))
+                add_into(out, nk, nc)
         return self._wrap(self.params, out)
 
     def weights(self) -> set:
@@ -295,9 +290,9 @@ def project_eigen(vec, sign: int):
 # -- partition machinery ----------------------------------------------------------
 
 
-def partitions_of(n: int, max_part: int | None = None) -> Iterator[tuple[int, ...]]:
-    """All integer partitions of n with parts at most max_part, parts
-    descending, in reverse lexicographic order.
+def partitions_of(n: int) -> Iterator[tuple[int, ...]]:
+    """All integer partitions of n, parts descending, in reverse
+    lexicographic order.
 
     Iterative: each partition after the first comes from the one before by
     lowering its last part p > 1 to p - 1 and refilling p plus the trailing
@@ -307,11 +302,8 @@ def partitions_of(n: int, max_part: int | None = None) -> Iterator[tuple[int, ..
     if n == 0:
         yield ()
         return
-    top = n if max_part is None else min(n, max_part)
-    if top < 1:
-        return
     parts: list[int] = []
-    p, left = top + 1, n
+    p, left = n + 1, n
     while True:
         q, rest = divmod(left, p - 1)
         parts += [p - 1] * q

@@ -6,7 +6,8 @@ Untwisted intertwiners compose the plain vertex operator with a phase
 twist: the operator attached to u at lattice index a multiplies a target
 term at index s by zeta^(a*s) before acting.  The theta-composed variant
 feeds theta(v) instead of v and lands in the difference coset.  Twisted
-ones are the tilde operators of the twisted module layer.
+ones are the tilde operators of the twisted module layer; they need no
+theta-composed kind, since theta acts on each twisted eigenmodule as +-1.
 """
 
 from __future__ import annotations
@@ -32,9 +33,8 @@ from .untwisted import e_vec, f_vec, support_modes, vertex_mode
 Y_RS = "Y_rs"                  # vertex operator with phase twist
 Y_RS_THETA = "Y_rs_theta"      # same, precomposed with theta on the target
 TILDE = "tilde_Y"              # twisted, sector maps attached
-TILDE_THETA = "tilde_Y_theta"  # twisted, precomposed with theta
 
-KINDS = (Y_RS, Y_RS_THETA, TILDE, TILDE_THETA)
+KINDS = (Y_RS, Y_RS_THETA, TILDE)
 
 
 def phase_apply(r: int, v: UVector) -> UVector:
@@ -70,15 +70,13 @@ class IntertwinerSpec:
             return f"Y[{self.r},{self.s}]"
         if self.kind == Y_RS_THETA:
             return f"Y[{self.r},{-self.s}]∘theta"
-        if self.kind == TILDE:
-            return f"Ytilde[{self.r}]"
-        return f"Ytilde[{self.r}]∘theta"
+        return f"Ytilde[{self.r}]"
 
 
 def target_of(spec: IntertwinerSpec, v):
-    """The second input as the operator of `spec` sees it: theta(v) for the
-    theta-composed kinds, v otherwise."""
-    return theta(v) if spec.kind in (Y_RS_THETA, TILDE_THETA) else v
+    """The second input as the operator of `spec` sees it: theta(v) for
+    Y_rs∘theta, v otherwise."""
+    return theta(v) if spec.kind == Y_RS_THETA else v
 
 
 def intertwiner_mode(spec: IntertwinerSpec, u: UVector, m, v):
@@ -103,7 +101,7 @@ def intertwiner_mode(spec: IntertwinerSpec, u: UVector, m, v):
         return vertex_mode(u, m, phase_apply(spec.r, target_of(spec, v)))
     if not isinstance(v, TVector):
         raise ValueError(f"{spec.name} needs a twisted second input")
-    return tilde_mode(u, m, target_of(spec, v))
+    return tilde_mode(u, m, v)
 
 
 def first_nonzero_mode(spec: IntertwinerSpec, u, v, cutoff, target_sign: int = 0):
@@ -195,8 +193,6 @@ def direct_witness(k: int, triple) -> tuple[IntertwinerSpec, int] | None:
     if w1.is_twisted:
         return None
     n_twisted = sum(1 for w in triple if w.is_twisted)
-    if n_twisted == 2 and not w2.is_twisted:
-        return None  # positions (1, 3): no direct construction
     if n_twisted in (1, 3):
         return None  # these fusion rules all vanish; nothing to witness
     r1 = lb.lattice_coset(w1, k)

@@ -49,6 +49,7 @@ from .fock import (
     TVector,
     UVector,
     add_into,
+    lattice_vector,
     partitions_of,
     sort_parts,
     u_term,
@@ -83,11 +84,9 @@ def _creation_table(
     With no `pending` factors these are the terms of the creation
     exponential of lambda_r.  Parts are doubled modes, odd when twisted and
     even otherwise, listed in descending order; a part N carries
-    (r/2k)/(N/2) = r/(kN), and i equal parts a further 1/i!.  Untwisted
-    budgets are always even (the kernel's z-budget and every created part
-    are), so an odd untwisted w has no terms.  One partition walk carries
-    each coefficient as an integer numerator and denominator: the i-th copy
-    of a part N multiplies them by r and k*N*i.
+    (r/2k)/(N/2) = r/(kN), and i equal parts a further 1/i!.  One
+    partition walk carries each coefficient as an integer numerator and
+    denominator: the i-th copy of a part N multiplies them by r and k*N*i.
 
     Each pending factor a(-n) takes a created part p (the coefficient of
     alpha(-p/2) in its divided derivative, see `_dcoef`) and leaves w - p
@@ -118,8 +117,6 @@ def _creation_table(
             table = (den // g, tuple([(parts, num // g) for parts, num in merged.items() if num]))
         elif not r:
             table = (1, (((), 1),) if w == 0 else ())
-        elif not twisted and w % 2:
-            table = (1, ())
         else:
             k = params.k
             rows = []
@@ -453,15 +450,11 @@ def omega_vec(params: RingParams) -> UVector:
 
 def e_vec(params: RingParams) -> UVector:
     """E = e[2k] + e[-2k], the symmetric weight-k lattice vector."""
-    from .fock import lattice_vector
-
     return lattice_vector(params, 2 * params.k) + lattice_vector(params, -2 * params.k)
 
 
 def f_vec(params: RingParams) -> UVector:
     """F = e[2k] - e[-2k], the antisymmetric partner of E."""
-    from .fock import lattice_vector
-
     return lattice_vector(params, 2 * params.k) - lattice_vector(params, -2 * params.k)
 
 

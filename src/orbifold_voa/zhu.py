@@ -41,13 +41,8 @@ def _homogeneous_weight(a: UVector) -> Fraction:
 
 def top_action(params: RingParams, gen, label: lb.ModuleLabel) -> Scalar:
     """The scalar by which the weight-preserving mode of the generator acts
-    on the top level of the labelled module, computed from the operators."""
-    lb.validate_label(label, params.k)
-    if params.k == 1 and label == lb.u_minus():
-        raise ValueError(
-            "V- at k=1 has a two-dimensional top level; the scalar action "
-            "is undefined"
-        )
+    on the top level of the labelled module, computed from the operators
+    (`top_vector` refuses a bad label and V- at k=1)."""
     a = generator_vector(params, gen) if isinstance(gen, str) else gen
     return _eigenvalue(params, a, _homogeneous_weight(a) - 1, top_vector(params, label), label, gen)
 

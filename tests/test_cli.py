@@ -324,8 +324,8 @@ def test_verify_jacobi_skips_an_empty_sweep(capsys):
     assert [r["status"] for r in results] == ["skip", "pass", "skip", "skip", "skip"]
     assert [r["detail"] for r in results if r["status"] == "skip"] == [
         "coset 0; coset 1 compared only zeros",
-        "u at index 1; u at index 1; u at index 4 compared only zeros",
-        "u at index 4; u at index 2 compared only zeros",
+        "u = e[1]; u = a(-1)e[1]; u = e[4] compared only zeros",
+        "u = e[4]; u = e[2] compared only zeros",
         "Y[1,1], a=omega, n=1; Y[1,1], a=E, n=1; Y[1,1], a=E, n=2; "
         "Y[1,-1]∘theta, a=E, n=1; Y[1,-1]∘theta, a=E, n=2 compared only zeros",
     ]

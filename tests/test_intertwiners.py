@@ -90,6 +90,14 @@ def test_membership_validation(params):
         intertwiner_mode(spec, lattice_vector(params, 1), 0, tw_vacuum(params))
 
 
+@pytest.mark.parametrize("kind", ("tilde_Y_theta", "Y_RS", "tilde_y", ""))
+def test_spec_refuses_an_unknown_kind(kind):
+    # theta acts on each twisted eigenmodule as +-1, so there is no
+    # theta-composed twisted kind
+    with pytest.raises(ValueError, match="unknown intertwiner kind"):
+        IntertwinerSpec(kind, 1)
+
+
 def test_witness_examples(params):
     k = params.k
     # the identity-type operator is its own witness

@@ -817,7 +817,7 @@ def test_images_hold_no_zero_scalar(k):
         u = _coset_u(params, r)
         cases.append((twisted.tilde_mode, u, t_v, t_v))
         cases.append((twisted.mtheta_mode, u, t_v, t_v))
-        spec = intertwine.IntertwinerSpec(intertwine.TILDE_THETA, r % two_k)
+        spec = intertwine.IntertwinerSpec(intertwine.TILDE, r % two_k)
         cases.append((partial(intertwine.intertwiner_mode, spec), u, t_v, t_v))
         for s in (1, -k):
             v = _untwisted_v(params, s)
