@@ -14,12 +14,14 @@ The set: every verify suite in text and json at k=1..4, `verify jacobi
 --k 2` at cutoffs 8 and 0 (at 0 every item but the twisted commutators
 skips, naming each call that compared only zeros), `verify jacobi` in
 json at k=5..8 (where the residue item skips, naming its calls of E that
-compare only zeros), `fusion table` and `zhu table` in both formats at
-k=1..4, the four `dump` targets, and at k=1..4 `fusion query` on every
-label triple and `witness` on every triple of value 1.  The twisted
-witnesses at k=4 print images placed with the prefactor's even-k sqrt(2)
-form at lattice indices 1, 2 and 3, where those at k=2 reach index 1
-alone."""
+compare only zeros), `verify decomp` in json at `--k 1 --cutoff 40` and
+`--k 3 --cutoff 20` (partition counts up to about n = 40 and odd-part
+counts up to about n = 80; the default cutoff 10 stops near a quarter of
+that), `fusion table` and `zhu table` in both formats at k=1..4, the four
+`dump` targets, and at k=1..4 `fusion query` on every label triple and
+`witness` on every triple of value 1.  The twisted witnesses at k=4 print
+images placed with the prefactor's even-k sqrt(2) form at lattice indices
+1, 2 and 3, where those at k=2 reach index 1 alone."""
 
 import hashlib
 import io
@@ -42,6 +44,8 @@ def commands():
     yield ["verify", "jacobi", "--k", "2", "--cutoff", "0"]
     for k in range(5, 9):
         yield ["verify", "jacobi", "--k", str(k), "--format", "json"]
+    for k, cutoff in ((1, 40), (3, 20)):
+        yield ["verify", "decomp", "--k", str(k), "--cutoff", str(cutoff), "--format", "json"]
     for k in range(1, 5):
         for fmt in ("json", "csv"):
             yield ["fusion", "table", "--k", str(k), "--format", fmt]

@@ -482,22 +482,16 @@ def witness_names(k: int, triple) -> list[str]:
     """Names of explicit constructions witnessing a nonzero fusion value,
     searching the symmetry orbit when the triple itself is not covered.
     Names only: nothing is built or evaluated."""
-    seen = set()
-    frontier = [(triple, "")]
-    while frontier:
-        (t, via), frontier = frontier[0], frontier[1:]
-        if t in seen:
-            continue
-        seen.add(t)
+    orbit = [triple]
+    for t in orbit:
         hit = direct_witness(k, t)
         if hit is not None:
             name = hit[0].name
-            return [name if not via else f"{name} (via symmetry)"]
+            return [name if t == triple else f"{name} (via symmetry)"]
         w1, w2, w3 = t
-        frontier.append(((w2, w1, w3), "s"))
-        frontier.append(
-            ((w1, zhu.contragredient(w3, k), zhu.contragredient(w2, k)), "s")
-        )
+        for image in ((w2, w1, w3), (w1, zhu.contragredient(w3, k), zhu.contragredient(w2, k))):
+            if image not in orbit:
+                orbit.append(image)
     return []
 
 

@@ -320,19 +320,10 @@ def partitions_of(n: int) -> Iterator[tuple[int, ...]]:
         left += p
 
 
-def odd_partitions_of(n: int, max_part: int | None = None) -> Iterator[tuple[int, ...]]:
-    """Partitions of n into odd parts (used doubled for half-odd modes)."""
-    if n < 0:
-        return
-    if n == 0:
-        yield ()
-        return
-    top = n if max_part is None else min(n, max_part)
-    if top % 2 == 0:
-        top -= 1
-    for first in range(top, 0, -2):
-        for rest in odd_partitions_of(n - first, first):
-            yield (first,) + rest
+def odd_partitions_of(n: int) -> Iterator[tuple[int, ...]]:
+    """Partitions of n into odd parts (used doubled for half-odd modes), in
+    the reverse lexicographic order of `partitions_of`."""
+    return (p for p in partitions_of(n) if all(part % 2 for part in p))
 
 
 def half_odd_partitions_of(total: Fraction) -> Iterator[tuple[Fraction, ...]]:
@@ -343,25 +334,6 @@ def half_odd_partitions_of(total: Fraction) -> Iterator[tuple[Fraction, ...]]:
         return
     for doubled in odd_partitions_of(int(2 * total)):
         yield tuple(Fraction(p, 2) for p in doubled)
-
-
-@lru_cache(maxsize=None)
-def partition_count(n: int) -> int:
-    """p(n), from Euler's pentagonal recurrence
-    p(j) = sum_{i >= 1} (-1)^(i+1) (p(j - i(3i-1)/2) + p(j - i(3i+1)/2)),
-    run bottom-up over j = 1..n."""
-    if n < 0:
-        return 0
-    p = [1]
-    for j in range(1, n + 1):
-        total, i, g = 0, 1, 1  # g = i(3i-1)/2, the i-th generalized pentagonal number
-        while g <= j:
-            pair = p[j - g] + (p[j - g - i] if g + i <= j else 0)
-            total += pair if i % 2 else -pair
-            i += 1
-            g += 3 * i - 2
-        p.append(total)
-    return p[n]
 
 
 def _length_parity_counts(n: int, step: int) -> tuple[int, int]:
@@ -382,6 +354,11 @@ def _length_parity_counts(n: int, step: int) -> tuple[int, int]:
 def partition_count_parity(n: int) -> tuple[int, int]:
     """(even-length, odd-length) partition counts of n."""
     return _length_parity_counts(n, 1)
+
+
+def partition_count(n: int) -> int:
+    """p(n), the sum of the even- and odd-length counts."""
+    return sum(partition_count_parity(n))
 
 
 @lru_cache(maxsize=None)

@@ -39,11 +39,11 @@ def _homogeneous_weight(a: UVector) -> Fraction:
     return w
 
 
-def top_action(params: RingParams, gen, label: lb.ModuleLabel) -> Scalar:
-    """The scalar by which the weight-preserving mode of the generator acts
-    on the top level of the labelled module, computed from the operators
-    (`top_vector` refuses a bad label and V- at k=1)."""
-    a = generator_vector(params, gen) if isinstance(gen, str) else gen
+def top_action(params: RingParams, gen: str, label: lb.ModuleLabel) -> Scalar:
+    """The scalar by which the weight-preserving mode of the named generator
+    acts on the top level of the labelled module, computed from the
+    operators (`top_vector` refuses a bad label and V- at k=1)."""
+    a = generator_vector(params, gen)
     return _eigenvalue(params, a, _homogeneous_weight(a) - 1, top_vector(params, label), label, gen)
 
 

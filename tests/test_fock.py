@@ -15,6 +15,7 @@ from orbifold_voa.fock import (
     lattice_vector,
     m1_graded_dim,
     odd_partition_count_parity,
+    odd_partitions_of,
     partition_count,
     partition_count_parity,
     partitions_of,
@@ -259,6 +260,21 @@ def test_partitions_of_matches_the_recursive_enumeration():
     """Same partitions in the same order."""
     for n in range(-1, 21):
         assert list(partitions_of(n)) == list(_partitions_reference(n)), n
+
+
+def test_odd_partitions_of_is_the_odd_part_subsequence():
+    """The partitions into odd parts, in the reverse lexicographic order of
+    the full enumeration."""
+    for n in range(-1, 21):
+        odd = [p for p in _partitions_reference(n) if all(part % 2 for part in p)]
+        assert list(odd_partitions_of(n)) == odd, n
+
+
+@pytest.mark.parametrize("n, p", [(100, 190_569_292), (200, 3_972_999_029_388)])
+def test_partition_count_at_large_n(n, p):
+    """Published values of p(n), through both entry points."""
+    assert partition_count(n) == p
+    assert sum(partition_count_parity(n)) == p
 
 
 def test_partition_counts_match_enumeration():
