@@ -17,9 +17,13 @@ json at k=5..8 (where the residue item skips, naming its calls of E that
 compare only zeros), `verify decomp` in json at `--k 1 --cutoff 40` and
 `--k 3 --cutoff 20` (partition counts up to about n = 40 and odd-part
 counts up to about n = 80; the default cutoff 10 stops near a quarter of
-that), `fusion table` and `zhu table` in both formats at k=1..4, the four
-`dump` targets, and at k=1..4 `fusion query` on every label triple and
-`witness` on every triple of value 1.  The twisted witnesses at k=4 print
+that), `verify closure` and `verify bounds` in json at k=5..8,
+`fusion table` and `zhu table` in both formats at k=1..4, the four `dump`
+targets, at k=1..4 `fusion query` on every label triple and `witness` on
+every triple of value 1, and at k=3 and 4 `fusion query` on every triple
+of V+ and the out-of-range spellings Vl5, Vl-1 and Vl7, which
+`parse_label` folds into 1..k-1 by the lattice shift and, for every
+spelling but Vl7 at k=3, by the reflection.  The twisted witnesses at k=4 print
 images placed with the prefactor's even-k sqrt(2) form at lattice indices
 1, 2 and 3, where those at k=2 reach index 1 alone."""
 
@@ -46,6 +50,9 @@ def commands():
         yield ["verify", "jacobi", "--k", str(k), "--format", "json"]
     for k, cutoff in ((1, 40), (3, 20)):
         yield ["verify", "decomp", "--k", str(k), "--cutoff", str(cutoff), "--format", "json"]
+    for k in range(5, 9):
+        for suite in ("closure", "bounds"):
+            yield ["verify", suite, "--k", str(k), "--format", "json"]
     for k in range(1, 5):
         for fmt in ("json", "csv"):
             yield ["fusion", "table", "--k", str(k), "--format", fmt]
@@ -62,6 +69,9 @@ def commands():
             yield ["fusion", "query", "--k", str(k), codes[i], codes[j], codes[l]]
             if (i, j, l) in eng.table:
                 yield ["witness", "--type", f"{codes[i]},{codes[j]},{codes[l]}", "--k", str(k)]
+    for k in (3, 4):
+        for triple in product(("V+", "Vl5", "Vl-1", "Vl7"), repeat=3):
+            yield ["fusion", "query", "--k", str(k), *triple]
 
 
 def digest(argv) -> str:

@@ -147,10 +147,8 @@ def suite_identities(k: int, cutoff):
 def _symmetry_sweep(eng):
     """Both symmetries of the fusion rules on every index triple of the
     table: f(i, j, l) = f(j, i, l) = f(i, l', j'), l' the position of the
-    contragredient of label l."""
-    k, table, labels = eng.k, eng.table, eng.labels
-    position = {label: i for i, label in enumerate(labels)}
-    dual = [position[zhu.contragredient(label, k)] for label in labels]
+    contragredient of label l (`FusionEngine.duals`)."""
+    k, table, labels, dual = eng.k, eng.table, eng.labels, eng.duals
     for i, j, l in product(range(len(labels)), repeat=3):
         f = (i, j, l) in table
         if f != ((j, i, l) in table) or f != ((i, dual[l], dual[j]) in table):

@@ -165,7 +165,7 @@ class UVector(_SparseVector):
     def key_str(key: UKey) -> str:
         parts, r = key
         osc = "".join(f"a(-{n})" for n in parts)
-        return f"{osc}e[{r}]" if osc else f"e[{r}]"
+        return f"{osc}e[{r}]"
 
 
 class TVector(_SparseVector):
@@ -281,10 +281,9 @@ def project_eigen(vec, sign: int):
     """Projection onto the (+1 or -1)-eigenspace of theta."""
     if sign not in (+1, -1):
         raise ValueError("sign must be +1 or -1")
-    half = Fraction(1, 2)
     if sign > 0:
-        return (vec + theta(vec)) * half
-    return (vec - theta(vec)) * half
+        return (vec + theta(vec)) * HALF_ONE
+    return (vec - theta(vec)) * HALF_ONE
 
 
 # -- partition machinery ----------------------------------------------------------
@@ -487,13 +486,10 @@ def label_basis(params: RingParams, label: ModuleLabel, max_weight: Fraction) ->
     out = []
     if label.kind in (VAC, HALF):
         r0 = 0 if label.kind == VAC else k
-        seen = set()
         for key in coset_basis(params, r0, max_weight):
-            rep = (key[0], -key[1]) if key[1] < 0 else key
-            if rep in seen:
-                continue
-            seen.add(rep)
-            v = project_eigen(UVector(params, {rep: 1}), label.sign)
+            if key[1] < 0:
+                continue  # its theta-partner at +c came first
+            v = project_eigen(UVector(params, {key: 1}), label.sign)
             if v:
                 out.append(v)
     elif label.kind == LAM:

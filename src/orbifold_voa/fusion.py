@@ -37,6 +37,7 @@ constituents forgets.
 from __future__ import annotations
 
 from collections.abc import Callable
+from dataclasses import replace
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -126,15 +127,12 @@ def _alphabet(k: int) -> _Alphabet:
 def _lam_targets(t: int, a: _Alphabet) -> list[int]:
     """Labels carrying the coset of lambda_t: one middle label, or both
     eigenspace labels at the reducible boundary cosets."""
-    k = a.k
-    t0 = t % (2 * k)
-    if t0 > k:
-        t0 = 2 * k - t0
+    t0 = t % (2 * a.k)
     if t0 == 0:
         return [a.vp, a.vm]
-    if t0 == k:
+    if t0 == a.k:
         return [a.half(+1), a.half(-1)]
-    return [a.lam(t0)]
+    return [a.lam(normalize_lam_index(t0, a.k))]
 
 
 def _untwisted_base(a: _Alphabet) -> set[IndexTriple]:
@@ -261,14 +259,15 @@ def _closure(base: set[IndexTriple], dual: list[int]) -> frozenset[IndexTriple]:
 class FusionEngine:
     """Queryable fusion table for a fixed k, built by symmetry closure of
     the generating tables and cross-checked against the full transcription
-    at construction time.  The table holds label positions in `labels`."""
+    at construction time.  The table holds label positions in `labels`,
+    and `duals` maps each position to its contragredient's."""
 
     def __init__(self, k: int):
         if k < 1:
             raise ValueError("k must be a positive integer")
         self.k = k
         a = _alphabet(k)
-        self._index, self._lam = a.index, a.lam
+        self._index, self.duals = a.index, a.duals
         self.labels = list(a.index)
         base = _untwisted_base(a) | _twisted_base(a)
         self.table = _closure(base, a.duals)
@@ -284,14 +283,13 @@ class FusionEngine:
                 named(self.table - transcribed), named(transcribed - self.table)
             )
 
-    def _position(self, label: ModuleLabel) -> int | None:
-        """Position in `labels` of the label, its lattice-coset index
-        normalized; None, which fuses to nothing, for a malformed label
-        that is none of them."""
+    def _position(self, label: ModuleLabel) -> int:
+        """Position in `labels` of the label, a Vl<r> index normalized
+        first, as `parse_label` does."""
         if label.kind == lb.LAM:
-            return self._lam(normalize_lam_index(label.r, self.k))
+            label = replace(label, r=normalize_lam_index(label.r, self.k))
         lb.validate_label(label, self.k)
-        return self._index.get(label)
+        return self._index[label]
 
     def fusion(self, w1: ModuleLabel, w2: ModuleLabel, w3: ModuleLabel) -> int:
         triple = (self._position(w1), self._position(w2), self._position(w3))
@@ -430,7 +428,7 @@ def upper_bound(w1: ModuleLabel, w2: ModuleLabel, w3: ModuleLabel, k: int) -> in
                 best = total
             if best == 0:
                 return 0
-    return best if best is not None else 0
+    return best
 
 
 def bound_blind_zeros(k: int) -> list[Triple]:

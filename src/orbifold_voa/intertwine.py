@@ -79,25 +79,25 @@ def target_of(spec: IntertwinerSpec, v):
     return theta(v) if spec.kind == Y_RS_THETA else v
 
 
+def _check_coset(spec: IntertwinerSpec, which: str, v: UVector, c: int) -> None:
+    """Refuse a `which` input of `spec` with a term outside the coset c
+    mod 2k."""
+    k2 = 2 * v.params.k
+    for (_parts, a) in v.terms:
+        if (a - c) % k2 != 0:
+            raise ValueError(
+                f"{which} input lives at lattice index {a}, not in the "
+                f"coset {c} mod {k2} declared by {spec.name}"
+            )
+
+
 def intertwiner_mode(spec: IntertwinerSpec, u: UVector, m, v):
     """Exact mode action of the chosen intertwiner."""
-    params = u.params
-    k = params.k
-    for (_parts, a) in u.terms:
-        if (a - spec.r) % (2 * k) != 0:
-            raise ValueError(
-                f"first input lives at lattice index {a}, not in the coset "
-                f"{spec.r} mod {2 * k} declared by {spec.name}"
-            )
+    _check_coset(spec, "first", u, spec.r)
     if spec.kind in (Y_RS, Y_RS_THETA):
         if not isinstance(v, UVector):
             raise ValueError(f"{spec.name} needs an untwisted second input")
-        for (_parts, s) in v.terms:
-            if (s - spec.s) % (2 * k) != 0:
-                raise ValueError(
-                    f"second input lives at lattice index {s}, not in the "
-                    f"coset {spec.s} mod {2 * k} declared by {spec.name}"
-                )
+        _check_coset(spec, "second", v, spec.s)
         return vertex_mode(u, m, phase_apply(spec.r, target_of(spec, v)))
     if not isinstance(v, TVector):
         raise ValueError(f"{spec.name} needs a twisted second input")

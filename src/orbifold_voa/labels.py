@@ -75,11 +75,17 @@ def all_labels(k: int) -> list[ModuleLabel]:
     return out
 
 
+# (kind, sign, sector) of every label; k = 2 holds one Vl<r>
+_FORMS = frozenset((w.kind, w.sign, w.sector) for w in all_labels(2))
+
+
 def validate_label(label: ModuleLabel, k: int) -> None:
-    if label.kind == LAM and not (1 <= label.r <= k - 1):
-        raise ValueError(f"label {label.code} is out of range for k={k}")
-    if label.kind not in (VAC, LAM, HALF, TW):
-        raise ValueError(f"unknown label kind {label.kind!r}")
+    """Refuse a label that is none of the k+7: a sign other than +-1 on V+-,
+    Va+- or VT, a sector other than 1 or 2 on VT, a Vl<r> index outside
+    1..k-1, or any field its kind does not use."""
+    kind, r = label.kind, label.r
+    if (kind, label.sign, label.sector) not in _FORMS or (not 0 < r < k if kind == LAM else r):
+        raise ValueError(f"{label!r} is none of the {k + 7} labels for k={k}")
 
 
 def normalize_lam_index(r: int, k: int) -> int:

@@ -86,10 +86,10 @@ class RingParams:
     * "pair": (input, plan), the m-independent work of the mode driver
       for the latest (u, v) pair, `untwisted.term_pair_images`: the input
       is the kernel-row function, the lattice and u and v as lists of
-      (key, coefficient terms), and the plan holds the kernel rows and
-      skeleton (`untwisted._skeleton`) of each term pair.  It is one
-      entry, replaced when the input changes, so a sweep over m plans
-      once and the memo does not grow with the inputs;
+      (key, coefficient terms), and the plan holds the skeleton
+      (`untwisted._skeleton`) of each term pair, walked as it is built.
+      It is one entry, replaced when the input changes, so a sweep over m
+      plans once and the memo does not grow with the inputs;
     * "zeta": a dict from each exponent a mod 4k that `zeta` was asked
       for to its Scalar, at most 4k entries.
 
@@ -274,10 +274,6 @@ class Scalar:
         if not isinstance(other, Scalar):
             return NotImplemented
         self._check(other)
-        if not other.terms:
-            return self
-        if not self.terms:
-            return other
         out = dict(self.terms)
         for key, c in other.terms.items():
             s = out.get(key, 0) + c

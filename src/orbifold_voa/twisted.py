@@ -31,12 +31,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .fock import TVector, UVector, add_into, heis_act, theta
+from .fock import HALF_ONE, TVector, UVector, add_into, heis_act, theta
 from .ring import RingParams, Scalar
 from .untwisted import _lift, halve, support_modes, tally, term_pair_images
-
-HALF = Fraction(1, 2)
-
 
 # -- expansion coefficients of the quadratic correction ---------------------------
 
@@ -62,7 +59,7 @@ def delta_table(order: int) -> dict[tuple[int, int], Fraction]:
     # (1+x)^(1/2) as a univariate series embedded in two variables
     half_binom = [Fraction(1)]
     for n in range(1, order + 1):
-        half_binom.append(half_binom[-1] * (HALF - (n - 1)) / n)
+        half_binom.append(half_binom[-1] * (HALF_ONE - (n - 1)) / n)
     w: dict[tuple[int, int], Fraction] = {}
     for n in range(1, order + 1):
         c = half_binom[n] / 2
@@ -279,7 +276,7 @@ def _corrected_mode(u: UVector, m, v: TVector, tilde: bool) -> TVector:
     params = u.params
     keys = params.memo.setdefault("tkey", {})
     acc: dict = {}
-    for r, (_mu, sector), image, factor in term_pair_images(u, m, v, _delta_terms):
+    for r, sector, image, factor in term_pair_images(u, m, v, _delta_terms):
         target, monomial, lift = _placement(params, tilde, r, sector)
         if factor is not None:
             lift = _lift(params, monomial * factor)

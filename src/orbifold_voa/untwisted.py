@@ -34,9 +34,10 @@ kernel.  The operators differ in the kernel rows of a term of u (the
 term itself, or its exp(Delta_z) expansion) and in where they place the
 output keys.  Everything the driver does before the budget is fixed
 (the groups, the weighted rows and the skeletons) does not read m either,
-so it is planned once per (u, v) pair: the plan of the latest pair is
-the one "pair" entry of `RingParams.memo`, and a sweep over m, which
-every caller makes, walks each skeleton once.
+so it is planned whole once per (u, v) pair, every skeleton walked as
+the plan is built: the plan of the latest pair is the one "pair" entry of
+`RingParams.memo`, and a sweep over m, which every caller makes, only
+fixes each budget and runs the creation stage.
 """
 
 from __future__ import annotations
@@ -350,10 +351,11 @@ def _lift(params: RingParams, factor: Scalar | None):
     return factor._scaled
 
 
-def _plan(params: RingParams, u: UVector, v, expand, twisted: bool) -> list:
-    """The items of `term_pair_images` for u and v, each a list
-    [r, s, key of v, factor, terms, skeleton] with the kernel's s and
-    terms, the skeleton left None until the item's first on-grid mode."""
+def _plan(params: RingParams, u: UVector, v, expand, twisted: bool) -> tuple:
+    """The items of `term_pair_images` for u and v, one per group of u and
+    term of v, each (r, s, index, factor, skeleton): the kernel's lattice
+    indices, the index or sector of v's term, the factor and the
+    `_skeleton` of the term pair's kernel rows."""
     groups: dict[tuple, list] = {}  # (r, factor of u) -> kernel rows
     for (nu, r), cu in u.terms.items():
         num, den, factor = _weight(cu)
@@ -362,18 +364,20 @@ def _plan(params: RingParams, u: UVector, v, expand, twisted: bool) -> list:
             rows.append((d, nu2, num * n2, den * d2))
     plan = []
     for (r, uf), rows in groups.items():
-        for key, cv in v.terms.items():
+        for (mu, index), cv in v.terms.items():
             vn, vd, vf = _weight(cv)
             terms = tuple([(d, nu, num * vn, den * vd) for d, nu, num, den in rows])
             factor = vf if uf is None else uf if vf is None else uf * vf
-            plan.append([r, 0 if twisted else key[1], key, factor, terms, None])
-    return plan
+            s = 0 if twisted else index
+            plan.append((r, s, index, factor, _skeleton(params, r, mu, s, twisted, terms)))
+    return tuple(plan)
 
 
 def term_pair_images(u: UVector, m, v: UVector | TVector, expand):
-    """(r, key of v, image, factor) for each group of terms of u and each
-    term of v with a nonzero `mode_kernel_sum` image at mode m: the one
-    loop over term pairs behind every mode operator.
+    """(r, index, image, factor) for each group of terms of u and each term
+    of v with a nonzero `mode_kernel_sum` image at mode m, index being the
+    lattice index or sector of v's term: the one loop over term pairs
+    behind every mode operator.
 
     `expand(params, nu, r)`, a module-level function, lists the kernel rows
     (d, nu2, num, den) of the term a(-nu) e[r] of u.  The terms of u are
@@ -387,11 +391,12 @@ def term_pair_images(u: UVector, m, v: UVector | TVector, expand):
     None of this reads m, so it is planned once per (u, v) pair: the one
     "pair" entry of `RingParams.memo` holds the input (expand, twisted, and
     u and v as lists of (key, coefficient terms), no Scalar and no vector)
-    and the plan, one item per group and term of v with its kernel rows and
-    its `_skeleton`, walked on the item's first on-grid mode.  A call with
+    and the plan (`_plan`), one item per group and term of v with its
+    `_skeleton`, every skeleton walked as the plan is built.  A call with
     the same input, every later mode of a sweep, only computes each item's
-    budget (`_budget`) and runs stage 3 (`_create`); a call with another
-    input replaces the entry, so the memo does not grow with the inputs."""
+    budget (`_budget`, None off the item's grid) and runs stage 3
+    (`_create`); a call with another input replaces the entry, so the memo
+    does not grow with the inputs."""
     params = u.params
     if params != v.params:
         raise ValueError("mode operator: mixed ring parameters")
@@ -407,16 +412,13 @@ def term_pair_images(u: UVector, m, v: UVector | TVector, expand):
     entry = params.memo.get("pair")
     if entry is None or entry[0] != given:
         entry = params.memo["pair"] = (given, _plan(params, u, v, expand, twisted))
-    for item in entry[1]:
-        r, s, key, factor, terms, skeleton = item
+    for r, s, index, factor, skeleton in entry[1]:
         t0 = _budget(params, r, s, m, twisted)
         if t0 is None:
             continue
-        if skeleton is None:
-            skeleton = item[5] = _skeleton(params, r, key[0], s, twisted, terms)
         image = _create(params, r, t0, twisted, skeleton)
         if image:
-            yield r, key, image, factor
+            yield r, index, image, factor
 
 
 def _one_row(params: RingParams, nu: tuple, r: int) -> tuple:
@@ -433,7 +435,7 @@ def vertex_mode(u: UVector, m, v: UVector) -> UVector:
         raise TypeError(f"vertex_mode does not apply to {type(v).__name__}")
     params = u.params
     acc: dict = {}
-    for r, (_mu, s), image, factor in term_pair_images(u, m, v, _one_row):
+    for r, s, image, factor in term_pair_images(u, m, v, _one_row):
         lift = _lift(params, factor)
         for key, q in image.items():
             add_into(acc, (tuple([p >> 1 for p in key]), r + s), lift(q))

@@ -3,6 +3,8 @@ decompositions, admissibility, and the restriction bound."""
 
 import hashlib
 import importlib
+from fractions import Fraction
+from functools import partial
 
 import pytest
 
@@ -23,7 +25,8 @@ from orbifold_voa.fusion import (
     quasi_admissible,
     upper_bound,
 )
-from orbifold_voa.labels import m_lam, m_tw, m_vac
+from orbifold_voa.fock import graded_dim
+from orbifold_voa.labels import m_lam, m_tw, m_vac, top_weight
 from orbifold_voa.ring import RingParams
 from orbifold_voa.twisted import psi_map
 from orbifold_voa.zhu import contragredient
@@ -260,6 +263,45 @@ def test_lambda_normalization():
         eng.fusion(lb.lam(2), lb.u_plus(), lb.u_plus())  # half-shift coset
     with pytest.raises(ValueError):
         normalize_lam_index(0, 2)
+    # out-of-range indices anywhere in the triple, as parse_label reads them
+    assert fusion_module.fusion(3, lb.lam(5), lb.lam(4), lb.lam(1)) == 1
+
+
+# labels that are none of the k+7, and what each gets wrong
+MALFORMED = {
+    "sector 3 (prints VT3+)": lb.ModuleLabel(lb.TW, +1, 0, 3),
+    "twisted sign 0": lb.ModuleLabel(lb.TW, 0, 0, 1),
+    "half-shift sign 0 (prints Va-)": lb.ModuleLabel(lb.HALF, 0),
+    "vacuum sign 2": lb.ModuleLabel(lb.VAC, 2),
+    "index on V+": lb.ModuleLabel(lb.VAC, +1, 2),
+    "sector on Va-": lb.ModuleLabel(lb.HALF, -1, 0, 1),
+    "sign on Vl1": lb.ModuleLabel(lb.LAM, +1, 1),
+    "sector on Vl1": lb.ModuleLabel(lb.LAM, 0, 1, 2),
+    "unknown kind": lb.ModuleLabel("cusp", +1),
+}
+
+
+@pytest.mark.parametrize("k", (2, 3))
+@pytest.mark.parametrize("bad", MALFORMED.values(), ids=MALFORMED.keys())
+def test_a_malformed_label_is_refused_everywhere(k, bad):
+    """Every entry point that reads a label refuses one that is none of
+    the k+7, in any position of a triple, rather than printing, counting
+    or fusing it as some other label."""
+    params = RingParams(k)
+    good = lb.u_plus()
+    triples = ((bad, good, good), (good, bad, good), (good, good, bad))
+    calls = [partial(fusion_module.fusion, k, *t) for t in triples]
+    calls += [partial(upper_bound, *t, k) for t in triples]
+    calls += [
+        partial(graded_dim, params, bad, Fraction(1, 16)),
+        partial(graded_dim, params, bad, Fraction(k, 4)),
+        partial(decompose, bad, k, 1),
+        partial(contragredient, bad, k),
+        partial(top_weight, bad, k),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError):
+            call()
 
 
 @pytest.mark.parametrize("k", range(1, 11))

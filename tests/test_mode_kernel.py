@@ -1310,3 +1310,40 @@ def test_a_plan_is_not_shared_between_the_lattices():
             pairs.append(list(untwisted.term_pair_images(u, -2, v, untwisted._one_row)))
     assert pairs[0] == pairs[1] and pairs[2] == pairs[3]
     assert pairs[0] and pairs[2] and pairs[0] != pairs[2]
+
+
+@pytest.mark.parametrize("k", (1, 2, 3))
+def test_twisted_operators_vanish_off_their_grid(monkeypatch, k):
+    """tilde_mode, mtheta_mode and twisted_mode give zero at a mode off
+    r^2/4k + (1/2)Z: on a fresh pair, whose call still plans the pair and
+    walks its skeletons before every item is skipped, and on a pair that a
+    sweep has just planned, whose plan then serves the off-grid call."""
+    params = RingParams(k)
+    v = t_term(params, [HALF], 1) + t_term(params, [Fraction(3, 2), HALF], 2, 3)
+
+    def u_at(r):
+        # three terms at +-r, all on one twisted grid
+        return (
+            lattice_vector(params, r) * params.zeta(1)
+            + u_term(params, [1], r, Fraction(-2, 3))
+            + u_term(params, [1, 1], -r) * params.two_to(Fraction(1, 2 * k))
+        )
+
+    cases = {
+        "tilde": (twisted.tilde_mode, u_at(1)),
+        "mtheta": (twisted.mtheta_mode, u_at(2)),
+        "twisted": (twisted.twisted_mode, u_at(2 * k)),
+    }
+    for name, (op, u) in cases.items():
+        sweep = support_modes(u, v, 3)
+        for m_off in (sweep[0] + Fraction(1, 4), sweep[-1] - Fraction(1, 3)):
+            params.memo.clear()
+            walks = _counted_walks(monkeypatch)
+            assert not op(u, m_off, v), (name, m_off)
+            monkeypatch.undo()
+            assert walks, name
+            params.memo.clear()
+            assert any([op(u, m, v) for m in sweep]), name
+            plan = params.memo["pair"]
+            assert not op(u, m_off, v), (name, m_off)
+            assert params.memo["pair"] is plan, name
