@@ -19,13 +19,16 @@ compare only zeros), `verify decomp` in json at `--k 1 --cutoff 40` and
 counts up to about n = 80; the default cutoff 10 stops near a quarter of
 that), `verify closure` and `verify bounds` in json at k=5..8,
 `fusion table` and `zhu table` in both formats at k=1..4, the four `dump`
-targets, at k=1..4 `fusion query` on every label triple and `witness` on
-every triple of value 1, and at k=3 and 4 `fusion query` on every triple
-of V+ and the out-of-range spellings Vl5, Vl-1 and Vl7, which
-`parse_label` folds into 1..k-1 by the lattice shift and, for every
-spelling but Vl7 at k=3, by the reflection.  The twisted witnesses at k=4 print
-images placed with the prefactor's even-k sqrt(2) form at lattice indices
-1, 2 and 3, where those at k=2 reach index 1 alone."""
+targets (`dump zhu` and `dump decompose` in both formats), `witness --type
+V+,V-,V- --k 2 --cutoff 0` (its explicit cutoff stops the search below
+the first nonzero image, so it prints `ZERO-UP-TO-CUTOFF`), at k=1..4
+`fusion query` on every label triple and `witness` on every triple of
+value 1, and at k=3 and 4 `fusion query` on every triple of V+ and the
+out-of-range spellings Vl5, Vl-1 and Vl7, which `parse_label` folds into
+1..k-1 by the lattice shift and, for every spelling but Vl7 at k=3, by
+the reflection.  The twisted witnesses at k=4 print images placed with
+the prefactor's even-k sqrt(2) form at lattice indices 1, 2 and 3, where
+those at k=2 reach index 1 alone."""
 
 import hashlib
 import io
@@ -62,6 +65,9 @@ def commands():
     yield ["dump", "delta", "--order", "8"]
     yield ["dump", "decompose", "--k", "2", "--module", "Va+", "--window", "2"]
     yield ["dump", "zhu", "--k", "2", "--format", "json"]
+    yield ["dump", "zhu", "--k", "2"]
+    yield ["dump", "decompose", "--k", "2", "--module", "Va+", "--window", "2", "--format", "json"]
+    yield ["witness", "--type", "V+,V-,V-", "--k", "2", "--cutoff", "0"]
     for k in range(1, 5):
         eng = get_engine(k)
         codes = [label.code for label in eng.labels]

@@ -20,7 +20,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Iterable, Iterator
 
-from .labels import HALF, LAM, M_LAM, M_VAC, TW, VAC, M1Label, ModuleLabel, validate_label
+from .labels import HALF, LAM, M_LAM, M_VAC, TW, VAC, M1Label, ModuleLabel, lattice_coset, validate_label
 from .ring import RingParams, Scalar
 
 Parts = tuple  # tuple[int, ...] untwisted, tuple[Fraction, ...] twisted
@@ -185,8 +185,8 @@ class TVector(_SparseVector):
 # -- constructors ---------------------------------------------------------------
 
 
-def lattice_vector(params: RingParams, r: int, coeff=1) -> UVector:
-    return UVector(params, {((), r): coeff})
+def lattice_vector(params: RingParams, r: int) -> UVector:
+    return UVector(params, {((), r): 1})
 
 
 def vacuum(params: RingParams) -> UVector:
@@ -376,39 +376,46 @@ def _level(num: int, den: int) -> int | None:
     return q if q >= 0 and not rem else None
 
 
-def graded_dim(params: RingParams, label: ModuleLabel, weight: Fraction) -> int:
-    """Dimension of the weight-graded component, by explicit basis counting.
+def _vac_count(sign: int, a: int, b: int) -> int:
+    """M+ (sign +1: even-length partitions) or M- (odd-length) at weight a/b."""
+    n = _level(a, b)
+    return 0 if n is None else partition_count_parity(n)[0 if sign > 0 else 1]
 
-    Each lattice shift c^2/4k (or the twisted 1/16) is compared with the
-    weight a/b in integers, and the oscillator level it leaves is counted
-    by the partition counts."""
+
+def _lam_count(k: int, c: int, a: int, b: int) -> int:
+    """M(c) at weight a/b: the partitions of a/b - c^2/4k."""
+    n = _level(4 * k * a - c * c * b, 4 * k * b)
+    return 0 if n is None else partition_count(n)
+
+
+def _tw_count(sign: int, a: int, b: int) -> int:
+    """Mt+ or Mt- at weight a/b: the oscillator weight a/b - 1/16 is
+    half-integral, and its half-odd partitions are the odd partitions of
+    its double, split by length parity as for M+-."""
+    n2 = _level(16 * a - b, 8 * b)
+    return 0 if n2 is None else odd_partition_count_parity(n2)[0 if sign > 0 else 1]
+
+
+def graded_dim(params: RingParams, label: ModuleLabel, weight: Fraction) -> int:
+    """Dimension of the weight-graded component: the summed dimensions of
+    the constituents, which it finds by weight (not through `decompose`),
+    each lattice shift c^2/4k compared with the weight a/b in integers."""
     validate_label(label, params.k)
     k = params.k
     a, b = weight.numerator, weight.denominator
     if label.kind == TW:
-        # the oscillator weight a/b - 1/16 is half-integral; its partitions
-        # into half-odd parts are the odd partitions of its double
-        n2 = _level(16 * a - b, 8 * b)
-        if n2 is None:
-            return 0
-        even, odd = odd_partition_count_parity(n2)
-        return even if label.sign > 0 else odd
+        return _tw_count(label.sign, a, b)
     if label.kind == LAM:
         cosets = _coset_indices(label.r, k, weight)
     else:
         # theta pairs c with -c, leaving one vector per eigensign for each
         # c > 0: c = 2km, m >= 1 (V+-) or c = k + 2km, m >= 0 (Va+-)
-        cosets = _shifts(2 * k if label.kind == VAC else k, 2 * k, k, weight)
+        cosets = _shifts(lattice_coset(label, k) or 2 * k, 2 * k, k, weight)
     total = 0
     for c in cosets:
-        n = _level(4 * k * a - c * c * b, 4 * k * b)
-        if n is not None:
-            total += partition_count(n)
+        total += _lam_count(k, c, a, b)
     if label.kind == VAC:
-        n = _level(a, b)
-        if n is not None:
-            even, odd = partition_count_parity(n)
-            total += even if label.sign > 0 else odd
+        total += _vac_count(label.sign, a, b)
     return total
 
 
@@ -430,25 +437,16 @@ def _coset_indices(r: int, k: int, weight: Fraction) -> Iterator[int]:
 
 def m1_graded_dim(params: RingParams, m1: M1Label, weight: Fraction) -> int:
     """Graded dimension of a Heisenberg-orbifold constituent, by the closed
-    partition-counting formulas (independent route from graded_dim).  The
-    weight a/b is compared with the constituent's top weight in integers,
-    as in `graded_dim`."""
+    partition-counting formulas that `graded_dim` also sums.  The two differ
+    in how they find the constituents: `graded_dim` walks a module's own
+    constituents by weight, and a caller of this one takes them from
+    `decompose`."""
     a, b = weight.numerator, weight.denominator
     if m1.kind == M_VAC:
-        n = _level(a, b)
-        if n is None:
-            return 0
-        even, odd = partition_count_parity(n)
-        return even if m1.sign > 0 else odd
+        return _vac_count(m1.sign, a, b)
     if m1.kind == M_LAM:
-        k, c = params.k, m1.index
-        n = _level(4 * k * a - c * c * b, 4 * k * b)
-        return partition_count(n) if n is not None else 0
-    n2 = _level(16 * a - b, 8 * b)
-    if n2 is None:
-        return 0
-    even, odd = odd_partition_count_parity(n2)
-    return even if m1.sign > 0 else odd
+        return _lam_count(params.k, m1.index, a, b)
+    return _tw_count(m1.sign, a, b)
 
 
 # -- basis enumeration and top levels ----------------------------------------------
@@ -482,11 +480,9 @@ def twisted_basis(params: RingParams, sector: int, max_weight: Fraction) -> list
 def label_basis(params: RingParams, label: ModuleLabel, max_weight: Fraction) -> list:
     """Vectors spanning the labelled module up to the given weight."""
     validate_label(label, params.k)
-    k = params.k
     out = []
     if label.kind in (VAC, HALF):
-        r0 = 0 if label.kind == VAC else k
-        for key in coset_basis(params, r0, max_weight):
+        for key in coset_basis(params, lattice_coset(label, params.k), max_weight):
             if key[1] < 0:
                 continue  # its theta-partner at +c came first
             v = project_eigen(UVector(params, {key: 1}), label.sign)

@@ -37,7 +37,6 @@ constituents forgets.
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import replace
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -181,12 +180,12 @@ def _twisted_base(a: _Alphabet) -> set[IndexTriple]:
             out.add((w1, vm, dual(tw(i, -e))))
             out.add((w1, tw(i, e), vp))
             out.add((w1, tw(i, -e), vm))
-            # half-shift pairs; the sector flips the matching sign
-            flip = 1 if i == 1 else -1
-            out.add((w1, half(+1), tw(i, e * flip if flip > 0 else -e)))
-            out.add((w1, half(-1), tw(i, -e if flip > 0 else e)))
-            out.add((w1, dual(tw(i, e if flip > 0 else -e)), dual(half(+1))))
-            out.add((w1, dual(tw(i, -e if flip > 0 else e)), dual(half(-1))))
+            # half-shift pairs; sector 2 flips the matching sign
+            matched = e if i == 1 else -e
+            out.add((w1, half(+1), tw(i, matched)))
+            out.add((w1, half(-1), tw(i, -matched)))
+            out.add((w1, dual(tw(i, matched)), dual(half(+1))))
+            out.add((w1, dual(tw(i, -matched)), dual(half(-1))))
             # middle cosets, gated by index parity
             for r in range(1, k):
                 j = next(j for j in (1, 2) if quasi_admissible(r, i, j))
@@ -287,8 +286,7 @@ class FusionEngine:
         """Position in `labels` of the label, a Vl<r> index normalized
         first, as `parse_label` does."""
         if label.kind == lb.LAM:
-            label = replace(label, r=normalize_lam_index(label.r, self.k))
-        lb.validate_label(label, self.k)
+            label = lb.lam(normalize_lam_index(label.r, self.k))
         return self._index[label]
 
     def fusion(self, w1: ModuleLabel, w2: ModuleLabel, w3: ModuleLabel) -> int:

@@ -19,6 +19,12 @@ LAM = "lam"      # Vl<r>
 HALF = "half"    # Va+ / Va-
 TW = "tw"        # VT<sector><sign>
 
+# (kind, sign, sector) of the nine label forms; Vl<r> is one form for every r
+_FORMS = frozenset(
+    [(VAC, +1, 0), (VAC, -1, 0), (LAM, 0, 0), (HALF, +1, 0), (HALF, -1, 0)]
+    + [(TW, e, i) for i in (1, 2) for e in (+1, -1)]
+)
+
 
 @dataclass(frozen=True, order=True)
 class ModuleLabel:
@@ -26,6 +32,11 @@ class ModuleLabel:
     sign: int = 0     # +1 / -1 for vac, half, tw; 0 for lam
     r: int = 0        # 1 <= r <= k-1 for lam
     sector: int = 0   # 1 or 2 for tw
+
+    def __post_init__(self) -> None:
+        # refuse all but the nine forms; `validate_label` checks r against k
+        if (self.kind, self.sign, self.sector) not in _FORMS or (self.kind == LAM) != (self.r != 0):
+            raise ValueError(f"{self!r} is none of the label forms")
 
     @property
     def is_twisted(self) -> bool:
@@ -75,16 +86,14 @@ def all_labels(k: int) -> list[ModuleLabel]:
     return out
 
 
-# (kind, sign, sector) of every label; k = 2 holds one Vl<r>
-_FORMS = frozenset((w.kind, w.sign, w.sector) for w in all_labels(2))
+# the eight labels without an index, by code
+_UNINDEXED = {w.code: w for w in all_labels(1)}
 
 
 def validate_label(label: ModuleLabel, k: int) -> None:
-    """Refuse a label that is none of the k+7: a sign other than +-1 on V+-,
-    Va+- or VT, a sector other than 1 or 2 on VT, a Vl<r> index outside
-    1..k-1, or any field its kind does not use."""
-    kind, r = label.kind, label.r
-    if (kind, label.sign, label.sector) not in _FORMS or (not 0 < r < k if kind == LAM else r):
+    """Refuse a Vl<r> whose index is outside 1..k-1, which makes it none of
+    the k+7 labels; every other malformed label fails when it is made."""
+    if label.kind == LAM and not 0 < label.r < k:
         raise ValueError(f"{label!r} is none of the {k + 7} labels for k={k}")
 
 
@@ -113,14 +122,8 @@ def parse_label(text: str, k: int) -> ModuleLabel:
     """Parse the CLI spelling V+ V- Vl<r> Va+ Va- VT1+ VT1- VT2+ VT2-.
     Out-of-range coset indices are normalized; boundary cosets rejected."""
     text = text.strip()
-    table = {
-        "V+": u_plus(), "V-": u_minus(),
-        "Va+": half(+1), "Va-": half(-1),
-        "VT1+": tw(1, +1), "VT1-": tw(1, -1),
-        "VT2+": tw(2, +1), "VT2-": tw(2, -1),
-    }
-    if text in table:
-        return table[text]
+    if text in _UNINDEXED:
+        return _UNINDEXED[text]
     if text.startswith("Vl"):
         try:
             r = int(text[2:])

@@ -24,6 +24,7 @@ from orbifold_voa.cli import (
 )
 from orbifold_voa.fock import TVector, twisted_basis
 from orbifold_voa.fusion import EngineInconsistencyError, get_engine
+from orbifold_voa.intertwine import direct_witness
 
 
 def run(capsys, *argv):
@@ -587,3 +588,17 @@ def test_verify_decomp_at_k24(capsys):
     lines = out.splitlines()
     assert len(lines) == 24 + 7  # one item per label
     assert all(line.startswith("PASS ") for line in lines)
+
+
+@pytest.mark.parametrize("k", (17, 20))
+def test_witness_searches_above_the_target_top_level_by_default(capsys, k):
+    """Va+- (top weight k/4) and Vl<r> (r^2/4k) start above weight 4 from
+    about k = 17, so the default search reaches 4 above the target's top
+    weight: every value-1 triple with a direct construction prints a
+    nonzero mode, as `fusion query` names one for it."""
+    eng = get_engine(k)
+    triples = [t for t in eng.all_triples() if eng.fusion(*t) and direct_witness(k, t)]
+    assert len(triples) == {17: 560, 20: 716}[k]
+    for t in triples:
+        code, out, _ = run(capsys, "witness", "--type", ",".join(w.code for w in t), "--k", str(k))
+        assert code == EXIT_OK, (out, *t)

@@ -267,27 +267,40 @@ def test_lambda_normalization():
     assert fusion_module.fusion(3, lb.lam(5), lb.lam(4), lb.lam(1)) == 1
 
 
-# labels that are none of the k+7, and what each gets wrong
+# the fields of labels that are none of the k+7, and what each gets wrong;
+# field tuples rather than labels, since no such label can be made
 MALFORMED = {
-    "sector 3 (prints VT3+)": lb.ModuleLabel(lb.TW, +1, 0, 3),
-    "twisted sign 0": lb.ModuleLabel(lb.TW, 0, 0, 1),
-    "half-shift sign 0 (prints Va-)": lb.ModuleLabel(lb.HALF, 0),
-    "vacuum sign 2": lb.ModuleLabel(lb.VAC, 2),
-    "index on V+": lb.ModuleLabel(lb.VAC, +1, 2),
-    "sector on Va-": lb.ModuleLabel(lb.HALF, -1, 0, 1),
-    "sign on Vl1": lb.ModuleLabel(lb.LAM, +1, 1),
-    "sector on Vl1": lb.ModuleLabel(lb.LAM, 0, 1, 2),
-    "unknown kind": lb.ModuleLabel("cusp", +1),
+    "sector 3 (prints VT3+)": (lb.TW, +1, 0, 3),
+    "twisted sign 0": (lb.TW, 0, 0, 1),
+    "half-shift sign 0 (prints Va-)": (lb.HALF, 0, 0, 0),
+    "vacuum sign 2": (lb.VAC, 2, 0, 0),
+    "index on V+": (lb.VAC, +1, 2, 0),
+    "sector on Va-": (lb.HALF, -1, 0, 1),
+    "sign on Vl1": (lb.LAM, +1, 1, 0),
+    "sector on Vl1": (lb.LAM, 0, 1, 2),
+    "no index on Vl": (lb.LAM, 0, 0, 0),
+    "unknown kind": ("cusp", +1, 0, 0),
 }
 
 
 @pytest.mark.parametrize("k", (2, 3))
-@pytest.mark.parametrize("bad", MALFORMED.values(), ids=MALFORMED.keys())
-def test_a_malformed_label_is_refused_everywhere(k, bad):
-    """Every entry point that reads a label refuses one that is none of
-    the k+7, in any position of a triple, rather than printing, counting
-    or fusing it as some other label."""
+@pytest.mark.parametrize("fields", MALFORMED.values(), ids=MALFORMED.keys())
+def test_a_malformed_label_is_refused_everywhere(k, fields):
+    """A label that is none of the k+7 cannot be made, so no entry point
+    can print, count or fuse it as some other label."""
+    assert fields not in {(w.kind, w.sign, w.r, w.sector) for w in lb.all_labels(k)}
+    with pytest.raises(ValueError):
+        lb.ModuleLabel(*fields)
+
+
+@pytest.mark.parametrize("k", (2, 3))
+@pytest.mark.parametrize("m", (1, 2, -1), ids=("k", "2k", "-k"))
+def test_a_boundary_coset_index_is_refused_everywhere(k, m):
+    """Vl<k>, Vl<2k> and Vl<-k> can be made but are none of the k+7 labels:
+    every entry point that reads a label refuses them, in any position of
+    a triple, rather than fusing or counting them as a middle coset."""
     params = RingParams(k)
+    bad = lb.lam(m * k)
     good = lb.u_plus()
     triples = ((bad, good, good), (good, bad, good), (good, good, bad))
     calls = [partial(fusion_module.fusion, k, *t) for t in triples]
@@ -302,6 +315,12 @@ def test_a_malformed_label_is_refused_everywhere(k, bad):
     for call in calls:
         with pytest.raises(ValueError):
             call()
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_every_code_parses_to_its_label(k):
+    for w in lb.all_labels(k):
+        assert lb.parse_label(w.code, k) == w
 
 
 @pytest.mark.parametrize("k", range(1, 11))
