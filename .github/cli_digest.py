@@ -28,15 +28,24 @@ out-of-range spellings Vl5, Vl-1 and Vl7, which `parse_label` folds into
 1..k-1 by the lattice shift and, for every spelling but Vl7 at k=3, by
 the reflection.  The twisted witnesses at k=4 print images placed with
 the prefactor's even-k sqrt(2) form at lattice indices 1, 2 and 3, where
-those at k=2 reach index 1 alone."""
+those at k=2 reach index 1 alone.
+
+Last come the parsing lines: no arguments, `-h` at every level, unknown
+commands, subcommands and options, missing and extra positionals and
+options, options above their command, the `--form` abbreviation,
+`--k=2`, `--`, a bad int and a bad choice, and `verify jacobi --cutoff
+abc`.  Help and usage lines wrap at the terminal width, so the script pins
+COLUMNS=80."""
 
 import hashlib
 import io
+import os
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from itertools import product
 
 sys.path.insert(0, sys.argv[1] if len(sys.argv) > 1 else "src")
+os.environ["COLUMNS"] = "80"  # argparse wraps help and usage at this width
 
 from orbifold_voa import cli  # noqa: E402
 from orbifold_voa.fusion import get_engine  # noqa: E402
@@ -78,6 +87,50 @@ def commands():
     for k in (3, 4):
         for triple in product(("V+", "Vl5", "Vl-1", "Vl7"), repeat=3):
             yield ["fusion", "query", "--k", str(k), *triple]
+    yield from (list(argv) for argv in PARSE_LINES)
+    yield ["verify", "jacobi", "--cutoff", "abc"]
+
+
+# help, usage errors and odd spellings; tests/test_cli.py checks each line
+# against the whole parser tree
+V3 = ("V+", "V+", "V+")
+PARSE_LINES = (
+    (),
+    ("-h",),
+    ("fusion", "-h"),
+    ("fusion", "query", "-h"),
+    ("fusion", "table", "-h"),
+    ("verify", "-h"),
+    ("dump", "-h"),
+    ("zhu", "-h"),
+    ("zhu", "table", "-h"),
+    ("witness", "-h"),
+    ("fusion", "query", "--k", "2", "-h", "V+"),
+    ("fuse", "query", "--k", "2", *V3),
+    ("fusion", "quer", "--k", "2", *V3),
+    ("zhu", "tables", "--k", "2"),
+    ("fusion",),
+    ("zhu",),
+    ("verify",),
+    ("dump", "--k", "2"),
+    ("fusion", "query", "--k", "2", "V+", "V+"),
+    ("fusion", "query", *V3),
+    ("witness", "--k", "2"),
+    ("fusion", "query", "--k", "2", *V3, "extra"),
+    ("verify", "closure", "bounds"),
+    ("fusion", "table", "--k", "2", "csv"),
+    ("fusion", "query", "--k", "2", "--seed", "1", *V3),
+    ("verify", "p31", "--k", "2", "--window", "3"),
+    ("--k", "2", "fusion", "query", *V3),
+    ("fusion", "--k", "2", "query", *V3),
+    ("fusion", "query", "--k", "2", "--form", "json", *V3),
+    ("fusion", "query", "--k=2", *V3),
+    ("fusion", "query", "--k", "2", "--", *V3),
+    ("--", "fusion", "query", "--k", "2", *V3),
+    ("fusion", "query", "--k", "two", *V3),
+    ("fusion", "query", "--k", "2", "--format", "xml", *V3),
+    ("verify", "nosuch", "--k", "2"),
+)
 
 
 def digest(argv) -> str:

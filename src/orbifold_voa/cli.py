@@ -17,6 +17,13 @@ of 1/2 for `verify decomp`), failing suite items or a `witness` that
 finds no nonzero image (`NO-DIRECT-CONSTRUCTION` or `ZERO-UP-TO-CUTOFF`),
 2 fusion-table inconsistency (`EngineInconsistencyError`).  A stdout
 closed by its reader ends the output: no traceback, exit code 1.
+
+`build_parser` builds the one parser tree (top level, command, subcommand)
+for help, usage and errors.  `main` parses a line with one parser of it:
+it walks the command words at the head of the line (`fusion query`,
+`verify`, `zhu table`, ...) down the tree and hands the rest to the parser
+they name, so that a well-formed line is parsed once, by its leaf; see
+`_parse`.
 """
 
 from __future__ import annotations
@@ -612,45 +619,58 @@ def cmd_witness(args) -> int:
 
 
 def _fraction(text: str) -> Fraction:
-    """argparse type of `--cutoff`: an exact rational.  A zero denominator
-    is a usage error like any other malformed value, not a traceback."""
+    """argparse type of `--cutoff`: an exact rational.  Every malformed
+    value, a zero denominator among them, is a usage error that names the
+    type, not a traceback."""
     try:
         return Fraction(text)
-    except ZeroDivisionError:
+    except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(f"invalid Fraction value: {text!r}") from None
 
 
-@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process; parsing leaves it
-    unchanged, so every `main` call shares it."""
+    """The argument parser: the one tree for help, usage and errors."""
+    return _parsers()[()]
+
+
+@lru_cache(maxsize=None)
+def _parsers() -> dict[tuple[str, ...], argparse.ArgumentParser]:
+    """Every parser of the tree by the command words that name it, () for
+    the top level; built once per process.  Parsing leaves the parsers
+    unchanged, so every `main` call shares them."""
     parser = argparse.ArgumentParser(
         prog="orbifold-voa",
         description="exact fusion-rule engine for the rank-one charge "
         "conjugation orbifold",
     )
+    parsers = {(): parser}
+
+    def command(subparsers, *words: str, help: str) -> argparse.ArgumentParser:
+        parsers[words] = subparsers.add_parser(words[-1], help=help)
+        return parsers[words]
+
     sub = parser.add_subparsers(dest="command", required=True)
 
-    fus = sub.add_parser("fusion", help="fusion queries and table dumps")
+    fus = command(sub, "fusion", help="fusion queries and table dumps")
     fsub = fus.add_subparsers(dest="which", required=True)
-    q = fsub.add_parser("query", help="value of one triple")
+    q = command(fsub, "fusion", "query", help="value of one triple")
     q.add_argument("--k", type=int, required=True)
     q.add_argument("--format", choices=("text", "json"), default="text")
     q.add_argument("labels", nargs=3, metavar="LABEL")
     q.set_defaults(fn=cmd_query)
-    t = fsub.add_parser("table", help="all label triples")
+    t = command(fsub, "fusion", "table", help="all label triples")
     t.add_argument("--k", type=int, required=True)
     t.add_argument("--format", choices=("json", "csv"), default="csv")
     t.set_defaults(fn=cmd_table)
 
-    ver = sub.add_parser("verify", help="run a verification suite")
+    ver = command(sub, "verify", help="run a verification suite")
     ver.add_argument("suite", choices=SUITES)
     ver.add_argument("--k", type=int, default=2)
     ver.add_argument("--cutoff", type=_fraction, default=None)
     ver.add_argument("--format", choices=("text", "json"), default="text")
     ver.set_defaults(fn=cmd_verify)
 
-    dmp = sub.add_parser("dump", help="machine-readable data dumps")
+    dmp = command(sub, "dump", help="machine-readable data dumps")
     dmp.add_argument("what", choices=("decompose", "delta", "zhu", "table"))
     dmp.add_argument("--k", type=int, default=2)
     dmp.add_argument("--order", type=int, default=None)
@@ -659,25 +679,44 @@ def build_parser() -> argparse.ArgumentParser:
     dmp.add_argument("--format", choices=("text", "json", "csv"), default="text")
     dmp.set_defaults(fn=cmd_dump)
 
-    zh = sub.add_parser("zhu", help="computed generator actions on top levels")
+    zh = command(sub, "zhu", help="computed generator actions on top levels")
     zsub = zh.add_subparsers(dest="which", required=True)
-    zt = zsub.add_parser("table", help="all labels at once")
+    zt = command(zsub, "zhu", "table", help="all labels at once")
     zt.add_argument("--k", type=int, required=True)
     zt.add_argument("--format", choices=("text", "json"), default="text")
     zt.set_defaults(fn=cmd_zhu)
 
-    wit = sub.add_parser("witness", help="first nonzero mode of a construction")
+    wit = command(sub, "witness", help="first nonzero mode of a construction")
     wit.add_argument("--type", required=True, metavar="W1,W2,W3")
     wit.add_argument("--k", type=int, required=True)
     wit.add_argument("--cutoff", type=_fraction, default=None)
     wit.set_defaults(fn=cmd_witness)
 
-    return parser
+    return parsers
+
+
+def _parse(argv) -> argparse.Namespace:
+    """`argv` parsed by the parser its leading command words name.  Where
+    the walk stops early (no command word, `-h`, a typo) that parser prints
+    the help or error the whole tree would; arguments left over get the
+    top-level error that `parse_args` gives.  The namespace lacks the
+    `command` and `which` dests of the levels walked past, which no command
+    reads."""
+    parsers = _parsers()
+    words: tuple[str, ...] = ()
+    for word in argv:
+        if words + (word,) not in parsers:
+            break
+        words += (word,)
+    args, rest = parsers[words].parse_known_args(argv[len(words):])
+    if rest:
+        parsers[()].error(f"unrecognized arguments: {' '.join(rest)}")
+    return args
 
 
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _parse(sys.argv[1:] if argv is None else list(argv))
     except SystemExit as exc:
         return EXIT_FAIL if exc.code else EXIT_OK
     try:

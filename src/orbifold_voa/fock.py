@@ -20,7 +20,9 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Iterable, Iterator
 
-from .labels import HALF, LAM, M_LAM, M_VAC, TW, VAC, M1Label, ModuleLabel, lattice_coset, validate_label
+from .labels import (
+    HALF, LAM, M_LAM, M_VAC, TW, VAC, M1Label, ModuleLabel, has_top_vector, lattice_coset, validate_label,
+)
 from .ring import RingParams, Scalar
 
 Parts = tuple  # tuple[int, ...] untwisted, tuple[Fraction, ...] twisted
@@ -500,15 +502,15 @@ def label_basis(params: RingParams, label: ModuleLabel, max_weight: Fraction) ->
 
 
 def top_vector(params: RingParams, label: ModuleLabel):
-    """The generating top-level vector (undefined for V- at k=1, which has a
-    two-dimensional top level)."""
+    """The generating top-level vector; refused for a label without one
+    (`has_top_vector`)."""
     validate_label(label, params.k)
     k = params.k
+    if not has_top_vector(label, k):
+        raise ValueError(f"{label.code} at k={k} has a two-dimensional top level")
     if label.kind == VAC:
         if label.sign > 0:
             return vacuum(params)
-        if k == 1:
-            raise ValueError("V- at k=1 has a two-dimensional top level")
         return u_term(params, [1], 0)
     if label.kind == LAM:
         return lattice_vector(params, label.r)

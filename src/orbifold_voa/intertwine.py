@@ -213,11 +213,11 @@ def direct_witness(k: int, triple) -> tuple[IntertwinerSpec, int] | None:
 def witness_vectors(params: RingParams, triple) -> tuple[UVector, UVector | TVector]:
     """The inputs (u, v) of the construction `direct_witness` picks: the
     generating top vectors of the first two modules, with the degree-one
-    oscillator state standing in for the two-dimensional top level of V-
-    at k=1."""
+    oscillator state standing in for a two-dimensional top level (V- at
+    k=1, `labels.has_top_vector`)."""
 
     def vector(label: lb.ModuleLabel):
-        if params.k == 1 and label == lb.u_minus():
+        if not lb.has_top_vector(label, params.k):
             return UVector(params, {((1,), 0): 1})
         return top_vector(params, label)
 

@@ -97,6 +97,12 @@ def validate_label(label: ModuleLabel, k: int) -> None:
         raise ValueError(f"{label!r} is none of the {k + 7} labels for k={k}")
 
 
+def has_top_vector(label: ModuleLabel, k: int) -> bool:
+    """Whether one vector generates the labelled module's top level: every
+    label but V- at k=1, whose top level is two-dimensional."""
+    return not (k == 1 and label == u_minus())
+
+
 def normalize_lam_index(r: int, k: int) -> int:
     """Reduce a raw lattice-coset index into [1, k-1] via the lattice shift
     and the reflection identifying opposite cosets; the two reducible

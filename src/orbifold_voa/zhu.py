@@ -42,7 +42,7 @@ def _homogeneous_weight(a: UVector) -> Fraction:
 def top_action(params: RingParams, gen: str, label: lb.ModuleLabel) -> Scalar:
     """The scalar by which the weight-preserving mode of the named generator
     acts on the top level of the labelled module, computed from the
-    operators (`top_vector` refuses a bad label and V- at k=1)."""
+    operators (`top_vector` refuses a bad label and one without a top vector)."""
     a = generator_vector(params, gen)
     return _eigenvalue(params, a, _homogeneous_weight(a) - 1, top_vector(params, label), label, gen)
 
@@ -67,8 +67,8 @@ def _eigenvalue(params: RingParams, a: UVector, m: Fraction, top, label, gen) ->
 
 
 def top_action_table(params: RingParams) -> dict[str, dict[str, Scalar]]:
-    """Computed generator actions for every label (the k=1 minus-lattice
-    exception is skipped), as `top_action` computes them.  Each generator
+    """Computed generator actions for every label with a top vector
+    (`labels.has_top_vector`), as `top_action` computes them.  Each generator
     vector and its weight-preserving mode are found once for the whole
     table, and each label's top vector once for its row."""
     modes = {}
@@ -77,7 +77,7 @@ def top_action_table(params: RingParams) -> dict[str, dict[str, Scalar]]:
         modes[gen] = a, _homogeneous_weight(a) - 1
     out: dict[str, dict[str, Scalar]] = {}
     for label in lb.all_labels(params.k):
-        if params.k == 1 and label == lb.u_minus():
+        if not lb.has_top_vector(label, params.k):
             continue
         top = top_vector(params, label)
         out[label.code] = {

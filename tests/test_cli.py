@@ -1,5 +1,6 @@
 """Command-line surface: exit codes, schemas, and output determinism."""
 
+import argparse
 import copy
 import hashlib
 import json
@@ -121,17 +122,18 @@ def test_negative_sizes_are_usage_errors(capsys, argv, option):
 
 
 @pytest.mark.parametrize(
-    "argv",
-    (
-        ("verify", "jacobi", "--k", "2", "--cutoff", "1/0"),
-        ("witness", "--type", "Vl1,VT1+,VT2+", "--k", "2", "--cutoff", "1/0"),
-    ),
+    "command",
+    (("verify", "jacobi", "--k", "2"), ("witness", "--type", "Vl1,VT1+,VT2+", "--k", "2")),
+    ids=lambda argv: argv[0],
 )
-def test_zero_denominator_cutoff_is_a_usage_error(capsys, argv):
-    code, out, err = run(capsys, *argv)
+@pytest.mark.parametrize("cutoff", ("abc", "nan", "inf", "1/0"))
+def test_a_malformed_cutoff_is_a_usage_error(capsys, command, cutoff):
+    # every malformed value, a zero denominator among them, names the type
+    # and not the private helper that parses it
+    code, out, err = run(capsys, *command, "--cutoff", cutoff)
     assert code == EXIT_FAIL
     assert out == ""
-    assert err.endswith("error: argument --cutoff: invalid Fraction value: '1/0'\n")
+    assert err.endswith(f"error: argument --cutoff: invalid Fraction value: '{cutoff}'\n")
     assert "Traceback" not in err
 
 
@@ -307,6 +309,91 @@ def test_verify_jacobi_checks_the_twisted_basis_up_to_weight_three_halves(capsys
         [(cli.mtheta_mode, sector1)] * (len({1, k, 2 * k}) + 3)
         + [(cli.tilde_mode, sector1 + sector2)] * 2
     )
+
+
+V3 = ("V+", "V+", "V+")
+# help, usage errors and odd spellings, as in .github/cli_digest.py
+PARSE_LINES = (
+    (),
+    ("-h",),
+    ("fusion", "-h"),
+    ("fusion", "query", "-h"),
+    ("fusion", "table", "-h"),
+    ("verify", "-h"),
+    ("dump", "-h"),
+    ("zhu", "-h"),
+    ("zhu", "table", "-h"),
+    ("witness", "-h"),
+    ("fusion", "query", "--k", "2", "-h", "V+"),
+    ("fuse", "query", "--k", "2", *V3),
+    ("fusion", "quer", "--k", "2", *V3),
+    ("zhu", "tables", "--k", "2"),
+    ("fusion",),
+    ("zhu",),
+    ("verify",),
+    ("dump", "--k", "2"),
+    ("fusion", "query", "--k", "2", "V+", "V+"),
+    ("fusion", "query", *V3),
+    ("witness", "--k", "2"),
+    ("fusion", "query", "--k", "2", *V3, "extra"),
+    ("verify", "closure", "bounds"),
+    ("fusion", "table", "--k", "2", "csv"),
+    ("fusion", "query", "--k", "2", "--seed", "1", *V3),
+    ("verify", "p31", "--k", "2", "--window", "3"),
+    ("--k", "2", "fusion", "query", *V3),
+    ("fusion", "--k", "2", "query", *V3),
+    ("fusion", "query", "--k", "2", "--form", "json", *V3),
+    ("fusion", "query", "--k=2", *V3),
+    ("fusion", "query", "--k", "2", "--", *V3),
+    ("--", "fusion", "query", "--k", "2", *V3),
+    ("fusion", "query", "--k", "two", *V3),
+    ("fusion", "query", "--k", "2", "--format", "xml", *V3),
+    ("verify", "nosuch", "--k", "2"),
+)
+# one well-formed line per command path: (command words, the rest)
+COMMAND_PATHS = (
+    (("fusion", "query"), ("--k", "2", *V3)),
+    (("fusion", "table"), ("--k", "2", "--format", "json")),
+    (("verify",), ("p31", "--k", "2")),
+    (("dump",), ("delta", "--order", "2")),
+    (("zhu", "table"), ("--k", "2")),
+    (("witness",), ("--type", "V+,V+,V+", "--k", "2")),
+)
+
+
+@pytest.mark.parametrize(
+    "argv", PARSE_LINES + tuple(words + rest for words, rest in COMMAND_PATHS),
+    ids=lambda argv: " ".join(argv) or "no arguments",
+)
+def test_main_parses_a_line_as_the_whole_tree_does(capsys, argv):
+    """`main` hands a line to the parser its command words name.  A line the
+    tree refuses or answers with help must print and exit as the tree's
+    `parse_args` does, leftovers refused with the top-level usage; a line
+    it parses must give the tree's namespace but for the `command` and
+    `which` dests of the levels walked past."""
+    try:
+        tree = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        want = (EXIT_FAIL if exc.code else EXIT_OK, *capsys.readouterr())
+        assert run(capsys, *argv) == want
+        return
+    want = {dest: v for dest, v in vars(tree).items() if dest not in ("command", "which")}
+    assert vars(cli._parse(list(argv))) == want
+    assert capsys.readouterr() == ("", "")
+
+
+@pytest.mark.parametrize("words, rest", COMMAND_PATHS, ids=[" ".join(w) for w, _ in COMMAND_PATHS])
+def test_a_well_formed_line_is_parsed_once_by_its_leaf(capsys, monkeypatch, words, rest):
+    parsed = []
+    parse_known_args = argparse.ArgumentParser.parse_known_args
+
+    def spy(parser, *args, **kwargs):
+        parsed.append(parser.prog)
+        return parse_known_args(parser, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", spy)
+    assert run(capsys, *words, *rest)[0] == EXIT_OK
+    assert parsed == [" ".join(("orbifold-voa", *words))]
 
 
 def test_verify_takes_only_k_cutoff_and_format():

@@ -117,3 +117,18 @@ def test_table_runtime(params):
     table = top_action_table(params)
     assert len(table) == (params.k + 7) - (1 if params.k == 1 else 0)
     assert time.time() - t0 < 30
+
+
+def test_only_v_minus_at_k1_has_no_top_vector(params):
+    """`labels.has_top_vector` is the one rule for the k=1 exception: the
+    table leaves out exactly the labels it refuses, and `top_vector`
+    refuses them too."""
+    k = params.k
+    without = [w for w in lb.all_labels(k) if not lb.has_top_vector(w, k)]
+    assert without == ([lb.u_minus()] if k == 1 else [])
+    assert sorted(top_action_table(params)) == sorted(
+        w.code for w in lb.all_labels(k) if w not in without
+    )
+    for w in without:
+        with pytest.raises(ValueError, match="two-dimensional top level"):
+            top_vector(params, w)
