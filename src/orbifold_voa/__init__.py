@@ -23,6 +23,7 @@ from .fusion import (
     fusion,
     get_engine,
     m1_fusion,
+    m1_products,
     quasi_admissible,
     upper_bound,
 )

@@ -25,6 +25,15 @@ constituent of a source label counts alike (`upper_bound` gives the
 argument, V+- and Va+- included).  The minimum is taken over one
 representative per class, and a bound costs the same at every k.
 
+The constituent rules are stated once, as products: `m1_products(m, n)`
+lists the constituents l with N(m, n; l) = 1 and says whether every M(c)
+is one as well (only for Mt x Mt); `m1_fusion` reads it.  `upper_bound`
+counts each source pair's products in the target: it reads each label's
+window-1 constituents, and the target's constituent set and count of
+M(c), from tables built from `decompose` once per (label, k) and per
+(label, k, window), O(k) entries per k and none of them through the
+engine.
+
 The bound is sound but not sharp: 24k + 100 zeros of the full table have
 bound >= 1 (counted at k = 1..6).  Six are the position rotations of the
 matched-sign half-shift triples against the odd lattice piece, listed by
@@ -346,44 +355,69 @@ def decompose(label: ModuleLabel, k: int, window: int) -> list[tuple[M1Label, in
     return [(m_tw(label.sign), None)]
 
 
-def m1_fusion(m: M1Label, n: M1Label, l: M1Label) -> int:
-    """Fusion numbers of the Heisenberg-orbifold constituents."""
+_TWISTED = (m_tw(+1), m_tw(-1))
+
+
+def m1_products(m: M1Label, n: M1Label) -> tuple[tuple[M1Label, ...], bool]:
+    """The constituent fusion rules as products: the constituents l with
+    N(m, n; l) = 1, as (a finite tuple of them with no repeat, whether every
+    M(c) is one too).  Every M(c) is a product only of Mt x Mt; every other
+    product is finite, and every fusion number is 0 or 1."""
     if m.kind == lb.M_VAC:
-        if m.sign > 0:
-            return 1 if n == l else 0
-        if n.kind == lb.M_VAC and l.kind == lb.M_VAC:
-            return 1 if n.sign != l.sign else 0
-        if n.kind == lb.M_TW and l.kind == lb.M_TW:
-            return 1 if n.sign != l.sign else 0
-        if n.kind == lb.M_LAM and l.kind == lb.M_LAM:
-            return 1 if n.index == l.index else 0
-        return 0
+        if m.sign > 0 or n.kind == lb.M_LAM:
+            return (n,), False
+        # M- flips the sign of M+- and of Mt+-
+        return (n._replace(sign=-n.sign),), False
     if m.kind == lb.M_LAM:
-        c = m.index
-        if n.kind == lb.M_VAC and l.kind == lb.M_LAM:
-            return 1 if l.index == c else 0
-        if n.kind == lb.M_LAM and l.kind == lb.M_VAC:
-            return 1 if n.index == c else 0
-        if n.kind == lb.M_LAM and l.kind == lb.M_LAM:
-            return 1 if l.index in (c + n.index, abs(c - n.index)) else 0
-        if n.kind == lb.M_TW and l.kind == lb.M_TW:
-            return 1
-        return 0
-    # twisted first constituent
-    if n.kind == lb.M_VAC and l.kind == lb.M_TW:
-        return 1 if (n.sign == l.sign) == (m.sign > 0) else 0
-    if n.kind == lb.M_TW and l.kind == lb.M_VAC:
-        return 1 if (n.sign == l.sign) == (m.sign > 0) else 0
-    if n.kind == lb.M_LAM and l.kind == lb.M_TW:
-        return 1
-    if n.kind == lb.M_TW and l.kind == lb.M_LAM:
-        return 1
-    return 0
+        if n.kind == lb.M_VAC:
+            return (m,), False
+        if n.kind == lb.M_TW:
+            return _TWISTED, False
+        c, d = m.index, n.index
+        if c == d:
+            return (m_lam(2 * c), m_vac(+1), m_vac(-1)), False
+        return (m_lam(c + d), m_lam(c - d)), False
+    # twisted first constituent: Mt- flips the sign that Mt+ keeps
+    if n.kind == lb.M_LAM:
+        return _TWISTED, False
+    sign = n.sign if m.sign > 0 else -n.sign
+    if n.kind == lb.M_VAC:
+        return (m_tw(sign),), False
+    return (m_vac(sign),), True
+
+
+def m1_fusion(m: M1Label, n: M1Label, l: M1Label) -> int:
+    """Fusion numbers of the Heisenberg-orbifold constituents, read from
+    `m1_products`."""
+    finite, every_lattice = m1_products(m, n)
+    return 1 if l in finite or (every_lattice and l.kind == lb.M_LAM) else 0
+
+
+@lru_cache(maxsize=None)
+def _source_table(label: ModuleLabel, k: int) -> tuple[tuple[M1Label, ...], int]:
+    """The label's window-1 constituents and their largest |lattice index|."""
+    dec = decompose(label, k, window=1)
+    return tuple(m for m, _ in dec), max((abs(c) for _, c in dec if c is not None), default=0)
+
+
+@lru_cache(maxsize=None)
+def _target_table(label: ModuleLabel, k: int, window: int) -> tuple[frozenset[M1Label], int]:
+    """The label's constituents within the window, and how many are M(c)."""
+    dec = decompose(label, k, window)
+    return frozenset(l for l, _ in dec), sum(l.kind == lb.M_LAM for l, _ in dec)
 
 
 def upper_bound(w1: ModuleLabel, w2: ModuleLabel, w3: ModuleLabel, k: int) -> int:
     """Injectivity bound: minimum over constituent pairs of the summed
     constituent fusion numbers into the target's constituents.
+
+    A pair's sum is the number of its products (`m1_products`) among the
+    target's constituents: its finite products found in the target's
+    constituent set, plus the target's count of M(c) constituents when
+    every M(c) is a product.  The sources' constituent lists and the
+    target's set and count are tables built once per (label, k) and per
+    (label, k, window), from `decompose` alone; the counting runs on
+    every call.
 
     One representative of each residue class is enough.  The lattice
     constituents M(c) of an untwisted label (M(c) = M(-c)) have c in one
@@ -411,17 +445,16 @@ def upper_bound(w1: ModuleLabel, w2: ModuleLabel, w3: ModuleLabel, k: int) -> in
     the target; their bounds (3 or 4 into V+ and V-, 4 into Va+ and Va-,
     7 into Vl<r>) count the target's constituents inside this fixed window.
     """
-    dec1 = decompose(w1, k, window=1)
-    dec2 = decompose(w2, k, window=1)
-    max_idx = max(
-        (abs(c) for _, c in dec1 + dec2 if c is not None), default=0
-    )
-    win3 = max_idx // k + 3
-    dec3 = decompose(w3, k, window=win3)
+    sources1, reach1 = _source_table(w1, k)
+    sources2, reach2 = _source_table(w2, k)
+    target, lattice_count = _target_table(w3, k, max(reach1, reach2) // k + 3)
     best: int | None = None
-    for m, _ in dec1:
-        for n, _ in dec2:
-            total = sum(m1_fusion(m, n, l) for l, _ in dec3)
+    for m in sources1:
+        for n in sources2:
+            finite, every_lattice = m1_products(m, n)
+            total = sum(l in target for l in finite)
+            if every_lattice:
+                total += lattice_count
             if best is None or total < best:
                 best = total
             if best == 0:

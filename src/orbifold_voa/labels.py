@@ -10,8 +10,9 @@ codes exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from typing import NamedTuple
 
 # label kinds
 VAC = "vac"      # V+ / V-
@@ -26,17 +27,30 @@ _FORMS = frozenset(
 )
 
 
-@dataclass(frozen=True, order=True)
-class ModuleLabel:
+class _LabelFields(NamedTuple):
     kind: str
     sign: int = 0     # +1 / -1 for vac, half, tw; 0 for lam
     r: int = 0        # 1 <= r <= k-1 for lam
     sector: int = 0   # 1 or 2 for tw
 
-    def __post_init__(self) -> None:
+
+class ModuleLabel(_LabelFields):
+    """A label as a named tuple of its fields, so that hashing, equality and
+    ordering are those of the field tuple and run in C."""
+
+    __slots__ = ()
+
+    def __new__(cls, kind: str, sign: int = 0, r: int = 0, sector: int = 0) -> ModuleLabel:
         # refuse all but the nine forms; `validate_label` checks r against k
-        if (self.kind, self.sign, self.sector) not in _FORMS or (self.kind == LAM) != (self.r != 0):
+        self = super().__new__(cls, kind, sign, r, sector)
+        if (kind, sign, sector) not in _FORMS or (kind == LAM) != (r != 0):
             raise ValueError(f"{self!r} is none of the label forms")
+        return self
+
+    @classmethod
+    def _make(cls, iterable) -> ModuleLabel:
+        # the named tuple's own `_make`, which `_replace` calls, skips `__new__`
+        return cls(*iterable)
 
     @property
     def is_twisted(self) -> bool:
@@ -86,8 +100,10 @@ def all_labels(k: int) -> list[ModuleLabel]:
     return out
 
 
-# the eight labels without an index, by code
-_UNINDEXED = {w.code: w for w in all_labels(1)}
+@lru_cache(maxsize=None)
+def _by_code(k: int) -> dict[str, ModuleLabel]:
+    """The k+7 labels by their canonical codes."""
+    return {w.code: w for w in all_labels(k)}
 
 
 def validate_label(label: ModuleLabel, k: int) -> None:
@@ -128,8 +144,9 @@ def parse_label(text: str, k: int) -> ModuleLabel:
     """Parse the CLI spelling V+ V- Vl<r> Va+ Va- VT1+ VT1- VT2+ VT2-.
     Out-of-range coset indices are normalized; boundary cosets rejected."""
     text = text.strip()
-    if text in _UNINDEXED:
-        return _UNINDEXED[text]
+    label = _by_code(k).get(text)
+    if label is not None:
+        return label
     if text.startswith("Vl"):
         try:
             r = int(text[2:])
@@ -169,8 +186,7 @@ M_LAM = "m_lam"   # M(lambda), classed by |lattice index| > 0
 M_TW = "m_tw"     # Mt+ / Mt-
 
 
-@dataclass(frozen=True, order=True)
-class M1Label:
+class M1Label(NamedTuple):
     kind: str
     sign: int = 0     # +1 / -1 for m_vac, m_tw
     index: int = 0    # c > 0 for m_lam, meaning the class of lambda_c

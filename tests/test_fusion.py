@@ -21,6 +21,7 @@ from orbifold_voa.fusion import (
     decompose,
     get_engine,
     m1_fusion,
+    m1_products,
     normalize_lam_index,
     quasi_admissible,
     upper_bound,
@@ -172,6 +173,62 @@ def test_m1_fusion_examples():
     assert m1_fusion(m_lam(2), m_lam(2), m_lam(1)) == 0
 
 
+def _m1_fusion_oracle(m, n, l):
+    """The constituent fusion rules as a predicate, written out case by case
+    as they stood before `m1_products`: the oracle for the product form."""
+    if m.kind == lb.M_VAC:
+        if m.sign > 0:
+            return 1 if n == l else 0
+        if n.kind == lb.M_VAC and l.kind == lb.M_VAC:
+            return 1 if n.sign != l.sign else 0
+        if n.kind == lb.M_TW and l.kind == lb.M_TW:
+            return 1 if n.sign != l.sign else 0
+        if n.kind == lb.M_LAM and l.kind == lb.M_LAM:
+            return 1 if n.index == l.index else 0
+        return 0
+    if m.kind == lb.M_LAM:
+        c = m.index
+        if n.kind == lb.M_VAC and l.kind == lb.M_LAM:
+            return 1 if l.index == c else 0
+        if n.kind == lb.M_LAM and l.kind == lb.M_VAC:
+            return 1 if n.index == c else 0
+        if n.kind == lb.M_LAM and l.kind == lb.M_LAM:
+            return 1 if l.index in (c + n.index, abs(c - n.index)) else 0
+        if n.kind == lb.M_TW and l.kind == lb.M_TW:
+            return 1
+        return 0
+    # twisted first constituent
+    if n.kind == lb.M_VAC and l.kind == lb.M_TW:
+        return 1 if (n.sign == l.sign) == (m.sign > 0) else 0
+    if n.kind == lb.M_TW and l.kind == lb.M_VAC:
+        return 1 if (n.sign == l.sign) == (m.sign > 0) else 0
+    if n.kind == lb.M_LAM and l.kind == lb.M_TW:
+        return 1
+    if n.kind == lb.M_TW and l.kind == lb.M_LAM:
+        return 1
+    return 0
+
+
+# M+-, Mt+- and M(c) for c <= 40
+CONSTITUENTS = [m_vac(+1), m_vac(-1), m_tw(+1), m_tw(-1)] + [m_lam(c) for c in range(1, 41)]
+
+
+def test_m1_fusion_matches_the_predicate_oracle():
+    for m in CONSTITUENTS:
+        for n in CONSTITUENTS:
+            for l in CONSTITUENTS:
+                assert m1_fusion(m, n, l) == _m1_fusion_oracle(m, n, l), (m, n, l)
+
+
+def test_no_product_list_repeats_a_constituent():
+    for m in CONSTITUENTS:
+        for n in CONSTITUENTS:
+            finite, every_lattice = m1_products(m, n)
+            assert len(set(finite)) == len(finite), (m, n)
+            # every M(c) is a product of the twisted pairs alone
+            assert every_lattice == (m.kind == n.kind == lb.M_TW)
+
+
 def test_decompose_examples():
     # single twisted constituent
     assert decompose(lb.tw(1, -1), 2, window=2) == [(m_tw(-1), None)]
@@ -293,6 +350,51 @@ def test_a_malformed_label_is_refused_everywhere(k, fields):
         lb.ModuleLabel(*fields)
 
 
+@pytest.mark.parametrize(
+    "make",
+    (
+        lambda: lb.ModuleLabel(lb.TW, +1, 0, 3),
+        lambda: lb.tw(1, +1)._replace(sector=3),
+        lambda: lb.ModuleLabel._make((lb.TW, +1, 0, 3)),
+    ),
+    ids=("call", "_replace", "_make"),
+)
+def test_every_way_to_make_a_label_checks_it(make):
+    """A named tuple's own `_make` and `_replace` skip `__new__`; the
+    label's check runs on all three."""
+    with pytest.raises(ValueError, match="none of the label forms"):
+        make()
+
+
+def test_label_reprs_are_pinned():
+    assert repr(lb.tw(1, +1)) == "ModuleLabel(kind='tw', sign=1, r=0, sector=1)"
+    assert repr(lb.lam(3)) == "ModuleLabel(kind='lam', sign=0, r=3, sector=0)"
+    assert repr(lb.u_minus()) == "ModuleLabel(kind='vac', sign=-1, r=0, sector=0)"
+    assert repr(m_lam(4)) == "M1Label(kind='m_lam', sign=0, index=4)"
+    assert repr(m_tw(-1)) == "M1Label(kind='m_tw', sign=-1, index=0)"
+
+
+# sorted(all_labels(k)) as codes: labels order as their field tuples
+SORTED_CODES = {
+    1: "Va- Va+ VT1- VT2- VT1+ VT2+ V- V+",
+    2: "Va- Va+ Vl1 VT1- VT2- VT1+ VT2+ V- V+",
+    3: "Va- Va+ Vl1 Vl2 VT1- VT2- VT1+ VT2+ V- V+",
+    4: "Va- Va+ Vl1 Vl2 Vl3 VT1- VT2- VT1+ VT2+ V- V+",
+    5: "Va- Va+ Vl1 Vl2 Vl3 Vl4 VT1- VT2- VT1+ VT2+ V- V+",
+    6: "Va- Va+ Vl1 Vl2 Vl3 Vl4 Vl5 VT1- VT2- VT1+ VT2+ V- V+",
+}
+
+
+@pytest.mark.parametrize("k", sorted(SORTED_CODES))
+def test_labels_order_and_hash_as_their_field_tuples(k):
+    labels = lb.all_labels(k)
+    assert " ".join(w.code for w in sorted(labels)) == SORTED_CODES[k]
+    for w in labels:
+        assert hash(w) == hash(tuple(w))
+        for m, _ in decompose(w, k, window=1):
+            assert hash(m) == hash(tuple(m))
+
+
 @pytest.mark.parametrize("k", (2, 3))
 @pytest.mark.parametrize("m", (1, 2, -1), ids=("k", "2k", "-k"))
 def test_a_boundary_coset_index_is_refused_everywhere(k, m):
@@ -372,11 +474,11 @@ def test_bound_matches_two_representatives_per_class(k):
 def test_bound_work_is_constant_in_k(monkeypatch):
     calls = []
 
-    def counting(m, n, l):
+    def counting(m, n):
         calls.append(None)
-        return m1_fusion(m, n, l)
+        return m1_products(m, n)
 
-    monkeypatch.setattr(fusion_module, "m1_fusion", counting)
+    monkeypatch.setattr(fusion_module, "m1_products", counting)
 
     def count(triple, k):
         calls.clear()
@@ -392,8 +494,35 @@ def test_bound_work_is_constant_in_k(monkeypatch):
     ]
     for triple in triples:
         n20 = count(triple, 20)
-        assert 0 < n20 <= 99  # 3 x 3 source pairs against 11 target constituents
+        assert 0 < n20 <= 9  # 3 x 3 source pairs
         assert count(triple, 200) == n20
+
+
+def test_bound_tables_are_built_once_and_build_no_engine(monkeypatch):
+    """The constituent tables of `upper_bound` come from `decompose` alone,
+    once per (label, k) and per (label, k, window): a triple seen before
+    makes no `decompose` list, and no call builds the fusion engine."""
+    made = []
+
+    def counting(label, k, window):
+        made.append(label)
+        return decompose(label, k, window)
+
+    def no_engine(k):
+        raise AssertionError("upper_bound built the fusion engine")
+
+    monkeypatch.setattr(fusion_module, "decompose", counting)
+    monkeypatch.setattr(fusion_module, "FusionEngine", no_engine)
+    fusion_module._source_table.cache_clear()
+    fusion_module._target_table.cache_clear()
+    k = 20
+    labels = lb.all_labels(k)
+    first = [upper_bound(w1, w2, w3, k) for w1 in labels for w2 in labels for w3 in labels]
+    assert made
+    made.clear()
+    again = [upper_bound(w1, w2, w3, k) for w1 in labels for w2 in labels for w3 in labels]
+    assert again == first
+    assert made == []
 
 
 @pytest.mark.parametrize("k", (1, 2, 8, 50))
