@@ -78,9 +78,6 @@ class _SparseVector:
     def __bool__(self) -> bool:
         return bool(self.terms)
 
-    def _like(self, terms) -> "_SparseVector":
-        return type(self)(self.params, terms)
-
     def __add__(self, other):
         if type(other) is not type(self):
             return NotImplemented
@@ -136,11 +133,6 @@ class _SparseVector:
 
     def max_weight(self) -> Fraction:
         return max(self.weights(), default=Fraction(0))
-
-    def component(self, weight: Fraction):
-        return self._like(
-            {k: c for k, c in self.terms.items() if self.key_weight(k) == weight}
-        )
 
     def sorted_keys(self) -> list:
         return sorted(self.terms, key=lambda key: (self.key_weight(key), key))
@@ -477,28 +469,6 @@ def twisted_basis(params: RingParams, sector: int, max_weight: Fraction) -> list
             keys.append((p, sector))
         total += HALF_ONE
     return keys
-
-
-def label_basis(params: RingParams, label: ModuleLabel, max_weight: Fraction) -> list:
-    """Vectors spanning the labelled module up to the given weight."""
-    validate_label(label, params.k)
-    out = []
-    if label.kind in (VAC, HALF):
-        for key in coset_basis(params, lattice_coset(label, params.k), max_weight):
-            if key[1] < 0:
-                continue  # its theta-partner at +c came first
-            v = project_eigen(UVector(params, {key: 1}), label.sign)
-            if v:
-                out.append(v)
-    elif label.kind == LAM:
-        for key in coset_basis(params, label.r, max_weight):
-            out.append(UVector(params, {key: 1}))
-    else:
-        for key in twisted_basis(params, label.sector, max_weight):
-            v = project_eigen(TVector(params, {key: 1}), label.sign)
-            if v:
-                out.append(v)
-    return out
 
 
 def top_vector(params: RingParams, label: ModuleLabel):

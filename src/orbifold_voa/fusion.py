@@ -30,9 +30,8 @@ lists the constituents l with N(m, n; l) = 1 and says whether every M(c)
 is one as well (only for Mt x Mt); `m1_fusion` reads it.  `upper_bound`
 counts each source pair's products in the target: it reads each label's
 window-1 constituents, and the target's constituent set and count of
-M(c), from tables built from `decompose` once per (label, k) and per
-(label, k, window), O(k) entries per k and none of them through the
-engine.
+M(c), from one table per label and k (`_bound_table`), built from
+`decompose` alone: O(k) entries per k, none of them through the engine.
 
 The bound is sound but not sharp: 24k + 100 zeros of the full table have
 bound >= 1 (counted at k = 1..6).  Six are the position rotations of the
@@ -394,17 +393,13 @@ def m1_fusion(m: M1Label, n: M1Label, l: M1Label) -> int:
 
 
 @lru_cache(maxsize=None)
-def _source_table(label: ModuleLabel, k: int) -> tuple[tuple[M1Label, ...], int]:
-    """The label's window-1 constituents and their largest |lattice index|."""
-    dec = decompose(label, k, window=1)
-    return tuple(m for m, _ in dec), max((abs(c) for _, c in dec if c is not None), default=0)
-
-
-@lru_cache(maxsize=None)
-def _target_table(label: ModuleLabel, k: int, window: int) -> tuple[frozenset[M1Label], int]:
-    """The label's constituents within the window, and how many are M(c)."""
-    dec = decompose(label, k, window)
-    return frozenset(l for l, _ in dec), sum(l.kind == lb.M_LAM for l, _ in dec)
+def _bound_table(label: ModuleLabel, k: int) -> tuple[tuple[M1Label, ...], frozenset[M1Label], int]:
+    """The label's constituents as `upper_bound` reads them: its window-1
+    constituents as a source; as a target, its window-3 constituents and
+    how many of them are M(c)."""
+    target = frozenset(l for l, _ in decompose(label, k, window=3))
+    sources = tuple(m for m, _ in decompose(label, k, window=1))
+    return sources, target, sum(l.kind == lb.M_LAM for l in target)
 
 
 def upper_bound(w1: ModuleLabel, w2: ModuleLabel, w3: ModuleLabel, k: int) -> int:
@@ -415,8 +410,8 @@ def upper_bound(w1: ModuleLabel, w2: ModuleLabel, w3: ModuleLabel, k: int) -> in
     target's constituents: its finite products found in the target's
     constituent set, plus the target's count of M(c) constituents when
     every M(c) is a product.  The sources' constituent lists and the
-    target's set and count are tables built once per (label, k) and per
-    (label, k, window), from `decompose` alone; the counting runs on
+    target's set and count are read from one table per label and k
+    (`_bound_table`), built from `decompose` alone; the counting runs on
     every call.
 
     One representative of each residue class is enough.  The lattice
@@ -439,15 +434,18 @@ def upper_bound(w1: ModuleLabel, w2: ModuleLabel, w3: ModuleLabel, k: int) -> in
     minimum over them equals the minimum over the whole decomposition, and
     the work is the same at every k.
 
-    The target window reaches past every index sum c + d of the listed
-    sources, so the count of a pair with an untwisted constituent is
-    complete.  Twisted-by-twisted pairs reach every lattice constituent of
-    the target; their bounds (3 or 4 into V+ and V-, 4 into Va+ and Va-,
-    7 into Vl<r>) count the target's constituents inside this fixed window.
+    The target is listed with window 3.  The listed sources have
+    |index| <= 3k, so every index sum c + d is at most 6k, and window 3
+    lists every target constituent up to 6k: +-r + 2km for |m| <= 3 for
+    Vl<r>, 2km up to 6k for V+ and V-, k + 2km up to 7k for Va+ and Va-.
+    So the count of a pair with an untwisted constituent is complete.
+    Twisted-by-twisted pairs reach every lattice constituent of the
+    target; their bounds (3 or 4 into V+ and V-, 4 into Va+ and Va-, 7
+    into Vl<r>) count the target's constituents in window 3.
     """
-    sources1, reach1 = _source_table(w1, k)
-    sources2, reach2 = _source_table(w2, k)
-    target, lattice_count = _target_table(w3, k, max(reach1, reach2) // k + 3)
+    sources1 = _bound_table(w1, k)[0]
+    sources2 = _bound_table(w2, k)[0]
+    _sources, target, lattice_count = _bound_table(w3, k)
     best: int | None = None
     for m in sources1:
         for n in sources2:

@@ -202,7 +202,7 @@ def _prefactor_split(params: RingParams, r: int) -> tuple[int, Scalar]:
 def _delta_terms(params: RingParams, nu: tuple[int, ...], r: int) -> tuple:
     """2^w exp(Delta_z) a(-nu) e[r], with 2^w the rational part of the
     prefactor at r (`_prefactor_split`), as ((d, nu2, num, den), ...), the
-    term (num/den) a(-nu2) e[r] z^(-d) in `mode_kernel_sum`'s form;
+    term (num/den) a(-nu2) e[r] z^(-d) as the mode kernel's rows;
     memoized on `params` for the life of the ring."""
     key = ("delta", nu, r)
     terms = params.memo.get(key)

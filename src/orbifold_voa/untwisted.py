@@ -6,24 +6,40 @@ returns u_m v exactly.  For u supported at lattice index r acting on terms
 at index s the support grid of m is -rs/2k + Z; `support_modes` lists it
 (and the twisted grid) for sweeps, and every identity checker sweeps it.
 
-Evaluation is by explicit finite expansion in three stages, with the
-paths merged between them: the factors of u are contracted against the
-target's oscillators and lattice index or left pending; the annihilation
-exponential removes oscillators of the target; and the creation side is
-enumerated against the exactly determined weight budget, which is where
-m enters.  No series tails are ever truncated, so results are exact.  The
-same kernel, `mode_kernel_sum`, also evaluates the half-odd expansion
-behind the twisted operators.
+The mode kernel evaluates the sum over rows (d, nu, num, den) of num/den
+times mode m - d of a(-nu) e[r], with integer d, num and den: every term
+of u at lattice index r on one term of v, a(-mu) e[s] (output index
+r + s) untwisted, and the half-odd partition mu with s = 0 twisted (the
+prefactor 2^(-r^2/2k) left out), so the same kernel evaluates the
+half-odd expansion behind the twisted operators.  Work is in doubled
+integer units: a part p of mu and of the output is held as 2p, even
+untwisted and odd twisted, and the z-budget is the one integer
+T = 2(-m-1-rs/2k) untwisted or 2(-m-1+r^2/4k) twisted (the z^{lambda(0)}
+factor, resp. the exponent shift, folded in), raised by 2d for the row
+at d (`_budget`); an m with T off that grid has no image.  An image maps
+doubled keys to nonzero Fractions.
 
-The first two stages (`_skeleton`) do not read m.  The creation stage,
-where the pending oscillator factors and the creation exponential share
-what is left of the weight budget, depends only on the ring, the lattice
-index, the pending factors and the budget.  It is walked once per ring
-(`_creation_table`, in `RingParams.memo`), its rows merged by their
-sorted parts, and every later call only reads the rows.  Every walk
-sums plain ints over one denominator fixed before it starts (a factor
-a(-n) has all its coefficients over `_dden(n)`), and an output key
-becomes one Fraction at the end.
+Evaluation is by explicit finite expansion in three stages, with the
+paths merged between them:
+1. contractions: each factor a(-n) is contracted against a part of mu,
+   paired with the lattice index s, or left pending;
+2. annihilation: the annihilation exponential removes parts of what is
+   left of mu with binomial weights, once per distinct state of stage 1;
+3. creation (`_create`): the pending factors and the creation
+   exponential share what is left of T, which is where m enters.
+No series tails are ever truncated, so results are exact.  The lattices
+differ only in the smallest created part (2 or 1) and in the s-term.
+
+Stages 1 and 2 (`_skeleton`) do not read m.  The creation stage depends
+only on the ring, the lattice index, the pending factors and the budget.
+It is walked once per ring (`_creation_table`, in `RingParams.memo`), its
+rows merged by their sorted parts, and every later call only reads the
+rows.  Every walk sums plain ints over one denominator fixed before it
+starts (a factor a(-n) has all its coefficients over `_dden(n)`): stages
+1 and 2 over the one of `_skeleton`, stage 3 over the least common
+multiple of the group and table denominators that meet the budget.
+States and keys that cancel are dropped, and an output key becomes one
+Fraction at the end.
 
 One driver, `term_pair_images`, runs the kernel for the untwisted
 operator and the twisted ones alike.  It groups the terms of u by lattice
@@ -148,7 +164,7 @@ def halve(key: tuple) -> tuple:
 
 
 def _skeleton(params: RingParams, r: int, mu: tuple, s: int, twisted: bool, terms: tuple) -> tuple:
-    """Stages 1 and 2 of `mode_kernel_sum`, the ones that do not read m, as
+    """Stages 1 and 2 of the mode kernel, the ones that do not read m, as
     ((pending, off, need, den, ((kept, num), ...)), ...): the rows of a
     group, kept parts with integer numerators over the one denominator den
     of the walk.
@@ -234,7 +250,7 @@ def _skeleton(params: RingParams, r: int, mu: tuple, s: int, twisted: bool, term
 
 
 def _budget(params: RingParams, r: int, s: int, m: Fraction, twisted: bool) -> int | None:
-    """The integer z-budget T of `mode_kernel_sum` for lattice index r on
+    """The integer z-budget T of the mode kernel for lattice index r on
     index s (s = 0 twisted) at mode m, or None when m is off the grid."""
     k = params.k
     a, b = m.numerator, m.denominator
@@ -248,7 +264,7 @@ def _budget(params: RingParams, r: int, s: int, m: Fraction, twisted: bool) -> i
 
 
 def _create(params: RingParams, r: int, t0: int, twisted: bool, skeleton: tuple) -> dict:
-    """Stage 3 of `mode_kernel_sum` on the states of a `_skeleton` at the
+    """Stage 3 of the mode kernel on the states of a `_skeleton` at the
     budget t0: a fresh {doubled key: nonzero Fraction}.
 
     A group's rows and its creation table each hold integer numerators over
@@ -276,53 +292,6 @@ def _create(params: RingParams, r: int, t0: int, twisted: bool, skeleton: tuple)
                     parts = tuple(sorted(kept + parts, reverse=True))
                 out[parts] = out.get(parts, 0) + num * e
     return {key: Fraction(num, common) for key, num in out.items() if num}
-
-
-def mode_kernel_sum(
-    params: RingParams,
-    r: int,
-    mu: tuple,
-    s: int,
-    m: Fraction,
-    twisted: bool,
-    terms: tuple,
-) -> dict[tuple, Fraction]:
-    """The sum over (d, nu, num, den) in `terms` of num/den times mode
-    m - d of a(-nu) e[r], with integer d, num and den: every term of u at
-    lattice index r on one term of v, a(-mu) e[s] (output index r + s)
-    untwisted, the half-odd partition mu with s = 0 twisted (the prefactor
-    2^(-r^2/2k) left out).  Keys are doubled parts, values nonzero Fractions.
-
-    Work is in doubled integer units: a part p of mu and of the output is
-    held as 2p, even untwisted and odd twisted, and the z-budget is the one
-    integer T = 2(-m-1-rs/2k) untwisted or 2(-m-1+r^2/4k) twisted (the
-    z^{lambda(0)} factor, resp. the exponent shift, folded in), raised by
-    2d for the term at d (`_budget`).  An m with T off that grid gives {}
-    at once.
-
-    Three stages run in turn, with the paths merged between them.
-    1. Contractions: each factor a(-n) is contracted against a part of mu,
-       paired with the lattice index s, or left pending.
-    2. Annihilation: the annihilation exponential removes parts of what is
-       left of mu with binomial weights, once per distinct state of stage 1.
-    3. Creation (`_create`): the pending factors and the creation
-       exponential share what is left of T, read from the memoized
-       `_creation_table`.
-    Only stage 3 reads m.  Stages 1 and 2 (`_skeleton`) depend on
-    (r, mu, s, twisted, terms) alone; this function walks them afresh on
-    every call and keeps nothing, and `term_pair_images` keeps them for a
-    sweep.  The lattices differ only in the smallest created part (2 or 1)
-    and in the s-term.
-
-    Every walk sums plain ints over one denominator fixed before it
-    starts: stages 1 and 2 over the one of `_skeleton`, stage 3 over the
-    least common multiple of the group and table denominators that meet
-    the budget.  An output key becomes one Fraction once every term is in;
-    states and keys that cancel are dropped."""
-    t0 = _budget(params, r, s, m, twisted)
-    if t0 is None:
-        return {}
-    return _create(params, r, t0, twisted, _skeleton(params, r, mu, s, twisted, terms))
 
 
 def _weight(c: Scalar) -> tuple[int, int, Scalar | None]:
@@ -375,9 +344,9 @@ def _plan(params: RingParams, u: UVector, v, expand, twisted: bool) -> tuple:
 
 def term_pair_images(u: UVector, m, v: UVector | TVector, expand):
     """(r, index, image, factor) for each group of terms of u and each term
-    of v with a nonzero `mode_kernel_sum` image at mode m, index being the
-    lattice index or sector of v's term: the one loop over term pairs
-    behind every mode operator.
+    of v with a nonzero kernel image at mode m, index being the lattice
+    index or sector of v's term: the one loop over term pairs behind every
+    mode operator.
 
     `expand(params, nu, r)`, a module-level function, lists the kernel rows
     (d, nu2, num, den) of the term a(-nu) e[r] of u.  The terms of u are
@@ -511,8 +480,9 @@ def support_modes(u: UVector, v, depth) -> list[Fraction]:
 
     The grid is read from the type of v: -rs/2k + Z over the term pairs of
     u at index r and v at index s when v is untwisted, r^2/4k + (1/2)Z over
-    the terms of u when v is twisted.  `mode_kernel_sum`'s integer budget
-    T is the membership form of the same grid; off it every image is zero."""
+    the terms of u when v is twisted.  The kernel's integer budget T
+    (`_budget`) is the membership form of the same grid; off it every image
+    is zero."""
     k = u.params.k
     m_high = u.max_weight() + v.max_weight() - 1
     m_low = m_high - Fraction(depth)

@@ -8,10 +8,11 @@ from hypothesis import strategies as st
 
 from orbifold_voa import labels as lb
 from orbifold_voa.fock import (
+    TVector,
     UVector,
+    coset_basis,
     graded_dim,
     heis_act,
-    label_basis,
     lattice_vector,
     m1_graded_dim,
     odd_partition_count_parity,
@@ -24,6 +25,7 @@ from orbifold_voa.fock import (
     theta,
     top_vector,
     tw_vacuum,
+    twisted_basis,
     u_term,
     vacuum,
 )
@@ -32,6 +34,29 @@ from orbifold_voa.fusion import decompose
 from orbifold_voa.ring import RingParams, Scalar
 
 HALF = Fraction(1, 2)
+
+
+def label_basis(params: RingParams, label: lb.ModuleLabel, max_weight: Fraction) -> list:
+    """Vectors spanning the labelled module up to the given weight: the
+    brute-force basis that `graded_dim` is counted against."""
+    lb.validate_label(label, params.k)
+    out = []
+    if label.kind in (lb.VAC, lb.HALF):
+        for key in coset_basis(params, lb.lattice_coset(label, params.k), max_weight):
+            if key[1] < 0:
+                continue  # its theta-partner at +c came first
+            v = project_eigen(UVector(params, {key: 1}), label.sign)
+            if v:
+                out.append(v)
+    elif label.kind == lb.LAM:
+        for key in coset_basis(params, label.r, max_weight):
+            out.append(UVector(params, {key: 1}))
+    else:
+        for key in twisted_basis(params, label.sector, max_weight):
+            v = project_eigen(TVector(params, {key: 1}), label.sign)
+            if v:
+                out.append(v)
+    return out
 
 
 @pytest.fixture(scope="module", params=(1, 2, 3))

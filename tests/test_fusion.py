@@ -465,7 +465,7 @@ def test_bound_matches_brute_force(k):
         assert upper_bound(w1, w2, w3, k) == _brute_bound(w1, w2, w3, k)
 
 
-@pytest.mark.parametrize("k", range(7, 13))
+@pytest.mark.parametrize("k", (*range(7, 13), 20))  # 20: the bench query's largest k
 def test_bound_matches_two_representatives_per_class(k):
     for (w1, w2, w3) in get_engine(k).all_triples():
         assert upper_bound(w1, w2, w3, k) == _brute_bound(w1, w2, w3, k, window=2)
@@ -498,10 +498,10 @@ def test_bound_work_is_constant_in_k(monkeypatch):
         assert count(triple, 200) == n20
 
 
-def test_bound_tables_are_built_once_and_build_no_engine(monkeypatch):
-    """The constituent tables of `upper_bound` come from `decompose` alone,
-    once per (label, k) and per (label, k, window): a triple seen before
-    makes no `decompose` list, and no call builds the fusion engine."""
+def test_bound_table_is_built_once_per_label_and_builds_no_engine(monkeypatch):
+    """The one constituent table of `upper_bound` comes from `decompose`
+    alone, once per (label, k): a triple seen before makes no `decompose`
+    list, and no call builds the fusion engine."""
     made = []
 
     def counting(label, k, window):
@@ -513,8 +513,7 @@ def test_bound_tables_are_built_once_and_build_no_engine(monkeypatch):
 
     monkeypatch.setattr(fusion_module, "decompose", counting)
     monkeypatch.setattr(fusion_module, "FusionEngine", no_engine)
-    fusion_module._source_table.cache_clear()
-    fusion_module._target_table.cache_clear()
+    fusion_module._bound_table.cache_clear()
     k = 20
     labels = lb.all_labels(k)
     first = [upper_bound(w1, w2, w3, k) for w1 in labels for w2 in labels for w3 in labels]

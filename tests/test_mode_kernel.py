@@ -50,9 +50,22 @@ from orbifold_voa.fock import (
 )
 from orbifold_voa.ring import RingParams, Scalar
 from orbifold_voa.twisted import delta_apply, psi_map
-from orbifold_voa.untwisted import _creation_table, halve, mode_kernel_sum, support_modes
+from orbifold_voa.untwisted import _creation_table, halve, support_modes
 
 HALF = Fraction(1, 2)
+
+
+def mode_kernel_sum(params, r, mu, s, m, twisted, terms):
+    """The mode kernel with no plan (the `untwisted` module docstring):
+    stages 1 and 2 (`_skeleton`) walked afresh and stage 3 (`_create`) at
+    the budget of m (`_budget`), keeping nothing; {} when m is off the
+    grid.  The planned driver, `untwisted.term_pair_images`, is compared
+    against it."""
+    t0 = untwisted._budget(params, r, s, m, twisted)
+    if t0 is None:
+        return {}
+    skeleton = untwisted._skeleton(params, r, mu, s, twisted, terms)
+    return untwisted._create(params, r, t0, twisted, skeleton)
 
 
 def mode_kernel(params, nu, r, mu, s, m, twisted):

@@ -36,7 +36,7 @@ def test_conformal_square_acts_as_grading_square(params):
     acc = params.zero()
     ref = top.sorted_keys()[0]
     for w in sorted(sq.weights()):
-        comp = sq.component(w)
+        comp = UVector(params, {key: c for key, c in sq.terms.items() if sq.key_weight(key) == w})
         img = vertex_mode(comp, w - 1, top)
         acc = acc + img.terms.get(ref, params.zero())
     want = top_action(params, "omega", label)
