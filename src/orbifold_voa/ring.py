@@ -70,7 +70,8 @@ class RingParams:
 
     * ("create", r, pending, w, twisted): the creation stage of the mode
       kernel as (den, rows), integer numerators over one least common
-      denominator, `untwisted._creation_table`;
+      denominator, `untwisted._creation_table` (the table at -r with no
+      pending factors is read from the one at r);
     * ("delta", nu, r): exp(Delta_z) of one term times 2^w, the rational
       part of the twisted prefactor 2^(-r^2/2k) = 2^w t^b,
       `twisted._delta_terms`;
@@ -90,6 +91,9 @@ class RingParams:
       (`untwisted._skeleton`) of each term pair, walked as it is built.
       It is one entry, replaced when the input changes, so a sweep over m
       plans once and the memo does not grow with the inputs;
+    * ("pcoeff", n): the rows (parts, length parity, denominator) of the
+      degree-n coefficient of the creation exponential, read by both
+      signs of `untwisted.p_coeff_apply`;
     * "zeta": a dict from each exponent a mod 4k that `zeta` was asked
       for to its Scalar, at most 4k entries.
 

@@ -19,10 +19,11 @@ factor, resp. the exponent shift, folded in), raised by 2d for the row
 at d (`_budget`); an m with T off that grid has no image.  An image maps
 doubled keys to nonzero Fractions.
 
-Evaluation is by explicit finite expansion in three stages, with the
-paths merged between them:
+Evaluation is by explicit finite expansion in three stages, with equal
+paths merged as soon as they meet:
 1. contractions: each factor a(-n) is contracted against a part of mu,
-   paired with the lattice index s, or left pending;
+   paired with the lattice index s, or left pending, and the paths that
+   reach one state merge after each factor;
 2. annihilation: the annihilation exponential removes parts of what is
    left of mu with binomial weights, once per distinct state of stage 1;
 3. creation (`_create`): the pending factors and the creation
@@ -34,12 +35,14 @@ Stages 1 and 2 (`_skeleton`) do not read m.  The creation stage depends
 only on the ring, the lattice index, the pending factors and the budget.
 It is walked once per ring (`_creation_table`, in `RingParams.memo`), its
 rows merged by their sorted parts, and every later call only reads the
-rows.  Every walk sums plain ints over one denominator fixed before it
-starts (a factor a(-n) has all its coefficients over `_dden(n)`): stages
-1 and 2 over the one of `_skeleton`, stage 3 over the least common
-multiple of the group and table denominators that meet the budget.
-States and keys that cancel are dropped, and an output key becomes one
-Fraction at the end.
+rows.  The creation exponential is walked once per |r|: each created part
+carries one factor r, so the table at -r is the one at r with its
+odd-length rows negated.  Every walk sums plain ints over one denominator
+fixed before it starts (a factor a(-n) has all its coefficients over
+`_dden(n)`): stages 1 and 2 over the one of `_skeleton`, stage 3 over the
+least common multiple of the group and table denominators that meet the
+budget.  States and keys that cancel are dropped, and an output key
+becomes one Fraction at the end.
 
 One driver, `term_pair_images`, runs the kernel for the untwisted
 operator and the twisted ones alike.  It groups the terms of u by lattice
@@ -102,8 +105,12 @@ def _creation_table(
     exponential of lambda_r.  Parts are doubled modes, odd when twisted and
     even otherwise, listed in descending order; a part N carries
     (r/2k)/(N/2) = r/(kN), and i equal parts a further 1/i!.  One
-    partition walk carries each coefficient as an integer numerator and
-    denominator: the i-th copy of a part N multiplies them by r and k*N*i.
+    partition walk at r > 0 carries each coefficient as an integer
+    numerator and denominator: the i-th copy of a part N multiplies them
+    by r/g and (k/g)*N*i, g = gcd(r, k).  Since every part carries one
+    factor r, the table at -r is read from the memo entry at r (walked
+    first if it is missing) with its odd-length rows negated, so each |r|
+    is walked once.
 
     Each pending factor a(-n) takes a created part p (the coefficient of
     alpha(-p/2) in its divided derivative, see `_dcoef`) and leaves w - p
@@ -134,8 +141,13 @@ def _creation_table(
             table = (den // g, tuple([(parts, num // g) for parts, num in merged.items() if num]))
         elif not r:
             table = (1, (((), 1),) if w == 0 else ())
+        elif r < 0:
+            # every created part carries one factor r
+            den, rows = _creation_table(params, -r, w, twisted)
+            table = (den, tuple([(parts, -num if len(parts) % 2 else num) for parts, num in rows]))
         else:
-            k = params.k
+            g = gcd(r, params.k)
+            rg, kg = r // g, params.k // g
             rows = []
             # depth first on an explicit stack; a node pushes its next parts
             # smallest first, so the largest is walked first
@@ -146,7 +158,7 @@ def _creation_table(
                     g = gcd(num, den)
                     rows.append((parts, num // g, den // g))
                     continue
-                num, den = num * r, den * k
+                num, den = num * rg, den * kg
                 for n in range(lo, min(left, top) + 1, 2):
                     i = run + 1 if n == top else 1
                     stack.append((left - n, n, parts + (n,), num, den * n * i, i))
@@ -170,8 +182,12 @@ def _skeleton(params: RingParams, r: int, mu: tuple, s: int, twisted: bool, term
     of the walk.
 
     Stage 1 contracts each factor a(-n) of each term against a part of mu
-    or pairs it with the lattice index s, or leaves it pending; its paths
-    merge into states (parts of mu left, pending, offset).  Stage 2 runs the
+    or pairs it with the lattice index s, or leaves it pending; after each
+    factor, the paths of a term that reach one state (parts of mu left,
+    pending, offset) merge, so each state takes the next factor once.
+    pending is an ordered subsequence of the term's nu, so merged paths go
+    on alike.  A state is kept when its paths cancel, and the states reach
+    stage 2 in the order of their first paths.  Stage 2 runs the
     annihilation exponential once per state, and its paths merge into
     creation states (kept, pending, offset).  An offset is what a path adds
     to the z-budget, so a creation state meets the budget T + off, and
@@ -196,28 +212,28 @@ def _skeleton(params: RingParams, r: int, mu: tuple, s: int, twisted: bool, term
         scales.append(den)
     common = lcm(*scales)
     contracted: dict[tuple, int] = {}
-
-    def factors(nu: tuple, idx: int, counts: dict, off: int, c: int, pending: tuple) -> None:
-        if idx == len(nu):
-            state = (tuple(sorted((p, mult) for p, mult in counts.items() if mult)), pending, off)
-            contracted[state] = contracted.get(state, 0) + c
-            return
-        n_i = nu[idx]
-        factors(nu, idx + 1, counts, off, c * _dden(n_i), pending + (n_i,))
-        if s:
-            factors(nu, idx + 1, counts, off + 2 * n_i, c * _dcoef(n_i, 0) * s, pending)
-        for j in sorted(counts):
-            mult = counts[j]
-            if not mult:
-                continue
-            dc = _dcoef(n_i, j)
-            if dc:
-                c2 = dict(counts)
-                c2[j] = mult - 1
-                factors(nu, idx + 1, c2, off + j + 2 * n_i, c * dc * mult * k * j, pending)
-
+    left0 = tuple(sorted(counts0.items()))
     for (d, nu, num, _den), scale in zip(terms, scales):
-        factors(nu, 0, counts0, 2 * d, num * (common // scale), ())
+        states = {(left0, (), 2 * d): num * (common // scale)}
+        for n in nu:
+            step: dict[tuple, int] = {}
+            pend, pair = _dden(n), _dcoef(n, 0) * s
+            for (left, pending, off), c in states.items():
+                state = (left, pending + (n,), off)
+                step[state] = step.get(state, 0) + c * pend
+                if s:
+                    state = (left, pending, off + 2 * n)
+                    step[state] = step.get(state, 0) + c * pair
+                for i, (j, mult) in enumerate(left):
+                    dc = _dcoef(n, j)
+                    if dc:
+                        # a part whose last copy is contracted leaves the state
+                        rest = left[:i] + ((j, mult - 1),) * (mult > 1) + left[i + 1 :]
+                        state = (rest, pending, off + j + 2 * n)
+                        step[state] = step.get(state, 0) + c * dc * mult * k * j
+            states = step
+        for state, c in states.items():
+            contracted[state] = contracted.get(state, 0) + c
 
     created: dict[tuple, int] = {}
     for (left, pending, off0), c0 in contracted.items():
@@ -445,29 +461,37 @@ def p_coeff_apply(params: RingParams, sign: int, n: int, v: UVector) -> UVector:
 
     It stays independent of the mode kernel, so that the creation-series
     identity compares two routes: it lists the partitions of n itself, as
-    (parts, num, den) rows in integers, and makes one Fraction per term of
-    v and row, times the coefficient of the term (see `_weight`)."""
+    rows (parts, length parity, den) in integers, the coefficient of a row
+    being (+-1)^len(parts)/den, and makes one Fraction per term of v and
+    row, times the coefficient of the term (see `_weight`).  The rows are
+    built once per ring and read by both signs (the ("pcoeff", n) entry of
+    `RingParams.memo`), and a term of v with no oscillator parts takes the
+    parts of a row as its key with no sort."""
     if sign not in (+1, -1):
         raise ValueError("sign must be +1 or -1")
     if n < 0:
         raise ValueError("n must be nonnegative")
     if n == 0:
         return v
-    rows = []
-    for parts in partitions_of(n):
-        # parts descend, so equal parts are adjacent: the i-th copy of q
-        # divides by q*i, which builds prod (sign/q)^i / i! one part at a time
-        den, run = 1, 0
-        for j, q in enumerate(parts):
-            run = run + 1 if j and parts[j - 1] == q else 1
-            den *= q * run
-        rows.append((parts, sign ** len(parts), den))
+    rows = params.memo.get(("pcoeff", n))
+    if rows is None:
+        rows = []
+        for parts in partitions_of(n):
+            # parts descend, so equal parts are adjacent: the i-th copy of q
+            # divides by q*i, which builds prod (1/q)^i / i! one part at a time
+            den, run = 1, 0
+            for j, q in enumerate(parts):
+                run = run + 1 if j and parts[j - 1] == q else 1
+                den *= q * run
+            rows.append((parts, len(parts) % 2, den))
+        rows = params.memo[("pcoeff", n)] = tuple(rows)
     acc: dict = {}
     for (nu, s), c in v.terms.items():
         cn, cd, factor = _weight(c)
         lift = _lift(params, factor)
-        for parts, num, den in rows:
-            add_into(acc, (sort_parts(nu + parts), s), lift(Fraction(num * cn, den * cd)))
+        for parts, odd, den in rows:
+            key = sort_parts(nu + parts) if nu else parts
+            add_into(acc, (key, s), lift(Fraction(-cn if odd and sign < 0 else cn, den * cd)))
     return UVector._wrap(params, acc)
 
 

@@ -54,8 +54,9 @@ def _eigenvalue(params: RingParams, a: UVector, m: Fraction, top, label, gen) ->
         image = twisted_mode(a, m, top)
     else:
         image = vertex_mode(a, m, top)
-    # extract the eigenvalue and confirm the top vector is an eigenvector
-    ref_key = top.sorted_keys()[0]
+    # extract the eigenvalue and confirm the top vector is an eigenvector;
+    # its keys have one weight, so the least is the first of `sorted_keys`
+    ref_key = min(top.terms)
     ref = top.terms[ref_key]
     got = image.terms.get(ref_key, params.zero())
     scalar = got * (Fraction(1) / ref.as_rational())

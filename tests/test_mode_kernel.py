@@ -11,7 +11,9 @@ references here:
   built on them, copied verbatim from the last version of the package
   that had them;
 - creation stage: `_fresh_creation_stage`, a fresh walk over the closed
-  per-part formula `_per_part_creation_table`.
+  per-part formula `_per_part_creation_table`;
+- stages 1 and 2 (`_skeleton`): `_path_by_path_skeleton`, the skeleton
+  as it was before stage 1 merged its paths after each factor.
 
 (The exp(Delta_z) coefficients have theirs in the sympy series of
 `conftest.delta_series_oracle`.)  The other tests here check properties,
@@ -28,11 +30,11 @@ several cases reach is computed once, and every case is still compared.
 from fractions import Fraction
 from functools import lru_cache, partial, wraps
 from itertools import combinations_with_replacement
-from math import factorial, gcd
+from math import factorial, gcd, lcm
 
 import pytest
 
-from orbifold_voa import intertwine, twisted, untwisted
+from orbifold_voa import cli, intertwine, twisted, untwisted
 from orbifold_voa.fock import (
     TOP_TW,
     TVector,
@@ -957,6 +959,162 @@ def test_memoized_creation_stage_matches_a_fresh_walk(k):
                     merged += paths > len(got)
     # rows of equal parts were merged, and cancelling ones dropped
     assert rows > 0 and merged > 0
+
+
+@pytest.mark.parametrize("k", (1, 2, 3, 4))
+def test_the_table_at_minus_r_reads_the_table_at_r(k):
+    """Building the no-pending table at -r stores the table at r in the
+    ring memo and reads it there, its odd-length rows negated: each |r| is
+    walked once.  A table planted under r shows that -r reads it."""
+    params = RingParams(k)
+    signed = lambda rows: tuple((parts, (-1) ** len(parts) * num) for parts, num in rows)
+    flipped = 0
+    for r in range(1, 2 * k + 2):
+        for w in range(0, 13):
+            for twisted_ in (False, True):
+                params.memo.clear()
+                minus = _creation_table(params, -r, w, twisted_)
+                plus_key, minus_key = (("create", x, (), w, twisted_) for x in (r, -r))
+                assert set(params.memo) == {plus_key, minus_key}
+                den, rows = plus = params.memo[plus_key]
+                assert _creation_table(params, r, w, twisted_) is plus
+                assert minus == (den, signed(rows)), (r, w, twisted_)
+                del params.memo[minus_key]
+                planted = tuple((parts, 3 * num) for parts, num in rows)
+                params.memo[plus_key] = (den, planted)
+                assert _creation_table(params, -r, w, twisted_) == (den, signed(planted))
+                flipped += any(len(parts) % 2 for parts, _num in rows)
+    assert flipped > 0
+
+
+def test_identities_fail_on_an_unsigned_table_at_minus_r(monkeypatch, capsys):
+    """`verify identities` has teeth on the table at -r: taken as the table
+    at |r| unchanged, it fails the creation-series item, whose oracle reads
+    no kernel table."""
+    assert cli.main(["verify", "identities", "--k", "3"]) == 0
+    capsys.readouterr()
+    real = untwisted._creation_table
+
+    def unsigned(params, r, w, twisted_, pending=()):
+        return real(params, -r if r < 0 and not pending else r, w, twisted_, pending)
+
+    monkeypatch.setattr(untwisted, "_creation_table", unsigned)
+    assert cli.main(["verify", "identities", "--k", "3"]) == 1
+    assert "FAIL  creation-series expansion of the zero mode" in capsys.readouterr().out
+
+
+def _path_by_path_skeleton(params, r, mu, s, twisted, terms):
+    """`untwisted._skeleton` as it was before stage 1 merged its paths after
+    each factor: the `factors` recursion walks every contraction path of a
+    term to a leaf and merges only there.  Its body is copied verbatim,
+    with one count added: it returns (skeleton, merged), merged being the
+    leaves of a term that reach a state another leaf of that term reached."""
+    k = params.k
+    counts0: dict[int, int] = {}
+    for p in mu:
+        p2 = 2 * p.numerator // p.denominator
+        counts0[p2] = counts0.get(p2, 0) + 1
+    scales = []
+    for _d, nu, _num, den in terms:
+        for n in nu:
+            den *= untwisted._dden(n)
+        scales.append(den)
+    common = lcm(*scales)
+    contracted: dict[tuple, int] = {}
+    leaves: list = []
+
+    def factors(nu: tuple, idx: int, counts: dict, off: int, c: int, pending: tuple) -> None:
+        if idx == len(nu):
+            state = (tuple(sorted((p, mult) for p, mult in counts.items() if mult)), pending, off)
+            contracted[state] = contracted.get(state, 0) + c
+            leaves.append(state)
+            return
+        n_i = nu[idx]
+        factors(nu, idx + 1, counts, off, c * untwisted._dden(n_i), pending + (n_i,))
+        if s:
+            factors(nu, idx + 1, counts, off + 2 * n_i, c * untwisted._dcoef(n_i, 0) * s, pending)
+        for j in sorted(counts):
+            mult = counts[j]
+            if not mult:
+                continue
+            dc = untwisted._dcoef(n_i, j)
+            if dc:
+                c2 = dict(counts)
+                c2[j] = mult - 1
+                factors(nu, idx + 1, c2, off + j + 2 * n_i, c * dc * mult * k * j, pending)
+
+    merged = 0
+    for (d, nu, num, _den), scale in zip(terms, scales):
+        leaves.clear()
+        factors(nu, 0, counts0, 2 * d, num * (common // scale), ())
+        merged += len(leaves) - len(set(leaves))
+
+    created: dict[tuple, int] = {}
+    for (left, pending, off0), c0 in contracted.items():
+        if not c0:
+            continue
+        paths = [((), off0 + 2 * sum(pending), c0)]
+        for p, m_p in left:
+            step = []
+            for kept, off, c in paths:
+                step.append((kept + (p,) * m_p, off, c))
+                if r:
+                    binom = 1
+                    for j in range(1, m_p + 1):
+                        binom = binom * (m_p - j + 1) // j
+                        step.append((kept + (p,) * (m_p - j), off + p * j, c * (-r) ** j * binom))
+            paths = step
+        for kept, off, c in paths:
+            state = (kept, pending, off)
+            created[state] = created.get(state, 0) + c
+
+    lo = 1 if twisted else 2
+    groups: dict[tuple, list] = {}
+    for (kept, pending, off), c in created.items():
+        if c:
+            groups.setdefault((pending, off), []).append((kept, c))
+    skeleton = tuple(
+        (pending, off, lo * len(pending) - off, common, tuple(rows))
+        for (pending, off), rows in groups.items()
+    )
+    return skeleton, merged
+
+
+def _stage_one_cases(params: RingParams) -> list:
+    """(r, mu, s, twisted, terms) over r in {0, +-1, +-2k}: untwisted mu
+    with repeated parts against s in {0, 1, -k} on the rows of one term
+    (`_one_row`), and twisted half-odd mu on those rows and on the
+    exp(Delta_z) rows (`twisted._delta_terms`)."""
+    k = params.k
+    nus = ((1, 1, 1, 1), (3, 1), (2, 2), (2, 1, 1), (1,))
+    untwisted_mus = ((), (1, 1, 1), (2, 1, 1), (3, 3))
+    twisted_mus = ((HALF,), (HALF, HALF, HALF), (Fraction(3, 2), HALF, HALF))
+    cases = []
+    for r in (0, 1, -1, 2 * k, -2 * k):
+        for nu in nus:
+            one = untwisted._one_row(params, nu, r)
+            cases += [(r, mu, s, False, one) for mu in untwisted_mus for s in (0, 1, -k)]
+            for terms in (one, twisted._delta_terms(params, nu, r)):
+                cases += [(r, mu, 0, True, terms) for mu in twisted_mus]
+    return cases
+
+
+@pytest.mark.parametrize("k", (1, 2, 3))
+def test_skeleton_matches_the_path_by_path_walk(k):
+    """`_skeleton`, whose stage 1 merges equal states after each factor,
+    equals the path-by-path walk group by group, in the same order; the
+    grid has terms whose paths merge, so the merge is exercised."""
+    params = RingParams(k)
+    merged = groups = 0
+    for r, mu, s, twisted_, terms in _stage_one_cases(params):
+        want, merges = _path_by_path_skeleton(params, r, mu, s, twisted_, terms)
+        got = untwisted._skeleton(params, r, mu, s, twisted_, terms)
+        assert len(got) == len(want), (r, mu, s, twisted_, terms)
+        for got_group, want_group in zip(got, want):
+            assert got_group == want_group, (r, mu, s, twisted_, terms)
+        merged += merges
+        groups += len(got)
+    assert merged > 0 and groups > 0
 
 
 def test_dcoef_is_a_numerator_over_dden():

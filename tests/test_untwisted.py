@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from orbifold_voa import untwisted
 from orbifold_voa.fock import UVector, coset_basis, heis_act, lattice_vector, u_term, vacuum
 from orbifold_voa.ring import RingParams
 from orbifold_voa.untwisted import (
@@ -164,6 +165,38 @@ def test_p_coeff_matches_creation_series_recurrence(params):
             assert got == _creation_series_reference(params, sign, n, v), (sign, n)
             assert got, (sign, n)
 
+
+
+def test_p_coeff_calls_no_mode_kernel(monkeypatch):
+    """The creation-series oracle stays a second route: with the kernel's
+    creation stage, skeleton and driver made to raise, it returns the same
+    vectors."""
+    params = RingParams(3)
+    v = lattice_vector(params, 3) + u_term(params, [2, 1], -1, Fraction(-1, 2))
+    cases = [(sign, n) for sign in (+1, -1) for n in range(0, 9)]
+    want = [p_coeff_apply(params, sign, n, v) for sign, n in cases]
+    params.memo.clear()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the creation-series oracle called the mode kernel")
+
+    for name in ("_creation_table", "_skeleton", "term_pair_images"):
+        monkeypatch.setattr(untwisted, name, refuse)
+    assert [p_coeff_apply(params, sign, n, v) for sign, n in cases] == want
+    assert all(want[1:])
+
+
+def test_p_coeff_rows_are_built_once_per_ring():
+    """Both signs at one degree read one ("pcoeff", n) entry of the ring
+    memo."""
+    params = RingParams(2)
+    v = lattice_vector(params, 2)
+    plus = p_coeff_apply(params, +1, 5, v)
+    rows = params.memo[("pcoeff", 5)]
+    minus = p_coeff_apply(params, -1, 5, v)
+    assert [key for key in params.memo if key[0] == "pcoeff"] == [("pcoeff", 5)]
+    assert params.memo[("pcoeff", 5)] is rows
+    assert plus and minus and plus != minus
 
 def test_commutator_with_lattice_operator():
     for k in (1, 2):
