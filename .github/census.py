@@ -12,13 +12,15 @@ when it is imported.  No bytecode is written, so `bench/` and SRC are only
 read.
 
 The entries are every module-level function and every method of a
-module-level class in SRC/orbifold_voa, named `module.qualname`; dunder
-methods are exempt.  A call is matched to its entry by the file and first
-line of its code object (a decorated function's code starts at its first
-decorator, on Python 3.10 and 3.11 alike).  The script lists the
-unreached entries and exits 1 when one of them is not in `KEPT`, when a
-`KEPT` entry was reached or names no entry, or when a bench op failed,
-since a failing op may stop short of code it should reach.  Stdlib only."""
+module-level class in SRC/orbifold_voa, named `module.qualname`, dunder
+methods included: an operator or protocol method that nothing calls is
+unreached like any other function.  A call is matched to its entry by the
+file and first line of its code object (a decorated function's code
+starts at its first decorator, on Python 3.10 and 3.11 alike).  The
+script lists the unreached entries and exits 1 when one of them is not
+in `KEPT`, when a `KEPT` entry was reached or names no entry, or when a
+bench op failed, since a failing op may stop short of code it should
+reach.  Stdlib only."""
 
 import ast
 import os
@@ -42,6 +44,16 @@ KEPT = {
     "ring.RingParams.scalar": "the tests read it",
     "ring.RingParams.one": "the tests read it",
     "fock._SparseVector.is_zero": "the tests read it",
+    "ring.Scalar.__sub__": "the tests subtract Scalars (tests/test_fock.py)",
+    "ring.Scalar.__rmul__": "the tests scale a Scalar from the left (tests/test_mode_kernel.py)",
+    "ring.Scalar.__hash__": "pairs with `Scalar.__eq__`, so equal Scalars hash alike",
+    "ring.RingParams.__hash__": "pairs with `RingParams.__eq__`, so equal rings hash alike",
+    "ring.Scalar.__repr__": "pytest prints it in a failing assertion on Scalars",
+    "ring.RingParams.__repr__": "pytest prints it in a failing assertion on rings",
+    "labels.ModuleLabel.__str__": "`print(label)` shows the label code, not the field tuple",
+    "labels.M1Label.__str__": "`print(label)` shows the constituent code, not the field tuple",
+    "fock._SparseVector.__hash__": "raises by design, so graded vectors stay unhashable",
+    "fusion.EngineInconsistencyError.__init__": "the failure path: the two transcriptions disagree",
 }
 
 
@@ -59,9 +71,8 @@ def entries(package: Path) -> dict[tuple[str, int], str]:
             else:
                 continue
             for name, d in defs:
-                if not (d.name.startswith("__") and d.name.endswith("__")):
-                    first = min([d.lineno] + [dec.lineno for dec in d.decorator_list])
-                    out[where, first] = f"{path.stem}.{name}"
+                first = min([d.lineno] + [dec.lineno for dec in d.decorator_list])
+                out[where, first] = f"{path.stem}.{name}"
     return out
 
 

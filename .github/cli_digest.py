@@ -32,9 +32,10 @@ those at k=2 reach index 1 alone.
 
 Last come the parsing lines: no arguments, `-h` at every level, unknown
 commands, subcommands and options, missing and extra positionals and
-options, options above their command, the `--form` abbreviation,
-`--k=2`, `--`, a bad int and a bad choice, and `verify jacobi --cutoff
-abc`.  Help and usage lines wrap at the terminal width, so the script pins
+options (an unknown option before, after and beside the labels among
+them), options above their command, the `--form` abbreviation, `--k=2`,
+`--`, a bad int and a bad choice, and `verify jacobi --cutoff abc`.  Help
+and usage lines wrap at the terminal width, so the script pins
 COLUMNS=80."""
 
 import hashlib
@@ -92,7 +93,9 @@ def commands():
 
 
 # help, usage errors and odd spellings; tests/test_cli.py checks each line
-# against the whole parser tree
+# against the whole parser tree, but for the two with an unknown option whose
+# value argparse reads as a LABEL, where `cli.main` names the option with its
+# value and the tree names a label
 V3 = ("V+", "V+", "V+")
 PARSE_LINES = (
     (),
@@ -130,6 +133,10 @@ PARSE_LINES = (
     ("fusion", "query", "--k", "two", *V3),
     ("fusion", "query", "--k", "2", "--format", "xml", *V3),
     ("verify", "nosuch", "--k", "2"),
+    ("fusion", "query", "--k", "2", *V3, "--seed", "1"),
+    ("fusion", "query", "--k", "2", "--seed=1", *V3, "extra"),
+    ("fusion", "query", "--k", "2", "--verbose", *V3),
+    ("fusion", "query", "--k", "2", "--seed", "1", *V3, "extra"),
 )
 
 

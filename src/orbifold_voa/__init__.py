@@ -24,7 +24,6 @@ from .fusion import (
     get_engine,
     m1_fusion,
     m1_products,
-    quasi_admissible,
     upper_bound,
 )
 from .intertwine import (
@@ -36,10 +35,10 @@ from .intertwine import (
     phase_apply,
     witness_vectors,
 )
-from .labels import M1Label, ModuleLabel, all_labels, parse_label
+from .labels import M1Label, ModuleLabel, all_labels, contragredient, parse_label, quasi_admissible
 from .ring import RingMismatchError, RingParams, RingPrecisionError, Scalar
 from .twisted import PsiMap, delta_apply, delta_coeff, psi_map, tilde_mode, twisted_mode
 from .untwisted import commutator_formula_check, e_vec, f_vec, j_vec, omega_vec, p_coeff_apply, vertex_mode
-from .zhu import contragredient, expected_top_actions, top_action, top_action_table
+from .zhu import expected_top_actions, top_action, top_action_table
 
 __version__ = "0.1.0"

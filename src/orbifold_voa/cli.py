@@ -495,7 +495,7 @@ def witness_names(k: int, triple) -> list[str]:
             name = hit[0].name
             return [name if t == triple else f"{name} (via symmetry)"]
         w1, w2, w3 = t
-        for image in ((w2, w1, w3), (w1, zhu.contragredient(w3, k), zhu.contragredient(w2, k))):
+        for image in ((w2, w1, w3), (w1, lb.contragredient(w3, k), lb.contragredient(w2, k))):
             if image not in orbit:
                 orbit.append(image)
     return []
@@ -699,17 +699,33 @@ def _parse(argv) -> argparse.Namespace:
     """`argv` parsed by the parser its leading command words name.  Where
     the walk stops early (no command word, `-h`, a typo) that parser prints
     the help or error the whole tree would; arguments left over get the
-    top-level error that `parse_args` gives.  The namespace lacks the
-    `command` and `which` dests of the levels walked past, which no command
-    reads."""
+    top-level error that `parse_args` gives, but for one case: beside a
+    leftover positional, each unknown option is named with the word after
+    it, since argparse reads that word as a positional.  The namespace
+    lacks the `command` and `which` dests of the levels walked past, which
+    no command reads."""
     parsers = _parsers()
     words: tuple[str, ...] = ()
     for word in argv:
         if words + (word,) not in parsers:
             break
         words += (word,)
-    args, rest = parsers[words].parse_known_args(argv[len(words):])
+    line = argv[len(words):]
+    args, rest = parsers[words].parse_known_args(line)
     if rest:
+        unknown = [a for a in rest if a.startswith("-")]
+        loose = [a for a in rest if not a.startswith("-")]
+        if unknown and loose:
+            # argparse gives an unknown option no value, so in `--seed 1 V+
+            # V+ V+` the 1 fills a LABEL and a V+ is left over: name the
+            # option with its value, and only the positionals beyond the
+            # values so named
+            named = []
+            for a, after in zip(line, line[1:] + [None]):
+                if a in unknown:
+                    owns = after is not None and "=" not in a and not after.startswith("-")
+                    named += [a, after] if owns else [a]
+            rest = named + loose[len(named) - len(unknown):]
         parsers[()].error(f"unrecognized arguments: {' '.join(rest)}")
     return args
 

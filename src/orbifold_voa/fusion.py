@@ -53,14 +53,15 @@ from .labels import (
     M1Label,
     ModuleLabel,
     all_labels,
+    contragredient,
     half,
     m_lam,
     m_tw,
     m_vac,
     normalize_lam_index,
+    quasi_admissible,
     u_minus,
 )
-from .zhu import contragredient
 
 
 class EngineInconsistencyError(RuntimeError):
@@ -315,15 +316,6 @@ def get_engine(k: int) -> FusionEngine:
 
 def fusion(k: int, w1: ModuleLabel, w2: ModuleLabel, w3: ModuleLabel) -> int:
     return get_engine(k).fusion(w1, w2, w3)
-
-
-def quasi_admissible(r: int, i: int, j: int) -> bool:
-    """Parity gate for the twisted intertwiners: the sign (-1)^(r+d_ij+1)
-    must be +1: Ytilde[r] keeps the sector for even r and swaps it for odd r
-    (`twisted.psi_map`).  The tables and `direct_witness` read it here."""
-    if i not in (1, 2) or j not in (1, 2):
-        raise ValueError("sectors must be 1 or 2")
-    return (r + (1 if i == j else 0) + 1) % 2 == 0
 
 
 # -- decompositions and the restriction bound ------------------------------------

@@ -24,7 +24,6 @@ from .fock import (
     theta,
     top_vector,
 )
-from .fusion import quasi_admissible
 from .ring import RingParams
 from .twisted import tilde_mode
 from .untwisted import e_vec, f_vec, support_modes, vertex_mode
@@ -197,7 +196,7 @@ def direct_witness(k: int, triple) -> tuple[IntertwinerSpec, int] | None:
         return None  # these fusion rules all vanish; nothing to witness
     r1 = lb.lattice_coset(w1, k)
     if n_twisted == 2:
-        if not quasi_admissible(r1, w2.sector, w3.sector):
+        if not lb.quasi_admissible(r1, w2.sector, w3.sector):
             return None
         return IntertwinerSpec(TILDE, r1), w3.sign
     r2 = lb.lattice_coset(w2, k)

@@ -6,6 +6,11 @@ the lattice algebra itself (V+ / V-), the k-1 middle lattice cosets
 Vl<r> for 1 <= r <= k-1, the two half-shift eigenspaces Va+/Va-, and the
 four twisted pieces VT1+/VT1-/VT2+/VT2-.  CLI spelling matches the label
 codes exactly.
+
+Two rules that the fusion table reads are label data too: the
+contragredient pairing (`contragredient`) and the sector-parity rule of
+the twisted intertwiners (`quasi_admissible`).  This module imports no
+other module of the package.
 """
 
 from __future__ import annotations
@@ -177,6 +182,28 @@ def top_weight(label: ModuleLabel, k: int) -> Fraction:
     if label.kind == HALF:
         return Fraction(k, 4)
     return Fraction(1, 16) if label.sign > 0 else Fraction(9, 16)
+
+
+def contragredient(label: ModuleLabel, k: int) -> ModuleLabel:
+    """Dual-module correspondence: the identity for even k; for odd k the
+    half-shift signs flip and the two twisted sectors swap."""
+    validate_label(label, k)
+    if k % 2 == 0:
+        return label
+    if label.kind == HALF:
+        return half(-label.sign)
+    if label.kind == TW:
+        return tw(3 - label.sector, label.sign)
+    return label
+
+
+def quasi_admissible(r: int, i: int, j: int) -> bool:
+    """Parity gate for the twisted intertwiners: the sign (-1)^(r+d_ij+1)
+    must be +1: Ytilde[r] keeps the sector for even r and swaps it for odd r
+    (`twisted.psi_map`).  The tables and `direct_witness` read it here."""
+    if i not in (1, 2) or j not in (1, 2):
+        raise ValueError("sectors must be 1 or 2")
+    return (r + (1 if i == j else 0) + 1) % 2 == 0
 
 
 # -- labels for the Heisenberg-orbifold constituents ---------------------------

@@ -328,11 +328,6 @@ class Scalar:
     def __rmul__(self, other):
         return self.__mul__(other)
 
-    def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self * (Fraction(1) / Fraction(other))
-        return NotImplemented
-
     def __eq__(self, other: object) -> bool:
         if type(other) is Scalar and other.params is self.params:
             return self.terms == other.terms

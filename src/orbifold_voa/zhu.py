@@ -1,5 +1,6 @@
 """Top-level machinery: the computed actions of the three generators on
-every top level, and the contragredient correspondence they pin down.
+every top level.  The contragredient correspondence is a rule on labels
+and lives in `labels`.
 
 Top-level actions are always evaluated through the vertex operators (the
 weight-preserving mode of the generator), never read from a table; the
@@ -12,6 +13,8 @@ from fractions import Fraction
 
 from . import labels as lb
 from .fock import TVector, UVector, top_vector
+# still bound here: bench/layertrace.py wraps `zhu.contragredient` by name (ROADMAP item 1(a))
+from .labels import contragredient
 from .ring import RingParams, Scalar
 from .twisted import twisted_mode
 from .untwisted import e_vec, j_vec, omega_vec, vertex_mode
@@ -120,16 +123,3 @@ def expected_top_actions(params: RingParams, label: lb.ModuleLabel) -> dict[str,
                 -sector_sign * e_unit * (4 * k - 1),
             )
     return {g: params.rational(v) for g, v in zip(GENERATORS, vals)}
-
-
-def contragredient(label: lb.ModuleLabel, k: int) -> lb.ModuleLabel:
-    """Dual-module correspondence: the identity for even k; for odd k the
-    half-shift signs flip and the two twisted sectors swap."""
-    lb.validate_label(label, k)
-    if k % 2 == 0:
-        return label
-    if label.kind == lb.HALF:
-        return lb.half(-label.sign)
-    if label.kind == lb.TW:
-        return lb.tw(3 - label.sector, label.sign)
-    return label

@@ -32,6 +32,7 @@ from orbifold_voa.intertwine import (
     forced_zero_coupling,
     witness_vectors,
 )
+from orbifold_voa.labels import contragredient
 from orbifold_voa.ring import RingParams
 from orbifold_voa.twisted import (
     conjugation_check,
@@ -46,7 +47,7 @@ from orbifold_voa.untwisted import (
     p_coeff_apply,
     vertex_mode,
 )
-from orbifold_voa.zhu import GENERATORS, contragredient, expected_top_actions, top_action
+from orbifold_voa.zhu import GENERATORS, expected_top_actions, top_action
 
 HALF = Fraction(1, 2)
 

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from orbifold_voa import cli, ring, zhu
+from orbifold_voa import cli, ring
 from orbifold_voa import labels as lb
 from orbifold_voa.cli import (
     EXIT_FAIL,
@@ -312,7 +312,8 @@ def test_verify_jacobi_checks_the_twisted_basis_up_to_weight_three_halves(capsys
 
 
 V3 = ("V+", "V+", "V+")
-# help, usage errors and odd spellings, as in .github/cli_digest.py
+# help, usage errors and odd spellings, as in .github/cli_digest.py but for
+# UNKNOWN_OPTION_LINES
 PARSE_LINES = (
     (),
     ("-h",),
@@ -338,7 +339,6 @@ PARSE_LINES = (
     ("fusion", "query", "--k", "2", *V3, "extra"),
     ("verify", "closure", "bounds"),
     ("fusion", "table", "--k", "2", "csv"),
-    ("fusion", "query", "--k", "2", "--seed", "1", *V3),
     ("verify", "p31", "--k", "2", "--window", "3"),
     ("--k", "2", "fusion", "query", *V3),
     ("fusion", "--k", "2", "query", *V3),
@@ -349,6 +349,9 @@ PARSE_LINES = (
     ("fusion", "query", "--k", "two", *V3),
     ("fusion", "query", "--k", "2", "--format", "xml", *V3),
     ("verify", "nosuch", "--k", "2"),
+    ("fusion", "query", "--k", "2", *V3, "--seed", "1"),
+    ("fusion", "query", "--k", "2", "--seed=1", *V3, "extra"),
+    ("fusion", "query", "--k", "2", "--verbose", *V3),
 )
 # one well-formed line per command path: (command words, the rest)
 COMMAND_PATHS = (
@@ -380,6 +383,22 @@ def test_main_parses_a_line_as_the_whole_tree_does(capsys, argv):
     want = {dest: v for dest, v in vars(tree).items() if dest not in ("command", "which")}
     assert vars(cli._parse(list(argv))) == want
     assert capsys.readouterr() == ("", "")
+
+
+# an unknown option beside the labels, whose value argparse reads as the
+# first LABEL, pushing the last one out: the tree's own error would name
+# `--seed V+`; `main` names the option with its value (.github/cli_digest.py
+# runs both lines too)
+UNKNOWN_OPTION_LINES = {
+    ("fusion", "query", "--k", "2", "--seed", "1", *V3): "--seed 1",
+    ("fusion", "query", "--k", "2", "--seed", "1", *V3, "extra"): "--seed 1 extra",
+}
+
+
+@pytest.mark.parametrize("argv", UNKNOWN_OPTION_LINES, ids=" ".join)
+def test_an_unknown_option_is_named_with_its_value(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (EXIT_FAIL, "", unrecognized(UNKNOWN_OPTION_LINES[argv]))
 
 
 @pytest.mark.parametrize("words, rest", COMMAND_PATHS, ids=[" ".join(w) for w, _ in COMMAND_PATHS])
@@ -435,6 +454,26 @@ def test_a_failing_item_does_not_print_its_pass_text(capsys, monkeypatch):
     [item] = json.loads(out)["results"]
     assert item["status"] == "fail"
     assert "forced to zero" not in item["detail"]
+
+
+def test_a_bound_below_a_fusion_value_fails_the_soundness_item(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "upper_bound", lambda w1, w2, w3, k: 0)
+    code, out, _ = run(capsys, "verify", "bounds", "--k", "2", "--format", "json")
+    assert code == EXIT_FAIL
+    item = json.loads(out)["results"][0]
+    assert (item["name"], item["status"]) == ("bound soundness", "fail")
+    assert item["detail"] == "fusion 1 > bound 0 at V+,V+,V+"
+
+
+def test_a_constituent_count_that_falls_short_fails_the_decomposition_items(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "m1_graded_dim", lambda params, m1, weight: 0)
+    code, out, _ = run(capsys, "verify", "decomp", "--k", "2", "--format", "json")
+    assert code == EXIT_FAIL
+    results = json.loads(out)["results"]
+    assert len(results) == len(lb.all_labels(2))
+    for item in results:
+        assert item["status"] == "fail"
+        assert item["detail"].endswith("!= constituents 0")
 
 
 def test_verify_unknown_suite(capsys):
@@ -612,7 +651,7 @@ def _label_sweep(eng):
         f = eng.fusion(w1, w2, w3)
         if f != eng.fusion(w2, w1, w3):
             return "fail", f"swap symmetry broken at {w1.code},{w2.code},{w3.code}"
-        if f != eng.fusion(w1, zhu.contragredient(w3, eng.k), zhu.contragredient(w2, eng.k)):
+        if f != eng.fusion(w1, lb.contragredient(w3, eng.k), lb.contragredient(w2, eng.k)):
             return "fail", f"dual symmetry broken at {w1.code},{w2.code},{w3.code}"
     return "pass", f"all {(eng.k + 7) ** 3} triples symmetric"
 

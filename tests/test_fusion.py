@@ -23,14 +23,12 @@ from orbifold_voa.fusion import (
     m1_fusion,
     m1_products,
     normalize_lam_index,
-    quasi_admissible,
     upper_bound,
 )
 from orbifold_voa.fock import graded_dim
-from orbifold_voa.labels import m_lam, m_tw, m_vac, top_weight
+from orbifold_voa.labels import contragredient, m_lam, m_tw, m_vac, quasi_admissible, top_weight
 from orbifold_voa.ring import RingParams
 from orbifold_voa.twisted import psi_map
-from orbifold_voa.zhu import contragredient
 
 # the package exports the function `fusion` under the module's name
 fusion_module = importlib.import_module("orbifold_voa.fusion")

@@ -5,12 +5,12 @@ from fractions import Fraction
 import pytest
 
 from orbifold_voa import labels as lb
+from orbifold_voa.labels import contragredient
 from orbifold_voa.fock import UVector, top_vector, vacuum
 from orbifold_voa.ring import RingParams
 from orbifold_voa.untwisted import omega_vec, vertex_mode
 from orbifold_voa.zhu import (
     GENERATORS,
-    contragredient,
     expected_top_actions,
     top_action,
     top_action_table,
