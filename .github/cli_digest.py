@@ -33,10 +33,10 @@ those at k=2 reach index 1 alone.
 Last come the parsing lines: no arguments, `-h` at every level, unknown
 commands, subcommands and options, missing and extra positionals and
 options (an unknown option before, after and beside the labels among
-them), options above their command, the `--form` abbreviation, `--k=2`,
-`--`, a bad int and a bad choice, and `verify jacobi --cutoff abc`.  Help
-and usage lines wrap at the terminal width, so the script pins
-COLUMNS=80."""
+them), labels split by an option, options above their command, the
+`--form` abbreviation, `--k=2`, `--`, a bad int and a bad choice, and
+`verify jacobi --cutoff abc`.  Help and usage lines wrap at the terminal
+width, so the script pins COLUMNS=80."""
 
 import hashlib
 import io
@@ -137,6 +137,8 @@ PARSE_LINES = (
     ("fusion", "query", "--k", "2", "--seed=1", *V3, "extra"),
     ("fusion", "query", "--k", "2", "--verbose", *V3),
     ("fusion", "query", "--k", "2", "--seed", "1", *V3, "extra"),
+    ("fusion", "query", "V+", "--k", "2", "V+", "V+"),
+    ("fusion", "query", "--k", "2", "V+", "V+", "--format", "json", "V+"),
 )
 
 

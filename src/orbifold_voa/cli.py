@@ -19,11 +19,10 @@ finds no nonzero image (`NO-DIRECT-CONSTRUCTION` or `ZERO-UP-TO-CUTOFF`),
 closed by its reader ends the output: no traceback, exit code 1.
 
 `build_parser` builds the one parser tree (top level, command, subcommand)
-for help, usage and errors.  `main` parses a line with one parser of it:
-it walks the command words at the head of the line (`fusion query`,
-`verify`, `zhu table`, ...) down the tree and hands the rest to the parser
-they name, so that a well-formed line is parsed once, by its leaf; see
-`_parse`.
+for help, usage and errors.  `main` walks the command words at the head
+of the line (`fusion query`, `verify`, `zhu table`, ...) down the tree and
+reads a well-formed rest straight off the actions of the leaf they name;
+any other rest goes to that one parser's `parse_known_args`; see `_parse`.
 """
 
 from __future__ import annotations
@@ -695,15 +694,101 @@ def _parsers() -> dict[tuple[str, ...], argparse.ArgumentParser]:
     return parsers
 
 
+@lru_cache(maxsize=None)
+def _leaf(words: tuple[str, ...]):
+    """(option string -> action, positional actions, defaults) of the leaf
+    parser that `words` name, None for a parser with subcommands; built
+    once per parser.  The actions are those `_parsers` added, in order
+    (argparse keeps them in `_actions`); -h, whose default is SUPPRESS, is
+    left out, so a line that asks for help goes to argparse.  The defaults
+    start the namespace as `parse_known_args` starts it: each action's
+    default, then `fn`."""
+    parser = _parsers()[words]
+    fn = parser.get_default("fn")
+    if fn is None:
+        return None
+    options, positionals, defaults = {}, [], {}
+    for action in parser._actions:
+        if action.default is argparse.SUPPRESS:
+            continue
+        defaults[action.dest] = action.default
+        if action.option_strings:
+            options.update(dict.fromkeys(action.option_strings, action))
+        else:
+            positionals.append(action)
+    defaults["fn"] = fn
+    return options, positionals, defaults
+
+
+def _value(action: argparse.Action, text: str):
+    """`text` converted by the action's type and checked against its
+    choices; ValueError, TypeError or ArgumentTypeError where argparse
+    would refuse it."""
+    value = text if action.type is None else action.type(text)
+    if action.choices is not None and value not in action.choices:
+        raise ValueError(text)
+    return value
+
+
+def _read(words: tuple[str, ...], line: list[str]) -> argparse.Namespace | None:
+    """The namespace `parse_known_args` of the leaf `words` gives `line`, for
+    the lines of a strict subset; None for any other line.  In the subset
+    each option is an exact option string, given at most once, with a
+    value that does not start with `-`; every required option is there;
+    the other words form one run, with no option inside it, that fills
+    the positionals exactly; and every value passes its action's type and
+    choices.  A run split by an option is refused: argparse fills no
+    positional from a part too short for it, so `V+ --k 2 V+ V+` misses
+    a LABEL."""
+    leaf = _leaf(words)
+    if leaf is None:
+        return None
+    options, positionals, defaults = leaf
+    given, run, end, i = {}, [], 0, 0
+    while i < len(line):
+        token = line[i]
+        i += 1
+        if not token.startswith("-"):
+            if run and end != i - 1:  # a second run
+                return None
+            run.append(token)
+            end = i
+            continue
+        action = options.get(token)
+        if action is None or action in given or i == len(line) or line[i].startswith("-"):
+            return None
+        given[action] = line[i]
+        i += 1
+    if any(action.required and action not in given for action in options.values()):
+        return None
+    values = dict(defaults)
+    try:
+        for action, text in given.items():
+            values[action.dest] = _value(action, text)
+        for action in positionals:
+            n = 1 if action.nargs is None else action.nargs
+            texts, run = run[:n], run[n:]
+            if len(texts) < n:
+                return None
+            got = [_value(action, text) for text in texts]
+            values[action.dest] = got[0] if action.nargs is None else got
+    except (ValueError, TypeError, argparse.ArgumentTypeError):
+        return None
+    return None if run else argparse.Namespace(**values)
+
+
 def _parse(argv) -> argparse.Namespace:
-    """`argv` parsed by the parser its leading command words name.  Where
-    the walk stops early (no command word, `-h`, a typo) that parser prints
-    the help or error the whole tree would; arguments left over get the
-    top-level error that `parse_args` gives, but for one case: beside a
-    leftover positional, each unknown option is named with the word after
-    it, since argparse reads that word as a positional.  The namespace
-    lacks the `command` and `which` dests of the levels walked past, which
-    no command reads."""
+    """`argv` parsed for the leaf its leading command words name.  A line
+    of the subset `_read` takes is read off the leaf's actions with no
+    argparse call; any other line goes to the parser the words name, so
+    help, usage and errors stay argparse's.  Where the walk stops early
+    (no command word, `-h`, a typo) that parser prints the help or error
+    the whole tree would; arguments left over get the top-level error
+    that `parse_args` gives, but for one case: beside a leftover
+    positional, each unknown option is named with the word after it,
+    since argparse reads that word as a positional.  The namespace lacks
+    the `command` and `which` dests of the levels walked past, which no
+    command reads."""
     parsers = _parsers()
     words: tuple[str, ...] = ()
     for word in argv:
@@ -711,6 +796,9 @@ def _parse(argv) -> argparse.Namespace:
             break
         words += (word,)
     line = argv[len(words):]
+    args = _read(words, line)
+    if args is not None:
+        return args
     args, rest = parsers[words].parse_known_args(line)
     if rest:
         unknown = [a for a in rest if a.startswith("-")]

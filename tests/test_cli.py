@@ -3,16 +3,20 @@
 import argparse
 import copy
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from orbifold_voa import cli, ring
+from orbifold_voa import cli, intertwine, ring
 from orbifold_voa import labels as lb
 from orbifold_voa.cli import (
     EXIT_FAIL,
@@ -23,9 +27,10 @@ from orbifold_voa.cli import (
     main,
     witness_names,
 )
-from orbifold_voa.fock import TVector, twisted_basis
+from orbifold_voa.fock import TVector, UVector, heis_act, lattice_vector, twisted_basis
 from orbifold_voa.fusion import EngineInconsistencyError, get_engine
 from orbifold_voa.intertwine import direct_witness
+from orbifold_voa.twisted import delta_table, lattice_sector_map, psi_map
 
 
 def run(capsys, *argv):
@@ -352,6 +357,8 @@ PARSE_LINES = (
     ("fusion", "query", "--k", "2", *V3, "--seed", "1"),
     ("fusion", "query", "--k", "2", "--seed=1", *V3, "extra"),
     ("fusion", "query", "--k", "2", "--verbose", *V3),
+    ("fusion", "query", "V+", "--k", "2", "V+", "V+"),
+    ("fusion", "query", "--k", "2", "V+", "V+", "--format", "json", "V+"),
 )
 # one well-formed line per command path: (command words, the rest)
 COMMAND_PATHS = (
@@ -401,18 +408,114 @@ def test_an_unknown_option_is_named_with_its_value(capsys, argv):
     assert (code, out, err) == (EXIT_FAIL, "", unrecognized(UNKNOWN_OPTION_LINES[argv]))
 
 
-@pytest.mark.parametrize("words, rest", COMMAND_PATHS, ids=[" ".join(w) for w, _ in COMMAND_PATHS])
-def test_a_well_formed_line_is_parsed_once_by_its_leaf(capsys, monkeypatch, words, rest):
-    parsed = []
+@pytest.fixture
+def parsed(monkeypatch):
+    """The prog of every parser whose `parse_known_args` runs."""
+    progs = []
     parse_known_args = argparse.ArgumentParser.parse_known_args
 
     def spy(parser, *args, **kwargs):
-        parsed.append(parser.prog)
+        progs.append(parser.prog)
         return parse_known_args(parser, *args, **kwargs)
 
     monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", spy)
+    return progs
+
+
+@pytest.mark.parametrize("words, rest", COMMAND_PATHS, ids=[" ".join(w) for w, _ in COMMAND_PATHS])
+def test_a_well_formed_line_is_read_with_no_argparse_call(capsys, parsed, words, rest):
     assert run(capsys, *words, *rest)[0] == EXIT_OK
-    assert parsed == [" ".join(("orbifold-voa", *words))]
+    assert parsed == []
+
+
+def test_a_line_the_reader_refuses_is_parsed_once_by_its_leaf(capsys, parsed):
+    # `--k=2` is no exact option string, so argparse reads the line
+    code, out, _ = run(capsys, "fusion", "query", "--k=2", *V3)
+    assert (code, out) == (EXIT_OK, "V+ x V+ -> V+: value 1 (bound 1) witnesses: Y[0,0]\n")
+    assert parsed == ["orbifold-voa fusion query"]
+
+
+# per command path: its words, its options (option -> (required, values
+# to draw, a bad one among them)) and its positionals (the values to draw,
+# one tuple per word)
+K_VALUES = ("2", "12", "two")
+LINE_SPECS = (
+    (("fusion", "query"), {"--k": (True, K_VALUES), "--format": (False, ("json", "text", "xml"))},
+     (("V+", "Vl1", "VT1+"),) * 3),
+    (("fusion", "table"), {"--k": (True, K_VALUES), "--format": (False, ("json", "csv", "text"))}, ()),
+    (("verify",), {"--k": (False, K_VALUES), "--cutoff": (False, ("0", "1/2", "abc")),
+                   "--format": (False, ("text", "json", "csv"))}, (("p31", "psi", "nosuch"),)),
+    (("dump",), {"--k": (False, K_VALUES), "--order": (False, ("2", "x")), "--window": (False, ("1", "x")),
+                 "--module": (False, ("Va+", "")), "--format": (False, ("csv", "json", "xml"))},
+     (("delta", "zhu", "nosuch"),)),
+    (("zhu", "table"), {"--k": (True, K_VALUES), "--format": (False, ("text", "json", "csv"))}, ()),
+    (("witness",), {"--type": (True, ("V+,V+,V+", "Vl1,VT1+,VT2+")), "--k": (True, K_VALUES),
+                    "--cutoff": (False, ("0", "5/2", "abc"))}, ()),
+)
+JUNK = ("--", "-h", "--k=2", "--form", "-3", "extra", "")
+
+
+@st.composite
+def near_valid_lines(draw):
+    """A well-formed line of one command path, its options in any order and
+    its positionals split in two runs at any gaps between the options, then
+    up to two slips: a junk token put in or put in place of a token, a
+    token dropped, or one or two tokens repeated."""
+    words, options, positionals = draw(st.sampled_from(LINE_SPECS))
+    pairs = [
+        [option, draw(st.sampled_from(values))]
+        for option, (required, values) in options.items()
+        if required or draw(st.booleans())
+    ]
+    chunks = draw(st.permutations(pairs))
+    loose = [draw(st.sampled_from(values)) for values in positionals]
+    cut = draw(st.integers(0, len(loose)))
+    first, second = sorted(draw(st.integers(0, len(chunks))) for _ in range(2))
+    chunks.insert(second, loose[cut:])
+    chunks.insert(first, loose[:cut])
+    line = [*words, *(token for chunk in chunks for token in chunk)]
+    for _ in range(draw(st.integers(0, 2))):
+        i = draw(st.integers(0, len(line)))
+        slip = draw(st.sampled_from(("junk", "swap", "drop", "repeat")))
+        if slip in ("junk", "swap"):
+            line[i:i + (slip == "swap")] = [draw(st.sampled_from(JUNK))]
+        elif slip == "drop":
+            del line[i:i + 1]
+        else:
+            line[i:i] = line[i:i + draw(st.integers(1, 2))]
+    return line
+
+
+def _outcome(parse, argv):
+    """What `parse` makes of `argv`: its namespace, or the exit code and
+    output of the help or error it printed."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            return vars(parse(argv))
+        except SystemExit as exc:
+            return exc.code, out.getvalue(), err.getvalue()
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(argv=near_valid_lines())
+@example(argv=["fusion", "query", "V+", "--k", "2", "V+", "V+"])
+@example(argv=["witness", "--k", "2", "--type", "-h"])  # a str option takes no dash value
+def test_a_near_valid_line_is_parsed_as_the_whole_tree_does(argv):
+    """`_parse`, whether it reads the line itself or hands it to argparse,
+    gives the tree's namespace but for the `command` and `which` dests,
+    or the tree's exit code and output; an unknown option beside a loose
+    positional is named with its value (see
+    `test_an_unknown_option_is_named_with_its_value`), so there only the
+    message up to `unrecognized arguments:` is the tree's."""
+    want, got = _outcome(build_parser().parse_args, argv), _outcome(cli._parse, argv)
+    if isinstance(want, dict):
+        assert got == {dest: v for dest, v in want.items() if dest not in ("command", "which")}
+        return
+    head = "error: unrecognized arguments: "
+    if head in want[2]:
+        want, got = (*want[:2], want[2].partition(head)[0]), (*got[:2], got[2].partition(head)[0])
+    assert got == want
 
 
 def test_verify_takes_only_k_cutoff_and_format():
@@ -474,6 +577,94 @@ def test_a_constituent_count_that_falls_short_fails_the_decomposition_items(caps
     for item in results:
         assert item["status"] == "fail"
         assert item["detail"].endswith("!= constituents 0")
+
+
+def _skewed_delta_table(order):
+    tab = dict(delta_table(order))  # a copy: the table is cached
+    tab[(1, 2)] += 1
+    return tab
+
+
+# (suite, the cli input patched, its replacement, the item's FAIL line): each
+# replacement makes one `fail` return of the item fire, the first it reaches
+FAIL_RETURNS = {
+    "delta symmetry": (
+        "delta", "delta_table", _skewed_delta_table, "FAIL  index symmetry: c[1][2] != c[2][1]"
+    ),
+    # psi(r + 1) carries the sign of b(r + 1), not of br
+    "psi commutation": (
+        "psi", "psi_map", lambda params, r: psi_map(params, r + 1),
+        "FAIL  signed-permutation relations: commutation broken at b=-3, r=-12",
+    ),
+    # e_b is the identity for every b: it commutes with every psi_r, but
+    # psi_{-12} = e_{-3} moves under the lattice shift
+    "psi translation": (
+        "psi", "lattice_sector_map", lambda b: lattice_sector_map(0),
+        "FAIL  signed-permutation relations: translation broken at b=-3, r=-12",
+    ),
+    "psi lattice symmetry": (
+        "psi", "psi_map", lambda params, r: psi_map(params, r).scale(-1 if r < 0 else 1),
+        "FAIL  reflection special cases: lattice symmetry broken at m=-3",
+    ),
+    # e_{-1} read as e_0, so the reflection of psi_{-10} loses its sign
+    "psi half-shift reflection": (
+        "psi", "lattice_sector_map", lambda b: lattice_sector_map(b + 1),
+        "FAIL  reflection special cases: half-shift reflection broken at m=-3",
+    ),
+    "jacobi sweep": (
+        "jacobi", "commutator_formula_check", lambda *args: (False, 1),
+        "FAIL  untwisted commutators: coset 0",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", FAIL_RETURNS)
+def test_a_failing_check_prints_its_item_as_fail(capsys, monkeypatch, case):
+    suite, name, replacement, line = FAIL_RETURNS[case]
+    monkeypatch.setattr(cli, name, replacement)
+    cutoff = ("--cutoff", "0") if suite == "jacobi" else ()
+    code, out, _ = run(capsys, "verify", suite, "--k", "2", *cutoff)
+    assert code == EXIT_FAIL
+    assert line in out.splitlines()
+
+
+def _one_perturbed_call(monkeypatch, n: int, which: str) -> list:
+    """Wrap `intertwine.vertex_mode` so that E_n on the vector `which` of
+    `forced_zero_coupling` (a1 = alpha(-1)1, v0 = e[k] + e[-k], w =
+    alpha(-1)(e[k] - e[-k])) gains that vector, and every other call is
+    left alone; returns the list of calls, True for a perturbed one."""
+    params = ring.RingParams(2)
+    k, e = params.k, lattice_vector(params, 2)
+    vectors = {
+        "a1": UVector(params, {((1,), 0): 1}),
+        "v0": e + lattice_vector(params, -k),
+        "w": heis_act(-1, e) - heis_act(-1, lattice_vector(params, -k)),
+    }
+    calls = []
+    vertex_mode = intertwine.vertex_mode
+
+    def perturbed(u, m, v):
+        out = vertex_mode(u, m, v)
+        calls.append(m == n and v == vectors[which])
+        return out + v if calls[-1] else out
+
+    monkeypatch.setattr(intertwine, "vertex_mode", perturbed)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "n, which",
+    ((0, "a1"), (1, "a1"), (1, "v0"), (2, "w"), (2, "v0")),
+    ids=("E_0 a1", "E_1 a1", "E_{k-1} v0", "E_k w", "E_k v0"),
+)
+def test_a_broken_ingredient_leaves_the_coupling_undetermined(capsys, monkeypatch, n, which):
+    # each of the five ingredient checks of `forced_zero_coupling` at k = 2,
+    # failed by the one call it makes: the function returns right after it
+    calls = _one_perturbed_call(monkeypatch, n, which)
+    code, out, _ = run(capsys, "verify", "p31", "--k", "2")
+    assert code == EXIT_FAIL
+    assert out == "FAIL  forced zero coupling: coupling constant left undetermined\n"
+    assert calls.count(True) == 1 and calls[-1]
 
 
 def test_verify_unknown_suite(capsys):
