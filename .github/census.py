@@ -42,8 +42,6 @@ KEPT = {
     "ring.RingParams._mul_basis": "the product of two irrational Scalars, for ROADMAP items 4-6",
     "cli.build_parser": "the tests read the whole parser tree",
     "ring.RingParams.scalar": "the tests read it",
-    "ring.RingParams.one": "the tests read it",
-    "fock._SparseVector.is_zero": "the tests read it",
     "ring.Scalar.__sub__": "the tests subtract Scalars (tests/test_fock.py)",
     "ring.Scalar.__rmul__": "the tests scale a Scalar from the left (tests/test_mode_kernel.py)",
     "ring.Scalar.__hash__": "pairs with `Scalar.__eq__`, so equal Scalars hash alike",

@@ -30,7 +30,16 @@ the reflection.  The twisted witnesses at k=4 print images placed with
 the prefactor's even-k sqrt(2) form at lattice indices 1, 2 and 3, where
 those at k=2 reach index 1 alone.
 
-Last come the parsing lines: no arguments, `-h` at every level, unknown
+Then come the lines that parse but fail, each with exit code 1: a usage
+error from every check of `cli.main` (`--k 0`, an unknown label, a
+`--cutoff` that a suite does not take or that is fractional, off its
+grid or negative, `dump delta` in json or with `--module`, `dump
+decompose` with no `--module` or a negative `--window`, and a `--type`
+of two labels), and `witness` on a value-0 triple with a twisted target
+(`V+,V+,VT1+`) and with twisted inputs (`Vl1,VT1+,VT1+`), where
+`intertwine.direct_witness` has no construction.
+
+Last come the parsing lines of `tests/cli_lines.py`: no arguments, `-h` at every level, unknown
 commands, subcommands and options, missing and extra positionals and
 options (an unknown option before, after and beside the labels among
 them), labels split by an option, options above their command, the
@@ -44,12 +53,15 @@ import os
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from itertools import product
+from pathlib import Path
 
 sys.path.insert(0, sys.argv[1] if len(sys.argv) > 1 else "src")
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 os.environ["COLUMNS"] = "80"  # argparse wraps help and usage at this width
 
 from orbifold_voa import cli  # noqa: E402
 from orbifold_voa.fusion import get_engine  # noqa: E402
+from cli_lines import PARSE_LINES  # noqa: E402  (tests/cli_lines.py)
 
 
 def commands():
@@ -88,57 +100,26 @@ def commands():
     for k in (3, 4):
         for triple in product(("V+", "Vl5", "Vl-1", "Vl7"), repeat=3):
             yield ["fusion", "query", "--k", str(k), *triple]
+    yield from (line.split() for line in USAGE_ERRORS)
     yield from (list(argv) for argv in PARSE_LINES)
     yield ["verify", "jacobi", "--cutoff", "abc"]
 
 
-# help, usage errors and odd spellings; tests/test_cli.py checks each line
-# against the whole parser tree, but for the two with an unknown option whose
-# value argparse reads as a LABEL, where `cli.main` names the option with its
-# value and the tree names a label
-V3 = ("V+", "V+", "V+")
-PARSE_LINES = (
-    (),
-    ("-h",),
-    ("fusion", "-h"),
-    ("fusion", "query", "-h"),
-    ("fusion", "table", "-h"),
-    ("verify", "-h"),
-    ("dump", "-h"),
-    ("zhu", "-h"),
-    ("zhu", "table", "-h"),
-    ("witness", "-h"),
-    ("fusion", "query", "--k", "2", "-h", "V+"),
-    ("fuse", "query", "--k", "2", *V3),
-    ("fusion", "quer", "--k", "2", *V3),
-    ("zhu", "tables", "--k", "2"),
-    ("fusion",),
-    ("zhu",),
-    ("verify",),
-    ("dump", "--k", "2"),
-    ("fusion", "query", "--k", "2", "V+", "V+"),
-    ("fusion", "query", *V3),
-    ("witness", "--k", "2"),
-    ("fusion", "query", "--k", "2", *V3, "extra"),
-    ("verify", "closure", "bounds"),
-    ("fusion", "table", "--k", "2", "csv"),
-    ("fusion", "query", "--k", "2", "--seed", "1", *V3),
-    ("verify", "p31", "--k", "2", "--window", "3"),
-    ("--k", "2", "fusion", "query", *V3),
-    ("fusion", "--k", "2", "query", *V3),
-    ("fusion", "query", "--k", "2", "--form", "json", *V3),
-    ("fusion", "query", "--k=2", *V3),
-    ("fusion", "query", "--k", "2", "--", *V3),
-    ("--", "fusion", "query", "--k", "2", *V3),
-    ("fusion", "query", "--k", "two", *V3),
-    ("fusion", "query", "--k", "2", "--format", "xml", *V3),
-    ("verify", "nosuch", "--k", "2"),
-    ("fusion", "query", "--k", "2", *V3, "--seed", "1"),
-    ("fusion", "query", "--k", "2", "--seed=1", *V3, "extra"),
-    ("fusion", "query", "--k", "2", "--verbose", *V3),
-    ("fusion", "query", "--k", "2", "--seed", "1", *V3, "extra"),
-    ("fusion", "query", "V+", "--k", "2", "V+", "V+"),
-    ("fusion", "query", "--k", "2", "V+", "V+", "--format", "json", "V+"),
+# lines that parse but that `cli.main` refuses, each with exit code 1
+USAGE_ERRORS = (
+    "fusion query --k 0 V+ V+ V+",
+    "fusion query --k 2 V+ V+ Vx",
+    "verify table1 --k 2 --cutoff 1",
+    "verify delta --cutoff 1/2",
+    "verify decomp --k 1 --cutoff 1/3",
+    "verify jacobi --cutoff -1",
+    "dump delta --format json",
+    "dump decompose --k 2",
+    "dump delta --module Va+",
+    "dump decompose --k 2 --module Va+ --window -1",
+    "witness --type V+,V+ --k 2",
+    "witness --type V+,V+,VT1+ --k 2",
+    "witness --type Vl1,VT1+,VT1+ --k 2",
 )
 
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import floor
 from typing import Callable, Iterable, Iterator
 
 from .labels import (
@@ -71,9 +72,6 @@ class _SparseVector:
         vec.params = params
         vec.terms = terms
         return vec
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def __bool__(self) -> bool:
         return bool(self.terms)
@@ -216,10 +214,6 @@ def _remove_one(parts: Parts, n) -> Parts:
     return tuple(out)
 
 
-def _insert(parts: Parts, n) -> Parts:
-    return sort_parts(list(parts) + [n])
-
-
 def heis_act(n, vec):
     """Action of the oscillator mode alpha(n).
 
@@ -249,7 +243,7 @@ def heis_act(n, vec):
             if index:
                 yield key, c * index
         elif n < 0:
-            yield (_insert(parts, -n), index), c
+            yield (sort_parts(parts + (-n,)), index), c
         else:
             mult = parts.count(n)
             if mult:
@@ -317,16 +311,6 @@ def odd_partitions_of(n: int) -> Iterator[tuple[int, ...]]:
     """Partitions of n into odd parts (used doubled for half-odd modes), in
     the reverse lexicographic order of `partitions_of`."""
     return (p for p in partitions_of(n) if all(part % 2 for part in p))
-
-
-def half_odd_partitions_of(total: Fraction) -> Iterator[tuple[Fraction, ...]]:
-    total = Fraction(total)
-    if total < 0:
-        return
-    if (2 * total).denominator != 1:
-        return
-    for doubled in odd_partitions_of(int(2 * total)):
-        yield tuple(Fraction(p, 2) for p in doubled)
 
 
 def _length_parity_counts(n: int, step: int) -> tuple[int, int]:
@@ -461,14 +445,13 @@ def coset_basis(params: RingParams, r0: int, max_weight: Fraction) -> list[UKey]
 
 
 def twisted_basis(params: RingParams, sector: int, max_weight: Fraction) -> list[TKey]:
-    keys: list[TKey] = []
-    budget = Fraction(max_weight) - TOP_TW
-    total = Fraction(0)
-    while total <= budget:
-        for p in half_odd_partitions_of(total):
-            keys.append((p, sector))
-        total += HALF_ONE
-    return keys
+    """Basis keys of one twisted sector, weight <= max: the half-odd
+    partitions of oscillator weight n/2 are those of n into odd parts, halved."""
+    return [
+        (tuple(Fraction(p, 2) for p in doubled), sector)
+        for n in range(floor(2 * (Fraction(max_weight) - TOP_TW)) + 1)
+        for doubled in odd_partitions_of(n)
+    ]
 
 
 def top_vector(params: RingParams, label: ModuleLabel):

@@ -187,9 +187,6 @@ class RingParams:
     def zero(self) -> "Scalar":
         return Scalar(self, {})
 
-    def one(self) -> "Scalar":
-        return Scalar(self, {(0, 0): Fraction(1)})
-
     def rational(self, c) -> "Scalar":
         c = Fraction(c)
         return Scalar(self, {(0, 0): c} if c else {})
@@ -204,12 +201,6 @@ class RingParams:
             row = self._zeta_rows[a]
             z = cache[a] = Scalar(self, {(i, 0): Fraction(c) for i, c in enumerate(row) if c})
         return z
-
-    def t_power(self, b: int) -> "Scalar":
-        """Canonical scalar for t^b = 2^(b/2k), b >= 0."""
-        if b < 0:
-            raise ValueError("t_power wants a nonnegative exponent")
-        return self.two_to(Fraction(b, 2 * self.k))
 
     def two_to(self, q) -> "Scalar":
         """Canonical scalar for 2^q; q must have denominator dividing 2k."""

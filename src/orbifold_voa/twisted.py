@@ -131,7 +131,6 @@ def delta_apply(u: UVector) -> dict[int, UVector]:
 
 Matrix = tuple[tuple[int, int], tuple[int, int]]
 
-IDENTITY: Matrix = ((1, 0), (0, 1))
 SWAP: Matrix = ((0, 1), (1, 0))
 
 
@@ -196,7 +195,7 @@ def _prefactor_split(params: RingParams, r: int) -> tuple[int, Scalar]:
     odd k or b < k; for even k and b >= k it is t^(b-k) times the reduced
     sqrt(2)."""
     w, b = divmod(-r * r, 2 * params.k)
-    return w, params.t_power(b)
+    return w, params.two_to(Fraction(b, 2 * params.k))
 
 
 def _delta_terms(params: RingParams, nu: tuple[int, ...], r: int) -> tuple:

@@ -16,6 +16,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import cli_lines
+from cli_lines import V3
 from orbifold_voa import cli, intertwine, ring
 from orbifold_voa import labels as lb
 from orbifold_voa.cli import (
@@ -316,50 +318,17 @@ def test_verify_jacobi_checks_the_twisted_basis_up_to_weight_three_halves(capsys
     )
 
 
-V3 = ("V+", "V+", "V+")
-# help, usage errors and odd spellings, as in .github/cli_digest.py but for
-# UNKNOWN_OPTION_LINES
-PARSE_LINES = (
-    (),
-    ("-h",),
-    ("fusion", "-h"),
-    ("fusion", "query", "-h"),
-    ("fusion", "table", "-h"),
-    ("verify", "-h"),
-    ("dump", "-h"),
-    ("zhu", "-h"),
-    ("zhu", "table", "-h"),
-    ("witness", "-h"),
-    ("fusion", "query", "--k", "2", "-h", "V+"),
-    ("fuse", "query", "--k", "2", *V3),
-    ("fusion", "quer", "--k", "2", *V3),
-    ("zhu", "tables", "--k", "2"),
-    ("fusion",),
-    ("zhu",),
-    ("verify",),
-    ("dump", "--k", "2"),
-    ("fusion", "query", "--k", "2", "V+", "V+"),
-    ("fusion", "query", *V3),
-    ("witness", "--k", "2"),
-    ("fusion", "query", "--k", "2", *V3, "extra"),
-    ("verify", "closure", "bounds"),
-    ("fusion", "table", "--k", "2", "csv"),
-    ("verify", "p31", "--k", "2", "--window", "3"),
-    ("--k", "2", "fusion", "query", *V3),
-    ("fusion", "--k", "2", "query", *V3),
-    ("fusion", "query", "--k", "2", "--form", "json", *V3),
-    ("fusion", "query", "--k=2", *V3),
-    ("fusion", "query", "--k", "2", "--", *V3),
-    ("--", "fusion", "query", "--k", "2", *V3),
-    ("fusion", "query", "--k", "two", *V3),
-    ("fusion", "query", "--k", "2", "--format", "xml", *V3),
-    ("verify", "nosuch", "--k", "2"),
-    ("fusion", "query", "--k", "2", *V3, "--seed", "1"),
-    ("fusion", "query", "--k", "2", "--seed=1", *V3, "extra"),
-    ("fusion", "query", "--k", "2", "--verbose", *V3),
-    ("fusion", "query", "V+", "--k", "2", "V+", "V+"),
-    ("fusion", "query", "--k", "2", "V+", "V+", "--format", "json", "V+"),
-)
+# an unknown option beside the labels, whose value argparse reads as the
+# first LABEL, pushing the last one out: the tree's own error would name
+# `--seed V+`; `main` names the option with its value (.github/cli_digest.py
+# runs both lines too)
+UNKNOWN_OPTION_LINES = {
+    ("fusion", "query", "--k", "2", "--seed", "1", *V3): "--seed 1",
+    ("fusion", "query", "--k", "2", "--seed", "1", *V3, "extra"): "--seed 1 extra",
+}
+# the digest's parse lines but for UNKNOWN_OPTION_LINES, where `main` and the
+# tree name the unknown option differently
+PARSE_LINES = tuple(line for line in cli_lines.PARSE_LINES if line not in UNKNOWN_OPTION_LINES)
 # one well-formed line per command path: (command words, the rest)
 COMMAND_PATHS = (
     (("fusion", "query"), ("--k", "2", *V3)),
@@ -390,16 +359,6 @@ def test_main_parses_a_line_as_the_whole_tree_does(capsys, argv):
     want = {dest: v for dest, v in vars(tree).items() if dest not in ("command", "which")}
     assert vars(cli._parse(list(argv))) == want
     assert capsys.readouterr() == ("", "")
-
-
-# an unknown option beside the labels, whose value argparse reads as the
-# first LABEL, pushing the last one out: the tree's own error would name
-# `--seed V+`; `main` names the option with its value (.github/cli_digest.py
-# runs both lines too)
-UNKNOWN_OPTION_LINES = {
-    ("fusion", "query", "--k", "2", "--seed", "1", *V3): "--seed 1",
-    ("fusion", "query", "--k", "2", "--seed", "1", *V3, "extra"): "--seed 1 extra",
-}
 
 
 @pytest.mark.parametrize("argv", UNKNOWN_OPTION_LINES, ids=" ".join)
@@ -453,6 +412,7 @@ LINE_SPECS = (
                     "--cutoff": (False, ("0", "5/2", "abc"))}, ()),
 )
 JUNK = ("--", "-h", "--k=2", "--form", "-3", "extra", "")
+DASHES = tuple(token for token in JUNK if token.startswith("-"))
 
 
 @st.composite
@@ -460,7 +420,8 @@ def near_valid_lines(draw):
     """A well-formed line of one command path, its options in any order and
     its positionals split in two runs at any gaps between the options, then
     up to two slips: a junk token put in or put in place of a token, a
-    token dropped, or one or two tokens repeated."""
+    token dropped, one or two tokens repeated, or the value of an option
+    replaced by a junk token that starts with a dash."""
     words, options, positionals = draw(st.sampled_from(LINE_SPECS))
     pairs = [
         [option, draw(st.sampled_from(values))]
@@ -476,8 +437,12 @@ def near_valid_lines(draw):
     line = [*words, *(token for chunk in chunks for token in chunk)]
     for _ in range(draw(st.integers(0, 2))):
         i = draw(st.integers(0, len(line)))
-        slip = draw(st.sampled_from(("junk", "swap", "drop", "repeat")))
-        if slip in ("junk", "swap"):
+        slip = draw(st.sampled_from(("junk", "swap", "drop", "repeat", "dash")))
+        if slip == "dash":
+            values = [j + 1 for j, token in enumerate(line[:-1]) if token in options]
+            if values:
+                line[draw(st.sampled_from(values))] = draw(st.sampled_from(DASHES))
+        elif slip in ("junk", "swap"):
             line[i:i + (slip == "swap")] = [draw(st.sampled_from(JUNK))]
         elif slip == "drop":
             del line[i:i + 1]

@@ -155,7 +155,7 @@ def test_projection_resolves_identity(params, data):
     v = data.draw(u_vectors(params))
     assert project_eigen(v, +1) + project_eigen(v, -1) == v
     assert project_eigen(project_eigen(v, +1), +1) == project_eigen(v, +1)
-    assert project_eigen(project_eigen(v, +1), -1).is_zero()
+    assert not project_eigen(project_eigen(v, +1), -1)
 
 
 @settings(max_examples=40, deadline=None)
@@ -185,9 +185,9 @@ def test_weight_additivity(params):
 
 
 def test_projection_kills_wrong_parity(params):
-    assert project_eigen(vacuum(params), -1).is_zero()
+    assert not project_eigen(vacuum(params), -1)
     x = u_term(params, [1], 0)  # odd length at index zero
-    assert project_eigen(x, +1).is_zero()
+    assert not project_eigen(x, +1)
 
 
 def test_graded_dim_examples(params):
@@ -400,6 +400,17 @@ def test_top_vectors(params):
     if k == 1:
         with pytest.raises(ValueError):
             top_vector(params, lb.u_minus())
+
+
+@pytest.mark.parametrize(
+    "max_weight, parts",
+    [(Fraction(1, 16) - Fraction(1, 10**6), []), (Fraction(1, 16), [()]), (Fraction(9, 16), [(), (HALF,)])],
+    ids=("below 1/16", "1/16", "9/16"),
+)
+def test_twisted_basis_lists_the_keys_up_to_the_weight(params, max_weight, parts):
+    # a weight below the twisted top 1/16 lists no key, not the top one
+    for sector in (1, 2):
+        assert twisted_basis(params, sector, max_weight) == [(p, sector) for p in parts]
 
 
 @pytest.mark.parametrize("k", (1, 2, 3, 4))

@@ -39,7 +39,6 @@ from orbifold_voa.fock import (
     TOP_TW,
     TVector,
     UVector,
-    half_odd_partitions_of,
     heis_act,
     lattice_vector,
     odd_partitions_of,
@@ -258,6 +257,14 @@ def vertex_mode(u: UVector, m, v: UVector, cutoff=None) -> UVector:
 
 
 # -- reference: the twisted engine ----------------------------------------------
+
+
+def half_odd_partitions_of(total: Fraction):
+    total = Fraction(total)
+    if total < 0 or (2 * total).denominator != 1:
+        return
+    for doubled in odd_partitions_of(int(2 * total)):
+        yield tuple(Fraction(p, 2) for p in doubled)
 
 
 @lru_cache(maxsize=None)
@@ -566,9 +573,9 @@ def test_vertex_mode_is_bilinear_in_the_terms(k):
     twisted v with terms in both sectors (swept one weight unit less deep,
     on their grid of half the step)."""
     params = RingParams(k)
-    zeta, root2 = params.zeta(1), params.t_power(1)
+    zeta, root2 = params.zeta(1), params.two_to(Fraction(1, 2 * params.k))
     twisted_v = (
-        (((), 1), params.one()),
+        (((), 1), params.rational(1)),
         (((HALF,), 1), params.rational(Fraction(-3, 2))),
         (((Fraction(3, 2), HALF), 2), params.zeta(3)),
         (((), 2), params.rational(Fraction(1, 2))),
@@ -576,7 +583,7 @@ def test_vertex_mode_is_bilinear_in_the_terms(k):
     nonzero = {"vertex_mode": 0, "tilde_mode": 0, "mtheta_mode": 0}
     for r in (0, 1, k):
         u_terms = (
-            (((), r), params.one()),
+            (((), r), params.rational(1)),
             (((1,), r), params.rational(Fraction(-2, 3))),
             (((1, 1), r), zeta),
             (((2,), r), zeta),
@@ -590,7 +597,7 @@ def test_vertex_mode_is_bilinear_in_the_terms(k):
                 untwisted.vertex_mode,
                 UVector,
                 (
-                    (((), s), params.one()),
+                    (((), s), params.rational(1)),
                     (((1, 1), s), params.rational(Fraction(-3, 2))),
                     (((2, 1), s), params.zeta(3)),
                     (((1,), s - 2 * k), params.rational(Fraction(1, 2))),
@@ -702,11 +709,11 @@ def test_prefactor_split(k):
 
 def _placement_u(params: RingParams, r1: int, r2: int) -> UVector:
     """Unit, rational, zeta and t coefficients at two lattice indices."""
-    zeta, t = params.zeta(1), params.t_power(1)
+    zeta, t = params.zeta(1), params.two_to(Fraction(1, 2 * params.k))
     return UVector(
         params,
         {
-            ((), r1): params.one(),
+            ((), r1): params.rational(1),
             ((1,), r1): params.rational(Fraction(-2, 3)),
             ((2,), r1): zeta,
             ((), r2): t,
@@ -732,10 +739,10 @@ def test_twisted_placement_matches_the_verbatim_engines(k):
     v = TVector(
         params,
         {
-            ((), 1): params.one(),
+            ((), 1): params.rational(1),
             ((HALF,), 1): params.rational(Fraction(-3, 2)),
             ((Fraction(3, 2), HALF), 2): params.zeta(3),
-            ((), 2): params.t_power(1),
+            ((), 2): params.two_to(Fraction(1, 2 * params.k)),
         },
     )
     cases = []

@@ -54,7 +54,7 @@ def test_ring_axioms(params, data):
     assert x * y == y * x
     assert x * (y + z) == x * y + x * z
     assert x + params.zero() == x
-    assert x * params.one() == x
+    assert x * params.rational(1) == x
     assert (x - x).is_zero()
 
 
@@ -103,8 +103,8 @@ def test_zeta_homomorphism(params):
     for a in range(-n, 2 * n, 3):
         for b in range(-n, 2 * n, 5):
             assert params.zeta(a) * params.zeta(b) == params.zeta(a + b)
-    assert params.zeta(0) == params.one()
-    assert params.zeta(4 * params.k) == params.one()
+    assert params.zeta(0) == params.rational(1)
+    assert params.zeta(4 * params.k) == params.rational(1)
     assert params.zeta(2 * params.k) == params.rational(-1)
 
 
@@ -125,7 +125,7 @@ def test_two_pow_rejects_foreign_denominator(params):
 def test_t_relation(params):
     k = params.k
     t = params.two_to(Fraction(1, 2 * k))
-    acc = params.one()
+    acc = params.rational(1)
     for _ in range(2 * k):
         acc = acc * t
     assert acc == params.rational(2)
@@ -137,7 +137,7 @@ def test_t_relation(params):
 
 def test_examples_from_contract():
     p1 = RingParams(1)
-    assert p1.rational(Fraction(1, 2)) + p1.rational(Fraction(1, 2)) == p1.one()
+    assert p1.rational(Fraction(1, 2)) + p1.rational(Fraction(1, 2)) == p1.rational(1)
     assert (p1.zeta(1) + (-p1.zeta(1))).is_zero()
     t = p1.two_to(Fraction(1, 2))
     assert t + t == t * 2
@@ -151,13 +151,13 @@ def test_examples_from_contract():
     )
     assert abs(value - 2**0.5) < 1e-12
     # zero test
-    assert (p1.zeta(2) + p1.one()).is_zero()  # zeta^(2k) = -1 at k=1
-    assert not (t - p1.one()).is_zero()
+    assert (p1.zeta(2) + p1.rational(1)).is_zero()  # zeta^(2k) = -1 at k=1
+    assert not (t - p1.rational(1)).is_zero()
 
 
 def test_mismatched_params_rejected():
-    a = RingParams(1).one()
-    b = RingParams(2).one()
+    a = RingParams(1).rational(1)
+    b = RingParams(2).rational(1)
     with pytest.raises(RingMismatchError):
         _ = a + b
     with pytest.raises(RingMismatchError):
@@ -168,7 +168,7 @@ def test_serialization_deterministic(params):
     x = params.zeta(1) * 3 + params.two_to(Fraction(1, 2 * params.k)) * Fraction(-1, 2)
     assert str(x) == str(params.scalar(dict(x.terms)))
     assert str(params.zero()) == "0"
-    one = str(params.one())
+    one = str(params.rational(1))
     assert one == "(1)*zeta^0*t^0"
 
 

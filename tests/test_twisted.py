@@ -17,7 +17,6 @@ from orbifold_voa.fock import (
 )
 from orbifold_voa.ring import RingParams
 from orbifold_voa.twisted import (
-    IDENTITY,
     PsiMap,
     conjugation_check,
     delta_apply,
@@ -150,7 +149,7 @@ def test_psi_relations(params):
         assert psi_map(params, -(k + 2 * k * m)) == lattice_sector_map(-1).compose(
             psi_map(params, k + 2 * k * m)
         )
-    assert psi_map(params, 0) == PsiMap(IDENTITY)
+    assert psi_map(params, 0) == PsiMap(((1, 0), (0, 1)))
     assert psi_map(params, 2 * k) == PsiMap(((1, 0), (0, -1)))
 
 

@@ -29,7 +29,7 @@ def test_identity_operator(params):
     v = u_term(params, [2, 1], 3)
     assert vertex_mode(vacuum(params), -1, v) == v
     for m in (-3, -2, 0, 1):
-        assert vertex_mode(vacuum(params), m, v).is_zero()
+        assert not vertex_mode(vacuum(params), m, v)
 
 
 def test_grading_mode(params):
@@ -45,7 +45,7 @@ def test_grading_mode(params):
 def test_translation_mode(params):
     k = params.k
     om = omega_vec(params)
-    assert vertex_mode(om, 0, vacuum(params)).is_zero()
+    assert not vertex_mode(om, 0, vacuum(params))
     got = vertex_mode(om, 0, lattice_vector(params, 1))
     assert got == u_term(params, [1], 1, Fraction(1, 2 * k))
     assert vertex_mode(om, -1, vacuum(params)) == om
@@ -74,10 +74,10 @@ def test_exponent_support(params):
     u = lattice_vector(params, 1)
     v = lattice_vector(params, 1)
     on_grid = -Fraction(1, 2 * k) - 1
-    assert not vertex_mode(u, on_grid, v).is_zero()
+    assert vertex_mode(u, on_grid, v)
     for off in (on_grid + Fraction(1, 4 * k + 1), on_grid + Fraction(1, 2)):
         if (off + Fraction(1, 2 * k)).denominator != 1:
-            assert vertex_mode(u, off, v).is_zero()
+            assert not vertex_mode(u, off, v)
 
 
 def test_weight_bookkeeping(params):
@@ -229,4 +229,4 @@ def test_antisymmetric_transfer_of_oscillator_zero_mode(params):
     a1 = u_term(params, [1], 0)
     assert vertex_mode(E, 0, a1) == f_vec(params) * (-2 * k)
     for i in range(1, k + 1):
-        assert vertex_mode(E, i, a1).is_zero()
+        assert not vertex_mode(E, i, a1)
