@@ -11,7 +11,13 @@ Conventions fixed here and used everywhere else:
   module structure constants are rational;
 * term weight is sum(parts) + r^2/4k untwisted, sum(parts) + 1/16 twisted;
 * the involution theta sends a term of oscillator length l to (-1)^l times
-  the term with r negated (untwisted) or the same sector (twisted).
+  the term with r negated (untwisted) or the same sector (twisted);
+* graded dimensions are counted in integers, in units 1/16k: every weight
+  the modules carry is a whole number of them (a shift c^2/4k is 4c^2
+  units, the twisted top 1/16 is k, a step of 1/2 is 8k).  `graded_dim`
+  finds a module's constituents by weight and `m1_graded_dim` counts one
+  constituent that its caller takes from `decompose`, so the two sides of
+  `verify decomp` stay independent.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ from math import floor
 from typing import Callable, Iterable, Iterator
 
 from .labels import (
-    HALF, LAM, M_LAM, M_VAC, TW, VAC, M1Label, ModuleLabel, has_top_vector, lattice_coset, validate_label,
+    HALF, LAM, M_LAM, M_TW, M_VAC, TW, VAC, M1Label, ModuleLabel, has_top_vector, lattice_coset, validate_label,
 )
 from .ring import RingParams, Scalar
 
@@ -347,84 +353,97 @@ def odd_partition_count_parity(n: int) -> tuple[int, int]:
 # -- graded dimensions -------------------------------------------------------------
 
 
-def _level(num: int, den: int) -> int | None:
-    """num/den (den > 0) as a nonnegative integer, or None if it is negative
-    or not an integer."""
-    q, rem = divmod(num, den)
-    return q if q >= 0 and not rem else None
+def _grid_units(k: int, weight) -> int | None:
+    """The weight (an int or a Fraction) in units 1/16k, or None off that
+    grid."""
+    units, rem = divmod(16 * k * weight.numerator, weight.denominator)
+    return None if rem else units
 
 
-def _vac_count(sign: int, a: int, b: int) -> int:
-    """M+ (sign +1: even-length partitions) or M- (odd-length) at weight a/b."""
-    n = _level(a, b)
-    return 0 if n is None else partition_count_parity(n)[0 if sign > 0 else 1]
+def _add_levels(dims: list, k: int, start: int, offset: int, step: int, count_at) -> None:
+    """dims[j] += count_at(n) for every entry j whose weight start + 8kj
+    (units 1/16k) is offset + 8k step n with n >= 0: one divmod finds the
+    first such j, and then every step-th entry is one more level n."""
+    q, rem = divmod(start - offset, 8 * k)
+    if rem:
+        return
+    j = -q if q < 0 else q % step
+    n = (q + j) // step
+    for j in range(j, len(dims), step):
+        dims[j] += count_at(n)
+        n += 1
 
 
-def _lam_count(k: int, c: int, a: int, b: int) -> int:
-    """M(c) at weight a/b: the partitions of a/b - c^2/4k."""
-    n = _level(4 * k * a - c * c * b, 4 * k * b)
-    return 0 if n is None else partition_count(n)
+def _add_constituent(dims: list, k: int, start: int, m1: M1Label) -> None:
+    """A constituent's graded dimensions, added into the series from start:
+    M(c) counts the partitions of its weight less c^2/4k, M+- the even- or
+    odd-length partitions of its integer weight, and Mt+- splits the odd
+    partitions of twice its weight less 1/16 (its half-odd oscillator
+    partitions, doubled) by length parity as for M+-."""
+    if m1.kind == M_LAM:
+        _add_levels(dims, k, start, 4 * m1.index * m1.index, 2, partition_count)
+        return
+    parity = 0 if m1.sign > 0 else 1
+    if m1.kind == M_VAC:
+        _add_levels(dims, k, start, 0, 2, lambda n: partition_count_parity(n)[parity])
+    else:
+        _add_levels(dims, k, start, k, 1, lambda n: odd_partition_count_parity(n)[parity])
 
 
-def _tw_count(sign: int, a: int, b: int) -> int:
-    """Mt+ or Mt- at weight a/b: the oscillator weight a/b - 1/16 is
-    half-integral, and its half-odd partitions are the odd partitions of
-    its double, split by length parity as for M+-."""
-    n2 = _level(16 * a - b, 8 * b)
-    return 0 if n2 is None else odd_partition_count_parity(n2)[0 if sign > 0 else 1]
-
-
-def graded_dim(params: RingParams, label: ModuleLabel, weight: Fraction) -> int:
-    """Dimension of the weight-graded component: the summed dimensions of
-    the constituents, which it finds by weight (not through `decompose`),
-    each lattice shift c^2/4k compared with the weight a/b in integers."""
-    validate_label(label, params.k)
-    k = params.k
-    a, b = weight.numerator, weight.denominator
+def graded_dim(k: int, label: ModuleLabel, weight: Fraction, count: int) -> list[int]:
+    """Dimensions of the weight-graded components at weight, weight + 1/2,
+    ..., `count` of them: the summed dimensions of the constituents, which
+    it finds by weight (not through `decompose`), every coset c with c^2/4k
+    at most the last weight.  A start off the 1/16k grid gives all zeros,
+    and so does every negative weight."""
+    validate_label(label, k)
+    dims = [0] * count
+    start = _grid_units(k, weight)
+    if start is None:
+        return dims
     if label.kind == TW:
-        return _tw_count(label.sign, a, b)
+        _add_constituent(dims, k, start, M1Label(M_TW, label.sign))
+        return dims
+    last = start + 8 * k * (count - 1)
     if label.kind == LAM:
-        cosets = _coset_indices(label.r, k, weight)
+        cosets = _coset_indices(label.r, k, last)
     else:
         # theta pairs c with -c, leaving one vector per eigensign for each
         # c > 0: c = 2km, m >= 1 (V+-) or c = k + 2km, m >= 0 (Va+-)
-        cosets = _shifts(lattice_coset(label, k) or 2 * k, 2 * k, k, weight)
-    total = 0
+        cosets = _shifts(lattice_coset(label, k) or 2 * k, 2 * k, last)
     for c in cosets:
-        total += _lam_count(k, c, a, b)
+        _add_constituent(dims, k, start, M1Label(M_LAM, 0, abs(c)))
     if label.kind == VAC:
-        total += _vac_count(label.sign, a, b)
-    return total
+        _add_constituent(dims, k, start, M1Label(M_VAC, label.sign))
+    return dims
 
 
-def _shifts(c: int, step: int, k: int, weight: Fraction) -> Iterator[int]:
-    """c, c + step, c + 2 step, ... while c^2/4k <= weight, that is
-    c^2 b <= 4k a for weight a/b."""
-    a4k, b = 4 * k * weight.numerator, weight.denominator
-    while c * c * b <= a4k:
+def _shifts(c: int, step: int, units: int) -> Iterator[int]:
+    """c, c + step, c + 2 step, ... while c^2/4k, 4c^2 units 1/16k, is at
+    most `units`."""
+    while 4 * c * c <= units:
         yield c
         c += step
 
 
-def _coset_indices(r: int, k: int, weight: Fraction) -> Iterator[int]:
-    """Indices c = r + 2km with c^2/4k <= weight: m = 0, 1, ... and then
-    m = -1, -2, ..."""
-    yield from _shifts(r, 2 * k, k, weight)
-    yield from _shifts(r - 2 * k, -2 * k, k, weight)
+def _coset_indices(r: int, k: int, units: int) -> Iterator[int]:
+    """Indices c = r + 2km with c^2/4k at most `units` 1/16k: m = 0, 1, ...
+    and then m = -1, -2, ..."""
+    yield from _shifts(r, 2 * k, units)
+    yield from _shifts(r - 2 * k, -2 * k, units)
 
 
-def m1_graded_dim(params: RingParams, m1: M1Label, weight: Fraction) -> int:
-    """Graded dimension of a Heisenberg-orbifold constituent, by the closed
-    partition-counting formulas that `graded_dim` also sums.  The two differ
-    in how they find the constituents: `graded_dim` walks a module's own
-    constituents by weight, and a caller of this one takes them from
-    `decompose`."""
-    a, b = weight.numerator, weight.denominator
-    if m1.kind == M_VAC:
-        return _vac_count(m1.sign, a, b)
-    if m1.kind == M_LAM:
-        return _lam_count(params.k, m1.index, a, b)
-    return _tw_count(m1.sign, a, b)
+def m1_graded_dim(k: int, m1: M1Label, weight: Fraction, count: int) -> list[int]:
+    """Graded dimensions of a Heisenberg-orbifold constituent at weight,
+    weight + 1/2, ..., `count` of them, by the closed partition-counting
+    formulas that `graded_dim` also sums.  The two differ in how they find
+    the constituents: `graded_dim` walks a module's own constituents by
+    weight, and a caller of this one takes them from `decompose`."""
+    dims = [0] * count
+    start = _grid_units(k, weight)
+    if start is not None:
+        _add_constituent(dims, k, start, m1)
+    return dims
 
 
 # -- basis enumeration and top levels ----------------------------------------------
@@ -434,7 +453,7 @@ def coset_basis(params: RingParams, r0: int, max_weight: Fraction) -> list[UKey]
     """Basis keys of the full untwisted coset lambda_r0 + L, weight <= max."""
     k = params.k
     keys: list[UKey] = []
-    for c in _coset_indices(r0 % (2 * k), k, Fraction(max_weight)):
+    for c in _coset_indices(r0 % (2 * k), k, floor(16 * k * Fraction(max_weight))):
         budget = Fraction(max_weight) - Fraction(c * c, 4 * k)
         n = 0
         while n <= budget:

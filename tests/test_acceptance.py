@@ -218,14 +218,13 @@ def test_criterion_7_bound_soundness_and_blind_zeros():
 def test_criterion_8_decomposition_characters():
     checked = 0
     for k in (1, 2, 3):
-        params = RingParams(k)
         for label in lb.all_labels(k):
             top = lb.top_weight(label, k)
             for j in range(0, 21):
                 w = top + Fraction(j, 2)
-                lhs = graded_dim(params, label, w)
+                (lhs,) = graded_dim(k, label, w, 1)
                 rhs = sum(
-                    m1_graded_dim(params, m1, w)
+                    m1_graded_dim(k, m1, w, 1)[0]
                     for m1, _ in decompose(label, k, window=2 * k * (int(w) + 1) + 2)
                 )
                 if lhs != rhs:

@@ -29,7 +29,7 @@ from orbifold_voa.cli import (
     main,
     witness_names,
 )
-from orbifold_voa.fock import TVector, UVector, heis_act, lattice_vector, twisted_basis
+from orbifold_voa.fock import TVector, UVector, heis_act, lattice_vector, m1_graded_dim, twisted_basis
 from orbifold_voa.fusion import EngineInconsistencyError, get_engine
 from orbifold_voa.intertwine import direct_witness
 from orbifold_voa.twisted import delta_table, lattice_sector_map, psi_map
@@ -534,7 +534,7 @@ def test_a_bound_below_a_fusion_value_fails_the_soundness_item(capsys, monkeypat
 
 
 def test_a_constituent_count_that_falls_short_fails_the_decomposition_items(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "m1_graded_dim", lambda params, m1, weight: 0)
+    monkeypatch.setattr(cli, "m1_graded_dim", lambda k, m1, weight, count: [0] * count)
     code, out, _ = run(capsys, "verify", "decomp", "--k", "2", "--format", "json")
     assert code == EXIT_FAIL
     results = json.loads(out)["results"]
@@ -542,6 +542,24 @@ def test_a_constituent_count_that_falls_short_fails_the_decomposition_items(caps
     for item in results:
         assert item["status"] == "fail"
         assert item["detail"].endswith("!= constituents 0")
+
+
+def test_one_constituent_off_at_one_step_fails_at_that_weight(capsys, monkeypatch):
+    # M+ (a constituent of V+ alone) counts one more at its fourth step: the
+    # V+ item names weight top + 3/2 with both counts, and every other passes
+    def one_step_off(k, m1, weight, count):
+        dims = m1_graded_dim(k, m1, weight, count)
+        if m1 == lb.m_vac(+1):
+            dims[3] += 1
+        return dims
+
+    monkeypatch.setattr(cli, "m1_graded_dim", one_step_off)
+    code, out, _ = run(capsys, "verify", "decomp", "--k", "2")
+    assert code == EXIT_FAIL
+    first, *rest = out.splitlines()
+    assert first == "FAIL  decomposition character of V+: weight 3/2: module 0 != constituents 1"
+    assert len(rest) == len(lb.all_labels(2)) - 1
+    assert all(line.startswith("PASS ") for line in rest)
 
 
 def _skewed_delta_table(order):
@@ -869,6 +887,18 @@ def test_verify_decomp_at_k24(capsys):
     assert code == EXIT_OK
     lines = out.splitlines()
     assert len(lines) == 24 + 7  # one item per label
+    assert all(line.startswith("PASS ") for line in lines)
+
+
+def test_verify_decomp_builds_no_ring(capsys, monkeypatch):
+    def no_ring(self, *args):
+        raise AssertionError("verify decomp built a RingParams")
+
+    monkeypatch.setattr(ring.RingParams, "__init__", no_ring)
+    code, out, _ = run(capsys, "verify", "decomp", "--k", "5", "--cutoff", "3")
+    assert code == EXIT_OK
+    lines = out.splitlines()
+    assert len(lines) == 5 + 7
     assert all(line.startswith("PASS ") for line in lines)
 
 

@@ -192,15 +192,15 @@ def test_projection_kills_wrong_parity(params):
 
 def test_graded_dim_examples(params):
     k = params.k
-    assert graded_dim(params, lb.u_plus(), Fraction(0)) == 1
-    assert graded_dim(params, lb.tw(1, +1), Fraction(1, 16)) == 1
-    assert graded_dim(params, lb.tw(1, -1), Fraction(9, 16)) == 1
+    assert graded_dim(k, lb.u_plus(), Fraction(0), 1) == [1]
+    assert graded_dim(k, lb.tw(1, +1), Fraction(1, 16), 1) == [1]
+    assert graded_dim(k, lb.tw(1, -1), Fraction(9, 16), 1) == [1]
     if k >= 2:
         # the single vector a(-1)e[0]
-        assert graded_dim(params, lb.u_minus(), Fraction(1)) == 1
+        assert graded_dim(k, lb.u_minus(), Fraction(1), 1) == [1]
     else:
         # k=1 exception: the lattice pair enters at weight 1 as well
-        assert graded_dim(params, lb.u_minus(), Fraction(1)) == 2
+        assert graded_dim(k, lb.u_minus(), Fraction(1), 1) == [2]
 
 
 def test_graded_dim_by_brute_force_enumeration(params):
@@ -215,12 +215,12 @@ def test_graded_dim_by_brute_force_enumeration(params):
             by_weight[w] = by_weight.get(w, 0) + 1
         for j in range(0, 7):
             w = top + Fraction(j, 2)
-            assert graded_dim(params, label, w) == by_weight.get(w, 0), (label.code, w)
+            assert graded_dim(k, label, w, 1) == [by_weight.get(w, 0)], (label.code, w)
 
 
 def test_label_validation(params):
     with pytest.raises(ValueError):
-        graded_dim(params, lb.lam(params.k), Fraction(1))
+        graded_dim(params.k, lb.lam(params.k), Fraction(1), 1)
 
 
 def test_decomposition_characters(params):
@@ -229,9 +229,9 @@ def test_decomposition_characters(params):
         top = lb.top_weight(label, k)
         for j in range(0, 2 * 10 + 1):
             w = top + Fraction(j, 2)
-            lhs = graded_dim(params, label, w)
+            (lhs,) = graded_dim(k, label, w, 1)
             rhs = sum(
-                m1_graded_dim(params, m1, w)
+                m1_graded_dim(k, m1, w, 1)[0]
                 for m1, _ in decompose(label, k, window=2 * k * (int(w) + 1) + 2)
             )
             assert lhs == rhs, (label.code, w, lhs, rhs)
@@ -242,17 +242,16 @@ def test_weight_sized_window_keeps_every_reaching_constituent():
     2k(int(w)+1)+2 counts at weight w, for every label at k=1..10."""
     multi = 0
     for k in range(1, 11):
-        params = RingParams(k)
         for label in lb.all_labels(k):
             top = lb.top_weight(label, k)
             for j in range(0, 2 * 4 + 1):
                 w = top + Fraction(j, 2)
                 wide = [
-                    m1_graded_dim(params, m1, w)
+                    m1_graded_dim(k, m1, w, 1)[0]
                     for m1, _ in decompose(label, k, window=2 * k * (int(w) + 1) + 2)
                 ]
                 sized = [
-                    m1_graded_dim(params, m1, w)
+                    m1_graded_dim(k, m1, w, 1)[0]
                     for m1, _ in decompose(label, k, window=decomp_window(k, w))
                 ]
                 assert sum(sized) == sum(wide), (k, label.code, w)
@@ -316,9 +315,8 @@ def test_partition_counts_match_enumeration():
     assert partition_count(30) == 5604
 
 
-def _graded_dim_reference(params, label, weight):
-    """`graded_dim` as it was written in Fraction arithmetic."""
-    k = params.k
+def _graded_dim_reference(k, label, weight):
+    """`graded_dim` at one weight, as it was written in Fraction arithmetic."""
 
     def level(x):
         return int(x) if x.denominator == 1 and x >= 0 else None
@@ -351,8 +349,8 @@ def _graded_dim_reference(params, label, weight):
     return even if label.sign > 0 else odd
 
 
-def _m1_graded_dim_reference(params, m1, weight):
-    """`m1_graded_dim` as it was written in Fraction arithmetic."""
+def _m1_graded_dim_reference(k, m1, weight):
+    """`m1_graded_dim` at one weight, as it was written in Fraction arithmetic."""
 
     def level(x):
         return int(x) if x.denominator == 1 and x >= 0 else None
@@ -361,33 +359,40 @@ def _m1_graded_dim_reference(params, m1, weight):
         n = level(weight)
         return 0 if n is None else partition_count_parity(n)[0 if m1.sign > 0 else 1]
     if m1.kind == lb.M_LAM:
-        n = level(weight - m1.norm(params.k) / 2)
+        n = level(weight - m1.norm(k) / 2)
         return 0 if n is None else partition_count(n)
     n2 = level(2 * (weight - Fraction(1, 16)))
     return 0 if n2 is None else odd_partition_count_parity(n2)[0 if m1.sign > 0 else 1]
 
 
-@pytest.mark.parametrize("k", range(1, 7))
+@pytest.mark.parametrize("k", (1, 2, 3, 4, 5, 6, 24, 40))
 def test_graded_dims_match_fraction_arithmetic(k):
-    """The integer comparisons of `graded_dim` and `m1_graded_dim` against
-    the Fraction arithmetic they replaced, for every label, at weights on
-    each label's grid and off it."""
-    params = RingParams(k)
-    off_grid = [Fraction(1, 3), Fraction(1, 16) + Fraction(1, 4), Fraction(-1), Fraction(0)]
+    """Every entry of one series call of `graded_dim` and `m1_graded_dim`
+    against the per-weight Fraction arithmetic they replaced, for every
+    label: at k <= 6 nine entries from each label's top and from starts
+    on and off its grid, at k = 24 and 40 twenty-one entries from each top."""
     nonzero = 0
     for label in lb.all_labels(k):
         top = lb.top_weight(label, k)
-        weights = off_grid + [top + Fraction(j, 2) for j in range(0, 9)]
-        weights += [top + Fraction(j, 2) + Fraction(1, 3) for j in range(0, 3)]
-        m1s = {m1 for m1, _ in decompose(label, k, window=decomp_window(k, top + 4))}
-        for w in weights:
-            got = graded_dim(params, label, w)
-            assert got == _graded_dim_reference(params, label, w), (label.code, w)
-            nonzero += bool(got)
+        if k <= 6:
+            count = 9
+            starts = [top, Fraction(1, 3), Fraction(5, 16), Fraction(0), Fraction(-1), top + Fraction(1, 3)]
+            # half a grid unit above the top: rounded down, it would land on the grid
+            starts.append(top + Fraction(1, 32 * k))
+        else:
+            count, starts = 21, [top]
+        m1s = {
+            m1 for m1, _ in decompose(label, k, window=decomp_window(k, max(starts) + Fraction(count - 1, 2)))
+        }
+        for start in starts:
+            weights = [start + Fraction(j, 2) for j in range(count)]
+            got = graded_dim(k, label, start, count)
+            assert got == [_graded_dim_reference(k, label, w) for w in weights], (label.code, start)
+            nonzero += sum(map(bool, got))
             for m1 in m1s:
-                assert m1_graded_dim(params, m1, w) == _m1_graded_dim_reference(params, m1, w), (
-                    m1.code, w,
-                )
+                assert m1_graded_dim(k, m1, start, count) == [
+                    _m1_graded_dim_reference(k, m1, w) for w in weights
+                ], (m1.code, start)
     assert nonzero > 0
 
 

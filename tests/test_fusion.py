@@ -399,15 +399,14 @@ def test_a_boundary_coset_index_is_refused_everywhere(k, m):
     """Vl<k>, Vl<2k> and Vl<-k> can be made but are none of the k+7 labels:
     every entry point that reads a label refuses them, in any position of
     a triple, rather than fusing or counting them as a middle coset."""
-    params = RingParams(k)
     bad = lb.lam(m * k)
     good = lb.u_plus()
     triples = ((bad, good, good), (good, bad, good), (good, good, bad))
     calls = [partial(fusion_module.fusion, k, *t) for t in triples]
     calls += [partial(upper_bound, *t, k) for t in triples]
     calls += [
-        partial(graded_dim, params, bad, Fraction(1, 16)),
-        partial(graded_dim, params, bad, Fraction(k, 4)),
+        partial(graded_dim, k, bad, Fraction(1, 16), 1),
+        partial(graded_dim, k, bad, Fraction(k, 4), 1),
         partial(decompose, bad, k, 1),
         partial(contragredient, bad, k),
         partial(top_weight, bad, k),
