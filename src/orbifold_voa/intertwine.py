@@ -5,9 +5,12 @@ verification for the one case the restriction bound cannot see.
 Untwisted intertwiners compose the plain vertex operator with a phase
 twist: the operator attached to u at lattice index a multiplies a target
 term at index s by zeta^(a*s) before acting.  The theta-composed variant
-feeds theta(v) instead of v and lands in the difference coset.  Twisted
-ones are the tilde operators of the twisted module layer; they need no
-theta-composed kind, since theta acts on each twisted eigenmodule as +-1.
+feeds theta(v) instead of v and lands in the difference coset.  Neither
+reads the mode, so the mode driver of `untwisted` checks the coset of v
+and makes its target, theta and phase included, once per plan: a sweep
+over m transforms v once.  Twisted ones are the tilde operators of the
+twisted module layer; they need no theta-composed kind, since theta acts
+on each twisted eigenmodule as +-1.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from .fock import (
 )
 from .ring import RingParams
 from .twisted import tilde_mode
-from .untwisted import e_vec, f_vec, support_modes, vertex_mode
+from .untwisted import _vertex_images, e_vec, f_vec, support_modes, vertex_mode
 
 # intertwiner kinds
 Y_RS = "Y_rs"                  # vertex operator with phase twist
@@ -90,14 +93,24 @@ def _check_coset(spec: IntertwinerSpec, which: str, v: UVector, c: int) -> None:
             )
 
 
+def _target(spec: IntertwinerSpec, v: UVector) -> UVector:
+    """The vector the vertex operator of an untwisted `spec` acts on: v,
+    refused outside the coset of spec.s, through `target_of` and then
+    `phase_apply` at spec.r."""
+    _check_coset(spec, "second", v, spec.s)
+    return phase_apply(spec.r, target_of(spec, v))
+
+
 def intertwiner_mode(spec: IntertwinerSpec, u: UVector, m, v):
-    """Exact mode action of the chosen intertwiner."""
+    """Exact mode action of the chosen intertwiner.  An untwisted kind is
+    the vertex operator on `_target(spec, v)`, which the mode driver makes
+    once per plan (`untwisted.term_pair_images`), so a sweep over m
+    checks, transforms and phase-twists v once."""
     _check_coset(spec, "first", u, spec.r)
     if spec.kind in (Y_RS, Y_RS_THETA):
         if not isinstance(v, UVector):
             raise ValueError(f"{spec.name} needs an untwisted second input")
-        _check_coset(spec, "second", v, spec.s)
-        return vertex_mode(u, m, phase_apply(spec.r, target_of(spec, v)))
+        return _vertex_images(u, m, v, (_target, spec))
     if not isinstance(v, TVector):
         raise ValueError(f"{spec.name} needs a twisted second input")
     return tilde_mode(u, m, v)

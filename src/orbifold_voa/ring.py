@@ -77,20 +77,22 @@ class RingParams:
       `twisted._delta_terms`;
     * ("place", tilde, r, sector): where the twisted operators put an
       image at lattice index r on a term of v in `sector`: the target
-      sector, the sign of the sector map times t^b (the prefactor's
-      monomial, with integer coefficients) and the map that wraps a
-      kernel coefficient with it, `twisted._placement`;
+      sector and the sign of the sector map times t^b (the prefactor's
+      monomial, with integer coefficients), read by `twisted._placement`
+      as each plan item of the mode driver is built;
     * "tkey": a dict from each (doubled key, target sector) the twisted
       operators have returned to its output key, the halved Fraction parts
       and the sector as a tuple that stores its hash
       (`twisted._HashedKey`), shared by every result;
     * "pair": (input, plan), the m-independent work of the mode driver
       for the latest (u, v) pair, `untwisted.term_pair_images`: the input
-      is the kernel-row function, the lattice and u and v as lists of
-      (key, coefficient terms), and the plan holds the skeleton
-      (`untwisted._skeleton`) of each term pair, walked as it is built.
-      It is one entry, replaced when the input changes, so a sweep over m
-      plans once and the memo does not grow with the inputs;
+      is the kernel-row and placement functions, the target (None, or a
+      function and the intertwiner spec it reads), the lattice and u and v
+      as lists of (key, coefficient terms), and the plan holds the
+      placement and the skeleton (`untwisted._skeleton`) of each term pair
+      of u and the target of v, made as it is built.  It is one entry,
+      replaced when the input changes, so a sweep over m plans once and
+      the memo does not grow with the inputs;
     * ("pcoeff", n): the rows (parts, length parity, denominator) of the
       degree-n coefficient of the creation exponential, read by both
       signs of `untwisted.p_coeff_apply`;

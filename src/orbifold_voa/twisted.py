@@ -19,7 +19,8 @@ correction of layer 1 gives the kernel rows of each term of u.  The
 prefactor of layer 2 is split as 2^(-r^2/2k) = 2^w t^b with 0 <= b < 2k:
 the rational 2^w is folded into those rows, so the kernel's Fraction is
 the final rational coefficient of each output key, and the monomial t^b
-goes with the sign of layer 3 into one per-ring placement entry.  Where
+goes with the sign of layer 3 into one per-ring placement entry, which
+each item of the driver's plan reads as it is built.  Where
 the monomial has only +-1 coefficients (always for odd k, where it is one
 basis element, and for even k at least up to k = 24, where it holds the
 reduced sqrt(2)), a key of a rational term pair is only wrapped.
@@ -216,13 +217,16 @@ def _delta_terms(params: RingParams, nu: tuple[int, ...], r: int) -> tuple:
     return terms
 
 
-def _placement(params: RingParams, tilde: bool, r: int, sector: int) -> tuple:
-    """(target, monomial, lift) for an image at lattice index r on a term of
-    v in `sector`: the sector map, psi_map(r) with `tilde` and the identity
-    without, sends the sector to `target` with a sign, `monomial` is that
-    sign times the irrational part t^b of the prefactor
-    (`_prefactor_split`), and `lift` is `untwisted._lift` of the monomial;
-    memoized on `params` for the life of the ring."""
+def _placement(
+    params: RingParams, tilde: bool, r: int, sector: int, factor: Scalar | None
+) -> tuple:
+    """(target, lift) for a plan item at lattice index r on a term of v in
+    `sector` whose factor is `factor` (see `untwisted.term_pair_images`):
+    the sector map, psi_map(r) with `tilde` and the identity without, sends
+    the sector to `target` with a sign, and `lift` is `untwisted._lift` of
+    that sign times the irrational part t^b of the prefactor
+    (`_prefactor_split`), times the factor.  The target and the signed
+    monomial are memoized on `params` for the life of the ring."""
     key = ("place", tilde, r, sector)
     entry = params.memo.get(key)
     if entry is None:
@@ -231,9 +235,21 @@ def _placement(params: RingParams, tilde: bool, r: int, sector: int) -> tuple:
             column = [row[sector - 1] for row in psi_map(params, r).matrix]
             target = 1 if column[0] else 2
             sign = column[target - 1]
-        monomial = _prefactor_split(params, r)[1] * sign
-        entry = params.memo[key] = (target, monomial, _lift(params, monomial))
-    return entry
+        entry = params.memo[key] = (target, _prefactor_split(params, r)[1] * sign)
+    target, monomial = entry
+    return target, _lift(params, monomial if factor is None else monomial * factor)
+
+
+def _tilde_place(params: RingParams, r: int, sector: int, factor: Scalar | None) -> tuple:
+    """The placement of `tilde_mode`'s plan items: `_placement` through the
+    sector map psi_map(r)."""
+    return _placement(params, True, r, sector, factor)
+
+
+def _bare_place(params: RingParams, r: int, sector: int, factor: Scalar | None) -> tuple:
+    """The placement of `mtheta_mode`'s plan items: `_placement` with the
+    sector left as it is."""
+    return _placement(params, False, r, sector, factor)
 
 
 class _HashedKey(tuple):
@@ -251,34 +267,30 @@ class _HashedKey(tuple):
         return self.hashvalue
 
 
-def _corrected_mode(u: UVector, m, v: TVector, tilde: bool) -> TVector:
+def _corrected_mode(u: UVector, m, v: TVector, place) -> TVector:
     """Mode m of the Delta-corrected half-odd expansion of u on v, each
-    lattice component at index r followed by the sector map psi_map(r)
-    with `tilde` and by the identity without.
+    lattice component at index r followed by the sector map that `place`
+    (`_tilde_place` or `_bare_place`) attaches.
 
     Delta is linear, so the kernel rows of each term of u are its
     exp(Delta_z) expansion times the rational part 2^w of the prefactor
     2^(-r^2/2k) = 2^w t^b, from the per-ring table `_delta_terms`, and
     `term_pair_images` pairs the groups of u with the terms of v.  The
     kernel's Fraction is then the final rational coefficient of a key:
-    the per-ring `_placement` names the target sector and the signed
-    monomial t^b of an image, and each key is lifted by the monomial times
-    the factor of the image (`untwisted._lift`), a bare wrap when every
-    coefficient of that product is +-1.  The lifted coefficient is added
-    straight into the result under its output key, which the "tkey" table
-    of `RingParams.memo` holds once per ring for each doubled key and
-    target sector: the halved parts and the sector as a `_HashedKey`, so a
-    sweep hashes each key's Fraction parts once per ring, not once per
-    call."""
+    each item of the driver's plan holds its target sector and its lift,
+    the signed monomial t^b times the factor of the item (`_placement`), a
+    bare wrap when every coefficient of that product is +-1.  The lifted
+    coefficient is added straight into the result under its output key,
+    which the "tkey" table of `RingParams.memo` holds once per ring for
+    each doubled key and target sector: the halved parts and the sector as
+    a `_HashedKey`, so a sweep hashes each key's Fraction parts once per
+    ring, not once per call."""
     if not isinstance(v, TVector):
         raise TypeError(f"twisted mode operators do not apply to {type(v).__name__}")
     params = u.params
     keys = params.memo.setdefault("tkey", {})
     acc: dict = {}
-    for r, sector, image, factor in term_pair_images(u, m, v, _delta_terms):
-        target, monomial, lift = _placement(params, tilde, r, sector)
-        if factor is not None:
-            lift = _lift(params, monomial * factor)
+    for (target, lift), image in term_pair_images(u, m, v, _delta_terms, place):
         for key, q in image.items():
             out = keys.get((key, target))
             if out is None:
@@ -290,7 +302,7 @@ def _corrected_mode(u: UVector, m, v: TVector, tilde: bool) -> TVector:
 def tilde_mode(u: UVector, m, v: TVector) -> TVector:
     """Mode of the twisted intertwiner: the corrected half-odd expansion of
     u tensored with the sector map of each lattice component of u."""
-    return _corrected_mode(u, m, v, True)
+    return _corrected_mode(u, m, v, _tilde_place)
 
 
 def twisted_mode(u: UVector, m, v: TVector) -> TVector:
@@ -311,7 +323,7 @@ def mtheta_mode(u: UVector, m, v: TVector) -> TVector:
     """The bare corrected twisted operator with no sector action: the
     intertwiner for the oscillator subalgebra alone.  Sector labels of v
     pass through untouched."""
-    return _corrected_mode(u, m, v, False)
+    return _corrected_mode(u, m, v, _bare_place)
 
 
 def conjugation_check(mode, u: UVector, vectors, depth, dress: PsiMap | None = None) -> tuple[bool, int]:

@@ -45,18 +45,20 @@ budget.  States and keys that cancel are dropped, and an output key
 becomes one Fraction at the end.
 
 One driver, `term_pair_images`, runs the kernel for the untwisted
-operator and the twisted ones alike.  It groups the terms of u by lattice
-index and passes each group to the kernel in one call per term of v,
-with the rational coefficients of u and v as the kernel's integer term
-weights; only a coefficient that is not rational is applied after the
-kernel.  The operators differ in the kernel rows of a term of u (the
-term itself, or its exp(Delta_z) expansion) and in where they place the
-output keys.  Everything the driver does before the budget is fixed
-(the groups, the weighted rows and the skeletons) does not read m either,
-so it is planned whole once per (u, v) pair, every skeleton walked as
-the plan is built: the plan of the latest pair is the one "pair" entry of
-`RingParams.memo`, and a sweep over m, which every caller makes, only
-fixes each budget and runs the creation stage.
+operator, the untwisted intertwiners and the twisted operators alike.  It
+groups the terms of u by lattice index and passes each group to the
+kernel in one call per term of v, with the rational coefficients of u and
+v as the kernel's integer term weights; only a coefficient that is not
+rational is applied after the kernel.  The operators differ in the kernel
+rows of a term of u (the term itself, or its exp(Delta_z) expansion), in
+the vector v stands for (an intertwiner's theta-composed, phase-twisted
+target) and in where they place the output keys.  Everything the driver
+does before the budget is fixed (the target, the groups, the weighted
+rows, the placement of each term pair and the skeletons) does not read m
+either, so it is planned whole once per (u, v) pair and operator: the
+plan of the latest pair is the one "pair" entry of `RingParams.memo`, and
+a sweep over m, which every caller makes, only fixes each budget, runs
+the creation stage and places the keys.
 """
 
 from __future__ import annotations
@@ -336,11 +338,12 @@ def _lift(params: RingParams, factor: Scalar | None):
     return factor._scaled
 
 
-def _plan(params: RingParams, u: UVector, v, expand, twisted: bool) -> tuple:
+def _plan(params: RingParams, u: UVector, v, expand, place, twisted: bool) -> tuple:
     """The items of `term_pair_images` for u and v, one per group of u and
-    term of v, each (r, s, index, factor, skeleton): the kernel's lattice
-    indices, the index or sector of v's term, the factor and the
-    `_skeleton` of the term pair's kernel rows."""
+    term of v, each (r, s, placement, skeleton): the kernel's lattice
+    indices, `place(params, r, index, factor)` for the index or sector of
+    v's term and the factor, and the `_skeleton` of the term pair's kernel
+    rows."""
     groups: dict[tuple, list] = {}  # (r, factor of u) -> kernel rows
     for (nu, r), cu in u.terms.items():
         num, den, factor = _weight(cu)
@@ -354,15 +357,15 @@ def _plan(params: RingParams, u: UVector, v, expand, twisted: bool) -> tuple:
             terms = tuple([(d, nu, num * vn, den * vd) for d, nu, num, den in rows])
             factor = vf if uf is None else uf if vf is None else uf * vf
             s = 0 if twisted else index
-            plan.append((r, s, index, factor, _skeleton(params, r, mu, s, twisted, terms)))
+            placement = place(params, r, index, factor)
+            plan.append((r, s, placement, _skeleton(params, r, mu, s, twisted, terms)))
     return tuple(plan)
 
 
-def term_pair_images(u: UVector, m, v: UVector | TVector, expand):
-    """(r, index, image, factor) for each group of terms of u and each term
-    of v with a nonzero kernel image at mode m, index being the lattice
-    index or sector of v's term: the one loop over term pairs behind every
-    mode operator.
+def term_pair_images(u: UVector, m, v: UVector | TVector, expand, place, target=None):
+    """(placement, image) for each group of terms of u and each term of v
+    with a nonzero kernel image at mode m: the one loop over term pairs
+    behind every mode operator.
 
     `expand(params, nu, r)`, a module-level function, lists the kernel rows
     (d, nu2, num, den) of the term a(-nu) e[r] of u.  The terms of u are
@@ -370,18 +373,23 @@ def term_pair_images(u: UVector, m, v: UVector | TVector, expand):
     (`_weight`); the rational parts of u and of the term of v scale the
     rows.  A TVector v runs the kernel twisted, its keys holding a sector
     where untwisted keys hold a lattice index.  The image holds doubled
-    parts and wants the factor, the non-rational parts of both
-    coefficients (None for 1).
+    parts.  `place(params, r, index, factor)`, a module-level function too,
+    says where the caller puts the image of group r on a term of v at
+    index or sector `index`, whose factor is the non-rational parts of both
+    coefficients (None for 1): the image's placement.  `target`, None or a
+    pair (function, argument) that compares by content, makes the kernel
+    pair u with function(argument, v) in place of v.
 
     None of this reads m, so it is planned once per (u, v) pair: the one
-    "pair" entry of `RingParams.memo` holds the input (expand, twisted, and
-    u and v as lists of (key, coefficient terms), no Scalar and no vector)
-    and the plan (`_plan`), one item per group and term of v with its
-    `_skeleton`, every skeleton walked as the plan is built.  A call with
-    the same input, every later mode of a sweep, only computes each item's
-    budget (`_budget`, None off the item's grid) and runs stage 3
-    (`_create`); a call with another input replaces the entry, so the memo
-    does not grow with the inputs."""
+    "pair" entry of `RingParams.memo` holds the input (expand, place,
+    target, twisted, and u and v as lists of (key, coefficient terms), no
+    Scalar and no vector) and the plan (`_plan`), one item per group and
+    term of the target with its placement and `_skeleton`, the target made
+    and every skeleton walked as the plan is built.  A call with the same
+    input, every later mode of a sweep, only computes each item's budget
+    (`_budget`, None off the item's grid) and runs stage 3 (`_create`); a
+    call with another input replaces the entry, so the memo does not grow
+    with the inputs."""
     params = u.params
     if params != v.params:
         raise ValueError("mode operator: mixed ring parameters")
@@ -390,20 +398,23 @@ def term_pair_images(u: UVector, m, v: UVector | TVector, expand):
     twisted = isinstance(v, TVector)
     given = (
         expand,
+        place,
+        target,
         twisted,
         [(key, c.terms) for key, c in u.terms.items()],
         [(key, c.terms) for key, c in v.terms.items()],
     )
     entry = params.memo.get("pair")
     if entry is None or entry[0] != given:
-        entry = params.memo["pair"] = (given, _plan(params, u, v, expand, twisted))
-    for r, s, index, factor, skeleton in entry[1]:
+        w = v if target is None else target[0](target[1], v)
+        entry = params.memo["pair"] = (given, _plan(params, u, w, expand, place, twisted))
+    for r, s, placement, skeleton in entry[1]:
         t0 = _budget(params, r, s, m, twisted)
         if t0 is None:
             continue
         image = _create(params, r, t0, twisted, skeleton)
         if image:
-            yield r, index, image, factor
+            yield placement, image
 
 
 def _one_row(params: RingParams, nu: tuple, r: int) -> tuple:
@@ -412,19 +423,30 @@ def _one_row(params: RingParams, nu: tuple, r: int) -> tuple:
     return ((0, nu, 1, 1),)
 
 
+def _place(params: RingParams, r: int, s: int, factor: Scalar | None) -> tuple:
+    """(index, lift): an untwisted image at lattice index r on a term at
+    index s lands at index r + s, each coefficient lifted by the factor
+    (`_lift`)."""
+    return r + s, _lift(params, factor)
+
+
 def vertex_mode(u: UVector, m, v: UVector) -> UVector:
     """The mode u_m of the untwisted operator of u, applied to v, exactly:
     each term of u is its own kernel row (`_one_row`), and an image key at
-    lattice index r against index s lands at index r + s."""
+    lattice index r against index s lands at index r + s (`_place`)."""
     if not isinstance(v, UVector):
         raise TypeError(f"vertex_mode does not apply to {type(v).__name__}")
-    params = u.params
+    return _vertex_images(u, m, v, None)
+
+
+def _vertex_images(u: UVector, m, v: UVector, target) -> UVector:
+    """`vertex_mode` of u on v, or on the `target` of v (see
+    `term_pair_images`): the untwisted intertwiners' operator."""
     acc: dict = {}
-    for r, s, image, factor in term_pair_images(u, m, v, _one_row):
-        lift = _lift(params, factor)
+    for (index, lift), image in term_pair_images(u, m, v, _one_row, _place, target):
         for key, q in image.items():
-            add_into(acc, (tuple([p >> 1 for p in key]), r + s), lift(q))
-    return UVector._wrap(params, acc)
+            add_into(acc, (tuple([p >> 1 for p in key]), index), lift(q))
+    return UVector._wrap(u.params, acc)
 
 
 # -- distinguished vectors -------------------------------------------------------

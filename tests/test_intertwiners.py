@@ -7,6 +7,7 @@ from functools import partial
 import pytest
 
 from orbifold_voa import labels as lb
+from orbifold_voa import untwisted
 from orbifold_voa.fock import (
     UVector,
     lattice_vector,
@@ -214,3 +215,116 @@ def test_eigenprojected_witnesses_match_nonzero_types(params):
                     w2.code,
                     w3.code,
                 )
+
+
+# -- the planned target: checked, theta-composed and phase-twisted once per plan ---
+
+
+def composed_intertwiner_mode(spec: IntertwinerSpec, u: UVector, m, v: UVector) -> UVector:
+    """The untwisted intertwiners as the vertex operator on the target of v
+    made afresh at every mode: the composition the package ran before the
+    mode driver planned the target, kept as the reference."""
+    return vertex_mode(u, m, phase_apply(spec.r, target_of(spec, v)))
+
+
+def _reference_inputs(params: RingParams, r: int, s: int) -> tuple:
+    """u with three terms in the coset r mod 2k, and two v in the coset s:
+    one with several terms, one whose coefficient is not rational."""
+    two_k = 2 * params.k
+    u = (
+        lattice_vector(params, r)
+        + u_term(params, [1], r + two_k, Fraction(-2, 3))
+        + u_term(params, [2], r, params.zeta(1))
+    )
+    several = (
+        lattice_vector(params, s)
+        + u_term(params, [2, 1], s, Fraction(1, 3))
+        + u_term(params, [1], s - two_k, -2)
+    )
+    irrational = u_term(params, [1, 1], s, params.zeta(1) + params.two_to(Fraction(1, two_k)))
+    return u, (several, irrational)
+
+
+@pytest.mark.parametrize("k", (1, 2, 3, 4))
+def test_untwisted_intertwiners_match_the_composed_reference(k):
+    """Y_rs and Y_rs∘theta equal `composed_intertwiner_mode` at every mode
+    of their support grid: each sweep runs whole on its own plan before the
+    reference, whose vertex_mode calls replace that plan, is swept."""
+    params = RingParams(k)
+    two_k = 2 * k
+    nonzero = {Y_RS: 0, Y_RS_THETA: 0}
+    for r, s in ((1, 1), (k, 1 - k), (0, k), (k + 1, 2)):
+        u, vs = _reference_inputs(params, r, s)
+        for kind in (Y_RS, Y_RS_THETA):
+            spec = IntertwinerSpec(kind, r % two_k, s % two_k)
+            for v in vs:
+                modes = support_modes(u, target_of(spec, v), 3)
+                got = [intertwiner_mode(spec, u, m, v) for m in modes]
+                want = [composed_intertwiner_mode(spec, u, m, v) for m in modes]
+                assert got == want, (spec.name, r, s)
+                nonzero[kind] += sum(map(bool, got))
+    assert min(nonzero.values()) > 0, nonzero
+
+
+def _counted_plans(monkeypatch) -> list:
+    """The target v of every plan the mode driver builds from here on."""
+    plans = []
+
+    def counted(params, u, v, *args, _plan=untwisted._plan):
+        plans.append(v)
+        return _plan(params, u, v, *args)
+
+    monkeypatch.setattr(untwisted, "_plan", counted)
+    return plans
+
+
+def test_a_theta_composed_sweep_builds_one_plan(monkeypatch):
+    params = RingParams(2)
+    spec = IntertwinerSpec(Y_RS_THETA, 1, 3)
+    u, (v, _irrational) = _reference_inputs(params, 1, 3)
+    modes = support_modes(u, theta(v), 4)
+    assert len(modes) > 1
+    plans = _counted_plans(monkeypatch)
+    images = [intertwiner_mode(spec, u, m, v) for m in modes]
+    assert plans == [phase_apply(1, theta(v))]
+    monkeypatch.undo()
+    assert images == [composed_intertwiner_mode(spec, u, m, v) for m in modes]
+    assert any(images)
+
+
+def test_each_kind_plans_its_own_target(monkeypatch):
+    """Y_rs then Y_rs∘theta on the same (u, v) at one mode build two plans,
+    and the second call returns the theta-composed image, not the image
+    the first plan would give."""
+    params = RingParams(2)
+    # r * s / k is whole, so v and theta(v) put u on one grid
+    u, v = lattice_vector(params, 2), lattice_vector(params, 1) + u_term(params, [1], -3, 2)
+    plain, composed = IntertwinerSpec(Y_RS, 2, 1), IntertwinerSpec(Y_RS_THETA, 2, 1)
+    m = next(
+        m
+        for m in support_modes(u, v, 4)
+        if composed_intertwiner_mode(composed, u, m, v) and composed_intertwiner_mode(plain, u, m, v)
+    )
+    params.memo.clear()
+    plans = _counted_plans(monkeypatch)
+    first = intertwiner_mode(plain, u, m, v)
+    second = intertwiner_mode(composed, u, m, v)
+    assert plans == [phase_apply(2, v), phase_apply(2, theta(v))]
+    monkeypatch.undo()
+    assert first == composed_intertwiner_mode(plain, u, m, v)
+    assert second == composed_intertwiner_mode(composed, u, m, v)
+    assert first != second
+
+
+def test_a_planned_vector_is_checked_again_under_another_spec():
+    """A v planned under one spec is refused under a spec whose coset it is
+    not in, on the very next call."""
+    params = RingParams(3)
+    u, v = lattice_vector(params, 1), lattice_vector(params, 2) + u_term(params, [1], -4)
+    fits = IntertwinerSpec(Y_RS, 1, 2)
+    modes = support_modes(u, v, 2)
+    assert any([intertwiner_mode(fits, u, m, v) for m in modes])
+    for kind in (Y_RS, Y_RS_THETA):
+        with pytest.raises(ValueError, match="second input lives at lattice index"):
+            intertwiner_mode(IntertwinerSpec(kind, 1, 4), u, modes[-1], v)
+        intertwiner_mode(fits, u, modes[-1], v)

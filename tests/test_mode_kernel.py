@@ -791,6 +791,32 @@ def test_placement_takes_no_product_per_key(k, r, monkeypatch):
     assert sum(len(image.terms) for image in got) > 0
 
 
+@pytest.mark.parametrize("k", (2, 4))
+def test_a_phase_of_u_factors_out_of_the_twisted_placement(k):
+    """`tilde_mode` and `mtheta_mode` of zeta^a e[r] are zeta^a times the
+    image of e[r]: the plan item's lift is the signed monomial times the
+    phase, made when the plan is built.  At even k the monomial of r = 1
+    is in the sqrt(2) form (b = 2k - 1 >= k), that of r = 2 at k = 4 too
+    (b = k), and r = 2 at k = 2, r = 0 and r = 2k give a unit monomial."""
+    params = RingParams(k)
+    v = t_term(params, [HALF], 1) + t_term(params, [Fraction(3, 2), HALF], 2, Fraction(-2, 3))
+    nonzero = 0
+    for r in (1, 2, 0, 2 * k):
+        e_r = lattice_vector(params, r)
+        for op in (twisted.tilde_mode, twisted.mtheta_mode):
+            modes = support_modes(e_r, v, 3)
+            bare = [op(e_r, m, v) for m in modes]
+            for a in (1, 3, 2 * k - 1):
+                zeta = params.zeta(a)
+                assert [op(e_r * zeta, m, v) for m in modes] == [image * zeta for image in bare], (
+                    op.__name__,
+                    r,
+                    a,
+                )
+            nonzero += sum(map(bool, bare))
+    assert nonzero > 0
+
+
 def test_returned_vectors_do_not_alias_the_ring_memo():
     params = RingParams(2)
     cases = (
@@ -1476,8 +1502,8 @@ def test_a_changed_pair_is_planned_afresh(twisted_):
 def test_a_plan_is_not_shared_between_the_lattices():
     """At k = 1 the untwisted e[2] and the twisted vacuum in sector 2 have
     the same key and coefficient, and an integer m is on both grids of
-    u at index 2; driven with one row function, the two calls get the
-    images of fresh calls, which differ."""
+    u at index 2; driven with one row and one placement function, the two
+    calls get the images of fresh calls, which differ."""
     params = RingParams(1)
     u = u_term(params, [1], 2)
     pairs = []
@@ -1485,7 +1511,8 @@ def test_a_plan_is_not_shared_between_the_lattices():
         for fresh in (False, True):
             if fresh:
                 params.memo.clear()
-            pairs.append(list(untwisted.term_pair_images(u, -2, v, untwisted._one_row)))
+            images = untwisted.term_pair_images(u, -2, v, untwisted._one_row, untwisted._place)
+            pairs.append([(placement[0], image) for placement, image in images])
     assert pairs[0] == pairs[1] and pairs[2] == pairs[3]
     assert pairs[0] and pairs[2] and pairs[0] != pairs[2]
 
@@ -1525,3 +1552,31 @@ def test_twisted_operators_vanish_off_their_grid(monkeypatch, k):
             plan = params.memo["pair"]
             assert not op(u, m_off, v), (name, m_off)
             assert params.memo["pair"] is plan, name
+
+
+@pytest.mark.parametrize("k", (1, 2, 3))
+def test_untwisted_operators_vanish_off_their_grid(k):
+    """vertex_mode, Y_rs and Y_rs∘theta give the zero vector at a mode off
+    their grid -rs/2k + Z once a sweep has planned the pair: the plan
+    serves the call, and its every item is skipped at the budget, which a
+    half-unit shift makes odd and a third-unit shift leaves a remainder.
+    (The twisted operators' case is the test above.)"""
+    params = RingParams(k)
+    # every term pair is on one grid
+    u, v = _coset_u(params, 1), _untwisted_v(params, 1)
+    cases = {
+        "vertex": (untwisted.vertex_mode, v),
+        "Y_rs": (partial(intertwine.intertwiner_mode, intertwine.IntertwinerSpec(intertwine.Y_RS, 1, 1)), v),
+        "Y_rs_theta": (
+            partial(intertwine.intertwiner_mode, intertwine.IntertwinerSpec(intertwine.Y_RS_THETA, 1, 1)),
+            theta(v),
+        ),
+    }
+    for name, (op, grid) in cases.items():
+        sweep = support_modes(u, grid, 3)
+        assert any([op(u, m, v) for m in sweep]), name
+        plan = params.memo["pair"]
+        for m_off in (sweep[0] + HALF, sweep[-1] - Fraction(1, 3)):
+            image = op(u, m_off, v)
+            assert not image and type(image) is UVector, (name, m_off)
+            assert params.memo["pair"] is plan, (name, m_off)
