@@ -40,7 +40,6 @@ KEPT = {
     "zhu.top_action": "bench/layertrace.py wraps it by name (ROADMAP item 1(a))",
     "labels.ModuleLabel._make": "`_replace` calls it, so a replaced label is checked",
     "ring.RingParams._mul_basis": "the product of two irrational Scalars, for ROADMAP items 4-6",
-    "cli.build_parser": "the tests read the whole parser tree",
     "ring.RingParams.scalar": "the tests read it",
     "ring.Scalar.__sub__": "the tests subtract Scalars (tests/test_fock.py)",
     "ring.Scalar.__rmul__": "the tests scale a Scalar from the left (tests/test_mode_kernel.py)",

@@ -40,6 +40,9 @@ matched-sign half-shift triples against the odd lattice piece, listed by
 Va+ and Va- have the same Heisenberg-orbifold constituents.  The other
 24k + 88 have two twisted labels, whose twisted sector the restriction to
 constituents forgets.
+
+`direct_witness` names the intertwiner (`IntertwinerSpec`) that covers a
+triple from its labels alone; `intertwine` evaluates it.
 """
 
 from __future__ import annotations
@@ -463,3 +466,75 @@ def bound_blind_zeros(k: int) -> list[Triple]:
         out.append((va, vm, va))
         out.append((va, contragredient(va, k), vm))
     return out
+
+
+# -- naming the explicit constructions ---------------------------------------------
+
+# intertwiner kinds
+Y_RS = "Y_rs"                  # vertex operator with phase twist
+Y_RS_THETA = "Y_rs_theta"      # same, precomposed with theta on the target
+TILDE = "tilde_Y"              # twisted, sector maps attached
+
+KINDS = (Y_RS, Y_RS_THETA, TILDE)
+
+
+class _SpecFields(NamedTuple):
+    kind: str
+    r: int = 0
+    s: int = 0
+
+
+class IntertwinerSpec(_SpecFields):
+    """A named explicit intertwiner: kind plus the lattice coset data.
+
+    r is the coset index of the first module; s of the second (unused by
+    the twisted kinds, which read sector data off the vectors).  The
+    operator itself is `intertwine.intertwiner_mode`.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, kind: str, r: int = 0, s: int = 0) -> IntertwinerSpec:
+        if kind not in KINDS:
+            raise ValueError(f"unknown intertwiner kind {kind!r}")
+        return super().__new__(cls, kind, r, s)
+
+    @property
+    def name(self) -> str:
+        if self.kind == Y_RS:
+            return f"Y[{self.r},{self.s}]"
+        if self.kind == Y_RS_THETA:
+            return f"Y[{self.r},{-self.s}]∘theta"
+        return f"Ytilde[{self.r}]"
+
+
+def direct_witness(k: int, triple) -> tuple[IntertwinerSpec, int] | None:
+    """The explicit construction covering a triple, if one applies directly,
+    chosen from the labels alone: their kinds, the number of twisted labels
+    and the lattice cosets of the untwisted ones.
+
+    Returns (spec, target_sign) with target_sign 0 when the target is a
+    full lattice coset rather than an eigenspace.  Triples whose first
+    label is twisted (reachable only through the fusion symmetries) get
+    None, and so do twisted pairs in sectors Ytilde[r1] does not connect.
+    `intertwine.witness_vectors` builds the inputs to evaluate the spec on.
+    """
+    w1, w2, w3 = triple
+    if w1.is_twisted:
+        return None
+    n_twisted = sum(1 for w in triple if w.is_twisted)
+    if n_twisted in (1, 3):
+        return None  # these fusion rules all vanish; nothing to witness
+    r1 = lb.lattice_coset(w1, k)
+    if n_twisted == 2:
+        if not quasi_admissible(r1, w2.sector, w3.sector):
+            return None
+        return IntertwinerSpec(TILDE, r1), w3.sign
+    r2 = lb.lattice_coset(w2, k)
+    r3 = lb.lattice_coset(w3, k)
+    sign = w3.sign if w3.kind in (lb.VAC, lb.HALF) else 0
+    if (r1 + r2 - r3) % (2 * k) == 0:
+        return IntertwinerSpec(Y_RS, r1, r2), sign
+    if (r1 - r2 - r3) % (2 * k) == 0:
+        return IntertwinerSpec(Y_RS_THETA, r1, r2), sign
+    return None

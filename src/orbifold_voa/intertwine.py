@@ -1,6 +1,8 @@
 """Explicit intertwining operators between the irreducible modules, the
 search for the first nonzero mode of each, and the forced-zero
-verification for the one case the restriction bound cannot see.
+verification for the one case the restriction bound cannot see.  Their
+names (`IntertwinerSpec`, the kinds, and `direct_witness`, which picks one
+for a triple) read labels alone and live in `fusion`.
 
 Untwisted intertwiners compose the plain vertex operator with a phase
 twist: the operator attached to u at lattice index a multiplies a target
@@ -15,8 +17,6 @@ on each twisted eigenmodule as +-1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import labels as lb
 from .fock import (
     TVector,
@@ -27,16 +27,12 @@ from .fock import (
     theta,
     top_vector,
 )
+# still bound here: bench/layertrace.py wraps `intertwine.direct_witness` by name
+# and bench/workloads.py builds `intertwine.IntertwinerSpec` (ROADMAP item 1(a))
+from .fusion import KINDS, TILDE, Y_RS, Y_RS_THETA, IntertwinerSpec, direct_witness
 from .ring import RingParams
 from .twisted import tilde_mode
 from .untwisted import _vertex_images, e_vec, f_vec, support_modes, vertex_mode
-
-# intertwiner kinds
-Y_RS = "Y_rs"                  # vertex operator with phase twist
-Y_RS_THETA = "Y_rs_theta"      # same, precomposed with theta on the target
-TILDE = "tilde_Y"              # twisted, sector maps attached
-
-KINDS = (Y_RS, Y_RS_THETA, TILDE)
 
 
 def phase_apply(r: int, v: UVector) -> UVector:
@@ -48,31 +44,6 @@ def phase_apply(r: int, v: UVector) -> UVector:
         yield key, c * params.zeta(r * s)
 
     return v.map_terms(act)
-
-
-@dataclass(frozen=True)
-class IntertwinerSpec:
-    """A named explicit intertwiner: kind plus the lattice coset data.
-
-    r is the coset index of the first module; s of the second (unused by
-    the twisted kinds, which read sector data off the vectors).
-    """
-
-    kind: str
-    r: int = 0
-    s: int = 0
-
-    def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ValueError(f"unknown intertwiner kind {self.kind!r}")
-
-    @property
-    def name(self) -> str:
-        if self.kind == Y_RS:
-            return f"Y[{self.r},{self.s}]"
-        if self.kind == Y_RS_THETA:
-            return f"Y[{self.r},{-self.s}]∘theta"
-        return f"Ytilde[{self.r}]"
 
 
 def target_of(spec: IntertwinerSpec, v):
@@ -188,38 +159,6 @@ def forced_zero_coupling(params: RingParams) -> bool:
 
 
 # -- matching explicit constructions to fusion triples ------------------------------
-
-
-def direct_witness(k: int, triple) -> tuple[IntertwinerSpec, int] | None:
-    """The explicit construction covering a triple, if one applies directly,
-    chosen from the labels alone: their kinds, the number of twisted labels
-    and the lattice cosets of the untwisted ones.
-
-    Returns (spec, target_sign) with target_sign 0 when the target is a
-    full lattice coset rather than an eigenspace.  Triples whose first
-    label is twisted (reachable only through the fusion symmetries) get
-    None, and so do twisted pairs in sectors Ytilde[r1] does not connect.
-    `witness_vectors` builds the inputs to evaluate the spec on.
-    """
-    w1, w2, w3 = triple
-    if w1.is_twisted:
-        return None
-    n_twisted = sum(1 for w in triple if w.is_twisted)
-    if n_twisted in (1, 3):
-        return None  # these fusion rules all vanish; nothing to witness
-    r1 = lb.lattice_coset(w1, k)
-    if n_twisted == 2:
-        if not lb.quasi_admissible(r1, w2.sector, w3.sector):
-            return None
-        return IntertwinerSpec(TILDE, r1), w3.sign
-    r2 = lb.lattice_coset(w2, k)
-    r3 = lb.lattice_coset(w3, k)
-    sign = w3.sign if w3.kind in (lb.VAC, lb.HALF) else 0
-    if (r1 + r2 - r3) % (2 * k) == 0:
-        return IntertwinerSpec(Y_RS, r1, r2), sign
-    if (r1 - r2 - r3) % (2 * k) == 0:
-        return IntertwinerSpec(Y_RS_THETA, r1, r2), sign
-    return None
 
 
 def witness_vectors(params: RingParams, triple) -> tuple[UVector, UVector | TVector]:

@@ -28,9 +28,9 @@ reduced sqrt(2)), a key of a rational term pair is only wrapped.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 from .fock import HALF_ONE, TVector, UVector, add_into, heis_act, theta
 from .ring import RingParams, Scalar
@@ -142,8 +142,7 @@ def _matmul(a: Matrix, b: Matrix) -> Matrix:
     )  # type: ignore[return-value]
 
 
-@dataclass(frozen=True)
-class PsiMap:
+class PsiMap(NamedTuple):
     """Signed permutation of the two sector characters."""
 
     matrix: Matrix

@@ -18,20 +18,20 @@ from hypothesis import strategies as st
 
 import cli_lines
 from cli_lines import V3
-from orbifold_voa import cli, intertwine, ring
+from orbifold_voa import cli, intertwine, ring, verify
 from orbifold_voa import labels as lb
 from orbifold_voa.cli import (
     EXIT_FAIL,
     EXIT_INCONSISTENT,
     EXIT_OK,
-    SUITES,
     build_parser,
     main,
     witness_names,
 )
 from orbifold_voa.fock import TVector, UVector, heis_act, lattice_vector, m1_graded_dim, twisted_basis
 from orbifold_voa.fusion import EngineInconsistencyError, get_engine
-from orbifold_voa.intertwine import direct_witness
+from orbifold_voa.verify import SUITES
+from orbifold_voa.fusion import direct_witness
 from orbifold_voa.twisted import delta_table, lattice_sector_map, psi_map
 
 
@@ -248,7 +248,7 @@ def test_verify_jacobi_items_compare_nonzero_images(capsys, monkeypatch, k):
     # each item runs several checker calls; record every call's own count,
     # so a call that compared only zeros cannot hide behind the others
     counts = []
-    swept = cli._swept
+    swept = verify._swept
 
     def recording(results, detail):
         def record():
@@ -258,7 +258,7 @@ def test_verify_jacobi_items_compare_nonzero_images(capsys, monkeypatch, k):
 
         return swept(record(), detail)
 
-    monkeypatch.setattr(cli, "_swept", recording)
+    monkeypatch.setattr(verify, "_swept", recording)
     code, out, _ = run(capsys, "verify", "jacobi", "--k", k, "--format", "json")
     assert code == EXIT_OK
     results = json.loads(out)["results"]
@@ -296,8 +296,8 @@ def test_verify_jacobi_checks_the_twisted_basis_up_to_weight_three_halves(capsys
         calls.append((mode, list(vectors)))
         return True, 1
 
-    monkeypatch.setattr(cli, "commutator_formula_check", commutators)
-    monkeypatch.setattr(cli, "conjugation_check", conjugations)
+    monkeypatch.setattr(verify, "commutator_formula_check", commutators)
+    monkeypatch.setattr(verify, "conjugation_check", conjugations)
     code, _, _ = run(capsys, "verify", "jacobi", "--k", str(k), "--cutoff", "0")
     assert code == EXIT_OK
     params = ring.RingParams(k)
@@ -313,8 +313,8 @@ def test_verify_jacobi_checks_the_twisted_basis_up_to_weight_three_halves(capsys
     # the twisted commutators at r = 1, k, 2k, then conjugation at three u,
     # then the sector-map conjugation at two u
     assert twisted == (
-        [(cli.mtheta_mode, sector1)] * (len({1, k, 2 * k}) + 3)
-        + [(cli.tilde_mode, sector1 + sector2)] * 2
+        [(verify.mtheta_mode, sector1)] * (len({1, k, 2 * k}) + 3)
+        + [(verify.tilde_mode, sector1 + sector2)] * 2
     )
 
 
@@ -340,24 +340,38 @@ COMMAND_PATHS = (
 )
 
 
+def no_parsers_built():
+    """Forget every parser built so far, as a fresh process starts."""
+    cli._parsers.cache_clear()
+    cli._leaf.cache_clear()
+
+
+def tree_built() -> bool:
+    return cli._parsers.cache_info().currsize > 0
+
+
 @pytest.mark.parametrize(
     "argv", PARSE_LINES + tuple(words + rest for words, rest in COMMAND_PATHS),
     ids=lambda argv: " ".join(argv) or "no arguments",
 )
 def test_main_parses_a_line_as_the_whole_tree_does(capsys, argv):
-    """`main` hands a line to the parser its command words name.  A line the
-    tree refuses or answers with help must print and exit as the tree's
-    `parse_args` does, leftovers refused with the top-level usage; a line
-    it parses must give the tree's namespace but for the `command` and
-    `which` dests of the levels walked past."""
+    """`main` hands a line to the parser its command words name, built on
+    its own.  A line the tree refuses or answers with help must print and
+    exit as the tree's `parse_args` does, leftovers refused with the
+    top-level usage; a line it parses must give the tree's namespace but
+    for the `command` and `which` dests of the levels walked past, with no
+    tree built."""
     try:
         tree = build_parser().parse_args(argv)
     except SystemExit as exc:
         want = (EXIT_FAIL if exc.code else EXIT_OK, *capsys.readouterr())
+        no_parsers_built()
         assert run(capsys, *argv) == want
         return
     want = {dest: v for dest, v in vars(tree).items() if dest not in ("command", "which")}
+    no_parsers_built()
     assert vars(cli._parse(list(argv))) == want
+    assert not tree_built()
     assert capsys.readouterr() == ("", "")
 
 
@@ -467,15 +481,18 @@ def _outcome(parse, argv):
 @example(argv=["fusion", "query", "V+", "--k", "2", "V+", "V+"])
 @example(argv=["witness", "--k", "2", "--type", "-h"])  # a str option takes no dash value
 def test_a_near_valid_line_is_parsed_as_the_whole_tree_does(argv):
-    """`_parse`, whether it reads the line itself or hands it to argparse,
-    gives the tree's namespace but for the `command` and `which` dests,
-    or the tree's exit code and output; an unknown option beside a loose
-    positional is named with its value (see
-    `test_an_unknown_option_is_named_with_its_value`), so there only the
-    message up to `unrecognized arguments:` is the tree's."""
-    want, got = _outcome(build_parser().parse_args, argv), _outcome(cli._parse, argv)
+    """`_parse`, from no parser built, whether it reads the line itself or
+    hands it to argparse, gives the tree's namespace but for the `command`
+    and `which` dests, with no tree built, or the tree's exit code and
+    output; an unknown option beside a loose positional is named with its
+    value (see `test_an_unknown_option_is_named_with_its_value`), so there
+    only the message up to `unrecognized arguments:` is the tree's."""
+    want = _outcome(build_parser().parse_args, argv)
+    no_parsers_built()
+    got = _outcome(cli._parse, argv)
     if isinstance(want, dict):
         assert got == {dest: v for dest, v in want.items() if dest not in ("command", "which")}
+        assert not tree_built()
         return
     head = "error: unrecognized arguments: "
     if head in want[2]:
@@ -516,7 +533,7 @@ def test_verify_delta_index_symmetry_needs_an_off_diagonal_pair(capsys, cutoff, 
 
 
 def test_a_failing_item_does_not_print_its_pass_text(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "forced_zero_coupling", lambda params: False)
+    monkeypatch.setattr(verify, "forced_zero_coupling", lambda params: False)
     code, out, _ = run(capsys, "verify", "p31", "--k", "2", "--format", "json")
     assert code == EXIT_FAIL
     [item] = json.loads(out)["results"]
@@ -525,7 +542,7 @@ def test_a_failing_item_does_not_print_its_pass_text(capsys, monkeypatch):
 
 
 def test_a_bound_below_a_fusion_value_fails_the_soundness_item(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "upper_bound", lambda w1, w2, w3, k: 0)
+    monkeypatch.setattr(verify, "upper_bound", lambda w1, w2, w3, k: 0)
     code, out, _ = run(capsys, "verify", "bounds", "--k", "2", "--format", "json")
     assert code == EXIT_FAIL
     item = json.loads(out)["results"][0]
@@ -534,7 +551,7 @@ def test_a_bound_below_a_fusion_value_fails_the_soundness_item(capsys, monkeypat
 
 
 def test_a_constituent_count_that_falls_short_fails_the_decomposition_items(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "m1_graded_dim", lambda k, m1, weight, count: [0] * count)
+    monkeypatch.setattr(verify, "m1_graded_dim", lambda k, m1, weight, count: [0] * count)
     code, out, _ = run(capsys, "verify", "decomp", "--k", "2", "--format", "json")
     assert code == EXIT_FAIL
     results = json.loads(out)["results"]
@@ -553,7 +570,7 @@ def test_one_constituent_off_at_one_step_fails_at_that_weight(capsys, monkeypatc
             dims[3] += 1
         return dims
 
-    monkeypatch.setattr(cli, "m1_graded_dim", one_step_off)
+    monkeypatch.setattr(verify, "m1_graded_dim", one_step_off)
     code, out, _ = run(capsys, "verify", "decomp", "--k", "2")
     assert code == EXIT_FAIL
     first, *rest = out.splitlines()
@@ -568,7 +585,7 @@ def _skewed_delta_table(order):
     return tab
 
 
-# (suite, the cli input patched, its replacement, the item's FAIL line): each
+# (suite, the `verify` input patched, its replacement, the item's FAIL line): each
 # replacement makes one `fail` return of the item fire, the first it reaches
 FAIL_RETURNS = {
     "delta symmetry": (
@@ -604,7 +621,7 @@ FAIL_RETURNS = {
 @pytest.mark.parametrize("case", FAIL_RETURNS)
 def test_a_failing_check_prints_its_item_as_fail(capsys, monkeypatch, case):
     suite, name, replacement, line = FAIL_RETURNS[case]
-    monkeypatch.setattr(cli, name, replacement)
+    monkeypatch.setattr(verify, name, replacement)
     cutoff = ("--cutoff", "0") if suite == "jacobi" else ()
     code, out, _ = run(capsys, "verify", suite, "--k", "2", *cutoff)
     assert code == EXIT_FAIL
@@ -763,26 +780,46 @@ def test_inconsistent_table_exits_2(capsys, monkeypatch, argv):
         raise EngineInconsistencyError({(lb.u_plus(), lb.u_plus(), lb.u_minus())}, set())
 
     monkeypatch.setattr(cli, "get_engine", inconsistent)
+    monkeypatch.setattr(verify, "get_engine", inconsistent)
     code, out, err = run(capsys, *argv)
     assert code == EXIT_INCONSISTENT
     assert out == ""
     assert err.startswith("fusion table inconsistent: ")
 
 
+def fresh_env() -> dict:
+    """The environment of a fresh `python -m orbifold_voa.cli` on this src."""
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+
+
 def test_a_closed_stdout_ends_the_output_without_a_traceback():
     """The reader takes one line and closes the pipe, as `| head -1` does.
     The table is larger than a pipe's buffer, so the command is still
     writing when the pipe closes."""
-    src = str(Path(cli.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
     argv = [sys.executable, "-m", "orbifold_voa.cli", "fusion", "table", "--k", "16"]
-    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=fresh_env()) as proc:
         assert proc.stdout.readline() == b"w1,w2,w3,value\n"
         proc.stdout.close()
         err = proc.stderr.read()
         code = proc.wait(timeout=60)
     assert err == b""
     assert code == EXIT_FAIL
+
+
+@pytest.mark.parametrize(
+    "line, err",
+    (
+        ("verify decomp --k 1 --cutoff 1/3", "verify decomp needs a --cutoff that is a multiple of 1/2"),
+        ("verify delta --cutoff 1/2", "verify delta needs an integer --cutoff"),
+    ),
+)
+def test_a_suite_s_usage_error_in_a_fresh_process_is_main_s(line, err):
+    # `python -m` runs cli as __main__, and the suites, which `verify` holds,
+    # raise cli's UsageError: it must be the class that `main` catches
+    argv = [sys.executable, "-m", "orbifold_voa.cli", *line.split()]
+    proc = subprocess.run(argv, capture_output=True, text=True, env=fresh_env(), timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (EXIT_FAIL, "", f"error: {err}\n")
 
 
 # sha256 (first 16 hex digits) over "W1,W2,W3:names" lines of every value-1
@@ -836,12 +873,12 @@ def test_symmetry_sweep_matches_the_label_sweep(k):
     # the triple is its own swap and dual image) both sweeps give the same
     # verdict, and a failure names the same first triple and symmetry
     eng = get_engine(k)
-    assert cli._symmetry_sweep(eng) == _label_sweep(eng) == ("pass", f"all {(k + 7) ** 3} triples symmetric")
+    assert verify._symmetry_sweep(eng) == _label_sweep(eng) == ("pass", f"all {(k + 7) ** 3} triples symmetric")
     kinds = set()
     for t in sorted(eng.table)[:: max(1, len(eng.table) // 12)]:
         broken = copy.copy(eng)
         broken.table = eng.table - {t}
-        got = cli._symmetry_sweep(broken)
+        got = verify._symmetry_sweep(broken)
         assert got == _label_sweep(broken), t
         kinds.add(got[1].split()[0])
     assert {"swap", "dual"} <= kinds

@@ -29,9 +29,9 @@ from orbifold_voa.fock import (
     u_term,
     vacuum,
 )
-from orbifold_voa.cli import decomp_window
 from orbifold_voa.fusion import decompose
 from orbifold_voa.ring import RingParams, Scalar
+from orbifold_voa.verify import decomp_window
 
 HALF = Fraction(1, 2)
 
