@@ -86,8 +86,11 @@ class _SparseVector:
         if type(other) is not type(self):
             return NotImplemented
         out = dict(self.terms)
-        for key, c in other.terms.items():
-            add_into(out, key, c)
+        if out.keys().isdisjoint(other.terms.keys()):
+            out.update(other.terms)
+        else:
+            for key, c in other.terms.items():
+                add_into(out, key, c)
         return self._wrap(self.params, out)
 
     def __neg__(self):
@@ -112,11 +115,6 @@ class _SparseVector:
         return self._wrap(self.params, {k: v * c for k, v in self.terms.items()})
 
     __rmul__ = __mul__
-
-    def __truediv__(self, c):
-        if isinstance(c, (int, Fraction)):
-            return self * (Fraction(1) / Fraction(c))
-        return NotImplemented
 
     def __eq__(self, other) -> bool:
         return type(other) is type(self) and self.terms == other.terms

@@ -71,7 +71,8 @@ class RingParams:
     * ("create", r, pending, w, twisted): the creation stage of the mode
       kernel as (den, rows), integer numerators over one least common
       denominator, `untwisted._creation_table` (the table at -r with no
-      pending factors is read from the one at r);
+      pending factors is read from the one at r); a row holds an untwisted
+      part p as p, the unit of the output key, and a twisted one as 2p;
     * ("delta", nu, r): exp(Delta_z) of one term times 2^w, the rational
       part of the twisted prefactor 2^(-r^2/2k) = 2^w t^b,
       `twisted._delta_terms`;

@@ -32,7 +32,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
 
-from .fock import HALF_ONE, TVector, UVector, add_into, heis_act, theta
+from .fock import HALF_ONE, TVector, UVector, add_into, theta
 from .ring import RingParams, Scalar
 from .untwisted import _lift, halve, support_modes, tally, term_pair_images
 
@@ -92,40 +92,53 @@ def delta_coeff(m: int, n: int) -> Fraction:
     return delta_table(m + n)[(m, n)]
 
 
+def _contract(n: int, parts: tuple, r: int, k: int) -> tuple | None:
+    """alpha(n), n >= 0, on a(-parts) e[r] as (parts left, integer weight)
+    or None: a part n goes with weight 2kn times its multiplicity, and
+    alpha(0) multiplies by r."""
+    if not n:
+        return (parts, r) if r else None
+    mult = parts.count(n)
+    if not mult:
+        return None
+    i = parts.index(n)
+    return parts[:i] + parts[i + 1 :], 2 * k * n * mult
+
+
 def delta_apply(u: UVector) -> dict[int, UVector]:
     """Finite expansion of exp(Delta_z) u as {d: coefficient of z^(-d)}.
 
     Delta_z is quadratic in oscillator modes with strictly weight-lowering
-    terms, hence nilpotent on finite vectors; nothing is truncated.
-    """
-    params = u.params
-    k = params.k
-    if not u:
-        return {}
-    maxw = max((sum(parts) for (parts, _r) in u.terms), default=0)
-    table = delta_table(int(maxw)) if maxw else {}
-    pairs = [(mn, c) for mn, c in table.items() if c and sum(mn) >= 1]
-
-    def once(state: dict[int, UVector]) -> dict[int, UVector]:
-        out: dict[int, UVector] = {}
-        for d, vec in state.items():
-            for (mm, nn), c in pairs:
-                w = heis_act(mm, heis_act(nn, vec)) * (c / (2 * k))
-                if w:
-                    key = d + mm + nn
-                    out[key] = out[key] + w if key in out else w
-        return out
-
-    acc = {0: u}
-    cur = {0: u}
-    j = 1
-    while cur:
-        nxt = once(cur)
-        cur = {d: v / j for d, v in nxt.items() if v}
-        for d, v in cur.items():
-            acc[d] = acc[d] + v if d in acc else v
-        j += 1
-    return {d: v for d, v in acc.items() if v}
+    terms, hence nilpotent on finite vectors; nothing is truncated.  Each
+    term a(-nu) e[r] of u is expanded on a plain dict {(d, parts):
+    Fraction}, parts in the integer units of a UVector key, and each
+    output UVector is built once, the rows scaled by their term's
+    coefficient."""
+    k = u.params.k
+    out: dict[int, dict] = {}
+    for (nu, r), c in u.terms.items():
+        pairs = [(mm, nn, q) for (mm, nn), q in delta_table(sum(nu)).items() if q and mm + nn]
+        cur = {(0, nu): Fraction(1)}
+        acc = dict(cur)
+        j = 1
+        while cur:
+            nxt: dict[tuple, Fraction] = {}
+            for (d, parts), x in cur.items():
+                for mm, nn, q in pairs:
+                    first = _contract(nn, parts, r, k)
+                    second = first and _contract(mm, first[0], r, k)
+                    if second:
+                        key = (d + mm + nn, second[0])
+                        # at least one mode is positive, so 2k divides the weight
+                        nxt[key] = nxt.get(key, 0) + x * q * (first[1] * second[1] // (2 * k))
+            cur = {key: x / j for key, x in nxt.items() if x}
+            for key, x in cur.items():
+                acc[key] = acc.get(key, 0) + x
+            j += 1
+        for (d, parts), x in acc.items():
+            if x:
+                add_into(out.setdefault(d, {}), (parts, r), c * x)
+    return {d: UVector._wrap(u.params, terms) for d, terms in out.items() if terms}
 
 
 # -- sector endomorphisms -----------------------------------------------------------

@@ -12,12 +12,15 @@ of u at lattice index r on one term of v, a(-mu) e[s] (output index
 r + s) untwisted, and the half-odd partition mu with s = 0 twisted (the
 prefactor 2^(-r^2/2k) left out), so the same kernel evaluates the
 half-odd expansion behind the twisted operators.  Work is in doubled
-integer units: a part p of mu and of the output is held as 2p, even
-untwisted and odd twisted, and the z-budget is the one integer
-T = 2(-m-1-rs/2k) untwisted or 2(-m-1+r^2/4k) twisted (the z^{lambda(0)}
-factor, resp. the exponent shift, folded in), raised by 2d for the row
-at d (`_budget`); an m with T off that grid has no image.  An image maps
-doubled keys to nonzero Fractions.
+integer units: a part p of mu is walked as 2p, even untwisted and odd
+twisted, and the z-budget is the one integer T = 2(-m-1-rs/2k)
+untwisted or 2(-m-1+r^2/4k) twisted (the z^{lambda(0)} factor, resp. the
+exponent shift, folded in), raised by 2d for the row at d (`_budget`);
+an m with T off that grid has no image.  Only the budget arithmetic
+stays doubled: the creation tables and kept parts, and so an image's
+keys, hold an untwisted part as p, as a UVector key does, and a twisted
+one as the odd integer 2p (the twisted operators halve it once per
+ring).  An image maps its keys to nonzero Fractions.
 
 Evaluation is by explicit finite expansion in three stages, with equal
 paths merged as soon as they meet:
@@ -42,7 +45,8 @@ fixed before it starts (a factor a(-n) has all its coefficients over
 `_dden(n)`): stages 1 and 2 over the one of `_skeleton`, stage 3 over the
 least common multiple of the group and table denominators that meet the
 budget.  States and keys that cancel are dropped, and an output key
-becomes one Fraction at the end.
+becomes one Fraction at the end; where one row of one group meets the
+budget no two keys can meet, so its Fractions are made in one pass.
 
 One driver, `term_pair_images`, runs the kernel for the untwisted
 operator, the untwisted intertwiners and the twisted operators alike.  It
@@ -104,8 +108,9 @@ def _creation_table(
     ring.
 
     With no `pending` factors these are the terms of the creation
-    exponential of lambda_r.  Parts are doubled modes, odd when twisted and
-    even otherwise, listed in descending order; a part N carries
+    exponential of lambda_r.  The walk is over doubled modes N, odd when
+    twisted and even otherwise; a row holds an untwisted part as N/2 and a
+    twisted one as N, listed in descending order.  A part N carries
     (r/2k)/(N/2) = r/(kN), and i equal parts a further 1/i!.  One
     partition walk at r > 0 carries each coefficient as an integer
     numerator and denominator: the i-th copy of a part N multiplies them
@@ -124,13 +129,14 @@ def _creation_table(
     table = params.memo.get(key)
     if table is None:
         lo = 1 if twisted else 2
+        half = lo - 1  # a doubled part p leaves as p >> half
         if pending:
             n, rest = pending[0], pending[1:]
             subs = []
             for p in range(lo, w - lo * len(rest) + 1, 2):
                 dc = _dcoef(n, -p)
                 if dc:
-                    subs.append((p, dc, *_creation_table(params, r, w - p, twisted, rest)))
+                    subs.append((p >> half, dc, *_creation_table(params, r, w - p, twisted, rest)))
             den = lcm(*[ed for _p, _dc, ed, _rows in subs])
             merged: dict[tuple, int] = {}
             for p, dc, ed, rows in subs:
@@ -163,7 +169,7 @@ def _creation_table(
                 num, den = num * rg, den * kg
                 for n in range(lo, min(left, top) + 1, 2):
                     i = run + 1 if n == top else 1
-                    stack.append((left - n, n, parts + (n,), num, den * n * i, i))
+                    stack.append((left - n, n, parts + (n >> half,), num, den * n * i, i))
             # the lcm of reduced rows is their least common denominator
             den = lcm(*[d for _parts, _num, d in rows])
             table = (den, tuple([(parts, num * (den // d)) for parts, num, d in rows]))
@@ -180,8 +186,8 @@ def halve(key: tuple) -> tuple:
 def _skeleton(params: RingParams, r: int, mu: tuple, s: int, twisted: bool, terms: tuple) -> tuple:
     """Stages 1 and 2 of the mode kernel, the ones that do not read m, as
     ((pending, off, need, den, ((kept, num), ...)), ...): the rows of a
-    group, kept parts with integer numerators over the one denominator den
-    of the walk.
+    group, kept parts (in the units of the creation table's rows) with
+    integer numerators over the one denominator den of the walk.
 
     Stage 1 contracts each factor a(-n) of each term against a part of mu
     or pairs it with the lattice index s, or leaves it pending; after each
@@ -237,26 +243,28 @@ def _skeleton(params: RingParams, r: int, mu: tuple, s: int, twisted: bool, term
         for state, c in states.items():
             contracted[state] = contracted.get(state, 0) + c
 
+    lo = 1 if twisted else 2
+    half = lo - 1  # a doubled part p leaves as p >> half
     created: dict[tuple, int] = {}
     for (left, pending, off0), c0 in contracted.items():
         if not c0:
             continue
         paths = [((), off0 + 2 * sum(pending), c0)]
         for p, m_p in left:
+            kept_p = (p >> half,)
             step = []
             for kept, off, c in paths:
-                step.append((kept + (p,) * m_p, off, c))
+                step.append((kept + kept_p * m_p, off, c))
                 if r:
                     binom = 1
                     for j in range(1, m_p + 1):
                         binom = binom * (m_p - j + 1) // j
-                        step.append((kept + (p,) * (m_p - j), off + p * j, c * (-r) ** j * binom))
+                        step.append((kept + kept_p * (m_p - j), off + p * j, c * (-r) ** j * binom))
             paths = step
         for kept, off, c in paths:
             state = (kept, pending, off)
             created[state] = created.get(state, 0) + c
 
-    lo = 1 if twisted else 2
     groups: dict[tuple, list] = {}
     for (kept, pending, off), c in created.items():
         if c:
@@ -283,7 +291,8 @@ def _budget(params: RingParams, r: int, s: int, m: Fraction, twisted: bool) -> i
 
 def _create(params: RingParams, r: int, t0: int, twisted: bool, skeleton: tuple) -> dict:
     """Stage 3 of the mode kernel on the states of a `_skeleton` at the
-    budget t0: a fresh {doubled key: nonzero Fraction}.
+    budget t0: a fresh {key: nonzero Fraction}, untwisted parts in their
+    own units and twisted parts doubled.
 
     A group's rows and its creation table each hold integer numerators over
     one denominator, so a product of the two lies over the product of the
@@ -299,6 +308,10 @@ def _create(params: RingParams, r: int, t0: int, twisted: bool, skeleton: tuple)
             live.append((den * tden, rows, table))
     if not live:
         return {}
+    if len(live) == 1 and len(live[0][1]) == 1:
+        # table rows have distinct parts, so the keys of one row meet no other
+        den, ((kept, num),), table = live[0]
+        return {sort_parts(kept + parts) if kept else parts: Fraction(num * e, den) for parts, e in table}
     common = lcm(*[den for den, _rows, _table in live])
     out: dict[tuple, int] = {}
     for den, rows, table in live:
@@ -323,13 +336,13 @@ def _weight(c: Scalar) -> tuple[int, int, Scalar | None]:
 
 
 def _lift(params: RingParams, factor: Scalar | None):
-    """The map from a Fraction q to the Scalar q times `factor` (None for
-    1), chosen once per factor.  When every coefficient of the factor is
-    +-1 (1, a phase zeta^a, the twisted prefactor's monomial t^b or its
-    even-k sqrt(2) form, each times a sign) q is only wrapped, as the
-    Scalar {basis: +-q}, with no product; otherwise each q takes one
-    `_scaled(q)`."""
-    if factor is None:
+    """The map from a Fraction q to the Scalar q times `factor` (None or
+    the Scalar 1 for 1), chosen once per factor.  When every coefficient
+    of the factor is +-1 (1, a phase zeta^a, the twisted prefactor's
+    monomial t^b or its even-k sqrt(2) form, each times a sign) q is only
+    wrapped, as the Scalar {basis: +-q}, with no product; otherwise each q
+    takes one `_scaled(q)`."""
+    if factor is None or factor.terms == {(0, 0): 1}:
         return lambda q: Scalar(params, {(0, 0): q})
     terms = factor.terms
     if all(c == 1 or c == -1 for c in terms.values()):
@@ -372,11 +385,12 @@ def term_pair_images(u: UVector, m, v: UVector | TVector, expand, place, target=
     grouped by r and by the part of their coefficient that is not rational
     (`_weight`); the rational parts of u and of the term of v scale the
     rows.  A TVector v runs the kernel twisted, its keys holding a sector
-    where untwisted keys hold a lattice index.  The image holds doubled
-    parts.  `place(params, r, index, factor)`, a module-level function too,
-    says where the caller puts the image of group r on a term of v at
-    index or sector `index`, whose factor is the non-rational parts of both
-    coefficients (None for 1): the image's placement.  `target`, None or a
+    where untwisted keys hold a lattice index.  The image holds untwisted
+    parts as they are and twisted parts doubled.  `place(params, r, index,
+    factor)`, a module-level function too, says where the caller puts the
+    image of group r on a term of v at index or sector `index`, whose
+    factor is the non-rational parts of both coefficients (None for 1):
+    the image's placement.  `target`, None or a
     pair (function, argument) that compares by content, makes the kernel
     pair u with function(argument, v) in place of v.
 
@@ -441,11 +455,18 @@ def vertex_mode(u: UVector, m, v: UVector) -> UVector:
 
 def _vertex_images(u: UVector, m, v: UVector, target) -> UVector:
     """`vertex_mode` of u on v, or on the `target` of v (see
-    `term_pair_images`): the untwisted intertwiners' operator."""
+    `term_pair_images`): the untwisted intertwiners' operator.  An image
+    is keyed as it leaves the kernel, and one that lands at a lattice
+    index no earlier image reached goes into the result whole."""
     acc: dict = {}
+    reached = set()
     for (index, lift), image in term_pair_images(u, m, v, _one_row, _place, target):
-        for key, q in image.items():
-            add_into(acc, (tuple([p >> 1 for p in key]), index), lift(q))
+        if index in reached:
+            for key, q in image.items():
+                add_into(acc, (key, index), lift(q))
+        else:
+            reached.add(index)
+            acc.update({(key, index): lift(q) for key, q in image.items()})
     return UVector._wrap(u.params, acc)
 
 
@@ -483,12 +504,12 @@ def p_coeff_apply(params: RingParams, sign: int, n: int, v: UVector) -> UVector:
 
     It stays independent of the mode kernel, so that the creation-series
     identity compares two routes: it lists the partitions of n itself, as
-    rows (parts, length parity, den) in integers, the coefficient of a row
-    being (+-1)^len(parts)/den, and makes one Fraction per term of v and
-    row, times the coefficient of the term (see `_weight`).  The rows are
-    built once per ring and read by both signs (the ("pcoeff", n) entry of
-    `RingParams.memo`), and a term of v with no oscillator parts takes the
-    parts of a row as its key with no sort."""
+    rows (parts, Fraction for +alpha, Fraction for -alpha), the Fraction
+    (+-1)^len(parts) / prod q^i i! over the parts q of multiplicity i.
+    The rows are built once per ring for both signs (the ("pcoeff", n)
+    entry of `RingParams.memo`), and a term of v lifts each row's Fraction
+    by its coefficient (`_lift`).  The keys of one term are distinct, so
+    its block goes in whole unless an earlier term reached its index."""
     if sign not in (+1, -1):
         raise ValueError("sign must be +1 or -1")
     if n < 0:
@@ -501,19 +522,26 @@ def p_coeff_apply(params: RingParams, sign: int, n: int, v: UVector) -> UVector:
         for parts in partitions_of(n):
             # parts descend, so equal parts are adjacent: the i-th copy of q
             # divides by q*i, which builds prod (1/q)^i / i! one part at a time
-            den, run = 1, 0
-            for j, q in enumerate(parts):
-                run = run + 1 if j and parts[j - 1] == q else 1
+            den, run, last = 1, 0, 0
+            for q in parts:
+                run = run + 1 if q == last else 1
                 den *= q * run
-            rows.append((parts, len(parts) % 2, den))
+                last = q
+            plus = Fraction(1, den)
+            rows.append((parts, plus, Fraction(-1, den) if len(parts) % 2 else plus))
         rows = params.memo[("pcoeff", n)] = tuple(rows)
+    side = 1 if sign > 0 else 2
     acc: dict = {}
+    reached = set()
     for (nu, s), c in v.terms.items():
-        cn, cd, factor = _weight(c)
-        lift = _lift(params, factor)
-        for parts, odd, den in rows:
-            key = sort_parts(nu + parts) if nu else parts
-            add_into(acc, (key, s), lift(Fraction(-cn if odd and sign < 0 else cn, den * cd)))
+        lift = _lift(params, c)
+        block = [((sort_parts(nu + row[0]) if nu else row[0], s), lift(row[side])) for row in rows]
+        if s in reached:
+            for key, q in block:
+                add_into(acc, key, q)
+        else:
+            reached.add(s)
+            acc.update(block)
     return UVector._wrap(params, acc)
 
 

@@ -10,6 +10,7 @@ from orbifold_voa import labels as lb
 from orbifold_voa.fock import (
     TVector,
     UVector,
+    add_into,
     coset_basis,
     graded_dim,
     heis_act,
@@ -447,3 +448,36 @@ def test_scalar_product_matches_the_filtered_constructor(k):
                 assert got.terms is not v.terms
             nonzero += bool(want)
     assert nonzero > 0
+
+
+@pytest.mark.parametrize("k", (1, 2, 3))
+def test_a_sum_equals_the_key_by_key_sum_and_leaves_its_operands(k):
+    """a + b, which takes the keys of b in one `update` when no key of b is
+    in a, equals a's terms with every term of b added by `add_into`, for
+    disjoint and overlapping supports on both lattices, with empty sides
+    and a cancelling key among them; both operands keep their terms, and
+    the sum owns a dict of its own."""
+    params = RingParams(k)
+    zeta = params.zeta(1)
+    a = lattice_vector(params, 1) * zeta + u_term(params, [2, 1], -1, Fraction(-2, 3))
+    b = u_term(params, [1], 2 * k, Fraction(1, 2)) + u_term(params, [2, 1], 1, zeta)
+    ta = t_term(params, [HALF], 1, zeta) + tw_vacuum(params, 2, Fraction(1, 4))
+    tb = t_term(params, [Fraction(3, 2)], 1, 3) + tw_vacuum(params, 1)
+    pairs = [
+        (a, b), (b, a), (ta, tb), (a, UVector(params, {})), (UVector(params, {}), b),
+        (a, a + b), (a, -a + b), (ta, tb - ta),
+    ]
+    disjoint = 0
+    for x, y in pairs:
+        before = dict(x.terms), dict(y.terms)
+        want = dict(x.terms)
+        for key, c in y.terms.items():
+            add_into(want, key, c)
+        got = x + y
+        assert got.terms == want, (x, y)
+        assert all(not c.is_zero() for c in got.terms.values())
+        assert (x.terms, y.terms) == before
+        got.terms.clear()
+        assert (x.terms, y.terms) == before
+        disjoint += bool(x and y) and x.terms.keys().isdisjoint(y.terms)
+    assert disjoint >= 3

@@ -13,7 +13,10 @@ references here:
 - creation stage: `_fresh_creation_stage`, a fresh walk over the closed
   per-part formula `_per_part_creation_table`;
 - stages 1 and 2 (`_skeleton`): `_path_by_path_skeleton`, the skeleton
-  as it was before stage 1 merged its paths after each factor.
+  as it was before stage 1 merged its paths after each factor;
+- the exp(Delta_z) expansion (`twisted.delta_apply`): `_vector_delta_apply`,
+  the loop through vector arithmetic that it replaced, which the reference
+  twisted operators also call.
 
 (The exp(Delta_z) coefficients have theirs in the sympy series of
 `conftest.delta_series_oracle`.)  The other tests here check properties,
@@ -50,7 +53,7 @@ from orbifold_voa.fock import (
     u_term,
 )
 from orbifold_voa.ring import RingParams, Scalar
-from orbifold_voa.twisted import delta_apply, psi_map
+from orbifold_voa.twisted import delta_apply, delta_table, psi_map
 from orbifold_voa.untwisted import _creation_table, halve, support_modes
 
 HALF = Fraction(1, 2)
@@ -70,9 +73,17 @@ def mode_kernel_sum(params, r, mu, s, m, twisted, terms):
 
 
 def mode_kernel(params, nu, r, mu, s, m, twisted):
-    """Mode m of the one term a(-nu) e[r]: `mode_kernel_sum`, its doubled keys halved back."""
+    """Mode m of the one term a(-nu) e[r]: `mode_kernel_sum`, its twisted
+    keys, which leave the kernel doubled, halved back (untwisted keys leave
+    it in their own units)."""
     image = mode_kernel_sum(params, r, mu, s, m, twisted, ((0, nu, 1, 1),))
-    return {halve(key) if twisted else tuple(p // 2 for p in key): c for key, c in image.items()}
+    return {halve(key): c for key, c in image.items()} if twisted else image
+
+
+def _output_parts(parts: tuple, twisted_: bool) -> tuple:
+    """Doubled parts in the units the kernel's tables hold them: twisted
+    parts stay doubled and untwisted parts are halved."""
+    return parts if twisted_ else tuple(p // 2 for p in parts)
 
 
 def _session_memo(fn):
@@ -259,6 +270,47 @@ def vertex_mode(u: UVector, m, v: UVector, cutoff=None) -> UVector:
 # -- reference: the twisted engine ----------------------------------------------
 
 
+def _vector_delta_apply(u: UVector) -> dict[int, UVector]:
+    """Finite expansion of exp(Delta_z) u as {d: coefficient of z^(-d)}.
+
+    Delta_z is quadratic in oscillator modes with strictly weight-lowering
+    terms, hence nilpotent on finite vectors; nothing is truncated.
+
+    `twisted.delta_apply` as it was while it expanded through vector
+    arithmetic (`heis_act`, `UVector` sums and products); its body is
+    copied verbatim except that `v / j` is written `v * Fraction(1, j)`,
+    since vectors no longer divide.
+    """
+    params = u.params
+    k = params.k
+    if not u:
+        return {}
+    maxw = max((sum(parts) for (parts, _r) in u.terms), default=0)
+    table = delta_table(int(maxw)) if maxw else {}
+    pairs = [(mn, c) for mn, c in table.items() if c and sum(mn) >= 1]
+
+    def once(state: dict[int, UVector]) -> dict[int, UVector]:
+        out: dict[int, UVector] = {}
+        for d, vec in state.items():
+            for (mm, nn), c in pairs:
+                w = heis_act(mm, heis_act(nn, vec)) * (c / (2 * k))
+                if w:
+                    key = d + mm + nn
+                    out[key] = out[key] + w if key in out else w
+        return out
+
+    acc = {0: u}
+    cur = {0: u}
+    j = 1
+    while cur:
+        nxt = once(cur)
+        cur = {d: v * Fraction(1, j) for d, v in nxt.items() if v}
+        for d, v in cur.items():
+            acc[d] = acc[d] + v if d in acc else v
+        j += 1
+    return {d: v for d, v in acc.items() if v}
+
+
 def half_odd_partitions_of(total: Fraction):
     total = Fraction(total)
     if total < 0 or (2 * total).denominator != 1:
@@ -406,7 +458,7 @@ def tilde_mode(u: UVector, m, v: TVector, cutoff=None) -> TVector:
         psi = psi_map(params, r)
         prefactor = params.two_to(Fraction(-r * r, 2 * k))
         piece = UVector(params, {(nu, r): c for nu, c in entries})
-        corrected = delta_apply(piece)
+        corrected = _vector_delta_apply(piece)
         acc = TVector(params, {})
         for d, uvec in corrected.items():
             for (nu2, _r2), cdel in uvec.terms.items():
@@ -435,7 +487,7 @@ def mtheta_mode(u: UVector, m, v: TVector, cutoff=None) -> TVector:
         if (2 * (m - Fraction(r * r, 4 * k))).denominator != 1:
             continue
         prefactor = params.two_to(Fraction(-r * r, 2 * k))
-        corrected = delta_apply(UVector(params, {(nu, r): cu}))
+        corrected = _vector_delta_apply(UVector(params, {(nu, r): cu}))
         for d, uvec in corrected.items():
             for (nu2, _r2), cdel in uvec.terms.items():
                 for (mu, sector), cv in v.terms.items():
@@ -498,6 +550,124 @@ def test_twisted_kernel_matches_wtheta_term_mode(k):
                     nonzero += bool(got)
                 assert mode_kernel(params, nu, r, mu, 0, top - Fraction(1, 4), True) == {}
     assert nonzero > 0
+
+
+def _live_rows(params: RingParams, r: int, t0: int, twisted_: bool, skeleton: tuple) -> list:
+    """The kept parts of each row of `skeleton` whose group meets the
+    budget t0 with a nonempty creation table: the rows `_create` expands."""
+    return [
+        kept
+        for pending, off, need, _den, rows in skeleton
+        if t0 >= need and _creation_table(params, r, t0 + off, twisted_, pending)[1]
+        for kept, _num in rows
+    ]
+
+
+@pytest.mark.parametrize("k", (1, 2, 3, 4))
+def test_one_live_row_matches_the_verbatim_engines(k):
+    """Where one row of one group meets the budget, the case `_create`
+    fills in one pass with no merge, its image equals `_term_mode` and
+    `_wtheta_term_mode`, on both lattices, for rows with kept parts and
+    without."""
+    params = RingParams(k)
+    seen = dict.fromkeys([(False, False), (False, True), (True, False), (True, True)], 0)
+    for nu in PARTS:
+        for r in _indices(k):
+            cases = [
+                (False, mu, s, sum(nu) + sum(mu) - 1 - Fraction(r * s, 2 * k) - j)
+                for mu in PARTS
+                for s in _indices(k)
+                for j in range(-1, 4)
+            ]
+            cases += [
+                (True, mu, 0, sum(nu) + sum(mu) - 1 + Fraction(r * r, 4 * k) - j * HALF)
+                for mu in HALF_ODD_PARTS
+                for j in range(-1, 8)
+            ]
+            for twisted_, mu, s, m in cases:
+                t0 = untwisted._budget(params, r, s, m, twisted_)
+                skeleton = untwisted._skeleton(params, r, mu, s, twisted_, ((0, nu, 1, 1),))
+                live = _live_rows(params, r, t0, twisted_, skeleton)
+                if len(live) != 1:
+                    continue
+                got = untwisted._create(params, r, t0, twisted_, skeleton)
+                if twisted_:
+                    want = _wtheta_term_mode(params, nu, r, mu, m)
+                    got = {halve(key): c for key, c in got.items()}
+                else:
+                    want = {parts: c for (parts, _rs), c in _term_mode(params, nu, r, mu, s, m).items()}
+                assert got and got == want, (twisted_, nu, r, mu, s, m)
+                seen[twisted_, bool(live[0])] += 1
+    assert all(seen.values()), seen
+
+
+def _cancelling_pair(op, u, t1: UVector, t2: UVector, modes) -> tuple:
+    """(m, c, key): the first m of `modes` at which op(u, m, .) of t1 and of
+    t2 share a key, the rational c that cancels that key in t1 + c t2, and
+    the key."""
+    for m in modes:
+        x, y = op(u, m, t1).terms, op(u, m, t2).terms
+        for key in x.keys() & y.keys():
+            return m, -x[key].as_rational() / y[key].as_rational(), key
+    raise AssertionError("no shared key")
+
+
+@pytest.mark.parametrize("k", (1, 2, 3))
+def test_terms_of_v_at_one_index_still_merge(k):
+    """`vertex_mode` and `p_coeff_apply` put a block into the result whole
+    only at a lattice index no earlier block reached: on two terms of v at
+    one index whose images share a key, the shared key sums, and one whose
+    sum is zero is dropped.  `vertex_mode` is checked against the verbatim
+    engine and `p_coeff_apply` against its sum over the terms of v."""
+    params = RingParams(k)
+
+    def p_coeff(sign, n, w):
+        return untwisted.p_coeff_apply(params, sign, n, w)
+
+    for s in (0, 1, -k):
+        t1, t2 = u_term(params, [2], s), u_term(params, [1, 1], s)
+        for u in (lattice_vector(params, 1), untwisted.e_vec(params)):
+            m, c, key = _cancelling_pair(untwisted.vertex_mode, u, t1, t2, _sweep(u, t1))
+            for v in (t1 + t2 * 3, t1 + t2 * c):
+                got = untwisted.vertex_mode(u, m, v)
+                assert got == vertex_mode(u, m, v), (s, m)
+                assert all(not x.is_zero() for x in got.terms.values())
+                assert (key in got.terms) == (v == t1 + t2 * 3)
+        for sign in (+1, -1):
+            n, c, key = _cancelling_pair(p_coeff, sign, t1, t2, (2, 3, 4))
+            for v in (t1 + t2 * 3, t1 + t2 * c):
+                got = p_coeff(sign, n, v)
+                assert got == p_coeff(sign, n, t1) + p_coeff(sign, n, v - t1), (s, sign, n)
+                assert all(not x.is_zero() for x in got.terms.values())
+                assert (key in got.terms) == (v == t1 + t2 * 3)
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_delta_apply_matches_the_vector_loop(k):
+    """`twisted.delta_apply` on plain dicts equals the vector-arithmetic
+    loop it replaced: on a(-nu) e[r] for every partition nu of weight at
+    most 6 and every r in {0, +-1, +-k, +-2k, 2k + 1}, on a two-term u with
+    a zeta coefficient, and on a two-term u whose rows cancel in one key."""
+    params = RingParams(k)
+    cases = [
+        UVector(params, {(nu, r): 1})
+        for w in range(7)
+        for nu in partitions_of(w)
+        for r in sorted({0, 1, -1, k, -k, 2 * k, -2 * k, 2 * k + 1})
+    ]
+    cases.append(u_term(params, [2, 1], 1, params.zeta(1)) + u_term(params, [1, 1, 1], 1, Fraction(-3, 2)))
+    two, one_one = _vector_delta_apply(u_term(params, [2], 1)), _vector_delta_apply(u_term(params, [1, 1], 1))
+    ratio = -two[2].terms[((), 1)].as_rational() / one_one[2].terms[((), 1)].as_rational()
+    cancelling = u_term(params, [2], 1) + u_term(params, [1, 1], 1, ratio)
+    assert ((), 1) not in _vector_delta_apply(cancelling).get(2, UVector(params, {})).terms
+    cases.append(cancelling)
+    corrected = 0
+    for u in cases:
+        got = delta_apply(u)
+        assert got == _vector_delta_apply(u), u
+        assert all(vec for vec in got.values())
+        corrected += len(got) > 1
+    assert corrected > 0
 
 
 def _sweep(u, v, depth: int = 4) -> list[Fraction]:
@@ -929,7 +1099,9 @@ def test_creation_table_matches_per_part_formula(k):
                 if not twisted_ and w % 2:
                     assert got == (), (r, w)
                     continue
-                want = _per_part_creation_table(k, r, w, twisted_)
+                want = tuple(
+                    (_output_parts(parts, twisted_), e) for parts, e in _per_part_creation_table(k, r, w, twisted_)
+                )
                 # rows hold integer numerators over their least common denominator
                 assert den > 0 and gcd(den, *[num for _parts, num in got]) == 1
                 assert tuple((parts, Fraction(num, den)) for parts, num in got) == want, (
@@ -943,7 +1115,8 @@ def _fresh_creation_stage(k: int, r: int, pending: tuple, w: int, twisted_: bool
     """The creation stage walked afresh, with no memo, and the number of
     paths the walk took: each pending factor a(-n) takes a doubled part p
     with the reference `_dcoef` at mode -p/2, and the per-part creation
-    table takes what is left of w."""
+    table takes what is left of w; the keys are given in the units of the
+    kernel's tables (`_output_parts`)."""
     lo = 1 if twisted_ else 2
     out: dict = {}
     paths = [0]
@@ -962,7 +1135,7 @@ def _fresh_creation_stage(k: int, r: int, pending: tuple, w: int, twisted_: bool
                 rec(i + 1, left - p, c * dc, created + (p,))
 
     rec(0, w, Fraction(1), ())
-    return {key: c for key, c in out.items() if c}, paths[0]
+    return {_output_parts(key, twisted_): c for key, c in out.items() if c}, paths[0]
 
 
 @pytest.mark.parametrize("k", (1, 2, 3))
@@ -1141,6 +1314,9 @@ def test_skeleton_matches_the_path_by_path_walk(k):
     merged = groups = 0
     for r, mu, s, twisted_, terms in _stage_one_cases(params):
         want, merges = _path_by_path_skeleton(params, r, mu, s, twisted_, terms)
+        want = tuple(
+            (*head, tuple([(_output_parts(kept, twisted_), c) for kept, c in rows])) for *head, rows in want
+        )
         got = untwisted._skeleton(params, r, mu, s, twisted_, terms)
         assert len(got) == len(want), (r, mu, s, twisted_, terms)
         for got_group, want_group in zip(got, want):
