@@ -54,6 +54,16 @@ def add_into(acc: dict, key, c: Scalar) -> None:
         acc[key] = total
 
 
+def add_block(acc: dict, block: dict, fresh: bool) -> None:
+    """`add_into` for each key and Scalar of `block`; a `fresh` block, none
+    of whose keys is in acc, goes in whole."""
+    if fresh:
+        acc.update(block)
+    else:
+        for key, c in block.items():
+            add_into(acc, key, c)
+
+
 class _SparseVector:
     """Finite linear combination of basis keys with Scalar coefficients."""
 
@@ -86,11 +96,8 @@ class _SparseVector:
         if type(other) is not type(self):
             return NotImplemented
         out = dict(self.terms)
-        if out.keys().isdisjoint(other.terms.keys()):
-            out.update(other.terms)
-        else:
-            for key, c in other.terms.items():
-                add_into(out, key, c)
+        for key, c in other.terms.items():
+            add_into(out, key, c)
         return self._wrap(self.params, out)
 
     def __neg__(self):

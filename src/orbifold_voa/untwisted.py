@@ -74,7 +74,7 @@ from math import factorial, floor, gcd, lcm, prod
 from .fock import (
     TVector,
     UVector,
-    add_into,
+    add_block,
     lattice_vector,
     partitions_of,
     sort_parts,
@@ -336,15 +336,16 @@ def _weight(c: Scalar) -> tuple[int, int, Scalar | None]:
 
 
 def _lift(params: RingParams, factor: Scalar | None):
-    """The map from a Fraction q to the Scalar q times `factor` (None or
-    the Scalar 1 for 1), chosen once per factor.  When every coefficient
-    of the factor is +-1 (1, a phase zeta^a, the twisted prefactor's
-    monomial t^b or its even-k sqrt(2) form, each times a sign) q is only
-    wrapped, as the Scalar {basis: +-q}, with no product; otherwise each q
-    takes one `_scaled(q)`."""
-    if factor is None or factor.terms == {(0, 0): 1}:
-        return lambda q: Scalar(params, {(0, 0): q})
-    terms = factor.terms
+    """The map from a Fraction q to the Scalar q times `factor` (None for
+    1), chosen once per factor.  When every coefficient of the factor is
+    +-1 (1, a phase zeta^a, the twisted prefactor's monomial t^b or its
+    even-k sqrt(2) form, each times a sign) q is only wrapped, as the
+    Scalar {basis: +-q} ({basis: q} for one basis with coefficient 1),
+    with no product; otherwise each q takes one `_scaled(q)`."""
+    terms = {(0, 0): 1} if factor is None else factor.terms
+    if list(terms.values()) == [1]:
+        (basis,) = terms
+        return lambda q: Scalar(params, {basis: q})
     if all(c == 1 or c == -1 for c in terms.values()):
         signs = tuple((basis, c == 1) for basis, c in terms.items())
         return lambda q: Scalar(params, {basis: q if plus else -q for basis, plus in signs})
@@ -461,12 +462,8 @@ def _vertex_images(u: UVector, m, v: UVector, target) -> UVector:
     acc: dict = {}
     reached = set()
     for (index, lift), image in term_pair_images(u, m, v, _one_row, _place, target):
-        if index in reached:
-            for key, q in image.items():
-                add_into(acc, (key, index), lift(q))
-        else:
-            reached.add(index)
-            acc.update({(key, index): lift(q) for key, q in image.items()})
+        add_block(acc, {(key, index): lift(q) for key, q in image.items()}, index not in reached)
+        reached.add(index)
     return UVector._wrap(u.params, acc)
 
 
@@ -535,13 +532,9 @@ def p_coeff_apply(params: RingParams, sign: int, n: int, v: UVector) -> UVector:
     reached = set()
     for (nu, s), c in v.terms.items():
         lift = _lift(params, c)
-        block = [((sort_parts(nu + row[0]) if nu else row[0], s), lift(row[side])) for row in rows]
-        if s in reached:
-            for key, q in block:
-                add_into(acc, key, q)
-        else:
-            reached.add(s)
-            acc.update(block)
+        block = {(sort_parts(nu + row[0]) if nu else row[0], s): lift(row[side]) for row in rows}
+        add_block(acc, block, s not in reached)
+        reached.add(s)
     return UVector._wrap(params, acc)
 
 

@@ -452,8 +452,7 @@ def test_scalar_product_matches_the_filtered_constructor(k):
 
 @pytest.mark.parametrize("k", (1, 2, 3))
 def test_a_sum_equals_the_key_by_key_sum_and_leaves_its_operands(k):
-    """a + b, which takes the keys of b in one `update` when no key of b is
-    in a, equals a's terms with every term of b added by `add_into`, for
+    """a + b equals a's terms with every term of b added by `add_into`, for
     disjoint and overlapping supports on both lattices, with empty sides
     and a cancelling key among them; both operands keep their terms, and
     the sum owns a dict of its own."""
