@@ -68,11 +68,14 @@ class RingParams:
     `memo` holds the tables the mode layers derive from the ring and a few
     small integers, each built on first use:
 
-    * ("create", r, pending, w, twisted): the creation stage of the mode
-      kernel as (den, rows), integer numerators over one least common
-      denominator, `untwisted._creation_table` (the table at -r with no
-      pending factors is read from the one at r); a row holds an untwisted
-      part p as p, the unit of the output key, and a twisted one as 2p;
+    * ("create", r, pending, twisted): the creation stage of the mode
+      kernel as a dict {w: (den, rows)} over the doubled weights w,
+      integer numerators over one least common denominator per table,
+      `untwisted._creation_table` (the table at -r with no pending factors
+      is read from the one at r); a row holds an untwisted part p as p,
+      the unit of the output key, and a twisted one as 2p.  Each row of a
+      kernel skeleton (`untwisted._skeleton`) holds the dict of its
+      pending factors, so stage 3 reads a table with one lookup;
     * ("delta", nu, r): exp(Delta_z) of one term times 2^w, the rational
       part of the twisted prefactor 2^(-r^2/2k) = 2^w t^b,
       `twisted._delta_terms`;

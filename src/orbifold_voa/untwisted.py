@@ -36,17 +36,20 @@ differ only in the smallest created part (2 or 1) and in the s-term.
 
 Stages 1 and 2 (`_skeleton`) do not read m.  The creation stage depends
 only on the ring, the lattice index, the pending factors and the budget.
-It is walked once per ring (`_creation_table`, in `RingParams.memo`), its
-rows merged by their sorted parts, and every later call only reads the
-rows.  The creation exponential is walked once per |r|: each created part
-carries one factor r, so the table at -r is the one at r with its
-odd-length rows negated.  Every walk sums plain ints over one denominator
-fixed before it starts (a factor a(-n) has all its coefficients over
-`_dden(n)`): stages 1 and 2 over the one of `_skeleton`, stage 3 over the
-least common multiple of the group and table denominators that meet the
-budget.  States and keys that cancel are dropped, and an output key
-becomes one Fraction at the end; where one row of one group meets the
-budget no two keys can meet, so its Fractions are made in one pass.
+It is walked once per ring (`_creation_table`), its rows merged by their
+sorted parts, and every later call only reads the rows: the tables of one
+(r, pending, lattice) are one dict {budget: table} in `RingParams.memo`,
+and each row of a skeleton holds the dict of its pending factors, so
+stage 3 finds a table with one dict lookup.  The creation exponential is
+walked once per |r|: each created part carries one factor r, so the table
+at -r is the one at r with its odd-length rows negated.  Every walk sums
+plain ints over one denominator fixed before it starts (a factor a(-n)
+has all its coefficients over `_dden(n)`): stages 1 and 2 over the one of
+`_skeleton`, stage 3 over that one times the least common multiple of the
+denominators of the tables that meet the budget.  States and keys that
+cancel are dropped, and an output key becomes one Fraction at the end;
+where one row of the skeleton meets the budget no two keys can meet, so
+its Fractions are made in one pass.
 
 One driver, `term_pair_images`, runs the kernel for the untwisted
 operator, the untwisted intertwiners and the twisted operators alike.  It
@@ -104,8 +107,9 @@ def _creation_table(
 ) -> tuple:
     """(den, ((parts, num), ...)): the creation stage of the kernel at
     doubled weight w, each coefficient num/den over the one least common
-    denominator den of the table, memoized on `params` for the life of the
-    ring.
+    denominator den of the table, memoized for the life of the ring as
+    entry w of the ("create", r, pending, twisted) dict of `params.memo`,
+    the dict that a `_skeleton` row holds.
 
     With no `pending` factors these are the terms of the creation
     exponential of lambda_r.  The walk is over doubled modes N, odd when
@@ -125,8 +129,8 @@ def _creation_table(
     lcm of the tables it reads times `_dden(n)`, rows that end on the same
     sorted parts sum plain ints, and rows that cancel are dropped; the
     table is reduced by one gcd at the end."""
-    key = ("create", r, pending, w, twisted)
-    table = params.memo.get(key)
+    tables = params.memo.setdefault(("create", r, pending, twisted), {})
+    table = tables.get(w)
     if table is None:
         lo = 1 if twisted else 2
         half = lo - 1  # a doubled part p leaves as p >> half
@@ -173,7 +177,7 @@ def _creation_table(
             # the lcm of reduced rows is their least common denominator
             den = lcm(*[d for _parts, _num, d in rows])
             table = (den, tuple([(parts, num * (den // d)) for parts, num, d in rows]))
-        params.memo[key] = table
+        tables[w] = table
     return table
 
 
@@ -185,9 +189,12 @@ def halve(key: tuple) -> tuple:
 
 def _skeleton(params: RingParams, r: int, mu: tuple, s: int, twisted: bool, terms: tuple) -> tuple:
     """Stages 1 and 2 of the mode kernel, the ones that do not read m, as
-    ((pending, off, need, den, ((kept, num), ...)), ...): the rows of a
-    group, kept parts (in the units of the creation table's rows) with
-    integer numerators over the one denominator den of the walk.
+    (den, ((need, off, num, kept, tables, pending), ...)): one flat tuple
+    of rows, each kept parts (in the units of the creation table's rows)
+    with an integer numerator num over the one denominator den of the walk,
+    the pending factors and `tables`, the ring's creation tables of (r,
+    pending, twisted) as the dict {budget: table} that `_creation_table`
+    fills, so stage 3 reads a row's table with no call and no key tuple.
 
     Stage 1 contracts each factor a(-n) of each term against a part of mu
     or pairs it with the lattice index s, or leaves it pending; after each
@@ -200,8 +207,9 @@ def _skeleton(params: RingParams, r: int, mu: tuple, s: int, twisted: bool, term
     creation states (kept, pending, offset).  An offset is what a path adds
     to the z-budget, so a creation state meets the budget T + off, and
     need = lo * len(pending) - off is the least T that leaves each pending
-    factor a part.  Creation states are grouped by (pending, off), all that
-    the creation stage reads besides T.
+    factor a part.  The rows of one (pending, off), all that the creation
+    stage reads besides T, are adjacent, in the order of their first
+    creation state.
 
     den is the lcm over the terms (d, nu, num, den_t) of den_t times
     `_dden(n)` for each factor a(-n) in nu, and a term's paths start at num
@@ -269,10 +277,12 @@ def _skeleton(params: RingParams, r: int, mu: tuple, s: int, twisted: bool, term
     for (kept, pending, off), c in created.items():
         if c:
             groups.setdefault((pending, off), []).append((kept, c))
-    return tuple(
-        (pending, off, lo * len(pending) - off, common, tuple(rows))
-        for (pending, off), rows in groups.items()
-    )
+    rows = []
+    for (pending, off), group in groups.items():
+        tables = params.memo.setdefault(("create", r, pending, twisted), {})
+        for kept, c in group:
+            rows.append((lo * len(pending) - off, off, c, kept, tables, pending))
+    return common, tuple(rows)
 
 
 def _budget(params: RingParams, r: int, s: int, m: Fraction, twisted: bool) -> int | None:
@@ -290,39 +300,48 @@ def _budget(params: RingParams, r: int, s: int, m: Fraction, twisted: bool) -> i
 
 
 def _create(params: RingParams, r: int, t0: int, twisted: bool, skeleton: tuple) -> dict:
-    """Stage 3 of the mode kernel on the states of a `_skeleton` at the
+    """Stage 3 of the mode kernel on the rows of a `_skeleton` at the
     budget t0: a fresh {key: nonzero Fraction}, untwisted parts in their
     own units and twisted parts doubled.
 
-    A group's rows and its creation table each hold integer numerators over
-    one denominator, so a product of the two lies over the product of the
-    denominators; each group is scaled to the least common multiple of
-    those products over the groups that meet the budget, an output key sums
-    plain ints over it, and becomes one Fraction at the end."""
+    A row meets the budget when t0 >= need; it reads its creation table at
+    t0 + off from the dict it holds (walked on a miss).  The rows share the
+    skeleton's one denominator den, and each table has its own: the live
+    rows are scaled to the least common multiple of their tables'
+    denominators (raised only when one does not divide it), so an output
+    key (the kept parts merged with the table's) sums plain ints over den
+    times that lcm and becomes one Fraction at the end.  A single live
+    row, with kept parts or none, makes its Fractions in one pass."""
+    den, rows = skeleton
     live = []
-    for pending, off, need, den, rows in skeleton:
+    tden = 1
+    for need, off, num, kept, tables, pending in rows:
         if t0 < need:
             continue
-        tden, table = _creation_table(params, r, t0 + off, twisted, pending)
-        if table:
-            live.append((den * tden, rows, table))
+        table = tables.get(t0 + off)
+        if table is None:
+            table = _creation_table(params, r, t0 + off, twisted, pending)
+        if table[1]:
+            if tden % table[0]:
+                tden = lcm(tden, table[0])
+            live.append((num, kept, table))
     if not live:
         return {}
-    if len(live) == 1 and len(live[0][1]) == 1:
+    den *= tden
+    if len(live) == 1:
         # table rows have distinct parts, so the keys of one row meet no other
-        den, ((kept, num),), table = live[0]
-        return {sort_parts(kept + parts) if kept else parts: Fraction(num * e, den) for parts, e in table}
-    common = lcm(*[den for den, _rows, _table in live])
+        ((num, kept, (_tden, table)),) = live
+        return {
+            tuple(sorted(kept + parts, reverse=True)) if kept else parts: Fraction(num * e, den) for parts, e in table
+        }
     out: dict[tuple, int] = {}
-    for den, rows, table in live:
-        scale = common // den
-        for kept, num in rows:
-            num *= scale
-            for parts, e in table:
-                if kept:
-                    parts = tuple(sorted(kept + parts, reverse=True))
-                out[parts] = out.get(parts, 0) + num * e
-    return {key: Fraction(num, common) for key, num in out.items() if num}
+    for num, kept, (d, table) in live:
+        num *= tden // d
+        for parts, e in table:
+            if kept:
+                parts = tuple(sorted(kept + parts, reverse=True))
+            out[parts] = out.get(parts, 0) + num * e
+    return {key: Fraction(num, den) for key, num in out.items() if num}
 
 
 def _weight(c: Scalar) -> tuple[int, int, Scalar | None]:

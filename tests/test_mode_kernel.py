@@ -553,19 +553,19 @@ def test_twisted_kernel_matches_wtheta_term_mode(k):
 
 
 def _live_rows(params: RingParams, r: int, t0: int, twisted_: bool, skeleton: tuple) -> list:
-    """The kept parts of each row of `skeleton` whose group meets the
-    budget t0 with a nonempty creation table: the rows `_create` expands."""
+    """The kept parts of each row of `skeleton` that meets the budget t0
+    with a nonempty creation table: the rows `_create` expands."""
+    _den, rows = skeleton
     return [
         kept
-        for pending, off, need, _den, rows in skeleton
+        for need, off, _num, kept, _tables, pending in rows
         if t0 >= need and _creation_table(params, r, t0 + off, twisted_, pending)[1]
-        for kept, _num in rows
     ]
 
 
 @pytest.mark.parametrize("k", (1, 2, 3, 4))
 def test_one_live_row_matches_the_verbatim_engines(k):
-    """Where one row of one group meets the budget, the case `_create`
+    """Where one row of the skeleton meets the budget, the case `_create`
     fills in one pass with no merge, its image equals `_term_mode` and
     `_wtheta_term_mode`, on both lattices, for rows with kept parts and
     without."""
@@ -640,6 +640,34 @@ def test_terms_of_v_at_one_index_still_merge(k):
                 assert got == p_coeff(sign, n, t1) + p_coeff(sign, n, v - t1), (s, sign, n)
                 assert all(not x.is_zero() for x in got.terms.values())
                 assert (key in got.terms) == (v == t1 + t2 * 3)
+
+
+@pytest.mark.parametrize("k", (1, 2, 3))
+def test_two_items_on_one_target_sector_sum(k):
+    """`tilde_mode` and `mtheta_mode` put an item's image into the result
+    whole only in a target sector no earlier item reached: u with two
+    lattice groups, at r and -r, on a one-term v makes two plan items that
+    land in one sector (the bare map keeps the sector, and psi_map(r) and
+    psi_map(-r) send it to one sector), and their images share keys.  The
+    image of u is the sum of the two single-group images, and a shared key
+    whose sum is zero is dropped."""
+    params = RingParams(k)
+    shared = dropped = 0
+    for op in (twisted.tilde_mode, twisted.mtheta_mode):
+        for v in (tw_vacuum(params, 1), t_term(params, [HALF], 2, 3)):
+            for r in sorted({1, k}):
+                u1 = lattice_vector(params, r)
+                u2 = lattice_vector(params, -r) + u_term(params, [1], -r, Fraction(-2, 3))
+                for m in _sweep(u1 + u2, v):
+                    x, y = op(u1, m, v), op(u2, m, v)
+                    got = op(u1 + u2, m, v)
+                    assert got == x + y, (op.__name__, v, r, m)
+                    assert all(not c.is_zero() for c in got.terms.values())
+                    assert len({sector for _parts, sector in (*x.terms, *y.terms)}) <= 1
+                    both = x.terms.keys() & y.terms.keys()
+                    shared += bool(both)
+                    dropped += any(key not in got.terms for key in both)
+    assert shared > 0 and dropped > 0
 
 
 @pytest.mark.parametrize("k", range(1, 7))
@@ -1180,14 +1208,15 @@ def test_the_table_at_minus_r_reads_the_table_at_r(k):
             for twisted_ in (False, True):
                 params.memo.clear()
                 minus = _creation_table(params, -r, w, twisted_)
-                plus_key, minus_key = (("create", x, (), w, twisted_) for x in (r, -r))
+                plus_key, minus_key = (("create", x, (), twisted_) for x in (r, -r))
                 assert set(params.memo) == {plus_key, minus_key}
-                den, rows = plus = params.memo[plus_key]
+                assert list(params.memo[plus_key]) == list(params.memo[minus_key]) == [w]
+                den, rows = plus = params.memo[plus_key][w]
                 assert _creation_table(params, r, w, twisted_) is plus
                 assert minus == (den, signed(rows)), (r, w, twisted_)
-                del params.memo[minus_key]
+                del params.memo[minus_key][w]
                 planted = tuple((parts, 3 * num) for parts, num in rows)
-                params.memo[plus_key] = (den, planted)
+                params.memo[plus_key][w] = (den, planted)
                 assert _creation_table(params, -r, w, twisted_) == (den, signed(planted))
                 flipped += any(len(parts) % 2 for parts, _num in rows)
     assert flipped > 0
@@ -1286,6 +1315,22 @@ def _path_by_path_skeleton(params, r, mu, s, twisted, terms):
     return skeleton, merged
 
 
+def _flat_rows(params: RingParams, r: int, twisted: bool, skeleton: tuple) -> tuple:
+    """A grouped skeleton of `_path_by_path_skeleton` as `_skeleton` hands
+    it to stage 3: (den, rows), one row (need, off, num, kept, tables,
+    pending) per row of each group, in group order, `tables` being the
+    ring's creation tables of (r, pending, twisted), and every group's
+    den the one den."""
+    dens = {den for _pending, _off, _need, den, _rows in skeleton}
+    assert len(dens) <= 1, dens
+    rows = tuple(
+        (need, off, num, kept, params.memo[("create", r, pending, twisted)], pending)
+        for pending, off, need, _den, group in skeleton
+        for kept, num in group
+    )
+    return (dens.pop() if dens else None), rows
+
+
 def _stage_one_cases(params: RingParams) -> list:
     """(r, mu, s, twisted, terms) over r in {0, +-1, +-2k}: untwisted mu
     with repeated parts against s in {0, 1, -k} on the rows of one term
@@ -1308,22 +1353,27 @@ def _stage_one_cases(params: RingParams) -> list:
 @pytest.mark.parametrize("k", (1, 2, 3))
 def test_skeleton_matches_the_path_by_path_walk(k):
     """`_skeleton`, whose stage 1 merges equal states after each factor,
-    equals the path-by-path walk group by group, in the same order; the
-    grid has terms whose paths merge, so the merge is exercised."""
+    equals the path-by-path walk with its groups flattened into rows, row
+    by row in the same order, each row holding the very table dict of its
+    pending factors; the grid has terms whose paths merge, so the merge is
+    exercised."""
     params = RingParams(k)
-    merged = groups = 0
+    merged = rows = 0
     for r, mu, s, twisted_, terms in _stage_one_cases(params):
         want, merges = _path_by_path_skeleton(params, r, mu, s, twisted_, terms)
         want = tuple(
-            (*head, tuple([(_output_parts(kept, twisted_), c) for kept, c in rows])) for *head, rows in want
+            (*head, tuple([(_output_parts(kept, twisted_), c) for kept, c in group])) for *head, group in want
         )
-        got = untwisted._skeleton(params, r, mu, s, twisted_, terms)
+        got_den, got = untwisted._skeleton(params, r, mu, s, twisted_, terms)
+        want_den, want = _flat_rows(params, r, twisted_, want)
+        assert want_den is None or got_den == want_den, (r, mu, s, twisted_, terms)
         assert len(got) == len(want), (r, mu, s, twisted_, terms)
-        for got_group, want_group in zip(got, want):
-            assert got_group == want_group, (r, mu, s, twisted_, terms)
+        for got_row, want_row in zip(got, want):
+            assert got_row == want_row, (r, mu, s, twisted_, terms)
+            assert got_row[4] is want_row[4], (r, mu, s, twisted_, terms)
         merged += merges
-        groups += len(got)
-    assert merged > 0 and groups > 0
+        rows += len(got)
+    assert merged > 0 and rows > 0
 
 
 def test_dcoef_is_a_numerator_over_dden():
@@ -1363,7 +1413,7 @@ def test_no_fraction_is_made_before_stage_three(monkeypatch):
     monkeypatch.undo()
     assert made == []
     assert all(rows for _den, rows in tables)
-    assert any(pending for pending, *_rest in skeleton)
+    assert any(pending for *_rest, pending in skeleton[1])
 
 
 def test_repeated_calls_add_no_memo_entry():
