@@ -32,7 +32,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
 
-from .fock import HALF_ONE, TVector, UVector, add_block, add_into, theta
+from .fock import HALF_ONE, TVector, UVector, add_into, theta
 from .ring import RingParams, Scalar
 from .untwisted import _lift, halve, support_modes, tally, term_pair_images
 
@@ -291,29 +291,23 @@ def _corrected_mode(u: UVector, m, v: TVector, place) -> TVector:
     kernel's Fraction is then the final rational coefficient of a key:
     each item of the driver's plan holds its target sector and its lift,
     the signed monomial t^b times the factor of the item (`_placement`), a
-    bare wrap when every coefficient of that product is +-1.  Each item's
-    image goes in as one block of lifted coefficients under their output
-    keys (`fock.add_block`), whole when no earlier item reached its target
-    sector, as `untwisted._vertex_images` places its images: the keys of
-    one image are distinct.  The "tkey" table of `RingParams.memo` holds
-    the output key once per ring for each doubled key and target sector:
-    the halved parts and the sector as a `_HashedKey`, so a sweep hashes
-    each key's Fraction parts once per ring, not once per call."""
+    bare wrap when every coefficient of that product is +-1.  The lifted
+    coefficient is added straight into the result under its output key,
+    which the "tkey" table of `RingParams.memo` holds once per ring for
+    each doubled key and target sector: the halved parts and the sector as
+    a `_HashedKey`, so a sweep hashes each key's Fraction parts once per
+    ring, not once per call."""
     if not isinstance(v, TVector):
         raise TypeError(f"twisted mode operators do not apply to {type(v).__name__}")
     params = u.params
     keys = params.memo.setdefault("tkey", {})
     acc: dict = {}
-    reached = set()
     for (target, lift), image in term_pair_images(u, m, v, _delta_terms, place):
-        block = {}
         for key, q in image.items():
             out = keys.get((key, target))
             if out is None:
                 out = keys[key, target] = _HashedKey((halve(key), target))
-            block[out] = lift(q)
-        add_block(acc, block, target not in reached)
-        reached.add(target)
+            add_into(acc, out, lift(q))
     return TVector._wrap(params, acc)
 
 

@@ -308,10 +308,10 @@ def _create(params: RingParams, r: int, t0: int, twisted: bool, skeleton: tuple)
     t0 + off from the dict it holds (walked on a miss).  The rows share the
     skeleton's one denominator den, and each table has its own: the live
     rows are scaled to the least common multiple of their tables'
-    denominators (raised only when one does not divide it), so an output
-    key (the kept parts merged with the table's) sums plain ints over den
-    times that lcm and becomes one Fraction at the end.  A single live
-    row, with kept parts or none, makes its Fractions in one pass."""
+    denominators, so an output key (the kept parts merged with the
+    table's) sums plain ints over den times that lcm and becomes one
+    Fraction at the end.  A single live row, with kept parts or none,
+    makes its Fractions in one pass."""
     den, rows = skeleton
     live = []
     tden = 1
@@ -322,8 +322,7 @@ def _create(params: RingParams, r: int, t0: int, twisted: bool, skeleton: tuple)
         if table is None:
             table = _creation_table(params, r, t0 + off, twisted, pending)
         if table[1]:
-            if tden % table[0]:
-                tden = lcm(tden, table[0])
+            tden = lcm(tden, table[0])
             live.append((num, kept, table))
     if not live:
         return {}

@@ -644,13 +644,13 @@ def test_terms_of_v_at_one_index_still_merge(k):
 
 @pytest.mark.parametrize("k", (1, 2, 3))
 def test_two_items_on_one_target_sector_sum(k):
-    """`tilde_mode` and `mtheta_mode` put an item's image into the result
-    whole only in a target sector no earlier item reached: u with two
-    lattice groups, at r and -r, on a one-term v makes two plan items that
-    land in one sector (the bare map keeps the sector, and psi_map(r) and
-    psi_map(-r) send it to one sector), and their images share keys.  The
-    image of u is the sum of the two single-group images, and a shared key
-    whose sum is zero is dropped."""
+    """`tilde_mode` and `mtheta_mode` sum the images of plan items that
+    land in one target sector: u with two lattice groups, at r and -r, on
+    a one-term v makes two plan items that land in one sector (the bare
+    map keeps the sector, and psi_map(r) and psi_map(-r) send it to one
+    sector), and their images share keys.  The image of u is the sum of
+    the two single-group images, and a shared key whose sum is zero is
+    dropped."""
     params = RingParams(k)
     shared = dropped = 0
     for op in (twisted.tilde_mode, twisted.mtheta_mode):
