@@ -66,7 +66,11 @@ class RingParams:
     element is checked to square to 2 in the cyclotomic quotient.
 
     `memo` holds the tables the mode layers derive from the ring and a few
-    small integers, each built on first use:
+    small integers, each built on first use.  No value refers back to the
+    ring: none is or holds a Scalar, a vector or a function that closes
+    over the ring, since one that did would make the ring part of a
+    reference cycle, and a dead ring, all its tables with it, would wait
+    as garbage for a full pass of the cyclic collector.  The entries:
 
     * ("create", r, pending, twisted): the creation stage of the mode
       kernel as a dict {w: (den, rows)} over the doubled weights w,
@@ -81,9 +85,10 @@ class RingParams:
       `twisted._delta_terms`;
     * ("place", tilde, r, sector): where the twisted operators put an
       image at lattice index r on a term of v in `sector`: the target
-      sector and the sign of the sector map times t^b (the prefactor's
-      monomial, with integer coefficients), read by `twisted._placement`
-      as each plan item of the mode driver is built;
+      sector and the term dict of the sign of the sector map times t^b
+      (the prefactor's monomial, with integer coefficients), which
+      `twisted._placement` makes a Scalar again as each plan item of the
+      mode driver is built;
     * "tkey": a dict from each (doubled key, target sector) the twisted
       operators have returned to its output key, the halved Fraction parts
       and the sector as a tuple that stores its hash
@@ -93,18 +98,22 @@ class RingParams:
       is the kernel-row and placement functions, the target (None, or a
       function and the intertwiner spec it reads), the lattice and u and v
       as lists of (key, coefficient terms), and the plan holds the
-      placement and the skeleton (`untwisted._skeleton`) of each term pair
-      of u and the target of v, made as it is built.  It is one entry,
+      placement (an output index or sector and a `untwisted._lift` map,
+      which takes the ring as an argument) and the skeleton
+      (`untwisted._skeleton`) of each term pair of u and the target of v,
+      made as it is built.  It is one entry,
       replaced when the input changes, so a sweep over m plans once and
       the memo does not grow with the inputs;
     * ("pcoeff", n): the rows (parts, length parity, denominator) of the
       degree-n coefficient of the creation exponential, read by both
       signs of `untwisted.p_coeff_apply`;
     * "zeta": a dict from each exponent a mod 4k that `zeta` was asked
-      for to its Scalar, at most 4k entries.
+      for to the term dict of its Scalar, at most 4k entries.
 
-    Every table lives exactly as long as its ring.  The CLI builds at most
-    one ring per command, so a command's tables go with it.
+    Every table lives exactly as long as its ring, and reference counting
+    frees both once the last outside reference goes.  The CLI builds at
+    most one ring per command, so a command's tables go with it when it
+    returns.
     """
 
     __slots__ = ("k", "n_roots", "degree", "t_degree", "_zeta_rows", "_t_top", "memo")
@@ -198,15 +207,14 @@ class RingParams:
         return Scalar(self, {(0, 0): c} if c else {})
 
     def zeta(self, a: int) -> "Scalar":
-        """Canonical scalar for zeta^a, one Scalar per a mod 4k (memoized
-        under "zeta")."""
+        """Canonical scalar for zeta^a: its term dict, one per a mod 4k, is
+        memoized under "zeta" and wrapped in a Scalar on each call."""
         a %= self.n_roots
         cache = self.memo.setdefault("zeta", {})
-        z = cache.get(a)
-        if z is None:
-            row = self._zeta_rows[a]
-            z = cache[a] = Scalar(self, {(i, 0): Fraction(c) for i, c in enumerate(row) if c})
-        return z
+        terms = cache.get(a)
+        if terms is None:
+            terms = cache[a] = {(i, 0): Fraction(c) for i, c in enumerate(self._zeta_rows[a]) if c}
+        return Scalar(self, terms)
 
     def two_to(self, q) -> "Scalar":
         """Canonical scalar for 2^q; q must have denominator dividing 2k."""

@@ -237,8 +237,10 @@ def _placement(
     the sector map, psi_map(r) with `tilde` and the identity without, sends
     the sector to `target` with a sign, and `lift` is `untwisted._lift` of
     that sign times the irrational part t^b of the prefactor
-    (`_prefactor_split`), times the factor.  The target and the signed
-    monomial are memoized on `params` for the life of the ring."""
+    (`_prefactor_split`), times the factor.  The target and the term dict
+    of the signed monomial are memoized on `params` for the life of the
+    ring, and the monomial is made a Scalar again here, so the memo holds
+    nothing that refers back to the ring."""
     key = ("place", tilde, r, sector)
     entry = params.memo.get(key)
     if entry is None:
@@ -247,9 +249,10 @@ def _placement(
             column = [row[sector - 1] for row in psi_map(params, r).matrix]
             target = 1 if column[0] else 2
             sign = column[target - 1]
-        entry = params.memo[key] = (target, _prefactor_split(params, r)[1] * sign)
-    target, monomial = entry
-    return target, _lift(params, monomial if factor is None else monomial * factor)
+        entry = params.memo[key] = (target, (_prefactor_split(params, r)[1] * sign).terms)
+    target, terms = entry
+    monomial = Scalar(params, terms)
+    return target, _lift(monomial if factor is None else monomial * factor)
 
 
 def _tilde_place(params: RingParams, r: int, sector: int, factor: Scalar | None) -> tuple:
@@ -307,7 +310,7 @@ def _corrected_mode(u: UVector, m, v: TVector, place) -> TVector:
             out = keys.get((key, target))
             if out is None:
                 out = keys[key, target] = _HashedKey((halve(key), target))
-            add_into(acc, out, lift(q))
+            add_into(acc, out, lift(params, q))
     return TVector._wrap(params, acc)
 
 

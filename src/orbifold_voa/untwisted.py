@@ -353,21 +353,25 @@ def _weight(c: Scalar) -> tuple[int, int, Scalar | None]:
     return 1, 1, c
 
 
-def _lift(params: RingParams, factor: Scalar | None):
-    """The map from a Fraction q to the Scalar q times `factor` (None for
-    1), chosen once per factor.  When every coefficient of the factor is
-    +-1 (1, a phase zeta^a, the twisted prefactor's monomial t^b or its
-    even-k sqrt(2) form, each times a sign) q is only wrapped, as the
-    Scalar {basis: +-q} ({basis: q} for one basis with coefficient 1),
-    with no product; otherwise each q takes one `_scaled(q)`."""
+def _lift(factor: Scalar | None):
+    """The map from a ring and a Fraction q to the Scalar q times `factor`
+    (None for 1) over that ring, chosen once per factor.  When every
+    coefficient of the factor is +-1 (1, a phase zeta^a, the twisted
+    prefactor's monomial t^b or its even-k sqrt(2) form, each times a sign)
+    q is only wrapped, as the Scalar {basis: +-q} ({basis: q} for one basis
+    with coefficient 1), with no product; otherwise each coefficient is
+    scaled by q.  The map closes over bases, signs or the factor's terms,
+    never over a Scalar or a ring, so a plan that holds it in
+    `RingParams.memo` does not keep its ring alive."""
     terms = {(0, 0): 1} if factor is None else factor.terms
     if list(terms.values()) == [1]:
         (basis,) = terms
-        return lambda q: Scalar(params, {basis: q})
+        return lambda params, q: Scalar(params, {basis: q})
     if all(c == 1 or c == -1 for c in terms.values()):
         signs = tuple((basis, c == 1) for basis, c in terms.items())
-        return lambda q: Scalar(params, {basis: q if plus else -q for basis, plus in signs})
-    return factor._scaled
+        return lambda params, q: Scalar(params, {basis: q if plus else -q for basis, plus in signs})
+    items = tuple(terms.items())
+    return lambda params, q: Scalar(params, {basis: q * c for basis, c in items})
 
 
 def _plan(params: RingParams, u: UVector, v, expand, place, twisted: bool) -> tuple:
@@ -460,7 +464,7 @@ def _place(params: RingParams, r: int, s: int, factor: Scalar | None) -> tuple:
     """(index, lift): an untwisted image at lattice index r on a term at
     index s lands at index r + s, each coefficient lifted by the factor
     (`_lift`)."""
-    return r + s, _lift(params, factor)
+    return r + s, _lift(factor)
 
 
 def vertex_mode(u: UVector, m, v: UVector) -> UVector:
@@ -477,12 +481,13 @@ def _vertex_images(u: UVector, m, v: UVector, target) -> UVector:
     `term_pair_images`): the untwisted intertwiners' operator.  An image
     is keyed as it leaves the kernel, and one that lands at a lattice
     index no earlier image reached goes into the result whole."""
+    params = u.params
     acc: dict = {}
     reached = set()
     for (index, lift), image in term_pair_images(u, m, v, _one_row, _place, target):
-        add_block(acc, {(key, index): lift(q) for key, q in image.items()}, index not in reached)
+        add_block(acc, {(key, index): lift(params, q) for key, q in image.items()}, index not in reached)
         reached.add(index)
-    return UVector._wrap(u.params, acc)
+    return UVector._wrap(params, acc)
 
 
 # -- distinguished vectors -------------------------------------------------------
@@ -549,8 +554,8 @@ def p_coeff_apply(params: RingParams, sign: int, n: int, v: UVector) -> UVector:
     acc: dict = {}
     reached = set()
     for (nu, s), c in v.terms.items():
-        lift = _lift(params, c)
-        block = {(sort_parts(nu + row[0]) if nu else row[0], s): lift(row[side]) for row in rows}
+        lift = _lift(c)
+        block = {(sort_parts(nu + row[0]) if nu else row[0], s): lift(params, row[side]) for row in rows}
         add_block(acc, block, s not in reached)
         reached.add(s)
     return UVector._wrap(params, acc)

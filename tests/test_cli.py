@@ -2,6 +2,7 @@
 
 import argparse
 import copy
+import gc
 import hashlib
 import io
 import json
@@ -30,6 +31,7 @@ from orbifold_voa.cli import (
 )
 from orbifold_voa.fock import TVector, UVector, heis_act, lattice_vector, m1_graded_dim, twisted_basis
 from orbifold_voa.fusion import EngineInconsistencyError, get_engine
+from orbifold_voa.ring import RingParams
 from orbifold_voa.verify import SUITES
 from orbifold_voa.fusion import direct_witness
 from orbifold_voa.twisted import delta_table, lattice_sector_map, psi_map
@@ -937,6 +939,36 @@ def test_verify_decomp_builds_no_ring(capsys, monkeypatch):
     lines = out.splitlines()
     assert len(lines) == 5 + 7
     assert all(line.startswith("PASS ") for line in lines)
+
+
+# every command that builds a ring: the verify suites that read one, the
+# Zhu table in both commands, and an untwisted and a twisted witness
+RING_COMMANDS = (
+    *(("verify", suite) for suite in ("identities", "table1", "psi", "p31", "jacobi")),
+    ("zhu", "table"),
+    ("dump", "zhu"),
+    ("witness", "--type", "V+,Va+,Va+"),
+    ("witness", "--type", "Vl1,VT1+,VT2+"),
+)
+
+
+@pytest.mark.parametrize("k", (2, 3, 4))
+def test_a_command_s_ring_dies_with_the_command(capsys, k):
+    """With the cyclic garbage collector off, no RingParams outlives the
+    command that built it: no value of its memo refers back to it, so
+    reference counting frees the ring and its tables when the command
+    returns.  Rings alive before the test are left out."""
+    gc.collect()
+    alive = {id(o) for o in gc.get_objects() if type(o) is RingParams}
+    gc.disable()
+    try:
+        for argv in RING_COMMANDS:
+            code, out, _ = run(capsys, *argv, "--k", str(k))
+            assert code == EXIT_OK and out, argv
+            left = [o for o in gc.get_objects() if type(o) is RingParams and id(o) not in alive]
+            assert left == [], argv
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize("k", (17, 20))

@@ -34,6 +34,7 @@ from fractions import Fraction
 from functools import lru_cache, partial, wraps
 from itertools import combinations_with_replacement
 from math import factorial, gcd, lcm
+from types import BuiltinMethodType, FunctionType, MethodType
 
 import pytest
 
@@ -1433,6 +1434,86 @@ def test_repeated_calls_add_no_memo_entry():
         assert (len(params.memo), len(params.memo.get("tkey", ()))) == sizes, op.__name__
     assert images > 0
     assert params.memo["tkey"]
+
+
+_RING_TYPES = (RingParams, Scalar, UVector, TVector)
+
+
+def _reaches_a_ring(value) -> bool:
+    """Whether an object of `_RING_TYPES` is reachable from `value` through
+    tuples, lists, sets, the keys and values of dicts, the closure cells of
+    functions and the `__self__` of bound methods."""
+    seen, stack = set(), [value]
+    while stack:
+        x = stack.pop()
+        if id(x) in seen:
+            continue
+        seen.add(id(x))
+        if isinstance(x, _RING_TYPES):
+            return True
+        if isinstance(x, (tuple, list, set, frozenset)):
+            stack.extend(x)
+        elif isinstance(x, dict):
+            stack.extend(x)
+            stack.extend(x.values())
+        elif isinstance(x, FunctionType):
+            stack.extend(cell.cell_contents for cell in x.__closure__ or ())
+        elif isinstance(x, (MethodType, BuiltinMethodType)):
+            stack.append(x.__self__)
+    return False
+
+
+@pytest.mark.parametrize("k", (1, 2, 3, 4))
+def test_no_memo_value_refers_back_to_its_ring(k):
+    """After a sweep of each operator, no value of `RingParams.memo`
+    reaches a RingParams, Scalar, UVector or TVector, so reference
+    counting frees a ring and its tables together.  The coefficients
+    reach every branch of `untwisted._lift`: one basis with coefficient 1,
+    +-1 on several bases (a reduced phase, and at even k the twisted
+    prefactor's sqrt(2) form) and any other factor (3 zeta).  The "pair"
+    entry holds only the latest plan, so the memo is walked after each
+    operator."""
+    params = RingParams(k)
+    two_k = 2 * k
+    odd = params.zeta(1) * 3
+    t_v = (
+        t_term(params, [HALF], 1)
+        + tw_vacuum(params, 2, params.zeta(3))
+        + t_term(params, [Fraction(3, 2), HALF], 2, odd)
+    )
+    v = _untwisted_v(params, 1) + u_term(params, [1, 1], 1, odd)
+    y_rs = intertwine.IntertwinerSpec(intertwine.Y_RS, 1, 1)
+    y_theta = intertwine.IntertwinerSpec(intertwine.Y_RS_THETA, 1, 1)
+    # (operator, u, v, the vector whose grid the sweep reads)
+    sweeps = [
+        (untwisted.vertex_mode, _multi_u(params, 1, 1 + two_k), v, v),
+        (partial(intertwine.intertwiner_mode, y_rs), _coset_u(params, 1), v, v),
+        (partial(intertwine.intertwiner_mode, y_theta), _coset_u(params, 1), v, theta(v)),
+        (twisted.tilde_mode, _multi_u(params, 1, -1), t_v, t_v),
+        (twisted.mtheta_mode, _multi_u(params, 1, -1), t_v, t_v),
+        (twisted.twisted_mode, _coset_u(params, 0), t_v, t_v),
+    ]
+    leaks, images = {}, 0
+
+    def walk(after: str) -> None:
+        # each leaking memo key, with the operator first seen to leave it
+        for key, value in params.memo.items():
+            if _reaches_a_ring(value):
+                leaks.setdefault(key, after)
+
+    for op, u, w, grid in sweeps:
+        for m in support_modes(u, grid, 2):
+            images += bool(op(u, m, w))
+        walk(getattr(op, "__name__", None) or op.args[0].name)
+    for n in (1, 2, 3):
+        for sign in (1, -1):
+            images += bool(untwisted.p_coeff_apply(params, sign, n, v))
+    images += bool(intertwine.phase_apply(1, v))
+    walk("p_coeff_apply, phase_apply")
+    assert images > 0
+    assert {"pair", "zeta", ("pcoeff", 3)} <= set(params.memo)
+    assert any(key[0] == "place" for key in params.memo if isinstance(key, tuple))
+    assert leaks == {}
 
 
 def _twisted_cases(params: RingParams) -> list:
