@@ -1,14 +1,17 @@
 """Print one line per command of a fixed CLI command set: the first 16 hex
 digits of the sha256 of its stdout and stderr, its exit code and the
-command.  Two trees whose outputs agree print identical lines, so
+command.  Two trees whose outputs agree print identical lines.  The lines
+of this tree are committed as `.github/cli_digest.txt`, and CI fails when
 
-    python3 .github/cli_digest.py ../base/src > base.txt
-    python3 .github/cli_digest.py src > head.txt
-    diff base.txt head.txt
+    python3 .github/cli_digest.py src | diff .github/cli_digest.txt -
 
-shows every command whose output or exit code a change moved.  SRC (default
-`src`) is the directory that holds the `orbifold_voa` package; every
-command runs in this one process through `cli.main`.  Stdlib only.
+prints anything: every line of that diff is a command whose output or exit
+code moved.  A change that moves output on purpose regenerates the file
+(`python3 .github/cli_digest.py src > .github/cli_digest.txt`) and names
+the moved commands in CHANGES.md.  The file reads the same under Python
+3.10 and 3.11.  SRC (default `src`) is the directory that holds the
+`orbifold_voa` package; every command runs in this one process through
+`cli.main`.  Stdlib only.
 
 The set: every verify suite in text and json at k=1..4, `verify jacobi
 --k 2` at cutoffs 8 and 0 (at 0 every item but the twisted commutators
@@ -33,7 +36,8 @@ those at k=2 reach index 1 alone.
 Then come the lines that parse but fail, each with exit code 1: a usage
 error from every check of `cli.main` (`--k 0`, an unknown label, a
 `--cutoff` that a suite does not take or that is fractional, off its
-grid or negative, `dump delta` in json or with `--module`, `dump
+grid or negative, `verify identities --k 80`, whose vectors would hold
+p(79) keys each, `dump delta` in json or with `--module`, `dump
 decompose` with no `--module` or a negative `--window`, and a `--type`
 of two labels), and `witness` on a value-0 triple with a twisted target
 (`V+,V+,VT1+`) and with twisted inputs (`Vl1,VT1+,VT1+`), where
@@ -117,6 +121,7 @@ USAGE_ERRORS = (
     "verify table1 --k 2 --cutoff 1",
     "verify delta --cutoff 1/2",
     "verify decomp --k 1 --cutoff 1/3",
+    "verify identities --k 80",
     "verify jacobi --cutoff -1",
     "dump delta --format json",
     "dump decompose --k 2",

@@ -8,11 +8,12 @@ pass, 1 usage errors (an option the command does not define, which
 argparse refuses as unrecognized: `verify` takes only --k, --cutoff and
 --format, since its suites sample nothing; and `UsageError`, including
 k < 1, a negative cutoff, order or window, a `--cutoff` for a suite that
-does not read it, a `dump` option for a target that does not read it, a
-fractional cutoff for `verify delta` and a cutoff that is not a multiple
-of 1/2 for `verify decomp`), failing suite items or a `witness` that
-finds no nonzero image (`NO-DIRECT-CONSTRUCTION` or `ZERO-UP-TO-CUTOFF`),
-2 fusion-table inconsistency (`EngineInconsistencyError`).  A stdout
+does not read it, a `dump` option for a target that does not read it,
+and `verify.refusal`'s: a fractional cutoff for `verify delta`, a cutoff
+off the 1/2 grid for `verify decomp` and a k above the size limit of
+`verify identities`), failing suite items or a `witness` that finds no
+nonzero image (`NO-DIRECT-CONSTRUCTION` or `ZERO-UP-TO-CUTOFF`), 2
+fusion-table inconsistency (`EngineInconsistencyError`).  A stdout
 closed by its reader ends the output: no traceback, exit code 1.
 
 At load time this module imports the label half alone (`labels`,
@@ -147,8 +148,11 @@ def _refuse_unread_options(args, command: str, target: str, readers: dict) -> No
 
 
 def cmd_verify(args) -> int:
-    from .verify import SUITE_OPTIONS, SUITES
+    from .verify import SUITE_OPTIONS, SUITES, refusal
     _refuse_unread_options(args, "verify", args.suite, SUITE_OPTIONS)
+    why = refusal(args.suite, args.k, args.cutoff)
+    if why:
+        raise UsageError(why)
     items = list(SUITES[args.suite](args.k, args.cutoff))
     _emit_report(args.k, f"verify {args.suite}", items, args.format)
     return EXIT_FAIL if any(status == "fail" for _n, status, _d in items) else EXIT_OK
@@ -508,7 +512,4 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
-    # `python -m` runs this file as __main__: bind it under its own name too,
-    # so that `verify` imports this module, and raises the UsageError `main` catches
-    sys.modules[f"{__package__}.cli"] = sys.modules[__name__]
     sys.exit(main())

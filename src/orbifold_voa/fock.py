@@ -219,10 +219,17 @@ def t_term(params: RingParams, parts: Iterable[Fraction], sector: int, coeff=1) 
 # -- oscillator action, involution, projections ---------------------------------
 
 
-def _remove_one(parts: Parts, n) -> Parts:
-    out = list(parts)
-    out.remove(n)
-    return tuple(out)
+def contract(n, parts: Parts, index, k: int) -> tuple | None:
+    """alpha(n), n >= 0, on (parts, index) as (parts left, weight) or None:
+    n > 0 removes one part n with weight 2kn times its multiplicity, and
+    alpha(0) multiplies by the lattice index."""
+    if not n:
+        return (parts, index) if index else None
+    mult = parts.count(n)
+    if not mult:
+        return None
+    i = parts.index(n)
+    return parts[:i] + parts[i + 1 :], 2 * k * n * mult
 
 
 def heis_act(n, vec):
@@ -250,15 +257,12 @@ def heis_act(n, vec):
     def act(key, c):
         # the second entry of a key is r untwisted and the sector twisted
         parts, index = key
-        if n == 0:
-            if index:
-                yield key, c * index
-        elif n < 0:
+        if n < 0:
             yield (sort_parts(parts + (-n,)), index), c
         else:
-            mult = parts.count(n)
-            if mult:
-                yield (_remove_one(parts, n), index), c * (2 * k * n * mult)
+            hit = contract(n, parts, index, k)
+            if hit:
+                yield (hit[0], index), c * hit[1]
 
     return vec.map_terms(act)
 

@@ -332,7 +332,7 @@ def decompose(label: ModuleLabel, k: int, window: int) -> list[tuple[M1Label, in
     The constituent M(c) starts at weight c^2/4k, so the window only
     decides how far up the weights the list reaches: window
     isqrt(floor(W/k)) + 1 lists every constituent of weight <= W
-    (`cli.decomp_window`), and window 1 holds a representative of every
+    (`verify.decomp_window`), and window 1 holds a representative of every
     residue class mod 2k the label's constituents fill (`upper_bound`)."""
     lb.validate_label(label, k)
     if label.kind == lb.VAC:

@@ -5,7 +5,10 @@ The operator attached to u at lattice index r acts on the twisted Fock
 space through three layers:
 
 1. exp(Delta_z) u, a finite z-polynomial correction whose coefficients
-   c[m][n] come from the expansion of -log(((1+x)^(1/2)+(1+y)^(1/2))/2);
+   c[m][n] = C(-1/2, m) C(-1/2, n) / 2(m+n), c[0][0] = 0, are those of
+   -log(((1+x)^(1/2)+(1+y)^(1/2))/2): the Euler operator x d/dx + y d/dy
+   sends that log to ((1+x)^(-1/2) (1+y)^(-1/2) - 1)/2, and both vanish
+   at 0;
 2. the normally ordered half-odd-mode expansion with scalar prefactor
    2^(-<lam,lam>) and exponent shift z^(-<lam,lam>/2);
 3. a signed permutation of the two sector characters: e_{m*alpha} for
@@ -32,57 +35,27 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
 
-from .fock import HALF_ONE, TVector, UVector, add_into, theta
+from .fock import TVector, UVector, add_into, contract, theta
 from .ring import RingParams, Scalar
 from .untwisted import _lift, halve, support_modes, tally, term_pair_images
 
 # -- expansion coefficients of the quadratic correction ---------------------------
 
 
-def _series_mul(a: dict, b: dict, order: int) -> dict:
-    out: dict[tuple[int, int], Fraction] = {}
-    for (i, j), ca in a.items():
-        for (p, q), cb in b.items():
-            if i + j + p + q > order:
-                continue
-            key = (i + p, j + q)
-            s = out.get(key, Fraction(0)) + ca * cb
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
-    return out
-
-
 @lru_cache(maxsize=None)
 def delta_table(order: int) -> dict[tuple[int, int], Fraction]:
-    """All c[m][n] with m+n <= order, by exact series composition."""
-    # (1+x)^(1/2) as a univariate series embedded in two variables
-    half_binom = [Fraction(1)]
+    """All c[m][n] with m+n <= order, as C(-1/2, m) C(-1/2, n) / 2(m+n) and
+    c[0][0] = 0: the Euler operator x d/dx + y d/dy multiplies x^m y^n by
+    m+n and sends -log(((1+x)^(1/2)+(1+y)^(1/2))/2) to
+    ((1+x)^(-1/2) (1+y)^(-1/2) - 1)/2, and both vanish at 0."""
+    binom = [Fraction(1)]  # C(-1/2, n)
     for n in range(1, order + 1):
-        half_binom.append(half_binom[-1] * (HALF_ONE - (n - 1)) / n)
-    w: dict[tuple[int, int], Fraction] = {}
-    for n in range(1, order + 1):
-        c = half_binom[n] / 2
-        w[(n, 0)] = c
-        w[(0, n)] = c
-    # -log(1 + w) = sum_{j>=1} (-1)^j w^j / j; w has no constant term
-    acc: dict[tuple[int, int], Fraction] = {}
-    wp = {(0, 0): Fraction(1)}
-    for j in range(1, order + 1):
-        wp = _series_mul(wp, w, order)
-        sign = Fraction((-1) ** j, j)
-        for key, c in wp.items():
-            s = acc.get(key, Fraction(0)) + sign * c
-            if s:
-                acc[key] = s
-            else:
-                acc.pop(key, None)
-    full = {}
-    for mm in range(order + 1):
-        for nn in range(order + 1 - mm):
-            full[(mm, nn)] = acc.get((mm, nn), Fraction(0))
-    return full
+        binom.append(binom[-1] * Fraction(1 - 2 * n, 2 * n))
+    return {
+        (m, n): binom[m] * binom[n] / (2 * (m + n)) if m + n else Fraction(0)
+        for m in range(order + 1)
+        for n in range(order + 1 - m)
+    }
 
 
 def delta_coeff(m: int, n: int) -> Fraction:
@@ -90,19 +63,6 @@ def delta_coeff(m: int, n: int) -> Fraction:
     if m < 0 or n < 0:
         raise ValueError("indices must be nonnegative")
     return delta_table(m + n)[(m, n)]
-
-
-def _contract(n: int, parts: tuple, r: int, k: int) -> tuple | None:
-    """alpha(n), n >= 0, on a(-parts) e[r] as (parts left, integer weight)
-    or None: a part n goes with weight 2kn times its multiplicity, and
-    alpha(0) multiplies by r."""
-    if not n:
-        return (parts, r) if r else None
-    mult = parts.count(n)
-    if not mult:
-        return None
-    i = parts.index(n)
-    return parts[:i] + parts[i + 1 :], 2 * k * n * mult
 
 
 def delta_apply(u: UVector) -> dict[int, UVector]:
@@ -117,7 +77,7 @@ def delta_apply(u: UVector) -> dict[int, UVector]:
     k = u.params.k
     out: dict[int, dict] = {}
     for (nu, r), c in u.terms.items():
-        pairs = [(mm, nn, q) for (mm, nn), q in delta_table(sum(nu)).items() if q and mm + nn]
+        pairs = [(mm, nn, q) for (mm, nn), q in delta_table(sum(nu)).items() if q]
         cur = {(0, nu): Fraction(1)}
         acc = dict(cur)
         j = 1
@@ -125,8 +85,8 @@ def delta_apply(u: UVector) -> dict[int, UVector]:
             nxt: dict[tuple, Fraction] = {}
             for (d, parts), x in cur.items():
                 for mm, nn, q in pairs:
-                    first = _contract(nn, parts, r, k)
-                    second = first and _contract(mm, first[0], r, k)
+                    first = contract(nn, parts, r, k)
+                    second = first and contract(mm, first[0], r, k)
                     if second:
                         key = (d + mm + nn, second[0])
                         # at least one mode is positive, so 2k divides the weight

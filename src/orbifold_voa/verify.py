@@ -13,7 +13,6 @@ from operator import add
 
 from . import labels as lb
 from . import zhu
-from .cli import UsageError
 from .fock import (
     TVector,
     UVector,
@@ -22,6 +21,7 @@ from .fock import (
     heis_act,
     lattice_vector,
     m1_graded_dim,
+    partition_count,
     twisted_basis,
 )
 from .fusion import Y_RS, Y_RS_THETA, IntertwinerSpec, bound_blind_zeros, decompose, get_engine, upper_bound
@@ -37,6 +37,31 @@ from .twisted import (
     tilde_mode,
 )
 from .untwisted import commutator_formula_check, e_vec, omega_vec, p_coeff_apply, vertex_mode
+
+
+# the largest p(k - 1), the keys per lattice index of its vectors, that
+# `verify identities` runs: about 2.6 KB a key, 428 MB at k = 50 (README)
+IDENTITIES_KEYS = 200_000
+
+
+def refusal(suite: str, k: int, cutoff) -> str | None:
+    """Why `verify suite` refuses k and cutoff, None where it runs them;
+    `cli.cmd_verify` raises it as a usage error before the suite starts."""
+    if suite == "decomp" and cutoff is not None and (2 * cutoff).denominator != 1:
+        # the weights are checked in steps of 1/2; int(2 * cutoff) would drop the rest
+        return "verify decomp needs a --cutoff that is a multiple of 1/2"
+    if suite == "delta" and cutoff is not None and cutoff.denominator != 1:
+        # the cutoff is the series order there; int() would truncate it
+        return "verify delta needs an integer --cutoff"
+    n = min(k - 1, 999)  # p(n) costs O(n^2): p(999) takes about 0.06 s
+    if suite == "identities" and partition_count(n) > IDENTITIES_KEYS:
+        top = next(j for j in range(n + 1) if partition_count(j) > IDENTITIES_KEYS)
+        size = f"{'more than ' if n < k - 1 else ''}{partition_count(n):,}"
+        return (
+            f"verify identities at k = {k} builds vectors of p(k - 1) = {size} keys, "
+            f"above the limit of {IDENTITIES_KEYS:,}: the largest k it runs is {top}"
+        )
+    return None
 
 
 def _check(ok: bool, detail_pass: str, detail_fail: str):
@@ -161,9 +186,6 @@ def suite_decomp(k: int, cutoff):
     `graded_dim` finds the module's constituents by weight, not through
     the window, so a window too small would show as a failing item, not
     as a pass.  No ring is built."""
-    if cutoff is not None and (2 * cutoff).denominator != 1:
-        # the weights are checked in steps of 1/2; int(2 * cutoff) would drop the rest
-        raise UsageError("verify decomp needs a --cutoff that is a multiple of 1/2")
     extra = Fraction(cutoff) if cutoff is not None else Fraction(10)
     for label in lb.all_labels(k):
         yield f"decomposition character of {label.code}", *_decomp_character(k, label, extra)
@@ -182,10 +204,17 @@ def _delta_symmetry(order: int):
     return "pass", f"c[m][n] symmetric through total order {order}"
 
 
+def _series_mul(a: dict, b: dict, order: int) -> dict:
+    """The product of two series {(i, j): c}, truncated at total order."""
+    out: dict[tuple[int, int], Fraction] = {}
+    for (i, j), ca in a.items():
+        for (p, q), cb in b.items():
+            if i + j + p + q <= order:
+                out[i + p, j + q] = out.get((i + p, j + q), 0) + ca * cb
+    return out
+
+
 def suite_delta(k: int, cutoff):
-    if cutoff is not None and cutoff.denominator != 1:
-        # the cutoff is the series order there; int() would truncate it
-        raise UsageError("verify delta needs an integer --cutoff")
     order = int(cutoff) if cutoff is not None else 8
     low = (
         delta_coeff(0, 0) == 0
@@ -198,8 +227,6 @@ def suite_delta(k: int, cutoff):
     yield "index symmetry", *_delta_symmetry(order)
     # -4 (1+x)^(1/2) g_x u = 1 for g the computed expansion and u the
     # average of the two square roots; checked as truncated series
-    from .twisted import _series_mul
-
     half = Fraction(1, 2)
     binom = [Fraction(1)]
     for n in range(1, order + 2):

@@ -7,6 +7,7 @@ import hashlib
 import io
 import json
 import os
+import resource
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -29,12 +30,21 @@ from orbifold_voa.cli import (
     main,
     witness_names,
 )
-from orbifold_voa.fock import TVector, UVector, heis_act, lattice_vector, m1_graded_dim, twisted_basis
+from orbifold_voa.fock import (
+    TVector,
+    UVector,
+    heis_act,
+    lattice_vector,
+    m1_graded_dim,
+    partition_count,
+    twisted_basis,
+)
 from orbifold_voa.fusion import EngineInconsistencyError, get_engine
 from orbifold_voa.ring import RingParams
 from orbifold_voa.verify import SUITES
 from orbifold_voa.fusion import direct_witness
 from orbifold_voa.twisted import delta_table, lattice_sector_map, psi_map
+from orbifold_voa.untwisted import e_vec, vertex_mode
 
 
 def run(capsys, *argv):
@@ -817,11 +827,61 @@ def test_a_closed_stdout_ends_the_output_without_a_traceback():
     ),
 )
 def test_a_suite_s_usage_error_in_a_fresh_process_is_main_s(line, err):
-    # `python -m` runs cli as __main__, and the suites, which `verify` holds,
-    # raise cli's UsageError: it must be the class that `main` catches
+    # `python -m` runs cli as __main__, and a suite's refusal
+    # (`verify.refusal`) must reach `main` as the UsageError it catches
     argv = [sys.executable, "-m", "orbifold_voa.cli", *line.split()]
     proc = subprocess.run(argv, capture_output=True, text=True, env=fresh_env(), timeout=60)
     assert (proc.returncode, proc.stdout, proc.stderr) == (EXIT_FAIL, "", f"error: {err}\n")
+
+
+@pytest.mark.parametrize("k", range(2, 25))
+def test_verify_identities_predicts_its_vector_size(k):
+    # the count `verify.refusal` weighs is the key count of each lattice
+    # index of the suite's zero-mode vector
+    params = RingParams(k)
+    v0 = lattice_vector(params, k) + lattice_vector(params, -k)
+    assert len(vertex_mode(e_vec(params), 0, v0).terms) == 2 * partition_count(k - 1)
+
+
+def test_verify_identities_runs_up_to_its_limit_and_refuses_above_it():
+    top = max(k for k in range(1, 200) if partition_count(k - 1) <= verify.IDENTITIES_KEYS)
+    assert top >= 40  # CI runs `verify identities --k 40`
+    assert verify.refusal("identities", top, None) is None
+    assert verify.refusal("identities", top + 1, None) == (
+        f"verify identities at k = {top + 1} builds vectors of p(k - 1) = "
+        f"{partition_count(top):,} keys, above the limit of {verify.IDENTITIES_KEYS:,}: "
+        f"the largest k it runs is {top}"
+    )
+    # past k = 1000 the count is bounded, not computed, so the refusal stays fast
+    assert f"p(k - 1) = more than {partition_count(999):,} keys" in verify.refusal("identities", 5000, None)
+
+
+def test_verify_identities_refuses_k_80_before_it_builds_anything():
+    # a child capped at 512 MB of address space: a refusal that came too late
+    # would end in a MemoryError, and the timeout stops a slow one
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
+
+    argv = [sys.executable, "-m", "orbifold_voa.cli", "verify", "identities", "--k", "80"]
+    proc = subprocess.run(argv, capture_output=True, text=True, env=fresh_env(), preexec_fn=cap, timeout=1)
+    assert (proc.returncode, proc.stdout) == (EXIT_FAIL, "")
+    assert proc.stderr == (
+        "error: verify identities at k = 80 builds vectors of p(k - 1) = 13,848,650 keys, "
+        "above the limit of 200,000: the largest k it runs is 50\n"
+    )
+
+
+@pytest.mark.parametrize("fmt", ("text", "json"))
+def test_verify_delta_passes_every_item_at_order_24(capsys, fmt):
+    # the residual item checks c[m][n] through m + n = 25 against the
+    # defining equation, above the order 8 of the oracle tests
+    code, out, _ = run(capsys, "verify", "delta", "--cutoff", "24", "--format", fmt)
+    assert code == EXIT_OK
+    if fmt == "json":
+        statuses = [item["status"] for item in json.loads(out)["results"]]
+    else:
+        statuses = [line.split()[0].lower() for line in out.splitlines()]
+    assert statuses == ["pass"] * 3
 
 
 # sha256 (first 16 hex digits) over "W1,W2,W3:names" lines of every value-1

@@ -6,8 +6,9 @@ so the fusion table, the restriction bound, `decompose` and the naming of
 the explicit constructions stand on the labels alone.  At load time `cli`
 and the package `__init__` import only the label half: a command imports
 the operator modules it runs inside its function, and the package binds
-its operator names on first use.  A new import between the package's
-modules must be added to LAYERS on purpose."""
+its operator names on first use.  `verify` imports no `cli`: `cli` raises
+the usage errors that `verify.refusal` words.  A new import between the
+package's modules must be added to LAYERS on purpose."""
 
 import ast
 import importlib
@@ -40,7 +41,7 @@ LAYERS = {
     "zhu": (OPERATORS | {"labels"}, set()),
     "intertwine": (OPERATORS | LABEL_HALF, set()),
     "fusion": ({"labels"}, set()),
-    "verify": (OPERATORS | LABEL_HALF | {"cli", "intertwine", "zhu"}, set()),
+    "verify": (OPERATORS | LABEL_HALF | {"intertwine", "zhu"}, set()),
     "cli": (LABEL_HALF, {"intertwine", "ring", "twisted", "verify", "zhu"}),
     "__init__": (LABEL_HALF, set()),
 }
