@@ -22,7 +22,10 @@ compare only zeros), `verify decomp` in json at `--k 1 --cutoff 40` and
 counts up to about n = 80; the default cutoff 10 stops near a quarter of
 that), `verify closure` and `verify bounds` in json at k=5..8,
 `fusion table` and `zhu table` in both formats at k=1..4, the four `dump`
-targets (`dump zhu` and `dump decompose` in both formats), `witness --type
+targets (`dump zhu` and `dump decompose` in both formats), `dump delta` at
+orders 0, 1 and 40, `verify delta` in json at cutoffs 0 (where the index
+symmetry item skips, with no off-diagonal pair) and 24, `fusion table` in
+both formats at k=12 (19^3 = 6,859 triples), `witness --type
 V+,V-,V- --k 2 --cutoff 0` (its explicit cutoff stops the search below
 the first nonzero image, so it prints `ZERO-UP-TO-CUTOFF`), at k=1..4
 `fusion query` on every label triple and `witness` on every triple of
@@ -94,6 +97,12 @@ def commands():
             yield ["zhu", "table", "--k", str(k), "--format", fmt]
     yield ["dump", "table", "--k", "2"]
     yield ["dump", "delta", "--order", "8"]
+    for order in (0, 1, 40):
+        yield ["dump", "delta", "--order", str(order)]
+    for cutoff in (0, 24):
+        yield ["verify", "delta", "--cutoff", str(cutoff), "--format", "json"]
+    for fmt in ("csv", "json"):
+        yield ["fusion", "table", "--k", "12", "--format", fmt]
     yield ["dump", "decompose", "--k", "2", "--module", "Va+", "--window", "2"]
     yield ["dump", "zhu", "--k", "2", "--format", "json"]
     yield ["dump", "zhu", "--k", "2"]

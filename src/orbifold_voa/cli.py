@@ -103,21 +103,23 @@ def cmd_query(args) -> int:
 
 def cmd_table(args) -> int:
     """`fusion table` and its alias `dump table`: JSON, or csv for any
-    other format."""
+    other format.  The (k+7)^3 rows are made one at a time as they are
+    read: csv prints each as it comes, so its memory does not grow with
+    the table; JSON builds its list and one string before it prints."""
     k = args.k
     eng = get_engine(k)
     codes = [label.code for label in eng.labels]
-    rows = [
+    rows = (
         (codes[i], codes[j], codes[l], 1 if (i, j, l) in eng.table else 0)
         for i, j, l in product(range(len(codes)), repeat=3)
-    ]
+    )
     if args.format == "json":
         triples = [{"triple": [a, b, c], "value": v} for a, b, c, v in rows]
         print(json.dumps({"k": k, "command": "fusion table", "triples": triples}))
     else:
         print("w1,w2,w3,value")
-        for row in rows:
-            print(",".join(str(x) for x in row))
+        for a, b, c, v in rows:
+            print(f"{a},{b},{c},{v}")
     return EXIT_OK
 
 
@@ -170,12 +172,10 @@ def cmd_dump(args) -> int:
     if args.what == "delta":
         if args.format == "json":
             raise UsageError("dump delta writes csv only; drop --format json")
-        from .twisted import delta_table
-        order = args.order if args.order is not None else 8
-        tab = delta_table(order)
+        from .twisted import delta_rows
         print("m,n,c")
-        for (m, n) in sorted(tab):
-            print(f"{m},{n},{tab[(m, n)]}")
+        for m, n, c in delta_rows(args.order if args.order is not None else 8):
+            print(f"{m},{n},{c}")
         return EXIT_OK
     if args.what == "decompose":
         if not args.module:

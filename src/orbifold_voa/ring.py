@@ -106,9 +106,7 @@ class RingParams:
       the memo does not grow with the inputs;
     * ("pcoeff", n): the rows (parts, length parity, denominator) of the
       degree-n coefficient of the creation exponential, read by both
-      signs of `untwisted.p_coeff_apply`;
-    * "zeta": a dict from each exponent a mod 4k that `zeta` was asked
-      for to the term dict of its Scalar, at most 4k entries.
+      signs of `untwisted.p_coeff_apply`.
 
     Every table lives exactly as long as its ring, and reference counting
     frees both once the last outside reference goes.  The CLI builds at
@@ -207,14 +205,9 @@ class RingParams:
         return Scalar(self, {(0, 0): c} if c else {})
 
     def zeta(self, a: int) -> "Scalar":
-        """Canonical scalar for zeta^a: its term dict, one per a mod 4k, is
-        memoized under "zeta" and wrapped in a Scalar on each call."""
-        a %= self.n_roots
-        cache = self.memo.setdefault("zeta", {})
-        terms = cache.get(a)
-        if terms is None:
-            terms = cache[a] = {(i, 0): Fraction(c) for i, c in enumerate(self._zeta_rows[a]) if c}
-        return Scalar(self, terms)
+        """Canonical scalar for zeta^a."""
+        row = self._zeta_rows[a % self.n_roots]
+        return Scalar(self, {(i, 0): Fraction(c) for i, c in enumerate(row) if c})
 
     def two_to(self, q) -> "Scalar":
         """Canonical scalar for 2^q; q must have denominator dividing 2k."""

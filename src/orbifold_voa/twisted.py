@@ -42,20 +42,32 @@ from .untwisted import _lift, halve, support_modes, tally, term_pair_images
 # -- expansion coefficients of the quadratic correction ---------------------------
 
 
+def delta_rows(order: int):
+    """Yield (m, n, c[m][n]) for every m+n <= order, m first, then n, each
+    ascending, with c[m][n] = C(-1/2, m) C(-1/2, n) / 2(m+n) and c[0][0] =
+    0: the Euler operator x d/dx + y d/dy multiplies x^m y^n by m+n and
+    sends -log(((1+x)^(1/2)+(1+y)^(1/2))/2) to
+    ((1+x)^(-1/2) (1+y)^(-1/2) - 1)/2, and both vanish at 0.
+
+    The list of C(-1/2, j) grows as the m = 0 pass reaches each j, so the
+    first rows come at once at any order: C(-1/2, j) has a numerator and
+    a denominator of about 2j bits each, so the whole list at a large
+    order would not fit in memory before the first row."""
+    binom = [Fraction(1)]  # C(-1/2, j)
+    for m in range(order + 1):
+        for n in range(order + 1 - m):
+            if n == len(binom):
+                binom.append(binom[-1] * Fraction(1 - 2 * n, 2 * n))
+            yield m, n, binom[m] * binom[n] / (2 * (m + n)) if m + n else Fraction(0)
+
+
 @lru_cache(maxsize=None)
 def delta_table(order: int) -> dict[tuple[int, int], Fraction]:
-    """All c[m][n] with m+n <= order, as C(-1/2, m) C(-1/2, n) / 2(m+n) and
-    c[0][0] = 0: the Euler operator x d/dx + y d/dy multiplies x^m y^n by
-    m+n and sends -log(((1+x)^(1/2)+(1+y)^(1/2))/2) to
-    ((1+x)^(-1/2) (1+y)^(-1/2) - 1)/2, and both vanish at 0."""
-    binom = [Fraction(1)]  # C(-1/2, n)
-    for n in range(1, order + 1):
-        binom.append(binom[-1] * Fraction(1 - 2 * n, 2 * n))
-    return {
-        (m, n): binom[m] * binom[n] / (2 * (m + n)) if m + n else Fraction(0)
-        for m in range(order + 1)
-        for n in range(order + 1 - m)
-    }
+    """{(m, n): c[m][n]} over the rows of `delta_rows(order)`, in their
+    order.  Cached across rings: the CLI builds a fresh ring per command,
+    and each ring's `_delta_terms` expands its terms through the same few
+    low orders."""
+    return {(m, n): c for m, n, c in delta_rows(order)}
 
 
 def delta_coeff(m: int, n: int) -> Fraction:

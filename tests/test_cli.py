@@ -819,6 +819,50 @@ def test_a_closed_stdout_ends_the_output_without_a_traceback():
     assert code == EXIT_FAIL
 
 
+def cap_address_space():
+    """preexec_fn of a child capped at 512 MB of address space, the child
+    alone."""
+    resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
+
+
+@pytest.mark.parametrize(
+    "line, head",
+    (
+        ("dump delta --order 100000", (b"m,n,c\n", b"0,0,0\n", b"0,1,-1/4\n")),
+        ("fusion table --k 200", (b"w1,w2,w3,value\n", b"V+,V+,V+,1\n", b"V+,V+,V-,0\n")),
+    ),
+    ids=("dump delta", "fusion table"),
+)
+def test_a_large_output_is_printed_as_it_is_computed(line, head):
+    """The reader takes three lines and closes the pipe, in a child capped
+    at 512 MB.  Either output, built whole before its first line, would
+    not fit under the cap (the C(-1/2, j) of order 100,000 alone take
+    gigabytes, and the table has 207^3 rows); printed row by row, its
+    first lines come at once and the closed pipe ends the command."""
+    argv = [sys.executable, "-m", "orbifold_voa.cli", *line.split()]
+    with subprocess.Popen(
+        argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=fresh_env(), preexec_fn=cap_address_space
+    ) as proc:
+        got = tuple(proc.stdout.readline() for _ in head)
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait(timeout=60)
+    assert got == head
+    assert (err, code) == (b"", EXIT_FAIL)
+
+
+def test_dump_delta_prints_the_table_s_rows_and_leaves_its_cache(capsys):
+    # `dump delta` prints the rows of `delta_rows` as they come: it neither
+    # reads nor fills the `delta_table` cache, which would hold the table
+    before = delta_table.cache_info()
+    code, out, _ = run(capsys, "dump", "delta", "--order", "200")
+    assert code == EXIT_OK and len(out.splitlines()) == 1 + 201 * 202 // 2
+    assert delta_table.cache_info() == before
+    code, out, _ = run(capsys, "dump", "delta", "--order", "40")
+    tab = delta_table(40)
+    assert out.splitlines() == ["m,n,c", *(f"{m},{n},{tab[m, n]}" for m, n in sorted(tab))]
+
+
 @pytest.mark.parametrize(
     "line, err",
     (
@@ -859,11 +903,10 @@ def test_verify_identities_runs_up_to_its_limit_and_refuses_above_it():
 def test_verify_identities_refuses_k_80_before_it_builds_anything():
     # a child capped at 512 MB of address space: a refusal that came too late
     # would end in a MemoryError, and the timeout stops a slow one
-    def cap():
-        resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
-
     argv = [sys.executable, "-m", "orbifold_voa.cli", "verify", "identities", "--k", "80"]
-    proc = subprocess.run(argv, capture_output=True, text=True, env=fresh_env(), preexec_fn=cap, timeout=1)
+    proc = subprocess.run(
+        argv, capture_output=True, text=True, env=fresh_env(), preexec_fn=cap_address_space, timeout=1
+    )
     assert (proc.returncode, proc.stdout) == (EXIT_FAIL, "")
     assert proc.stderr == (
         "error: verify identities at k = 80 builds vectors of p(k - 1) = 13,848,650 keys, "

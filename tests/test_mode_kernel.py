@@ -1511,7 +1511,7 @@ def test_no_memo_value_refers_back_to_its_ring(k):
     images += bool(intertwine.phase_apply(1, v))
     walk("p_coeff_apply, phase_apply")
     assert images > 0
-    assert {"pair", "zeta", ("pcoeff", 3)} <= set(params.memo)
+    assert {"pair", ("pcoeff", 3)} <= set(params.memo)
     assert any(key[0] == "place" for key in params.memo if isinstance(key, tuple))
     assert leaks == {}
 
