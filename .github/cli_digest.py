@@ -23,10 +23,13 @@ counts up to about n = 80; the default cutoff 10 stops near a quarter of
 that), `verify closure` and `verify bounds` in json at k=5..8,
 `fusion table` and `zhu table` in both formats at k=1..4, the four `dump`
 targets (`dump zhu` and `dump decompose` in both formats), `dump delta` at
-orders 0, 1 and 40, `verify delta` in json at cutoffs 0 (where the index
-symmetry item skips, with no off-diagonal pair) and 24, `fusion table` in
-both formats at k=12 (19^3 = 6,859 triples), `witness --type
-V+,V-,V- --k 2 --cutoff 0` (its explicit cutoff stops the search below
+orders 0, 1, 40 and 200 (20,301 coefficients), `dump decompose --k 3` in
+both formats for V+, V-, Vl1, VT1+ and VT2- (the M+-, Mt+- and lattice
+constituents, a null lattice index and a zero norm, where Va+ at k=2
+prints lattice constituents alone), `verify delta` in json at cutoffs 0
+(where the index symmetry item skips, with no off-diagonal pair) and 24,
+`fusion table` in both formats at k=12 (19^3 = 6,859 triples), `witness
+--type V+,V-,V- --k 2 --cutoff 0` (its explicit cutoff stops the search below
 the first nonzero image, so it prints `ZERO-UP-TO-CUTOFF`), at k=1..4
 `fusion query` on every label triple and `witness` on every triple of
 value 1, and at k=3 and 4 `fusion query` on every triple of V+ and the
@@ -97,7 +100,7 @@ def commands():
             yield ["zhu", "table", "--k", str(k), "--format", fmt]
     yield ["dump", "table", "--k", "2"]
     yield ["dump", "delta", "--order", "8"]
-    for order in (0, 1, 40):
+    for order in (0, 1, 40, 200):
         yield ["dump", "delta", "--order", str(order)]
     for cutoff in (0, 24):
         yield ["verify", "delta", "--cutoff", str(cutoff), "--format", "json"]
@@ -107,6 +110,9 @@ def commands():
     yield ["dump", "zhu", "--k", "2", "--format", "json"]
     yield ["dump", "zhu", "--k", "2"]
     yield ["dump", "decompose", "--k", "2", "--module", "Va+", "--window", "2", "--format", "json"]
+    for module in ("V+", "V-", "Vl1", "VT1+", "VT2-"):
+        for fmt in ("text", "json"):
+            yield ["dump", "decompose", "--k", "3", "--module", module, "--format", fmt]
     yield ["witness", "--type", "V+,V-,V-", "--k", "2", "--cutoff", "0"]
     for k in range(1, 5):
         eng = get_engine(k)

@@ -6,9 +6,9 @@ space through three layers:
 
 1. exp(Delta_z) u, a finite z-polynomial correction whose coefficients
    c[m][n] = C(-1/2, m) C(-1/2, n) / 2(m+n), c[0][0] = 0, are those of
-   -log(((1+x)^(1/2)+(1+y)^(1/2))/2): the Euler operator x d/dx + y d/dy
-   sends that log to ((1+x)^(-1/2) (1+y)^(-1/2) - 1)/2, and both vanish
-   at 0;
+   -log(((1+x)^(1/2)+(1+y)^(1/2))/2) (`delta_coeff`); this closed form,
+   with C(-1/2, j) = (-1)^j C(2j, j) / 4^j, is their only source, and no
+   table of them is kept;
 2. the normally ordered half-odd-mode expansion with scalar prefactor
    2^(-<lam,lam>) and exponent shift z^(-<lam,lam>/2);
 3. a signed permutation of the two sector characters: e_{m*alpha} for
@@ -32,7 +32,8 @@ reduced sqrt(2)), a key of a rational term pair is only wrapped.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import partial
+from math import comb
 from typing import NamedTuple
 
 from .fock import TVector, UVector, add_into, contract, theta
@@ -42,39 +43,37 @@ from .untwisted import _lift, halve, support_modes, tally, term_pair_images
 # -- expansion coefficients of the quadratic correction ---------------------------
 
 
+def _binom_half(j: int) -> Fraction:
+    """C(-1/2, j) = (-1)^j C(2j, j) / 4^j."""
+    return Fraction((-1) ** j * comb(2 * j, j), 4**j)
+
+
 def delta_rows(order: int):
     """Yield (m, n, c[m][n]) for every m+n <= order, m first, then n, each
-    ascending, with c[m][n] = C(-1/2, m) C(-1/2, n) / 2(m+n) and c[0][0] =
-    0: the Euler operator x d/dx + y d/dy multiplies x^m y^n by m+n and
-    sends -log(((1+x)^(1/2)+(1+y)^(1/2))/2) to
-    ((1+x)^(-1/2) (1+y)^(-1/2) - 1)/2, and both vanish at 0.
+    ascending: the closed form of `delta_coeff`, with each C(-1/2, j)
+    computed once.
 
     The list of C(-1/2, j) grows as the m = 0 pass reaches each j, so the
     first rows come at once at any order: C(-1/2, j) has a numerator and
     a denominator of about 2j bits each, so the whole list at a large
     order would not fit in memory before the first row."""
-    binom = [Fraction(1)]  # C(-1/2, j)
+    binom = []
     for m in range(order + 1):
         for n in range(order + 1 - m):
             if n == len(binom):
-                binom.append(binom[-1] * Fraction(1 - 2 * n, 2 * n))
+                binom.append(_binom_half(n))
             yield m, n, binom[m] * binom[n] / (2 * (m + n)) if m + n else Fraction(0)
 
 
-@lru_cache(maxsize=None)
-def delta_table(order: int) -> dict[tuple[int, int], Fraction]:
-    """{(m, n): c[m][n]} over the rows of `delta_rows(order)`, in their
-    order.  Cached across rings: the CLI builds a fresh ring per command,
-    and each ring's `_delta_terms` expands its terms through the same few
-    low orders."""
-    return {(m, n): c for m, n, c in delta_rows(order)}
-
-
 def delta_coeff(m: int, n: int) -> Fraction:
-    """The exact coefficient c[m][n] of the correction generating function."""
+    """The exact coefficient c[m][n] = C(-1/2, m) C(-1/2, n) / 2(m+n),
+    c[0][0] = 0, of the correction generating function: the Euler operator
+    x d/dx + y d/dy multiplies x^m y^n by m+n and sends
+    -log(((1+x)^(1/2)+(1+y)^(1/2))/2) to ((1+x)^(-1/2) (1+y)^(-1/2) - 1)/2,
+    and both vanish at 0.  Nothing is cached."""
     if m < 0 or n < 0:
         raise ValueError("indices must be nonnegative")
-    return delta_table(m + n)[(m, n)]
+    return _binom_half(m) * _binom_half(n) / (2 * (m + n)) if m + n else Fraction(0)
 
 
 def delta_apply(u: UVector) -> dict[int, UVector]:
@@ -85,11 +84,14 @@ def delta_apply(u: UVector) -> dict[int, UVector]:
     term a(-nu) e[r] of u is expanded on a plain dict {(d, parts):
     Fraction}, parts in the integer units of a UVector key, and each
     output UVector is built once, the rows scaled by their term's
-    coefficient."""
+    coefficient.  A term contracts only modes among 0 and the distinct
+    parts of nu (`fock.contract` refuses the zero mode at r = 0), so only
+    their c[m][n] are computed, in the order of `delta_rows`."""
     k = u.params.k
     out: dict[int, dict] = {}
     for (nu, r), c in u.terms.items():
-        pairs = [(mm, nn, q) for (mm, nn), q in delta_table(sum(nu)).items() if q]
+        modes = sorted({0, *nu})
+        pairs = [(mm, nn, delta_coeff(mm, nn)) for mm in modes for nn in modes if mm or nn]
         cur = {(0, nu): Fraction(1)}
         acc = dict(cur)
         j = 1
@@ -184,25 +186,25 @@ def _prefactor_split(params: RingParams, r: int) -> tuple[int, Scalar]:
 
 
 def _delta_terms(params: RingParams, nu: tuple[int, ...], r: int) -> tuple:
-    """2^w exp(Delta_z) a(-nu) e[r], with 2^w the rational part of the
-    prefactor at r (`_prefactor_split`), as ((d, nu2, num, den), ...), the
-    term (num/den) a(-nu2) e[r] z^(-d) as the mode kernel's rows;
-    memoized on `params` for the life of the ring."""
+    """exp(Delta_z) 2^w a(-nu) e[r], 2^w the rational part of the prefactor
+    at r (`_prefactor_split`) given to `delta_apply` as the term's
+    coefficient, as ((d, nu2, num, den), ...), the term (num/den) a(-nu2)
+    e[r] z^(-d) as the mode kernel's rows; memoized on `params` for the
+    life of the ring."""
     key = ("delta", nu, r)
     terms = params.memo.get(key)
     if terms is None:
         scale = Fraction(2) ** _prefactor_split(params, r)[0]
-        rows = []
-        for d, vec in delta_apply(UVector(params, {(nu, r): 1})).items():
-            for (nu2, _r), c in vec.terms.items():
-                c = c.as_rational() * scale
-                rows.append((d, nu2, c.numerator, c.denominator))
-        terms = params.memo[key] = tuple(rows)
+        terms = params.memo[key] = tuple(
+            (d, nu2, *c.as_rational().as_integer_ratio())
+            for d, vec in delta_apply(UVector(params, {(nu, r): scale})).items()
+            for (nu2, _r), c in vec.terms.items()
+        )
     return terms
 
 
 def _placement(
-    params: RingParams, tilde: bool, r: int, sector: int, factor: Scalar | None
+    tilde: bool, params: RingParams, r: int, sector: int, factor: Scalar | None
 ) -> tuple:
     """(target, lift) for a plan item at lattice index r on a term of v in
     `sector` whose factor is `factor` (see `untwisted.term_pair_images`):
@@ -227,16 +229,11 @@ def _placement(
     return target, _lift(monomial if factor is None else monomial * factor)
 
 
-def _tilde_place(params: RingParams, r: int, sector: int, factor: Scalar | None) -> tuple:
-    """The placement of `tilde_mode`'s plan items: `_placement` through the
-    sector map psi_map(r)."""
-    return _placement(params, True, r, sector, factor)
-
-
-def _bare_place(params: RingParams, r: int, sector: int, factor: Scalar | None) -> tuple:
-    """The placement of `mtheta_mode`'s plan items: `_placement` with the
-    sector left as it is."""
-    return _placement(params, False, r, sector, factor)
+# the placements of `tilde_mode`'s plan items, through the sector map
+# psi_map(r), and of `mtheta_mode`'s, the sector left as it is; made once
+# here, since the mode plan compares `place` by identity
+_tilde_place = partial(_placement, True)
+_bare_place = partial(_placement, False)
 
 
 class _HashedKey(tuple):

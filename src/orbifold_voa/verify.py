@@ -30,7 +30,7 @@ from .ring import RingParams
 from .twisted import (
     conjugation_check,
     delta_coeff,
-    delta_table,
+    delta_rows,
     lattice_sector_map,
     mtheta_mode,
     psi_map,
@@ -194,7 +194,7 @@ def suite_decomp(k: int, cutoff):
 def _delta_symmetry(order: int):
     """c[m][n] against c[n][m] for m < n.  A pair with both sides zero
     shows nothing, so with no other pair the item is skipped."""
-    tab = delta_table(order)
+    tab = {(m, n): c for m, n, c in delta_rows(order)}
     pairs = [(m, n) for (m, n) in tab if m < n and (tab[(m, n)] or tab[(n, m)])]
     if not pairs:
         return "skip", f"no nonzero off-diagonal c[m][n] through total order {order}"
@@ -236,11 +236,7 @@ def suite_delta(k: int, cutoff):
     for n in range(order + 2):
         u[(0, n)] = u.get((0, n), Fraction(0)) + binom[n]
     u = {kk: c / 2 for kk, c in u.items() if c}
-    tab = delta_table(order + 1)
-    gx = {}
-    for (m, n), c in tab.items():
-        if m >= 1 and c:
-            gx[(m - 1, n)] = c * m
+    gx = {(m - 1, n): c * m for m, n, c in delta_rows(order + 1) if m >= 1 and c}
     lhs = _series_mul(_series_mul(gx, sqrt_x, order), u, order)
     lhs = {kk: -4 * c for kk, c in lhs.items() if c}
     ok = lhs.get((0, 0)) == 1 and all(c == 0 for kk, c in lhs.items() if kk != (0, 0))

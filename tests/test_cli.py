@@ -43,7 +43,7 @@ from orbifold_voa.fusion import EngineInconsistencyError, get_engine
 from orbifold_voa.ring import RingParams
 from orbifold_voa.verify import SUITES
 from orbifold_voa.fusion import direct_witness
-from orbifold_voa.twisted import delta_table, lattice_sector_map, psi_map
+from orbifold_voa.twisted import delta_rows, lattice_sector_map, psi_map
 from orbifold_voa.untwisted import e_vec, vertex_mode
 
 
@@ -591,17 +591,16 @@ def test_one_constituent_off_at_one_step_fails_at_that_weight(capsys, monkeypatc
     assert all(line.startswith("PASS ") for line in rest)
 
 
-def _skewed_delta_table(order):
-    tab = dict(delta_table(order))  # a copy: the table is cached
-    tab[(1, 2)] += 1
-    return tab
+def _skewed_delta_rows(order):
+    for m, n, c in delta_rows(order):
+        yield m, n, c + 1 if (m, n) == (1, 2) else c
 
 
 # (suite, the `verify` input patched, its replacement, the item's FAIL line): each
 # replacement makes one `fail` return of the item fire, the first it reaches
 FAIL_RETURNS = {
     "delta symmetry": (
-        "delta", "delta_table", _skewed_delta_table, "FAIL  index symmetry: c[1][2] != c[2][1]"
+        "delta", "delta_rows", _skewed_delta_rows, "FAIL  index symmetry: c[1][2] != c[2][1]"
     ),
     # psi(r + 1) carries the sign of b(r + 1), not of br
     "psi commutation": (
@@ -852,14 +851,11 @@ def test_a_large_output_is_printed_as_it_is_computed(line, head):
 
 
 def test_dump_delta_prints_the_table_s_rows_and_leaves_its_cache(capsys):
-    # `dump delta` prints the rows of `delta_rows` as they come: it neither
-    # reads nor fills the `delta_table` cache, which would hold the table
-    before = delta_table.cache_info()
+    # `dump delta` prints the rows of `delta_rows`, in their (m, n) order
     code, out, _ = run(capsys, "dump", "delta", "--order", "200")
     assert code == EXIT_OK and len(out.splitlines()) == 1 + 201 * 202 // 2
-    assert delta_table.cache_info() == before
     code, out, _ = run(capsys, "dump", "delta", "--order", "40")
-    tab = delta_table(40)
+    tab = {(m, n): c for m, n, c in delta_rows(40)}
     assert out.splitlines() == ["m,n,c", *(f"{m},{n},{tab[m, n]}" for m, n in sorted(tab))]
 
 

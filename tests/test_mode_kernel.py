@@ -54,7 +54,7 @@ from orbifold_voa.fock import (
     u_term,
 )
 from orbifold_voa.ring import RingParams, Scalar
-from orbifold_voa.twisted import delta_apply, delta_table, psi_map
+from orbifold_voa.twisted import delta_apply, delta_rows, psi_map
 from orbifold_voa.untwisted import _creation_table, halve, support_modes
 
 HALF = Fraction(1, 2)
@@ -287,7 +287,7 @@ def _vector_delta_apply(u: UVector) -> dict[int, UVector]:
     if not u:
         return {}
     maxw = max((sum(parts) for (parts, _r) in u.terms), default=0)
-    table = delta_table(int(maxw)) if maxw else {}
+    table = {(m, n): c for m, n, c in delta_rows(int(maxw))} if maxw else {}
     pairs = [(mn, c) for mn, c in table.items() if c and sum(mn) >= 1]
 
     def once(state: dict[int, UVector]) -> dict[int, UVector]:
@@ -1728,18 +1728,27 @@ def _counted_walks(monkeypatch) -> list:
     return walks
 
 
-@pytest.mark.parametrize("twisted_", (False, True))
-def test_a_sweep_walks_each_skeleton_once(monkeypatch, twisted_):
+@pytest.mark.parametrize(
+    "twisted_, op, reference",
+    (
+        pytest.param(False, untwisted.vertex_mode, vertex_mode, id="False"),
+        pytest.param(True, twisted.mtheta_mode, mtheta_mode, id="True"),
+        pytest.param(True, twisted.tilde_mode, tilde_mode, id="tilde_mode"),
+    ),
+)
+def test_a_sweep_walks_each_skeleton_once(monkeypatch, twisted_, op, reference):
     """A sweep over multi-term u and v walks one skeleton per term pair
     (a group of u and a term of v), not one per term pair and mode; every
     mode of the sweep is on every pair's grid, and the images are those of
-    the verbatim engine."""
+    the verbatim engine.  The twisted operators plan through their module's
+    placement functions, so a placement made anew per call would walk
+    every pair again at each mode."""
     params = RingParams(2)
     if twisted_:
         # one group of u (two terms at r = 1), two terms of v, six modes
         u = u_term(params, [1], 1) + u_term(params, [2], 1, Fraction(-2, 3))
         v = t_term(params, [HALF], 1) + t_term(params, [Fraction(3, 2), HALF], 2, 3)
-        op, reference, modes, pairs = twisted.mtheta_mode, mtheta_mode, 6, 2
+        modes, pairs = 6, 2
     else:
         # two groups of u (r = 2 and r = -2), three terms of v, three modes
         u = (
@@ -1752,7 +1761,7 @@ def test_a_sweep_walks_each_skeleton_once(monkeypatch, twisted_):
             + u_term(params, [2, 1], 2, Fraction(1, 3))
             + u_term(params, [1], -2, 2)
         )
-        op, reference, modes, pairs = untwisted.vertex_mode, vertex_mode, 3, 6
+        modes, pairs = 3, 6
     sweep = support_modes(u, v, 6)[:modes]
     assert len(sweep) == modes
     walks = _counted_walks(monkeypatch)

@@ -1,6 +1,7 @@
 """Twisted layer: correction coefficients against an independent oracle,
 the corrected operator's top-level actions, sector maps, commutators."""
 
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -21,7 +22,7 @@ from orbifold_voa.twisted import (
     conjugation_check,
     delta_apply,
     delta_coeff,
-    delta_table,
+    delta_rows,
     lattice_sector_map,
     mtheta_mode,
     psi_map,
@@ -76,9 +77,28 @@ def test_delta_against_live_symbolic_oracle(delta_series_oracle):
 
 
 def test_delta_table_symmetry():
-    tab = delta_table(8)
+    tab = {(m, n): c for m, n, c in delta_rows(8)}
     for (m, n), c in tab.items():
         assert tab[(n, m)] == c
+
+
+def test_delta_coeff_matches_delta_rows():
+    rows = list(delta_rows(40))
+    assert len(rows) == 41 * 42 // 2
+    for m, n, c in rows:
+        assert delta_coeff(m, n) == c, (m, n)
+
+
+def test_delta_coeff_holds_no_table():
+    """One coefficient is computed from its two binomials, and nothing of
+    it stays: a table of every m + n <= 600 held about 80 MB."""
+    tracemalloc.start()
+    try:
+        delta_coeff(300, 300)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held < 1_000_000, held
 
 
 @pytest.fixture(scope="module", params=(1, 2, 3))
