@@ -73,13 +73,18 @@ class RingParams:
     as garbage for a full pass of the cyclic collector.  The entries:
 
     * ("create", r, pending, twisted): the creation stage of the mode
-      kernel as a dict {w: (den, rows)} over the doubled weights w,
-      integer numerators over one least common denominator per table,
+      kernel as a dict {w: (den, rows)} over the doubled weights w, each
+      row (parts, num, code), an integer numerator over one least common
+      denominator per table and the multiplicity code of the parts,
       `untwisted._creation_table` (the table at -r with no pending factors
       is read from the one at r); a row holds an untwisted part p as p,
       the unit of the output key, and a twisted one as 2p.  Each row of a
       kernel skeleton (`untwisted._skeleton`) holds the dict of its
       pending factors, so stage 3 reads a table with one lookup;
+    * "decode": a dict from each multiplicity code that stage 3 of the
+      mode kernel has returned a key for to that key, the parts as a
+      tuple of ints (`untwisted._Decoded`), so a code is decoded once per
+      ring;
     * ("delta", nu, r): exp(Delta_z) of one term times 2^w, the rational
       part of the twisted prefactor 2^(-r^2/2k) = 2^w t^b,
       `twisted._delta_terms`;
@@ -104,9 +109,9 @@ class RingParams:
       made as it is built.  It is one entry,
       replaced when the input changes, so a sweep over m plans once and
       the memo does not grow with the inputs;
-    * ("pcoeff", n): the rows (parts, length parity, denominator) of the
-      degree-n coefficient of the creation exponential, read by both
-      signs of `untwisted.p_coeff_apply`.
+    * ("pcoeff", n): the rows (parts, Fraction for +alpha, Fraction for
+      -alpha) of the degree-n coefficient of the creation exponential,
+      read by both signs of `untwisted.p_coeff_apply`.
 
     Every table lives exactly as long as its ring, and reference counting
     frees both once the last outside reference goes.  The CLI builds at

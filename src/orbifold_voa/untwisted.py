@@ -36,20 +36,26 @@ differ only in the smallest created part (2 or 1) and in the s-term.
 
 Stages 1 and 2 (`_skeleton`) do not read m.  The creation stage depends
 only on the ring, the lattice index, the pending factors and the budget.
-It is walked once per ring (`_creation_table`), its rows merged by their
-sorted parts, and every later call only reads the rows: the tables of one
-(r, pending, lattice) are one dict {budget: table} in `RingParams.memo`,
-and each row of a skeleton holds the dict of its pending factors, so
-stage 3 finds a table with one dict lookup.  The creation exponential is
-walked once per |r|: each created part carries one factor r, so the table
-at -r is the one at r with its odd-length rows negated.  Every walk sums
-plain ints over one denominator fixed before it starts (a factor a(-n)
-has all its coefficients over `_dden(n)`): stages 1 and 2 over the one of
-`_skeleton`, stage 3 over that one times the least common multiple of the
-denominators of the tables that meet the budget.  States and keys that
-cancel are dropped, and an output key becomes one Fraction at the end;
-where one row of the skeleton meets the budget no two keys can meet, so
-its Fractions are made in one pass.
+It is walked once per ring (`_creation_table`), and every later call
+only reads the rows: the tables of one (r, pending, lattice) are one dict
+{budget: table} in `RingParams.memo`, and each row of a skeleton holds
+the dict of its pending factors, so stage 3 finds a table with one dict
+lookup.  The creation exponential is walked once per |r|: each created
+part carries one factor r, so the table at -r is the one at r with its
+odd-length rows negated.  Every walk sums plain ints over one denominator
+fixed before it starts (a factor a(-n) has all its coefficients over
+`_dden(n)`): stages 1 and 2 over the one of `_skeleton`, stage 3 over
+that one times the least common multiple of the denominators of the
+tables that meet the budget.  Inside the kernel a partition is also one
+int, its multiplicity code (`_decode`: 16 bits per part size, in the units
+of the tables), so two partitions merge by adding their codes: a table
+row and a skeleton row carry the code of their parts, and stage 3 and the
+pending walk sum contributions per code with no tuple made.  A code
+becomes its key tuple once per ring, through the "decode" entry of the
+memo (`_Decoded`).  States and keys that cancel are dropped, and an
+output key becomes one Fraction at the end; where one row of the skeleton
+meets the budget no two keys can meet, so its Fractions are made in one
+pass.
 
 One driver, `term_pair_images`, runs the kernel for the untwisted
 operator, the untwisted intertwiners and the twisted operators alike.  It
@@ -72,7 +78,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, floor, gcd, lcm, prod
+from math import factorial, floor, gcd, lcm, perm, prod
 
 from .fock import (
     TVector,
@@ -102,14 +108,53 @@ def _dcoef(n: int, jj: int) -> int:
     return num
 
 
+def _decode(code: int) -> tuple:
+    """The parts of a multiplicity code, in descending order.  The code of
+    a partition into integer parts holds the multiplicity of a part p in
+    bits 16p to 16p + 15, so a partition is one int and two partitions
+    merge by adding their codes."""
+    parts: list[int] = []
+    while code:
+        shift = (code.bit_length() - 1) >> 4 << 4
+        mult = code >> shift
+        parts += [shift >> 4] * mult
+        code -= mult << shift
+    return tuple(parts)
+
+
+class _Decoded(dict):
+    """{code: parts}, filled with `_decode` on first lookup: the "decode"
+    entry of `RingParams.memo`, so a surviving code becomes its key tuple
+    once per ring."""
+
+    def __missing__(self, code: int) -> tuple:
+        parts = self[code] = _decode(code)
+        return parts
+
+
+def _decoded(params: RingParams) -> _Decoded:
+    """The ring's "decode" memo entry (`_Decoded`)."""
+    keys = params.memo.get("decode")
+    if keys is None:
+        keys = params.memo["decode"] = _Decoded()
+    return keys
+
+
+# a table's rows and a skeleton's kept parts each hold fewer than 2^15 equal
+# parts, so their sum fits the 16 bits of its field in a multiplicity code
+_MAX_COPIES = (1 << 15) - 1
+
+
 def _creation_table(
     params: RingParams, r: int, w: int, twisted: bool, pending: tuple = ()
 ) -> tuple:
-    """(den, ((parts, num), ...)): the creation stage of the kernel at
+    """(den, ((parts, num, code), ...)): the creation stage of the kernel at
     doubled weight w, each coefficient num/den over the one least common
-    denominator den of the table, memoized for the life of the ring as
-    entry w of the ("create", r, pending, twisted) dict of `params.memo`,
-    the dict that a `_skeleton` row holds.
+    denominator den of the table and code the multiplicity code of parts
+    (`_decode`), memoized for the life of the ring as entry w of the
+    ("create", r, pending, twisted) dict of `params.memo`, the dict that a
+    `_skeleton` row holds.  A w whose rows could hold more than
+    `_MAX_COPIES` equal parts raises OverflowError before any walk.
 
     With no `pending` factors these are the terms of the creation
     exponential of lambda_r.  The walk is over doubled modes N, odd when
@@ -117,66 +162,82 @@ def _creation_table(
     twisted one as N, listed in descending order.  A part N carries
     (r/2k)/(N/2) = r/(kN), and i equal parts a further 1/i!.  One
     partition walk at r > 0 carries each coefficient as an integer
-    numerator and denominator: the i-th copy of a part N multiplies them
-    by r/g and (k/g)*N*i, g = gcd(r, k).  Since every part carries one
-    factor r, the table at -r is read from the memo entry at r (walked
-    first if it is missing) with its odd-length rows negated, so each |r|
-    is walked once.
+    numerator and denominator and each partition as its code: the i-th
+    copy of a part N multiplies them by r/g and (k/g)*N*i, g = gcd(r, k).
+    A branch where only the smallest part lo still fits ends at once: its
+    c remaining parts are forced, and they multiply the coefficient by
+    (r/g)^c over (k/g * lo)^c times the next c values of i.  Since every
+    part carries one factor r, the table at -r is read from the memo entry
+    at r (walked first if it is missing) with its odd-length rows negated,
+    so each |r| is walked once.
 
     Each pending factor a(-n) takes a created part p (the coefficient of
     alpha(-p/2) in its divided derivative, see `_dcoef`) and leaves w - p
     to the factors after it and to the exponential.  Its rows lie over the
     lcm of the tables it reads times `_dden(n)`, rows that end on the same
-    sorted parts sum plain ints, and rows that cancel are dropped; the
-    table is reduced by one gcd at the end."""
+    code sum plain ints, and rows that cancel are dropped; the table is
+    reduced by one gcd at the end."""
     tables = params.memo.setdefault(("create", r, pending, twisted), {})
     table = tables.get(w)
     if table is None:
         lo = 1 if twisted else 2
         half = lo - 1  # a doubled part p leaves as p >> half
+        if w // lo > _MAX_COPIES:
+            raise OverflowError(f"a creation table at weight {w} could hold more than {_MAX_COPIES} equal parts")
         if pending:
             n, rest = pending[0], pending[1:]
             subs = []
             for p in range(lo, w - lo * len(rest) + 1, 2):
                 dc = _dcoef(n, -p)
                 if dc:
-                    subs.append((p >> half, dc, *_creation_table(params, r, w - p, twisted, rest)))
-            den = lcm(*[ed for _p, _dc, ed, _rows in subs])
-            merged: dict[tuple, int] = {}
-            for p, dc, ed, rows in subs:
+                    subs.append((1 << ((p >> half) << 4), dc, *_creation_table(params, r, w - p, twisted, rest)))
+            den = lcm(*[ed for _bit, _dc, ed, _rows in subs])
+            merged: dict[int, int] = {}
+            for bit, dc, ed, rows in subs:
                 dc *= den // ed
-                for parts, e in rows:
-                    parts = tuple(sorted(parts + (p,), reverse=True))
-                    merged[parts] = merged.get(parts, 0) + dc * e
+                for _parts, e, code in rows:
+                    code += bit
+                    merged[code] = merged.get(code, 0) + dc * e
             den *= _dden(n)
             g = gcd(den, *merged.values())
-            table = (den // g, tuple([(parts, num // g) for parts, num in merged.items() if num]))
+            table = (den // g, tuple([(_decode(code), num // g, code) for code, num in merged.items() if num]))
         elif not r:
-            table = (1, (((), 1),) if w == 0 else ())
+            table = (1, (((), 1, 0),) if w == 0 else ())
         elif r < 0:
             # every created part carries one factor r
             den, rows = _creation_table(params, -r, w, twisted)
-            table = (den, tuple([(parts, -num if len(parts) % 2 else num) for parts, num in rows]))
+            table = (den, tuple([(parts, -num if len(parts) % 2 else num, code) for parts, num, code in rows]))
         else:
             g = gcd(r, params.k)
             rg, kg = r // g, params.k // g
             rows = []
             # depth first on an explicit stack; a node pushes its next parts
             # smallest first, so the largest is walked first
-            stack = [(w, w, (), 1, 1, 0)]
+            stack = [(w, w, (), 0, 1, 1, 0)]
             while stack:
-                left, top, parts, num, den, run = stack.pop()
-                if not left:
+                left, top, parts, code, num, den, run = stack.pop()
+                if min(left, top) < lo + 2:
+                    # only parts lo still fit: the c left are forced, copies
+                    # run + 1 to run + c of lo when the last part was lo
+                    c, rem = divmod(left, lo)
+                    if rem:
+                        continue
+                    if c:
+                        num *= rg**c
+                        den *= (kg * lo) ** c * perm((run if top == lo else 0) + c, c)
+                        parts += (lo >> half,) * c
+                        code += c << ((lo >> half) << 4)
                     g = gcd(num, den)
-                    rows.append((parts, num // g, den // g))
+                    rows.append((parts, num // g, den // g, code))
                     continue
                 num, den = num * rg, den * kg
                 for n in range(lo, min(left, top) + 1, 2):
                     i = run + 1 if n == top else 1
-                    stack.append((left - n, n, parts + (n >> half,), num, den * n * i, i))
+                    p = n >> half
+                    stack.append((left - n, n, parts + (p,), code + (1 << (p << 4)), num, den * n * i, i))
             # the lcm of reduced rows is their least common denominator
-            den = lcm(*[d for _parts, _num, d in rows])
-            table = (den, tuple([(parts, num * (den // d)) for parts, num, d in rows]))
+            den = lcm(*[d for _parts, _num, d, _code in rows])
+            table = (den, tuple([(parts, num * (den // d), code) for parts, num, d, code in rows]))
         tables[w] = table
     return table
 
@@ -190,11 +251,14 @@ def halve(key: tuple) -> tuple:
 def _skeleton(params: RingParams, r: int, mu: tuple, s: int, twisted: bool, terms: tuple) -> tuple:
     """Stages 1 and 2 of the mode kernel, the ones that do not read m, as
     (den, ((need, off, num, kept, tables, pending), ...)): one flat tuple
-    of rows, each kept parts (in the units of the creation table's rows)
-    with an integer numerator num over the one denominator den of the walk,
-    the pending factors and `tables`, the ring's creation tables of (r,
-    pending, twisted) as the dict {budget: table} that `_creation_table`
-    fills, so stage 3 reads a row's table with no call and no key tuple.
+    of rows, each the multiplicity code (`_decode`) of its kept parts (in the
+    units of the creation table's rows) with an integer numerator num over
+    the one denominator den of the walk, the pending factors and `tables`,
+    the ring's creation tables of (r, pending, twisted) as the dict
+    {budget: table} that `_creation_table` fills, so stage 3 reads a row's
+    table with no call and no key tuple.  A mu of more than `_MAX_COPIES`
+    parts raises OverflowError, since a kept part could overflow its field
+    of the code.
 
     Stage 1 contracts each factor a(-n) of each term against a part of mu
     or pairs it with the lattice index s, or leaves it pending; after each
@@ -217,6 +281,8 @@ def _skeleton(params: RingParams, r: int, mu: tuple, s: int, twisted: bool, term
     `_dcoef` numerator and a pending one by `_dden(n)`, which its creation
     table divides out, so states sum plain ints; those that cancel go."""
     k = params.k
+    if len(mu) > _MAX_COPIES:
+        raise OverflowError(f"a kernel skeleton could keep more than {_MAX_COPIES} equal parts")
     counts0: dict[int, int] = {}
     for p in mu:
         p2 = 2 * p.numerator // p.denominator
@@ -257,17 +323,17 @@ def _skeleton(params: RingParams, r: int, mu: tuple, s: int, twisted: bool, term
     for (left, pending, off0), c0 in contracted.items():
         if not c0:
             continue
-        paths = [((), off0 + 2 * sum(pending), c0)]
+        paths = [(0, off0 + 2 * sum(pending), c0)]
         for p, m_p in left:
-            kept_p = (p >> half,)
+            bit = 1 << ((p >> half) << 4)  # one kept part p >> half
             step = []
             for kept, off, c in paths:
-                step.append((kept + kept_p * m_p, off, c))
+                step.append((kept + bit * m_p, off, c))
                 if r:
                     binom = 1
                     for j in range(1, m_p + 1):
                         binom = binom * (m_p - j + 1) // j
-                        step.append((kept + kept_p * (m_p - j), off + p * j, c * (-r) ** j * binom))
+                        step.append((kept + bit * (m_p - j), off + p * j, c * (-r) ** j * binom))
             paths = step
         for kept, off, c in paths:
             state = (kept, pending, off)
@@ -309,9 +375,12 @@ def _create(params: RingParams, r: int, t0: int, twisted: bool, skeleton: tuple)
     skeleton's one denominator den, and each table has its own: the live
     rows are scaled to the least common multiple of their tables'
     denominators, so an output key (the kept parts merged with the
-    table's) sums plain ints over den times that lcm and becomes one
-    Fraction at the end.  A single live row, with kept parts or none,
-    makes its Fractions in one pass."""
+    table's, the sum of their multiplicity codes) sums plain ints over den
+    times that lcm in a dict keyed by the code.  Each surviving code
+    becomes its key tuple through the ring's "decode" entry (`_decoded`)
+    and its sum one Fraction, in the order of the first contribution.  A
+    single live row makes its Fractions in one pass, its keys the table's
+    parts when it keeps none."""
     den, rows = skeleton
     live = []
     tden = 1
@@ -330,17 +399,18 @@ def _create(params: RingParams, r: int, t0: int, twisted: bool, skeleton: tuple)
     if len(live) == 1:
         # table rows have distinct parts, so the keys of one row meet no other
         ((num, kept, (_tden, table)),) = live
-        return {
-            tuple(sorted(kept + parts, reverse=True)) if kept else parts: Fraction(num * e, den) for parts, e in table
-        }
-    out: dict[tuple, int] = {}
+        if not kept:
+            return {parts: Fraction(num * e, den) for parts, e, _code in table}
+        keys = _decoded(params)
+        return {keys[kept + code]: Fraction(num * e, den) for _parts, e, code in table}
+    out: dict[int, int] = {}
     for num, kept, (d, table) in live:
         num *= tden // d
-        for parts, e in table:
-            if kept:
-                parts = tuple(sorted(kept + parts, reverse=True))
-            out[parts] = out.get(parts, 0) + num * e
-    return {key: Fraction(num, den) for key, num in out.items() if num}
+        for _parts, e, code in table:
+            code += kept
+            out[code] = out.get(code, 0) + num * e
+    keys = _decoded(params)
+    return {keys[code]: Fraction(num, den) for code, num in out.items() if num}
 
 
 def _weight(c: Scalar) -> tuple[int, int, Scalar | None]:
@@ -548,7 +618,7 @@ def p_coeff_apply(params: RingParams, sign: int, n: int, v: UVector) -> UVector:
                 den *= q * run
                 last = q
             plus = Fraction(1, den)
-            rows.append((parts, plus, Fraction(-1, den) if len(parts) % 2 else plus))
+            rows.append((parts, plus, -plus if len(parts) % 2 else plus))
         rows = params.memo[("pcoeff", n)] = tuple(rows)
     side = 1 if sign > 0 else 2
     acc: dict = {}

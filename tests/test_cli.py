@@ -850,7 +850,7 @@ def test_a_large_output_is_printed_as_it_is_computed(line, head):
     assert (err, code) == (b"", EXIT_FAIL)
 
 
-def test_dump_delta_prints_the_table_s_rows_and_leaves_its_cache(capsys):
+def test_dump_delta_prints_the_rows_of_delta_rows(capsys):
     # `dump delta` prints the rows of `delta_rows`, in their (m, n) order
     code, out, _ = run(capsys, "dump", "delta", "--order", "200")
     assert code == EXIT_OK and len(out.splitlines()) == 1 + 201 * 202 // 2

@@ -87,6 +87,13 @@ def _output_parts(parts: tuple, twisted_: bool) -> tuple:
     return parts if twisted_ else tuple(p // 2 for p in parts)
 
 
+def _code(parts: tuple) -> int:
+    """The multiplicity code of integer parts that the kernel merges
+    (`untwisted._decode`): the multiplicity of a part p in bits 16p to
+    16p + 15."""
+    return sum(1 << 16 * p for p in parts)
+
+
 def _session_memo(fn):
     """fn(params, *args) memoized for the test session on (k, *args): the
     reference results depend on the ring only through k and hold only
@@ -554,8 +561,9 @@ def test_twisted_kernel_matches_wtheta_term_mode(k):
 
 
 def _live_rows(params: RingParams, r: int, t0: int, twisted_: bool, skeleton: tuple) -> list:
-    """The kept parts of each row of `skeleton` that meets the budget t0
-    with a nonempty creation table: the rows `_create` expands."""
+    """The code of the kept parts (`_code`, 0 for none) of each row of
+    `skeleton` that meets the budget t0 with a nonempty creation table: the
+    rows `_create` expands."""
     _den, rows = skeleton
     return [
         kept
@@ -1132,11 +1140,13 @@ def test_creation_table_matches_per_part_formula(k):
                     (_output_parts(parts, twisted_), e) for parts, e in _per_part_creation_table(k, r, w, twisted_)
                 )
                 # rows hold integer numerators over their least common denominator
-                assert den > 0 and gcd(den, *[num for _parts, num in got]) == 1
-                assert tuple((parts, Fraction(num, den)) for parts, num in got) == want, (
+                assert den > 0 and gcd(den, *[num for _parts, num, _code in got]) == 1
+                assert tuple((parts, Fraction(num, den)) for parts, num, _code in got) == want, (
                     r, w, twisted_,
                 )
-                repeated += sum(len(set(parts)) < len(parts) for parts, _n in got)
+                # and the multiplicity code of their parts
+                assert all(code == _code(parts) for parts, _num, code in got), (r, w, twisted_)
+                repeated += sum(len(set(parts)) < len(parts) for parts, _n, _code in got)
     assert repeated > 0
 
 
@@ -1179,13 +1189,14 @@ def test_memoized_creation_stage_matches_a_fresh_walk(k):
                 for twisted_ in (False, True):
                     table = _creation_table(params, r, w, twisted_, pending)
                     den, got = table
-                    keys = [parts for parts, _num in got]
+                    keys = [parts for parts, _num, _code in got]
                     assert len(set(keys)) == len(keys)
                     assert all(parts == tuple(sorted(parts, reverse=True)) for parts in keys)
-                    assert all(num for _p, num in got)
-                    assert den > 0 and gcd(den, *[num for _p, num in got]) == 1
+                    assert all(code == _code(parts) for parts, _num, code in got)
+                    assert all(num for _p, num, _code in got)
+                    assert den > 0 and gcd(den, *[num for _p, num, _code in got]) == 1
                     want, paths = _fresh_creation_stage(k, r, pending, w, twisted_)
-                    assert {parts: Fraction(num, den) for parts, num in got} == want, (
+                    assert {parts: Fraction(num, den) for parts, num, _code in got} == want, (
                         pending, r, w, twisted_,
                     )
                     # the same stage reached twice is the same memo row
@@ -1202,7 +1213,7 @@ def test_the_table_at_minus_r_reads_the_table_at_r(k):
     ring memo and reads it there, its odd-length rows negated: each |r| is
     walked once.  A table planted under r shows that -r reads it."""
     params = RingParams(k)
-    signed = lambda rows: tuple((parts, (-1) ** len(parts) * num) for parts, num in rows)
+    signed = lambda rows: tuple((parts, (-1) ** len(parts) * num, code) for parts, num, code in rows)
     flipped = 0
     for r in range(1, 2 * k + 2):
         for w in range(0, 13):
@@ -1215,11 +1226,12 @@ def test_the_table_at_minus_r_reads_the_table_at_r(k):
                 den, rows = plus = params.memo[plus_key][w]
                 assert _creation_table(params, r, w, twisted_) is plus
                 assert minus == (den, signed(rows)), (r, w, twisted_)
+                assert all(code == _code(parts) for parts, _num, code in minus[1]), (r, w, twisted_)
                 del params.memo[minus_key][w]
-                planted = tuple((parts, 3 * num) for parts, num in rows)
+                planted = tuple((parts, 3 * num, code) for parts, num, code in rows)
                 params.memo[plus_key][w] = (den, planted)
                 assert _creation_table(params, -r, w, twisted_) == (den, signed(planted))
-                flipped += any(len(parts) % 2 for parts, _num in rows)
+                flipped += any(len(parts) % 2 for parts, _num, _code in rows)
     assert flipped > 0
 
 
@@ -1318,14 +1330,15 @@ def _path_by_path_skeleton(params, r, mu, s, twisted, terms):
 
 def _flat_rows(params: RingParams, r: int, twisted: bool, skeleton: tuple) -> tuple:
     """A grouped skeleton of `_path_by_path_skeleton` as `_skeleton` hands
-    it to stage 3: (den, rows), one row (need, off, num, kept, tables,
-    pending) per row of each group, in group order, `tables` being the
-    ring's creation tables of (r, pending, twisted), and every group's
-    den the one den."""
+    it to stage 3: (den, rows), one row (need, off, num, code, tables,
+    pending) per row of each group, in group order, code being the
+    multiplicity code of the kept parts (`_code`), `tables` the ring's
+    creation tables of (r, pending, twisted), and every group's den the
+    one den."""
     dens = {den for _pending, _off, _need, den, _rows in skeleton}
     assert len(dens) <= 1, dens
     rows = tuple(
-        (need, off, num, kept, params.memo[("create", r, pending, twisted)], pending)
+        (need, off, num, _code(kept), params.memo[("create", r, pending, twisted)], pending)
         for pending, off, need, _den, group in skeleton
         for kept, num in group
     )
@@ -1375,6 +1388,95 @@ def test_skeleton_matches_the_path_by_path_walk(k):
         merged += merges
         rows += len(got)
     assert merged > 0 and rows > 0
+
+
+def _sorted_tuple_create(params, r, t0, twisted_, den, rows) -> dict:
+    """Stage 3 as `_create` made it before it merged multiplicity codes, on
+    rows (need, off, num, kept, pending) whose kept parts are a tuple: the
+    key of each contribution is the sorted tuple of its kept parts and its
+    table row's parts, summed in a dict of tuples, first contribution
+    first."""
+    live, tden = [], 1
+    for need, off, num, kept, pending in rows:
+        if t0 < need:
+            continue
+        d, table = _creation_table(params, r, t0 + off, twisted_, pending)
+        if table:
+            tden = lcm(tden, d)
+            live.append((num, kept, d, table))
+    out: dict = {}
+    for num, kept, d, table in live:
+        for parts, e, _code in table:
+            key = tuple(sorted(kept + parts, reverse=True))
+            out[key] = out.get(key, 0) + num * (tden // d) * e
+    return {key: Fraction(num, den * tden) for key, num in out.items() if num}
+
+
+@pytest.mark.parametrize("k", (1, 2))
+def test_create_matches_a_sorted_tuple_merge(k):
+    """`_create`, which merges kept and table parts as multiplicity codes,
+    returns the keys and Fractions of a sorted-tuple merge of the same live
+    rows in the same order, the kept parts read from the path-by-path
+    skeleton; the grid has budgets where several rows meet one key."""
+    params = RingParams(k)
+    met = images = 0
+    for r, mu, s, twisted_, terms in _stage_one_cases(params):
+        den, rows = skeleton = untwisted._skeleton(params, r, mu, s, twisted_, terms)
+        grouped, _merges = _path_by_path_skeleton(params, r, mu, s, twisted_, terms)
+        kept_rows = [
+            (need, off, num, _output_parts(kept, twisted_), pending)
+            for pending, off, need, _den, group in grouped
+            for kept, num in group
+        ]
+        assert [_code(row[3]) for row in kept_rows] == [row[3] for row in rows]
+        for t0 in range(-2, 14, 1 if twisted_ else 2):
+            got = untwisted._create(params, r, t0, twisted_, skeleton)
+            want = _sorted_tuple_create(params, r, t0, twisted_, den, kept_rows)
+            assert list(got.items()) == list(want.items()), (r, mu, s, twisted_, terms, t0)
+            images += bool(got)
+            contributions = [
+                tuple(sorted(kept + parts, reverse=True))
+                for need, off, _num, kept, pending in kept_rows
+                if t0 >= need
+                for parts, _e, _code in _creation_table(params, r, t0 + off, twisted_, pending)[1]
+            ]
+            met += len(set(contributions)) < len(contributions)
+    assert images > 0 and met > 0
+
+
+def test_decode_inverts_the_multiplicity_code():
+    """`_decode` gives back the descending parts of a code, for adjacent
+    and distant part sizes and up to the largest multiplicity a kept part
+    and a table part can merge to, 2 * `_MAX_COPIES`; a "decode" memo entry
+    decodes each code once."""
+    most = 2 * untwisted._MAX_COPIES
+    assert most < 1 << 16
+    cases = [(), (1,), (2, 1), (3, 3, 2, 1, 1), (40, 7, 7, 1), (5,) * most, (9,) * most + (8,) * 3 + (1,) * most]
+    for parts in cases:
+        assert untwisted._decode(_code(parts)) == parts
+    keys = untwisted._Decoded()
+    assert keys[_code((3, 1, 1))] == (3, 1, 1) and keys[0] == ()
+    assert keys == {_code((3, 1, 1)): (3, 1, 1), 0: ()}
+
+
+def test_a_multiplicity_past_its_field_raises_before_any_walk():
+    """A creation table whose rows could hold more than `_MAX_COPIES` equal
+    parts, and a skeleton of a term with more than `_MAX_COPIES` parts,
+    raise OverflowError before they walk or merge anything: no table is
+    stored.  The cases sit at r = 0, where the walks stay small even with
+    no guard, so a missing guard fails here and does not hang."""
+    params = RingParams(1)
+    cap = untwisted._MAX_COPIES
+    for twisted_, lo in ((False, 2), (True, 1)):
+        for pending in ((), (1,)):
+            with pytest.raises(OverflowError):
+                _creation_table(params, 0, lo * (cap + 1), twisted_, pending)
+            assert params.memo[("create", 0, pending, twisted_)] == {}
+    with pytest.raises(OverflowError):
+        untwisted._skeleton(params, 0, (1,) * (cap + 1), 0, False, ((0, (1,), 1, 1),))
+    assert all(tables == {} for tables in params.memo.values())
+    # at the cap itself nothing is refused
+    assert untwisted._skeleton(params, 0, (1,) * cap, 0, False, ((0, (), 1, 1),))[1]
 
 
 def test_dcoef_is_a_numerator_over_dden():
@@ -1511,7 +1613,8 @@ def test_no_memo_value_refers_back_to_its_ring(k):
     images += bool(intertwine.phase_apply(1, v))
     walk("p_coeff_apply, phase_apply")
     assert images > 0
-    assert {"pair", ("pcoeff", 3)} <= set(params.memo)
+    assert {"pair", "decode", ("pcoeff", 3)} <= set(params.memo)
+    assert params.memo["decode"]
     assert any(key[0] == "place" for key in params.memo if isinstance(key, tuple))
     assert leaks == {}
 
