@@ -82,9 +82,11 @@ class RingParams:
       kernel skeleton (`untwisted._skeleton`) holds the dict of its
       pending factors, so stage 3 reads a table with one lookup;
     * "decode": a dict from each multiplicity code that stage 3 of the
-      mode kernel has returned a key for to that key, the parts as a
-      tuple of ints (`untwisted._Decoded`), so a code is decoded once per
-      ring;
+      mode kernel has made an untwisted-shaped key (parts, index) of to its
+      parts as a tuple of ints (`untwisted._Decoded`), so a code is decoded
+      once per ring.  It serves the keys that are not the parts of one
+      table row, those of a row with kept parts and of merged rows; a
+      single live row that keeps no parts takes its table's parts;
     * ("delta", nu, r): exp(Delta_z) of one term times 2^w, the rational
       part of the twisted prefactor 2^(-r^2/2k) = 2^w t^b,
       `twisted._delta_terms`;
@@ -94,19 +96,22 @@ class RingParams:
       (the prefactor's monomial, with integer coefficients), which
       `twisted._placement` makes a Scalar again as each plan item of the
       mode driver is built;
-    * "tkey": a dict from each (doubled key, target sector) the twisted
-      operators have returned to its output key, the halved Fraction parts
-      and the sector as a tuple that stores its hash
-      (`twisted._HashedKey`), shared by every result;
+    * ("tkey", sector): the twisted operators' key map of one target
+      sector, a dict from the multiplicity code of each doubled key that
+      stage 3 has placed there to its output key, the halved Fraction
+      parts and the sector as a tuple that stores its hash
+      (`twisted._SectorKeys` of `twisted._HashedKey`), shared by every
+      result and held by each plan item that places into the sector;
     * "pair": (input, plan), the m-independent work of the mode driver
       for the latest (u, v) pair, `untwisted.term_pair_images`: the input
       is the kernel-row and placement functions, the target (None, or a
       function and the intertwiner spec it reads), the lattice and u and v
       as lists of (key, coefficient terms), and the plan holds the
-      placement (an output index or sector and a `untwisted._lift` map,
-      which takes the ring as an argument) and the skeleton
-      (`untwisted._skeleton`) of each term pair of u and the target of v,
-      made as it is built.  It is one entry,
+      placement as data (an output lattice index or the key map of a
+      target sector, and the `untwisted._lift` of the factor, (basis,
+      sign) pairs or a map that takes the ring as an argument) and the
+      skeleton (`untwisted._skeleton`) of each term pair of u and the
+      target of v, made as it is built.  It is one entry,
       replaced when the input changes, so a sweep over m plans once and
       the memo does not grow with the inputs;
     * ("pcoeff", n): the rows (parts, Fraction for +alpha, Fraction for

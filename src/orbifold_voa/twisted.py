@@ -23,10 +23,12 @@ prefactor of layer 2 is split as 2^(-r^2/2k) = 2^w t^b with 0 <= b < 2k:
 the rational 2^w is folded into those rows, so the kernel's Fraction is
 the final rational coefficient of each output key, and the monomial t^b
 goes with the sign of layer 3 into one per-ring placement entry, which
-each item of the driver's plan reads as it is built.  Where
-the monomial has only +-1 coefficients (always for odd k, where it is one
-basis element, and for even k at least up to k = 24, where it holds the
-reduced sqrt(2)), a key of a rational term pair is only wrapped.
+each item of the driver's plan reads as it is built, with the per-ring
+key map of its target sector.  Where the monomial has only +-1
+coefficients (always for odd k, where it is one basis element, and for
+even k at least up to k = 24, where it holds the reduced sqrt(2)), a key
+of a rational term pair is only wrapped, its sign in the denominator of
+its one Fraction.
 """
 
 from __future__ import annotations
@@ -36,9 +38,9 @@ from functools import partial
 from math import comb
 from typing import NamedTuple
 
-from .fock import TVector, UVector, add_into, contract, theta
+from .fock import TVector, UVector, add_block, add_into, contract, theta
 from .ring import RingParams, Scalar
-from .untwisted import _lift, halve, support_modes, tally, term_pair_images
+from .untwisted import _decode, _lift, halve, support_modes, tally, term_pair_images
 
 # -- expansion coefficients of the quadratic correction ---------------------------
 
@@ -203,39 +205,6 @@ def _delta_terms(params: RingParams, nu: tuple[int, ...], r: int) -> tuple:
     return terms
 
 
-def _placement(
-    tilde: bool, params: RingParams, r: int, sector: int, factor: Scalar | None
-) -> tuple:
-    """(target, lift) for a plan item at lattice index r on a term of v in
-    `sector` whose factor is `factor` (see `untwisted.term_pair_images`):
-    the sector map, psi_map(r) with `tilde` and the identity without, sends
-    the sector to `target` with a sign, and `lift` is `untwisted._lift` of
-    that sign times the irrational part t^b of the prefactor
-    (`_prefactor_split`), times the factor.  The target and the term dict
-    of the signed monomial are memoized on `params` for the life of the
-    ring, and the monomial is made a Scalar again here, so the memo holds
-    nothing that refers back to the ring."""
-    key = ("place", tilde, r, sector)
-    entry = params.memo.get(key)
-    if entry is None:
-        target, sign = sector, 1
-        if tilde:
-            column = [row[sector - 1] for row in psi_map(params, r).matrix]
-            target = 1 if column[0] else 2
-            sign = column[target - 1]
-        entry = params.memo[key] = (target, (_prefactor_split(params, r)[1] * sign).terms)
-    target, terms = entry
-    monomial = Scalar(params, terms)
-    return target, _lift(monomial if factor is None else monomial * factor)
-
-
-# the placements of `tilde_mode`'s plan items, through the sector map
-# psi_map(r), and of `mtheta_mode`'s, the sector left as it is; made once
-# here, since the mode plan compares `place` by identity
-_tilde_place = partial(_placement, True)
-_bare_place = partial(_placement, False)
-
-
 class _HashedKey(tuple):
     """An output key (parts, sector) of the twisted operators that stores
     its hash, as `functools._HashedSeq` does for lists: it equals the plain
@@ -251,6 +220,60 @@ class _HashedKey(tuple):
         return self.hashvalue
 
 
+class _SectorKeys(dict):
+    """{multiplicity code: output key} for one target sector, filled on
+    first lookup: the doubled parts of the code (`untwisted._decode`)
+    halved, and the sector, as a `_HashedKey`.  The ("tkey", sector) entry
+    of `RingParams.memo`, so each output key is made and hashed once per
+    ring."""
+
+    __slots__ = ("sector",)
+
+    def __init__(self, sector: int):
+        self.sector = sector
+
+    def __missing__(self, code: int) -> _HashedKey:
+        key = self[code] = _HashedKey((halve(_decode(code)), self.sector))
+        return key
+
+
+def _placement(
+    tilde: bool, params: RingParams, r: int, sector: int, factor: Scalar | None
+) -> tuple:
+    """(keys, lift) for a plan item at lattice index r on a term of v in
+    `sector` whose factor is `factor` (see `untwisted.term_pair_images`):
+    the sector map, psi_map(r) with `tilde` and the identity without, sends
+    the sector to a target with a sign; `keys` is the ring's key map of
+    that target (`_SectorKeys`), and `lift` is `untwisted._lift` of that
+    sign times the irrational part t^b of the prefactor
+    (`_prefactor_split`), times the factor.  The target and the term dict
+    of the signed monomial are memoized on `params` for the life of the
+    ring, and the monomial is made a Scalar again here, so the memo holds
+    nothing that refers back to the ring."""
+    key = ("place", tilde, r, sector)
+    entry = params.memo.get(key)
+    if entry is None:
+        target, sign = sector, 1
+        if tilde:
+            column = [row[sector - 1] for row in psi_map(params, r).matrix]
+            target = 1 if column[0] else 2
+            sign = column[target - 1]
+        entry = params.memo[key] = (target, (_prefactor_split(params, r)[1] * sign).terms)
+    target, terms = entry
+    keys = params.memo.get(("tkey", target))
+    if keys is None:
+        keys = params.memo["tkey", target] = _SectorKeys(target)
+    monomial = Scalar(params, terms)
+    return keys, _lift(monomial if factor is None else monomial * factor)
+
+
+# the placements of `tilde_mode`'s plan items, through the sector map
+# psi_map(r), and of `mtheta_mode`'s, the sector left as it is; made once
+# here, since the mode plan compares `place` by identity
+_tilde_place = partial(_placement, True)
+_bare_place = partial(_placement, False)
+
+
 def _corrected_mode(u: UVector, m, v: TVector, place) -> TVector:
     """Mode m of the Delta-corrected half-odd expansion of u on v, each
     lattice component at index r followed by the sector map that `place`
@@ -261,26 +284,21 @@ def _corrected_mode(u: UVector, m, v: TVector, place) -> TVector:
     2^(-r^2/2k) = 2^w t^b, from the per-ring table `_delta_terms`, and
     `term_pair_images` pairs the groups of u with the terms of v.  The
     kernel's Fraction is then the final rational coefficient of a key:
-    each item of the driver's plan holds its target sector and its lift,
-    the signed monomial t^b times the factor of the item (`_placement`), a
-    bare wrap when every coefficient of that product is +-1.  The lifted
-    coefficient is added straight into the result under its output key,
-    which the "tkey" table of `RingParams.memo` holds once per ring for
-    each doubled key and target sector: the halved parts and the sector as
-    a `_HashedKey`, so a sweep hashes each key's Fraction parts once per
-    ring, not once per call."""
+    each item of the driver's plan holds the key map of its target sector
+    and its lift, the signed monomial t^b times the factor of the item
+    (`_placement`), a bare wrap when every coefficient of that product is
+    +-1, and stage 3 writes the image in those terms (`untwisted._create`).
+    The first nonzero image, a fresh dict, becomes the result, and later
+    ones add key by key."""
     if not isinstance(v, TVector):
         raise TypeError(f"twisted mode operators do not apply to {type(v).__name__}")
-    params = u.params
-    keys = params.memo.setdefault("tkey", {})
     acc: dict = {}
-    for (target, lift), image in term_pair_images(u, m, v, _delta_terms, place):
-        for key, q in image.items():
-            out = keys.get((key, target))
-            if out is None:
-                out = keys[key, target] = _HashedKey((halve(key), target))
-            add_into(acc, out, lift(params, q))
-    return TVector._wrap(params, acc)
+    for _keys, image in term_pair_images(u, m, v, _delta_terms, place):
+        if acc:
+            add_block(acc, image, False)
+        else:
+            acc = image
+    return TVector._wrap(u.params, acc)
 
 
 def tilde_mode(u: UVector, m, v: TVector) -> TVector:

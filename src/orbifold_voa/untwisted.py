@@ -20,7 +20,8 @@ an m with T off that grid has no image.  Only the budget arithmetic
 stays doubled: the creation tables and kept parts, and so an image's
 keys, hold an untwisted part as p, as a UVector key does, and a twisted
 one as the odd integer 2p (the twisted operators halve it once per
-ring).  An image maps its keys to nonzero Fractions.
+ring, as they make each output key).  An image is written in the
+operator's own terms: its output keys map to nonzero Scalars.
 
 Evaluation is by explicit finite expansion in three stages, with equal
 paths merged as soon as they meet:
@@ -50,12 +51,13 @@ tables that meet the budget.  Inside the kernel a partition is also one
 int, its multiplicity code (`_decode`: 16 bits per part size, in the units
 of the tables), so two partitions merge by adding their codes: a table
 row and a skeleton row carry the code of their parts, and stage 3 and the
-pending walk sum contributions per code with no tuple made.  A code
-becomes its key tuple once per ring, through the "decode" entry of the
-memo (`_Decoded`).  States and keys that cancel are dropped, and an
-output key becomes one Fraction at the end; where one row of the skeleton
-meets the budget no two keys can meet, so its Fractions are made in one
-pass.
+pending walk sum contributions per code with no tuple made.  States and
+keys that cancel are dropped, and at the end each surviving code becomes
+its output key and its sum one Scalar, each made once (`_create`): an
+untwisted-shaped key is (parts, output index), the parts read through the
+"decode" entry of the memo (`_Decoded`) or, where one row of the
+skeleton meets the budget and keeps no parts, from its table rows; a
+twisted key comes from the ring's key map of its target sector.
 
 One driver, `term_pair_images`, runs the kernel for the untwisted
 operator, the untwisted intertwiners and the twisted operators alike.  It
@@ -65,13 +67,15 @@ v as the kernel's integer term weights; only a coefficient that is not
 rational is applied after the kernel.  The operators differ in the kernel
 rows of a term of u (the term itself, or its exp(Delta_z) expansion), in
 the vector v stands for (an intertwiner's theta-composed, phase-twisted
-target) and in where they place the output keys.  Everything the driver
-does before the budget is fixed (the target, the groups, the weighted
-rows, the placement of each term pair and the skeletons) does not read m
-either, so it is planned whole once per (u, v) pair and operator: the
-plan of the latest pair is the one "pair" entry of `RingParams.memo`, and
-a sweep over m, which every caller makes, only fixes each budget, runs
-the creation stage and places the keys.
+target) and in where they place the output keys, which each plan item
+holds as data: an output index or a key map, and the lift of its
+factor.  Everything the driver does before the budget is fixed (the
+target, the groups, the weighted rows, the placement of each term pair
+and the skeletons) does not read m either, so it is planned whole once
+per (u, v) pair and operator: the plan of the latest pair is the one
+"pair" entry of `RingParams.memo`, and a sweep over m, which every caller
+makes, only fixes each budget and runs the creation stage, which writes
+the placed image.
 """
 
 from __future__ import annotations
@@ -365,10 +369,10 @@ def _budget(params: RingParams, r: int, s: int, m: Fraction, twisted: bool) -> i
     return t0
 
 
-def _create(params: RingParams, r: int, t0: int, twisted: bool, skeleton: tuple) -> dict:
+def _create(params: RingParams, r: int, t0: int, twisted: bool, skeleton: tuple, keys, lift) -> dict:
     """Stage 3 of the mode kernel on the rows of a `_skeleton` at the
-    budget t0: a fresh {key: nonzero Fraction}, untwisted parts in their
-    own units and twisted parts doubled.
+    budget t0, written in the operator's own terms: a fresh {output key:
+    nonzero Scalar}, placed by `keys` and lifted by `lift` (`_lift`).
 
     A row meets the budget when t0 >= need; it reads its creation table at
     t0 + off from the dict it holds (walked on a miss).  The rows share the
@@ -376,11 +380,17 @@ def _create(params: RingParams, r: int, t0: int, twisted: bool, skeleton: tuple)
     rows are scaled to the least common multiple of their tables'
     denominators, so an output key (the kept parts merged with the
     table's, the sum of their multiplicity codes) sums plain ints over den
-    times that lcm in a dict keyed by the code.  Each surviving code
-    becomes its key tuple through the ring's "decode" entry (`_decoded`)
-    and its sum one Fraction, in the order of the first contribution.  A
-    single live row makes its Fractions in one pass, its keys the table's
-    parts when it keeps none."""
+    times that lcm in a dict keyed by the code, first contribution first.
+    Each surviving code becomes its output key once: with `keys` an
+    output lattice index, the key (parts, keys), the parts through the
+    ring's "decode" entry (`_decoded`); otherwise `keys` is a map from code
+    to output key (`twisted._SectorKeys`).  A single live row that keeps no
+    parts meets no other key and decodes nothing: an untwisted-shaped key
+    takes the parts its table row already holds.  Each sum then becomes
+    its Scalar in the same pass: n/den times the factor, which `lift`
+    gives as (basis, sign) pairs (one Fraction per basis, no negation and
+    no product) or as a map of the Fraction n/den.  So every output key,
+    Fraction and Scalar is made once."""
     den, rows = skeleton
     live = []
     tden = 1
@@ -396,21 +406,38 @@ def _create(params: RingParams, r: int, t0: int, twisted: bool, skeleton: tuple)
     if not live:
         return {}
     den *= tden
+    index = type(keys) is int
+    pairs = None
     if len(live) == 1:
         # table rows have distinct parts, so the keys of one row meet no other
         ((num, kept, (_tden, table)),) = live
-        if not kept:
-            return {parts: Fraction(num * e, den) for parts, e, _code in table}
-        keys = _decoded(params)
-        return {keys[kept + code]: Fraction(num * e, den) for _parts, e, code in table}
-    out: dict[int, int] = {}
-    for num, kept, (d, table) in live:
-        num *= tden // d
-        for _parts, e, code in table:
-            code += kept
-            out[code] = out.get(code, 0) + num * e
-    keys = _decoded(params)
-    return {keys[code]: Fraction(num, den) for code, num in out.items() if num}
+        if index and not kept:
+            pairs = [((parts, keys), num * e) for parts, e, _code in table]
+        else:
+            merged = {code + kept: num * e for _parts, e, code in table}
+    else:
+        merged = {}
+        for num, kept, (d, table) in live:
+            num *= tden // d
+            for _parts, e, code in table:
+                code += kept
+                merged[code] = merged.get(code, 0) + num * e
+    if pairs is None and index:
+        parts = _decoded(params)
+        pairs = [((parts[code], keys), n) for code, n in merged.items() if n]
+    elif pairs is None:
+        pairs = [(keys[code], n) for code, n in merged.items() if n]
+    # each sum n over den times the factor: with (basis, sign) pairs one
+    # Fraction per basis, its sign folded into the denominator, which
+    # Fraction(n, -den) normalizes in the same call
+    if callable(lift):
+        return {key: lift(params, Fraction(n, den)) for key, n in pairs}
+    if len(lift) == 1:
+        ((basis, sign),) = lift
+        den *= sign
+        return {key: Scalar(params, {basis: Fraction(n, den)}) for key, n in pairs}
+    dens = [(basis, den * sign) for basis, sign in lift]
+    return {key: Scalar(params, {basis: Fraction(n, d) for basis, d in dens}) for key, n in pairs}
 
 
 def _weight(c: Scalar) -> tuple[int, int, Scalar | None]:
@@ -424,32 +451,35 @@ def _weight(c: Scalar) -> tuple[int, int, Scalar | None]:
 
 
 def _lift(factor: Scalar | None):
-    """The map from a ring and a Fraction q to the Scalar q times `factor`
-    (None for 1) over that ring, chosen once per factor.  When every
-    coefficient of the factor is +-1 (1, a phase zeta^a, the twisted
-    prefactor's monomial t^b or its even-k sqrt(2) form, each times a sign)
-    q is only wrapped, as the Scalar {basis: +-q} ({basis: q} for one basis
-    with coefficient 1), with no product; otherwise each coefficient is
-    scaled by q.  The map closes over bases, signs or the factor's terms,
-    never over a Scalar or a ring, so a plan that holds it in
-    `RingParams.memo` does not keep its ring alive."""
+    """How a kernel coefficient q becomes q times `factor` (None for 1),
+    chosen once per factor.  When every coefficient of the factor is +-1
+    (1, a phase zeta^a, the twisted prefactor's monomial t^b or its even-k
+    sqrt(2) form, each times a sign) it is the factor's (basis, sign)
+    pairs, signs +-1, and q is only wrapped, as the Scalar {basis: +-q}
+    with no product (`_create` folds each sign into q's denominator);
+    otherwise it is the map from a ring and a Fraction q to the Scalar with
+    each coefficient scaled by q.  Neither holds a Scalar or a ring, so a
+    plan that holds it in `RingParams.memo` does not keep its ring alive."""
     terms = {(0, 0): 1} if factor is None else factor.terms
-    if list(terms.values()) == [1]:
-        (basis,) = terms
-        return lambda params, q: Scalar(params, {basis: q})
     if all(c == 1 or c == -1 for c in terms.values()):
-        signs = tuple((basis, c == 1) for basis, c in terms.items())
-        return lambda params, q: Scalar(params, {basis: q if plus else -q for basis, plus in signs})
+        return tuple([(basis, int(c)) for basis, c in terms.items()])
     items = tuple(terms.items())
     return lambda params, q: Scalar(params, {basis: q * c for basis, c in items})
 
 
+def _lifted(params: RingParams, lift, q: Fraction) -> Scalar:
+    """The Fraction q times the factor of `lift` (`_lift`), as a Scalar."""
+    if callable(lift):
+        return lift(params, q)
+    return Scalar(params, {basis: q if sign > 0 else -q for basis, sign in lift})
+
+
 def _plan(params: RingParams, u: UVector, v, expand, place, twisted: bool) -> tuple:
     """The items of `term_pair_images` for u and v, one per group of u and
-    term of v, each (r, s, placement, skeleton): the kernel's lattice
-    indices, `place(params, r, index, factor)` for the index or sector of
-    v's term and the factor, and the `_skeleton` of the term pair's kernel
-    rows."""
+    term of v, each (r, s, keys, lift, skeleton): the kernel's lattice
+    indices, the placement `place(params, r, index, factor)` for the index
+    or sector of v's term and the factor, as data (see `_create`), and the
+    `_skeleton` of the term pair's kernel rows."""
     groups: dict[tuple, list] = {}  # (r, factor of u) -> kernel rows
     for (nu, r), cu in u.terms.items():
         num, den, factor = _weight(cu)
@@ -463,27 +493,28 @@ def _plan(params: RingParams, u: UVector, v, expand, place, twisted: bool) -> tu
             terms = tuple([(d, nu, num * vn, den * vd) for d, nu, num, den in rows])
             factor = vf if uf is None else uf if vf is None else uf * vf
             s = 0 if twisted else index
-            placement = place(params, r, index, factor)
-            plan.append((r, s, placement, _skeleton(params, r, mu, s, twisted, terms)))
+            plan.append((r, s, *place(params, r, index, factor), _skeleton(params, r, mu, s, twisted, terms)))
     return tuple(plan)
 
 
 def term_pair_images(u: UVector, m, v: UVector | TVector, expand, place, target=None):
-    """(placement, image) for each group of terms of u and each term of v
-    with a nonzero kernel image at mode m: the one loop over term pairs
-    behind every mode operator.
+    """(keys, image) for each group of terms of u and each term of v with a
+    nonzero kernel image at mode m: the one loop over term pairs behind
+    every mode operator.
 
     `expand(params, nu, r)`, a module-level function, lists the kernel rows
     (d, nu2, num, den) of the term a(-nu) e[r] of u.  The terms of u are
     grouped by r and by the part of their coefficient that is not rational
     (`_weight`); the rational parts of u and of the term of v scale the
     rows.  A TVector v runs the kernel twisted, its keys holding a sector
-    where untwisted keys hold a lattice index.  The image holds untwisted
-    parts as they are and twisted parts doubled.  `place(params, r, index,
-    factor)`, a module-level function too, says where the caller puts the
-    image of group r on a term of v at index or sector `index`, whose
-    factor is the non-rational parts of both coefficients (None for 1):
-    the image's placement.  `target`, None or a
+    where untwisted keys hold a lattice index.  `place(params, r, index,
+    factor)`, a module-level function too, settles as data where the image
+    of group r on a term of v at index or sector `index` goes, whose factor
+    is the non-rational parts of both coefficients (None for 1): (keys,
+    lift), an output lattice index or a map from multiplicity code to
+    output key, and the `_lift` of the factor.  So the image is the
+    operator's own {output key: Scalar} (`_create`), and keys, for an
+    untwisted operator, its output index.  `target`, None or a
     pair (function, argument) that compares by content, makes the kernel
     pair u with function(argument, v) in place of v.
 
@@ -494,11 +525,13 @@ def term_pair_images(u: UVector, m, v: UVector | TVector, expand, place, target=
     term of the target with its placement and `_skeleton`, the target made
     and every skeleton walked as the plan is built.  A call with the same
     input, every later mode of a sweep, only computes each item's budget
-    (`_budget`, None off the item's grid) and runs stage 3 (`_create`); a
+    (`_budget`, None off the item's grid) and runs stage 3 (`_create`),
+    which writes the placed image; a
     call with another input replaces the entry, so the memo does not grow
     with the inputs."""
     params = u.params
-    if params != v.params:
+    # the ring is nearly always the one object; RingParams.__eq__ is a Python call
+    if v.params is not params and v.params != params:
         raise ValueError("mode operator: mixed ring parameters")
     if not isinstance(m, (int, Fraction)):
         m = Fraction(m)
@@ -515,13 +548,13 @@ def term_pair_images(u: UVector, m, v: UVector | TVector, expand, place, target=
     if entry is None or entry[0] != given:
         w = v if target is None else target[0](target[1], v)
         entry = params.memo["pair"] = (given, _plan(params, u, w, expand, place, twisted))
-    for r, s, placement, skeleton in entry[1]:
+    for r, s, keys, lift, skeleton in entry[1]:
         t0 = _budget(params, r, s, m, twisted)
         if t0 is None:
             continue
-        image = _create(params, r, t0, twisted, skeleton)
+        image = _create(params, r, t0, twisted, skeleton, keys, lift)
         if image:
-            yield placement, image
+            yield keys, image
 
 
 def _one_row(params: RingParams, nu: tuple, r: int) -> tuple:
@@ -533,7 +566,7 @@ def _one_row(params: RingParams, nu: tuple, r: int) -> tuple:
 def _place(params: RingParams, r: int, s: int, factor: Scalar | None) -> tuple:
     """(index, lift): an untwisted image at lattice index r on a term at
     index s lands at index r + s, each coefficient lifted by the factor
-    (`_lift`)."""
+    (`_lift`); `_create` keys it (parts, r + s)."""
     return r + s, _lift(factor)
 
 
@@ -549,15 +582,18 @@ def vertex_mode(u: UVector, m, v: UVector) -> UVector:
 def _vertex_images(u: UVector, m, v: UVector, target) -> UVector:
     """`vertex_mode` of u on v, or on the `target` of v (see
     `term_pair_images`): the untwisted intertwiners' operator.  An image
-    is keyed as it leaves the kernel, and one that lands at a lattice
-    index no earlier image reached goes into the result whole."""
-    params = u.params
+    leaves the kernel keyed and lifted: the first, a fresh dict, becomes
+    the result, and a later one that lands at a lattice index no earlier
+    image reached goes into it whole."""
     acc: dict = {}
     reached = set()
-    for (index, lift), image in term_pair_images(u, m, v, _one_row, _place, target):
-        add_block(acc, {(key, index): lift(params, q) for key, q in image.items()}, index not in reached)
+    for index, image in term_pair_images(u, m, v, _one_row, _place, target):
+        if acc:
+            add_block(acc, image, index not in reached)
+        else:
+            acc = image
         reached.add(index)
-    return UVector._wrap(params, acc)
+    return UVector._wrap(u.params, acc)
 
 
 # -- distinguished vectors -------------------------------------------------------
@@ -598,7 +634,7 @@ def p_coeff_apply(params: RingParams, sign: int, n: int, v: UVector) -> UVector:
     (+-1)^len(parts) / prod q^i i! over the parts q of multiplicity i.
     The rows are built once per ring for both signs (the ("pcoeff", n)
     entry of `RingParams.memo`), and a term of v lifts each row's Fraction
-    by its coefficient (`_lift`).  The keys of one term are distinct, so
+    by its coefficient (`_lift`, `_lifted`).  The keys of one term are distinct, so
     its block goes in whole unless an earlier term reached its index."""
     if sign not in (+1, -1):
         raise ValueError("sign must be +1 or -1")
@@ -625,7 +661,7 @@ def p_coeff_apply(params: RingParams, sign: int, n: int, v: UVector) -> UVector:
     reached = set()
     for (nu, s), c in v.terms.items():
         lift = _lift(c)
-        block = {(sort_parts(nu + row[0]) if nu else row[0], s): lift(params, row[side]) for row in rows}
+        block = {(sort_parts(nu + row[0]) if nu else row[0], s): _lifted(params, lift, row[side]) for row in rows}
         add_block(acc, block, s not in reached)
         reached.add(s)
     return UVector._wrap(params, acc)

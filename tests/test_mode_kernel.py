@@ -64,13 +64,21 @@ def mode_kernel_sum(params, r, mu, s, m, twisted, terms):
     """The mode kernel with no plan (the `untwisted` module docstring):
     stages 1 and 2 (`_skeleton`) walked afresh and stage 3 (`_create`) at
     the budget of m (`_budget`), keeping nothing; {} when m is off the
-    grid.  The planned driver, `untwisted.term_pair_images`, is compared
-    against it."""
+    grid.  Stage 3 places the image at index 0 with the lift of 1, and the
+    image is read back as {parts: Fraction} (`_kernel_fractions`), twisted
+    parts doubled.  The planned driver, `untwisted.term_pair_images`, is
+    compared against it."""
     t0 = untwisted._budget(params, r, s, m, twisted)
     if t0 is None:
         return {}
     skeleton = untwisted._skeleton(params, r, mu, s, twisted, terms)
-    return untwisted._create(params, r, t0, twisted, skeleton)
+    return _kernel_fractions(untwisted._create(params, r, t0, twisted, skeleton, 0, untwisted._lift(None)))
+
+
+def _kernel_fractions(image: dict) -> dict:
+    """{parts: Fraction} of a stage-3 image {(parts, where): Scalar} whose
+    every Scalar is rational, in the image's order."""
+    return {parts: c.as_rational() for (parts, _where), c in image.items()}
 
 
 def mode_kernel(params, nu, r, mu, s, m, twisted):
@@ -599,10 +607,13 @@ def test_one_live_row_matches_the_verbatim_engines(k):
                 live = _live_rows(params, r, t0, twisted_, skeleton)
                 if len(live) != 1:
                     continue
-                got = untwisted._create(params, r, t0, twisted_, skeleton)
+                # placed as the operators place it: a sector's key map, or the output index
+                keys = twisted._SectorKeys(1) if twisted_ else r + s
+                got = untwisted._create(params, r, t0, twisted_, skeleton, keys, untwisted._lift(None))
+                assert all(type(c) is Scalar for c in got.values())
+                got = _kernel_fractions(got)
                 if twisted_:
                     want = _wtheta_term_mode(params, nu, r, mu, m)
-                    got = {halve(key): c for key, c in got.items()}
                 else:
                     want = {parts: c for (parts, _rs), c in _term_mode(params, nu, r, mu, s, m).items()}
                 assert got and got == want, (twisted_, nu, r, mu, s, m)
@@ -1430,9 +1441,9 @@ def test_create_matches_a_sorted_tuple_merge(k):
         ]
         assert [_code(row[3]) for row in kept_rows] == [row[3] for row in rows]
         for t0 in range(-2, 14, 1 if twisted_ else 2):
-            got = untwisted._create(params, r, t0, twisted_, skeleton)
+            got = untwisted._create(params, r, t0, twisted_, skeleton, 0, untwisted._lift(None))
             want = _sorted_tuple_create(params, r, t0, twisted_, den, kept_rows)
-            assert list(got.items()) == list(want.items()), (r, mu, s, twisted_, terms, t0)
+            assert list(_kernel_fractions(got).items()) == list(want.items()), (r, mu, s, twisted_, terms, t0)
             images += bool(got)
             contributions = [
                 tuple(sorted(kept + parts, reverse=True))
@@ -1519,7 +1530,126 @@ def test_no_fraction_is_made_before_stage_three(monkeypatch):
     assert any(pending for *_rest, pending in skeleton[1])
 
 
+class _CountedFraction(Fraction):
+    """A Fraction that counts the calls that make one: `untwisted.Fraction`
+    in a test, so that stage 3's Fractions are counted while the driver
+    still takes a `_CountedFraction` mode as a Fraction."""
+
+    made = 0
+
+    def __new__(cls, *args):
+        _CountedFraction.made += 1
+        return super().__new__(cls, *args)
+
+
+def _sector_sign(params: RingParams, r: int, target: int) -> int:
+    """The sign with which `tilde_mode`'s sector map psi_map(r) reaches the
+    sector `target`."""
+    (sign,) = [x for x in psi_map(params, r).matrix[target - 1] if x]
+    return sign
+
+
+@pytest.mark.parametrize("k", (1, 2, 3, 4))
+def test_stage_three_makes_one_fraction_per_coefficient(monkeypatch, k):
+    """A warm sweep of `vertex_mode`, both untwisted intertwiners,
+    `tilde_mode` and `mtheta_mode` makes one `untwisted.Fraction` per (key,
+    basis) coefficient of the images stage 3 returns, and negates no
+    Fraction: every lift is (basis, sign) pairs, and each sign, of a phase,
+    of the sector map or of the even-k sqrt(2) form, goes into the
+    denominator of its one Fraction.  The tilde sweeps reach a -1 sector
+    sign (r = 2k + 1 on sector 1 and r = 2k on sector 2) and, at even k,
+    the sqrt(2) form (odd r, where b = 2k - 1 >= k)."""
+    params = RingParams(k)
+    two_k = 2 * k
+    # coefficients rational or +-1 times a phase, so that every lift wraps
+    v = lattice_vector(params, 1) + u_term(params, [2, 1], 1, params.zeta(3)) + u_term(params, [1], 1 - two_k, -1)
+    t_v = t_term(params, [HALF], 1) + t_term(params, [Fraction(3, 2), HALF], 2, Fraction(-2, 3))
+    t_u = (
+        lattice_vector(params, two_k + 1) * params.zeta(1)
+        + u_term(params, [1], two_k, Fraction(-2, 3))
+        + u_term(params, [1, 1], 1, 5)
+    )
+    y_rs = intertwine.IntertwinerSpec(intertwine.Y_RS, 1, 1)
+    y_theta = intertwine.IntertwinerSpec(intertwine.Y_RS_THETA, 1, 1)
+    # (name, operator, u, v, the vector whose grid the sweep reads)
+    sweeps = [
+        ("vertex", untwisted.vertex_mode, _multi_u(params, 1, 1 + two_k), v, v),
+        ("Y_rs", partial(intertwine.intertwiner_mode, y_rs), _coset_u(params, 1), v, v),
+        ("Y_rs_theta", partial(intertwine.intertwiner_mode, y_theta), _coset_u(params, 1), v, theta(v)),
+        ("tilde", twisted.tilde_mode, t_u, t_v, t_v),
+        ("mtheta", twisted.mtheta_mode, t_u, t_v, t_v),
+    ]
+    calls = []
+
+    def recorded(params, r, t0, twisted_, skeleton, keys, lift, _create=untwisted._create):
+        # the image's (key, basis) coefficients, counted before the operator
+        # adds later images into it
+        image = _create(params, r, t0, twisted_, skeleton, keys, lift)
+        calls.append((name, r, keys, lift, sum(len(c.terms) for c in image.values())))
+        return image
+
+    negated = []
+
+    def counted_neg(q, _neg=Fraction.__neg__):
+        negated.append(q)
+        return _neg(q)
+
+    coefficients = nonzero = 0
+    for name, op, u, w, grid in sweeps:
+        sweep = [_CountedFraction(m) for m in _sweep(u, grid, depth=3)]
+        first = [op(u, m, w) for m in sweep]
+        calls.clear()
+        monkeypatch.setattr(untwisted, "Fraction", _CountedFraction)
+        monkeypatch.setattr(untwisted, "_create", recorded)
+        monkeypatch.setattr(Fraction, "__neg__", counted_neg)
+        _CountedFraction.made = 0
+        again = [op(u, m, w) for m in sweep]
+        monkeypatch.undo()
+        assert again == first, name
+        images = [count for *_rest, count in calls if count]
+        assert images, name
+        assert not any(callable(lift) for _name, _r, _keys, lift, _count in calls), name
+        assert _CountedFraction.made == sum(images), name
+        coefficients += _CountedFraction.made
+        nonzero += len(images)
+        if name == "tilde":
+            tilde = [(r, keys.sector) for _name, r, keys, _lift, count in calls if count]
+    assert negated == []
+    assert coefficients > nonzero > 0
+    assert any(_sector_sign(params, r, sector) == -1 for r, sector in tilde)
+    if k % 2 == 0:
+        assert any(len(twisted._prefactor_split(params, r)[1].terms) > 1 for r, _sector in tilde)
+
+
+def test_a_large_k_zero_mode_decodes_no_code(monkeypatch):
+    """`vertex_mode(E, 0, v0)`, the left side of `verify identities`, on a
+    fresh ring at k = 12, 18 and 24: each term pair has one live row that
+    keeps no parts, so its keys are the parts its table rows already hold,
+    and no multiplicity code goes through `untwisted._decode`."""
+    decoded = []
+
+    def counted(code, _decode=untwisted._decode):
+        decoded.append(code)
+        return _decode(code)
+
+    monkeypatch.setattr(untwisted, "_decode", counted)
+    for k in (12, 18, 24):
+        params = RingParams(k)
+        v0 = lattice_vector(params, k) + lattice_vector(params, -k)
+        image = untwisted.vertex_mode(untwisted.e_vec(params), 0, v0)
+        # p(k - 1) keys at each of the indices k and -k
+        assert len(image.terms) == 2 * len(list(partitions_of(k - 1))), k
+    assert decoded == []
+
+
+def _twisted_key_maps(params: RingParams) -> dict:
+    """{target sector: the ring's twisted key map ("tkey", sector)}."""
+    return {key[1]: keys for key, keys in params.memo.items() if isinstance(key, tuple) and key[0] == "tkey"}
+
+
 def test_repeated_calls_add_no_memo_entry():
+    """A repeated sweep of each operator adds no memo entry and makes no
+    new twisted output key: every key map keeps its size."""
     params = RingParams(2)
     cases = (
         (untwisted.vertex_mode, _multi_u(params, 1, 5), u_term(params, [2, 1], 1)),
@@ -1531,11 +1661,12 @@ def test_repeated_calls_add_no_memo_entry():
         sweep = _sweep(u, v)
         first = [op(u, m, v) for m in sweep]
         images += sum(map(bool, first))
-        sizes = len(params.memo), len(params.memo.get("tkey", ()))
+        sizes = len(params.memo), {sector: len(keys) for sector, keys in _twisted_key_maps(params).items()}
         assert [op(u, m, v) for m in sweep] == first
-        assert (len(params.memo), len(params.memo.get("tkey", ()))) == sizes, op.__name__
+        again = len(params.memo), {sector: len(keys) for sector, keys in _twisted_key_maps(params).items()}
+        assert again == sizes, op.__name__
     assert images > 0
-    assert params.memo["tkey"]
+    assert _twisted_key_maps(params) and all(_twisted_key_maps(params).values())
 
 
 _RING_TYPES = (RingParams, Scalar, UVector, TVector)
@@ -1615,6 +1746,9 @@ def test_no_memo_value_refers_back_to_its_ring(k):
     assert images > 0
     assert {"pair", "decode", ("pcoeff", 3)} <= set(params.memo)
     assert params.memo["decode"]
+    # the twisted key maps of both sectors, each a non-empty dict of codes
+    assert set(_twisted_key_maps(params)) == {1, 2}
+    assert all(keys for keys in _twisted_key_maps(params).values())
     assert any(key[0] == "place" for key in params.memo if isinstance(key, tuple))
     assert leaks == {}
 
@@ -1930,8 +2064,8 @@ def test_a_plan_is_not_shared_between_the_lattices():
         for fresh in (False, True):
             if fresh:
                 params.memo.clear()
-            images = untwisted.term_pair_images(u, -2, v, untwisted._one_row, untwisted._place)
-            pairs.append([(placement[0], image) for placement, image in images])
+            # each (output index, image), the images keyed (parts, index)
+            pairs.append(list(untwisted.term_pair_images(u, -2, v, untwisted._one_row, untwisted._place)))
     assert pairs[0] == pairs[1] and pairs[2] == pairs[3]
     assert pairs[0] and pairs[2] and pairs[0] != pairs[2]
 
