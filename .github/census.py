@@ -1,6 +1,7 @@
-"""Census of the `src/` functions that the project's commands reach.
+"""Census of the `src/` functions that the project's commands reach, and
+how often each is called.
 
-    python3 .github/census.py src
+    python3 .github/census.py src [COUNTS]
 
 runs two sets of work in this one process under `sys.setprofile`: every
 command of `.github/cli_digest.py`'s `commands()` through `cli.main`, and
@@ -20,7 +21,21 @@ starts at its first decorator, on Python 3.10 and 3.11 alike).  The
 script lists the unreached entries and exits 1 when one of them is not
 in `KEPT`, when a `KEPT` entry was reached or names no entry, or when a
 bench op failed, since a failing op may stop short of code it should
-reach.  Stdlib only."""
+reach.
+
+The same run counts the calls of each code object (each "call" event of
+the profiler, so a generator counts each time it is resumed).  With
+COUNTS, the script writes the ledger there: one line per entry, `count
+module.qualname`, in name order, unreached entries at 0.  The ledger of
+this tree is committed as `.github/census_counts.txt`, and CI diffs it
+like the CLI digest, so any change in how often a function runs shows
+there; it reads the same under Python 3.10 and 3.11, with
+PYTHONHASHSEED 0 and 123 alike.  A change that moves a count on purpose regenerates the
+file (`python3 .github/census.py src .github/census_counts.txt`) and
+quotes the moved lines in CHANGES.md.  The calls of the code in the
+`fractions` module are printed, summed per function name, and not
+stored, since that module differs between Python versions.  Stdlib
+only."""
 
 import ast
 import os
@@ -54,8 +69,10 @@ KEPT = {
 }
 
 
-def entries(package: Path) -> dict[tuple[str, int], str]:
-    """{(real file path, first line): `module.qualname`} over the package."""
+def entries(package: Path) -> dict[tuple[str, int, str], str]:
+    """{(real file path, first line, name): `module.qualname`} over the
+    package; the name of the code object tells a function from a lambda or
+    comprehension that starts on its first line."""
     out = {}
     for path in sorted(package.glob("*.py")):
         where = os.path.realpath(path)
@@ -69,7 +86,7 @@ def entries(package: Path) -> dict[tuple[str, int], str]:
                 continue
             for name, d in defs:
                 first = min([d.lineno] + [dec.lineno for dec in d.decorator_list])
-                out[where, first] = f"{path.stem}.{name}"
+                out[where, first, d.name] = f"{path.stem}.{name}"
     return out
 
 
@@ -120,11 +137,12 @@ def main() -> int:
     if not (package / "__init__.py").is_file():
         print(f"census: no orbifold_voa package under {SRC}", file=sys.stderr)
         return 2
-    codes = set()
+    counts: dict = {}  # code object -> calls
 
     def profile(frame, event, arg):
         if event == "call":
-            codes.add(frame.f_code)
+            code = frame.f_code
+            counts[code] = counts.get(code, 0) + 1
 
     t0 = perf_counter()
     sys.setprofile(profile)  # from before the imports: import-time calls count
@@ -138,7 +156,15 @@ def main() -> int:
 
     table = entries(package)
     names = set(table.values())
-    reached = {table.get((os.path.realpath(c.co_filename), c.co_firstlineno)) for c in codes}
+    ledger = dict.fromkeys(names, 0)
+    fractions: dict[str, int] = {}
+    for code, n in counts.items():
+        name = table.get((os.path.realpath(code.co_filename), code.co_firstlineno, code.co_name))
+        if name is not None:
+            ledger[name] += n
+        elif Path(code.co_filename).name == "fractions.py":
+            fractions[code.co_name] = fractions.get(code.co_name, 0) + n
+    reached = {name for name, n in ledger.items() if n}
     unreached = sorted(names - reached)
     print(
         f"census of {SRC}: {n_commands} digest commands ({t1 - t0:.1f} s), "
@@ -162,6 +188,11 @@ def main() -> int:
     for err in failures:
         print(f"BENCH OP FAILED: {err}")
         bad = True
+    for name, n in sorted(fractions.items()):
+        print(f"fractions.{name}: {n} calls")
+    if len(sys.argv) > 2:
+        with open(sys.argv[2], "w") as out:
+            out.writelines(f"{ledger[name]} {name}\n" for name in sorted(ledger))
     return 1 if bad else 0
 
 

@@ -104,18 +104,27 @@ def cmd_query(args) -> int:
 def cmd_table(args) -> int:
     """`fusion table` and its alias `dump table`: JSON, or csv for any
     other format.  The (k+7)^3 rows are made one at a time as they are
-    read: csv prints each as it comes, so its memory does not grow with
-    the table; JSON builds its list and one string before it prints."""
+    read, and either format prints each as it comes, so the memory does
+    not grow with the table.  The JSON rows are written with the label
+    codes escaped once, in the bytes that `json.dumps` gives for the whole
+    document."""
     k = args.k
     eng = get_engine(k)
-    codes = [label.code for label in eng.labels]
+    as_json = args.format == "json"
+    codes = [json.dumps(label.code) if as_json else label.code for label in eng.labels]
     rows = (
         (codes[i], codes[j], codes[l], 1 if (i, j, l) in eng.table else 0)
         for i, j, l in product(range(len(codes)), repeat=3)
     )
-    if args.format == "json":
-        triples = [{"triple": [a, b, c], "value": v} for a, b, c, v in rows]
-        print(json.dumps({"k": k, "command": "fusion table", "triples": triples}))
+    if as_json:
+        write = sys.stdout.write
+        # the document with an empty list, cut before its closing "]}"
+        write(json.dumps({"k": k, "command": "fusion table", "triples": []})[:-2])
+        sep = ""
+        for a, b, c, v in rows:
+            write(f'{sep}{{"triple": [{a}, {b}, {c}], "value": {v}}}')
+            sep = ", "
+        write("]}\n")
     else:
         print("w1,w2,w3,value")
         for a, b, c, v in rows:

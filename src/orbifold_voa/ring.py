@@ -12,14 +12,18 @@ Q-basis zeta^a * t^b with 0 <= a < phi(4k) and 0 <= b < t_degree, where
 
 Canonical form makes equality of representations equality of the complex
 numbers represented, so the zero test is exact and needs no tolerance.
-All coefficients are `fractions.Fraction`; no floating point enters the
-ring.
+Each element holds one integer numerator per basis element over one
+shared positive denominator, with no factor common to all of them
+(`Scalar`), so its arithmetic is on ints; a `fractions.Fraction` is made
+only where a coefficient is read out (`Scalar.terms`,
+`Scalar.as_rational`).  No floating point enters the ring.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd, lcm
 
 
 class RingMismatchError(ValueError):
@@ -92,10 +96,10 @@ class RingParams:
       `twisted._delta_terms`;
     * ("place", tilde, r, sector): where the twisted operators put an
       image at lattice index r on a term of v in `sector`: the target
-      sector and the term dict of the sign of the sector map times t^b
-      (the prefactor's monomial, with integer coefficients), which
-      `twisted._placement` makes a Scalar again as each plan item of the
-      mode driver is built;
+      sector and the integer form (nums, den) of the sign of the sector
+      map times t^b (the prefactor's monomial, with integer
+      coefficients), which `twisted._placement` makes a Scalar again as
+      each plan item of the mode driver is built;
     * ("tkey", sector): the twisted operators' key map of one target
       sector, a dict from the multiplicity code of each doubled key that
       stage 3 has placed there to its output key, the halved Fraction
@@ -106,17 +110,18 @@ class RingParams:
       for the latest (u, v) pair, `untwisted.term_pair_images`: the input
       is the kernel-row and placement functions, the target (None, or a
       function and the intertwiner spec it reads), the lattice and u and v
-      as lists of (key, coefficient terms), and the plan holds the
-      placement as data (an output lattice index or the key map of a
-      target sector, and the `untwisted._lift` of the factor, (basis,
-      sign) pairs or a map that takes the ring as an argument) and the
+      as lists of (key, coefficient numerators, coefficient denominator),
+      and the plan holds the placement as data (an output lattice index or
+      the key map of a target sector, and the `untwisted._lift` of the
+      factor, its (basis, numerator) pairs and denominator) and the
       skeleton (`untwisted._skeleton`) of each term pair of u and the
       target of v, made as it is built.  It is one entry,
       replaced when the input changes, so a sweep over m plans once and
       the memo does not grow with the inputs;
-    * ("pcoeff", n): the rows (parts, Fraction for +alpha, Fraction for
-      -alpha) of the degree-n coefficient of the creation exponential,
-      read by both signs of `untwisted.p_coeff_apply`.
+    * ("pcoeff", n): the rows (parts, den, sign) of the degree-n
+      coefficient of the creation exponential, each coefficient 1/den for
+      +alpha and sign/den for -alpha with sign = (-1)^len(parts) and den an
+      int, read by both signs of `untwisted.p_coeff_apply`.
 
     Every table lives exactly as long as its ring, and reference counting
     frees both once the last outside reference goes.  The CLI builds at
@@ -205,19 +210,23 @@ class RingParams:
     # -- constructors ----------------------------------------------------------
 
     def scalar(self, terms: dict[tuple[int, int], Fraction]) -> "Scalar":
-        return Scalar(self, {key: c for key, c in terms.items() if c})
+        """The Scalar with these rational coefficients, zeros dropped."""
+        terms = {key: Fraction(c) for key, c in terms.items() if c}
+        den = lcm(*[c.denominator for c in terms.values()])
+        return Scalar._reduced(self, {key: c.numerator * (den // c.denominator) for key, c in terms.items()}, den)
 
     def zero(self) -> "Scalar":
-        return Scalar(self, {})
+        return Scalar(self, {}, 1)
 
     def rational(self, c) -> "Scalar":
-        c = Fraction(c)
-        return Scalar(self, {(0, 0): c} if c else {})
+        if not isinstance(c, (int, Fraction)):
+            c = Fraction(c)
+        return Scalar(self, {(0, 0): c.numerator} if c else {}, c.denominator)
 
     def zeta(self, a: int) -> "Scalar":
         """Canonical scalar for zeta^a."""
         row = self._zeta_rows[a % self.n_roots]
-        return Scalar(self, {(i, 0): Fraction(c) for i, c in enumerate(row) if c})
+        return Scalar(self, {(i, 0): c for i, c in enumerate(row) if c}, 1)
 
     def two_to(self, q) -> "Scalar":
         """Canonical scalar for 2^q; q must have denominator dividing 2k."""
@@ -231,48 +240,71 @@ class RingParams:
         e = int(steps)
         b = e % (2 * self.k)
         whole = (e - b) // (2 * self.k)
-        base = Fraction(2) ** whole
+        num, den = (2**whole, 1) if whole >= 0 else (1, 2**-whole)
         if b < self.t_degree:
-            return Scalar(self, {(0, b): base})
+            return Scalar(self, {(0, b): num}, den)
         # only for even k: t^b = t^(b-k) * sqrt2
-        return Scalar(
-            self,
-            {(i, b - self.t_degree): base * c for i, c in self._t_top.items()},
+        return Scalar._reduced(
+            self, {(i, b - self.t_degree): num * c for i, c in self._t_top.items()}, den
         )
 
 
-def _is_rational(terms: dict) -> bool:
-    """Whether canonical terms are those of a rational number (0 included)."""
-    return not terms or (len(terms) == 1 and (0, 0) in terms)
+def _is_rational(nums: dict) -> bool:
+    """Whether canonical numerators are those of a rational number (0 included)."""
+    return not nums or (len(nums) == 1 and (0, 0) in nums)
 
 
 class Scalar:
     """Canonical ring element: finite Q-linear combination of zeta^a * t^b.
 
-    Immutable value object.  Structural equality of canonical forms is
-    equality of the represented complex numbers.
+    Held in integer form: `nums` maps each basis element (a, b) to a
+    nonzero int numerator over the one denominator `den` > 0, with
+    gcd(den, *nums) == 1, so each element has exactly one form.  Immutable
+    value object.  Structural equality of canonical forms is equality of
+    the represented complex numbers.
+
+    `Scalar(params, nums, den)` takes a form that is already canonical,
+    as it is; `Scalar._reduced` divides out the common factor first.  The
+    `RingParams` constructors make Scalars from rationals, and `terms` is
+    the {basis: Fraction} view of the form, built on each read.
     """
 
-    __slots__ = ("params", "terms")
+    __slots__ = ("params", "nums", "den")
 
-    def __init__(self, params: RingParams, terms: dict[tuple[int, int], Fraction]):
+    def __init__(self, params: RingParams, nums: dict[tuple[int, int], int], den: int):
         self.params = params
-        self.terms = terms
+        self.nums = nums
+        self.den = den
+
+    @staticmethod
+    def _reduced(params: RingParams, nums: dict[tuple[int, int], int], den: int) -> "Scalar":
+        """The Scalar nums/den, nonzero numerators over den > 0, with
+        gcd(den, *nums) divided out."""
+        g = gcd(den, *nums.values())
+        if g != 1:
+            nums = {key: n // g for key, n in nums.items()}
+            den //= g
+        return Scalar(params, nums, den)
+
+    @property
+    def terms(self) -> dict[tuple[int, int], Fraction]:
+        """{basis: Fraction coefficient}, a fresh dict on each read."""
+        return {key: Fraction(n, self.den) for key, n in self.nums.items()}
 
     # -- predicates ------------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.nums
 
     def is_rational(self) -> bool:
-        return _is_rational(self.terms)
+        return _is_rational(self.nums)
 
     def as_rational(self) -> Fraction:
-        if not self.terms:
+        if not self.nums:
             return Fraction(0)
         if not self.is_rational():
             raise ValueError(f"scalar {self} is not rational")
-        return self.terms[(0, 0)]
+        return Fraction(self.nums[(0, 0)], self.den)
 
     def _check(self, other: "Scalar") -> None:
         if self.params != other.params:
@@ -286,35 +318,38 @@ class Scalar:
         if not isinstance(other, Scalar):
             return NotImplemented
         self._check(other)
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            s = out.get(key, 0) + c
+        # both sides over the least common denominator
+        g = gcd(self.den, other.den)
+        a, b = other.den // g, self.den // g
+        out = {key: n * a for key, n in self.nums.items()}
+        for key, n in other.nums.items():
+            s = out.get(key, 0) + n * b
             if s:
                 out[key] = s
             else:
-                out.pop(key, None)
-        return Scalar(self.params, out)
+                del out[key]
+        return Scalar._reduced(self.params, out, self.den * a)
 
     def __neg__(self) -> "Scalar":
-        return Scalar(self.params, {key: -c for key, c in self.terms.items()})
+        return Scalar(self.params, {key: -n for key, n in self.nums.items()}, self.den)
 
     def __sub__(self, other: "Scalar") -> "Scalar":
         return self + (-other)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return self._scaled(other)
+            return self._scaled(other.numerator, other.denominator)
         if not isinstance(other, Scalar):
             return NotImplemented
         self._check(other)
-        # a rational side only scales the other side's terms
-        if _is_rational(other.terms):
-            return self._scaled(other.terms.get((0, 0), 0))
-        if _is_rational(self.terms):
-            return other._scaled(self.terms.get((0, 0), 0))
-        out: dict[tuple[int, int], Fraction] = {}
-        for (a1, b1), c1 in self.terms.items():
-            for (a2, b2), c2 in other.terms.items():
+        # a rational side only scales the other side's numerators
+        if _is_rational(other.nums):
+            return self._scaled(other.nums.get((0, 0), 0), other.den)
+        if _is_rational(self.nums):
+            return other._scaled(self.nums.get((0, 0), 0), self.den)
+        out: dict[tuple[int, int], int] = {}
+        for (a1, b1), c1 in self.nums.items():
+            for (a2, b2), c2 in other.nums.items():
                 c12 = c1 * c2
                 for a, b, c in self.params._mul_basis(a1, b1, a2, b2):
                     key = (a, b)
@@ -322,43 +357,45 @@ class Scalar:
                     if s:
                         out[key] = s
                     else:
-                        out.pop(key, None)
-        return Scalar(self.params, out)
+                        del out[key]
+        return Scalar._reduced(self.params, out, self.den * other.den)
 
-    def _scaled(self, c) -> "Scalar":
-        """self times the rational c: each term scaled, no basis product."""
-        if not c:
+    def _scaled(self, num: int, den: int) -> "Scalar":
+        """self times the rational num/den, den > 0: each numerator scaled,
+        no basis product."""
+        if not num:
             return self.params.zero()
-        if c == 1:
-            return Scalar(self.params, dict(self.terms))
-        return Scalar(self.params, {key: c * v for key, v in self.terms.items()})
+        return Scalar._reduced(self.params, {key: n * num for key, n in self.nums.items()}, self.den * den)
 
     def __rmul__(self, other):
         return self.__mul__(other)
 
     def __eq__(self, other: object) -> bool:
         if type(other) is Scalar and other.params is self.params:
-            return self.terms == other.terms
+            return self.den == other.den and self.nums == other.nums
         if isinstance(other, (int, Fraction)):
             other = self.params.rational(other)
         if not isinstance(other, Scalar):
             return NotImplemented
-        return self.params == other.params and self.terms == other.terms
+        return self.params == other.params and self.den == other.den and self.nums == other.nums
 
     def __hash__(self) -> int:
-        return hash((self.params.k, frozenset(self.terms.items())))
+        return hash((self.params.k, self.den, frozenset(self.nums.items())))
 
     # -- output ----------------------------------------------------------------
 
-    def sorted_terms(self) -> list[tuple[int, int, Fraction]]:
-        return [(a, b, self.terms[(a, b)]) for a, b in sorted(self.terms)]
-
     def __str__(self) -> str:
-        if not self.terms:
+        """The terms in basis order, each coefficient printed as `Fraction`
+        prints it: n/d in lowest terms, or n when d is 1."""
+        if not self.nums:
             return "0"
-        return " + ".join(
-            f"({c})*zeta^{a}*t^{b}" for a, b, c in self.sorted_terms()
-        )
+        out = []
+        for a, b in sorted(self.nums):
+            n = self.nums[(a, b)]
+            g = gcd(n, self.den)
+            c = f"{n // g}" if g == self.den else f"{n // g}/{self.den // g}"
+            out.append(f"({c})*zeta^{a}*t^{b}")
+        return " + ".join(out)
 
     def __repr__(self) -> str:
         return f"Scalar(k={self.params.k}, {self})"

@@ -20,15 +20,14 @@ u at lattice index r the support grid is r^2/4k + (1/2)Z.
 The three layers run on the shared term-pair driver of `untwisted`.  The
 correction of layer 1 gives the kernel rows of each term of u.  The
 prefactor of layer 2 is split as 2^(-r^2/2k) = 2^w t^b with 0 <= b < 2k:
-the rational 2^w is folded into those rows, so the kernel's Fraction is
-the final rational coefficient of each output key, and the monomial t^b
-goes with the sign of layer 3 into one per-ring placement entry, which
-each item of the driver's plan reads as it is built, with the per-ring
-key map of its target sector.  Where the monomial has only +-1
-coefficients (always for odd k, where it is one basis element, and for
-even k at least up to k = 24, where it holds the reduced sqrt(2)), a key
-of a rational term pair is only wrapped, its sign in the denominator of
-its one Fraction.
+the rational 2^w is folded into those rows, so the kernel's integer sum
+over its denominator is the final rational coefficient of each output
+key, and the monomial t^b goes with the sign of layer 3 into one per-ring
+placement entry, which each item of the driver's plan reads as it is
+built, with the per-ring key map of its target sector.  Where the
+monomial is one basis element (always for odd k, and for even k when
+b < k) a key of a rational term pair takes one numerator, the sum times
+the sign, and one gcd.
 """
 
 from __future__ import annotations
@@ -246,10 +245,10 @@ def _placement(
     the sector to a target with a sign; `keys` is the ring's key map of
     that target (`_SectorKeys`), and `lift` is `untwisted._lift` of that
     sign times the irrational part t^b of the prefactor
-    (`_prefactor_split`), times the factor.  The target and the term dict
-    of the signed monomial are memoized on `params` for the life of the
-    ring, and the monomial is made a Scalar again here, so the memo holds
-    nothing that refers back to the ring."""
+    (`_prefactor_split`), times the factor.  The target and the integer
+    form (nums, den) of the signed monomial are memoized on `params` for
+    the life of the ring, and the monomial is made a Scalar again here, so
+    the memo holds nothing that refers back to the ring."""
     key = ("place", tilde, r, sector)
     entry = params.memo.get(key)
     if entry is None:
@@ -258,12 +257,13 @@ def _placement(
             column = [row[sector - 1] for row in psi_map(params, r).matrix]
             target = 1 if column[0] else 2
             sign = column[target - 1]
-        entry = params.memo[key] = (target, (_prefactor_split(params, r)[1] * sign).terms)
-    target, terms = entry
+        monomial = _prefactor_split(params, r)[1] * sign
+        entry = params.memo[key] = (target, monomial.nums, monomial.den)
+    target, nums, den = entry
     keys = params.memo.get(("tkey", target))
     if keys is None:
         keys = params.memo["tkey", target] = _SectorKeys(target)
-    monomial = Scalar(params, terms)
+    monomial = Scalar(params, nums, den)
     return keys, _lift(monomial if factor is None else monomial * factor)
 
 
@@ -283,11 +283,11 @@ def _corrected_mode(u: UVector, m, v: TVector, place) -> TVector:
     exp(Delta_z) expansion times the rational part 2^w of the prefactor
     2^(-r^2/2k) = 2^w t^b, from the per-ring table `_delta_terms`, and
     `term_pair_images` pairs the groups of u with the terms of v.  The
-    kernel's Fraction is then the final rational coefficient of a key:
-    each item of the driver's plan holds the key map of its target sector
-    and its lift, the signed monomial t^b times the factor of the item
-    (`_placement`), a bare wrap when every coefficient of that product is
-    +-1, and stage 3 writes the image in those terms (`untwisted._create`).
+    kernel's sum is then the final rational coefficient of a key: each
+    item of the driver's plan holds the key map of its target sector and
+    its lift, the integer form of the signed monomial t^b times the factor
+    of the item (`_placement`), and stage 3 writes the image in those
+    terms (`untwisted._create`).
     The first nonzero image, a fresh dict, becomes the result, and later
     ones add key by key."""
     if not isinstance(v, TVector):

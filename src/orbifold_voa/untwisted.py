@@ -386,11 +386,13 @@ def _create(params: RingParams, r: int, t0: int, twisted: bool, skeleton: tuple,
     ring's "decode" entry (`_decoded`); otherwise `keys` is a map from code
     to output key (`twisted._SectorKeys`).  A single live row that keeps no
     parts meets no other key and decodes nothing: an untwisted-shaped key
-    takes the parts its table row already holds.  Each sum then becomes
-    its Scalar in the same pass: n/den times the factor, which `lift`
-    gives as (basis, sign) pairs (one Fraction per basis, no negation and
-    no product) or as a map of the Fraction n/den.  So every output key,
-    Fraction and Scalar is made once."""
+    takes the parts its table row already holds.  Each sum n then becomes
+    its Scalar in the same pass, n/den times the factor that `lift` holds
+    as integers (`_lift`): a factor on one basis element with numerator f
+    over fden gives the key {basis: n f}/(den fden) with one gcd and no
+    Fraction, so a +-1 lift keeps its sign in the numerator; a factor on
+    several basis elements goes through `_lifted`.  So every output key
+    and Scalar is made once."""
     den, rows = skeleton
     live = []
     tden = 1
@@ -427,51 +429,51 @@ def _create(params: RingParams, r: int, t0: int, twisted: bool, skeleton: tuple,
         pairs = [((parts[code], keys), n) for code, n in merged.items() if n]
     elif pairs is None:
         pairs = [(keys[code], n) for code, n in merged.items() if n]
-    # each sum n over den times the factor: with (basis, sign) pairs one
-    # Fraction per basis, its sign folded into the denominator, which
-    # Fraction(n, -den) normalizes in the same call
-    if callable(lift):
-        return {key: lift(params, Fraction(n, den)) for key, n in pairs}
-    if len(lift) == 1:
-        ((basis, sign),) = lift
-        den *= sign
-        return {key: Scalar(params, {basis: Fraction(n, den)}) for key, n in pairs}
-    dens = [(basis, den * sign) for basis, sign in lift]
-    return {key: Scalar(params, {basis: Fraction(n, d) for basis, d in dens}) for key, n in pairs}
+    fnums, fden = lift
+    if len(fnums) > 1:
+        return {key: _lifted(params, lift, n, den) for key, n in pairs}
+    ((basis, f),) = fnums
+    den *= fden
+    out = {}
+    for key, n in pairs:
+        n *= f
+        g = gcd(n, den)
+        out[key] = Scalar(params, {basis: n // g}, den // g)
+    return out
 
 
 def _weight(c: Scalar) -> tuple[int, int, Scalar | None]:
     """A coefficient as an integer weight num/den and the factor left after
     it: (num, den, None) when c is rational, (1, 1, c) otherwise."""
-    terms = c.terms
-    if len(terms) == 1 and (0, 0) in terms:
-        q = terms[(0, 0)]
-        return q.numerator, q.denominator, None
+    nums = c.nums
+    if len(nums) == 1 and (0, 0) in nums:
+        return nums[(0, 0)], c.den, None
     return 1, 1, c
 
 
-def _lift(factor: Scalar | None):
-    """How a kernel coefficient q becomes q times `factor` (None for 1),
-    chosen once per factor.  When every coefficient of the factor is +-1
-    (1, a phase zeta^a, the twisted prefactor's monomial t^b or its even-k
-    sqrt(2) form, each times a sign) it is the factor's (basis, sign)
-    pairs, signs +-1, and q is only wrapped, as the Scalar {basis: +-q}
-    with no product (`_create` folds each sign into q's denominator);
-    otherwise it is the map from a ring and a Fraction q to the Scalar with
-    each coefficient scaled by q.  Neither holds a Scalar or a ring, so a
-    plan that holds it in `RingParams.memo` does not keep its ring alive."""
-    terms = {(0, 0): 1} if factor is None else factor.terms
-    if all(c == 1 or c == -1 for c in terms.values()):
-        return tuple([(basis, int(c)) for basis, c in terms.items()])
-    items = tuple(terms.items())
-    return lambda params, q: Scalar(params, {basis: q * c for basis, c in items})
+def _lift(factor: Scalar | None) -> tuple:
+    """How a kernel coefficient n/den becomes n/den times `factor` (None
+    for 1), as the factor's integer form: ((basis, numerator), ...) and its
+    denominator, so the product is {basis: n * numerator}/(den *
+    denominator), reduced (`_lifted`).  It holds no Scalar and no ring, so
+    a plan that holds it in `RingParams.memo` does not keep its ring
+    alive."""
+    if factor is None:
+        return (((0, 0), 1),), 1
+    return tuple(factor.nums.items()), factor.den
 
 
-def _lifted(params: RingParams, lift, q: Fraction) -> Scalar:
-    """The Fraction q times the factor of `lift` (`_lift`), as a Scalar."""
-    if callable(lift):
-        return lift(params, q)
-    return Scalar(params, {basis: q if sign > 0 else -q for basis, sign in lift})
+def _lifted(params: RingParams, lift: tuple, n: int, den: int) -> Scalar:
+    """The nonzero n/den, den > 0, times the factor of `lift` (`_lift`), as
+    a Scalar."""
+    fnums, fden = lift
+    den *= fden
+    if len(fnums) == 1:
+        ((basis, f),) = fnums
+        n *= f
+        g = gcd(n, den)
+        return Scalar(params, {basis: n // g}, den // g)
+    return Scalar._reduced(params, {basis: n * f for basis, f in fnums}, den)
 
 
 def _plan(params: RingParams, u: UVector, v, expand, place, twisted: bool) -> tuple:
@@ -520,10 +522,11 @@ def term_pair_images(u: UVector, m, v: UVector | TVector, expand, place, target=
 
     None of this reads m, so it is planned once per (u, v) pair: the one
     "pair" entry of `RingParams.memo` holds the input (expand, place,
-    target, twisted, and u and v as lists of (key, coefficient terms), no
-    Scalar and no vector) and the plan (`_plan`), one item per group and
-    term of the target with its placement and `_skeleton`, the target made
-    and every skeleton walked as the plan is built.  A call with the same
+    target, twisted, and u and v as lists of (key, coefficient numerators,
+    denominator), no Scalar and no vector) and the plan (`_plan`), one
+    item per group and term of the target with its placement and
+    `_skeleton`, the target made and every skeleton walked as the plan is
+    built.  A call with the same
     input, every later mode of a sweep, only computes each item's budget
     (`_budget`, None off the item's grid) and runs stage 3 (`_create`),
     which writes the placed image; a
@@ -541,8 +544,8 @@ def term_pair_images(u: UVector, m, v: UVector | TVector, expand, place, target=
         place,
         target,
         twisted,
-        [(key, c.terms) for key, c in u.terms.items()],
-        [(key, c.terms) for key, c in v.terms.items()],
+        [(key, c.nums, c.den) for key, c in u.terms.items()],
+        [(key, c.nums, c.den) for key, c in v.terms.items()],
     )
     entry = params.memo.get("pair")
     if entry is None or entry[0] != given:
@@ -630,12 +633,13 @@ def p_coeff_apply(params: RingParams, sign: int, n: int, v: UVector) -> UVector:
 
     It stays independent of the mode kernel, so that the creation-series
     identity compares two routes: it lists the partitions of n itself, as
-    rows (parts, Fraction for +alpha, Fraction for -alpha), the Fraction
-    (+-1)^len(parts) / prod q^i i! over the parts q of multiplicity i.
-    The rows are built once per ring for both signs (the ("pcoeff", n)
-    entry of `RingParams.memo`), and a term of v lifts each row's Fraction
-    by its coefficient (`_lift`, `_lifted`).  The keys of one term are distinct, so
-    its block goes in whole unless an earlier term reached its index."""
+    rows (parts, den, sign), the coefficient (+-1)^len(parts) / den with
+    den = prod q^i i! over the parts q of multiplicity i, and sign =
+    (-1)^len(parts) the numerator for -alpha (1 for +alpha).  The rows
+    are built once per ring for both signs (the ("pcoeff", n) entry of
+    `RingParams.memo`), and a term of v lifts each row's coefficient by its
+    own (`_lift`, `_lifted`).  The keys of one term are distinct, so its
+    block goes in whole unless an earlier term reached its index."""
     if sign not in (+1, -1):
         raise ValueError("sign must be +1 or -1")
     if n < 0:
@@ -653,15 +657,16 @@ def p_coeff_apply(params: RingParams, sign: int, n: int, v: UVector) -> UVector:
                 run = run + 1 if q == last else 1
                 den *= q * run
                 last = q
-            plus = Fraction(1, den)
-            rows.append((parts, plus, -plus if len(parts) % 2 else plus))
+            rows.append((parts, den, -1 if len(parts) % 2 else 1))
         rows = params.memo[("pcoeff", n)] = tuple(rows)
-    side = 1 if sign > 0 else 2
     acc: dict = {}
     reached = set()
     for (nu, s), c in v.terms.items():
         lift = _lift(c)
-        block = {(sort_parts(nu + row[0]) if nu else row[0], s): _lifted(params, lift, row[side]) for row in rows}
+        block = {
+            (sort_parts(nu + parts) if nu else parts, s): _lifted(params, lift, minus if sign < 0 else 1, den)
+            for parts, den, minus in rows
+        }
         add_block(acc, block, s not in reached)
         reached.add(s)
     return UVector._wrap(params, acc)

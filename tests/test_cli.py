@@ -850,6 +850,25 @@ def test_a_large_output_is_printed_as_it_is_computed(line, head):
     assert (err, code) == (b"", EXIT_FAIL)
 
 
+@pytest.mark.parametrize("k", (1, 2, 3, 4))
+def test_json_fusion_table_prints_the_bytes_of_json_dumps(capsys, k):
+    # the JSON table is written row by row; its bytes must be those of
+    # json.dumps of the whole document, read from the engine's table
+    eng = get_engine(k)
+    codes = [label.code for label in eng.labels]
+    n = len(codes)
+    triples = [
+        {"triple": [codes[i], codes[j], codes[l]], "value": 1 if (i, j, l) in eng.table else 0}
+        for i in range(n)
+        for j in range(n)
+        for l in range(n)
+    ]
+    want = json.dumps({"k": k, "command": "fusion table", "triples": triples}) + "\n"
+    assert any(t["value"] for t in triples) and not all(t["value"] for t in triples)
+    for command in ("fusion", "dump"):
+        assert run(capsys, command, "table", "--k", str(k), "--format", "json") == (EXIT_OK, want, "")
+
+
 def test_dump_delta_prints_the_rows_of_delta_rows(capsys):
     # `dump delta` prints the rows of `delta_rows`, in their (m, n) order
     code, out, _ = run(capsys, "dump", "delta", "--order", "200")

@@ -2,6 +2,7 @@
 
 import cmath
 from fractions import Fraction
+from math import gcd
 
 import mpmath
 import pytest
@@ -162,6 +163,9 @@ def test_mismatched_params_rejected():
         _ = a + b
     with pytest.raises(RingMismatchError):
         _ = a * b
+    with pytest.raises(RingMismatchError):
+        _ = a - b
+    assert a != b
 
 
 def test_serialization_deterministic(params):
@@ -205,8 +209,120 @@ def test_rational_fast_path_equals_the_basis_product(k, data):
         products += [x * int(c), int(c) * x]
     for got in products:
         assert got == want
-        assert all(got.terms.values())
-        assert got.terms is not x.terms
+        assert all(got.nums.values())
+        assert got.nums is not x.nums
     zero = params.zero()
     assert x + zero == x
     assert zero + x == x
+
+
+# -- the integer form against a Fraction reference model ----------------------------
+
+
+def _canonical(x) -> bool:
+    """The integer form's invariants: den > 0, no zero numerator, gcd 1."""
+    return x.den > 0 and all(x.nums.values()) and gcd(x.den, *x.nums.values()) == 1
+
+
+def _model(x) -> dict:
+    """The reference model of a Scalar: {basis: Fraction}, zeros dropped,
+    computed from its integer form without `terms`."""
+    return {key: Fraction(n, x.den) for key, n in x.nums.items()}
+
+
+def _model_add(x: dict, y: dict) -> dict:
+    out = dict(x)
+    for key, c in y.items():
+        out[key] = out.get(key, 0) + c
+    return {key: c for key, c in out.items() if c}
+
+
+def _model_mul(params, x: dict, y: dict) -> dict:
+    out = {}
+    for (a1, b1), c1 in x.items():
+        for (a2, b2), c2 in y.items():
+            for a, b, c in params._mul_basis(a1, b1, a2, b2):
+                out[(a, b)] = out.get((a, b), 0) + c1 * c2 * c
+    return {key: c for key, c in out.items() if c}
+
+
+def _model_str(x: dict) -> str:
+    return " + ".join(f"({x[key]})*zeta^{key[0]}*t^{key[1]}" for key in sorted(x)) or "0"
+
+
+def _rationals():
+    return st.fractions(min_value=Fraction(-9), max_value=Fraction(9), max_denominator=12)
+
+
+def _model_scalars(params, max_terms=4):
+    """(Scalar, model) pairs: Fraction dicts over the whole basis, so that
+    products reach t^b with b >= t_degree (the even-k sqrt(2) branch), or a
+    rational (one basis element (0, 0) or zero)."""
+    keys = st.tuples(
+        st.integers(min_value=0, max_value=params.degree - 1),
+        st.integers(min_value=0, max_value=params.t_degree - 1),
+    )
+    terms = st.dictionaries(keys, _rationals(), max_size=max_terms) | _rationals().map(lambda q: {(0, 0): q})
+    return terms.map(lambda t: (params.scalar(t), {key: Fraction(c) for key, c in t.items() if c}))
+
+
+@settings(max_examples=200, deadline=None)
+@given(k=st.integers(min_value=1, max_value=6), data=st.data())
+def test_the_integer_form_matches_the_fraction_model(k, data):
+    """Every operation on the integer form (one numerator per basis element
+    over one denominator) gives the Scalar whose Fraction model the same
+    operation on the models gives, in canonical form, and prints the bytes
+    the model prints."""
+    params = RINGS[k]
+    x, mx = data.draw(_model_scalars(params))
+    y, my = data.draw(_model_scalars(params))
+    q = data.draw(_rationals())
+    results = {
+        "x": (x, mx),
+        "x + y": (x + y, _model_add(mx, my)),
+        "x - y": (x - y, _model_add(mx, {key: -c for key, c in my.items()})),
+        "-x": (-x, {key: -c for key, c in mx.items()}),
+        "x * y": (x * y, _model_mul(params, mx, my)),
+        "y * x": (y * x, _model_mul(params, my, mx)),
+        "x * q": (x * q, _model_mul(params, mx, {(0, 0): q} if q else {})),
+        "q * x": (q * x, _model_mul(params, mx, {(0, 0): q} if q else {})),
+        "x * int": (x * q.numerator, _model_mul(params, mx, {(0, 0): Fraction(q.numerator)} if q else {})),
+    }
+    for name, (got, want) in results.items():
+        assert _canonical(got), name
+        assert _model(got) == want, name
+        assert got.terms == want, name
+        assert str(got) == _model_str(want), name
+        assert got.is_zero() == (not want), name
+        rational = not want or set(want) == {(0, 0)}
+        assert got.is_rational() == rational, name
+        if rational:
+            assert got.as_rational() == want.get((0, 0), 0), name
+            assert got == want.get((0, 0), 0) and got == want.get((0, 0), Fraction(0)), name
+        else:
+            with pytest.raises(ValueError):
+                got.as_rational()
+        assert (got == q) == (want == ({(0, 0): q} if q else {})), name
+        assert (got == q.numerator) == (want == ({(0, 0): Fraction(q.numerator)} if q.numerator else {})), name
+    # == and hash: equal values built along different routes, and unequal ones
+    for a, b in ((x + y - y, x), (x * 1, x), (params.scalar(x.terms), x), ((x + y) * 2, x * 2 + y * 2)):
+        assert a == b and hash(a) == hash(b)
+        assert a.den == b.den and a.nums == b.nums
+    assert (x == y) == (mx == my)
+    if x == y:
+        assert hash(x) == hash(y)
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_the_model_meets_the_sqrt2_branch_at_even_k(k):
+    """t^(t_degree - 1) * t: one basis element t^(2k) = 2 at odd k, and at
+    even k the reduced sqrt(2), several basis elements, which the model's
+    basis products must reach too."""
+    params = RINGS[k]
+    x = params.two_to(Fraction(params.t_degree - 1, 2 * k))
+    t = params.two_to(Fraction(1, 2 * k))
+    got = x * t
+    assert _model(got) == _model_mul(params, _model(x), _model(t))
+    assert _canonical(got)
+    assert (len(got.nums) > 1) == (k % 2 == 0)
+    assert got * got == 2 if k % 2 == 0 else got == 2
