@@ -32,7 +32,7 @@ from .fock import (
 from .fusion import KINDS, TILDE, Y_RS, Y_RS_THETA, IntertwinerSpec, direct_witness
 from .ring import RingParams
 from .twisted import tilde_mode
-from .untwisted import _vertex_images, e_vec, f_vec, support_modes, vertex_mode
+from .untwisted import _one_row, _place, e_vec, f_vec, support_modes, term_pair_images, vertex_mode
 
 
 def phase_apply(r: int, v: UVector) -> UVector:
@@ -81,7 +81,7 @@ def intertwiner_mode(spec: IntertwinerSpec, u: UVector, m, v):
     if spec.kind in (Y_RS, Y_RS_THETA):
         if not isinstance(v, UVector):
             raise ValueError(f"{spec.name} needs an untwisted second input")
-        return _vertex_images(u, m, v, (_target, spec))
+        return UVector._wrap(u.params, term_pair_images(u, m, v, _one_row, _place, (_target, spec)))
     if not isinstance(v, TVector):
         raise ValueError(f"{spec.name} needs a twisted second input")
     return tilde_mode(u, m, v)

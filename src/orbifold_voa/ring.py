@@ -113,11 +113,12 @@ class RingParams:
       as lists of (key, coefficient numerators, coefficient denominator),
       and the plan holds the placement as data (an output lattice index or
       the key map of a target sector, and the `untwisted._lift` of the
-      factor, its (basis, numerator) pairs and denominator) and the
-      skeleton (`untwisted._skeleton`) of each term pair of u and the
-      target of v, made as it is built.  It is one entry,
-      replaced when the input changes, so a sweep over m plans once and
-      the memo does not grow with the inputs;
+      factor, its (basis, numerator) pairs and denominator), whether it
+      is first at its output index or target sector, and the skeleton
+      (`untwisted._skeleton`) of each term pair of u and the target of v,
+      made as it is built, each item (r, s, keys, lift, first, skeleton).
+      It is one entry, replaced when the input changes, so a sweep over m
+      plans once and the memo does not grow with the inputs;
     * ("pcoeff", n): the rows (parts, den, sign) of the degree-n
       coefficient of the creation exponential, each coefficient 1/den for
       +alpha and sign/den for -alpha with sign = (-1)^len(parts) and den an

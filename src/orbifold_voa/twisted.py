@@ -27,7 +27,8 @@ placement entry, which each item of the driver's plan reads as it is
 built, with the per-ring key map of its target sector.  Where the
 monomial is one basis element (always for odd k, and for even k when
 b < k) a key of a rational term pair takes one numerator, the sum times
-the sign, and one gcd.
+the sign, and one gcd.  The driver's image sums the items' images, key
+by key where an earlier item wrote the same target sector.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from functools import partial
 from math import comb
 from typing import NamedTuple
 
-from .fock import TVector, UVector, add_block, add_into, contract, theta
+from .fock import TVector, UVector, add_into, contract, theta
 from .ring import RingParams, Scalar
 from .untwisted import _decode, _lift, halve, support_modes, tally, term_pair_images
 
@@ -224,7 +225,7 @@ class _SectorKeys(dict):
     first lookup: the doubled parts of the code (`untwisted._decode`)
     halved, and the sector, as a `_HashedKey`.  The ("tkey", sector) entry
     of `RingParams.memo`, so each output key is made and hashed once per
-    ring."""
+    ring; its `sector` is the slot of the plan items that hold it."""
 
     __slots__ = ("sector",)
 
@@ -287,18 +288,11 @@ def _corrected_mode(u: UVector, m, v: TVector, place) -> TVector:
     item of the driver's plan holds the key map of its target sector and
     its lift, the integer form of the signed monomial t^b times the factor
     of the item (`_placement`), and stage 3 writes the image in those
-    terms (`untwisted._create`).
-    The first nonzero image, a fresh dict, becomes the result, and later
-    ones add key by key."""
+    terms (`untwisted._create`).  The driver sums the images (an item
+    first at its target sector goes in whole) into the result."""
     if not isinstance(v, TVector):
         raise TypeError(f"twisted mode operators do not apply to {type(v).__name__}")
-    acc: dict = {}
-    for _keys, image in term_pair_images(u, m, v, _delta_terms, place):
-        if acc:
-            add_block(acc, image, False)
-        else:
-            acc = image
-    return TVector._wrap(u.params, acc)
+    return TVector._wrap(u.params, term_pair_images(u, m, v, _delta_terms, place))
 
 
 def tilde_mode(u: UVector, m, v: TVector) -> TVector:

@@ -69,13 +69,16 @@ rows of a term of u (the term itself, or its exp(Delta_z) expansion), in
 the vector v stands for (an intertwiner's theta-composed, phase-twisted
 target) and in where they place the output keys, which each plan item
 holds as data: an output index or a key map, and the lift of its
-factor.  Everything the driver does before the budget is fixed (the
-target, the groups, the weighted rows, the placement of each term pair
-and the skeletons) does not read m either, so it is planned whole once
-per (u, v) pair and operator: the plan of the latest pair is the one
-"pair" entry of `RingParams.memo`, and a sweep over m, which every caller
-makes, only fixes each budget and runs the creation stage, which writes
-the placed image.
+factor.  It returns the operator's image, the term pairs' images summed:
+an image goes in whole when its plan item is the first at its slot
+(output index r + s untwisted, target sector twisted).  Everything
+the driver does before the budget is fixed (the target, the groups, the
+weighted rows, the placement of each term pair and the skeletons) does
+not read m either, so it is planned whole once per (u, v) pair and
+operator: the plan of the latest pair is the one "pair" entry of
+`RingParams.memo`, and a sweep over m, which every caller makes, only
+fixes each budget and runs the creation stage, which writes the placed
+image.
 """
 
 from __future__ import annotations
@@ -478,10 +481,11 @@ def _lifted(params: RingParams, lift: tuple, n: int, den: int) -> Scalar:
 
 def _plan(params: RingParams, u: UVector, v, expand, place, twisted: bool) -> tuple:
     """The items of `term_pair_images` for u and v, one per group of u and
-    term of v, each (r, s, keys, lift, skeleton): the kernel's lattice
-    indices, the placement `place(params, r, index, factor)` for the index
-    or sector of v's term and the factor, as data (see `_create`), and the
-    `_skeleton` of the term pair's kernel rows."""
+    term of v, each (r, s, keys, lift, first, skeleton): the kernel's
+    lattice indices, the placement `place(params, r, index, factor)` for
+    the index or sector of v's term and the factor, as data (see
+    `_create`), whether no earlier item has its slot (keys, or the sector
+    of a key map), and the `_skeleton` of the term pair's kernel rows."""
     groups: dict[tuple, list] = {}  # (r, factor of u) -> kernel rows
     for (nu, r), cu in u.terms.items():
         num, den, factor = _weight(cu)
@@ -489,20 +493,24 @@ def _plan(params: RingParams, u: UVector, v, expand, place, twisted: bool) -> tu
         for d, nu2, n2, d2 in expand(params, nu, r):
             rows.append((d, nu2, num * n2, den * d2))
     plan = []
+    slots = set()
     for (r, uf), rows in groups.items():
         for (mu, index), cv in v.terms.items():
             vn, vd, vf = _weight(cv)
             terms = tuple([(d, nu, num * vn, den * vd) for d, nu, num, den in rows])
             factor = vf if uf is None else uf if vf is None else uf * vf
             s = 0 if twisted else index
-            plan.append((r, s, *place(params, r, index, factor), _skeleton(params, r, mu, s, twisted, terms)))
+            keys, lift = place(params, r, index, factor)
+            slot = keys if type(keys) is int else keys.sector
+            plan.append((r, s, keys, lift, slot not in slots, _skeleton(params, r, mu, s, twisted, terms)))
+            slots.add(slot)
     return tuple(plan)
 
 
-def term_pair_images(u: UVector, m, v: UVector | TVector, expand, place, target=None):
-    """(keys, image) for each group of terms of u and each term of v with a
-    nonzero kernel image at mode m: the one loop over term pairs behind
-    every mode operator.
+def term_pair_images(u: UVector, m, v: UVector | TVector, expand, place, target=None) -> dict:
+    """The image at mode m, a fresh {output key: nonzero Scalar}: the one
+    sum over term pairs, each group of terms of u on each term of v,
+    behind every mode operator.
 
     `expand(params, nu, r)`, a module-level function, lists the kernel rows
     (d, nu2, num, den) of the term a(-nu) e[r] of u.  The terms of u are
@@ -514,24 +522,25 @@ def term_pair_images(u: UVector, m, v: UVector | TVector, expand, place, target=
     of group r on a term of v at index or sector `index` goes, whose factor
     is the non-rational parts of both coefficients (None for 1): (keys,
     lift), an output lattice index or a map from multiplicity code to
-    output key, and the `_lift` of the factor.  So the image is the
-    operator's own {output key: Scalar} (`_create`), and keys, for an
-    untwisted operator, its output index.  `target`, None or a
-    pair (function, argument) that compares by content, makes the kernel
-    pair u with function(argument, v) in place of v.
+    output key, and the `_lift` of the factor.  So a term pair's image is
+    the operator's own {output key: Scalar} (`_create`): the first nonzero
+    one becomes the result, and a later one goes in whole when its item is
+    the first at its slot (the index, or the key map's sector), key by key
+    otherwise.  `target`, None or a pair (function, argument) that
+    compares by content, makes the kernel pair u with function(argument,
+    v) in place of v.
 
     None of this reads m, so it is planned once per (u, v) pair: the one
     "pair" entry of `RingParams.memo` holds the input (expand, place,
     target, twisted, and u and v as lists of (key, coefficient numerators,
     denominator), no Scalar and no vector) and the plan (`_plan`), one
-    item per group and term of the target with its placement and
-    `_skeleton`, the target made and every skeleton walked as the plan is
-    built.  A call with the same
-    input, every later mode of a sweep, only computes each item's budget
-    (`_budget`, None off the item's grid) and runs stage 3 (`_create`),
-    which writes the placed image; a
-    call with another input replaces the entry, so the memo does not grow
-    with the inputs."""
+    item per group and term of the target with its placement, slot flag
+    and `_skeleton`, the target made and every skeleton walked as the plan
+    is built.  A call with the same input, every later mode of a sweep,
+    only computes each item's budget (`_budget`, None off the item's grid)
+    and runs stage 3 (`_create`), which writes the placed image; a call
+    with another input replaces the entry, so the memo does not grow with
+    the inputs."""
     params = u.params
     # the ring is nearly always the one object; RingParams.__eq__ is a Python call
     if v.params is not params and v.params != params:
@@ -551,13 +560,17 @@ def term_pair_images(u: UVector, m, v: UVector | TVector, expand, place, target=
     if entry is None or entry[0] != given:
         w = v if target is None else target[0](target[1], v)
         entry = params.memo["pair"] = (given, _plan(params, u, w, expand, place, twisted))
-    for r, s, keys, lift, skeleton in entry[1]:
+    acc: dict = {}
+    for r, s, keys, lift, first, skeleton in entry[1]:
         t0 = _budget(params, r, s, m, twisted)
         if t0 is None:
             continue
         image = _create(params, r, t0, twisted, skeleton, keys, lift)
-        if image:
-            yield keys, image
+        if not acc:
+            acc = image
+        elif image:
+            add_block(acc, image, first)
+    return acc
 
 
 def _one_row(params: RingParams, nu: tuple, r: int) -> tuple:
@@ -579,24 +592,7 @@ def vertex_mode(u: UVector, m, v: UVector) -> UVector:
     lattice index r against index s lands at index r + s (`_place`)."""
     if not isinstance(v, UVector):
         raise TypeError(f"vertex_mode does not apply to {type(v).__name__}")
-    return _vertex_images(u, m, v, None)
-
-
-def _vertex_images(u: UVector, m, v: UVector, target) -> UVector:
-    """`vertex_mode` of u on v, or on the `target` of v (see
-    `term_pair_images`): the untwisted intertwiners' operator.  An image
-    leaves the kernel keyed and lifted: the first, a fresh dict, becomes
-    the result, and a later one that lands at a lattice index no earlier
-    image reached goes into it whole."""
-    acc: dict = {}
-    reached = set()
-    for index, image in term_pair_images(u, m, v, _one_row, _place, target):
-        if acc:
-            add_block(acc, image, index not in reached)
-        else:
-            acc = image
-        reached.add(index)
-    return UVector._wrap(u.params, acc)
+    return UVector._wrap(u.params, term_pair_images(u, m, v, _one_row, _place))
 
 
 # -- distinguished vectors -------------------------------------------------------

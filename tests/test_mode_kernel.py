@@ -19,9 +19,13 @@ references here:
   twisted operators also call.
 
 (The exp(Delta_z) coefficients have theirs in the sympy series of
-`conftest.delta_series_oracle`.)  The other tests here check properties,
-such as bilinearity, no product per key and the memo's behaviour, not a
-second route.  Every comparison is exact, and each test counts the
+`conftest.delta_series_oracle`.)  The driver, `untwisted.term_pair_images`,
+returns each operator's summed image, a term pair's image going in whole
+when its plan item is the first at its output index or target sector and
+key by key otherwise; the operators compared against the references are
+one wrap of that dict.  The other tests here check properties, such as
+bilinearity, no product per key, the sum of images that share a slot and
+the memo's behaviour, not a second route.  Every comparison is exact, and each test counts the
 comparisons with a nonzero image so that it cannot pass on zeros alone.
 
 The oracles are pure functions of k and their small arguments, so their
@@ -2043,8 +2047,9 @@ def test_a_plan_is_not_shared_between_the_lattices():
         for fresh in (False, True):
             if fresh:
                 params.memo.clear()
-            # each (output index, image), the images keyed (parts, index)
-            pairs.append(list(untwisted.term_pair_images(u, -2, v, untwisted._one_row, untwisted._place)))
+            # the image {(parts, index): Scalar}; dict equality compares the
+            # Scalars too, not the keys alone
+            pairs.append(untwisted.term_pair_images(u, -2, v, untwisted._one_row, untwisted._place))
     assert pairs[0] == pairs[1] and pairs[2] == pairs[3]
     assert pairs[0] and pairs[2] and pairs[0] != pairs[2]
 
