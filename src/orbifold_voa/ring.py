@@ -91,15 +91,14 @@ class RingParams:
       once per ring.  It serves the keys that are not the parts of one
       table row, those of a row with kept parts and of merged rows; a
       single live row that keeps no parts takes its table's parts;
-    * ("delta", nu, r): exp(Delta_z) of one term times 2^w, the rational
-      part of the twisted prefactor 2^(-r^2/2k) = 2^w t^b,
-      `twisted._delta_terms`;
+    * ("delta", nu, r): exp(Delta_z) of one term as the mode kernel's
+      rows, `twisted._delta_terms`;
     * ("place", tilde, r, sector): where the twisted operators put an
-      image at lattice index r on a term of v in `sector`: the target
-      sector and the integer form (nums, den) of the sign of the sector
-      map times t^b (the prefactor's monomial, with integer
-      coefficients), which `twisted._placement` makes a Scalar again as
-      each plan item of the mode driver is built;
+      image at lattice index r on a term of v in `sector`: the key map of
+      the target sector (the ("tkey", target) entry) and the
+      `untwisted._lift` of the sign of the sector map times the twisted
+      prefactor 2^(-r^2/2k), which `twisted._placement` gives as it is to
+      each plan item of the mode driver with no factor;
     * ("tkey", sector): the twisted operators' key map of one target
       sector, a dict from the multiplicity code of each doubled key that
       stage 3 has placed there to its output key, the halved Fraction
@@ -381,6 +380,9 @@ class Scalar:
         return self.params == other.params and self.den == other.den and self.nums == other.nums
 
     def __hash__(self) -> int:
+        # a rational Scalar equals its int or Fraction, so it hashes as they do
+        if _is_rational(self.nums):
+            return hash(Fraction(self.nums.get((0, 0), 0), self.den))
         return hash((self.params.k, self.den, frozenset(self.nums.items())))
 
     # -- output ----------------------------------------------------------------

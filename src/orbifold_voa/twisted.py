@@ -18,17 +18,16 @@ Modes are indexed like the untwisted case (coefficient of z^(-m-1)); for
 u at lattice index r the support grid is r^2/4k + (1/2)Z.
 
 The three layers run on the shared term-pair driver of `untwisted`.  The
-correction of layer 1 gives the kernel rows of each term of u.  The
-prefactor of layer 2 is split as 2^(-r^2/2k) = 2^w t^b with 0 <= b < 2k:
-the rational 2^w is folded into those rows, so the kernel's integer sum
-over its denominator is the final rational coefficient of each output
-key, and the monomial t^b goes with the sign of layer 3 into one per-ring
-placement entry, which each item of the driver's plan reads as it is
-built, with the per-ring key map of its target sector.  Where the
-monomial is one basis element (always for odd k, and for even k when
-b < k) a key of a rational term pair takes one numerator, the sum times
-the sign, and one gcd.  The driver's image sums the items' images, key
-by key where an earlier item wrote the same target sector.
+correction of layer 1 gives the kernel rows of each term of u, so the
+kernel's integer sum over its denominator is the rational coefficient of
+each output key before the prefactor.  The prefactor 2^(-r^2/2k) of layer
+2 times the sign of layer 3, in integer form, and the per-ring key map of
+the target sector are one per-ring placement entry, which each item of
+the driver's plan reads as it is built.  Where the prefactor is
+one basis element (always for odd k, and for even k when -r^2 mod 2k < k)
+a key of a rational term pair takes one numerator, the sum times the
+signed power of 2, and one gcd.  The driver's image sums the items'
+images, key by key where an earlier item wrote the same target sector.
 """
 
 from __future__ import annotations
@@ -176,30 +175,16 @@ def psi_map(params: RingParams, r: int) -> PsiMap:
 # -- the corrected twisted operators --------------------------------------------------
 
 
-def _prefactor_split(params: RingParams, r: int) -> tuple[int, Scalar]:
-    """(w, t^b) with 2^(-r^2/2k) = 2^w t^b and 0 <= b < 2k: the prefactor
-    of the half-odd expansion at lattice index r, split into its rational
-    part, which joins the kernel rows (`_delta_terms`), and a monomial with
-    integer coefficients.  The monomial is the one basis element t^b for
-    odd k or b < k; for even k and b >= k it is t^(b-k) times the reduced
-    sqrt(2)."""
-    w, b = divmod(-r * r, 2 * params.k)
-    return w, params.two_to(Fraction(b, 2 * params.k))
-
-
 def _delta_terms(params: RingParams, nu: tuple[int, ...], r: int) -> tuple:
-    """exp(Delta_z) 2^w a(-nu) e[r], 2^w the rational part of the prefactor
-    at r (`_prefactor_split`) given to `delta_apply` as the term's
-    coefficient, as ((d, nu2, num, den), ...), the term (num/den) a(-nu2)
-    e[r] z^(-d) as the mode kernel's rows; memoized on `params` for the
-    life of the ring."""
+    """exp(Delta_z) a(-nu) e[r] as ((d, nu2, num, den), ...), the term
+    (num/den) a(-nu2) e[r] z^(-d) as the mode kernel's rows; memoized on
+    `params` for the life of the ring."""
     key = ("delta", nu, r)
     terms = params.memo.get(key)
     if terms is None:
-        scale = Fraction(2) ** _prefactor_split(params, r)[0]
         terms = params.memo[key] = tuple(
             (d, nu2, *c.as_rational().as_integer_ratio())
-            for d, vec in delta_apply(UVector(params, {(nu, r): scale})).items()
+            for d, vec in delta_apply(UVector(params, {(nu, r): 1})).items()
             for (nu2, _r), c in vec.terms.items()
         )
     return terms
@@ -245,11 +230,10 @@ def _placement(
     the sector map, psi_map(r) with `tilde` and the identity without, sends
     the sector to a target with a sign; `keys` is the ring's key map of
     that target (`_SectorKeys`), and `lift` is `untwisted._lift` of that
-    sign times the irrational part t^b of the prefactor
-    (`_prefactor_split`), times the factor.  The target and the integer
-    form (nums, den) of the signed monomial are memoized on `params` for
-    the life of the ring, and the monomial is made a Scalar again here, so
-    the memo holds nothing that refers back to the ring."""
+    sign times the prefactor 2^(-r^2/2k), times the factor.  The pair with
+    no factor is memoized on `params` for the life of the ring, and a
+    factor is multiplied into a Scalar made from its lift, so the memo
+    holds nothing that refers back to the ring."""
     key = ("place", tilde, r, sector)
     entry = params.memo.get(key)
     if entry is None:
@@ -258,14 +242,14 @@ def _placement(
             column = [row[sector - 1] for row in psi_map(params, r).matrix]
             target = 1 if column[0] else 2
             sign = column[target - 1]
-        monomial = _prefactor_split(params, r)[1] * sign
-        entry = params.memo[key] = (target, monomial.nums, monomial.den)
-    target, nums, den = entry
-    keys = params.memo.get(("tkey", target))
-    if keys is None:
-        keys = params.memo["tkey", target] = _SectorKeys(target)
-    monomial = Scalar(params, nums, den)
-    return keys, _lift(monomial if factor is None else monomial * factor)
+        keys = params.memo.get(("tkey", target))
+        if keys is None:
+            keys = params.memo["tkey", target] = _SectorKeys(target)
+        entry = params.memo[key] = (keys, _lift(params.two_to(Fraction(-r * r, 2 * params.k)) * sign))
+    if factor is None:
+        return entry
+    keys, (nums, den) = entry
+    return keys, _lift(Scalar(params, dict(nums), den) * factor)
 
 
 # the placements of `tilde_mode`'s plan items, through the sector map
@@ -281,14 +265,12 @@ def _corrected_mode(u: UVector, m, v: TVector, place) -> TVector:
     (`_tilde_place` or `_bare_place`) attaches.
 
     Delta is linear, so the kernel rows of each term of u are its
-    exp(Delta_z) expansion times the rational part 2^w of the prefactor
-    2^(-r^2/2k) = 2^w t^b, from the per-ring table `_delta_terms`, and
-    `term_pair_images` pairs the groups of u with the terms of v.  The
-    kernel's sum is then the final rational coefficient of a key: each
+    exp(Delta_z) expansion, from the per-ring table `_delta_terms`, and
+    `term_pair_images` pairs the groups of u with the terms of v.  Each
     item of the driver's plan holds the key map of its target sector and
-    its lift, the integer form of the signed monomial t^b times the factor
-    of the item (`_placement`), and stage 3 writes the image in those
-    terms (`untwisted._create`).  The driver sums the images (an item
+    its lift, the integer form of the signed prefactor 2^(-r^2/2k) times
+    the factor of the item (`_placement`), and stage 3 writes the image in
+    those terms (`untwisted._create`).  The driver sums the images (an item
     first at its target sector goes in whole) into the result."""
     if not isinstance(v, TVector):
         raise TypeError(f"twisted mode operators do not apply to {type(v).__name__}")

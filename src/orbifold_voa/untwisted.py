@@ -393,9 +393,9 @@ def _create(params: RingParams, r: int, t0: int, twisted: bool, skeleton: tuple,
     its Scalar in the same pass, n/den times the factor that `lift` holds
     as integers (`_lift`): a factor on one basis element with numerator f
     over fden gives the key {basis: n f}/(den fden) with one gcd and no
-    Fraction, so a +-1 lift keeps its sign in the numerator; a factor on
-    several basis elements goes through `_lifted`.  So every output key
-    and Scalar is made once."""
+    Fraction, so the sign of a lift stays in its numerator; a factor on
+    several basis elements gives {basis: n f_basis}/(den fden), reduced.
+    So every output key and Scalar is made once."""
     den, rows = skeleton
     live = []
     tden = 1
@@ -433,10 +433,10 @@ def _create(params: RingParams, r: int, t0: int, twisted: bool, skeleton: tuple,
     elif pairs is None:
         pairs = [(keys[code], n) for code, n in merged.items() if n]
     fnums, fden = lift
-    if len(fnums) > 1:
-        return {key: _lifted(params, lift, n, den) for key, n in pairs}
-    ((basis, f),) = fnums
     den *= fden
+    if len(fnums) > 1:
+        return {key: Scalar._reduced(params, {basis: n * f for basis, f in fnums}, den) for key, n in pairs}
+    ((basis, f),) = fnums
     out = {}
     for key, n in pairs:
         n *= f
@@ -458,25 +458,12 @@ def _lift(factor: Scalar | None) -> tuple:
     """How a kernel coefficient n/den becomes n/den times `factor` (None
     for 1), as the factor's integer form: ((basis, numerator), ...) and its
     denominator, so the product is {basis: n * numerator}/(den *
-    denominator), reduced (`_lifted`).  It holds no Scalar and no ring, so
-    a plan that holds it in `RingParams.memo` does not keep its ring
-    alive."""
+    denominator), reduced, as `_create` writes it.  It holds no Scalar and
+    no ring, so a plan that holds it in `RingParams.memo` does not keep its
+    ring alive."""
     if factor is None:
         return (((0, 0), 1),), 1
     return tuple(factor.nums.items()), factor.den
-
-
-def _lifted(params: RingParams, lift: tuple, n: int, den: int) -> Scalar:
-    """The nonzero n/den, den > 0, times the factor of `lift` (`_lift`), as
-    a Scalar."""
-    fnums, fden = lift
-    den *= fden
-    if len(fnums) == 1:
-        ((basis, f),) = fnums
-        n *= f
-        g = gcd(n, den)
-        return Scalar(params, {basis: n // g}, den // g)
-    return Scalar._reduced(params, {basis: n * f for basis, f in fnums}, den)
 
 
 def _plan(params: RingParams, u: UVector, v, expand, place, twisted: bool) -> tuple:
@@ -633,8 +620,8 @@ def p_coeff_apply(params: RingParams, sign: int, n: int, v: UVector) -> UVector:
     den = prod q^i i! over the parts q of multiplicity i, and sign =
     (-1)^len(parts) the numerator for -alpha (1 for +alpha).  The rows
     are built once per ring for both signs (the ("pcoeff", n) entry of
-    `RingParams.memo`), and a term of v lifts each row's coefficient by its
-    own (`_lift`, `_lifted`).  The keys of one term are distinct, so its
+    `RingParams.memo`), and a term of v scales its coefficient by each
+    row's (`Scalar._scaled`).  The keys of one term are distinct, so its
     block goes in whole unless an earlier term reached its index."""
     if sign not in (+1, -1):
         raise ValueError("sign must be +1 or -1")
@@ -658,9 +645,8 @@ def p_coeff_apply(params: RingParams, sign: int, n: int, v: UVector) -> UVector:
     acc: dict = {}
     reached = set()
     for (nu, s), c in v.terms.items():
-        lift = _lift(c)
         block = {
-            (sort_parts(nu + parts) if nu else parts, s): _lifted(params, lift, minus if sign < 0 else 1, den)
+            (sort_parts(nu + parts) if nu else parts, s): c._scaled(minus if sign < 0 else 1, den)
             for parts, den, minus in rows
         }
         add_block(acc, block, s not in reached)

@@ -905,28 +905,36 @@ def test_twisted_operators_match_reference_on_multi_term_vectors(k):
     assert min(nonzero.values()) > 0
 
 
-# -- the twisted placement: split prefactor, one placement per ring -----------------
+# -- the twisted placement: the whole prefactor in the lift, one placement per ring ---
 
 
 @pytest.mark.parametrize("k", range(1, 25))
 def test_prefactor_split(k):
-    """2^(-r^2/2k) = 2^w t^b with 0 <= b < 2k: the rational part times the
-    monomial is the prefactor, the monomial has integer coefficients, and
-    it is one unit basis element exactly when k is odd or b < k.  Here its
-    coefficients are +-1 even in the even-k sqrt(2) form, so `_lift` wraps
-    every kernel coefficient of a rational term pair with no product."""
+    """The lift of a twisted plan item with no factor is the sign of its
+    sector map times the whole prefactor 2^(-r^2/2k): no part of it goes
+    into the kernel rows.  `_placement` gives its memo entry as it is, and
+    the lift is one basis element exactly when k is odd or b = -r^2 mod 2k
+    < k; otherwise it is the even-k sqrt(2) form."""
     params = RingParams(k)
     units = 0
     for r in range(-4 * k, 4 * k + 1):
-        w, monomial = twisted._prefactor_split(params, r)
         b = (-r * r) % (2 * k)
-        assert monomial * Fraction(2) ** w == params.two_to(Fraction(-r * r, 2 * k)), r
-        assert all(c in (1, -1) for c in monomial.terms.values()), r
-        unit = list(monomial.terms.values()) == [1]
-        assert unit == (k % 2 == 1 or b < k), r
-        units += unit
-    # at even k both kinds occur (r = 1 gives b = 2k - 1 >= k)
-    assert units == 8 * k + 1 if k % 2 else 0 < units < 8 * k + 1
+        prefactor = params.two_to(Fraction(-r * r, 2 * k))
+        for tilde in (True, False):
+            for sector in (1, 2):
+                entry = twisted._placement(tilde, params, r, sector, None)
+                assert entry is params.memo["place", tilde, r, sector], (r, tilde, sector)
+                keys, (nums, den) = entry
+                assert keys is params.memo["tkey", keys.sector]
+                sign = _sector_sign(params, r, keys.sector) if tilde else 1
+                assert tilde or keys.sector == sector
+                assert Scalar(params, dict(nums), den) == prefactor * sign, (r, tilde, sector)
+                unit = len(nums) == 1
+                assert unit == (k % 2 == 1 or b < k), (r, tilde, sector)
+                units += unit
+    # four placements per r; at even k both kinds occur (r = 1 gives b = 2k - 1 >= k)
+    placements = 4 * (8 * k + 1)
+    assert units == placements if k % 2 else 0 < units < placements
 
 
 def _placement_u(params: RingParams, r1: int, r2: int) -> UVector:
@@ -948,14 +956,13 @@ def _placement_u(params: RingParams, r1: int, r2: int) -> UVector:
 @pytest.mark.parametrize("k", (1, 2, 3, 4))
 def test_twisted_placement_matches_the_verbatim_engines(k):
     """`tilde_mode`, `mtheta_mode` and `twisted_mode` place each kernel
-    coefficient once per ring (`_placement`, the rational part of the
-    prefactor in the kernel rows); their images equal the verbatim
-    `tilde_mode` and `mtheta_mode` on multi-term u and v over both sectors,
-    swept on the support grid: unit, rational, zeta and t coefficients of u
-    at two lattice indices, r = 1, k, k + 1 with partner r - 2k, and
-    `twisted_mode` at the lattice indices (0, 2k) and (2k, -2k).  At k = 2
-    and 4 the placement meets the even-k sqrt(2) form of the prefactor's
-    monomial."""
+    coefficient once per ring (`_placement`, the signed prefactor in the
+    lift); their images equal the verbatim `tilde_mode` and `mtheta_mode`
+    on multi-term u and v over both sectors, swept on the support grid:
+    unit, rational, zeta and t coefficients of u at two lattice indices,
+    r = 1, k, k + 1 with partner r - 2k, and `twisted_mode` at the lattice
+    indices (0, 2k) and (2k, -2k).  At k = 2 and 4 the placement meets the
+    even-k sqrt(2) form of the prefactor."""
     params = RingParams(k)
     two_k = 2 * k
     v = TVector(
@@ -989,9 +996,9 @@ def test_twisted_placement_matches_the_verbatim_engines(k):
 def test_placement_takes_no_product_per_key(k, r, monkeypatch):
     """With rational coefficients of u and v, a sweep of the twisted
     operators whose per-ring tables are built takes no Scalar product and
-    no Fraction product, whether the monomial is a unit (odd k, or b < k)
-    or the even-k sqrt(2) form (b >= k at k = 2, 4 and odd r): each kernel
-    Fraction is only wrapped."""
+    no Fraction product, whether the prefactor is one basis element (odd
+    k, or b < k) or the even-k sqrt(2) form (b >= k at k = 2, 4 and odd
+    r): each kernel Fraction is only wrapped."""
     params = RingParams(k)
     u = UVector(params, {((1,), r): Fraction(-2, 3), ((), r): 1})
     v = TVector(params, {((HALF,), 1): Fraction(3, 2), ((), 2): 1})
@@ -1016,10 +1023,11 @@ def test_placement_takes_no_product_per_key(k, r, monkeypatch):
 @pytest.mark.parametrize("k", (2, 4))
 def test_a_phase_of_u_factors_out_of_the_twisted_placement(k):
     """`tilde_mode` and `mtheta_mode` of zeta^a e[r] are zeta^a times the
-    image of e[r]: the plan item's lift is the signed monomial times the
-    phase, made when the plan is built.  At even k the monomial of r = 1
+    image of e[r]: the plan item's lift is the signed prefactor times the
+    phase, made when the plan is built.  At even k the prefactor of r = 1
     is in the sqrt(2) form (b = 2k - 1 >= k), that of r = 2 at k = 4 too
-    (b = k), and r = 2 at k = 2, r = 0 and r = 2k give a unit monomial."""
+    (b = k), and r = 2 at k = 2, r = 0 and r = 2k give one basis
+    element."""
     params = RingParams(k)
     v = t_term(params, [HALF], 1) + t_term(params, [Fraction(3, 2), HALF], 2, Fraction(-2, 3))
     nonzero = 0
@@ -1601,7 +1609,7 @@ def test_stage_three_makes_no_fraction(monkeypatch, k):
     assert negative
     assert any(_sector_sign(params, r, sector) == -1 for r, sector in tilde)
     if k % 2 == 0:
-        assert any(len(twisted._prefactor_split(params, r)[1].nums) > 1 for r, _sector in tilde)
+        assert any(len(params.two_to(Fraction(-r * r, two_k)).nums) > 1 for r, _sector in tilde)
 
 
 def test_a_large_k_zero_mode_decodes_no_code(monkeypatch):

@@ -272,7 +272,8 @@ def test_the_integer_form_matches_the_fraction_model(k, data):
     """Every operation on the integer form (one numerator per basis element
     over one denominator) gives the Scalar whose Fraction model the same
     operation on the models gives, in canonical form, and prints the bytes
-    the model prints."""
+    the model prints.  A rational result equals its Fraction and int and
+    hashes as they do, so a dict keyed by the value finds it."""
     params = RINGS[k]
     x, mx = data.draw(_model_scalars(params))
     y, my = data.draw(_model_scalars(params))
@@ -297,8 +298,14 @@ def test_the_integer_form_matches_the_fraction_model(k, data):
         rational = not want or set(want) == {(0, 0)}
         assert got.is_rational() == rational, name
         if rational:
-            assert got.as_rational() == want.get((0, 0), 0), name
-            assert got == want.get((0, 0), 0) and got == want.get((0, 0), Fraction(0)), name
+            value = want.get((0, 0), Fraction(0))
+            assert got.as_rational() == value, name
+            assert got == value and got == want.get((0, 0), 0), name
+            # equal values hash alike, so a dict keyed by the value finds the Scalar
+            assert hash(got) == hash(value), name
+            assert {value: name}.get(got) == name
+            if value.denominator == 1:
+                assert hash(got) == hash(int(value)) and {int(value): name}.get(got) == name
         else:
             with pytest.raises(ValueError):
                 got.as_rational()
@@ -311,6 +318,8 @@ def test_the_integer_form_matches_the_fraction_model(k, data):
     assert (x == y) == (mx == my)
     if x == y:
         assert hash(x) == hash(y)
+    for c in (q, q.numerator, 3, Fraction(1, 2), 0):
+        assert hash(params.rational(c)) == hash(c) and {c: "c"}.get(params.rational(c)) == "c", c
 
 
 @pytest.mark.parametrize("k", range(1, 7))
