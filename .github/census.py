@@ -52,6 +52,7 @@ SRC = Path(sys.argv[1] if len(sys.argv) > 1 else "src")
 KEPT = {
     "fusion.fusion": "the package API: one fusion number without an engine in hand",
     "fusion.m1_fusion": "bench/layertrace.py wraps it by name (ROADMAP item 1(a))",
+    "fusion.FusionEngine.all_triples": "the package API: every label triple in index order, as the tests walk it",
     "zhu.top_action": "bench/layertrace.py wraps it by name (ROADMAP item 1(a))",
     "labels.ModuleLabel._make": "`_replace` calls it, so a replaced label is checked",
     "ring.RingParams._mul_basis": "the product of two irrational Scalars, for ROADMAP items 4-6",

@@ -15,6 +15,7 @@ from .fusion import (
     direct_witness,
     fusion,
     get_engine,
+    m1_code,
     m1_fusion,
     m1_products,
     upper_bound,

@@ -25,13 +25,15 @@ constituent of a source label counts alike (`upper_bound` gives the
 argument, V+- and Va+- included).  The minimum is taken over one
 representative per class, and a bound costs the same at every k.
 
-The constituent rules are stated once, as products: `m1_products(m, n)`
-lists the constituents l with N(m, n; l) = 1 and says whether every M(c)
-is one as well (only for Mt x Mt); `m1_fusion` reads it.  `upper_bound`
-counts each source pair's products in the target: it reads each label's
-window-1 constituents, and the target's constituent set and count of
-M(c), from one table per label and k (`_bound_table`), built from
-`decompose` alone: O(k) entries per k, none of them through the engine.
+The constituent rules are stated once, as products on integer codes
+(`m1_code`: M(c) is c >= 1, M+- and Mt+- are 0 down to -3):
+`m1_products(m, n)` lists the constituents l with N(m, n; l) = 1 and
+says whether every M(c) is one as well (only for Mt x Mt); `m1_fusion`
+reads it through `m1_code`.  `upper_bound` counts each source pair's
+products in the target: it reads each label's window-1 constituent
+codes, and the target's code set and count of M(c), from one table per
+label and k (`_bound_table`), built from `decompose` alone: O(k) entries
+per k, none of them through the engine.
 
 The bound is sound but not sharp: 24k + 100 zeros of the full table have
 bound >= 1 (counted at k = 1..6).  Six are the position rotations of the
@@ -295,11 +297,16 @@ class FusionEngine:
             )
 
     def _position(self, label: ModuleLabel) -> int:
-        """Position in `labels` of the label, a Vl<r> index normalized
-        first, as `parse_label` does."""
-        if label.kind == lb.LAM:
-            label = lb.lam(normalize_lam_index(label.r, self.k))
-        return self._index[label]
+        """Position in `labels` of the label.  A label that is not one of
+        them as given is looked up again with its Vl<r> index normalized,
+        as `parse_label` does, so the labels that `parse_label` makes are
+        found at once."""
+        position = self._index.get(label)
+        if position is None:
+            if label.kind == lb.LAM:
+                label = lb.lam(normalize_lam_index(label.r, self.k))
+            position = self._index[label]
+        return position
 
     def fusion(self, w1: ModuleLabel, w2: ModuleLabel, w3: ModuleLabel) -> int:
         triple = (self._position(w1), self._position(w2), self._position(w3))
@@ -349,52 +356,63 @@ def decompose(label: ModuleLabel, k: int, window: int) -> list[tuple[M1Label, in
     return [(m_tw(label.sign), None)]
 
 
-_TWISTED = (m_tw(+1), m_tw(-1))
-
-
-def m1_products(m: M1Label, n: M1Label) -> tuple[tuple[M1Label, ...], bool]:
-    """The constituent fusion rules as products: the constituents l with
-    N(m, n; l) = 1, as (a finite tuple of them with no repeat, whether every
-    M(c) is one too).  Every M(c) is a product only of Mt x Mt; every other
-    product is finite, and every fusion number is 0 or 1."""
-    if m.kind == lb.M_VAC:
-        if m.sign > 0 or n.kind == lb.M_LAM:
-            return (n,), False
-        # M- flips the sign of M+- and of Mt+-
-        return (n._replace(sign=-n.sign),), False
+def m1_code(m: M1Label) -> int:
+    """The constituent as one int, the form `m1_products` reads: M(c) as
+    c >= 1, M+ as 0, M- as -1, Mt+ as -2 and Mt- as -3.  So a code is a
+    lattice constituent exactly when it is positive, and the sign of M+-
+    and Mt+- is its low bit (code & 1 is 1 for the minus sign)."""
     if m.kind == lb.M_LAM:
-        if n.kind == lb.M_VAC:
-            return (m,), False
-        if n.kind == lb.M_TW:
-            return _TWISTED, False
-        c, d = m.index, n.index
-        if c == d:
-            return (m_lam(2 * c), m_vac(+1), m_vac(-1)), False
-        return (m_lam(c + d), m_lam(c - d)), False
-    # twisted first constituent: Mt- flips the sign that Mt+ keeps
-    if n.kind == lb.M_LAM:
-        return _TWISTED, False
-    sign = n.sign if m.sign > 0 else -n.sign
-    if n.kind == lb.M_VAC:
-        return (m_tw(sign),), False
-    return (m_vac(sign),), True
+        return m.index
+    code = 0 if m.kind == lb.M_VAC else -2
+    return code if m.sign > 0 else code - 1
+
+
+_TWISTED = (-2, -3)  # Mt+ and Mt-
+
+
+def m1_products(m: int, n: int) -> tuple[tuple[int, ...], bool]:
+    """The constituent fusion rules as products, on `m1_code` codes: the
+    constituents l with N(m, n; l) = 1, as (a finite tuple of their codes
+    with no repeat, whether every M(c) is one too).  Every M(c) is a
+    product only of Mt x Mt; every other product is finite, and every
+    fusion number is 0 or 1.
+
+    M(c) x M(d) gives M(c+d) and M(|c-d|), where M(0), for c = d, is M+
+    and M-; M(c) x M+- gives M(c) and M(c) x Mt+- both Mt+ and Mt-.  On
+    the other pairs the signs multiply: M+ and Mt+ keep the sign of the
+    other side and M- and Mt- flip it, so the product's sign bit is
+    (m ^ n) & 1.  M+- keeps the kind of the other side, Mt+- x M+- is
+    twisted and Mt+- x Mt+- is M+- (with every M(c))."""
+    if m > 0:
+        if n > 0:
+            if m == n:
+                return (2 * m, 0, -1), False
+            return (m + n, abs(m - n)), False
+        return ((m,) if n >= -1 else _TWISTED), False
+    if n > 0:
+        return ((n,) if m >= -1 else _TWISTED), False
+    sign = (m ^ n) & 1
+    if (m >= -1) == (n >= -1):
+        return (-sign,), m < -1
+    return (-2 - sign,), False
 
 
 def m1_fusion(m: M1Label, n: M1Label, l: M1Label) -> int:
     """Fusion numbers of the Heisenberg-orbifold constituents, read from
-    `m1_products`."""
-    finite, every_lattice = m1_products(m, n)
-    return 1 if l in finite or (every_lattice and l.kind == lb.M_LAM) else 0
+    `m1_products` on their codes (`m1_code`)."""
+    finite, every_lattice = m1_products(m1_code(m), m1_code(n))
+    code = m1_code(l)
+    return 1 if code in finite or (every_lattice and code > 0) else 0
 
 
 @lru_cache(maxsize=None)
-def _bound_table(label: ModuleLabel, k: int) -> tuple[tuple[M1Label, ...], frozenset[M1Label], int]:
-    """The label's constituents as `upper_bound` reads them: its window-1
-    constituents as a source; as a target, its window-3 constituents and
-    how many of them are M(c)."""
-    target = frozenset(l for l, _ in decompose(label, k, window=3))
-    sources = tuple(m for m, _ in decompose(label, k, window=1))
-    return sources, target, sum(l.kind == lb.M_LAM for l in target)
+def _bound_table(label: ModuleLabel, k: int) -> tuple[tuple[int, ...], frozenset[int], int]:
+    """The label's constituents as `upper_bound` reads them, as `m1_code`
+    codes: its window-1 constituents as a source; as a target, its
+    window-3 constituents and how many of them are M(c)."""
+    target = frozenset(m1_code(l) for l, _ in decompose(label, k, window=3))
+    sources = tuple(m1_code(m) for m, _ in decompose(label, k, window=1))
+    return sources, target, sum(c > 0 for c in target)
 
 
 def upper_bound(w1: ModuleLabel, w2: ModuleLabel, w3: ModuleLabel, k: int) -> int:
@@ -404,10 +422,11 @@ def upper_bound(w1: ModuleLabel, w2: ModuleLabel, w3: ModuleLabel, k: int) -> in
     A pair's sum is the number of its products (`m1_products`) among the
     target's constituents: its finite products found in the target's
     constituent set, plus the target's count of M(c) constituents when
-    every M(c) is a product.  The sources' constituent lists and the
-    target's set and count are read from one table per label and k
-    (`_bound_table`), built from `decompose` alone; the counting runs on
-    every call.
+    every M(c) is a product.  The counting runs on every call, on the
+    constituents' `m1_code` ints: the sources' code tuples and the
+    target's code set and count are read from one table per label and k
+    (`_bound_table`), built from `decompose` alone, so a call makes no
+    `M1Label`.
 
     One representative of each residue class is enough.  The lattice
     constituents M(c) of an untwisted label (M(c) = M(-c)) have c in one
@@ -445,9 +464,10 @@ def upper_bound(w1: ModuleLabel, w2: ModuleLabel, w3: ModuleLabel, k: int) -> in
     for m in sources1:
         for n in sources2:
             finite, every_lattice = m1_products(m, n)
-            total = sum(l in target for l in finite)
-            if every_lattice:
-                total += lattice_count
+            total = lattice_count if every_lattice else 0
+            for l in finite:
+                if l in target:
+                    total += 1
             if best is None or total < best:
                 best = total
             if best == 0:

@@ -7,7 +7,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import partial
-from itertools import product
 from math import isqrt
 from operator import add
 
@@ -109,14 +108,27 @@ def suite_identities(k: int, cutoff):
 def _symmetry_sweep(eng):
     """Both symmetries of the fusion rules on every index triple of the
     table: f(i, j, l) = f(j, i, l) = f(i, l', j'), l' the position of the
-    contragredient of label l (`FusionEngine.duals`)."""
+    contragredient of label l (`FusionEngine.duals`).
+
+    Both maps are involutions, so the table is symmetric exactly when the
+    two images of each nonzero triple are nonzero, and only the nonzero
+    triples are walked.  The triples that differ from an image are then
+    the nonzero triples with a zero image and those images; a failure
+    names the least of them in index order, the first that a sweep over
+    all (k+7)^3 triples meets."""
     k, table, labels, dual = eng.k, eng.table, eng.labels, eng.duals
-    for i, j, l in product(range(len(labels)), repeat=3):
+    failing = set()
+    for t in table:
+        i, j, l = t
+        for image in ((j, i, l), (i, dual[l], dual[j])):
+            if image not in table:
+                failing.update((t, image))
+    if failing:
+        i, j, l = min(failing)
         f = (i, j, l) in table
-        if f != ((j, i, l) in table) or f != ((i, dual[l], dual[j]) in table):
-            name = "swap" if f != ((j, i, l) in table) else "dual"
-            codes = f"{labels[i].code},{labels[j].code},{labels[l].code}"
-            return "fail", f"{name} symmetry broken at {codes}"
+        name = "swap" if f != ((j, i, l) in table) else "dual"
+        codes = f"{labels[i].code},{labels[j].code},{labels[l].code}"
+        return "fail", f"{name} symmetry broken at {codes}"
     return "pass", f"all {(k + 7) ** 3} triples symmetric"
 
 
@@ -130,12 +142,16 @@ def suite_closure(k: int, cutoff):
 
 
 def _bound_soundness(eng):
-    k = eng.k
-    for (w1, w2, w3) in eng.all_triples():
-        f = eng.fusion(w1, w2, w3)
+    """fusion <= bound on every triple.  A fusion value is 0 or 1 and a
+    bound is never negative, so only a nonzero triple can fail; they are
+    walked in index order, and a failure names the first, as a sweep over
+    all (k+7)^3 triples would."""
+    k, labels = eng.k, eng.labels
+    for i, j, l in sorted(eng.table):
+        w1, w2, w3 = labels[i], labels[j], labels[l]
         b = upper_bound(w1, w2, w3, k)
-        if f > b:
-            return "fail", f"fusion {f} > bound {b} at {w1.code},{w2.code},{w3.code}"
+        if b < 1:
+            return "fail", f"fusion 1 > bound {b} at {w1.code},{w2.code},{w3.code}"
     return "pass", f"fusion <= bound on all {(k + 7) ** 3} triples"
 
 

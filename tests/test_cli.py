@@ -12,6 +12,7 @@ import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -39,7 +40,7 @@ from orbifold_voa.fock import (
     partition_count,
     twisted_basis,
 )
-from orbifold_voa.fusion import EngineInconsistencyError, get_engine
+from orbifold_voa.fusion import EngineInconsistencyError, get_engine, upper_bound
 from orbifold_voa.ring import RingParams
 from orbifold_voa.verify import SUITES
 from orbifold_voa.fusion import direct_witness
@@ -989,17 +990,21 @@ def _label_sweep(eng):
 
 @pytest.mark.parametrize("k", (1, 2, 3))
 def test_symmetry_sweep_matches_the_label_sweep(k):
-    # the intact table passes; with one triple dropped (a whole orbit when
-    # the triple is its own swap and dual image) both sweeps give the same
-    # verdict, and a failure names the same first triple and symmetry
+    # the intact table passes; with any one triple dropped (a whole orbit
+    # when the triple is its own swap and dual image), or every fifth zero
+    # triple added, the walk over the nonzero triples and the sweep over all
+    # triples give the same verdict, and a failure names the same first
+    # triple and symmetry
     eng = get_engine(k)
     assert verify._symmetry_sweep(eng) == _label_sweep(eng) == ("pass", f"all {(k + 7) ** 3} triples symmetric")
+    n = len(eng.labels)
+    added = [t for t in product(range(n), repeat=3) if t not in eng.table][::5]
     kinds = set()
-    for t in sorted(eng.table)[:: max(1, len(eng.table) // 12)]:
+    for table in [eng.table - {t} for t in sorted(eng.table)] + [eng.table | {t} for t in added]:
         broken = copy.copy(eng)
-        broken.table = eng.table - {t}
+        broken.table = table
         got = verify._symmetry_sweep(broken)
-        assert got == _label_sweep(broken), t
+        assert got == _label_sweep(broken), table ^ eng.table
         kinds.add(got[1].split()[0])
     assert {"swap", "dual"} <= kinds
 
@@ -1029,6 +1034,40 @@ def test_repeated_main_calls_share_the_parser(capsys):
     assert json.loads(first[0][1])["bound"] >= 1
     assert "value 1" in first[3][1]
     assert [run(capsys, *argv) for argv in calls] == first
+
+
+def _full_bound_soundness(eng, bound):
+    """Bound soundness over all (k+7)^3 triples in index order: the
+    reference for the walk over the nonzero triples."""
+    for w1, w2, w3 in eng.all_triples():
+        f = eng.fusion(w1, w2, w3)
+        b = bound(w1, w2, w3, eng.k)
+        if f > b:
+            return "fail", f"fusion {f} > bound {b} at {w1.code},{w2.code},{w3.code}"
+    return "pass", f"fusion <= bound on all {(eng.k + 7) ** 3} triples"
+
+
+@pytest.mark.parametrize("k", (1, 2, 5))
+def test_bound_soundness_over_the_nonzero_triples_matches_the_full_sweep(monkeypatch, k):
+    # the bound lowered to 0 at one triple, nonzero or zero, or at two
+    # nonzero triples gives the message of the sweep over all triples
+    eng = get_engine(k)
+    labels = eng.labels
+    nonzero = [tuple(labels[i] for i in t) for t in sorted(eng.table)]
+    zero = [t for t in eng.all_triples() if not eng.fusion(*t)][:: 7 * k]
+    step = max(1, len(nonzero) // 24)
+    cases = [{t} for t in nonzero[::step]] + [{t} for t in zero]
+    cases += [{s, t} for s, t in zip(nonzero[::step], reversed(nonzero[::step]))]
+    assert verify._bound_soundness(eng) == _full_bound_soundness(eng, verify.upper_bound)
+    for lowered in cases:
+
+        def bound(w1, w2, w3, k, lowered=lowered):
+            return 0 if (w1, w2, w3) in lowered else upper_bound(w1, w2, w3, k)
+
+        monkeypatch.setattr(verify, "upper_bound", bound)
+        want = _full_bound_soundness(eng, bound)
+        assert verify._bound_soundness(eng) == want
+        assert want[0] == ("fail" if any(eng.fusion(*t) for t in lowered) else "pass")
 
 
 def test_verify_bounds_at_k12(capsys):

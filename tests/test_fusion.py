@@ -20,6 +20,7 @@ from orbifold_voa.fusion import (
     bound_blind_zeros,
     decompose,
     get_engine,
+    m1_code,
     m1_fusion,
     m1_products,
     normalize_lam_index,
@@ -218,10 +219,17 @@ def test_m1_fusion_matches_the_predicate_oracle():
                 assert m1_fusion(m, n, l) == _m1_fusion_oracle(m, n, l), (m, n, l)
 
 
+def test_m1_code_is_injective_on_the_constituents():
+    codes = [m1_code(m) for m in CONSTITUENTS]
+    assert len(set(codes)) == len(CONSTITUENTS)
+    assert codes[:4] == [0, -1, -2, -3]
+    assert codes[4:] == list(range(1, 41))
+
+
 def test_no_product_list_repeats_a_constituent():
     for m in CONSTITUENTS:
         for n in CONSTITUENTS:
-            finite, every_lattice = m1_products(m, n)
+            finite, every_lattice = m1_products(m1_code(m), m1_code(n))
             assert len(set(finite)) == len(finite), (m, n)
             # every M(c) is a product of the twisted pairs alone
             assert every_lattice == (m.kind == n.kind == lb.M_TW)
@@ -493,6 +501,57 @@ def test_bound_work_is_constant_in_k(monkeypatch):
         n20 = count(triple, 20)
         assert 0 < n20 <= 9  # 3 x 3 source pairs
         assert count(triple, 200) == n20
+
+
+def test_bound_makes_no_constituent_label_once_its_tables_are_built(monkeypatch):
+    """`upper_bound` counts on the `m1_code` ints of its tables: once the
+    tables of k are built, no call makes an `M1Label`, neither through
+    its constructor nor through `_make` (which `_replace` calls)."""
+    k = 8
+    labels = lb.all_labels(k)
+    triples = [(w1, w2, w3) for w1 in labels for w2 in labels for w3 in labels]
+    first = [upper_bound(*t, k) for t in triples]
+    made = []
+    new, make = lb.M1Label.__new__, lb.M1Label._make
+
+    def counting_new(cls, *args, **kwargs):
+        made.append(args)
+        return new(cls, *args, **kwargs)
+
+    def counting_make(cls, iterable):
+        made.append(iterable)
+        return make(iterable)
+
+    def counting_m_lam(index):
+        made.append(index)
+        return m_lam(index)
+
+    monkeypatch.setattr(lb.M1Label, "__new__", counting_new)
+    monkeypatch.setattr(lb.M1Label, "_make", classmethod(counting_make))
+    monkeypatch.setattr(fusion_module, "m_lam", counting_m_lam)
+    # the counters count
+    assert lb.M1Label(lb.M_VAC, +1)._replace(sign=-1) == m_vac(-1)
+    assert len(made) == 3
+    made.clear()
+    again = [upper_bound(*t, k) for t in triples]
+    assert again == first
+    assert all(type(b) is int for b in again)
+    assert made == []
+
+
+@pytest.mark.parametrize("k", (2, 3, 5))
+def test_a_raw_coset_index_fuses_as_its_normal_form(k):
+    """`FusionEngine.fusion` finds the labels `parse_label` makes as they
+    are and normalizes any other Vl<r> index: Vl<r + 2k> and Vl<2k - r>
+    give the values of Vl<r> in every position."""
+    eng = get_engine(k)
+    labels = eng.labels
+    for r in range(1, k):
+        for raw in (lb.lam(r + 2 * k), lb.lam(2 * k - r)):
+            for a in labels:
+                for b in labels:
+                    want = (eng.fusion(lb.lam(r), a, b), eng.fusion(a, lb.lam(r), b), eng.fusion(a, b, lb.lam(r)))
+                    assert (eng.fusion(raw, a, b), eng.fusion(a, raw, b), eng.fusion(a, b, raw)) == want
 
 
 def test_bound_table_is_built_once_per_label_and_builds_no_engine(monkeypatch):
